@@ -204,9 +204,20 @@ def cmd_wmax(args):
 # -- simulation assembly --------------------------------------------------------
 
 
-def _build_quadcopter_sim(scn):
+def _certify(scn, out):
+    """Certification shared by every simulation of `scn`, as (certs, entries).
+    It does not depend on the controller mode, so one run computes it once.
+    Quadruped: the w_max pipeline, which also writes its certificates, value
+    grids and report into `out`.  Quadcopter: the synthesis alone, with no
+    bound entries."""
+    if scn.plant_kind == "quadcopter":
+        return _synthesize_all(scn, verbose=False), []
+    return _wmax_pipeline(scn, out, verbose=False)
+
+
+def _build_quadcopter_sim(scn, certs):
     plant = plants.QuadcopterPlant(scn.quadcopter)
-    cert, _ = _synthesize_all(scn, verbose=False)["main"]
+    cert, _ = certs["main"]
     block = scn.clf_blocks["main"]
     if block.w_max is None:
         raise ConfigError("[clf] needs w_max for the quadcopter pipeline")
@@ -216,13 +227,12 @@ def _build_quadcopter_sim(scn):
                                            u_lin=plant.hover_input(), gains=gains)
     monitors = [plants.LyapunovMonitor(name="E", p=cert.p, level=level)]
     dist = _disturbance_fn(scn, cert)
-    return plant, controller, monitors, dist, {"main": cert}
+    return plant, controller, monitors, dist
 
 
-def _build_quadruped_sim(scn, out):
+def _build_quadruped_sim(scn, certs, entries):
     plant = plants.QuadrupedPlant(scn.quadruped, delta_m=scn.delta_m,
                                   drag_force=scn.drag_force)
-    certs, entries = _wmax_pipeline(scn, out, verbose=False)
     levels = {e["axis"]: e["level"] for e in entries}
     monitors = []
     for axis in scn.hj_blocks:
@@ -248,7 +258,7 @@ def _build_quadruped_sim(scn, out):
     controller = plants.TrackingController(plant, scn.reference(), scn.mpc,
                                            u_lin=plant.static_input(), gains=gains)
     dist = _disturbance_fn(scn, None)
-    return plant, controller, monitors, dist, certs
+    return plant, controller, monitors, dist
 
 
 def _disturbance_fn(scn, cert):
@@ -321,21 +331,21 @@ def _plot_band(path, scn, trajs):
                       hlines=[(1.0, "invariant level", "#d62728")])
 
 
-def _simulate_one(scn, out):
+def _simulate_one(scn, certs, entries):
+    """Simulate `scn` in its own mode under a certification from _certify."""
     if scn.plant_kind == "quadcopter":
-        plant, controller, monitors, dist, certs = _build_quadcopter_sim(scn)
+        plant, controller, monitors, dist = _build_quadcopter_sim(scn, certs)
     else:
-        plant, controller, monitors, dist, certs = _build_quadruped_sim(scn, out)
-    traj = plants.simulate_closed_loop(plant, controller, scn.reference(), dist,
+        plant, controller, monitors, dist = _build_quadruped_sim(scn, certs, entries)
+    return plants.simulate_closed_loop(plant, controller, scn.reference(), dist,
                                        duration=scn.duration, dt=scn.sim_dt,
                                        monitors=monitors)
-    return traj
 
 
 def cmd_simulate(args):
     scn = _load(args)
     out = _out_dir(scn, args)
-    traj = _simulate_one(scn, out)
+    traj = _simulate_one(scn, *_certify(scn, out))
     csv_path = out / f"{scn.name}_{scn.mode}.csv"
     traj.to_csv(csv_path)
     _plot_trajectory(out / f"{scn.name}_{scn.mode}_traj.svg", scn, traj)
@@ -360,10 +370,11 @@ def cmd_reproduce(args):
         scn.seed = int(args.seed)
     out = _out_dir(scn, args)
 
+    certs, entries = _certify(scn, out)
     trajs = []
     for mode in ("nominal", "robust"):
         sub = scn.with_mode(mode)
-        traj = _simulate_one(sub, out)
+        traj = _simulate_one(sub, certs, entries)
         traj.to_csv(out / f"{scn.name}_{mode}.csv")
         _plot_trajectory(out / f"{scn.name}_{mode}_traj.svg", sub, traj)
         print(f"[reproduce:{mode}]")

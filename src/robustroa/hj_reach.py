@@ -17,7 +17,7 @@ opposing it.
 
 Two set-propagation flavours, selected by `freeze`:
 
-* "reach": after every step V <- min(V_new, V_old).  {V <= 0} at time t0
+* "reach": after every step V <- min(V_new, l).  {V <= 0} at time t0
   is the backward reach set: states that can hit T at some time in
   [t0, 0] despite the disturbance.
 * "stay": after every step V <- max(V_new, l).  As the horizon grows
@@ -232,26 +232,40 @@ def hamiltonian(v_grad, x, dyn: AffineDynamics2, mode=QuantifierOrder.CONTROL_MI
 
 # -- gridded machinery --------------------------------------------------------
 
+def _grid_field(values, ones):
+    """A dynamics term sampled on the grid.  A spatially constant one (every
+    entry the same bits, sign of zero included) is kept as a scalar: the
+    products it enters are the same, with less memory traffic."""
+    a = np.asarray(values, dtype=float) * ones
+    c = a.flat[0]
+    if np.all(a == c) and np.all(np.signbit(a) == np.signbit(c)):
+        return float(c)
+    return a
+
+
 class _GridTerms:
-    """Dynamics terms evaluated once per solve on the whole grid."""
+    """Dynamics terms evaluated once per solve on the whole grid.
+
+    Each distinct value of `uncertain_params` is one branch; a repeated
+    value (a degenerate interval such as [0, 0]) would only repeat a branch,
+    and the max or min of a branch with itself changes nothing.
+    """
 
     def __init__(self, grid: Grid2, dyn: AffineDynamics2):
         x1g, x2g = grid.mesh()
         ones = np.ones(grid.shape)
         self.branches = []
-        for par in dyn.uncertain_params:
+        for par in dict.fromkeys(dyn.uncertain_params):
             f1, f2 = dyn.drift(x1g, x2g, par)
-            drift = (np.asarray(f1, dtype=float) * ones, np.asarray(f2, dtype=float) * ones)
+            drift = (_grid_field(f1, ones), _grid_field(f2, ones))
             ctrl = []
             for fn, (lo, hi) in dyn.control_terms:
                 g1, g2 = fn(x1g, x2g, par)
-                ctrl.append((np.asarray(g1, dtype=float) * ones,
-                             np.asarray(g2, dtype=float) * ones, float(lo), float(hi)))
+                ctrl.append((_grid_field(g1, ones), _grid_field(g2, ones), float(lo), float(hi)))
             dist = []
             for fn, (lo, hi) in dyn.disturbance_terms:
                 g1, g2 = fn(x1g, x2g, par)
-                dist.append((np.asarray(g1, dtype=float) * ones,
-                             np.asarray(g2, dtype=float) * ones, float(lo), float(hi)))
+                dist.append((_grid_field(g1, ones), _grid_field(g2, ones), float(lo), float(hi)))
             self.branches.append((drift, ctrl, dist))
         # Per-axis wave speed bounds max |dH/dp_i| over grid, players, branches.
         a1 = np.zeros(grid.shape)
@@ -268,47 +282,72 @@ class _GridTerms:
         self.alpha = (float(a1.max()), float(a2.max()))
 
     def hamiltonian(self, p1, p2, ctrl_min):
+        # in-place accumulation: the same operations in the same order as
+        # p1*f1 + p2*f2 + sum of channel extremes, without the temporaries
         out = None
         for (f1, f2), ctrl, dist in self.branches:
-            h = p1 * f1 + p2 * f2
-            for g1, g2, lo, hi in ctrl:
-                h = h + _channel_extreme(p1 * g1 + p2 * g2, lo, hi, ctrl_min)
-            for g1, g2, lo, hi in dist:
-                h = h + _channel_extreme(p1 * g1 + p2 * g2, lo, hi, not ctrl_min)
+            h = p1 * f1
+            h += p2 * f2
+            for channels, minimize in ((ctrl, ctrl_min), (dist, not ctrl_min)):
+                for g1, g2, lo, hi in channels:
+                    coef = p1 * g1
+                    coef += p2 * g2
+                    h += _channel_extreme(coef, lo, hi, minimize)
             if out is None:
                 out = h
+            elif ctrl_min:
+                np.maximum(out, h, out=out)
             else:
-                out = np.maximum(out, h) if ctrl_min else np.minimum(out, h)
+                np.minimum(out, h, out=out)
         return out
-
-
-def _pad_linear(v):
-    """Add a one-node ring extrapolated linearly (one-sided edge stencils)."""
-    p = np.empty((v.shape[0] + 2, v.shape[1] + 2))
-    p[1:-1, 1:-1] = v
-    p[0, 1:-1] = 2.0 * v[0] - v[1]
-    p[-1, 1:-1] = 2.0 * v[-1] - v[-2]
-    p[:, 0] = 2.0 * p[:, 1] - p[:, 2]
-    p[:, -1] = 2.0 * p[:, -2] - p[:, -3]
-    return p
 
 
 def _lf_update(v, grid, terms, dt, ctrl_min):
     """One forward-time Euler step of V_t + H = 0 (dt may be negative to
-    integrate backward); dissipation always acts forward in its own time."""
+    integrate backward); dissipation always acts forward in its own time.
+
+    Computes v - dt * H(p1, p2) + |dt| * (0.5 a1 (D+1 - D-1) + 0.5 a2 (D+2 - D-2))
+    with p_i = 0.5 (D+i + D-i), operation for operation, partly in place.
+    """
     dx1, dx2 = grid.dx
     a1, a2 = terms.alpha
     if abs(dt) * (a1 / dx1 + a2 / dx2) > 0.9 + 1e-12:
         raise CflViolation(
             f"|dt| = {abs(dt):.3e} exceeds CFL bound {0.9 / (a1 / dx1 + a2 / dx2 + 1e-300):.3e}")
-    p = _pad_linear(v)
-    dplus1 = (p[2:, 1:-1] - p[1:-1, 1:-1]) / dx1
-    dminus1 = (p[1:-1, 1:-1] - p[:-2, 1:-1]) / dx1
-    dplus2 = (p[1:-1, 2:] - p[1:-1, 1:-1]) / dx2
-    dminus2 = (p[1:-1, 1:-1] - p[1:-1, :-2]) / dx2
-    h = terms.hamiltonian(0.5 * (dplus1 + dminus1), 0.5 * (dplus2 + dminus2), ctrl_min)
-    diss = 0.5 * a1 * (dplus1 - dminus1) + 0.5 * a2 * (dplus2 - dminus2)
-    return v - dt * h + abs(dt) * diss
+    # Forward differences per axis, one entry longer than the grid: entry i
+    # is (V[i] - V[i-1]) / dx, so D- and D+ at node i are entries i and i+1.
+    # The two edge entries difference against a linearly extrapolated ghost
+    # node (2 V[0] - V[1], 2 V[-1] - V[-2]), written exactly as below so
+    # every bit matches the padded-ring form of the scheme.
+    n1, n2 = v.shape
+    d1 = np.empty((n1 + 1, n2))
+    d1[0] = v[0] - (2.0 * v[0] - v[1])
+    np.subtract(v[1:], v[:-1], out=d1[1:-1])
+    d1[-1] = (2.0 * v[-1] - v[-2]) - v[-1]
+    d1 /= dx1
+    d2 = np.empty((n1, n2 + 1))
+    d2[:, 0] = v[:, 0] - (2.0 * v[:, 0] - v[:, 1])
+    np.subtract(v[:, 1:], v[:, :-1], out=d2[:, 1:-1])
+    d2[:, -1] = (2.0 * v[:, -1] - v[:, -2]) - v[:, -1]
+    d2 /= dx2
+    dplus1, dminus1 = d1[1:], d1[:-1]
+    dplus2, dminus2 = d2[:, 1:], d2[:, :-1]
+
+    p1 = dplus1 + dminus1
+    p1 *= 0.5
+    p2 = dplus2 + dminus2
+    p2 *= 0.5
+    out = terms.hamiltonian(p1, p2, ctrl_min)
+    out *= dt
+    np.subtract(v, out, out=out)
+    diss = np.subtract(dplus1, dminus1, out=p1)
+    diss *= 0.5 * a1
+    diss2 = np.subtract(dplus2, dminus2, out=p2)
+    diss2 *= 0.5 * a2
+    diss += diss2
+    diss *= abs(dt)
+    out += diss
+    return out
 
 
 def lf_step(vg: ValueGrid, dyn: AffineDynamics2, dt, mode=QuantifierOrder.CONTROL_MIN):

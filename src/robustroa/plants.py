@@ -591,13 +591,16 @@ class Trajectory:
         else:
             for name in self.monitor_names:
                 cols += [f"E_{name}", f"roa_level_{name}"]
+        n = len(self.t)
+        blocks = [np.reshape(self.t, (n, 1)), self.x, self.x_ref, self.u, self.w]
+        for j, lev in enumerate(self.levels):
+            blocks += [self.e_lyap[:, j:j + 1], np.full((n, 1), float(lev))]
+        # converted row by row: a whole-table tolist() would hold ~40 bytes
+        # per value in Python floats and lists at once
+        table = np.hstack(blocks)
         with open(path, "w") as fh:
             fh.write(",".join(cols) + "\n")
-            for i in range(len(self.t)):
-                row = [self.t[i], *self.x[i], *self.x_ref[i], *self.u[i], *self.w[i]]
-                for j, lev in enumerate(self.levels):
-                    row += [self.e_lyap[i, j], lev]
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in table)
 
 
 def simulate_closed_loop(plant, controller, reference, disturbance, duration, dt,

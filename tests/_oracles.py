@@ -172,3 +172,105 @@ def hausdorff(a, b, chunk=1024):
         return worst
 
     return max(directed(a, b), directed(b, a))
+
+
+# -- Lax-Friedrichs step, padded-ring form -------------------------------------
+#
+# The explicit step of hj_reach in its plainest form: the value grid is
+# padded with a one-node ring extrapolated linearly, the four one-sided
+# differences are taken on the padded array, and the Hamiltonian is
+# evaluated on every entry of `uncertain_params`, repeated values included,
+# with each term broadcast to a full grid array.  The library's step must
+# reproduce it bit for bit.
+
+def _channel_extreme(coef, lo, hi, minimize):
+    if minimize:
+        return np.where(coef >= 0.0, lo * coef, hi * coef)
+    return np.where(coef >= 0.0, hi * coef, lo * coef)
+
+
+def lf_terms(grid, dyn):
+    """Per-branch full-grid dynamics terms and the per-axis dissipation
+    coefficients (alpha1, alpha2)."""
+    x1g, x2g = grid.mesh()
+    ones = np.ones(grid.shape)
+    branches = []
+    for par in dyn.uncertain_params:
+        f1, f2 = dyn.drift(x1g, x2g, par)
+        drift = (np.asarray(f1, dtype=float) * ones, np.asarray(f2, dtype=float) * ones)
+        ctrl = []
+        for fn, (lo, hi) in dyn.control_terms:
+            g1, g2 = fn(x1g, x2g, par)
+            ctrl.append((np.asarray(g1, dtype=float) * ones,
+                         np.asarray(g2, dtype=float) * ones, float(lo), float(hi)))
+        dist = []
+        for fn, (lo, hi) in dyn.disturbance_terms:
+            g1, g2 = fn(x1g, x2g, par)
+            dist.append((np.asarray(g1, dtype=float) * ones,
+                         np.asarray(g2, dtype=float) * ones, float(lo), float(hi)))
+        branches.append((drift, ctrl, dist))
+    a1 = np.zeros(grid.shape)
+    a2 = np.zeros(grid.shape)
+    for (f1, f2), ctrl, dist in branches:
+        b1 = np.abs(f1)
+        b2 = np.abs(f2)
+        for g1, g2, lo, hi in ctrl + dist:
+            span = max(abs(lo), abs(hi))
+            b1 = b1 + np.abs(g1) * span
+            b2 = b2 + np.abs(g2) * span
+        a1 = np.maximum(a1, b1)
+        a2 = np.maximum(a2, b2)
+    return branches, (float(a1.max()), float(a2.max()))
+
+
+def lf_hamiltonian(branches, p1, p2, ctrl_min):
+    out = None
+    for (f1, f2), ctrl, dist in branches:
+        h = p1 * f1 + p2 * f2
+        for g1, g2, lo, hi in ctrl:
+            h = h + _channel_extreme(p1 * g1 + p2 * g2, lo, hi, ctrl_min)
+        for g1, g2, lo, hi in dist:
+            h = h + _channel_extreme(p1 * g1 + p2 * g2, lo, hi, not ctrl_min)
+        if out is None:
+            out = h
+        else:
+            out = np.maximum(out, h) if ctrl_min else np.minimum(out, h)
+    return out
+
+
+def pad_linear(v):
+    """Add a one-node ring extrapolated linearly (one-sided edge stencils)."""
+    p = np.empty((v.shape[0] + 2, v.shape[1] + 2))
+    p[1:-1, 1:-1] = v
+    p[0, 1:-1] = 2.0 * v[0] - v[1]
+    p[-1, 1:-1] = 2.0 * v[-1] - v[-2]
+    p[:, 0] = 2.0 * p[:, 1] - p[:, 2]
+    p[:, -1] = 2.0 * p[:, -2] - p[:, -3]
+    return p
+
+
+def lf_update(v, grid, dyn, dt, ctrl_min):
+    """One forward-time Euler step of V_t + H = 0 (no CFL check)."""
+    branches, (a1, a2) = lf_terms(grid, dyn)
+    dx1, dx2 = grid.dx
+    p = pad_linear(v)
+    dplus1 = (p[2:, 1:-1] - p[1:-1, 1:-1]) / dx1
+    dminus1 = (p[1:-1, 1:-1] - p[:-2, 1:-1]) / dx1
+    dplus2 = (p[1:-1, 2:] - p[1:-1, 1:-1]) / dx2
+    dminus2 = (p[1:-1, 1:-1] - p[1:-1, :-2]) / dx2
+    h = lf_hamiltonian(branches, 0.5 * (dplus1 + dminus1), 0.5 * (dplus2 + dminus2), ctrl_min)
+    diss = 0.5 * a1 * (dplus1 - dminus1) + 0.5 * a2 * (dplus2 - dminus2)
+    return v - dt * h + abs(dt) * diss
+
+
+# -- trajectory CSV rows, value by value ---------------------------------------
+
+def trajectory_csv_rows(traj):
+    """Data rows of Trajectory.to_csv, each value formatted on its own."""
+    lines = []
+    for i in range(len(traj.t)):
+        row = [traj.t[i], *traj.x[i], *traj.x_ref[i], *traj.u[i], *traj.w[i]]
+        for j, lev in enumerate(traj.levels):
+            row += [traj.e_lyap[i, j], lev]
+        lines.append(",".join(repr(float(v)) for v in row) + "\n")
+    return "".join(lines)

@@ -427,9 +427,24 @@ def test_simulate_seed_determinism(mini_run, tmp_path):
     assert reseeded != first  # random disturbance draws from the new seed
 
 
-def test_reproduce_runs_both_modes(tmp_path):
+def count_calls(monkeypatch, *names):
+    """Wrap the named harness.cli globals with call counters."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(cli, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    return counts
+
+
+def test_reproduce_runs_both_modes(tmp_path, monkeypatch):
     cfg = mini_cfg(tmp_path)
     out = tmp_path / "out"
+    counts = count_calls(monkeypatch, "synthesize", "solve_brs")
     rc, text = run_cli(["reproduce", "--config", str(cfg), "--out", str(out)])
     assert rc == 0
     assert "[reproduce:nominal]" in text
@@ -437,6 +452,36 @@ def test_reproduce_runs_both_modes(tmp_path):
     for fname in ("mini_nominal.csv", "mini_robust.csv", "mini_nominal_traj.svg",
                   "mini_robust_traj.svg", "mini_compare_band.svg"):
         assert (out / fname).exists(), fname
+    # certified once for both modes: one synthesis and one PDE solve per axis
+    assert counts == {"synthesize": 2, "solve_brs": 2}
+
+    # and the certification artifacts are the ones `wmax` writes
+    rc, _ = run_cli(["wmax", "--config", str(cfg), "--out", str(tmp_path / "wmax")])
+    assert rc == 0
+    for fname in ("mini_wmax.txt", "mini_certificate_y.txt", "mini_certificate_z.txt",
+                  "mini_valuegrid_y.csv", "mini_valuegrid_z.csv"):
+        assert (out / fname).read_bytes() == (tmp_path / "wmax" / fname).read_bytes(), fname
+
+
+MINI_QUADCOPTER = {
+    "scenario": {"name": "miniqc", "plant": "quadcopter", "mode": "robust", "seed": 0},
+    "quadcopter": {"mass": 1.0, "arm_length": 0.2, "inertia_xx": 0.1, "gravity": 9.81},
+    "clf": {"q": "1e-1, 1, 1, 1, 1, 1e-2", "r": "1e-2, 1e-4", "decay_rate": 0.5,
+            "dist_weight": 0.1, "w_max": 3.5},
+    "mpc": {"q": "100, 10, 1e9, 1e5, 1e14, 1e4", "r": "1e6, 1e6", "dt": 0.05, "horizon": 2},
+    "reference": {"kind": "figure8", "t_end": 5.0, "amp_y": 0.5, "amp_z": 0.5},
+    "disturbance": {"kind": "worst_constant", "w_max": 3.5},
+    "simulate": {"duration": 0.1, "dt": 0.001},
+}
+
+
+def test_reproduce_quadcopter_synthesizes_once(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, MINI_QUADCOPTER)
+    counts = count_calls(monkeypatch, "synthesize")
+    rc, text = run_cli(["reproduce", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert "[reproduce:nominal]" in text and "[reproduce:robust]" in text
+    assert counts == {"synthesize": 1}
 
 
 def test_console_script_synth(tmp_path):

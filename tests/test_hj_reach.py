@@ -343,6 +343,34 @@ def test_lf_step_matches_scalar_reimplementation():
             assert np.max(np.abs(got.v - want)) < 1e-12
 
 
+@pytest.mark.parametrize("params", [(None,), (0.0, 0.0), (0.0, 5.0)])
+def test_lf_step_bitwise_matches_padded_ring_reference(params):
+    # the step must reproduce the padded-ring form bit for bit, including
+    # at the grid edges and with repeated uncertain-parameter values
+    grid = hj.Grid2((-1.0, -2.0), (0.5, 1.5), (23, 17))
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal(grid.shape)
+
+    def inv_mass(p):
+        return 1.0 / (2.0 + (0.0 if p is None else p))
+
+    dyn = hj.AffineDynamics2(
+        drift=lambda x1, x2, p: (x2, (-9.81 + 0.3 * x1) * np.ones_like(x1)),
+        control_terms=(
+            ((lambda x1, x2, p: (0.0 * x1, inv_mass(p) * np.ones_like(x1))), (0.0, 30.0)),
+            ((lambda x1, x2, p: (0.2 + 0.0 * x1, 0.1 * x2 * inv_mass(p))), (-1.5, 0.7)),),
+        disturbance_terms=(
+            ((lambda x1, x2, p: (np.zeros_like(x1), 0.5 + 0.0 * x1)), (-0.4, 0.4)),),
+        uncertain_params=params)
+    for dt in (2e-3, -2e-3):
+        for mode in (QuantifierOrder.CONTROL_MIN, QuantifierOrder.CONTROL_MAX):
+            ctrl_min = mode == QuantifierOrder.CONTROL_MIN
+            got = hj.lf_step(hj.ValueGrid(grid, v.copy()), dyn, dt, mode).v
+            want = orc.lf_update(v, grid, dyn, dt, ctrl_min)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_lf_step_cfl_violation():
     grid = hj.grid_around(DI_TARGET, n=101)
     vg = hj.signed_target(grid, DI_TARGET)

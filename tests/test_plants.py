@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import _oracles as orc
 from robustroa import plants
 from robustroa.clf_synth import ClfCertificate, ClfParams
 from robustroa.mpc import MpcConfig
@@ -448,3 +449,21 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert np.array_equal(data[:, 1], traj.x[:, 0])
     assert np.array_equal(data[:, 5], traj.e_lyap[:, 0])
     assert np.all(data[:, 6] == 4.0)
+
+
+def test_trajectory_csv_matches_value_by_value_rows(tmp_path):
+    # the bulk writer must give the bytes of formatting each value alone
+    rng = np.random.default_rng(3)
+    n = 40
+    x = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+    x[0, 0], x[1, 1], x[2, 2] = -0.0, np.nan, np.inf
+    traj = plants.Trajectory(
+        t=np.arange(n) * 1e-3, x=x, x_ref=rng.standard_normal((n, 3)),
+        u=rng.standard_normal((n, 2)), w=np.zeros((n, 1)),
+        e_lyap=rng.standard_normal((n, 2)) ** 2, monitor_names=("y", "z"),
+        levels=(0.1, 4), diverged=False, invariant_exits=(0, 0), clamp_events=0)
+    path = tmp_path / "run.csv"
+    traj.to_csv(path)
+    header, rows = path.read_text().split("\n", 1)
+    assert header == "t,x1,x2,x3,xref1,xref2,xref3,u1,u2,w1,E_y,roa_level_y,E_z,roa_level_z"
+    assert rows == orc.trajectory_csv_rows(traj)

@@ -32,6 +32,9 @@ unknown added mass) is handled by evaluating the Hamiltonian at the
 interval endpoints and giving the extremum to the disturbance player;
 this is exact when the dependence is monotone, which holds for a
 1/(m + dm) factor.
+
+A solve allocates its grid-sized work arrays once and runs every step in
+place in them; no step allocates an array of grid size.
 """
 
 from __future__ import annotations
@@ -244,11 +247,17 @@ def _grid_field(values, ones):
 
 
 class _GridTerms:
-    """Dynamics terms evaluated once per solve on the whole grid.
+    """Dynamics terms evaluated once per solve on the whole grid, and the
+    work arrays every step runs in.
 
     Each distinct value of `uncertain_params` is one branch; a repeated
     value (a degenerate interval such as [0, 0]) would only repeat a branch,
     and the max or min of a branch with itself changes nothing.
+
+    The grid-sized work arrays are allocated here, once, so a step allocates
+    nothing of grid size: freeing and reallocating a dozen of them per step
+    made the allocator hand the heap top back to the kernel and fault it in
+    again, which took about 40% of a solve's wall time.
     """
 
     def __init__(self, grid: Grid2, dyn: AffineDynamics2):
@@ -280,34 +289,58 @@ class _GridTerms:
             a1 = np.maximum(a1, b1)
             a2 = np.maximum(a2, b2)
         self.alpha = (float(a1.max()), float(a2.max()))
+        n1, n2 = grid.shape
+        self.d1 = np.empty((n1 + 1, n2))
+        self.d2 = np.empty((n1, n2 + 1))
+        self.p1 = np.empty(grid.shape)
+        self.p2 = np.empty(grid.shape)
+        self.branch = np.empty(grid.shape)
+        self.coef = np.empty(grid.shape)
+        self.prod_a = np.empty(grid.shape)
+        self.prod_b = np.empty(grid.shape)
+        self.mask = np.empty(grid.shape, dtype=bool)
 
-    def hamiltonian(self, p1, p2, ctrl_min):
-        # in-place accumulation: the same operations in the same order as
-        # p1*f1 + p2*f2 + sum of channel extremes, without the temporaries
-        out = None
-        for (f1, f2), ctrl, dist in self.branches:
-            h = p1 * f1
-            h += p2 * f2
+    def hamiltonian(self, p1, p2, ctrl_min, out):
+        """H(p1, p2) on the grid, written into `out` (which must not alias
+        p1, p2 or the work arrays).
+
+        The same operations in the same order as p1*f1 + p2*f2 + the channel
+        extremes, maximized (control minimizing) or minimized over branches.
+        A channel extreme is where(coef >= 0, lo*coef, hi*coef) for a
+        minimizing player, with lo and hi swapped for a maximizing one.
+        """
+        coef, a, b, mask = self.coef, self.prod_a, self.prod_b, self.mask
+        merge = np.maximum if ctrl_min else np.minimum
+        for k, ((f1, f2), ctrl, dist) in enumerate(self.branches):
+            h = out if k == 0 else self.branch
+            np.multiply(p1, f1, out=h)
+            np.multiply(p2, f2, out=a)
+            h += a
             for channels, minimize in ((ctrl, ctrl_min), (dist, not ctrl_min)):
                 for g1, g2, lo, hi in channels:
-                    coef = p1 * g1
-                    coef += p2 * g2
-                    h += _channel_extreme(coef, lo, hi, minimize)
-            if out is None:
-                out = h
-            elif ctrl_min:
-                np.maximum(out, h, out=out)
-            else:
-                np.minimum(out, h, out=out)
+                    np.multiply(p1, g1, out=coef)
+                    np.multiply(p2, g2, out=a)
+                    coef += a
+                    if not minimize:
+                        lo, hi = hi, lo
+                    np.greater_equal(coef, 0.0, out=mask)
+                    np.multiply(coef, lo, out=a)
+                    np.multiply(coef, hi, out=b)
+                    np.copyto(b, a, where=mask)
+                    h += b
+            if h is not out:
+                merge(out, h, out=out)
         return out
 
 
-def _lf_update(v, grid, terms, dt, ctrl_min):
+def _lf_update(v, grid, terms, dt, ctrl_min, out):
     """One forward-time Euler step of V_t + H = 0 (dt may be negative to
-    integrate backward); dissipation always acts forward in its own time.
+    integrate backward), written into `out` (which must not alias v);
+    dissipation always acts forward in its own time.
 
     Computes v - dt * H(p1, p2) + |dt| * (0.5 a1 (D+1 - D-1) + 0.5 a2 (D+2 - D-2))
-    with p_i = 0.5 (D+i + D-i), operation for operation, partly in place.
+    with p_i = 0.5 (D+i + D-i), operation for operation, in the work arrays
+    of `terms`.
     """
     dx1, dx2 = grid.dx
     a1, a2 = terms.alpha
@@ -319,13 +352,12 @@ def _lf_update(v, grid, terms, dt, ctrl_min):
     # The two edge entries difference against a linearly extrapolated ghost
     # node (2 V[0] - V[1], 2 V[-1] - V[-2]), written exactly as below so
     # every bit matches the padded-ring form of the scheme.
-    n1, n2 = v.shape
-    d1 = np.empty((n1 + 1, n2))
+    d1 = terms.d1
     d1[0] = v[0] - (2.0 * v[0] - v[1])
     np.subtract(v[1:], v[:-1], out=d1[1:-1])
     d1[-1] = (2.0 * v[-1] - v[-2]) - v[-1]
     d1 /= dx1
-    d2 = np.empty((n1, n2 + 1))
+    d2 = terms.d2
     d2[:, 0] = v[:, 0] - (2.0 * v[:, 0] - v[:, 1])
     np.subtract(v[:, 1:], v[:, :-1], out=d2[:, 1:-1])
     d2[:, -1] = (2.0 * v[:, -1] - v[:, -2]) - v[:, -1]
@@ -333,11 +365,11 @@ def _lf_update(v, grid, terms, dt, ctrl_min):
     dplus1, dminus1 = d1[1:], d1[:-1]
     dplus2, dminus2 = d2[:, 1:], d2[:, :-1]
 
-    p1 = dplus1 + dminus1
+    p1 = np.add(dplus1, dminus1, out=terms.p1)
     p1 *= 0.5
-    p2 = dplus2 + dminus2
+    p2 = np.add(dplus2, dminus2, out=terms.p2)
     p2 *= 0.5
-    out = terms.hamiltonian(p1, p2, ctrl_min)
+    terms.hamiltonian(p1, p2, ctrl_min, out)
     out *= dt
     np.subtract(v, out, out=out)
     diss = np.subtract(dplus1, dminus1, out=p1)
@@ -359,7 +391,8 @@ def lf_step(vg: ValueGrid, dyn: AffineDynamics2, dt, mode=QuantifierOrder.CONTRO
     |dt| * (a1/dx1 + a2/dx2) > 0.9.
     """
     terms = _GridTerms(vg.grid, dyn)
-    v = _lf_update(vg.v, vg.grid, terms, float(dt), mode == QuantifierOrder.CONTROL_MIN)
+    v = _lf_update(vg.v, vg.grid, terms, float(dt), mode == QuantifierOrder.CONTROL_MIN,
+                   np.empty(vg.grid.shape))
     return ValueGrid(grid=vg.grid, v=v, time=vg.time + float(dt))
 
 
@@ -405,8 +438,7 @@ def solve_brs(grid: Grid2, target: TargetSet, dyn: AffineDynamics2, horizon,
     dx1, dx2 = grid.dx
     wavesum = a1 / dx1 + a2 / dx2
 
-    def clip(vnew):
-        return np.minimum(vnew, l) if freeze == "reach" else np.maximum(vnew, l)
+    clip = np.minimum if freeze == "reach" else np.maximum
 
     v = l.copy()
     t = 0.0
@@ -415,19 +447,29 @@ def solve_brs(grid: Grid2, target: TargetSet, dyn: AffineDynamics2, horizon,
     converged = True
     if wavesum <= 0.0:
         # Static dynamics: H vanishes identically, nothing evolves.
-        v = clip(v)
+        clip(v, l, out=v)
         t = t_stop
         h_nom = abs(t_stop)
     else:
         h_nom = cfl / wavesum
+        # three grid buffers in rotation: v, the first stage, the second
+        # stage (which becomes the next v)
+        b = np.empty(grid.shape)
+        c = np.empty(grid.shape)
         while t > t_stop + 1e-12:
             h = min(h_nom, t - t_stop)
-            v1 = clip(_lf_update(v, grid, terms, -h, ctrl_min))
-            v2 = clip(_lf_update(v1, grid, terms, -h, ctrl_min))
-            vnew = clip(0.5 * (v + v2))
-            rate = float(np.max(np.abs(vnew - v))) / h
-            v = vnew
-            t -= h
+            clip(_lf_update(v, grid, terms, -h, ctrl_min, b), l, out=b)
+            clip(_lf_update(b, grid, terms, -h, ctrl_min, c), l, out=c)
+            np.add(v, c, out=c)
+            c *= 0.5
+            clip(c, l, out=c)
+            t_next = t - h
+            # only the last step's rate is reported on a fixed horizon
+            if converge or not t_next > t_stop + 1e-12:
+                np.subtract(c, v, out=b)
+                rate = float(np.max(np.abs(b, out=b))) / h
+            v, b, c = c, v, b
+            t = t_next
             steps += 1
             if converge and rate < conv_tol:
                 break

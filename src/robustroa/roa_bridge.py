@@ -22,7 +22,7 @@ import numpy as np
 
 from . import matrixkit as mk
 from .clf_synth import ClfCertificate, roa_level
-from .hj_reach import Grid2, TargetSet, ValueGrid, interp2
+from .hj_reach import Grid2, GridMismatch, TargetSet, ValueGrid, interp2
 
 
 class NoSafeRoa(Exception):
@@ -78,13 +78,15 @@ def containment_guard(vg: ValueGrid):
     return 0.5 * vg.grid.cell_diagonal * slope
 
 
-def ellipsoid_contained(ell: Ellipsoid2, vg: ValueGrid, target: TargetSet,
+def ellipsoid_contained(ell: Ellipsoid2, vg: ValueGrid, target,
                         n_boundary=720, guard=None):
     """True when the ellipsoid lies in the safe set with margin.
 
     Checks V and l at n_boundary boundary samples plus the center, each
-    against -delta.  guard overrides the automatic delta (mostly for
-    tests).  Raises OutOfGrid when a sample point leaves the grid.
+    against -delta.  target is a TargetSet, sampled on the value grid here,
+    or a ValueGrid of l already sampled on that same grid.  guard overrides
+    the automatic delta (mostly for tests).  Raises OutOfGrid when a sample
+    point leaves the grid, GridMismatch when the two grids differ.
     """
     delta = containment_guard(vg) if guard is None else float(guard)
     pts = np.vstack([ell.boundary_points(n_boundary), ell.center])
@@ -94,9 +96,19 @@ def ellipsoid_contained(ell: Ellipsoid2, vg: ValueGrid, target: TargetSet,
         raise OutOfGrid(str(exc)) from None
     if np.any(v_vals > -delta):
         return False
-    x1g, x2g = vg.grid.mesh()
-    l_vals = interp2(vg.grid, np.asarray(target.l(x1g, x2g), dtype=float), pts)
+    if isinstance(target, ValueGrid):
+        if target.grid != vg.grid:
+            raise GridMismatch("target and value function live on different grids")
+        l_grid = target.v
+    else:
+        l_grid = _sampled_l(vg.grid, target)
+    l_vals = interp2(vg.grid, l_grid, pts)
     return bool(np.all(l_vals <= -delta))
+
+
+def _sampled_l(grid: Grid2, target: TargetSet):
+    x1g, x2g = grid.mesh()
+    return np.asarray(target.l(x1g, x2g), dtype=float)
 
 
 def find_wmax(cert: ClfCertificate, vg: ValueGrid, target: TargetSet,
@@ -117,11 +129,13 @@ def find_wmax(cert: ClfCertificate, vg: ValueGrid, target: TargetSet,
         raise ValueError("need 0 < tol < w_hi")
     center = np.asarray(center, dtype=float)
     guard = containment_guard(vg)
+    # every check reads the same l, so sample it once
+    l_vg = ValueGrid(grid=vg.grid, v=_sampled_l(vg.grid, target))
 
     def contained(w):
         ell = Ellipsoid2(p=cert.p, center=center, level=roa_level(cert.params, w))
         try:
-            return ellipsoid_contained(ell, vg, target, n_boundary=n_boundary, guard=guard)
+            return ellipsoid_contained(ell, vg, l_vg, n_boundary=n_boundary, guard=guard)
         except OutOfGrid:
             return False
 

@@ -249,9 +249,10 @@ def pad_linear(v):
     return p
 
 
-def lf_update(v, grid, dyn, dt, ctrl_min):
-    """One forward-time Euler step of V_t + H = 0 (no CFL check)."""
-    branches, (a1, a2) = lf_terms(grid, dyn)
+def lf_update(v, grid, dyn, dt, ctrl_min, terms=None):
+    """One forward-time Euler step of V_t + H = 0 (no CFL check).  terms
+    is lf_terms(grid, dyn), recomputed when not given."""
+    branches, (a1, a2) = lf_terms(grid, dyn) if terms is None else terms
     dx1, dx2 = grid.dx
     p = pad_linear(v)
     dplus1 = (p[2:, 1:-1] - p[1:-1, 1:-1]) / dx1
@@ -261,6 +262,50 @@ def lf_update(v, grid, dyn, dt, ctrl_min):
     h = lf_hamiltonian(branches, 0.5 * (dplus1 + dminus1), 0.5 * (dplus2 + dminus2), ctrl_min)
     diss = 0.5 * a1 * (dplus1 - dminus1) + 0.5 * a2 * (dplus2 - dminus2)
     return v - dt * h + abs(dt) * diss
+
+
+# -- reachability solve, one fresh array per operation -------------------------
+#
+# The solve loop of hj_reach in its allocating form: every stage, clip,
+# average and change rate makes new arrays, and the change rate is taken on
+# every step.  The library's solve must reproduce V and its info bit for bit.
+
+def solve_brs(grid, target, dyn, horizon, ctrl_min=True, freeze="reach",
+              cfl=0.5, conv_tol=1e-4, max_converge_time=10.0):
+    """(V, info) of a backward solve; arguments as hj_reach.solve_brs with
+    the quantifier order given as ctrl_min.  No argument checks."""
+    converge = horizon == "converge"
+    t_stop = -float(max_converge_time) if converge else float(horizon)
+    x1g, x2g = grid.mesh()
+    l = np.asarray(target.l(x1g, x2g), dtype=float)
+    terms = lf_terms(grid, dyn)
+    a1, a2 = terms[1]
+    dx1, dx2 = grid.dx
+    h_nom = cfl / (a1 / dx1 + a2 / dx2)
+
+    def clip(vnew):
+        return np.minimum(vnew, l) if freeze == "reach" else np.maximum(vnew, l)
+
+    v = l.copy()
+    t = 0.0
+    steps = 0
+    rate = np.inf
+    converged = True
+    while t > t_stop + 1e-12:
+        h = min(h_nom, t - t_stop)
+        v1 = clip(lf_update(v, grid, dyn, -h, ctrl_min, terms))
+        v2 = clip(lf_update(v1, grid, dyn, -h, ctrl_min, terms))
+        vnew = clip(0.5 * (v + v2))
+        rate = float(np.max(np.abs(vnew - v))) / h
+        v = vnew
+        t -= h
+        steps += 1
+        if converge and rate < conv_tol:
+            break
+    else:
+        converged = not converge
+    return v, {"steps": steps, "dt": h_nom, "converged": converged,
+               "change_rate": rate if steps else 0.0, "freeze": freeze, "time": t}
 
 
 # -- trajectory CSV rows, value by value ---------------------------------------

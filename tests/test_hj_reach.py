@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
 import _oracles as orc
 from robustroa import hj_reach as hj
+from robustroa import plants
 from robustroa.hj_reach import QuantifierOrder
 
 
@@ -343,6 +346,23 @@ def test_lf_step_matches_scalar_reimplementation():
             assert np.max(np.abs(got.v - want)) < 1e-12
 
 
+def mixed_dynamics(params):
+    """Spatially varying and constant fields, two control channels, one
+    disturbance channel and an added mass entering through 1/(2 + p)."""
+
+    def inv_mass(p):
+        return 1.0 / (2.0 + (0.0 if p is None else p))
+
+    return hj.AffineDynamics2(
+        drift=lambda x1, x2, p: (x2, (-9.81 + 0.3 * x1) * np.ones_like(x1)),
+        control_terms=(
+            ((lambda x1, x2, p: (0.0 * x1, inv_mass(p) * np.ones_like(x1))), (0.0, 30.0)),
+            ((lambda x1, x2, p: (0.2 + 0.0 * x1, 0.1 * x2 * inv_mass(p))), (-1.5, 0.7)),),
+        disturbance_terms=(
+            ((lambda x1, x2, p: (np.zeros_like(x1), 0.5 + 0.0 * x1)), (-0.4, 0.4)),),
+        uncertain_params=params)
+
+
 @pytest.mark.parametrize("params", [(None,), (0.0, 0.0), (0.0, 5.0)])
 def test_lf_step_bitwise_matches_padded_ring_reference(params):
     # the step must reproduce the padded-ring form bit for bit, including
@@ -351,17 +371,7 @@ def test_lf_step_bitwise_matches_padded_ring_reference(params):
     rng = np.random.default_rng(7)
     v = rng.standard_normal(grid.shape)
 
-    def inv_mass(p):
-        return 1.0 / (2.0 + (0.0 if p is None else p))
-
-    dyn = hj.AffineDynamics2(
-        drift=lambda x1, x2, p: (x2, (-9.81 + 0.3 * x1) * np.ones_like(x1)),
-        control_terms=(
-            ((lambda x1, x2, p: (0.0 * x1, inv_mass(p) * np.ones_like(x1))), (0.0, 30.0)),
-            ((lambda x1, x2, p: (0.2 + 0.0 * x1, 0.1 * x2 * inv_mass(p))), (-1.5, 0.7)),),
-        disturbance_terms=(
-            ((lambda x1, x2, p: (np.zeros_like(x1), 0.5 + 0.0 * x1)), (-0.4, 0.4)),),
-        uncertain_params=params)
+    dyn = mixed_dynamics(params)
     for dt in (2e-3, -2e-3):
         for mode in (QuantifierOrder.CONTROL_MIN, QuantifierOrder.CONTROL_MAX):
             ctrl_min = mode == QuantifierOrder.CONTROL_MIN
@@ -497,6 +507,59 @@ def test_converge_flag_false_while_set_still_grows():
                        max_converge_time=0.5)
     assert not out.info["converged"]
     assert abs(out.time + 0.5) < 1e-9
+
+
+@pytest.mark.parametrize("params", [(None,), (0.0, 0.0), (0.0, 5.0)])
+@pytest.mark.parametrize("mode", list(QuantifierOrder))
+@pytest.mark.parametrize("freeze", ["stay", "reach"])
+def test_solve_brs_bitwise_matches_allocating_reference(freeze, mode, params):
+    # the in-place solve must give the allocating loop's V and info bit for
+    # bit; the horizon is no multiple of dt, so the last step is partial
+    grid = hj.Grid2((-1.0, -2.0), (0.5, 1.5), (23, 17))
+    target = hj.TargetSet.box((-0.3, -0.2), (0.45, 1.1))
+    dyn = mixed_dynamics(params)
+    got = hj.solve_brs(grid, target, dyn, -0.05, mode=mode, freeze=freeze)
+    want, info = orc.solve_brs(grid, target, dyn, -0.05,
+                               ctrl_min=mode == QuantifierOrder.CONTROL_MIN, freeze=freeze)
+    assert got.info["steps"] > 5
+    assert 0.05 / got.info["dt"] % 1.0 > 0.01
+    assert np.array_equal(got.v, want)
+    assert np.array_equal(np.signbit(got.v), np.signbit(want))
+    assert got.info == {k: info[k] for k in got.info}
+    assert got.time == info["time"]
+
+
+def test_solve_brs_bitwise_matches_allocating_reference_converge():
+    # a converge run that stops early, on the change rate of every step
+    target = hj.TargetSet.box((0.0, 0.0), (0.3, 0.3))
+    dyn = hj.AffineDynamics2(drift=lambda x1, x2, p: (-3.0 * x1, -3.0 * x2))
+    grid = hj.Grid2((-1.0, -1.0), (1.0, 1.0), (31, 31))
+    got = hj.solve_brs(grid, target, dyn, "converge", conv_tol=1e-3)
+    want, info = orc.solve_brs(grid, target, dyn, "converge", conv_tol=1e-3)
+    assert got.info["converged"] and got.time > -9.0
+    assert np.array_equal(got.v, want)
+    assert got.info == {k: info[k] for k in got.info}
+    assert got.time == info["time"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_minflt counts minor page faults on Linux only")
+def test_solve_brs_steps_without_page_faults():
+    # A solve steps in work arrays allocated once.  Allocating a dozen
+    # grid-sized temporaries per step made the allocator return the heap
+    # top to the kernel and fault it in again: ~260k minor faults on this
+    # 876-step quadruped z-axis solve, against a few hundred in place.
+    import resource
+
+    grid = hj.Grid2((-0.2, -1.6), (0.2, 1.6), (101, 101))
+    target = hj.TargetSet.box((0.0, 0.0), (0.076, 0.8))
+    dyn = plants.subsystem_error_dynamics("z", plants.QuadrupedParams(), u_lo=0.0,
+                                          u_hi=300.0, delta_m_interval=(0.0, 5.0))
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    out = hj.solve_brs(grid, target, dyn, -0.3, freeze="stay")
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert out.info["steps"] == 876
+    assert faults < 5000
 
 
 def test_solve_brs_argument_validation():

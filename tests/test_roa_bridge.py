@@ -4,7 +4,7 @@ import pytest
 from robustroa import matrixkit as mk
 from robustroa import roa_bridge as rb
 from robustroa.clf_synth import ClfCertificate, ClfParams
-from robustroa.hj_reach import Grid2, TargetSet, ValueGrid
+from robustroa.hj_reach import Grid2, GridMismatch, TargetSet, ValueGrid
 
 
 def circle_value_grid(radius, extent=2.0, n=101):
@@ -74,6 +74,23 @@ def test_ellipsoid_leaving_grid_raises():
         rb.ellipsoid_contained(ell, vg, target)
 
 
+def test_presampled_target_gives_the_same_answers():
+    # l sampled once on the value grid answers exactly as the TargetSet
+    vg = circle_value_grid(1.5)
+    target = TargetSet.box((0.2, -0.1), (1.1, 1.6))
+    x1g, x2g = vg.grid.mesh()
+    l_vg = ValueGrid(vg.grid, target.l(x1g, x2g))
+    for level in (0.01, 0.5, 1.0, 1.3, 2.0):
+        ell = rb.Ellipsoid2(p=np.array([[2.0, 0.3], [0.3, 1.0]]), center=(0.1, 0.0),
+                            level=level)
+        assert (rb.ellipsoid_contained(ell, vg, l_vg)
+                == rb.ellipsoid_contained(ell, vg, target))
+    other = ValueGrid(Grid2((-2.0, -2.0), (2.0, 2.0), (51, 51)), np.zeros((51, 51)))
+    ell = rb.Ellipsoid2(p=np.eye(2), center=(0.0, 0.0), level=1e-4)
+    with pytest.raises(GridMismatch):
+        rb.ellipsoid_contained(ell, vg, other)
+
+
 def test_tangency_level_matches_analytic_value():
     # ellipse {2 x1^2 + x2^2 <= c} first touches the box {|x1| <= 0.8,
     # |x2| <= 1.2} when sqrt(c/2) = 0.8, i.e. c = 1.28 (the x2 extent
@@ -119,6 +136,23 @@ def test_circle_in_circle_recovers_radius():
     assert cert.w_max == res.w_max
     assert abs(cert.level - res.w_max ** 2) < 1e-12
     assert abs(res.level - cert.level) < 1e-12
+
+
+def test_find_wmax_samples_target_once():
+    # every containment check reads the same l grid: sample it once per call
+    calls = []
+
+    class CountingBox(TargetSet):
+        def l(self, x1, x2):
+            calls.append(np.shape(x1))
+            return super().l(x1, x2)
+
+    box = TargetSet.box((0.0, 0.0), (1.9, 1.9))
+    target = CountingBox(kind=box.kind, center=box.center, half_widths=box.half_widths)
+    vg = circle_value_grid(1.3)
+    res = rb.find_wmax(unit_certificate(), vg, target, w_hi=20.0, tol=1e-3)
+    assert calls == [vg.grid.shape]
+    assert res.w_max == rb.find_wmax(unit_certificate(), vg, box, w_hi=20.0, tol=1e-3).w_max
 
 
 def test_find_wmax_scales_with_parameters():

@@ -317,14 +317,18 @@ def _plot_trajectory(path, scn, traj):
                           xlabel="time [s]", ylabel="height [m] / speed [m/s]")
 
 
-def _plot_band(path, scn, trajs):
-    """Energy of each monitor, normalized by its invariant level, per mode."""
+def _band_series(mode, traj):
+    """Energy of each monitor of one run, normalized by its invariant level."""
     series = []
-    for mode, traj in trajs:
-        for j, name in enumerate(traj.monitor_names):
-            lev = traj.levels[j]
-            label = f"{mode} E_{name}/c" if len(traj.monitor_names) > 1 else f"{mode} E/c"
-            series.append(svgplot.Series(label, traj.t, traj.e_lyap[:, j] / lev))
+    for j, name in enumerate(traj.monitor_names):
+        lev = traj.levels[j]
+        label = f"{mode} E_{name}/c" if len(traj.monitor_names) > 1 else f"{mode} E/c"
+        series.append(svgplot.Series(label, traj.t, traj.e_lyap[:, j] / lev))
+    return series
+
+
+def _plot_band(path, scn, series):
+    """The _band_series of one or more runs against the invariant level."""
     svgplot.line_plot(path, series, title=f"{scn.name}: certificate energy",
                       xlabel="time [s]", ylabel="E / invariant level",
                       ylim=(0.0, 3.0),
@@ -349,7 +353,7 @@ def cmd_simulate(args):
     csv_path = out / f"{scn.name}_{scn.mode}.csv"
     traj.to_csv(csv_path)
     _plot_trajectory(out / f"{scn.name}_{scn.mode}_traj.svg", scn, traj)
-    _plot_band(out / f"{scn.name}_{scn.mode}_band.svg", scn, [(scn.mode, traj)])
+    _plot_band(out / f"{scn.name}_{scn.mode}_band.svg", scn, _band_series(scn.mode, traj))
     print(f"[simulate] mode = {scn.mode}, wrote {csv_path}")
     print(fileio.metrics_block(_metrics(traj)))
     return 0
@@ -371,7 +375,7 @@ def cmd_reproduce(args):
     out = _out_dir(scn, args)
 
     certs, entries = _certify(scn, out)
-    trajs = []
+    bands = []
     for mode in ("nominal", "robust"):
         sub = scn.with_mode(mode)
         traj = _simulate_one(sub, certs, entries)
@@ -379,8 +383,10 @@ def cmd_reproduce(args):
         _plot_trajectory(out / f"{scn.name}_{mode}_traj.svg", sub, traj)
         print(f"[reproduce:{mode}]")
         print(fileio.metrics_block(_metrics(traj)))
-        trajs.append((mode, traj))
-    _plot_band(out / f"{scn.name}_compare_band.svg", scn, trajs)
+        bands += _band_series(mode, traj)
+        # only the band series outlive a mode's run, not its whole trajectory
+        del traj
+    _plot_band(out / f"{scn.name}_compare_band.svg", scn, bands)
     print(f"[reproduce] artifacts in {out}")
     return 0
 

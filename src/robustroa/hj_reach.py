@@ -460,9 +460,11 @@ def solve_brs(grid: Grid2, target: TargetSet, dyn: AffineDynamics2, horizon,
             h = min(h_nom, t - t_stop)
             clip(_lf_update(v, grid, terms, -h, ctrl_min, b), l, out=b)
             clip(_lf_update(b, grid, terms, -h, ctrl_min, c), l, out=c)
+            # not clipped: v and c lie on l's side and rounding is monotone,
+            # so their average cannot cross l (a clip could only re-sign a
+            # zero halved from a smallest-subnormal sum)
             np.add(v, c, out=c)
             c *= 0.5
-            clip(c, l, out=c)
             t_next = t - h
             # only the last step's rate is reported on a fixed horizon
             if converge or not t_next > t_stop + 1e-12:

@@ -14,7 +14,10 @@ Two plants share the state layout x = [y, z, phi, ydot, zdot, phidot]
 The simulator runs classical RK4 at a fixed dt with a zero-order-hold
 tracking controller (MPC feedforward recomputed on its own slower period,
 certificate feedback every step) while recording the certificate energy
-E = e' P e against its invariant level.
+E = e' P e against its invariant level.  The loop allocates its output
+arrays once, sized from the first sample, and writes each sample into its
+row; the dynamics unpack the state to Python floats and build one array
+per evaluation, so a step makes few small temporaries.
 """
 
 from __future__ import annotations
@@ -59,16 +62,16 @@ def quadcopter_f(x, u, w, p: QuadcopterParams):
     zdot'   =  u_s cos(phi) / m - g + w2
     phidot' =  (l / 2) u_d / I_xx
     """
-    x = np.asarray(x, dtype=float).ravel()
-    u = np.asarray(u, dtype=float).ravel()
-    w = np.zeros(2) if w is None else np.asarray(w, dtype=float).ravel()
+    _, _, phi, ydot, zdot, phidot = np.asarray(x, dtype=float).ravel().tolist()
+    u_s, u_d = np.asarray(u, dtype=float).ravel().tolist()
+    w1, w2 = (0.0, 0.0) if w is None else np.asarray(w, dtype=float).ravel().tolist()
     return np.array([
-        x[3],
-        x[4],
-        x[5],
-        -u[0] * math.sin(x[2]) / p.mass + w[0],
-        u[0] * math.cos(x[2]) / p.mass - p.gravity + w[1],
-        0.5 * p.arm_length * u[1] / p.inertia_xx,
+        ydot,
+        zdot,
+        phidot,
+        -u_s * math.sin(phi) / p.mass + w1,
+        u_s * math.cos(phi) / p.mass - p.gravity + w2,
+        0.5 * p.arm_length * u_d / p.inertia_xx,
     ])
 
 
@@ -132,11 +135,6 @@ class Figure8Ref:
         return self.state(min(max(t, 0.0), self.t_end))
 
 
-def figure8_ref(t, ref: Figure8Ref | None = None):
-    """Convenience: positions/velocities/accelerations of the figure eight."""
-    return (ref or Figure8Ref()).point(t)
-
-
 # -- quadruped stand-in -------------------------------------------------------
 
 @dataclass
@@ -161,10 +159,6 @@ class StanceState:
     foot_rear: np.ndarray
 
 
-def _cross2(r, f):
-    return r[0] * f[1] - r[1] * f[0]
-
-
 def quadruped_f(x, u, stance: StanceState, p: QuadrupedParams,
                 delta_m=0.0, drag_force=0.0):
     """Trotting point-mass dynamics under ground-reaction forces.
@@ -174,23 +168,24 @@ def quadruped_f(x, u, stance: StanceState, p: QuadrupedParams,
     constant resistive force on the COM along -y (pushing a load).
     Raises ContactViolation when a commanded normal force is negative.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    u = np.asarray(u, dtype=float).ravel()
-    if u[2] < -1e-9 or u[3] < -1e-9:
-        raise ContactViolation(f"negative normal force: fz_front={u[2]:.3f}, fz_rear={u[3]:.3f}")
+    y, z, _, ydot, zdot, phidot = np.asarray(x, dtype=float).ravel().tolist()
+    fx_f, fx_r, fz_f, fz_r = np.asarray(u, dtype=float).ravel().tolist()
+    if fz_f < -1e-9 or fz_r < -1e-9:
+        raise ContactViolation(f"negative normal force: fz_front={fz_f:.3f}, fz_rear={fz_r:.3f}")
     m_true = p.mass + delta_m
-    f_front = np.array([u[0], u[2]])
-    f_rear = np.array([u[1], u[3]])
-    com = np.array([x[0], x[1]])
-    r_front = com - stance.foot_front
-    r_rear = com - stance.foot_rear
+    front_y, front_z = stance.foot_front.tolist()
+    rear_y, rear_z = stance.foot_rear.tolist()
+    # moment arm r = com - foot, torque r x f = r_y f_z - r_z f_y per foot
+    r_front_y, r_front_z = y - front_y, z - front_z
+    r_rear_y, r_rear_z = y - rear_y, z - rear_z
     return np.array([
-        x[3],
-        x[4],
-        x[5],
-        (u[0] + u[1] - drag_force) / m_true,
-        (u[2] + u[3]) / m_true - p.gravity,
-        (_cross2(r_front, f_front) + _cross2(r_rear, f_rear)) / p.inertia_xx,
+        ydot,
+        zdot,
+        phidot,
+        (fx_f + fx_r - drag_force) / m_true,
+        (fz_f + fz_r) / m_true - p.gravity,
+        ((r_front_y * fz_f - r_front_z * fx_f) + (r_rear_y * fz_r - r_rear_z * fx_r))
+        / p.inertia_xx,
     ])
 
 
@@ -277,13 +272,6 @@ def subsystem_error_dynamics(axis, p: QuadrupedParams, u_lo, u_hi,
 
 # -- feedback helpers ---------------------------------------------------------
 
-def robust_control(u_bar, x, x_bar, k):
-    """Certified tracking law u = u_bar + K (x - x_bar)."""
-    x = np.asarray(x, dtype=float).ravel()
-    x_bar = np.asarray(x_bar, dtype=float).ravel()
-    return np.asarray(u_bar, dtype=float).ravel() + np.asarray(k, dtype=float) @ (x - x_bar)
-
-
 def stance_allocation(x, stance: StanceState):
     """Min-norm map from a desired body wrench to the four stance forces.
 
@@ -322,10 +310,11 @@ def worst_constant_disturbance(cert: ClfCertificate, model: LinearModel, w_max):
 def rk4_step(f, x, u, w, dt):
     """Classical fourth-order Runge-Kutta step of x' = f(x, u, w)."""
     x = np.asarray(x, dtype=float).ravel()
-    k1 = np.asarray(f(x, u, w), dtype=float)
-    k2 = np.asarray(f(x + 0.5 * dt * k1, u, w), dtype=float)
-    k3 = np.asarray(f(x + 0.5 * dt * k2, u, w), dtype=float)
-    k4 = np.asarray(f(x + dt * k3, u, w), dtype=float)
+    half = 0.5 * dt
+    k1 = f(x, u, w)
+    k2 = f(x + half * k1, u, w)
+    k3 = f(x + half * k2, u, w)
+    k4 = f(x + dt * k3, u, w)
     out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(out)):
         raise NonFinite("integration step produced non-finite state")
@@ -498,6 +487,9 @@ class TrackingController:
                  u[ctrl_idx], or a callable (t, x, e) -> full-length
                  control correction (for allocation-style wiring).
                  Empty sequence = nominal (MPC-only) controller.
+
+    control() may return the held feedforward array itself; callers must
+    not write into its result.
     """
 
     def __init__(self, plant, reference, cfg: MpcConfig, u_lin, gains=()):
@@ -523,7 +515,7 @@ class TrackingController:
             self._u_bar = res.u0
             self._next_tick = t + self.cfg.dt
             self.mpc_calls += 1
-        u = self._u_bar.copy()
+        u = self._u_bar
         if self.gains:
             e = np.asarray(x, dtype=float) - self.reference.clamped_state(t)
             for entry in self.gains:
@@ -531,6 +523,8 @@ class TrackingController:
                     u = u + np.asarray(entry(t, x, e), dtype=float).ravel()
                 else:
                     k, state_idx, ctrl_idx = entry
+                    if u is self._u_bar:
+                        u = u.copy()
                     u[ctrl_idx] += k @ e[state_idx]
         if self.cfg.u_lo is not None:
             u = np.maximum(u, self.cfg.u_lo)
@@ -551,13 +545,20 @@ class LyapunovMonitor:
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=float)
         self.state_idx = np.asarray(self.state_idx, dtype=int)
+        n = self.state_idx.size
+        # a leading range selects through a view instead of a gathered copy
+        self._take = (slice(0, n) if np.array_equal(self.state_idx, np.arange(n))
+                      else self.state_idx)
 
     def energy(self, e):
-        sub = np.asarray(e, dtype=float)[self.state_idx]
+        sub = np.asarray(e, dtype=float)[self._take]
         return float(sub @ self.p @ sub)
 
 
 # -- closed-loop simulation ---------------------------------------------------
+
+_CSV_BLOCK_ROWS = 512  # rows converted and written per block by Trajectory.to_csv
+
 
 @dataclass
 class Trajectory:
@@ -592,15 +593,19 @@ class Trajectory:
             for name in self.monitor_names:
                 cols += [f"E_{name}", f"roa_level_{name}"]
         n = len(self.t)
-        blocks = [np.reshape(self.t, (n, 1)), self.x, self.x_ref, self.u, self.w]
-        for j, lev in enumerate(self.levels):
-            blocks += [self.e_lyap[:, j:j + 1], np.full((n, 1), float(lev))]
-        # converted row by row: a whole-table tolist() would hold ~40 bytes
-        # per value in Python floats and lists at once
-        table = np.hstack(blocks)
+        t = np.reshape(self.t, (n, 1))
         with open(path, "w") as fh:
             fh.write(",".join(cols) + "\n")
-            fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in table)
+            # converted one row block at a time, so the Python floats and
+            # the stacked table never hold more than a block
+            for lo in range(0, n, _CSV_BLOCK_ROWS):
+                rows = slice(lo, lo + _CSV_BLOCK_ROWS)
+                blocks = [t[rows], self.x[rows], self.x_ref[rows], self.u[rows], self.w[rows]]
+                m = len(blocks[0])
+                for j, lev in enumerate(self.levels):
+                    blocks += [self.e_lyap[rows, j:j + 1], np.full((m, 1), float(lev))]
+                fh.writelines(",".join(map(repr, row)) + "\n"
+                              for row in np.hstack(blocks).tolist())
 
 
 def simulate_closed_loop(plant, controller, reference, disturbance, duration, dt,
@@ -615,9 +620,11 @@ def simulate_closed_loop(plant, controller, reference, disturbance, duration, dt
     """
     monitors = list(monitors)
     n_steps = int(round(duration / dt))
+    if n_steps < 0:
+        raise ValueError(f"duration {duration} and dt {dt} give no samples")
     x = (reference.clamped_state(0.0) if x0 is None else np.asarray(x0, dtype=float)).copy()
-    nw = max(getattr(plant, "n_dist", 0), 1)
-    ts, xs, xrefs, us, ws, energies = [], [], [], [], [], []
+    w_none = np.zeros(max(getattr(plant, "n_dist", 0), 1))
+    columns = None  # t, x, x_ref, u, w, E: one row per sample, shaped by the first
     clamp_events = 0
     diverged = False
     for i in range(n_steps + 1):
@@ -627,14 +634,13 @@ def simulate_closed_loop(plant, controller, reference, disturbance, duration, dt
         u_cmd = controller.control(t, x)
         u, clamps = plant.sanitize(t, x, u_cmd)
         clamp_events += clamps
-        w = np.zeros(nw) if disturbance is None else np.asarray(disturbance(t), dtype=float)
+        w = w_none if disturbance is None else np.asarray(disturbance(t), dtype=float)
         e = x - x_ref
-        ts.append(t)
-        xs.append(x.copy())
-        xrefs.append(x_ref)
-        us.append(np.asarray(u, dtype=float).copy())
-        ws.append(w.copy())
-        energies.append([mon.energy(e) for mon in monitors])
+        sample = (t, x, x_ref, u, w, [mon.energy(e) for mon in monitors])
+        if columns is None:
+            columns = [np.empty((n_steps + 1, *np.shape(v))) for v in sample]
+        for col, v in zip(columns, sample):
+            col[i] = v
         if i == n_steps:
             break
         try:
@@ -645,18 +651,20 @@ def simulate_closed_loop(plant, controller, reference, disturbance, duration, dt
         if float(np.max(np.abs(x))) > blowup:
             diverged = True
             break
-    e_lyap = np.array(energies) if monitors else np.zeros((len(ts), 0))
+    if i < n_steps:
+        columns = [col[:i + 1].copy() for col in columns]
+    ts, xs, xrefs, us, ws, e_lyap = columns
     levels = tuple(mon.level for mon in monitors)
     exits = tuple(
         int(np.sum(e_lyap[:, j] > lev * (1.0 + 1e-6)))
         for j, lev in enumerate(levels)
     )
     return Trajectory(
-        t=np.array(ts),
-        x=np.array(xs),
-        x_ref=np.array(xrefs),
-        u=np.array(us),
-        w=np.array(ws),
+        t=ts,
+        x=xs,
+        x_ref=xrefs,
+        u=us,
+        w=ws,
         e_lyap=e_lyap,
         monitor_names=tuple(mon.name for mon in monitors),
         levels=levels,

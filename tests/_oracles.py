@@ -6,9 +6,13 @@ minimum-time formula comes from the bang-bang two-arc solution, and the
 set-distance helpers are plain numpy.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
+
+from robustroa import plants
+from robustroa.mpc import mpc_step
 
 
 # -- double integrator minimum time -------------------------------------------
@@ -319,3 +323,191 @@ def trajectory_csv_rows(traj):
             row += [traj.e_lyap[i, j], lev]
         lines.append(",".join(repr(float(v)) for v in row) + "\n")
     return "".join(lines)
+
+
+# -- closed loop with per-sample lists and array-valued dynamics ---------------
+#
+# The simulation layer of plants as it appended every sample to Python lists
+# and evaluated the dynamics on small arrays.  The bodies are kept as they
+# were, except that calls into the library's dynamics, integrator and
+# controller go to the copies here.  The library's loop must reproduce
+# every Trajectory field and the CSV bytes.
+
+def quadcopter_f(x, u, w, p):
+    x = np.asarray(x, dtype=float).ravel()
+    u = np.asarray(u, dtype=float).ravel()
+    w = np.zeros(2) if w is None else np.asarray(w, dtype=float).ravel()
+    return np.array([
+        x[3],
+        x[4],
+        x[5],
+        -u[0] * math.sin(x[2]) / p.mass + w[0],
+        u[0] * math.cos(x[2]) / p.mass - p.gravity + w[1],
+        0.5 * p.arm_length * u[1] / p.inertia_xx,
+    ])
+
+
+def _cross2(r, f):
+    return r[0] * f[1] - r[1] * f[0]
+
+
+def quadruped_f(x, u, stance, p, delta_m=0.0, drag_force=0.0):
+    x = np.asarray(x, dtype=float).ravel()
+    u = np.asarray(u, dtype=float).ravel()
+    if u[2] < -1e-9 or u[3] < -1e-9:
+        raise plants.ContactViolation(
+            f"negative normal force: fz_front={u[2]:.3f}, fz_rear={u[3]:.3f}")
+    m_true = p.mass + delta_m
+    f_front = np.array([u[0], u[2]])
+    f_rear = np.array([u[1], u[3]])
+    com = np.array([x[0], x[1]])
+    r_front = com - stance.foot_front
+    r_rear = com - stance.foot_rear
+    return np.array([
+        x[3],
+        x[4],
+        x[5],
+        (u[0] + u[1] - drag_force) / m_true,
+        (u[2] + u[3]) / m_true - p.gravity,
+        (_cross2(r_front, f_front) + _cross2(r_rear, f_rear)) / p.inertia_xx,
+    ])
+
+
+def plant_f(plant, t, x, u, w):
+    """plant.f(t, x, u, w) through the dynamics above."""
+    if isinstance(plant, plants.QuadcopterPlant):
+        return quadcopter_f(x, u, w, plant.params)
+    return quadruped_f(x, u, plant.stance, plant.params,
+                       delta_m=plant.delta_m, drag_force=plant.drag_force)
+
+
+def nominal_f(plant, t):
+    """plant.nominal_f(t) through the dynamics above."""
+    if isinstance(plant, plants.QuadcopterPlant):
+        return lambda x, u: quadcopter_f(x, u, None, plant.params)
+    stance = plant.stance
+    return lambda x, u: quadruped_f(x, u, stance, plant.params)
+
+
+def rk4_step(f, x, u, w, dt):
+    x = np.asarray(x, dtype=float).ravel()
+    k1 = np.asarray(f(x, u, w), dtype=float)
+    k2 = np.asarray(f(x + 0.5 * dt * k1, u, w), dtype=float)
+    k3 = np.asarray(f(x + 0.5 * dt * k2, u, w), dtype=float)
+    k4 = np.asarray(f(x + dt * k3, u, w), dtype=float)
+    out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.all(np.isfinite(out)):
+        raise plants.NonFinite("integration step produced non-finite state")
+    return out
+
+
+def control(ctrl, t, x):
+    """TrackingController.control of `ctrl`, which updates its state."""
+    if t >= ctrl._next_tick - 1e-12:
+        refs = np.stack([ctrl.reference.clamped_state(t + i * ctrl.cfg.dt)
+                         for i in range(ctrl.cfg.horizon + 1)])
+        res = mpc_step(nominal_f(ctrl.plant, t), x, refs, ctrl.cfg, u_lin=ctrl.u_lin)
+        ctrl._u_bar = res.u0
+        ctrl._next_tick = t + ctrl.cfg.dt
+        ctrl.mpc_calls += 1
+    u = ctrl._u_bar.copy()
+    if ctrl.gains:
+        e = np.asarray(x, dtype=float) - ctrl.reference.clamped_state(t)
+        for entry in ctrl.gains:
+            if callable(entry):
+                u = u + np.asarray(entry(t, x, e), dtype=float).ravel()
+            else:
+                k, state_idx, ctrl_idx = entry
+                u[ctrl_idx] += k @ e[state_idx]
+    if ctrl.cfg.u_lo is not None:
+        u = np.maximum(u, ctrl.cfg.u_lo)
+    if ctrl.cfg.u_hi is not None:
+        u = np.minimum(u, ctrl.cfg.u_hi)
+    return u
+
+
+def energy(mon, e):
+    """LyapunovMonitor.energy, gathering e[state_idx] on every call."""
+    sub = np.asarray(e, dtype=float)[mon.state_idx]
+    return float(sub @ mon.p @ sub)
+
+
+def simulate_closed_loop(plant, controller, reference, disturbance, duration, dt,
+                         monitors=(), x0=None, blowup=1e4):
+    """plants.simulate_closed_loop with one list append per sample."""
+    monitors = list(monitors)
+    n_steps = int(round(duration / dt))
+    x = (reference.clamped_state(0.0) if x0 is None else np.asarray(x0, dtype=float)).copy()
+    nw = max(getattr(plant, "n_dist", 0), 1)
+    ts, xs, xrefs, us, ws, energies = [], [], [], [], [], []
+    clamp_events = 0
+    diverged = False
+    for i in range(n_steps + 1):
+        t = i * dt
+        plant.advance(t, x)
+        x_ref = reference.clamped_state(t)
+        u_cmd = control(controller, t, x)
+        u, clamps = plant.sanitize(t, x, u_cmd)
+        clamp_events += clamps
+        w = np.zeros(nw) if disturbance is None else np.asarray(disturbance(t), dtype=float)
+        e = x - x_ref
+        ts.append(t)
+        xs.append(x.copy())
+        xrefs.append(x_ref)
+        us.append(np.asarray(u, dtype=float).copy())
+        ws.append(w.copy())
+        energies.append([energy(mon, e) for mon in monitors])
+        if i == n_steps:
+            break
+        try:
+            x = rk4_step(lambda xx, uu, ww: plant_f(plant, t, xx, uu, ww), x, u, w, dt)
+        except plants.NonFinite:
+            diverged = True
+            break
+        if float(np.max(np.abs(x))) > blowup:
+            diverged = True
+            break
+    e_lyap = np.array(energies) if monitors else np.zeros((len(ts), 0))
+    levels = tuple(mon.level for mon in monitors)
+    exits = tuple(
+        int(np.sum(e_lyap[:, j] > lev * (1.0 + 1e-6)))
+        for j, lev in enumerate(levels)
+    )
+    return plants.Trajectory(
+        t=np.array(ts),
+        x=np.array(xs),
+        x_ref=np.array(xrefs),
+        u=np.array(us),
+        w=np.array(ws),
+        e_lyap=e_lyap,
+        monitor_names=tuple(mon.name for mon in monitors),
+        levels=levels,
+        diverged=diverged,
+        invariant_exits=exits,
+        clamp_events=clamp_events,
+    )
+
+
+def trajectory_csv(traj, path):
+    """Trajectory.to_csv, stacking the whole table at once."""
+    nx = traj.x.shape[1]
+    nu = traj.u.shape[1]
+    nw = traj.w.shape[1]
+    cols = (["t"]
+            + [f"x{i + 1}" for i in range(nx)]
+            + [f"xref{i + 1}" for i in range(nx)]
+            + [f"u{i + 1}" for i in range(nu)]
+            + [f"w{i + 1}" for i in range(nw)])
+    if len(traj.monitor_names) == 1:
+        cols += ["E", "roa_level"]
+    else:
+        for name in traj.monitor_names:
+            cols += [f"E_{name}", f"roa_level_{name}"]
+    n = len(traj.t)
+    blocks = [np.reshape(traj.t, (n, 1)), traj.x, traj.x_ref, traj.u, traj.w]
+    for j, lev in enumerate(traj.levels):
+        blocks += [traj.e_lyap[:, j:j + 1], np.full((n, 1), float(lev))]
+    table = np.hstack(blocks)
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in table)

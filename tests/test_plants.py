@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ import pytest
 import _oracles as orc
 from robustroa import plants
 from robustroa.clf_synth import ClfCertificate, ClfParams
+from robustroa.harness import cli
+from robustroa.harness.scenarios import DisturbancePolicy, load_scenario
 from robustroa.mpc import MpcConfig
 
 
@@ -433,6 +437,12 @@ def test_blowup_stops_early():
     assert np.max(np.abs(traj.x)) < 1e4 * math.e
 
 
+def test_negative_duration_raises():
+    with pytest.raises(ValueError, match="no samples"):
+        plants.simulate_closed_loop(_DriftPlant(), _ZeroCtrl(), _OriginRef(), None,
+                                    duration=-1.0, dt=0.1, x0=[1.0])
+
+
 def test_trajectory_csv_roundtrip(tmp_path):
     mon = plants.LyapunovMonitor(name="E", p=np.eye(1), level=4.0,
                                  state_idx=np.array([0]))
@@ -467,3 +477,102 @@ def test_trajectory_csv_matches_value_by_value_rows(tmp_path):
     header, rows = path.read_text().split("\n", 1)
     assert header == "t,x1,x2,x3,xref1,xref2,xref3,u1,u2,w1,E_y,roa_level_y,E_z,roa_level_z"
     assert rows == orc.trajectory_csv_rows(traj)
+
+
+# -- bundled scenarios against the per-sample reference loop --------------------
+
+def bundled(name):
+    ref = resources.files("robustroa.harness").joinpath("configs", name)
+    with resources.as_file(ref) as path:
+        return load_scenario(path)
+
+
+@pytest.fixture(scope="module")
+def certified():
+    """Scenario and synthesized certificates of each bundled plant; the
+    quadruped carries a payload and pushes against drag."""
+    copter = bundled("quadcopter_fig8.cfg")
+    walker = bundled("quadruped_push.cfg")
+    walker.delta_m = 5.0
+    # invariant levels stand in for the w_max pipeline's, which needs HJ solves
+    entries = [{"axis": "y", "level": 0.05}, {"axis": "z", "level": 0.01}]
+    return {"quadcopter": (copter, cli._synthesize_all(copter, verbose=False), []),
+            "quadruped": (walker, cli._synthesize_all(walker, verbose=False), entries)}
+
+
+def closed_loop(certified, plant, mode, duration=2.0, **edits):
+    """Fresh (args, kwargs) of simulate_closed_loop for a bundled scenario,
+    its fields replaced by `edits`."""
+    scn, certs, entries = certified[plant]
+    scn = scn.with_mode(mode)
+    for key, value in edits.items():
+        setattr(scn, key, value)
+    if plant == "quadcopter":
+        sim, controller, monitors, dist = cli._build_quadcopter_sim(scn, certs)
+    else:
+        sim, controller, monitors, dist = cli._build_quadruped_sim(scn, certs, entries)
+    return ((sim, controller, scn.reference(), dist),
+            {"duration": duration, "dt": scn.sim_dt, "monitors": monitors})
+
+
+CLOSED_LOOPS = {
+    "quadcopter-worst-nominal": ("quadcopter", "nominal", {}),
+    "quadcopter-worst-robust": ("quadcopter", "robust", {}),
+    "quadcopter-random": ("quadcopter", "robust",
+                          {"seed": 5, "disturbance": DisturbancePolicy(kind="random", w_max=3.5)}),
+    "quadruped-robust": ("quadruped", "robust", {}),
+    "quadruped-nominal": ("quadruped", "nominal", {}),
+    # a push far past the certified bound drives a state past 2 within 0.2 s
+    "quadcopter-blowup": ("quadcopter", "nominal",
+                          {"disturbance": DisturbancePolicy(kind="constant", w=(10.0, 0.0))}),
+    # the first stage sum overflows: NonFinite on the first step
+    "quadcopter-nonfinite": ("quadcopter", "robust",
+                             {"disturbance": DisturbancePolicy(kind="constant", w=(1e308, 0.0))}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSED_LOOPS))
+def test_closed_loop_bitwise_matches_per_sample_reference(certified, case, tmp_path):
+    plant, mode, edits = CLOSED_LOOPS[case]
+    blowup = 2.0 if case.endswith("blowup") else 1e4
+    with np.errstate(over="ignore"):
+        args, kwargs = closed_loop(certified, plant, mode, **edits)
+        want = orc.simulate_closed_loop(*args, blowup=blowup, **kwargs)
+        args, kwargs = closed_loop(certified, plant, mode, **edits)
+        got = plants.simulate_closed_loop(*args, blowup=blowup, **kwargs)
+    assert args[1].mpc_calls > 0
+    if case.endswith(("blowup", "nonfinite")):
+        assert want.diverged and len(want.t) < 250
+    else:
+        assert not want.diverged and len(want.t) == 2001
+    for name in ("t", "x", "x_ref", "u", "w", "e_lyap"):
+        a, b = getattr(got, name), getattr(want, name)
+        # bytes, so a zero of the other sign fails too
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    for name in ("monitor_names", "levels", "diverged", "invariant_exits", "clamp_events"):
+        assert getattr(got, name) == getattr(want, name), name
+    got.to_csv(tmp_path / "got.csv")
+    orc.trajectory_csv(want, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_closed_loop_memory_is_its_output(certified, tmp_path):
+    # peak Python/numpy allocation of the whole 10 s robust run, then of its CSV
+    args, kwargs = closed_loop(certified, "quadruped", "robust", duration=10.0)
+    tracemalloc.start()
+    try:
+        traj = plants.simulate_closed_loop(*args, **kwargs)
+        sim_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        traj.to_csv(tmp_path / "run.csv")
+        csv_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.t) == 10001
+    returned = sum(a.nbytes for a in (traj.t, traj.x, traj.x_ref, traj.u, traj.w, traj.e_lyap))
+    # a loop keeping each sample as small arrays in lists peaks near 6x this
+    assert sim_peak < 1.5 * returned
+    assert csv_peak < 1_000_000

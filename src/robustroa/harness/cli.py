@@ -19,7 +19,6 @@ from .. import plants
 from ..clf_synth import DimensionMismatch, roa_level, synthesize, verify_closed_loop
 from ..hj_reach import Grid2, TargetOutsideGrid, TargetSet, solve_brs
 from ..lmi_solver import Infeasible
-from ..mpc import MpcConfig
 from ..roa_bridge import NoSafeRoa, find_wmax
 from . import fileio, svgplot
 from .scenarios import ConfigError, load_scenario
@@ -68,10 +67,12 @@ def _build_parser():
     return parser
 
 
-def _load(args):
-    if args.config is None:
+def _load(args, config=None):
+    """The scenario at `config` (default: --config), with --seed applied."""
+    config = config or args.config
+    if config is None:
         raise ConfigError("--config is required")
-    scn = load_scenario(args.config)
+    scn = load_scenario(config)
     if args.seed is not None:
         scn.seed = int(args.seed)
     return scn
@@ -90,12 +91,6 @@ def _matrix_lines(label, m):
     return [f"{label} = [{rows[0]}]"] + [f"{pad}[{r}]" for r in rows[1:]]
 
 
-def _subsystem_model(scn, axis):
-    # both axes share the reduced total-force model
-    del axis
-    return plants.quadruped_axis_linear(scn.quadruped)
-
-
 def _synthesize_all(scn, verbose=True):
     """Run every synthesis block; returns {axis: (cert, cert_eig_max)}."""
     results = {}
@@ -103,7 +98,7 @@ def _synthesize_all(scn, verbose=True):
         if scn.plant_kind == "quadcopter":
             model = plants.quadcopter_linearize(scn.quadcopter)
         else:
-            model = _subsystem_model(scn, axis)
+            model = plants.quadruped_axis_linear(scn.quadruped)
         cert, sol = synthesize(model, block.params)
         eig = verify_closed_loop(model, cert)
         if block.w_max is not None:
@@ -253,7 +248,6 @@ def _build_quadruped_sim(scn, certs, entries):
                 wrench[wrench_row[axis]] = float(k @ e[SUB_IDX[axis]])
             return plants.stance_allocation(x, plant.stance) @ wrench
 
-
         gains = [ancillary]
     controller = plants.TrackingController(plant, scn.reference(), scn.mpc,
                                            u_lin=plant.static_input(), gains=gains)
@@ -360,18 +354,16 @@ def cmd_simulate(args):
 
 
 def cmd_reproduce(args):
-    if args.config is None:
-        if getattr(args, "figure", None) is None:
-            raise ConfigError("reproduce needs a figure id (fig3, fig4a, fig4c) "
-                              "or --config")
+    if args.config is not None:
+        scn = _load(args)
+    elif args.figure is not None:
         ref = resources.files("robustroa.harness").joinpath(
             "configs", FIGURE_CONFIGS[args.figure])
         with resources.as_file(ref) as path:
-            scn = load_scenario(path)
+            scn = _load(args, path)
     else:
-        scn = load_scenario(args.config)
-    if args.seed is not None:
-        scn.seed = int(args.seed)
+        raise ConfigError("reproduce needs a figure id (fig3, fig4a, fig4c) "
+                          "or --config")
     out = _out_dir(scn, args)
 
     certs, entries = _certify(scn, out)

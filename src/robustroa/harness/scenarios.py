@@ -5,8 +5,10 @@ physical constants, supply-rate weights for the ancillary-gain synthesis
 (one block for the quadcopter, one per axis for the quadruped), the MPC
 weights, the reference, the disturbance policy, reachability settings per
 subsystem, and the simulation clock.  Parsing is strict: unknown plants,
-missing sections, and malformed numbers all raise ConfigError, which the
-CLI maps to exit code 4.
+missing sections, malformed numbers and out-of-range values (a
+non-positive duration, step or half width, a run shorter than one step, a
+non-negative horizon, fewer than 3 grid nodes) all raise ConfigError,
+which the CLI maps to exit code 4.
 """
 
 from __future__ import annotations
@@ -105,14 +107,39 @@ def _section(cp, name):
     return cp[name]
 
 
-def _get(sec, key, cast=str):
+_REQUIRED = object()
+
+
+def _get(sec, key, cast=str, default=_REQUIRED):
+    """sec[key] converted by cast; default when the key is absent, which
+    without a default is an error."""
     if key not in sec:
-        raise ConfigError(f"missing key {key!r} in [{sec.name}]")
+        if default is _REQUIRED:
+            raise ConfigError(f"missing key {key!r} in [{sec.name}]")
+        return default
     raw = sec[key]
     try:
         return cast(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r} in [{sec.name}]: {raw!r}") from exc
+
+
+def _positive(sec, key):
+    """A required number that must be positive."""
+    value = _get(sec, key, float)
+    if not value > 0:
+        raise ConfigError(f"{key!r} in [{sec.name}] must be positive, got {value!r}")
+    return value
+
+
+def _half_widths(sec, key):
+    """Two positive half widths."""
+    hw = _floats(_get(sec, key))
+    if len(hw) != 2:
+        raise ConfigError(f"[{sec.name}] {key} needs two entries")
+    if not all(h > 0.0 for h in hw):
+        raise ConfigError(f"[{sec.name}] {key} must be positive, got {hw}")
+    return tuple(hw)
 
 
 def _clf_block(sec, axis):
@@ -125,28 +152,34 @@ def _clf_block(sec, axis):
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    w_max = float(sec["w_max"]) if "w_max" in sec else None
+    w_max = _get(sec, "w_max", float, None)
     return ClfBlock(axis=axis, params=params, w_max=w_max)
 
 
 def _hj_block(sec, axis):
-    thw = _floats(_get(sec, "target_half_widths"))
-    ghw = _floats(_get(sec, "grid_half_widths"))
-    if len(thw) != 2 or len(ghw) != 2:
-        raise ConfigError(f"[{sec.name}] half widths need two entries each")
-    horizon_raw = _get(sec, "horizon")
-    horizon = "converge" if horizon_raw == "converge" else float(horizon_raw)
+    horizon = _get(sec, "horizon")
+    if horizon != "converge":
+        horizon = _get(sec, "horizon", float)
+        if not horizon < 0.0:
+            raise ConfigError(f"[{sec.name}] horizon must be a negative time or "
+                              f"'converge', got {horizon!r}")
+    n = _get(sec, "n", int)
+    if n < 3:
+        raise ConfigError(f"[{sec.name}] n must be at least 3, got {n}")
+    freeze = _get(sec, "freeze", default="stay")
+    if freeze not in ("stay", "reach"):
+        raise ConfigError(f"[{sec.name}] freeze must be 'stay' or 'reach', got {freeze!r}")
     return HjBlock(
         axis=axis,
-        target_half_widths=tuple(thw),
-        grid_half_widths=tuple(ghw),
-        n=_get(sec, "n", int),
+        target_half_widths=_half_widths(sec, "target_half_widths"),
+        grid_half_widths=_half_widths(sec, "grid_half_widths"),
+        n=n,
         horizon=horizon,
-        freeze=sec.get("freeze", "stay"),
+        freeze=freeze,
         u_lo=_get(sec, "u_lo", float),
         u_hi=_get(sec, "u_hi", float),
-        delta_m=(float(sec.get("delta_m_lo", 0.0)), float(sec.get("delta_m_hi", 0.0))),
-        drag_force=float(sec.get("drag_force", 0.0)),
+        delta_m=(_get(sec, "delta_m_lo", float, 0.0), _get(sec, "delta_m_hi", float, 0.0)),
+        drag_force=_get(sec, "drag_force", float, 0.0),
     )
 
 
@@ -159,8 +192,8 @@ def _disturbance(sec):
         pol.w = tuple(_floats(_get(sec, "w")))
     elif kind in ("sinusoidal", "random", "worst_constant"):
         pol.w_max = _get(sec, "w_max", float)
-        pol.freq = float(sec.get("freq", 0.5))
-        pol.hold_time = float(sec.get("hold_time", 0.05))
+        pol.freq = _get(sec, "freq", float, 0.5)
+        pol.hold_time = _get(sec, "hold_time", float, 0.05)
     return pol
 
 
@@ -196,15 +229,15 @@ def load_scenario(path):
             mass=_get(ps, "mass", float),
             inertia_xx=_get(ps, "inertia_xx", float),
             gravity=_get(ps, "gravity", float),
-            leg_length=float(ps.get("leg_length", 0.2)),
+            leg_length=_get(ps, "leg_length", float, 0.2),
             friction_coeff=_get(ps, "friction_coeff", float),
             z_ref=_get(ps, "z_ref", float),
             v_ref=_get(ps, "v_ref", float),
             step_time=_get(ps, "step_time", float),
             step_offset=_get(ps, "step_offset", float),
         )
-        delta_m = float(ps.get("delta_m", 0.0))
-        drag = float(ps.get("drag_force", 0.0))
+        delta_m = _get(ps, "delta_m", float, 0.0)
+        drag = _get(ps, "drag_force", float, 0.0)
         clf_blocks = {
             "y": _clf_block(_section(cp, "clf_y"), "y"),
             "z": _clf_block(_section(cp, "clf_z"), "z"),
@@ -227,15 +260,15 @@ def load_scenario(path):
     ref_kind = _get(rs, "kind")
     if ref_kind == "figure8":
         ref_args = {
-            "t_end": float(rs.get("t_end", 5.0)),
-            "amp_y": float(rs.get("amp_y", 0.5)),
-            "amp_z": float(rs.get("amp_z", 0.5)),
+            "t_end": _get(rs, "t_end", float, 5.0),
+            "amp_y": _get(rs, "amp_y", float, 0.5),
+            "amp_z": _get(rs, "amp_z", float, 0.5),
         }
     elif ref_kind == "trot":
         if quadruped is None:
             raise ConfigError("trot reference needs the quadruped plant")
         ref_args = {
-            "y0": float(rs.get("y0", 0.0)),
+            "y0": _get(rs, "y0", float, 0.0),
             "z_ref": quadruped.z_ref,
             "v_ref": quadruped.v_ref,
         }
@@ -249,11 +282,15 @@ def load_scenario(path):
             hj_blocks[axis] = _hj_block(cp[sec_name], axis)
 
     sim = _section(cp, "simulate")
+    duration, sim_dt = _positive(sim, "duration"), _positive(sim, "dt")
+    if int(round(duration / sim_dt)) < 1:
+        raise ConfigError(f"[simulate] duration {duration!r} gives no step of "
+                          f"dt = {sim_dt!r}")
     return Scenario(
         name=_get(top, "name"),
         plant_kind=plant_kind,
         mode=mode,
-        seed=int(top.get("seed", 0)),
+        seed=_get(top, "seed", int, 0),
         quadcopter=quadcopter,
         quadruped=quadruped,
         delta_m=delta_m,
@@ -264,7 +301,7 @@ def load_scenario(path):
         reference_args=ref_args,
         disturbance=_disturbance(_section(cp, "disturbance")),
         hj_blocks=hj_blocks,
-        duration=_get(sim, "duration", float),
-        sim_dt=_get(sim, "dt", float),
+        duration=duration,
+        sim_dt=sim_dt,
         out_dir=top.get("out_dir", None),
     )

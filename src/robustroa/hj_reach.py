@@ -11,9 +11,8 @@ solver integrates
 backward from t = 0 with a Lax-Friedrichs monotone scheme (central
 gradients plus dissipation alpha_i * (D+_i - D-_i) / 2 per axis, one-sided
 linear extrapolation at the grid edge) and two-stage TVD Runge-Kutta in
-time.  Which player extremizes which way is a mode switch; the default
-has the control shrinking V (reaching / staying) and the disturbance
-opposing it.
+time.  The control shrinks V (reaching / staying) and the disturbance
+opposes it.
 
 Two set-propagation flavours, selected by `freeze`:
 
@@ -40,7 +39,6 @@ place in them; no step allocates an array of grid size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -55,19 +53,6 @@ class TargetOutsideGrid(Exception):
 
 class GridMismatch(Exception):
     """Two gridded quantities live on different grids."""
-
-
-class QuantifierOrder(Enum):
-    """Which player drives the value down.
-
-    CONTROL_MIN: control minimizes V (works toward the target / stays
-    inside), disturbance maximizes.  This is the usual robust-reachability
-    order and the default everywhere.
-    CONTROL_MAX: the roles swapped.
-    """
-
-    CONTROL_MIN = "control_min"
-    CONTROL_MAX = "control_max"
 
 
 @dataclass(frozen=True)
@@ -154,13 +139,6 @@ class TargetSet:
             return s[0, 0] * d1 * d1 + 2.0 * s[0, 1] * d1 * d2 + s[1, 1] * d2 * d2 - self.level
         raise ValueError(f"unknown target kind {self.kind!r}")
 
-    def bounding_half_widths(self):
-        """Half widths of the tightest axis-aligned bounding box."""
-        if self.kind == "box":
-            return self.half_widths.copy()
-        pinv = np.linalg.inv(self.shape_matrix)
-        return np.sqrt(self.level * np.diag(pinv))
-
 
 @dataclass
 class ValueGrid:
@@ -203,34 +181,6 @@ class AffineDynamics2:
     control_terms: tuple = ()
     disturbance_terms: tuple = ()
     uncertain_params: tuple = (None,)
-
-
-# -- pointwise Hamiltonian ----------------------------------------------------
-
-def _channel_extreme(coef, lo, hi, minimize):
-    """Extremum of coef*u over u in [lo, hi] (arrays ok)."""
-    if minimize:
-        return np.where(coef >= 0.0, lo * coef, hi * coef)
-    return np.where(coef >= 0.0, hi * coef, lo * coef)
-
-
-def hamiltonian(v_grad, x, dyn: AffineDynamics2, mode=QuantifierOrder.CONTROL_MIN):
-    """Optimized H = grad V . f at one state, with bang-bang players."""
-    p1, p2 = float(v_grad[0]), float(v_grad[1])
-    x1, x2 = float(x[0]), float(x[1])
-    ctrl_min = mode == QuantifierOrder.CONTROL_MIN
-    branches = []
-    for par in dyn.uncertain_params:
-        f1, f2 = dyn.drift(x1, x2, par)
-        h = p1 * float(f1) + p2 * float(f2)
-        for fn, (lo, hi) in dyn.control_terms:
-            g1, g2 = fn(x1, x2, par)
-            h += float(_channel_extreme(p1 * float(g1) + p2 * float(g2), lo, hi, ctrl_min))
-        for fn, (lo, hi) in dyn.disturbance_terms:
-            g1, g2 = fn(x1, x2, par)
-            h += float(_channel_extreme(p1 * float(g1) + p2 * float(g2), lo, hi, not ctrl_min))
-        branches.append(h)
-    return max(branches) if ctrl_min else min(branches)
 
 
 # -- gridded machinery --------------------------------------------------------
@@ -300,23 +250,22 @@ class _GridTerms:
         self.prod_b = np.empty(grid.shape)
         self.mask = np.empty(grid.shape, dtype=bool)
 
-    def hamiltonian(self, p1, p2, ctrl_min, out):
+    def hamiltonian(self, p1, p2, out):
         """H(p1, p2) on the grid, written into `out` (which must not alias
         p1, p2 or the work arrays).
 
         The same operations in the same order as p1*f1 + p2*f2 + the channel
-        extremes, maximized (control minimizing) or minimized over branches.
-        A channel extreme is where(coef >= 0, lo*coef, hi*coef) for a
-        minimizing player, with lo and hi swapped for a maximizing one.
+        extremes, maximized over branches.  A channel extreme is
+        where(coef >= 0, lo*coef, hi*coef) for the minimizing control, with
+        lo and hi swapped for the maximizing disturbance.
         """
         coef, a, b, mask = self.coef, self.prod_a, self.prod_b, self.mask
-        merge = np.maximum if ctrl_min else np.minimum
         for k, ((f1, f2), ctrl, dist) in enumerate(self.branches):
             h = out if k == 0 else self.branch
             np.multiply(p1, f1, out=h)
             np.multiply(p2, f2, out=a)
             h += a
-            for channels, minimize in ((ctrl, ctrl_min), (dist, not ctrl_min)):
+            for channels, minimize in ((ctrl, True), (dist, False)):
                 for g1, g2, lo, hi in channels:
                     np.multiply(p1, g1, out=coef)
                     np.multiply(p2, g2, out=a)
@@ -329,11 +278,11 @@ class _GridTerms:
                     np.copyto(b, a, where=mask)
                     h += b
             if h is not out:
-                merge(out, h, out=out)
+                np.maximum(out, h, out=out)
         return out
 
 
-def _lf_update(v, grid, terms, dt, ctrl_min, out):
+def _lf_update(v, grid, terms, dt, out):
     """One forward-time Euler step of V_t + H = 0 (dt may be negative to
     integrate backward), written into `out` (which must not alias v);
     dissipation always acts forward in its own time.
@@ -369,7 +318,7 @@ def _lf_update(v, grid, terms, dt, ctrl_min, out):
     p1 *= 0.5
     p2 = np.add(dplus2, dminus2, out=terms.p2)
     p2 *= 0.5
-    terms.hamiltonian(p1, p2, ctrl_min, out)
+    terms.hamiltonian(p1, p2, out)
     out *= dt
     np.subtract(v, out, out=out)
     diss = np.subtract(dplus1, dminus1, out=p1)
@@ -380,20 +329,6 @@ def _lf_update(v, grid, terms, dt, ctrl_min, out):
     diss *= abs(dt)
     out += diss
     return out
-
-
-def lf_step(vg: ValueGrid, dyn: AffineDynamics2, dt, mode=QuantifierOrder.CONTROL_MIN):
-    """Single explicit Lax-Friedrichs Euler step.
-
-    Positive dt advances the PDE time variable (a pure drift aligned with
-    grad V lowers V); the reachability driver below passes negative dt to
-    march from 0 toward t0 < 0.  Raises CflViolation when
-    |dt| * (a1/dx1 + a2/dx2) > 0.9.
-    """
-    terms = _GridTerms(vg.grid, dyn)
-    v = _lf_update(vg.v, vg.grid, terms, float(dt), mode == QuantifierOrder.CONTROL_MIN,
-                   np.empty(vg.grid.shape))
-    return ValueGrid(grid=vg.grid, v=v, time=vg.time + float(dt))
 
 
 def signed_target(grid: Grid2, target: TargetSet):
@@ -407,8 +342,7 @@ def signed_target(grid: Grid2, target: TargetSet):
 
 
 def solve_brs(grid: Grid2, target: TargetSet, dyn: AffineDynamics2, horizon,
-              mode=QuantifierOrder.CONTROL_MIN, freeze="reach",
-              cfl=0.5, conv_tol=1e-4, max_converge_time=10.0):
+              freeze="reach", cfl=0.5, conv_tol=1e-4, max_converge_time=10.0):
     """Integrate the HJ PDE backward from 0 and return the final ValueGrid.
 
     horizon: a negative time t0, or the string "converge" to run until the
@@ -433,7 +367,6 @@ def solve_brs(grid: Grid2, target: TargetSet, dyn: AffineDynamics2, horizon,
     vg0 = signed_target(grid, target)
     l = vg0.v
     terms = _GridTerms(grid, dyn)
-    ctrl_min = mode == QuantifierOrder.CONTROL_MIN
     a1, a2 = terms.alpha
     dx1, dx2 = grid.dx
     wavesum = a1 / dx1 + a2 / dx2
@@ -458,8 +391,8 @@ def solve_brs(grid: Grid2, target: TargetSet, dyn: AffineDynamics2, horizon,
         c = np.empty(grid.shape)
         while t > t_stop + 1e-12:
             h = min(h_nom, t - t_stop)
-            clip(_lf_update(v, grid, terms, -h, ctrl_min, b), l, out=b)
-            clip(_lf_update(b, grid, terms, -h, ctrl_min, c), l, out=c)
+            clip(_lf_update(v, grid, terms, -h, b), l, out=b)
+            clip(_lf_update(b, grid, terms, -h, c), l, out=c)
             # not clipped: v and c lie on l's side and rounding is monotone,
             # so their average cannot cross l (a clip could only re-sign a
             # zero halved from a smallest-subnormal sum)
@@ -480,22 +413,6 @@ def solve_brs(grid: Grid2, target: TargetSet, dyn: AffineDynamics2, horizon,
     info = {"steps": steps, "dt": h_nom, "converged": converged,
             "change_rate": rate if steps else 0.0, "freeze": freeze}
     return ValueGrid(grid=grid, v=v, time=t, info=info)
-
-
-def safe_set(brs: ValueGrid, target):
-    """Boolean mask {V <= 0} & {l <= 0} on the BRS grid.
-
-    target may be a TargetSet (sampled here) or a ValueGrid of l values;
-    in the latter case the grids must match exactly.
-    """
-    if isinstance(target, ValueGrid):
-        if target.grid != brs.grid:
-            raise GridMismatch("target and value function live on different grids")
-        l = target.v
-    else:
-        x1g, x2g = brs.grid.mesh()
-        l = np.asarray(target.l(x1g, x2g), dtype=float)
-    return (brs.v <= 0.0) & (l <= 0.0)
 
 
 def interp2(grid: Grid2, values, points):
@@ -524,13 +441,3 @@ def interp2(grid: Grid2, values, points):
     v11 = values[i1 + 1, i2 + 1]
     return (v00 * (1 - f1) * (1 - f2) + v10 * f1 * (1 - f2)
             + v01 * (1 - f1) * f2 + v11 * f1 * f2)
-
-
-def grid_around(target: TargetSet, factor=4.0, n=101):
-    """Default computation grid: a box `factor` times the target's bounding
-    half-widths, n x n nodes."""
-    hw = target.bounding_half_widths() * float(factor)
-    c = target.center
-    return Grid2(mins=(c[0] - hw[0], c[1] - hw[1]),
-                 maxs=(c[0] + hw[0], c[1] + hw[1]),
-                 shape=(int(n), int(n)))

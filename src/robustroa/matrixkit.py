@@ -10,8 +10,7 @@ transparency and strict failure modes over speed:
 * `solve`        -- LU with partial pivoting and an explicit singularity
                     threshold,
 * `sym_eig`      -- cyclic Jacobi sweeps; at these sizes Jacobi is simple,
-                    backward stable, and gives orthonormal vectors,
-* `is_neg_def`   -- definiteness test via the spectrum, with a margin.
+                    backward stable, and gives orthonormal vectors.
 
 Tolerances are relative to the largest absolute entry of the input with an
 absolute floor of 1e-14, so the kernels behave the same for certificates
@@ -168,23 +167,6 @@ def solve(a, b):
     return x[:, 0] if vec else x
 
 
-def det(a):
-    """Determinant via LU with partial pivoting (0.0 when singular)."""
-    a = as_matrix(a, "a")
-    n = a.shape[0]
-    lu = a.copy()
-    sign = 1.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if lu[p, k] == 0.0:
-            return 0.0
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            sign = -sign
-        lu[k + 1:, k:] -= np.outer(lu[k + 1:, k] / lu[k, k], lu[k, k:])
-    return sign * float(np.prod(np.diag(lu)))
-
-
 @dataclass
 class SymEigResult:
     """Eigendecomposition of a symmetric matrix.
@@ -262,23 +244,3 @@ def eig_bounds(m):
 
 def max_eig(m):
     return eig_bounds(m)[1]
-
-
-def is_neg_def(m, margin=0.0):
-    """True when every eigenvalue of symmetric m is < -margin.
-
-    margin must be >= 0.  This is the acceptance test applied to
-    certificate blocks, so it goes through the full spectrum rather than a
-    cheaper sufficient condition.
-    """
-    if margin < 0.0:
-        raise ValueError("margin must be nonnegative")
-    return max_eig(m) < -margin
-
-
-def sqrt_posdef(m):
-    """Symmetric square root of an SPD matrix (eigendecomposition route)."""
-    r = sym_eig(m)
-    if r.values[0] <= 0.0:
-        raise NotPositiveDefinite(f"min eigenvalue {r.values[0]:.3e} <= 0")
-    return r.vectors @ np.diag(np.sqrt(r.values)) @ r.vectors.T

@@ -189,32 +189,6 @@ def quadruped_f(x, u, stance: StanceState, p: QuadrupedParams,
     ])
 
 
-def quadruped_linear_subsystems(p: QuadrupedParams, horizontal_bias="mu"):
-    """Decoupled double-integrator models for the y and z axes.
-
-    Each has state (position, velocity) and two force inputs (front/rear
-    share the axis): A = [[0,1],[0,0]], B = [[0,0],[1/m,1/m]], one
-    disturbance channel on the velocity row.  The constant term is -g for
-    z; for y it is the selected horizontal bias: "mu" (the bare friction
-    coefficient, kept as written in the source model), "mu_g"
-    (friction_coeff * g), "none"/0, or any float (an acceleration).
-    """
-    a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    b = np.array([[0.0, 0.0], [1.0 / p.mass, 1.0 / p.mass]])
-    b_w = np.array([[0.0], [1.0]])
-    if horizontal_bias == "mu":
-        bias = -p.friction_coeff
-    elif horizontal_bias == "mu_g":
-        bias = -p.friction_coeff * p.gravity
-    elif horizontal_bias in ("none", None):
-        bias = 0.0
-    else:
-        bias = float(horizontal_bias)
-    model_y = LinearModel(a=a, b=b, b_w=b_w, g=np.array([0.0, bias]))
-    model_z = LinearModel(a=a, b=b, b_w=b_w, g=np.array([0.0, -p.gravity]))
-    return model_y, model_z
-
-
 def quadruped_axis_linear(p: QuadrupedParams):
     """Single-input double integrator for one axis.
 
@@ -226,12 +200,6 @@ def quadruped_axis_linear(p: QuadrupedParams):
     return LinearModel(a=np.array([[0.0, 1.0], [0.0, 0.0]]),
                        b=np.array([[0.0], [1.0 / p.mass]]),
                        b_w=np.array([[0.0], [1.0]]))
-
-
-def split_axis_gain(k_total):
-    """Distribute a total-force gain row evenly over the two stance feet."""
-    k_total = np.atleast_2d(np.asarray(k_total, dtype=float))
-    return 0.5 * np.vstack([k_total, k_total])
 
 
 def subsystem_error_dynamics(axis, p: QuadrupedParams, u_lo, u_hi,

@@ -12,6 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from robustroa import plants
+from robustroa.hj_reach import Grid2
 from robustroa.mpc import mpc_step
 
 
@@ -178,6 +179,39 @@ def hausdorff(a, b, chunk=1024):
     return max(directed(a, b), directed(b, a))
 
 
+# -- grids and the pointwise Hamiltonian --------------------------------------
+
+def grid_around(box, factor=4.0, n=101):
+    """n x n grid over a box `factor` times the half widths of a box target."""
+    hw = box.half_widths * float(factor)
+    c = box.center
+    return Grid2(mins=(c[0] - hw[0], c[1] - hw[1]),
+                 maxs=(c[0] + hw[0], c[1] + hw[1]),
+                 shape=(int(n), int(n)))
+
+
+def hamiltonian(v_grad, x, dyn):
+    """H = grad V . f at one state, minimized over the control and maximized
+    over the disturbance (bang-bang) and over the uncertain parameters, in
+    Python floats."""
+    p1, p2 = float(v_grad[0]), float(v_grad[1])
+    x1, x2 = float(x[0]), float(x[1])
+    branches = []
+    for par in dyn.uncertain_params:
+        f1, f2 = dyn.drift(x1, x2, par)
+        h = p1 * float(f1) + p2 * float(f2)
+        for fn, (lo, hi) in dyn.control_terms:
+            g1, g2 = fn(x1, x2, par)
+            c = p1 * float(g1) + p2 * float(g2)
+            h += lo * c if c >= 0.0 else hi * c
+        for fn, (lo, hi) in dyn.disturbance_terms:
+            g1, g2 = fn(x1, x2, par)
+            c = p1 * float(g1) + p2 * float(g2)
+            h += hi * c if c >= 0.0 else lo * c
+        branches.append(h)
+    return max(branches)
+
+
 # -- Lax-Friedrichs step, padded-ring form -------------------------------------
 #
 # The explicit step of hj_reach in its plainest form: the value grid is
@@ -227,18 +261,15 @@ def lf_terms(grid, dyn):
     return branches, (float(a1.max()), float(a2.max()))
 
 
-def lf_hamiltonian(branches, p1, p2, ctrl_min):
+def lf_hamiltonian(branches, p1, p2):
     out = None
     for (f1, f2), ctrl, dist in branches:
         h = p1 * f1 + p2 * f2
         for g1, g2, lo, hi in ctrl:
-            h = h + _channel_extreme(p1 * g1 + p2 * g2, lo, hi, ctrl_min)
+            h = h + _channel_extreme(p1 * g1 + p2 * g2, lo, hi, True)
         for g1, g2, lo, hi in dist:
-            h = h + _channel_extreme(p1 * g1 + p2 * g2, lo, hi, not ctrl_min)
-        if out is None:
-            out = h
-        else:
-            out = np.maximum(out, h) if ctrl_min else np.minimum(out, h)
+            h = h + _channel_extreme(p1 * g1 + p2 * g2, lo, hi, False)
+        out = h if out is None else np.maximum(out, h)
     return out
 
 
@@ -253,7 +284,7 @@ def pad_linear(v):
     return p
 
 
-def lf_update(v, grid, dyn, dt, ctrl_min, terms=None):
+def lf_update(v, grid, dyn, dt, terms=None):
     """One forward-time Euler step of V_t + H = 0 (no CFL check).  terms
     is lf_terms(grid, dyn), recomputed when not given."""
     branches, (a1, a2) = lf_terms(grid, dyn) if terms is None else terms
@@ -263,7 +294,7 @@ def lf_update(v, grid, dyn, dt, ctrl_min, terms=None):
     dminus1 = (p[1:-1, 1:-1] - p[:-2, 1:-1]) / dx1
     dplus2 = (p[1:-1, 2:] - p[1:-1, 1:-1]) / dx2
     dminus2 = (p[1:-1, 1:-1] - p[1:-1, :-2]) / dx2
-    h = lf_hamiltonian(branches, 0.5 * (dplus1 + dminus1), 0.5 * (dplus2 + dminus2), ctrl_min)
+    h = lf_hamiltonian(branches, 0.5 * (dplus1 + dminus1), 0.5 * (dplus2 + dminus2))
     diss = 0.5 * a1 * (dplus1 - dminus1) + 0.5 * a2 * (dplus2 - dminus2)
     return v - dt * h + abs(dt) * diss
 
@@ -274,10 +305,10 @@ def lf_update(v, grid, dyn, dt, ctrl_min, terms=None):
 # average and change rate makes new arrays, and the change rate is taken on
 # every step.  The library's solve must reproduce V and its info bit for bit.
 
-def solve_brs(grid, target, dyn, horizon, ctrl_min=True, freeze="reach",
+def solve_brs(grid, target, dyn, horizon, freeze="reach",
               cfl=0.5, conv_tol=1e-4, max_converge_time=10.0):
-    """(V, info) of a backward solve; arguments as hj_reach.solve_brs with
-    the quantifier order given as ctrl_min.  No argument checks."""
+    """(V, info) of a backward solve; arguments as hj_reach.solve_brs.  No
+    argument checks."""
     converge = horizon == "converge"
     t_stop = -float(max_converge_time) if converge else float(horizon)
     x1g, x2g = grid.mesh()
@@ -297,8 +328,8 @@ def solve_brs(grid, target, dyn, horizon, ctrl_min=True, freeze="reach",
     converged = True
     while t > t_stop + 1e-12:
         h = min(h_nom, t - t_stop)
-        v1 = clip(lf_update(v, grid, dyn, -h, ctrl_min, terms))
-        v2 = clip(lf_update(v1, grid, dyn, -h, ctrl_min, terms))
+        v1 = clip(lf_update(v, grid, dyn, -h, terms))
+        v2 = clip(lf_update(v1, grid, dyn, -h, terms))
         vnew = clip(0.5 * (v + v2))
         rate = float(np.max(np.abs(vnew - v))) / h
         v = vnew

@@ -19,7 +19,7 @@ from robustroa.clf_synth import (ClfCertificate, ClfParams, build_synthesis_lmi,
                                  roa_level, synthesize)
 from robustroa.harness import cli
 from robustroa.hj_reach import (AffineDynamics2, Grid2, TargetSet, ValueGrid,
-                                grid_around, signed_target, solve_brs)
+                                signed_target, solve_brs)
 from robustroa.mpc import MpcConfig, mpc_step
 from robustroa.roa_bridge import (Ellipsoid2, containment_guard,
                                   ellipsoid_contained, find_wmax)
@@ -130,7 +130,7 @@ def test_criterion_2_supply_rate_and_invariance(quadcopter_synthesis):
 
 def test_criterion_3_hj_oracle_equivalence():
     t0 = time.perf_counter()
-    grid = grid_around(DI_TARGET, factor=4.0, n=101)
+    grid = orc.grid_around(DI_TARGET, factor=4.0, n=101)
     brs = solve_brs(grid, DI_TARGET, di_dynamics(), -0.5)
     mt = orc.di_min_time_to_box(grid.axes(), (0.0, 0.0), (0.5, 0.5))
     oracle_in = mt <= 0.5
@@ -155,7 +155,7 @@ def test_criterion_4_grid_convergence():
     ref = orc.di_box_brs_reference(0.5)
     dists = []
     for n in (51, 101, 201):
-        grid = grid_around(DI_TARGET, factor=4.0, n=n)
+        grid = orc.grid_around(DI_TARGET, factor=4.0, n=n)
         brs = solve_brs(grid, DI_TARGET, di_dynamics(), -0.5)
         pts = orc.contour_points(grid.axes(), brs.v)
         dists.append(orc.hausdorff(pts, ref))

@@ -4,7 +4,7 @@ import pytest
 from robustroa import clf_synth as cs
 from robustroa import matrixkit as mk
 from robustroa.lmi_solver import SdpStatus
-from robustroa.plants import QuadcopterParams, quadcopter_linearize, quadruped_linear_subsystems
+from robustroa.plants import QuadcopterParams, quadcopter_linearize
 
 
 def scalar_model():
@@ -75,8 +75,9 @@ def test_block_dimensions():
 
 
 def test_subsystem_block_dimension():
-    from robustroa.plants import QuadrupedParams
-    model_y, model_z = quadruped_linear_subsystems(QuadrupedParams())
+    # a double integrator with two force inputs and one disturbance
+    model_y = cs.LinearModel(a=[[0.0, 1.0], [0.0, 0.0]], b=[[0.0, 0.0], [0.08, 0.08]],
+                             b_w=[[0.0], [1.0]])
     params = cs.ClfParams(q=[500.0, 10.0], r=[1.0, 1.0], decay_rate=0.3, dist_weight=200.0)
     prob = cs.build_synthesis_lmi(model_y, params)
     assert prob.dim == 7  # 2*2 + 2 + 1
@@ -160,10 +161,11 @@ def test_synthesize_quadcopter():
     assert cs.verify_closed_loop(model, cert) < 0.0
 
     # A + BK Hurwitz via the symmetrized similarity transform
-    root = mk.sqrt_posdef(cert.p)
+    vals, vecs = np.linalg.eigh(cert.p)
+    root = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
     acl = model.a + model.b @ cert.k
     sim = root @ acl @ mk.solve(root, np.eye(6))
-    assert mk.max_eig(mk.symmetrize(sim)) < 0.0
+    assert np.linalg.eigvalsh(mk.symmetrize(sim))[-1] < 0.0
 
 
 def test_synthesized_supply_rate_random_samples():

@@ -331,6 +331,27 @@ def test_cli_config_errors_exit_4(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, edits", [
+    ("simulate", {"simulate": {"duration": -1.0}}),
+    ("simulate", {"simulate": {"dt": 0.0}}),
+    ("simulate", {"simulate": {"duration": 0.0004}}),
+    ("hj-brs", {"hj_z": {"horizon": 2.0}}),
+    ("hj-brs", {"hj_z": {"horizon": "soon"}}),
+    ("hj-brs", {"hj_z": {"n": 2}}),
+    ("hj-brs", {"hj_y": {"target_half_widths": "0.25, -1.0"}}),
+    ("hj-brs", {"hj_y": {"grid_half_widths": "0.0, 2.0"}}),
+    ("hj-brs", {"hj_y": {"freeze": "melt"}}),
+    ("simulate", {"disturbance": {"hold_time": "brief"}}),
+], ids=["duration", "dt", "duration-below-dt", "horizon-positive", "horizon-word", "n",
+        "target-half-width", "grid-half-width", "freeze", "hold-time"])
+def test_cli_bad_config_values_exit_4(tmp_path, capsys, command, edits):
+    # rejected by the loader, before any synthesis, PDE solve or simulation
+    path = mini_cfg(tmp_path, **edits)
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_hj_sections_required(tmp_path, capsys):
     path = mini_cfg(tmp_path, drop=("hj_y", "hj_z"))
     assert cli.main(["hj-brs", "--config", str(path)]) == 4

@@ -181,34 +181,12 @@ def test_stance_switching():
     assert plant.stance.pair == "A"
 
 
-def test_linear_subsystems():
-    p = plants.QuadrupedParams()
-    my, mz = plants.quadruped_linear_subsystems(p)
-    assert np.allclose(my.a, [[0.0, 1.0], [0.0, 0.0]])
-    assert np.allclose(my.b, [[0.0, 0.0], [1.0 / p.mass, 1.0 / p.mass]])
-    assert np.allclose(my.b_w, [[0.0], [1.0]])
-    assert np.allclose(mz.g, [0.0, -p.gravity])
-    assert np.allclose(my.g, [0.0, -p.friction_coeff])
-    my2, _ = plants.quadruped_linear_subsystems(p, horizontal_bias="mu_g")
-    assert abs(my2.g[1] + p.friction_coeff * p.gravity) < 1e-12
-    my3, _ = plants.quadruped_linear_subsystems(p, horizontal_bias="none")
-    assert my3.g[1] == 0.0
-    my4, _ = plants.quadruped_linear_subsystems(p, horizontal_bias=1.5)
-    assert my4.g[1] == 1.5
-
-
-def test_axis_linear_model_and_gain_split():
+def test_axis_linear_model():
     p = plants.QuadrupedParams()
     m = plants.quadruped_axis_linear(p)
     assert np.allclose(m.a, [[0.0, 1.0], [0.0, 0.0]])
     assert np.allclose(m.b, [[0.0], [1.0 / p.mass]])
     assert np.allclose(m.b_w, [[0.0], [1.0]])
-    k = np.array([[-3.0, -1.5]])
-    ks = plants.split_axis_gain(k)
-    assert ks.shape == (2, 2)
-    # two feet sharing the total force evenly reproduce the axis command
-    assert np.allclose(ks[0] + ks[1], k[0])
-    assert np.allclose(ks[0], ks[1])
 
 
 def test_stance_allocation_torque_free():

@@ -260,7 +260,7 @@ def verify_closed_loop(model: LinearModel, cert: ClfCertificate):
         + q + cert.k.T @ r @ cert.k
         + cert.p @ model.b_w @ model.b_w.T @ cert.p / cert.params.dist_weight
     )
-    return mk.max_eig(mk.symmetrize(mcert))
+    return float(np.linalg.eigvalsh(mk.symmetrize(mcert))[-1])
 
 
 def roa_level(params: ClfParams, w_max):

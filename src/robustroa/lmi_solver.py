@@ -156,8 +156,7 @@ def _newton_stage(f0, fi, x, tc, budget, stop_fn=None):
     steps = 0
     while steps < budget:
         s = _slack_matrix(f0, fi, x)
-        lo = mk.cholesky(s)  # we only ever call this from inside the cone
-        minv = mk.solve_upper(lo.T, mk.solve_lower(lo, fstack))
+        minv = mk.solve_posdef(s, fstack)  # we only ever call this from inside the cone
         d = f0.shape[0]
         m = np.stack([minv[:, i * d:(i + 1) * d] for i in range(k)]) if k else np.zeros((0, d, d))
         grad = -tc + np.trace(m, axis1=1, axis2=2)
@@ -168,7 +167,7 @@ def _newton_stage(f0, fi, x, tc, budget, stop_fn=None):
             return x, steps, True
         if 0.5 * (-slope) < _DECREMENT_TOL**2:
             return x, steps, False
-        phi0 = -float(tc @ x) - 2.0 * float(np.sum(np.log(np.diag(lo))))
+        phi0 = -float(tc @ x) - mk.logdet_posdef(s)
         alpha = 1.0
         while True:
             trial = x + alpha * step
@@ -222,7 +221,7 @@ def find_strictly_feasible(prob: AffineSdp):
     fi_aug = list(prob.fi) + [-eye]
     c_aug = np.zeros(k + 1)
     c_aug[-1] = -1.0  # maximize -s
-    s0 = mk.max_eig(prob.f0) + 1.0 + prob.eps
+    s0 = float(np.linalg.eigvalsh(prob.f0)[-1]) + 1.0 + prob.eps
     x0 = np.zeros(k + 1)
     x0[-1] = s0
     target = -1.05 * prob.eps
@@ -254,7 +253,7 @@ def maximize(prob: AffineSdp):
     return SdpSolution(
         x=x,
         objective_value=float(prob.c @ x),
-        max_block_eig=mk.max_eig(fx),
+        max_block_eig=float(np.linalg.eigvalsh(fx)[-1]),
         iterations=iterations,
         status=status,
         outer_objectives=outer,

@@ -1,16 +1,15 @@
-"""Dense linear algebra kernels for small symmetric problems.
+"""Strict wrappers around numpy.linalg for small dense problems.
 
 Everything in this package works on plain numpy float64 arrays (row-major,
-2-D for matrices, 1-D for vectors).  The matrices that show up here are
-small (certificate blocks up to 16 x 16), so the kernels favour
-transparency and strict failure modes over speed:
+2-D for matrices, 1-D for vectors).  LAPACK does the factorizations; the
+wrappers add the failure modes the package relies on:
 
-* `cholesky`     -- lower-triangular factorization, fails loudly on any
-                    non-positive pivot instead of returning garbage,
-* `solve`        -- LU with partial pivoting and an explicit singularity
-                    threshold,
-* `sym_eig`      -- cyclic Jacobi sweeps; at these sizes Jacobi is simple,
-                    backward stable, and gives orthonormal vectors.
+* `cholesky` -- raises NotPositiveDefinite on any non-positive pivot; it
+                is the definiteness test of the barrier cone and of the
+                Lyapunov matrix recovery,
+* `solve`    -- raises Singular when the matrix is rank deficient at
+                working precision, which LAPACK's LU reports only for an
+                exactly zero pivot.
 
 Tolerances are relative to the largest absolute entry of the input with an
 absolute floor of 1e-14, so the kernels behave the same for certificates
@@ -18,8 +17,6 @@ scaled in grams or tonnes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,11 +32,7 @@ class NotPositiveDefinite(MatrixKitError):
 
 
 class Singular(MatrixKitError):
-    """LU elimination ran out of usable pivots."""
-
-
-class NoConvergence(MatrixKitError):
-    """Jacobi sweeps did not drive the off-diagonal below tolerance."""
+    """The matrix is rank deficient at working precision."""
 
 
 def as_matrix(a, name="matrix"):
@@ -58,18 +51,13 @@ def inf_norm(a):
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def sym_gap(a):
-    """Largest absolute entry of a - a'."""
-    a = np.asarray(a, dtype=float)
-    return inf_norm(a - a.T)
-
-
 def require_symmetric(a, name="matrix", rtol=1e-10):
     a = as_matrix(a, name)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if sym_gap(a) > rtol * inf_norm(a) + ABS_FLOOR:
-        raise ValueError(f"{name} is not symmetric (gap {sym_gap(a):.3e})")
+    gap = inf_norm(a - a.T)
+    if gap > rtol * inf_norm(a) + ABS_FLOOR:
+        raise ValueError(f"{name} is not symmetric (gap {gap:.3e})")
     return a
 
 
@@ -86,45 +74,16 @@ def cholesky(m):
     definiteness test used throughout the package (barrier cone membership,
     Lyapunov matrix recovery).
     """
-    a = require_symmetric(m)
-    n = a.shape[0]
-    lo = np.zeros_like(a)
-    for j in range(n):
-        pivot = a[j, j] - lo[j, :j] @ lo[j, :j]
-        if pivot <= 0.0:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.3e} at row {j} (matrix is not positive definite)")
-        lo[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            lo[j + 1:, j] = (a[j + 1:, j] - lo[j + 1:, :j] @ lo[j, :j]) / lo[j, j]
-    return lo
-
-
-def solve_lower(lo, b):
-    """Forward substitution for lower-triangular lo (b: vector or matrix)."""
-    b = np.array(b, dtype=float)
-    vec = b.ndim == 1
-    x = b.reshape(len(b), -1)
-    for i in range(lo.shape[0]):
-        x[i] = (x[i] - lo[i, :i] @ x[:i]) / lo[i, i]
-    return x[:, 0] if vec else x
-
-
-def solve_upper(up, b):
-    """Back substitution for upper-triangular up."""
-    b = np.array(b, dtype=float)
-    vec = b.ndim == 1
-    x = b.reshape(len(b), -1)
-    n = up.shape[0]
-    for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - up[i, i + 1:] @ x[i + 1:]) / up[i, i]
-    return x[:, 0] if vec else x
+    try:
+        return np.linalg.cholesky(require_symmetric(m))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"{exc} (no Cholesky factorization)") from None
 
 
 def solve_posdef(m, b):
     """Solve m x = b for symmetric positive definite m via Cholesky."""
     lo = cholesky(m)
-    return solve_upper(lo.T, solve_lower(lo, b))
+    return np.linalg.solve(lo.T, np.linalg.solve(lo, b))
 
 
 def logdet_posdef(m):
@@ -134,113 +93,19 @@ def logdet_posdef(m):
 
 
 def solve(a, b):
-    """Solve a x = b by LU with partial pivoting.
+    """Solve a x = b; b may be a vector or a matrix of right-hand sides.
 
-    b may be a vector or a matrix of right-hand sides.  Raises Singular
-    when the best available pivot is below 1e-12 * max|a| (plus the
-    absolute floor), i.e. the system is rank deficient at working
-    precision.
+    Raises Singular when the smallest singular value of a is below
+    1e-12 * max|a| (plus the absolute floor), i.e. the system is rank
+    deficient at working precision.
     """
     a = as_matrix(a, "a")
-    n = a.shape[0]
-    if a.shape[1] != n:
+    if a.shape[1] != a.shape[0]:
         raise ValueError(f"a must be square, got {a.shape}")
-    b = np.array(b, dtype=float)
-    vec = b.ndim == 1
-    x = b.reshape(len(b), -1)
-    if x.shape[0] != n:
+    b = np.asarray(b, dtype=float)
+    if b.shape[:1] != a.shape[:1]:
         raise ValueError("right-hand side has wrong length")
-    lu = a.copy()
-    piv_tol = 1e-12 * inf_norm(a) + ABS_FLOOR
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) < piv_tol:
-            raise Singular(f"pivot {lu[p, k]:.3e} below tolerance at column {k}")
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            x[[k, p]] = x[[p, k]]
-        factors = lu[k + 1:, k] / lu[k, k]
-        lu[k + 1:, k:] -= np.outer(factors, lu[k, k:])
-        x[k + 1:] -= np.outer(factors, x[k])
-    for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - lu[i, i + 1:] @ x[i + 1:]) / lu[i, i]
-    return x[:, 0] if vec else x
-
-
-@dataclass
-class SymEigResult:
-    """Eigendecomposition of a symmetric matrix.
-
-    values:  eigenvalues in ascending order, shape (n,)
-    vectors: orthonormal eigenvectors as columns, m @ vectors = vectors @ diag(values)
-    sweeps:  Jacobi sweeps used
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-    sweeps: int
-
-
-def sym_eig(m, max_sweeps=60):
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi.
-
-    Each sweep visits every upper-triangle pair (p, q) and applies the
-    rotation that annihilates a[p, q].  The off-diagonal Frobenius mass
-    drops at least quadratically once sweeps settle; for the n <= 16
-    blocks in this package 6-10 sweeps are typical.  Raises NoConvergence
-    if max_sweeps sweeps leave off-diagonal mass above tolerance.
-    """
-    a = symmetrize(require_symmetric(m))
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return SymEigResult(values=a[0].copy(), vectors=v, sweeps=0)
-    scale = max(inf_norm(a), ABS_FLOOR)
-    stop = 1e-13 * scale * n + ABS_FLOOR
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        off = np.sqrt(np.sum(np.triu(a, 1) ** 2) * 2.0)
-        if off <= stop:
-            sweeps -= 1
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= ABS_FLOOR * scale:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                app, aqq = a[p, p], a[q, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-                rows = [r for r in range(n) if r != p and r != q]
-                arp = a[rows, p].copy()
-                arq = a[rows, q].copy()
-                a[rows, p] = c * arp - s * arq
-                a[p, rows] = a[rows, p]
-                a[rows, q] = s * arp + c * arq
-                a[q, rows] = a[rows, q]
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
-    else:
-        raise NoConvergence(f"Jacobi off-diagonal still {off:.3e} after {max_sweeps} sweeps")
-    vals = np.diag(a).copy()
-    order = np.argsort(vals, kind="stable")
-    return SymEigResult(values=vals[order], vectors=v[:, order], sweeps=sweeps)
-
-
-def eig_bounds(m):
-    """(min, max) eigenvalue of a symmetric matrix."""
-    r = sym_eig(m)
-    return float(r.values[0]), float(r.values[-1])
-
-
-def max_eig(m):
-    return eig_bounds(m)[1]
+    sv = np.linalg.svd(a, compute_uv=False)
+    if sv.size and sv[-1] < 1e-12 * inf_norm(a) + ABS_FLOOR:
+        raise Singular(f"smallest singular value {sv[-1]:.3e} below tolerance")
+    return np.linalg.solve(a, b)

@@ -270,8 +270,7 @@ def worst_constant_disturbance(cert: ClfCertificate, model: LinearModel, w_max):
     acl = model.a + model.b @ cert.k
     x_map = mk.solve(acl, model.b_w)
     quad = mk.symmetrize(x_map.T @ cert.p @ x_map)
-    r = mk.sym_eig(quad)
-    direction = r.vectors[:, -1]
+    direction = np.linalg.eigh(quad)[1][:, -1]
     return float(w_max) * direction / np.linalg.norm(direction)
 
 

@@ -55,8 +55,8 @@ class Ellipsoid2:
 
     def boundary_points(self, n=720):
         """n points on the boundary: center + sqrt(level) * p^(-1/2) [cos, sin]."""
-        r = mk.sym_eig(self.p)
-        half_inv = r.vectors @ np.diag(1.0 / np.sqrt(r.values)) @ r.vectors.T
+        vals, vecs = np.linalg.eigh(self.p)
+        half_inv = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
         th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         circ = np.stack([np.cos(th), np.sin(th)], axis=1)
         return self.center + np.sqrt(self.level) * circ @ half_inv.T

@@ -107,7 +107,7 @@ def test_recover_gains_random():
     k, p = cs.recover_gains(y, l)
     assert mk.inf_norm(k @ y - l) < 1e-9 * mk.inf_norm(l)
     assert mk.inf_norm(p @ y - np.eye(4)) < 1e-9
-    assert mk.sym_gap(p) == 0.0
+    assert mk.inf_norm(p - p.T) == 0.0
 
 
 def test_recover_gains_requires_pd():
@@ -124,6 +124,12 @@ def test_verify_closed_loop_by_hand():
     params = cs.ClfParams(q=[1.0], r=[1.0], decay_rate=0.5, dist_weight=1.0)
     cert = cs.ClfCertificate(k=np.zeros((1, 1)), p=np.eye(1), params=params)
     assert abs(cs.verify_closed_loop(model, cert) - 0.5) < 1e-12
+    # two states, no disturbance gain: M = 2A + 0.5 I + I = diag(-0.5, -4.5),
+    # and the top eigenvalue is the one reported
+    model = cs.LinearModel(a=np.diag([-1.0, -3.0]), b=np.eye(2), b_w=np.zeros((2, 1)))
+    params = cs.ClfParams(q=[1.0, 1.0], r=[1.0, 1.0], decay_rate=0.5, dist_weight=1.0)
+    cert = cs.ClfCertificate(k=np.zeros((2, 2)), p=np.eye(2), params=params)
+    assert abs(cs.verify_closed_loop(model, cert) + 0.5) < 1e-12
 
 
 def test_roa_level_values():

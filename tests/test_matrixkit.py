@@ -96,3 +96,70 @@ def test_solve_posdef_matches_lu():
     m = random_spd(rng, 6)
     b = rng.standard_normal(6)
     assert np.allclose(mk.solve_posdef(m, b), mk.solve(m, b), atol=1e-9)
+
+
+def test_solve_posdef_rejects_indefinite():
+    with pytest.raises(mk.NotPositiveDefinite):
+        mk.solve_posdef(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([1.0, 1.0]))
+
+
+def test_solve_shape_errors():
+    with pytest.raises(ValueError):
+        mk.solve(np.ones((2, 3)), np.ones(2))  # not square
+    with pytest.raises(ValueError):
+        mk.solve(np.eye(3), np.ones(2))  # right-hand side too short
+    with pytest.raises(ValueError):
+        mk.solve(np.ones(3), np.ones(3))  # not 2-D
+
+
+# -- log-determinant -----------------------------------------------------------
+
+def test_logdet_posdef_matches_slogdet():
+    rng = np.random.default_rng(37)
+    for _ in range(10):
+        n = int(rng.integers(1, 9))
+        m = random_spd(rng, n, scale=float(rng.uniform(1e-3, 1e3)))
+        sign, ref = np.linalg.slogdet(m)
+        assert sign == 1.0
+        assert abs(mk.logdet_posdef(m) - ref) < 1e-10 * max(abs(ref), 1.0)
+    assert mk.logdet_posdef(np.diag([2.0, 8.0])) == pytest.approx(np.log(16.0), rel=1e-15)
+
+
+def test_logdet_posdef_rejects_outside_cone():
+    # the barrier's cone-membership test: no finite value off the SPD cone
+    with pytest.raises(mk.NotPositiveDefinite):
+        mk.logdet_posdef(np.diag([1.0, -1e-3]))
+    with pytest.raises(mk.NotPositiveDefinite):
+        mk.logdet_posdef(np.zeros((3, 3)))
+
+
+# -- input checks --------------------------------------------------------------
+
+def test_as_matrix_rejects_bad_input():
+    assert mk.as_matrix([[1, 2], [3, 4]]).dtype == np.float64
+    with pytest.raises(ValueError):
+        mk.as_matrix(np.ones(3))
+    with pytest.raises(ValueError):
+        mk.as_matrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    with pytest.raises(ValueError):
+        mk.as_matrix(np.array([[np.inf]]))
+
+
+def test_require_symmetric_tolerance_is_relative():
+    a = np.array([[1.0, 2.0], [2.0, 5.0]])
+    skew = np.array([[0.0, 1e-5], [0.0, 0.0]])
+    # the same absolute gap is roundoff on a large matrix, an error on a small one
+    assert mk.require_symmetric(1e6 * a + skew).shape == (2, 2)
+    with pytest.raises(ValueError):
+        mk.require_symmetric(a + skew)
+    with pytest.raises(ValueError):
+        mk.require_symmetric(np.ones((2, 3)))
+
+
+def test_symmetrize_is_exact():
+    rng = np.random.default_rng(41)
+    m = rng.standard_normal((5, 5))
+    s = mk.symmetrize(m)
+    assert np.array_equal(s, s.T)
+    assert np.allclose(s, 0.5 * (m + m.T), rtol=0.0, atol=0.0)
+    assert mk.inf_norm(np.zeros((0, 0))) == 0.0

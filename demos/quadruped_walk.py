@@ -44,7 +44,7 @@ def certify_axis(axis, spec, params):
     dyn = plants.subsystem_error_dynamics(axis, params, u_lo=spec["u_lo"],
                                           u_hi=spec["u_hi"],
                                           delta_m_interval=(0.0, DELTA_M))
-    vg = solve_brs(grid, target, dyn, -2.0, freeze="stay")
+    vg = solve_brs(grid, target, dyn, "converge", freeze="stay")
     res = find_wmax(cert, vg, target)
     print(f"axis {axis}: objective {sol.objective_value:.6f}, "
           f"w_max {res.w_max:.6f}, level {res.level:.6f}")

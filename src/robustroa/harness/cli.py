@@ -157,7 +157,8 @@ def cmd_hj_brs(args):
         info = vg.info
         print(f"[hj-brs:{axis}] steps = {info['steps']}, dt = {info['dt']:.5f}, "
               f"converged = {info['converged']}, "
-              f"change_rate = {info['change_rate']:.3e}")
+              f"change_rate = {info['change_rate']:.3e}, "
+              f"set_final_time = {info['set_final_time']:.5f}")
         print(f"[hj-brs:{axis}] wrote {path}")
     return 0
 

@@ -7,8 +7,9 @@ weights, the reference, the disturbance policy, reachability settings per
 subsystem, and the simulation clock.  Parsing is strict: unknown plants,
 missing sections, malformed numbers and out-of-range values (a
 non-positive duration, step or half width, a run shorter than one step, a
-non-negative horizon, fewer than 3 grid nodes) all raise ConfigError,
-which the CLI maps to exit code 4.
+non-negative horizon, fewer than 3 grid nodes, an empty control box or
+payload interval, MPC vectors whose length does not match the plant) all
+raise ConfigError, which the CLI maps to exit code 4.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 
 from ..clf_synth import ClfParams
 from ..mpc import MpcConfig
-from ..plants import Figure8Ref, QuadcopterParams, QuadrupedParams, TrotRef
+from ..plants import (Figure8Ref, QuadcopterParams, QuadcopterPlant, QuadrupedParams,
+                      QuadrupedPlant, TrotRef)
 
 
 class ConfigError(Exception):
@@ -169,6 +171,13 @@ def _hj_block(sec, axis):
     freeze = _get(sec, "freeze", default="stay")
     if freeze not in ("stay", "reach"):
         raise ConfigError(f"[{sec.name}] freeze must be 'stay' or 'reach', got {freeze!r}")
+    u_lo, u_hi = _get(sec, "u_lo", float), _get(sec, "u_hi", float)
+    if u_lo > u_hi:
+        raise ConfigError(f"[{sec.name}] u_lo {u_lo!r} exceeds u_hi {u_hi!r}")
+    delta_m = (_get(sec, "delta_m_lo", float, 0.0), _get(sec, "delta_m_hi", float, 0.0))
+    if delta_m[0] > delta_m[1]:
+        raise ConfigError(f"[{sec.name}] delta_m_lo {delta_m[0]!r} exceeds "
+                          f"delta_m_hi {delta_m[1]!r}")
     return HjBlock(
         axis=axis,
         target_half_widths=_half_widths(sec, "target_half_widths"),
@@ -176,9 +185,9 @@ def _hj_block(sec, axis):
         n=n,
         horizon=horizon,
         freeze=freeze,
-        u_lo=_get(sec, "u_lo", float),
-        u_hi=_get(sec, "u_hi", float),
-        delta_m=(_get(sec, "delta_m_lo", float, 0.0), _get(sec, "delta_m_hi", float, 0.0)),
+        u_lo=u_lo,
+        u_hi=u_hi,
+        delta_m=delta_m,
         drag_force=_get(sec, "drag_force", float, 0.0),
     )
 
@@ -255,6 +264,13 @@ def load_scenario(path):
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    plant_cls = QuadcopterPlant if plant_kind == "quadcopter" else QuadrupedPlant
+    for key, size in (("q", plant_cls.n_states), ("r", plant_cls.n_controls),
+                      ("u_lo", plant_cls.n_controls), ("u_hi", plant_cls.n_controls)):
+        vec = getattr(mpc_cfg, key)
+        if vec is not None and len(vec) != size:
+            raise ConfigError(f"[mpc] {key} has {len(vec)} entries, the {plant_kind} "
+                              f"needs {size}")
 
     rs = _section(cp, "reference")
     ref_kind = _get(rs, "kind")

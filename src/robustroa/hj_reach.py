@@ -8,11 +8,19 @@ solver integrates
     dV/dt + H*(x, grad V) = 0,
     H* = min-player over u, max-player over w of  grad V . f(x, u, w)
 
-backward from t = 0 with a Lax-Friedrichs monotone scheme (central
-gradients plus dissipation alpha_i * (D+_i - D-_i) / 2 per axis, one-sided
+backward from t = 0 with a local Lax-Friedrichs monotone scheme (central
+gradients plus dissipation alpha_i(x) * (D+_i - D-_i) / 2 per axis, one-sided
 linear extrapolation at the grid edge) and two-stage TVD Runge-Kutta in
-time.  The control shrinks V (reaching / staying) and the disturbance
-opposes it.
+time.  alpha_i(x) bounds |dH/dp_i| at each node (Osher & Shu 1991), so a
+node is smeared only as much as its own dynamics require; the time step
+obeys the CFL bound of the largest alpha_i.  The control shrinks V
+(reaching / staying) and the disturbance opposes it.
+
+Only the set {V <= 0} is used downstream, so a solve can stop once that set
+is final.  Under horizon "converge" it stops at the first step where the
+set has not changed for max(t_last, tau) of PDE time: t_last is how long
+the set kept changing, and tau = min_i(grid width_i / max alpha_i) is the
+time the fastest characteristic takes to cross the grid.
 
 Two set-propagation flavours, selected by `freeze`:
 
@@ -226,7 +234,9 @@ class _GridTerms:
                 g1, g2 = fn(x1g, x2g, par)
                 dist.append((_grid_field(g1, ones), _grid_field(g2, ones), float(lo), float(hi)))
             self.branches.append((drift, ctrl, dist))
-        # Per-axis wave speed bounds max |dH/dp_i| over grid, players, branches.
+        # Per-axis wave speed bounds |dH/dp_i| at each node, maximized over
+        # players and branches.  Each node is dissipated by its own bound
+        # (local Lax-Friedrichs); the time step uses the largest.
         a1 = np.zeros(grid.shape)
         a2 = np.zeros(grid.shape)
         for (f1, f2), ctrl, dist in self.branches:
@@ -239,6 +249,7 @@ class _GridTerms:
             a1 = np.maximum(a1, b1)
             a2 = np.maximum(a2, b2)
         self.alpha = (float(a1.max()), float(a2.max()))
+        self.half_alpha = (_grid_field(0.5 * a1, ones), _grid_field(0.5 * a2, ones))
         n1, n2 = grid.shape
         self.d1 = np.empty((n1 + 1, n2))
         self.d2 = np.empty((n1, n2 + 1))
@@ -288,8 +299,8 @@ def _lf_update(v, grid, terms, dt, out):
     dissipation always acts forward in its own time.
 
     Computes v - dt * H(p1, p2) + |dt| * (0.5 a1 (D+1 - D-1) + 0.5 a2 (D+2 - D-2))
-    with p_i = 0.5 (D+i + D-i), operation for operation, in the work arrays
-    of `terms`.
+    with p_i = 0.5 (D+i + D-i) and a_i the per-node wave speed bound,
+    operation for operation, in the work arrays of `terms`.
     """
     dx1, dx2 = grid.dx
     a1, a2 = terms.alpha
@@ -321,10 +332,11 @@ def _lf_update(v, grid, terms, dt, out):
     terms.hamiltonian(p1, p2, out)
     out *= dt
     np.subtract(v, out, out=out)
+    half1, half2 = terms.half_alpha
     diss = np.subtract(dplus1, dminus1, out=p1)
-    diss *= 0.5 * a1
+    diss *= half1
     diss2 = np.subtract(dplus2, dminus2, out=p2)
-    diss2 *= 0.5 * a2
+    diss2 *= half2
     diss += diss2
     diss *= abs(dt)
     out += diss
@@ -342,14 +354,16 @@ def signed_target(grid: Grid2, target: TargetSet):
 
 
 def solve_brs(grid: Grid2, target: TargetSet, dyn: AffineDynamics2, horizon,
-              freeze="reach", cfl=0.5, conv_tol=1e-4, max_converge_time=10.0):
+              freeze="reach", cfl=0.5, max_converge_time=10.0):
     """Integrate the HJ PDE backward from 0 and return the final ValueGrid.
 
-    horizon: a negative time t0, or the string "converge" to run until the
-    largest per-unit-time change drops below conv_tol (capped at
-    max_converge_time; `info["converged"]` records whether the cap hit
-    first).  freeze selects the set flavour ("reach" or "stay", see module
-    docstring).  The step size is cfl / (a1/dx1 + a2/dx2).
+    horizon: a negative time t0, or the string "converge" to run until
+    {V <= 0} is final (the stop rule in the module docstring), capped at
+    max_converge_time; `info["converged"]` records whether the rule fired
+    before the cap.  `info["set_final_time"]` is the (negative) time of the
+    last change of {V <= 0}, 0 when it never changed.  freeze selects the
+    set flavour ("reach" or "stay", see module docstring).  The step size is
+    cfl / (a1/dx1 + a2/dx2) with a_i the largest wave speed bound per axis.
     """
     if freeze not in ("reach", "stay"):
         raise ValueError(f"freeze must be 'reach' or 'stay', got {freeze!r}")
@@ -375,6 +389,7 @@ def solve_brs(grid: Grid2, target: TargetSet, dyn: AffineDynamics2, horizon,
 
     v = l.copy()
     t = 0.0
+    t_final = 0.0
     steps = 0
     rate = np.inf
     converged = True
@@ -385,10 +400,16 @@ def solve_brs(grid: Grid2, target: TargetSet, dyn: AffineDynamics2, horizon,
         h_nom = abs(t_stop)
     else:
         h_nom = cfl / wavesum
+        widths = np.subtract(grid.maxs, grid.mins)
+        tau = min(w / a for w, a in zip(widths, (a1, a2)) if a > 0.0)
         # three grid buffers in rotation: v, the first stage, the second
         # stage (which becomes the next v)
         b = np.empty(grid.shape)
         c = np.empty(grid.shape)
+        # {V <= 0} before and after a step; the old one is overwritten by
+        # the nodes that flipped, then the two trade places
+        mask = np.less_equal(v, 0.0)
+        fresh = np.empty(grid.shape, dtype=bool)
         while t > t_stop + 1e-12:
             h = min(h_nom, t - t_stop)
             clip(_lf_update(v, grid, terms, -h, b), l, out=b)
@@ -399,19 +420,26 @@ def solve_brs(grid: Grid2, target: TargetSet, dyn: AffineDynamics2, horizon,
             np.add(v, c, out=c)
             c *= 0.5
             t_next = t - h
-            # only the last step's rate is reported on a fixed horizon
-            if converge or not t_next > t_stop + 1e-12:
+            np.less_equal(c, 0.0, out=fresh)
+            np.not_equal(fresh, mask, out=mask)
+            if mask.any():
+                t_final = t_next
+            mask, fresh = fresh, mask
+            settled = converge and t_final - t_next >= max(-t_final, tau)
+            # only the last step's rate is reported
+            if settled or not t_next > t_stop + 1e-12:
                 np.subtract(c, v, out=b)
                 rate = float(np.max(np.abs(b, out=b))) / h
             v, b, c = c, v, b
             t = t_next
             steps += 1
-            if converge and rate < conv_tol:
+            if settled:
                 break
         else:
             converged = not converge  # fixed-horizon runs always "converge"
     info = {"steps": steps, "dt": h_nom, "converged": converged,
-            "change_rate": rate if steps else 0.0, "freeze": freeze}
+            "change_rate": rate if steps else 0.0, "set_final_time": t_final,
+            "freeze": freeze}
     return ValueGrid(grid=grid, v=v, time=t, info=info)
 
 

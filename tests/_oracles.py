@@ -7,13 +7,21 @@ set-distance helpers are plain numpy.
 """
 
 import math
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
 from robustroa import plants
 from robustroa.hj_reach import Grid2
 from robustroa.mpc import mpc_step
+
+# The closed-form viability kernel of the quadruped error axes lives with the
+# benchmark, which checks every certified bound against it; the tests use
+# that one implementation, not a copy.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import kernel  # noqa: E402,F401
 
 
 # -- double integrator minimum time -------------------------------------------
@@ -228,8 +236,8 @@ def _channel_extreme(coef, lo, hi, minimize):
 
 
 def lf_terms(grid, dyn):
-    """Per-branch full-grid dynamics terms and the per-axis dissipation
-    coefficients (alpha1, alpha2)."""
+    """Per-branch full-grid dynamics terms and the per-axis, per-node
+    dissipation coefficients (alpha1, alpha2)."""
     x1g, x2g = grid.mesh()
     ones = np.ones(grid.shape)
     branches = []
@@ -258,7 +266,7 @@ def lf_terms(grid, dyn):
             b2 = b2 + np.abs(g2) * span
         a1 = np.maximum(a1, b1)
         a2 = np.maximum(a2, b2)
-    return branches, (float(a1.max()), float(a2.max()))
+    return branches, (a1, a2)
 
 
 def lf_hamiltonian(branches, p1, p2):
@@ -302,11 +310,11 @@ def lf_update(v, grid, dyn, dt, terms=None):
 # -- reachability solve, one fresh array per operation -------------------------
 #
 # The solve loop of hj_reach in its allocating form: every stage, clip,
-# average and change rate makes new arrays, and the change rate is taken on
-# every step.  The library's solve must reproduce V and its info bit for bit.
+# average, sign mask and change rate makes new arrays, and the change rate
+# is taken on every step.  The library's solve must reproduce V and its
+# info bit for bit.
 
-def solve_brs(grid, target, dyn, horizon, freeze="reach",
-              cfl=0.5, conv_tol=1e-4, max_converge_time=10.0):
+def solve_brs(grid, target, dyn, horizon, freeze="reach", cfl=0.5, max_converge_time=10.0):
     """(V, info) of a backward solve; arguments as hj_reach.solve_brs.  No
     argument checks."""
     converge = horizon == "converge"
@@ -314,15 +322,18 @@ def solve_brs(grid, target, dyn, horizon, freeze="reach",
     x1g, x2g = grid.mesh()
     l = np.asarray(target.l(x1g, x2g), dtype=float)
     terms = lf_terms(grid, dyn)
-    a1, a2 = terms[1]
+    a1, a2 = (float(a.max()) for a in terms[1])
     dx1, dx2 = grid.dx
     h_nom = cfl / (a1 / dx1 + a2 / dx2)
+    widths = (grid.maxs[0] - grid.mins[0], grid.maxs[1] - grid.mins[1])
+    tau = min(w / a for w, a in zip(widths, (a1, a2)) if a > 0.0)
 
     def clip(vnew):
         return np.minimum(vnew, l) if freeze == "reach" else np.maximum(vnew, l)
 
     v = l.copy()
     t = 0.0
+    t_final = 0.0
     steps = 0
     rate = np.inf
     converged = True
@@ -332,15 +343,18 @@ def solve_brs(grid, target, dyn, horizon, freeze="reach",
         v2 = clip(lf_update(v1, grid, dyn, -h, terms))
         vnew = clip(0.5 * (v + v2))
         rate = float(np.max(np.abs(vnew - v))) / h
+        if np.any((vnew <= 0.0) != (v <= 0.0)):
+            t_final = t - h
         v = vnew
         t -= h
         steps += 1
-        if converge and rate < conv_tol:
+        if converge and t_final - t >= max(-t_final, tau):
             break
     else:
         converged = not converge
     return v, {"steps": steps, "dt": h_nom, "converged": converged,
-               "change_rate": rate if steps else 0.0, "freeze": freeze, "time": t}
+               "change_rate": rate if steps else 0.0, "set_final_time": t_final,
+               "freeze": freeze, "time": t}
 
 
 # -- trajectory CSV rows, value by value ---------------------------------------

@@ -18,6 +18,7 @@ from robustroa import plants
 from robustroa.clf_synth import (ClfCertificate, ClfParams, build_synthesis_lmi,
                                  roa_level, synthesize)
 from robustroa.harness import cli
+from robustroa.harness.scenarios import HjBlock
 from robustroa.hj_reach import (AffineDynamics2, Grid2, TargetSet, ValueGrid,
                                 signed_target, solve_brs)
 from robustroa.mpc import MpcConfig, mpc_step
@@ -207,8 +208,11 @@ def test_criterion_5_wmax_bisection():
             flips_ok += 1
     assert flips_ok == 20
 
-    # trotting quadruped, scarce-lift force ceiling: zero payload margin
-    # must certify a strictly larger bound than the 5 kg payload range
+    # trotting quadruped, scarce-lift force ceiling: a 5 kg payload must not
+    # certify more than no payload, and neither may certify more than the
+    # exact viability kernel admits.  With this certificate the e1 = h1
+    # edge of the kernel binds for both masses, not the lift parabola, so
+    # the exact bounds tie and the computed ones may too.
     params = plants.QuadrupedParams()
     model = plants.quadruped_axis_linear(params)
     z_cert, _ = synthesize(model, ClfParams(q=np.array([1000.0, 1.0]),
@@ -217,15 +221,22 @@ def test_criterion_5_wmax_bisection():
     z_grid = Grid2((-0.2, -1.6), (0.2, 1.6), (101, 101))
     z_target = TargetSet.box((0.0, 0.0), (0.076, 0.8))
     bounds = {}
+    exact = {}
     for dm in (0.0, 5.0):
         dyn = plants.subsystem_error_dynamics("z", params, u_lo=0.0, u_hi=240.0,
                                               delta_m_interval=(dm, dm))
         z_vg = solve_brs(z_grid, z_target, dyn, -2.0, freeze="stay")
         bounds[dm] = find_wmax(z_cert, z_vg, z_target).w_max
-    assert bounds[0.0] > bounds[5.0]
+        block = HjBlock(axis="z", target_half_widths=(0.076, 0.8),
+                        grid_half_widths=(0.2, 1.6), n=101, horizon=-2.0, freeze="stay",
+                        u_lo=0.0, u_hi=240.0, delta_m=(dm, dm))
+        exact[dm] = orc.kernel.exact_wmax("z", z_cert, block, params)
+        assert bounds[dm] <= exact[dm]
+    assert bounds[0.0] >= bounds[5.0]
     print(f"criterion 5 (bisection): PASS  circle w_max={res.w_max:.4f} "
           f"(radius {radius}), monotone 20/20, quadruped w_max "
-          f"{bounds[0.0]:.6f} (no payload) > {bounds[5.0]:.6f} (5 kg)")
+          f"{bounds[0.0]:.6f} (no payload) >= {bounds[5.0]:.6f} (5 kg), "
+          f"exact {exact[0.0]:.6f} / {exact[5.0]:.6f}")
 
 
 def test_criterion_6_quadcopter_figure(quadcopter_synthesis, tmp_path):

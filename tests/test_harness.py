@@ -121,7 +121,7 @@ def test_bundled_quadruped_scenario_parses():
     assert hz.target_half_widths == (0.076, 0.8)
     assert hz.grid_half_widths == (0.2, 1.6)
     assert hz.n == 101
-    assert hz.horizon == -2.0
+    assert hz.horizon == "converge"
     assert hz.freeze == "stay"
     assert hz.u_lo == 0.0 and hz.u_hi == 300.0
     assert hz.delta_m == (0.0, 5.0)
@@ -342,8 +342,16 @@ def test_cli_config_errors_exit_4(tmp_path, capsys):
     ("hj-brs", {"hj_y": {"grid_half_widths": "0.0, 2.0"}}),
     ("hj-brs", {"hj_y": {"freeze": "melt"}}),
     ("simulate", {"disturbance": {"hold_time": "brief"}}),
+    ("simulate", {"mpc": {"q": "1e5, 1e3, 1e7, 1e2, 1e1"}}),
+    ("simulate", {"mpc": {"r": "0, 0, 0"}}),
+    ("simulate", {"mpc": {"u_lo": "-35, -35, 0"}}),
+    ("simulate", {"mpc": {"u_hi": "35, 35, 150, 150, 150"}}),
+    ("wmax", {"hj_z": {"u_lo": 300.0, "u_hi": 0.0}}),
+    ("wmax", {"hj_y": {"delta_m_lo": 5.0, "delta_m_hi": 0.0}}),
 ], ids=["duration", "dt", "duration-below-dt", "horizon-positive", "horizon-word", "n",
-        "target-half-width", "grid-half-width", "freeze", "hold-time"])
+        "target-half-width", "grid-half-width", "freeze", "hold-time", "mpc-q-length",
+        "mpc-r-length", "mpc-u-lo-length", "mpc-u-hi-length", "hj-control-box",
+        "hj-payload-interval"])
 def test_cli_bad_config_values_exit_4(tmp_path, capsys, command, edits):
     # rejected by the loader, before any synthesis, PDE solve or simulation
     path = mini_cfg(tmp_path, **edits)
@@ -357,6 +365,16 @@ def test_cli_hj_sections_required(tmp_path, capsys):
     assert cli.main(["hj-brs", "--config", str(path)]) == 4
     assert cli.main(["wmax", "--config", str(path)]) == 4
     capsys.readouterr()
+
+
+def test_cli_hj_brs_reports_set_final_time(tmp_path):
+    path = mini_cfg(tmp_path, hj_y={"horizon": "converge"})
+    rc, text = run_cli(["hj-brs", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    lines = [line for line in text.splitlines() if "set_final_time = " in line]
+    assert [line.split("]")[0] for line in lines] == ["[hj-brs:y", "[hj-brs:z"]
+    assert "converged = True" in lines[0]
+    assert (tmp_path / "o" / "mini_valuegrid_y.csv").exists()
 
 
 def test_cli_infeasible_synthesis_exit_2(tmp_path, capsys):

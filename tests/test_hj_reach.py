@@ -267,12 +267,17 @@ def test_grid_hamiltonian_matches_pointwise_oracle(params):
 
 
 def test_dissipation_coefficients_bound_gradient_sensitivity():
-    # alpha_i must dominate |dH/dp_i|: perturbing one gradient component
-    # moves H by at most alpha_i * |perturbation|
+    # alpha_i(x) must dominate |dH/dp_i| at its node: perturbing one
+    # gradient component moves H by at most alpha_i(x) * |perturbation|
     dyn = di_dynamics(u_max=1.0, w_max=0.5)
     grid = hj.Grid2((-2.0, -2.0), (2.0, 2.0), (11, 11))
-    a1, a2 = hj._GridTerms(grid, dyn).alpha
-    assert (a1, a2) == (2.0, 1.5)  # max |x2| on [-2,2]^2, max |u| + max |w|
+    terms = hj._GridTerms(grid, dyn)
+    assert terms.alpha == (2.0, 1.5)  # max |x2| on [-2,2]^2, max |u| + max |w|
+    half1, half2 = terms.half_alpha
+    _, x2g = grid.mesh()
+    assert np.array_equal(half1, 0.5 * np.abs(x2g))  # |x2| varies: one per node
+    assert half2 == 0.75  # constant speed: kept as a scalar
+    a1, a2 = 2.0 * half1, 2.0 * half2
     rng = np.random.default_rng(21)
     for _ in range(50):
         p1 = rng.uniform(-3, 3, grid.shape)
@@ -340,9 +345,11 @@ def test_lf_step_matches_scalar_reimplementation():
             pad[i, 0] = 2 * pad[i, 1] - pad[i, 2]
             pad[i, n2 + 1] = 2 * pad[i, n2] - pad[i, n2 - 1]
         channels = list(dyn.control_terms) + list(dyn.disturbance_terms)
-        a1 = a2 = 0.0
+        out = np.zeros_like(v)
         for i in range(n1):
             for j in range(n2):
+                # local Lax-Friedrichs: the wave speed bound at this node
+                a1 = a2 = 0.0
                 for par in dyn.uncertain_params:
                     f1, f2 = dyn.drift(x1a[i], x2a[j], par)
                     b1, b2 = abs(float(f1)), abs(float(f2))
@@ -353,9 +360,6 @@ def test_lf_step_matches_scalar_reimplementation():
                         b2 += abs(float(g2)) * span
                     a1 = max(a1, b1)
                     a2 = max(a2, b2)
-        out = np.zeros_like(v)
-        for i in range(n1):
-            for j in range(n2):
                 dp1 = (pad[i + 2, j + 1] - pad[i + 1, j + 1]) / dx1
                 dm1 = (pad[i + 1, j + 1] - pad[i, j + 1]) / dx1
                 dp2 = (pad[i + 1, j + 2] - pad[i + 1, j + 1]) / dx2
@@ -509,15 +513,35 @@ def test_stay_freeze_yields_viability_kernel():
 
 
 def test_converge_mode_contracting_drift():
-    # x' = -3x drives every state to the origin, so V converges to l(0)
+    # x' = -3x drives every state into the target within ln(1 / 0.3) / 3 =
+    # 0.40 s, so the reach set is the whole grid once it is final
     target = hj.TargetSet.box((0.0, 0.0), (0.3, 0.3))
     dyn = hj.AffineDynamics2(drift=lambda x1, x2, p: (-3.0 * x1, -3.0 * x2))
     grid = hj.Grid2((-1.0, -1.0), (1.0, 1.0), (51, 51))
-    out = hj.solve_brs(grid, target, dyn, "converge", conv_tol=1e-3)
+    out = hj.solve_brs(grid, target, dyn, "converge")
     assert out.info["converged"]
-    inner = out.v[5:-5, 5:-5]
-    assert inner.min() > -0.3 - 1e-9
-    assert inner.max() < -0.298
+    assert np.all(out.v <= 0.0)
+    assert -0.5 < out.info["set_final_time"] < -0.3
+
+
+def test_converge_stops_once_the_safe_set_is_final():
+    # the stay kernel of test_stay_freeze_yields_viability_kernel: converge
+    # stops max(t_last, tau) after the last change of {V <= 0}, and a run
+    # three times as long leaves that set as it is
+    target = hj.TargetSet.box((0.0, 0.0), (1.0, 1.0))
+    grid = hj.Grid2((-2.0, -2.0), (2.0, 2.0), (51, 51))
+    dyn = di_dynamics()
+    out = hj.solve_brs(grid, target, dyn, "converge", freeze="stay")
+    info = out.info
+    assert info["converged"]
+    t_last = -info["set_final_time"]
+    tau = min(4.0 / 2.0, 4.0 / 1.0)  # grid width over max |x2|, and over |u|
+    assert 0.0 < t_last
+    wait = -out.time - t_last
+    assert max(t_last, tau) <= wait < max(t_last, tau) + info["dt"]
+    longer = hj.solve_brs(grid, target, dyn, 3.0 * out.time, freeze="stay")
+    assert np.array_equal(out.v <= 0.0, longer.v <= 0.0)
+    assert longer.info["set_final_time"] == info["set_final_time"]
 
 
 def test_converge_flag_false_while_set_still_grows():
@@ -547,12 +571,12 @@ def test_solve_brs_bitwise_matches_allocating_reference(freeze, params):
 
 
 def test_solve_brs_bitwise_matches_allocating_reference_converge():
-    # a converge run that stops early, on the change rate of every step
+    # a converge run that stops early, on the sign mask of every step
     target = hj.TargetSet.box((0.0, 0.0), (0.3, 0.3))
     dyn = hj.AffineDynamics2(drift=lambda x1, x2, p: (-3.0 * x1, -3.0 * x2))
     grid = hj.Grid2((-1.0, -1.0), (1.0, 1.0), (31, 31))
-    got = hj.solve_brs(grid, target, dyn, "converge", conv_tol=1e-3)
-    want, info = orc.solve_brs(grid, target, dyn, "converge", conv_tol=1e-3)
+    got = hj.solve_brs(grid, target, dyn, "converge")
+    want, info = orc.solve_brs(grid, target, dyn, "converge")
     assert got.info["converged"] and got.time > -9.0
     assert np.array_equal(got.v, want)
     assert got.info == {k: info[k] for k in got.info}

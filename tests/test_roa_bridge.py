@@ -1,9 +1,17 @@
+import contextlib
+import io
+from importlib import resources
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import _oracles as orc
 from robustroa import matrixkit as mk
 from robustroa import roa_bridge as rb
 from robustroa.clf_synth import ClfCertificate, ClfParams
+from robustroa.harness import cli, fileio
+from robustroa.harness.scenarios import load_scenario
 from robustroa.hj_reach import Grid2, GridMismatch, TargetSet, ValueGrid
 
 
@@ -220,3 +228,43 @@ def test_find_wmax_validation():
         rb.find_wmax(unit_certificate(), vg, target, w_hi=0.0)
     with pytest.raises(ValueError):
         rb.find_wmax(unit_certificate(), vg, target, w_hi=1.0, tol=2.0)
+
+
+# -- bundled quadruped configs against the exact kernel --------------------------
+
+@pytest.fixture(scope="module", params=["quadruped_height.cfg", "quadruped_push.cfg"])
+def bundled_run(request, tmp_path_factory):
+    """(scenario, out dir): `wmax` on a bundled config, which solves under
+    horizon = converge, into out/converge, and `hj-brs` on a copy with
+    horizon = -2.0 into out/fixed."""
+    out = tmp_path_factory.mktemp("bundled")
+    ref = resources.files("robustroa.harness").joinpath("configs", request.param)
+    with resources.as_file(ref) as path, contextlib.redirect_stdout(io.StringIO()):
+        scn = load_scenario(path)
+        text = Path(path).read_text()
+        assert text.count("horizon = converge") == 2
+        assert cli.main(["wmax", "--config", str(path), "--out", str(out / "converge")]) == 0
+        fixed = out / "fixed.cfg"
+        fixed.write_text(text.replace("horizon = converge", "horizon = -2.0"))
+        assert cli.main(["hj-brs", "--config", str(fixed), "--out", str(out / "fixed")]) == 0
+    return scn, out
+
+
+@pytest.mark.parametrize("axis", ["y", "z"])
+def test_bundled_wmax_within_exact_kernel(bundled_run, axis):
+    scn, out = bundled_run
+    _, entries = fileio.read_wmax_report(out / "converge" / f"{scn.name}_wmax.txt")
+    w_max = next(e["w_max"] for e in entries if e["axis"] == axis)
+    _, _, cert, _ = fileio.read_certificate(
+        out / "converge" / f"{scn.name}_certificate_{axis}.txt")
+    exact = orc.kernel.exact_wmax(axis, cert, scn.hj_blocks[axis], scn.quadruped)
+    assert 0.0 < w_max <= exact
+
+
+@pytest.mark.parametrize("axis", ["y", "z"])
+def test_bundled_converge_set_matches_fixed_horizon(bundled_run, axis):
+    scn, out = bundled_run
+    name = f"{scn.name}_valuegrid_{axis}.csv"
+    converged = fileio.read_value_grid(out / "converge" / name)
+    fixed = fileio.read_value_grid(out / "fixed" / name)
+    assert np.array_equal(converged.v <= 0.0, fixed.v <= 0.0)

@@ -21,7 +21,9 @@ OUT = Path(__file__).resolve().parent / "out"
 W_MAX = 3.5
 
 
-def main():
+def main(duration=5.0):
+    """Run both modes for `duration` seconds and plot them; returns the
+    trajectories by mode."""
     OUT.mkdir(exist_ok=True)
     params = plants.QuadcopterParams()
     model = plants.quadcopter_linearize(params)
@@ -47,7 +49,7 @@ def main():
         mon = plants.LyapunovMonitor(name="E", p=cert.p, level=level)
         traj = plants.simulate_closed_loop(
             plant, ctrl, ref, plants.ConstantDisturbance(w_vec),
-            duration=5.0, dt=0.001, monitors=[mon])
+            duration=duration, dt=0.001, monitors=[mon])
         err = traj.x[:, :2] - traj.x_ref[:, :2]
         rms = float(np.sqrt(np.mean(np.sum(err ** 2, axis=1))))
         print(f"{mode:8s}: rms position error = {rms:.4f} m, "
@@ -77,6 +79,7 @@ def main():
     ], title="tracked figure eight", xlabel="lateral position [m]",
         ylabel="height [m]")
     print(f"wrote {path}")
+    return runs
 
 
 if __name__ == "__main__":

@@ -59,10 +59,9 @@ def run(mode, certs, levels, params, mpc_cfg, duration):
         k_rows = {axis: np.asarray(certs[axis].k)[0] for axis in AXES}
 
         def ancillary(t, x, e):
-            wrench = np.zeros(3)
-            wrench[0] = float(k_rows["y"] @ e[SUB_IDX["y"]])
-            wrench[1] = float(k_rows["z"] @ e[SUB_IDX["z"]])
-            return plants.stance_allocation(x, plant.stance) @ wrench
+            wrench = (float(k_rows["y"] @ e[SUB_IDX["y"]]),
+                      float(k_rows["z"] @ e[SUB_IDX["z"]]), 0.0)
+            return plants.stance_allocation(x, plant.stance, wrench)
 
         gains = [ancillary]
     ctrl = plants.TrackingController(plant, ref, mpc_cfg,
@@ -80,7 +79,9 @@ def run(mode, certs, levels, params, mpc_cfg, duration):
     return traj
 
 
-def main():
+def main(duration=4.0):
+    """Certify both axes, run both modes for `duration` seconds, plot the
+    height-axis energy; returns the trajectories by mode."""
     OUT.mkdir(exist_ok=True)
     params = plants.QuadrupedParams()
     certs, levels = {}, {}
@@ -91,7 +92,7 @@ def main():
                         r=np.zeros(4), dt=0.05, horizon=2,
                         u_lo=np.array([-35.0, -35.0, 0.0, 0.0]),
                         u_hi=np.array([35.0, 35.0, 150.0, 150.0]))
-    trajs = {mode: run(mode, certs, levels, params, mpc_cfg, duration=4.0)
+    trajs = {mode: run(mode, certs, levels, params, mpc_cfg, duration=duration)
              for mode in ("nominal", "robust")}
 
     path = OUT / "quadruped_height_energy.svg"
@@ -106,6 +107,7 @@ def main():
         xlabel="time [s]", ylabel="E / invariant level", ylim=(0.0, 3.0),
         hlines=[(1.0, "invariant level", "#d62728")])
     print(f"wrote {path}")
+    return trajs
 
 
 if __name__ == "__main__":

@@ -244,10 +244,10 @@ def _build_quadruped_sim(scn, certs, entries):
         wrench_row = {"y": 0, "z": 1}
 
         def ancillary(t, x, e):
-            wrench = np.zeros(3)
+            wrench = [0.0, 0.0, 0.0]
             for axis, k in k_by_axis.items():
                 wrench[wrench_row[axis]] = float(k @ e[SUB_IDX[axis]])
-            return plants.stance_allocation(x, plant.stance) @ wrench
+            return plants.stance_allocation(x, plant.stance, wrench)
 
         gains = [ancillary]
     controller = plants.TrackingController(plant, scn.reference(), scn.mpc,

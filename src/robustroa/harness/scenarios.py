@@ -226,24 +226,29 @@ def load_scenario(path):
     if plant_kind == "quadcopter":
         ps = _section(cp, "quadcopter")
         quadcopter = QuadcopterParams(
-            mass=_get(ps, "mass", float),
-            arm_length=_get(ps, "arm_length", float),
-            inertia_xx=_get(ps, "inertia_xx", float),
-            gravity=_get(ps, "gravity", float),
+            mass=_positive(ps, "mass"),
+            arm_length=_positive(ps, "arm_length"),
+            inertia_xx=_positive(ps, "inertia_xx"),
+            gravity=_positive(ps, "gravity"),
         )
         clf_blocks = {"main": _clf_block(_section(cp, "clf"), "main")}
     else:
         ps = _section(cp, "quadruped")
+        friction = _get(ps, "friction_coeff", float)
+        if not friction >= 0.0:
+            raise ConfigError(f"'friction_coeff' in [{ps.name}] must not be negative, "
+                              f"got {friction!r}")
         quadruped = QuadrupedParams(
-            mass=_get(ps, "mass", float),
-            inertia_xx=_get(ps, "inertia_xx", float),
-            gravity=_get(ps, "gravity", float),
+            mass=_positive(ps, "mass"),
+            inertia_xx=_positive(ps, "inertia_xx"),
+            gravity=_positive(ps, "gravity"),
             leg_length=_get(ps, "leg_length", float, 0.2),
-            friction_coeff=_get(ps, "friction_coeff", float),
+            friction_coeff=friction,
             z_ref=_get(ps, "z_ref", float),
             v_ref=_get(ps, "v_ref", float),
-            step_time=_get(ps, "step_time", float),
-            step_offset=_get(ps, "step_offset", float),
+            step_time=_positive(ps, "step_time"),
+            # the two stance feet sit 2 * step_offset apart and must not coincide
+            step_offset=_positive(ps, "step_offset"),
         )
         delta_m = _get(ps, "delta_m", float, 0.0)
         drag = _get(ps, "drag_force", float, 0.0)

@@ -133,7 +133,8 @@ def line_plot(path, series, title="", xlabel="", ylabel="",
         xs = np.asarray(s.x, dtype=float)
         ys = np.asarray(s.y, dtype=float)
         ok = np.isfinite(xs) & np.isfinite(ys)
-        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(xs[ok], ys[ok]))
+        pts = " ".join(f"{a:.2f},{b:.2f}"
+                       for a, b in zip(sx(xs[ok]).tolist(), sy(ys[ok]).tolist()))
         dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="{s.width}"{dash} clip-path="url(#box)"/>')

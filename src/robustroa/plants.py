@@ -16,8 +16,10 @@ tracking controller (MPC feedforward recomputed on its own slower period,
 certificate feedback every step) while recording the certificate energy
 E = e' P e against its invariant level.  The loop allocates its output
 arrays once, sized from the first sample, and writes each sample into its
-row; the dynamics unpack the state to Python floats and build one array
-per evaluation, so a step makes few small temporaries.
+row.  The dynamics unpack the state, input and disturbance and return a
+tuple of floats; rk4_step converts its arguments to Python float lists
+once and forms every stage on them, so a step builds one array, its
+result.
 """
 
 from __future__ import annotations
@@ -62,17 +64,17 @@ def quadcopter_f(x, u, w, p: QuadcopterParams):
     zdot'   =  u_s cos(phi) / m - g + w2
     phidot' =  (l / 2) u_d / I_xx
     """
-    _, _, phi, ydot, zdot, phidot = np.asarray(x, dtype=float).ravel().tolist()
-    u_s, u_d = np.asarray(u, dtype=float).ravel().tolist()
-    w1, w2 = (0.0, 0.0) if w is None else np.asarray(w, dtype=float).ravel().tolist()
-    return np.array([
+    _, _, phi, ydot, zdot, phidot = x
+    u_s, u_d = u
+    w1, w2 = (0.0, 0.0) if w is None else w
+    return (
         ydot,
         zdot,
         phidot,
         -u_s * math.sin(phi) / p.mass + w1,
         u_s * math.cos(phi) / p.mass - p.gravity + w2,
         0.5 * p.arm_length * u_d / p.inertia_xx,
-    ])
+    )
 
 
 def quadcopter_linearize(p: QuadcopterParams):
@@ -168,8 +170,8 @@ def quadruped_f(x, u, stance: StanceState, p: QuadrupedParams,
     constant resistive force on the COM along -y (pushing a load).
     Raises ContactViolation when a commanded normal force is negative.
     """
-    y, z, _, ydot, zdot, phidot = np.asarray(x, dtype=float).ravel().tolist()
-    fx_f, fx_r, fz_f, fz_r = np.asarray(u, dtype=float).ravel().tolist()
+    y, z, _, ydot, zdot, phidot = x
+    fx_f, fx_r, fz_f, fz_r = u
     if fz_f < -1e-9 or fz_r < -1e-9:
         raise ContactViolation(f"negative normal force: fz_front={fz_f:.3f}, fz_rear={fz_r:.3f}")
     m_true = p.mass + delta_m
@@ -178,7 +180,7 @@ def quadruped_f(x, u, stance: StanceState, p: QuadrupedParams,
     # moment arm r = com - foot, torque r x f = r_y f_z - r_z f_y per foot
     r_front_y, r_front_z = y - front_y, z - front_z
     r_rear_y, r_rear_z = y - rear_y, z - rear_z
-    return np.array([
+    return (
         ydot,
         zdot,
         phidot,
@@ -186,7 +188,7 @@ def quadruped_f(x, u, stance: StanceState, p: QuadrupedParams,
         (fz_f + fz_r) / m_true - p.gravity,
         ((r_front_y * fz_f - r_front_z * fx_f) + (r_rear_y * fz_r - r_rear_z * fx_r))
         / p.inertia_xx,
-    ])
+    )
 
 
 def quadruped_axis_linear(p: QuadrupedParams):
@@ -240,24 +242,28 @@ def subsystem_error_dynamics(axis, p: QuadrupedParams, u_lo, u_hi,
 
 # -- feedback helpers ---------------------------------------------------------
 
-def stance_allocation(x, stance: StanceState):
-    """Min-norm map from a desired body wrench to the four stance forces.
+def stance_allocation(x, stance: StanceState, wrench):
+    """Min-norm stance forces [fx_front, fx_rear, fz_front, fz_rear] that
+    produce `wrench` = (lateral force, lift force, pitch torque about the COM).
 
-    Columns order [fx_front, fx_rear, fz_front, fz_rear]; the wrench is
-    (lateral force, lift force, pitch torque about the COM).  Rank is full
-    whenever the feet straddle the COM, so a pure-lift request produces a
-    torque-free force split even with unequal moment arms.
+    The wrench map A has rows [1, 1, 0, 0], [0, 0, 1, 1] and the torque row
+    [a, b, c, d] = [-(z - z_f), -(z - z_r), y - y_f, y - y_r].  The
+    min-norm solution A' (A A')^-1 wrench is solved in closed form; its
+    denominator is the squared distance between the feet, so the feet must
+    be distinct.  A pure-lift request gets a torque-free force split even
+    with unequal moment arms.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    com = np.array([x[0], x[1]])
-    rf = com - stance.foot_front
-    rr = com - stance.foot_rear
-    a = np.array([
-        [1.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 1.0],
-        [-rf[1], -rr[1], rf[0], rr[0]],
-    ])
-    return np.linalg.pinv(a)
+    y, z = float(x[0]), float(x[1])
+    front_y, front_z = stance.foot_front.tolist()
+    rear_y, rear_z = stance.foot_rear.tolist()
+    a, b = front_z - z, rear_z - z
+    c, d = y - front_y, y - rear_y
+    f_y, f_z, tau = wrench
+    gap_z, gap_y = a - b, c - d
+    lam = (2.0 * tau - (a + b) * f_y - (c + d) * f_z) / (gap_z * gap_z + gap_y * gap_y)
+    half_y, half_z = 0.5 * f_y, 0.5 * f_z
+    shift_y, shift_z = 0.5 * gap_z * lam, 0.5 * gap_y * lam
+    return np.array([half_y + shift_y, half_y - shift_y, half_z + shift_z, half_z - shift_z])
 
 
 def worst_constant_disturbance(cert: ClfCertificate, model: LinearModel, w_max):
@@ -274,18 +280,28 @@ def worst_constant_disturbance(cert: ClfCertificate, model: LinearModel, w_max):
     return float(w_max) * direction / np.linalg.norm(direction)
 
 
+def _float_list(v):
+    return None if v is None else np.asarray(v, dtype=float).ravel().tolist()
+
+
 def rk4_step(f, x, u, w, dt):
-    """Classical fourth-order Runge-Kutta step of x' = f(x, u, w)."""
-    x = np.asarray(x, dtype=float).ravel()
+    """Classical fourth-order Runge-Kutta step of x' = f(x, u, w).
+
+    f receives x, u and w as lists of Python floats (None stays None) and
+    returns a sequence; the step returns the new state as an array.
+    """
+    x, u, w = _float_list(x), _float_list(u), _float_list(w)
     half = 0.5 * dt
     k1 = f(x, u, w)
-    k2 = f(x + half * k1, u, w)
-    k3 = f(x + half * k2, u, w)
-    k4 = f(x + dt * k3, u, w)
-    out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+    k2 = f([xi + half * ki for xi, ki in zip(x, k1)], u, w)
+    k3 = f([xi + half * ki for xi, ki in zip(x, k2)], u, w)
+    k4 = f([xi + dt * ki for xi, ki in zip(x, k3)], u, w)
+    sixth = dt / 6.0
+    out = [xi + sixth * (a + 2.0 * b + 2.0 * c + d)
+           for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, out)):
         raise NonFinite("integration step produced non-finite state")
-    return out
+    return np.array(out)
 
 
 # -- plants as simulation objects ---------------------------------------------
@@ -615,7 +631,7 @@ def simulate_closed_loop(plant, controller, reference, disturbance, duration, dt
         except NonFinite:
             diverged = True
             break
-        if float(np.max(np.abs(x))) > blowup:
+        if float(np.abs(x).max()) > blowup:
             diverged = True
             break
     if i < n_steps:

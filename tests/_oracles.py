@@ -370,6 +370,28 @@ def trajectory_csv_rows(traj):
     return "".join(lines)
 
 
+# -- SVG polyline points, one point at a time -----------------------------------
+
+def svg_polyline_points(xs, ys, xlim, ylim, width=640, height=420):
+    """The points attribute of a svgplot.line_plot series on fixed axes,
+    mapping and formatting each point on its own as line_plot once did."""
+    ml, mr, mt, mb = 62, 16, 34, 46
+    pw, ph = width - ml - mr, height - mt - mb
+    x0, x1 = float(xlim[0]), float(xlim[1])
+    y0, y1 = float(ylim[0]), float(ylim[1])
+
+    def sx(x):
+        return ml + (x - x0) / (x1 - x0) * pw
+
+    def sy(y):
+        return mt + (y1 - y) / (y1 - y0) * ph
+
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    ok = np.isfinite(xs) & np.isfinite(ys)
+    return " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(xs[ok], ys[ok]))
+
+
 # -- closed loop with per-sample lists and array-valued dynamics ---------------
 #
 # The simulation layer of plants as it appended every sample to Python lists

@@ -298,6 +298,10 @@ def test_criterion_8_numerical_hygiene():
     # linearization vs central finite differences at hover
     params = plants.QuadcopterParams()
     model = plants.quadcopter_linearize(params)
+
+    def qf(x, u, w, p):
+        return np.asarray(plants.quadcopter_f(x, u, w, p))
+
     x0 = np.zeros(6)
     u0 = np.array([params.mass * params.gravity, 0.0])
     w0 = np.zeros(2)
@@ -306,14 +310,14 @@ def test_criterion_8_numerical_hygiene():
     for j in range(6):
         dx = np.zeros(6)
         dx[j] = step
-        a_fd[:, j] = (plants.quadcopter_f(x0 + dx, u0, w0, params)
-                      - plants.quadcopter_f(x0 - dx, u0, w0, params)) / (2 * step)
+        a_fd[:, j] = (qf(x0 + dx, u0, w0, params)
+                      - qf(x0 - dx, u0, w0, params)) / (2 * step)
     b_fd = np.zeros((6, 2))
     for j in range(2):
         du = np.zeros(2)
         du[j] = step
-        b_fd[:, j] = (plants.quadcopter_f(x0, u0 + du, w0, params)
-                      - plants.quadcopter_f(x0, u0 - du, w0, params)) / (2 * step)
+        b_fd[:, j] = (qf(x0, u0 + du, w0, params)
+                      - qf(x0, u0 - du, w0, params)) / (2 * step)
     jac_err = max(float(np.max(np.abs(a_fd - model.a))),
                   float(np.max(np.abs(b_fd - model.b))))
     assert jac_err < 1e-6
@@ -321,7 +325,7 @@ def test_criterion_8_numerical_hygiene():
     # RK4 local error on x' = -x drops 2^5 when the step halves
     errs = []
     for dt in (0.1, 0.05):
-        x = plants.rk4_step(lambda x, u, w: -x, [1.0], None, None, dt)
+        x = plants.rk4_step(lambda x, u, w: [-xi for xi in x], [1.0], None, None, dt)
         errs.append(abs(float(x[0]) - np.exp(-dt)))
     ratio = errs[0] / errs[1]
     assert 24.0 < ratio < 40.0

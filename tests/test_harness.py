@@ -8,6 +8,7 @@ The slower tests run the real pipeline on a shrunken quadruped scenario
 import contextlib
 import copy
 import io
+import re
 import shutil
 import subprocess
 from importlib import resources
@@ -15,8 +16,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
+import _oracles as orc
 from robustroa.clf_synth import ClfCertificate, ClfParams
-from robustroa.harness import cli, fileio
+from robustroa.harness import cli, fileio, svgplot
 from robustroa.harness.scenarios import ConfigError, load_scenario
 from robustroa.hj_reach import Grid2, ValueGrid
 from robustroa.plants import Figure8Ref, TrotRef
@@ -59,6 +61,19 @@ MINI = {
 }
 
 
+# shrunken quadcopter pipeline: short run
+MINI_QUADCOPTER = {
+    "scenario": {"name": "miniqc", "plant": "quadcopter", "mode": "robust", "seed": 0},
+    "quadcopter": {"mass": 1.0, "arm_length": 0.2, "inertia_xx": 0.1, "gravity": 9.81},
+    "clf": {"q": "1e-1, 1, 1, 1, 1, 1e-2", "r": "1e-2, 1e-4", "decay_rate": 0.5,
+            "dist_weight": 0.1, "w_max": 3.5},
+    "mpc": {"q": "100, 10, 1e9, 1e5, 1e14, 1e4", "r": "1e6, 1e6", "dt": 0.05, "horizon": 2},
+    "reference": {"kind": "figure8", "t_end": 5.0, "amp_y": 0.5, "amp_z": 0.5},
+    "disturbance": {"kind": "worst_constant", "w_max": 3.5},
+    "simulate": {"duration": 0.1, "dt": 0.001},
+}
+
+
 def write_cfg(dirpath, sections, fname="scn.cfg"):
     lines = []
     for sec, kv in sections.items():
@@ -70,8 +85,8 @@ def write_cfg(dirpath, sections, fname="scn.cfg"):
     return path
 
 
-def mini_cfg(dirpath, fname="scn.cfg", drop=(), **edits):
-    sections = copy.deepcopy(MINI)
+def mini_cfg(dirpath, fname="scn.cfg", drop=(), base=MINI, **edits):
+    sections = copy.deepcopy(base)
     for sec in drop:
         del sections[sec]
     for sec, kv in edits.items():
@@ -314,6 +329,34 @@ def test_metrics_block_formatting():
     ]
 
 
+# -- SVG plots ---------------------------------------------------------------------
+
+def test_svg_polylines_match_per_point_formatting(tmp_path):
+    (x0, x1), (y0, y1) = xlim, ylim = (0.1, 0.7), (-0.3, 0.9)
+    # pixel offsets k/8 for odd k sit on the 2-decimal rounding ties, where
+    # one ulp of difference in the pixel mapping changes the printed digits
+    ties = np.arange(1, 4000, 2) / 8.0
+    # lands at pixel -0.001, which prints as -0.00
+    edge = x0 - 62.001 / 562.0 * (x1 - x0)
+    cases = {
+        "ties": (x0 + ties % 562.0 / 562.0 * (x1 - x0), y1 - ties % 340.0 / 340.0 * (y1 - y0)),
+        "nonfinite": ([0.1, 0.2, 0.3, 0.4, 0.5, 0.6], [0.1, np.nan, np.inf, -np.inf, 0.2, 0.3]),
+        "nonfinite-x": ([np.nan, np.inf, 0.25, -np.inf, 0.65], [0.0, 0.1, 0.2, 0.3, 0.4]),
+        "signed-zero": ([-0.0, 0.0, edge, 0.7], [-0.0, 0.0, 0.9, -0.3]),
+        "clipped": ([0.1, 0.2, 0.4, 0.6, 0.7], [-3.0, 0.899999, 2.5, -0.300001, 1e6]),
+        "single": ([0.3], [0.1]),
+        "empty": ([], []),
+    }
+    series = [svgplot.Series(name, np.array(xs), np.array(ys))
+              for name, (xs, ys) in cases.items()]
+    path = tmp_path / "plot.svg"
+    svgplot.line_plot(path, series, xlim=xlim, ylim=ylim)
+    got = re.findall(r'<polyline points="([^"]*)"', path.read_text())
+    want = [orc.svg_polyline_points(xs, ys, xlim, ylim) for xs, ys in cases.values()]
+    assert got == want
+    assert "-0.00," in got[3]
+
+
 # -- CLI exit codes --------------------------------------------------------------
 
 def test_cli_usage_errors_exit_4(capsys):
@@ -348,13 +391,27 @@ def test_cli_config_errors_exit_4(tmp_path, capsys):
     ("simulate", {"mpc": {"u_hi": "35, 35, 150, 150, 150"}}),
     ("wmax", {"hj_z": {"u_lo": 300.0, "u_hi": 0.0}}),
     ("wmax", {"hj_y": {"delta_m_lo": 5.0, "delta_m_hi": 0.0}}),
+    ("simulate", {"quadruped": {"step_offset": 0.0}}),
+    ("simulate", {"quadruped": {"step_time": 0.0}}),
+    ("simulate", {"quadruped": {"step_time": -0.25}}),
+    ("simulate", {"quadruped": {"friction_coeff": -0.6}}),
+    ("wmax", {"quadruped": {"mass": -12.454}}),
+    ("simulate", {"quadruped": {"inertia_xx": 0.0}}),
+    ("wmax", {"quadruped": {"gravity": -9.81}}),
+    ("simulate", {"quadcopter": {"mass": 0.0}}),
+    ("simulate", {"quadcopter": {"arm_length": -0.2}}),
+    ("simulate", {"quadcopter": {"inertia_xx": 0.0}}),
+    ("simulate", {"quadcopter": {"gravity": 0.0}}),
 ], ids=["duration", "dt", "duration-below-dt", "horizon-positive", "horizon-word", "n",
         "target-half-width", "grid-half-width", "freeze", "hold-time", "mpc-q-length",
         "mpc-r-length", "mpc-u-lo-length", "mpc-u-hi-length", "hj-control-box",
-        "hj-payload-interval"])
+        "hj-payload-interval", "step-offset", "step-time-zero", "step-time-negative",
+        "friction", "mass-negative", "inertia", "gravity", "quadcopter-mass",
+        "quadcopter-arm", "quadcopter-inertia", "quadcopter-gravity"])
 def test_cli_bad_config_values_exit_4(tmp_path, capsys, command, edits):
     # rejected by the loader, before any synthesis, PDE solve or simulation
-    path = mini_cfg(tmp_path, **edits)
+    base = MINI_QUADCOPTER if "quadcopter" in edits else MINI
+    path = mini_cfg(tmp_path, base=base, **edits)
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 4
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -500,18 +557,6 @@ def test_reproduce_runs_both_modes(tmp_path, monkeypatch):
     for fname in ("mini_wmax.txt", "mini_certificate_y.txt", "mini_certificate_z.txt",
                   "mini_valuegrid_y.csv", "mini_valuegrid_z.csv"):
         assert (out / fname).read_bytes() == (tmp_path / "wmax" / fname).read_bytes(), fname
-
-
-MINI_QUADCOPTER = {
-    "scenario": {"name": "miniqc", "plant": "quadcopter", "mode": "robust", "seed": 0},
-    "quadcopter": {"mass": 1.0, "arm_length": 0.2, "inertia_xx": 0.1, "gravity": 9.81},
-    "clf": {"q": "1e-1, 1, 1, 1, 1, 1e-2", "r": "1e-2, 1e-4", "decay_rate": 0.5,
-            "dist_weight": 0.1, "w_max": 3.5},
-    "mpc": {"q": "100, 10, 1e9, 1e5, 1e14, 1e4", "r": "1e6, 1e6", "dt": 0.05, "horizon": 2},
-    "reference": {"kind": "figure8", "t_end": 5.0, "amp_y": 0.5, "amp_z": 0.5},
-    "disturbance": {"kind": "worst_constant", "w_max": 3.5},
-    "simulate": {"duration": 0.1, "dt": 0.001},
-}
 
 
 def test_reproduce_quadcopter_synthesizes_once(tmp_path, monkeypatch):

@@ -33,32 +33,36 @@ def test_hover_is_equilibrium():
 
 def test_quadcopter_linearization_matches_fd():
     model = plants.quadcopter_linearize(QP)
+
+    def qf(x, u, w, p):
+        return np.asarray(plants.quadcopter_f(x, u, w, p))
+
     x0, u0, w0 = hover_state(), hover_input(), np.zeros(2)
     step = 1e-6
     a_fd = np.zeros((6, 6))
     for j in range(6):
         dx = np.zeros(6)
         dx[j] = step
-        a_fd[:, j] = (plants.quadcopter_f(x0 + dx, u0, w0, QP)
-                      - plants.quadcopter_f(x0 - dx, u0, w0, QP)) / (2 * step)
+        a_fd[:, j] = (qf(x0 + dx, u0, w0, QP)
+                      - qf(x0 - dx, u0, w0, QP)) / (2 * step)
     b_fd = np.zeros((6, 2))
     for j in range(2):
         du = np.zeros(2)
         du[j] = step
-        b_fd[:, j] = (plants.quadcopter_f(x0, u0 + du, w0, QP)
-                      - plants.quadcopter_f(x0, u0 - du, w0, QP)) / (2 * step)
+        b_fd[:, j] = (qf(x0, u0 + du, w0, QP)
+                      - qf(x0, u0 - du, w0, QP)) / (2 * step)
     bw_fd = np.zeros((6, 2))
     for j in range(2):
         dw = np.zeros(2)
         dw[j] = step
-        bw_fd[:, j] = (plants.quadcopter_f(x0, u0, w0 + dw, QP)
-                       - plants.quadcopter_f(x0, u0, w0 - dw, QP)) / (2 * step)
+        bw_fd[:, j] = (qf(x0, u0, w0 + dw, QP)
+                       - qf(x0, u0, w0 - dw, QP)) / (2 * step)
     assert np.max(np.abs(model.a - a_fd)) < 1e-6
     assert np.max(np.abs(model.b - b_fd)) < 1e-6
     assert np.max(np.abs(model.b_w - bw_fd)) < 1e-6
     # affine term closes the residual at the linearization point
     assert np.max(np.abs(model.a @ x0 + model.b @ u0 + model.g
-                         - plants.quadcopter_f(x0, u0, w0, QP))) < 1e-12
+                         - qf(x0, u0, w0, QP))) < 1e-12
 
 
 def test_figure8_rest_to_rest():
@@ -195,13 +199,12 @@ def test_stance_allocation_torque_free():
     x = np.zeros(6)
     x[0] = 0.04
     x[1] = p.z_ref
-    alloc = plants.stance_allocation(x, plant.stance)
-    assert alloc.shape == (4, 3)
     rng = np.random.default_rng(11)
     for _ in range(20):
         wrench = rng.normal(size=3)
         wrench[2] = 0.0
-        du = alloc @ wrench
+        du = plants.stance_allocation(x, plant.stance, wrench)
+        assert du.shape == (4,)
         rf = plant.stance.foot_front - x[:2]
         rr = plant.stance.foot_rear - x[:2]
         # recomposed net force and moment match the request exactly
@@ -209,6 +212,29 @@ def test_stance_allocation_torque_free():
         assert abs(du[2] + du[3] - wrench[1]) < 1e-9
         tau = -rf[1] * du[0] - rr[1] * du[1] + rf[0] * du[2] + rr[0] * du[3]
         assert abs(tau) < 1e-9
+
+
+def test_stance_allocation_matches_pinv():
+    # the closed form against the SVD pseudo-inverse of the wrench map
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for _ in range(2000):
+        x = np.zeros(6)
+        x[:2] = rng.uniform(-1.0, 1.0, 2)
+        mid = rng.uniform(-1.0, 1.0, 2)
+        ang = rng.uniform(0.0, 2.0 * math.pi)
+        gap = rng.uniform(0.01, 0.5) * np.array([math.cos(ang), math.sin(ang)])
+        front, rear = mid + 0.5 * gap, mid - 0.5 * gap
+        stance = plants.StanceState(pair="A", foot_front=front, foot_rear=rear)
+        wrench = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 3.0, 3)
+        rf, rr = x[:2] - front, x[:2] - rear
+        a = np.array([[1.0, 1.0, 0.0, 0.0],
+                      [0.0, 0.0, 1.0, 1.0],
+                      [-rf[1], -rr[1], rf[0], rr[0]]])
+        want = np.linalg.pinv(a) @ wrench
+        got = plants.stance_allocation(x, stance, wrench)
+        worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
+    assert worst < 1e-12
 
 
 class _Origin6Ref:
@@ -270,7 +296,7 @@ def test_trot_reference():
 # -- integrator and helpers ----------------------------------------------------
 
 def test_rk4_is_fourth_order():
-    f = lambda x, u, w: -x
+    f = lambda x, u, w: [-xi for xi in x]
     err = []
     for dt in (0.1, 0.05):
         x = plants.rk4_step(f, [1.0], None, None, dt)

@@ -68,11 +68,11 @@ def main():
     print(f"synthesis: {sol.status.value}, objective {sol.objective_value:.6f}")
     print(f"K = {np.array_str(cert.k, precision=3)}")
 
-    res, vg, target = certify(cert, params, u_hi=300.0, delta_m=(0.0, 5.0))
-    print(f"ample force (u <= 300 N): w_max = {res.w_max:.6f} m/s^2, "
-          f"level = {res.level:.6f}, {res.iterations} bisection steps")
+    ample, vg, target = certify(cert, params, u_hi=300.0, delta_m=(0.0, 5.0))
+    print(f"ample force (u <= 300 N): w_max = {ample.w_max:.6f} m/s^2, "
+          f"level = {ample.level:.6f}, {ample.iterations} bisection steps")
 
-    ell = ellipse_points(cert.p, res.level)
+    ell = ellipse_points(cert.p, ample.level)
     hw = target.half_widths
     box = np.array([[hw[0], hw[1]], [hw[0], -hw[1]], [-hw[0], -hw[1]],
                     [-hw[0], hw[1]], [hw[0], hw[1]]])
@@ -96,6 +96,7 @@ def main():
         res, _, _ = certify(cert, params, u_hi=240.0, delta_m=(dm, dm))
         print(f"  payload {dm:.0f} kg: w_max = {res.w_max:.6f} m/s^2, "
               f"level = {res.level:.6f}")
+    return ample
 
 
 if __name__ == "__main__":

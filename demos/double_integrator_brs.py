@@ -122,12 +122,15 @@ def main():
     analytic_inside = analytic_time <= -HORIZON
     mismatch = solved_inside != analytic_inside
     near = band_around(analytic_inside, cells=2)
-    print(f"solved set: {np.count_nonzero(solved_inside)} of {vg.v.size} nodes, "
-          f"analytic set: {np.count_nonzero(analytic_inside)}")
-    print(f"nodes disagreeing with the bang-bang formula: "
-          f"{np.count_nonzero(mismatch)} "
+    counts = {"solved": np.count_nonzero(solved_inside),
+              "analytic": np.count_nonzero(analytic_inside),
+              "mismatch": np.count_nonzero(mismatch),
+              "within_two_cells": not np.any(mismatch & ~near)}
+    print(f"solved set: {counts['solved']} of {vg.v.size} nodes, "
+          f"analytic set: {counts['analytic']}")
+    print(f"nodes disagreeing with the bang-bang formula: {counts['mismatch']} "
           f"(all within 2 cells of the true boundary: "
-          f"{str(not np.any(mismatch & ~near)).lower()})")
+          f"{str(counts['within_two_cells']).lower()})")
 
     solved = boundary_loop(grid, vg.v)
     exact = boundary_loop(grid, analytic_time + HORIZON)
@@ -142,6 +145,7 @@ def main():
     ], title="double integrator: reach the box within 0.5 s",
         xlabel="position", ylabel="velocity")
     print(f"wrote {path}")
+    return counts
 
 
 if __name__ == "__main__":

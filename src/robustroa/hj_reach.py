@@ -8,13 +8,17 @@ solver integrates
     dV/dt + H*(x, grad V) = 0,
     H* = min-player over u, max-player over w of  grad V . f(x, u, w)
 
-backward from t = 0 with a local Lax-Friedrichs monotone scheme (central
-gradients plus dissipation alpha_i(x) * (D+_i - D-_i) / 2 per axis, one-sided
-linear extrapolation at the grid edge) and two-stage TVD Runge-Kutta in
-time.  alpha_i(x) bounds |dH/dp_i| at each node (Osher & Shu 1991), so a
-node is smeared only as much as its own dynamics require; the time step
-obeys the CFL bound of the largest alpha_i.  The control shrinks V
-(reaching / staying) and the disturbance opposes it.
+backward from t = 0 with a local Lax-Friedrichs scheme (central gradients
+plus dissipation alpha_i(x) * (D+_i - D-_i) / 2 per axis, one-sided linear
+extrapolation at the grid edge) and forward-Euler steps in time.
+alpha_i(x) bounds |dH/dp_i| at each node (Osher & Shu 1991), so a node is
+smeared only as much as its own dynamics require.  With these bounds an
+Euler step is monotone (away from the extrapolated edge ring) whenever
+|dt| * sum_i(max alpha_i / dx_i) <= 1, and a monotone scheme converges to
+the viscosity solution (Crandall & Lions 1984); the solver steps at 0.9 of
+that bound.  The scheme is first order in space, so a higher-order time
+integrator would buy no accuracy.  The control shrinks V (reaching /
+staying) and the disturbance opposes it.
 
 Only the set {V <= 0} is used downstream, so a solve can stop once that set
 is final.  Under horizon "converge" it stops at the first step where the
@@ -354,7 +358,7 @@ def signed_target(grid: Grid2, target: TargetSet):
 
 
 def solve_brs(grid: Grid2, target: TargetSet, dyn: AffineDynamics2, horizon,
-              freeze="reach", cfl=0.5, max_converge_time=10.0):
+              freeze="reach", max_converge_time=10.0):
     """Integrate the HJ PDE backward from 0 and return the final ValueGrid.
 
     horizon: a negative time t0, or the string "converge" to run until
@@ -362,13 +366,13 @@ def solve_brs(grid: Grid2, target: TargetSet, dyn: AffineDynamics2, horizon,
     max_converge_time; `info["converged"]` records whether the rule fired
     before the cap.  `info["set_final_time"]` is the (negative) time of the
     last change of {V <= 0}, 0 when it never changed.  freeze selects the
-    set flavour ("reach" or "stay", see module docstring).  The step size is
-    cfl / (a1/dx1 + a2/dx2) with a_i the largest wave speed bound per axis.
+    set flavour ("reach" or "stay", see module docstring).  Each step is one
+    forward-Euler Lax-Friedrichs update of size 0.9 / (a1/dx1 + a2/dx2), with
+    a_i the largest wave speed bound per axis: 0.9 of the bound below which
+    the step is monotone.
     """
     if freeze not in ("reach", "stay"):
         raise ValueError(f"freeze must be 'reach' or 'stay', got {freeze!r}")
-    if not 0.0 < cfl <= 0.9:
-        raise ValueError("cfl must lie in (0, 0.9]")
     converge = isinstance(horizon, str)
     if converge:
         if horizon != "converge":
@@ -399,12 +403,10 @@ def solve_brs(grid: Grid2, target: TargetSet, dyn: AffineDynamics2, horizon,
         t = t_stop
         h_nom = abs(t_stop)
     else:
-        h_nom = cfl / wavesum
+        h_nom = 0.9 / wavesum
         widths = np.subtract(grid.maxs, grid.mins)
         tau = min(w / a for w, a in zip(widths, (a1, a2)) if a > 0.0)
-        # three grid buffers in rotation: v, the first stage, the second
-        # stage (which becomes the next v)
-        b = np.empty(grid.shape)
+        # two grid buffers in rotation: v and the step's result
         c = np.empty(grid.shape)
         # {V <= 0} before and after a step; the old one is overwritten by
         # the nodes that flipped, then the two trade places
@@ -412,13 +414,7 @@ def solve_brs(grid: Grid2, target: TargetSet, dyn: AffineDynamics2, horizon,
         fresh = np.empty(grid.shape, dtype=bool)
         while t > t_stop + 1e-12:
             h = min(h_nom, t - t_stop)
-            clip(_lf_update(v, grid, terms, -h, b), l, out=b)
-            clip(_lf_update(b, grid, terms, -h, c), l, out=c)
-            # not clipped: v and c lie on l's side and rounding is monotone,
-            # so their average cannot cross l (a clip could only re-sign a
-            # zero halved from a smallest-subnormal sum)
-            np.add(v, c, out=c)
-            c *= 0.5
+            clip(_lf_update(v, grid, terms, -h, c), l, out=c)
             t_next = t - h
             np.less_equal(c, 0.0, out=fresh)
             np.not_equal(fresh, mask, out=mask)
@@ -426,11 +422,11 @@ def solve_brs(grid: Grid2, target: TargetSet, dyn: AffineDynamics2, horizon,
                 t_final = t_next
             mask, fresh = fresh, mask
             settled = converge and t_final - t_next >= max(-t_final, tau)
-            # only the last step's rate is reported
+            # only the last step's rate is reported; v is overwritten next
             if settled or not t_next > t_stop + 1e-12:
-                np.subtract(c, v, out=b)
-                rate = float(np.max(np.abs(b, out=b))) / h
-            v, b, c = c, v, b
+                np.subtract(c, v, out=v)
+                rate = float(np.max(np.abs(v, out=v))) / h
+            v, c = c, v
             t = t_next
             steps += 1
             if settled:

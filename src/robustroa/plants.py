@@ -154,11 +154,12 @@ class QuadrupedParams:
 
 @dataclass
 class StanceState:
-    """Which diagonal pair is down and where its feet are (world frame)."""
+    """Which diagonal pair is down and where its feet are: (y, z) pairs of
+    floats in the world frame, unpacked on every dynamics evaluation."""
 
     pair: str
-    foot_front: np.ndarray
-    foot_rear: np.ndarray
+    foot_front: tuple
+    foot_rear: tuple
 
 
 def quadruped_f(x, u, stance: StanceState, p: QuadrupedParams,
@@ -175,8 +176,8 @@ def quadruped_f(x, u, stance: StanceState, p: QuadrupedParams,
     if fz_f < -1e-9 or fz_r < -1e-9:
         raise ContactViolation(f"negative normal force: fz_front={fz_f:.3f}, fz_rear={fz_r:.3f}")
     m_true = p.mass + delta_m
-    front_y, front_z = stance.foot_front.tolist()
-    rear_y, rear_z = stance.foot_rear.tolist()
+    front_y, front_z = stance.foot_front
+    rear_y, rear_z = stance.foot_rear
     # moment arm r = com - foot, torque r x f = r_y f_z - r_z f_y per foot
     r_front_y, r_front_z = y - front_y, z - front_z
     r_rear_y, r_rear_z = y - rear_y, z - rear_z
@@ -254,8 +255,8 @@ def stance_allocation(x, stance: StanceState, wrench):
     with unequal moment arms.
     """
     y, z = float(x[0]), float(x[1])
-    front_y, front_z = stance.foot_front.tolist()
-    rear_y, rear_z = stance.foot_rear.tolist()
+    front_y, front_z = stance.foot_front
+    rear_y, rear_z = stance.foot_rear
     a, b = front_z - z, rear_z - z
     c, d = y - front_y, y - rear_y
     f_y, f_z, tau = wrench
@@ -360,8 +361,8 @@ class QuadrupedPlant:
         off = self.params.step_offset
         mid = y + 0.5 * self.params.v_ref * self.params.step_time
         return StanceState(pair=pair,
-                           foot_front=np.array([mid + off, 0.0]),
-                           foot_rear=np.array([mid - off, 0.0]))
+                           foot_front=(mid + off, 0.0),
+                           foot_rear=(mid - off, 0.0))
 
     def advance(self, t, x):
         if t >= self._next_switch - 1e-12:

@@ -311,12 +311,17 @@ def lf_update(v, grid, dyn, dt, terms=None):
 #
 # The solve loop of hj_reach in its allocating form: every stage, clip,
 # average, sign mask and change rate makes new arrays, and the change rate
-# is taken on every step.  The library's solve must reproduce V and its
-# info bit for bit.
+# is taken on every step.  With stages=1 and cfl=0.9 it is the library's
+# forward-Euler solve, which must reproduce V and its info bit for bit.
+# The default, two-stage TVD Runge-Kutta at cfl 0.5, integrates the same
+# spatial scheme with finer time steps; the Euler solve's safe sets must
+# equal its node for node.
 
-def solve_brs(grid, target, dyn, horizon, freeze="reach", cfl=0.5, max_converge_time=10.0):
-    """(V, info) of a backward solve; arguments as hj_reach.solve_brs.  No
-    argument checks."""
+def solve_brs(grid, target, dyn, horizon, freeze="reach", cfl=0.5, max_converge_time=10.0,
+              stages=2):
+    """(V, info) of a backward solve with `stages` = 1 (forward Euler) or 2
+    (TVD-RK2) per step; other arguments as hj_reach.solve_brs.  No argument
+    checks."""
     converge = horizon == "converge"
     t_stop = -float(max_converge_time) if converge else float(horizon)
     x1g, x2g = grid.mesh()
@@ -339,9 +344,10 @@ def solve_brs(grid, target, dyn, horizon, freeze="reach", cfl=0.5, max_converge_
     converged = True
     while t > t_stop + 1e-12:
         h = min(h_nom, t - t_stop)
-        v1 = clip(lf_update(v, grid, dyn, -h, terms))
-        v2 = clip(lf_update(v1, grid, dyn, -h, terms))
-        vnew = clip(0.5 * (v + v2))
+        vnew = clip(lf_update(v, grid, dyn, -h, terms))
+        if stages == 2:
+            v2 = clip(lf_update(vnew, grid, dyn, -h, terms))
+            vnew = clip(0.5 * (v + v2))
         rate = float(np.max(np.abs(vnew - v))) / h
         if np.any((vnew <= 0.0) != (v <= 0.0)):
             t_final = t - h

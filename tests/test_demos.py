@@ -1,8 +1,9 @@
-"""Smoke runs of the closed-loop demos on short horizons.
+"""Smoke runs of the demos.
 
-Each demo is imported from its file, writes its SVGs into a temporary
-directory and runs both controller modes for a fraction of its usual
-duration; together they take about 2 s.
+Each demo is imported from its file and writes its SVGs into a temporary
+directory.  The closed-loop demos run both controller modes for a fraction
+of their usual duration; the reachability demos run as shipped.  Together
+they take about 3 s.
 """
 
 import importlib.util
@@ -39,4 +40,21 @@ def test_quadcopter_tracking_demo(tmp_path, monkeypatch, capsys):
     assert runs["robust"].invariant_exits == (0,)
     for name in ("quadcopter_energy.svg", "quadcopter_paths.svg"):
         assert (tmp_path / name).exists()
+    assert "wrote" in capsys.readouterr().out
+
+
+def test_double_integrator_brs_demo(tmp_path, monkeypatch, capsys):
+    demo = load_demo("double_integrator_brs", tmp_path, monkeypatch)
+    counts = demo.main()
+    assert counts["within_two_cells"]
+    assert counts["mismatch"] < 0.1 * counts["analytic"]
+    assert (tmp_path / "double_integrator_brs.svg").exists()
+    assert "all within 2 cells of the true boundary: true" in capsys.readouterr().out
+
+
+def test_certified_bound_demo(tmp_path, monkeypatch, capsys):
+    demo = load_demo("certified_bound", tmp_path, monkeypatch)
+    res = demo.main()
+    assert res.w_max > 0.0 and res.level > 0.0
+    assert (tmp_path / "certified_bound_z.svg").exists()
     assert "wrote" in capsys.readouterr().out

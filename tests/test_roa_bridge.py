@@ -8,11 +8,12 @@ import pytest
 
 import _oracles as orc
 from robustroa import matrixkit as mk
+from robustroa import plants
 from robustroa import roa_bridge as rb
-from robustroa.clf_synth import ClfCertificate, ClfParams
+from robustroa.clf_synth import ClfCertificate, ClfParams, synthesize
 from robustroa.harness import cli, fileio
 from robustroa.harness.scenarios import load_scenario
-from robustroa.hj_reach import Grid2, GridMismatch, TargetSet, ValueGrid
+from robustroa.hj_reach import Grid2, GridMismatch, TargetSet, ValueGrid, solve_brs
 
 
 def circle_value_grid(radius, extent=2.0, n=101):
@@ -268,3 +269,37 @@ def test_bundled_converge_set_matches_fixed_horizon(bundled_run, axis):
     converged = fileio.read_value_grid(out / "converge" / name)
     fixed = fileio.read_value_grid(out / "fixed" / name)
     assert np.array_equal(converged.v <= 0.0, fixed.v <= 0.0)
+
+
+# -- forward-Euler safe sets against the two-stage scheme -------------------------
+
+@pytest.mark.parametrize("n", [51, 101])
+@pytest.mark.parametrize("axis", ["y", "z"])
+def test_euler_safe_set_matches_rk2_reference(bundled_run, axis, n):
+    # The solver's one Euler step at CFL 0.9 must leave the same {V <= 0},
+    # node for node, as two-stage TVD Runge-Kutta at CFL 0.5, and certify
+    # the same w_max bits.  On quadruped_height z at n = 51 both schemes
+    # erode the safe set to nothing, so both certifications raise NoSafeRoa.
+    scn, _ = bundled_run
+    block = scn.hj_blocks[axis]
+    hw1, hw2 = block.grid_half_widths
+    grid = Grid2((-hw1, -hw2), (hw1, hw2), (n, n))
+    target = TargetSet.box((0.0, 0.0), block.target_half_widths)
+    dyn = plants.subsystem_error_dynamics(axis, scn.quadruped, u_lo=block.u_lo,
+                                          u_hi=block.u_hi, delta_m_interval=block.delta_m,
+                                          drag_force=block.drag_force)
+    got = solve_brs(grid, target, dyn, "converge", freeze="stay")
+    want, info = orc.solve_brs(grid, target, dyn, "converge", freeze="stay")
+    assert got.info["converged"] and info["converged"]
+    assert np.array_equal(got.v <= 0.0, want <= 0.0)
+
+    cert, _ = synthesize(plants.quadruped_axis_linear(scn.quadruped),
+                         scn.clf_blocks[axis].params)
+
+    def certified(v):
+        try:
+            return rb.find_wmax(cert, ValueGrid(grid, v), target).w_max.hex()
+        except rb.NoSafeRoa:
+            return "NoSafeRoa"
+
+    assert certified(got.v) == certified(want)

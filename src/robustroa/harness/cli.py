@@ -238,15 +238,17 @@ def _build_quadruped_sim(scn, certs, entries):
                                                state_idx=SUB_IDX[axis]))
     gains = []
     if scn.mode == "robust":
-        k_by_axis = {axis: np.asarray(certs[axis][0].k)[0] for axis in scn.hj_blocks}
         # per-axis force corrections distributed torque-neutrally over the
-        # current stance so the pitch loop never sees the ancillary action
+        # current stance so the pitch loop never sees the ancillary action;
+        # each entry is (wrench row, gain row, error coordinates)
         wrench_row = {"y": 0, "z": 1}
+        terms = [(wrench_row[axis], np.asarray(certs[axis][0].k)[0], SUB_IDX[axis])
+                 for axis in scn.hj_blocks]
 
         def ancillary(t, x, e):
             wrench = [0.0, 0.0, 0.0]
-            for axis, k in k_by_axis.items():
-                wrench[wrench_row[axis]] = float(k @ e[SUB_IDX[axis]])
+            for row, k, idx in terms:
+                wrench[row] = float(k @ e[idx])
             return plants.stance_allocation(x, plant.stance, wrench)
 
         gains = [ancillary]

@@ -79,26 +79,29 @@ def linearize_fd(f, x0, u0, step=1e-6):
     """Central-difference Jacobians of f(x, u) and the affine remainder.
 
     Returns (a, b, g0) with f(x, u) ~= a x + b u + g0 near (x0, u0).
-    The step is scaled per coordinate by (1 + |coordinate|).
+    The step is scaled per coordinate by (1 + |coordinate|).  f receives x
+    and u as lists of Python floats; each Jacobian column is differenced
+    on floats, and only g0 = f(x0, u0) - a x0 - b u0 is formed in numpy.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     u0 = np.asarray(u0, dtype=float).ravel()
-    f00 = np.asarray(f(x0, u0), dtype=float).ravel()
-    n, m = len(x0), len(u0)
-    a = np.zeros((n, n))
-    for j in range(n):
-        h = step * (1.0 + abs(x0[j]))
-        xp, xm = x0.copy(), x0.copy()
-        xp[j] += h
-        xm[j] -= h
-        a[:, j] = (np.asarray(f(xp, u0), dtype=float) - np.asarray(f(xm, u0), dtype=float)) / (2 * h)
-    b = np.zeros((n, m))
-    for j in range(m):
-        h = step * (1.0 + abs(u0[j]))
-        up, um = u0.copy(), u0.copy()
-        up[j] += h
-        um[j] -= h
-        b[:, j] = (np.asarray(f(x0, up), dtype=float) - np.asarray(f(x0, um), dtype=float)) / (2 * h)
+    x_f, u_f = x0.tolist(), u0.tolist()
+    f00 = np.asarray(f(x_f, u_f), dtype=float).ravel()
+
+    def column(v, j, at):
+        # (f at v + h e_j - f at v - h e_j) / 2h; `at` evaluates f at a
+        # perturbed copy of v
+        h = step * (1.0 + abs(v[j]))
+        vp, vm = v.copy(), v.copy()
+        vp[j] += h
+        vm[j] -= h
+        return [(p - m) / (2 * h) for p, m in zip(at(vp), at(vm))]
+
+    n, m = len(x_f), len(u_f)
+    a = np.array([column(x_f, j, lambda x: f(x, u_f)) for j in range(n)]).reshape(n, n)
+    b = np.array([column(u_f, j, lambda u: f(x_f, u)) for j in range(m)]).reshape(m, n)
+    # transposed into C order, the layout every product downstream expects
+    a, b = a.T.copy(), b.T.copy()
     return a, b, f00 - a @ x0 - b @ u0
 
 

@@ -13,13 +13,16 @@ Two plants share the state layout x = [y, z, phi, ydot, zdot, phidot]
 
 The simulator runs classical RK4 at a fixed dt with a zero-order-hold
 tracking controller (MPC feedforward recomputed on its own slower period,
-certificate feedback every step) while recording the certificate energy
-E = e' P e against its invariant level.  The loop allocates its output
-arrays once, sized from the first sample, and writes each sample into its
-row.  The dynamics unpack the state, input and disturbance and return a
-tuple of floats; rk4_step converts its arguments to Python float lists
-once and forms every stage on them, so a step builds one array, its
-result.
+certificate feedback every step).  Each sample does only causal work, on
+Python floats: the reference is evaluated once and handed to the
+controller, the command is clipped and sanitized as a float list, and
+rk4_step takes and returns float lists.  Numpy enters a step only for the
+certificate feedback, whose gain products stay numpy matmuls, and for
+the MPC solve on its tick.  The loop writes each sample into output
+arrays allocated once, sized from the first sample.  The certificate
+energy E = e' P e of each monitor, and its invariant exits, are computed
+after the loop from the stored x - x_ref, one vectorized expression per
+monitor.
 """
 
 from __future__ import annotations
@@ -254,7 +257,7 @@ def stance_allocation(x, stance: StanceState, wrench):
     be distinct.  A pure-lift request gets a torque-free force split even
     with unequal moment arms.
     """
-    y, z = float(x[0]), float(x[1])
+    y, z = x[0], x[1]
     front_y, front_z = stance.foot_front
     rear_y, rear_z = stance.foot_rear
     a, b = front_z - z, rear_z - z
@@ -281,17 +284,13 @@ def worst_constant_disturbance(cert: ClfCertificate, model: LinearModel, w_max):
     return float(w_max) * direction / np.linalg.norm(direction)
 
 
-def _float_list(v):
-    return None if v is None else np.asarray(v, dtype=float).ravel().tolist()
-
-
 def rk4_step(f, x, u, w, dt):
     """Classical fourth-order Runge-Kutta step of x' = f(x, u, w).
 
-    f receives x, u and w as lists of Python floats (None stays None) and
-    returns a sequence; the step returns the new state as an array.
+    x is a list of Python floats; u and w are passed to f as given.  f
+    returns a sequence of floats, and the step returns the new state as a
+    list of Python floats.
     """
-    x, u, w = _float_list(x), _float_list(u), _float_list(w)
     half = 0.5 * dt
     k1 = f(x, u, w)
     k2 = f([xi + half * ki for xi, ki in zip(x, k1)], u, w)
@@ -302,7 +301,7 @@ def rk4_step(f, x, u, w, dt):
            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
     if not all(map(math.isfinite, out)):
         raise NonFinite("integration step produced non-finite state")
-    return np.array(out)
+    return out
 
 
 # -- plants as simulation objects ---------------------------------------------
@@ -380,18 +379,22 @@ class QuadrupedPlant:
         return lambda x, u: quadruped_f(x, u, stance, self.params)
 
     def sanitize(self, t, x, u):
-        u = np.asarray(u, dtype=float).copy()
+        """(u projected into the friction cone as a new float list, clamps);
+        a NaN force passes through unclamped."""
         mu = self.params.friction_coeff
+        out = []
         clamps = 0
-        for fz_i, fx_i in ((2, 0), (3, 1)):
-            if u[fz_i] < 0.0:
-                u[fz_i] = 0.0
+        for fx, fz in ((u[0], u[2]), (u[1], u[3])):
+            if fz < 0.0:
+                fz = 0.0
                 clamps += 1
-            lim = mu * u[fz_i]
-            if abs(u[fx_i]) > lim:
-                u[fx_i] = math.copysign(lim, u[fx_i])
+            lim = mu * fz
+            if abs(fx) > lim:
+                fx = math.copysign(lim, fx)
                 clamps += 1
-        return u, clamps
+            out.append((fx, fz))
+        (fx_f, fz_f), (fx_r, fz_r) = out
+        return [fx_f, fx_r, fz_f, fz_r], clamps
 
     def static_input(self):
         """Even weight split of the nominal mass, no shear."""
@@ -463,7 +466,7 @@ class TrackingController:
     """MPC feedforward on a slow tick + certificate feedback every call.
 
     plant      : provides nominal_f(t) for the controller's model
-    reference  : object with clamped_state(t)
+    reference  : object with clamped_state(t), queried for the MPC horizon
     cfg        : MpcConfig (its dt is the MPC period)
     u_lin      : linearization input for the MPC stages
     gains      : ancillary terms; each entry is either a tuple
@@ -472,8 +475,15 @@ class TrackingController:
                  control correction (for allocation-style wiring).
                  Empty sequence = nominal (MPC-only) controller.
 
-    control() may return the held feedforward array itself; callers must
-    not write into its result.
+    control(t, x, x_ref) takes the state as a sequence of floats and the
+    reference at t as an array, the caller's one evaluation of
+    reference.clamped_state(t); a tick asks the reference only for the
+    horizon rows after it.  The tracking error e = x - x_ref is an array,
+    and every gain product is a numpy matmul on it.  The command comes
+    back as a list of Python floats clipped to cfg.u_lo / cfg.u_hi (read
+    at construction), a NaN entry staying NaN as under np.maximum /
+    np.minimum.  It may be
+    the held feedforward list itself; callers must not write into it.
     """
 
     def __init__(self, plant, reference, cfg: MpcConfig, u_lin, gains=()):
@@ -484,42 +494,53 @@ class TrackingController:
         self.gains = [
             g if callable(g)
             else (np.asarray(g[0], dtype=float), np.asarray(g[1], dtype=int),
-                  np.asarray(g[2], dtype=int))
+                  np.asarray(g[2], dtype=int).tolist())
             for g in gains
         ]
+        # the input box as float lists, an absent side unbounded
+        self._box = None
+        if cfg.u_lo is not None or cfg.u_hi is not None:
+            self._box = tuple(
+                np.broadcast_to(math.inf * sign if bound is None else bound,
+                                self.u_lin.shape).tolist()
+                for sign, bound in ((-1.0, cfg.u_lo), (1.0, cfg.u_hi)))
         self._next_tick = -math.inf
-        self._u_bar = self.u_lin.copy()
+        self._u_bar = self.u_lin.tolist()
         self.mpc_calls = 0
 
-    def control(self, t, x):
+    def control(self, t, x, x_ref):
         if t >= self._next_tick - 1e-12:
-            refs = np.stack([self.reference.clamped_state(t + i * self.cfg.dt)
-                             for i in range(self.cfg.horizon + 1)])
+            refs = np.stack([x_ref] + [self.reference.clamped_state(t + i * self.cfg.dt)
+                                       for i in range(1, self.cfg.horizon + 1)])
             res = mpc_step(self.plant.nominal_f(t), x, refs, self.cfg, u_lin=self.u_lin)
-            self._u_bar = res.u0
+            self._u_bar = res.u0.tolist()
             self._next_tick = t + self.cfg.dt
             self.mpc_calls += 1
         u = self._u_bar
         if self.gains:
-            e = np.asarray(x, dtype=float) - self.reference.clamped_state(t)
+            e = np.subtract(x, x_ref)
+            u = list(u)
             for entry in self.gains:
                 if callable(entry):
-                    u = u + np.asarray(entry(t, x, e), dtype=float).ravel()
+                    du = np.asarray(entry(t, x, e), dtype=float).ravel().tolist()
+                    u = [a + b for a, b in zip(u, du)]
                 else:
                     k, state_idx, ctrl_idx = entry
-                    if u is self._u_bar:
-                        u = u.copy()
-                    u[ctrl_idx] += k @ e[state_idx]
-        if self.cfg.u_lo is not None:
-            u = np.maximum(u, self.cfg.u_lo)
-        if self.cfg.u_hi is not None:
-            u = np.minimum(u, self.cfg.u_hi)
+                    for j, du in zip(ctrl_idx, (k @ e[state_idx]).tolist()):
+                        u[j] += du
+        if self._box is not None:
+            # max(u, lo) then min(u, hi) with the command first, so a NaN
+            # entry survives as it does in np.maximum / np.minimum
+            lo, hi = self._box
+            u = [b if b > a else a for a, b in zip(u, lo)]
+            u = [b if b < a else a for a, b in zip(u, hi)]
         return u
 
 
 @dataclass
 class LyapunovMonitor:
-    """Tracks E = e[idx]' P e[idx] against the invariant level."""
+    """Certificate energy E = e[idx]' P e[idx] against the invariant level;
+    simulate_closed_loop evaluates it on the stored tracking error."""
 
     name: str
     p: np.ndarray
@@ -533,10 +554,6 @@ class LyapunovMonitor:
         # a leading range selects through a view instead of a gathered copy
         self._take = (slice(0, n) if np.array_equal(self.state_idx, np.arange(n))
                       else self.state_idx)
-
-    def energy(self, e):
-        sub = np.asarray(e, dtype=float)[self._take]
-        return float(sub @ self.p @ sub)
 
 
 # -- closed-loop simulation ---------------------------------------------------
@@ -596,55 +613,65 @@ def simulate_closed_loop(plant, controller, reference, disturbance, duration, dt
                          monitors=(), x0=None, blowup=1e4):
     """Fixed-step RK4 closed loop; returns a Trajectory.
 
-    disturbance: callable t -> w vector, or None.  Monitors are
-    LyapunovMonitor objects evaluated on e = x - x_ref(t); a sample counts
-    as an invariant exit when E > level * (1 + 1e-6).  Integration stops
-    early (diverged=True) if the state norm passes blowup or goes
-    non-finite.
+    Each sample evaluates reference.clamped_state(t) once and passes it to
+    controller.control(t, x, x_ref); the state between steps is a list of
+    Python floats.  disturbance: callable t -> w vector, or None.
+    Integration stops early (diverged=True) if a state entry passes blowup
+    in magnitude or goes non-finite.  After the loop, each LyapunovMonitor's
+    energy is evaluated on the stored e = x - x_ref; a sample counts as an
+    invariant exit when E > level * (1 + 1e-6).
     """
     monitors = list(monitors)
     n_steps = int(round(duration / dt))
     if n_steps < 0:
         raise ValueError(f"duration {duration} and dt {dt} give no samples")
-    x = (reference.clamped_state(0.0) if x0 is None else np.asarray(x0, dtype=float)).copy()
-    w_none = np.zeros(max(getattr(plant, "n_dist", 0), 1))
-    columns = None  # t, x, x_ref, u, w, E: one row per sample, shaped by the first
+    x = None if x0 is None else np.asarray(x0, dtype=float).ravel().tolist()
+    w = np.zeros(max(getattr(plant, "n_dist", 0), 1))
+    w_f = w.tolist()
+    columns = None  # x, x_ref, u, w: one row per sample, shaped by the first
     clamp_events = 0
     diverged = False
     for i in range(n_steps + 1):
         t = i * dt
-        plant.advance(t, x)
         x_ref = reference.clamped_state(t)
-        u_cmd = controller.control(t, x)
-        u, clamps = plant.sanitize(t, x, u_cmd)
+        if x is None:
+            x = x_ref.tolist()
+        plant.advance(t, x)
+        u, clamps = plant.sanitize(t, x, controller.control(t, x, x_ref))
         clamp_events += clamps
-        w = w_none if disturbance is None else np.asarray(disturbance(t), dtype=float)
-        e = x - x_ref
-        sample = (t, x, x_ref, u, w, [mon.energy(e) for mon in monitors])
+        if disturbance is not None:
+            w = np.asarray(disturbance(t), dtype=float)
+            w_f = w.tolist()
+        sample = (x, x_ref, u, w)
         if columns is None:
-            columns = [np.empty((n_steps + 1, *np.shape(v))) for v in sample]
+            columns = [np.empty((n_steps + 1, np.size(v))) for v in sample]
         for col, v in zip(columns, sample):
             col[i] = v
         if i == n_steps:
             break
         try:
-            x = rk4_step(lambda xx, uu, ww: plant.f(t, xx, uu, ww), x, u, w, dt)
+            x = rk4_step(lambda xx, uu, ww: plant.f(t, xx, uu, ww), x, u, w_f, dt)
         except NonFinite:
             diverged = True
             break
-        if float(np.abs(x).max()) > blowup:
+        if max(map(abs, x)) > blowup:
             diverged = True
             break
-    if i < n_steps:
-        columns = [col[:i + 1].copy() for col in columns]
-    ts, xs, xrefs, us, ws, e_lyap = columns
+    n = i + 1
+    if n < n_steps + 1:
+        columns = [col[:n].copy() for col in columns]
+    xs, xrefs, us, ws = columns
+    e_lyap = np.empty((n, len(monitors)))
+    for j, mon in enumerate(monitors):
+        sub = xs[:, mon._take] - xrefs[:, mon._take]
+        e_lyap[:, j] = np.einsum("ij,jk,ik->i", sub, mon.p, sub)
     levels = tuple(mon.level for mon in monitors)
     exits = tuple(
         int(np.sum(e_lyap[:, j] > lev * (1.0 + 1e-6)))
         for j, lev in enumerate(levels)
     )
     return Trajectory(
-        t=ts,
+        t=np.arange(n, dtype=float) * dt,
         x=xs,
         x_ref=xrefs,
         u=us,

@@ -400,11 +400,15 @@ def svg_polyline_points(xs, ys, xlim, ylim, width=640, height=420):
 
 # -- closed loop with per-sample lists and array-valued dynamics ---------------
 #
-# The simulation layer of plants as it appended every sample to Python lists
-# and evaluated the dynamics on small arrays.  The bodies are kept as they
-# were, except that calls into the library's dynamics, integrator and
-# controller go to the copies here.  The library's loop must reproduce
-# every Trajectory field and the CSV bytes.
+# The simulation layer of plants as it appended every sample to Python lists,
+# evaluated the dynamics on small arrays and the energy row by row inside
+# the loop.  The bodies are kept as they were, except that calls into the
+# library's dynamics, integrator and controller go to the copies here.  The
+# library's loop must reproduce every Trajectory field and the CSV bytes,
+# except the energy, which it evaluates after the loop: E must agree within
+# 1e-14 relative, with the same invariant-exit counts.  linearize_fd is the
+# finite-difference Jacobian on arrays, which the library's float version
+# must reproduce byte for byte.
 
 def quadcopter_f(x, u, w, p):
     x = np.asarray(x, dtype=float).ravel()
@@ -499,8 +503,33 @@ def control(ctrl, t, x):
     return u
 
 
+def linearize_fd(f, x0, u0, step=1e-6):
+    """mpc.linearize_fd perturbing arrays and filling a and b column by
+    column; the library's float version must give the same bytes."""
+    x0 = np.asarray(x0, dtype=float).ravel()
+    u0 = np.asarray(u0, dtype=float).ravel()
+    f00 = np.asarray(f(x0, u0), dtype=float).ravel()
+    n, m = len(x0), len(u0)
+    a = np.zeros((n, n))
+    for j in range(n):
+        h = step * (1.0 + abs(x0[j]))
+        xp, xm = x0.copy(), x0.copy()
+        xp[j] += h
+        xm[j] -= h
+        a[:, j] = (np.asarray(f(xp, u0), dtype=float) - np.asarray(f(xm, u0), dtype=float)) / (2 * h)
+    b = np.zeros((n, m))
+    for j in range(m):
+        h = step * (1.0 + abs(u0[j]))
+        up, um = u0.copy(), u0.copy()
+        up[j] += h
+        um[j] -= h
+        b[:, j] = (np.asarray(f(x0, up), dtype=float) - np.asarray(f(x0, um), dtype=float)) / (2 * h)
+    return a, b, f00 - a @ x0 - b @ u0
+
+
 def energy(mon, e):
-    """LyapunovMonitor.energy, gathering e[state_idx] on every call."""
+    """E = e[state_idx]' P e[state_idx] of one sample, as the loop once
+    evaluated it on every step."""
     sub = np.asarray(e, dtype=float)[mon.state_idx]
     return float(sub @ mon.p @ sub)
 

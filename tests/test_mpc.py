@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from robustroa import mpc
+import _oracles as orc
+from robustroa import mpc, plants
 
 
 def affine_scalar(x, u):
@@ -34,6 +35,37 @@ def test_linearize_fd_analytic_jacobians():
     assert np.max(np.abs(a - a_true)) < 1e-7
     assert np.max(np.abs(b - b_true)) < 1e-7
     assert np.max(np.abs((a @ x0 + b @ u0 + g0) - f(x0, u0))) < 1e-12
+
+
+def test_linearize_fd_bitwise_matches_array_reference():
+    # float perturbation and column lists must give the array version's bytes
+    p = plants.QuadrupedParams()
+    walker = plants.QuadrupedPlant(p, y0=-0.37)
+    stances = [walker.stance]
+    walker.advance(p.step_time, [-0.2, 0.3, 0.0, 0.0, 0.0, 0.0])
+    stances.append(walker.stance)
+    assert [s.pair for s in stances] == ["A", "B"]
+    x_neg = np.array([-0.41, 0.29, -0.03, -0.12, -0.02, -0.4])
+    x_pos = np.array([0.39, 0.29, 0.02, 0.48, -0.02, -0.4])
+    u_stance = np.array([-3.5, 2.0, 70.0, 52.0])
+    cases = []
+    for s in stances:
+        cases += [
+            (f"quadruped-{s.pair}", lambda x, u, s=s: plants.quadruped_f(x, u, s, p),
+             x_neg, u_stance),
+            (f"quadruped-{s.pair}-payload-drag",
+             lambda x, u, s=s: plants.quadruped_f(x, u, s, p, delta_m=5.0, drag_force=30.0),
+             x_pos, u_stance),
+        ]
+    qp = plants.QuadcopterParams()
+    cases.append(("quadcopter-off-hover", lambda x, u: plants.quadcopter_f(x, u, None, qp),
+                  np.array([0.3, -0.45, 0.2, -0.6, 0.35, -1.1]), np.array([11.3, -0.7])))
+    for name, f, x0, u0 in cases:
+        got = mpc.linearize_fd(f, x0, u0)
+        want = orc.linearize_fd(f, x0, u0)
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape, g.strides, g.tobytes()) == \
+                (w.dtype, w.shape, w.strides, w.tobytes()), name
 
 
 def test_linearize_fd_exact_on_affine():

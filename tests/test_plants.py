@@ -261,10 +261,10 @@ def test_tracking_controller_callable_gain():
     x = np.zeros(6)
     base = plants.TrackingController(plant, ref, cfg,
                                      u_lin=plant.hover_input())
-    u_plain = base.control(0.0, x.copy())
-    u_aug = ctl.control(0.0, x.copy())
+    u_plain = base.control(0.0, x.copy(), ref.clamped_state(0.0))
+    u_aug = ctl.control(0.0, x.copy(), ref.clamped_state(0.0))
     assert seen == [0.0]
-    assert np.allclose(u_aug - u_plain, [0.25, 0.0])
+    assert np.allclose(np.subtract(u_aug, u_plain), [0.25, 0.0])
 
 
 def test_subsystem_error_dynamics_endpoints():
@@ -355,14 +355,6 @@ def test_disturbance_policies():
     assert np.array_equal(const(0.0), const(9.9))
 
 
-def test_lyapunov_monitor_subindexing():
-    mon = plants.LyapunovMonitor(name="z", p=np.array([[2.0, 0.5], [0.5, 1.0]]),
-                                 level=1.0, state_idx=np.array([1, 4]))
-    e = np.array([9.0, 0.3, 9.0, 9.0, -0.2, 9.0])
-    expect = 2.0 * 0.3**2 + 2 * 0.5 * 0.3 * -0.2 + 1.0 * 0.2**2
-    assert abs(mon.energy(e) - expect) < 1e-14
-
-
 # -- closed loop ---------------------------------------------------------------
 
 class _HoverRef:
@@ -397,13 +389,14 @@ def test_controller_tick_and_ancillary_gain():
         gains=[(k_gain, np.array([1, 4, 2]), np.array([0, 1]))])
     x = np.zeros(6)
     x[4] = 0.1  # vertical-rate error feeds thrust through the gain
-    u0 = ctrl.control(0.0, x)
+    x_ref = np.zeros(6)
+    u0 = ctrl.control(0.0, x, x_ref)
     assert ctrl.mpc_calls == 1
-    u1 = ctrl.control(0.01, x)
+    u1 = ctrl.control(0.01, x, x_ref)
     assert ctrl.mpc_calls == 1  # inside the tick: feedforward reused
     assert np.allclose(u0, u1)
     assert abs((u0[0] - ctrl._u_bar[0]) + 2.0 * 0.1) < 1e-12
-    ctrl.control(0.05, x)
+    ctrl.control(0.05, x, x_ref)
     assert ctrl.mpc_calls == 2
 
 
@@ -423,13 +416,50 @@ class _DriftPlant:
 
 
 class _ZeroCtrl:
-    def control(self, t, x):
+    def control(self, t, x, x_ref):
         return np.zeros(1)
 
 
 class _OriginRef:
     def clamped_state(self, t):
         return np.zeros(1)
+
+
+class _StillPlant(_DriftPlant):
+    def f(self, t, x, u, w):
+        return [0.0] * len(x)
+
+
+class _FixedRef:
+    def __init__(self, x):
+        self.x = x
+
+    def clamped_state(self, t):
+        return self.x
+
+
+def test_lyapunov_monitor_subindexing():
+    # the loop holds x still, so every sample has the same error e
+    z = plants.LyapunovMonitor(name="z", p=np.array([[2.0, 0.5], [0.5, 1.0]]),
+                               level=1.0, state_idx=np.array([1, 4]))
+    y = plants.LyapunovMonitor(name="y", p=np.eye(1), level=100.0,
+                               state_idx=np.array([0]))
+    x_ref = np.array([1.0, 0.0, -2.0, 5.0, 0.0, 3.0])
+    e = np.array([9.0, 0.3, 9.0, 9.0, -0.2, 9.0])
+    traj = plants.simulate_closed_loop(_StillPlant(), _ZeroCtrl(), _FixedRef(x_ref),
+                                       None, duration=0.3, dt=0.1, x0=x_ref + e,
+                                       monitors=[z, y])
+    expect = 2.0 * 0.3**2 + 2 * 0.5 * 0.3 * -0.2 + 1.0 * 0.2**2
+    assert traj.e_lyap.shape == (4, 2)
+    assert np.all(np.abs(traj.e_lyap[:, 0] - expect) < 1e-14)
+    assert np.array_equal(traj.e_lyap[:, 1], np.full(4, 81.0))
+    # both energies sit below their levels, until z's level drops below 0.16
+    assert traj.invariant_exits == (0, 0)
+    z.level = 0.1
+    traj = plants.simulate_closed_loop(_StillPlant(), _ZeroCtrl(), _FixedRef(x_ref),
+                                       None, duration=0.3, dt=0.1, x0=x_ref + e,
+                                       monitors=[z, y])
+    assert traj.invariant_exits == (4, 0)
 
 
 def test_blowup_stops_early():
@@ -535,8 +565,20 @@ CLOSED_LOOPS = {
 }
 
 
+def assert_energy_close(got, want):
+    """Entry by entry within 1e-14 of want, relative; equal values pass,
+    infinities included."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    with np.errstate(invalid="ignore"):
+        close = np.abs(got - want) <= 1e-14 * np.abs(want)
+    assert np.all((got == want) | close)
+
+
 @pytest.mark.parametrize("case", sorted(CLOSED_LOOPS))
 def test_closed_loop_bitwise_matches_per_sample_reference(certified, case, tmp_path):
+    # every field keeps its bits except the energy, which is evaluated after
+    # the loop in one vectorized expression instead of one row at a time
     plant, mode, edits = CLOSED_LOOPS[case]
     blowup = 2.0 if case.endswith("blowup") else 1e4
     with np.errstate(over="ignore"):
@@ -549,15 +591,65 @@ def test_closed_loop_bitwise_matches_per_sample_reference(certified, case, tmp_p
         assert want.diverged and len(want.t) < 250
     else:
         assert not want.diverged and len(want.t) == 2001
-    for name in ("t", "x", "x_ref", "u", "w", "e_lyap"):
+    for name in ("t", "x", "x_ref", "u", "w"):
         a, b = getattr(got, name), getattr(want, name)
         # bytes, so a zero of the other sign fails too
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert got.e_lyap.dtype == want.e_lyap.dtype
+    assert_energy_close(got.e_lyap, want.e_lyap)
     for name in ("monitor_names", "levels", "diverged", "invariant_exits", "clamp_events"):
         assert getattr(got, name) == getattr(want, name), name
     got.to_csv(tmp_path / "got.csv")
     orc.trajectory_csv(want, tmp_path / "want.csv")
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    got_rows, want_rows = ([line.split(",") for line in (tmp_path / name).read_text().split("\n")]
+                           for name in ("got.csv", "want.csv"))
+    header = want_rows[0]
+    energy = [j for j, col in enumerate(header) if col == "E" or col.startswith("E_")]
+    assert len(energy) == len(want.levels)
+
+    def split(rows):
+        other = [[v for j, v in enumerate(row) if j not in energy] for row in rows]
+        return other, [[float(row[j]) for j in energy] for row in rows[1:-1]]
+
+    (got_other, got_e), (want_other, want_e) = split(got_rows), split(want_rows)
+    assert got_other == want_other
+    assert_energy_close(got_e, want_e)
+
+
+def test_reference_evaluated_once_per_sample(certified):
+    # the loop hands its x_ref to the controller; only a tick asks for more
+    (plant, controller, reference, dist), kwargs = closed_loop(certified, "quadruped", "robust")
+    times = []
+
+    class Counting:
+        def clamped_state(self, t):
+            times.append(t)
+            return reference.clamped_state(t)
+
+    controller.reference = Counting()
+    traj = plants.simulate_closed_loop(plant, controller, controller.reference, dist, **kwargs)
+    assert controller.mpc_calls == 41
+    assert len(times) == len(traj.t) + controller.mpc_calls * controller.cfg.horizon
+
+
+def test_nan_command_diverges_as_under_array_clip(certified):
+    # a NaN correction must survive the u_lo / u_hi clip, as it does under
+    # np.maximum / np.minimum, and stop the run as non-finite
+    def nan_after_start(t, x, e):
+        return [math.nan if t >= 0.1 else 0.0, 0.0, 0.0, 0.0]
+
+    runs = []
+    for simulate in (orc.simulate_closed_loop, plants.simulate_closed_loop):
+        args, kwargs = closed_loop(certified, "quadruped", "nominal")
+        assert args[1].cfg.u_lo is not None and args[1].cfg.u_hi is not None
+        args[1].gains.append(nan_after_start)
+        runs.append(simulate(*args, **kwargs))
+    want, got = runs
+    assert want.diverged and got.diverged
+    assert len(got.t) == 101 and math.isnan(got.u[-1, 0])
+    for name in ("t", "x", "x_ref", "u", "w"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 def test_closed_loop_memory_is_its_output(certified, tmp_path):

@@ -2,11 +2,11 @@
 
 Chain demonstrated here, for the vertical error axis of the trotting
 quadruped: synthesize the ancillary gain, solve the robust stay-inside PDE
-over the payload uncertainty until its safe set is final, then bisect for
-the largest disturbance bound whose invariant ellipse still fits inside
-the safe set.  A second pass shrinks the force ceiling so that a 5 kg
-payload leaves little lift margin.  The certified w_max stays put: the
-ellipse still meets the e1 = h1 edge of the safe set before the lift
+over the payload uncertainty until its safe set is final, then take, in
+closed form, the largest disturbance bound whose invariant ellipse still
+fits inside the safe set.  A second pass shrinks the force ceiling so that
+a 5 kg payload leaves little lift margin.  The certified w_max stays put:
+the ellipse still meets the e1 = h1 edge of the safe set before the lift
 parabola, as it does in the exact viability kernel.
 """
 
@@ -70,7 +70,7 @@ def main():
 
     ample, vg, target = certify(cert, params, u_hi=300.0, delta_m=(0.0, 5.0))
     print(f"ample force (u <= 300 N): w_max = {ample.w_max:.6f} m/s^2, "
-          f"level = {ample.level:.6f}, {ample.iterations} bisection steps")
+          f"level = {ample.level:.6f}, c* = {ample.c_star:.6f}")
 
     ell = ellipse_points(cert.p, ample.level)
     hw = target.half_widths

@@ -1,8 +1,8 @@
 """Trotting quadruped carrying an unmodeled 5 kg payload.
 
 Full pipeline for the walking plant: per-axis gain synthesis, robust
-stay-inside reachability over the payload range, bisection for the
-certified disturbance bound, then closed-loop runs with and without the
+stay-inside reachability over the payload range, the certified
+disturbance bound in closed form, then closed-loop runs with and without the
 ancillary action.  The per-axis force corrections are spread over the
 stance pair through a torque-neutral allocation so the pitch loop never
 sees them.  The MPC plans with the nominal mass in both modes; only the

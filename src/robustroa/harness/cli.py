@@ -164,7 +164,7 @@ def cmd_hj_brs(args):
 
 
 def _wmax_pipeline(scn, out, verbose=True):
-    """synthesis -> PDE -> bisection for every subsystem with an hj block."""
+    """synthesis -> PDE -> closed-form w_max for every subsystem with an hj block."""
     _require_hj(scn)
     certs = _synthesize_all(scn, verbose=verbose)
     entries = []
@@ -179,12 +179,10 @@ def _wmax_pipeline(scn, out, verbose=True):
         fileio.write_certificate(out / f"{scn.name}_certificate_{axis}.txt",
                                  scn.name, axis, cert, eig)
         entries.append({"axis": axis, "w_max": res.w_max, "level": res.level,
-                        "iterations": res.iterations,
-                        "bracket_too_small": res.bracket_too_small,
                         "grid_file": grid_file})
         if verbose:
             print(f"[wmax:{axis}] w_max = {res.w_max:.6f}, "
-                  f"level = {res.level:.6f}, iterations = {res.iterations}")
+                  f"level = {res.level:.6f}, c* = {res.c_star:.6f}")
     fileio.write_wmax_report(out / f"{scn.name}_wmax.txt", scn.name, entries)
     return certs, entries
 

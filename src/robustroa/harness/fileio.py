@@ -122,15 +122,12 @@ def read_value_grid(path):
 
 
 def write_wmax_report(path, name, entries):
-    """entries: list of dicts with axis, w_max, level, iterations,
-    bracket_too_small, grid_file."""
-    lines = ["format = wmax-v1", f"name = {name}"]
+    """entries: list of dicts with axis, w_max, level, grid_file."""
+    lines = ["format = wmax-v2", f"name = {name}"]
     for e in entries:
         ax = e["axis"]
         lines.append(f"w_max_{ax} = {repr(float(e['w_max']))}")
         lines.append(f"level_{ax} = {repr(float(e['level']))}")
-        lines.append(f"iterations_{ax} = {int(e['iterations'])}")
-        lines.append(f"bracket_too_small_{ax} = {str(bool(e['bracket_too_small'])).lower()}")
         lines.append(f"value_grid_{ax} = {e['grid_file']}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -138,19 +135,20 @@ def write_wmax_report(path, name, entries):
 
 def read_wmax_report(path):
     kv = _parse_kv(path)
-    if kv.get("format") != "wmax-v1":
-        raise FileFormatError(f"{path}: not a wmax-v1 file")
+    if kv.get("format") != "wmax-v2":
+        raise FileFormatError(f"{path}: not a wmax-v2 file")
     axes = sorted(k.split("_", 2)[2] for k in kv if k.startswith("w_max_"))
     entries = []
     for ax in axes:
-        entries.append({
-            "axis": ax,
-            "w_max": float(kv[f"w_max_{ax}"]),
-            "level": float(kv[f"level_{ax}"]),
-            "iterations": int(kv[f"iterations_{ax}"]),
-            "bracket_too_small": kv[f"bracket_too_small_{ax}"] == "true",
-            "grid_file": kv.get(f"value_grid_{ax}", ""),
-        })
+        try:
+            entries.append({
+                "axis": ax,
+                "w_max": float(kv[f"w_max_{ax}"]),
+                "level": float(kv[f"level_{ax}"]),
+                "grid_file": kv.get(f"value_grid_{ax}", ""),
+            })
+        except KeyError as exc:
+            raise FileFormatError(f"{path}: missing field {exc}") from None
     return kv.get("name", ""), entries
 
 

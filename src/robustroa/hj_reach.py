@@ -11,9 +11,12 @@ solver integrates
 backward from t = 0 with a local Lax-Friedrichs scheme (central gradients
 plus dissipation alpha_i(x) * (D+_i - D-_i) / 2 per axis, one-sided linear
 extrapolation at the grid edge) and forward-Euler steps in time.
-alpha_i(x) bounds |dH/dp_i| at each node (Osher & Shu 1991), so a node is
-smeared only as much as its own dynamics require.  With these bounds an
-Euler step is monotone (away from the extrapolated edge ring) whenever
+alpha_i(x) is the largest |f_i + sum_j g_ij u_j| over the box of every
+control and disturbance channel u_j, maximized over the uncertain
+parameters.  dH/dp_i is one such velocity component, so alpha_i(x) bounds
+|dH/dp_i| at each node (Osher & Shu 1991), and a node is smeared only as
+much as its own dynamics require.  With these bounds an Euler step is
+monotone (away from the extrapolated edge ring) whenever
 |dt| * sum_i(max alpha_i / dx_i) <= 1, and a monotone scheme converges to
 the viscosity solution (Crandall & Lions 1984); the solver steps at 0.9 of
 that bound.  The scheme is first order in space, so a higher-order time
@@ -167,12 +170,13 @@ class ValueGrid:
             raise GridMismatch(f"values shaped {self.v.shape} on grid {self.grid.shape}")
 
     def to_csv(self, path):
-        """Write `x1,x2,v` rows, one per node, row-major."""
-        x1g, x2g = self.grid.mesh()
+        """Write `x1,x2,v` rows, one per node, row-major.  Each axis
+        coordinate is formatted once and each grid row written at once."""
+        ax1, ax2 = (list(map(repr, ax.tolist())) for ax in self.grid.axes())
         with open(path, "w") as fh:
             fh.write("x1,x2,v\n")
-            for a, b, c in zip(x1g.ravel(), x2g.ravel(), self.v.ravel()):
-                fh.write(f"{float(a)!r},{float(b)!r},{float(c)!r}\n")
+            for a, row in zip(ax1, self.v):
+                fh.write("".join([f"{a},{b},{c!r}\n" for b, c in zip(ax2, row.tolist())]))
 
 
 @dataclass
@@ -238,20 +242,22 @@ class _GridTerms:
                 g1, g2 = fn(x1g, x2g, par)
                 dist.append((_grid_field(g1, ones), _grid_field(g2, ones), float(lo), float(hi)))
             self.branches.append((drift, ctrl, dist))
-        # Per-axis wave speed bounds |dH/dp_i| at each node, maximized over
-        # players and branches.  Each node is dissipated by its own bound
-        # (local Lax-Friedrichs); the time step uses the largest.
+        # Per-axis wave speed bounds at each node: the largest |f_i + sum_j
+        # g_ij u_j| over the channel box, maximized over branches.  dH/dp_i
+        # is such a velocity component, so it never exceeds the bound.  Each
+        # node is dissipated by its own bound (local Lax-Friedrichs); the
+        # time step uses the largest.
         a1 = np.zeros(grid.shape)
         a2 = np.zeros(grid.shape)
         for (f1, f2), ctrl, dist in self.branches:
-            b1 = np.abs(f1)
-            b2 = np.abs(f2)
+            top1, top2, bot1, bot2 = f1, f2, f1, f2
             for g1, g2, lo, hi in ctrl + dist:
-                span = max(abs(lo), abs(hi))
-                b1 = b1 + np.abs(g1) * span
-                b2 = b2 + np.abs(g2) * span
-            a1 = np.maximum(a1, b1)
-            a2 = np.maximum(a2, b2)
+                top1 = top1 + np.maximum(g1 * lo, g1 * hi)
+                top2 = top2 + np.maximum(g2 * lo, g2 * hi)
+                bot1 = bot1 + np.minimum(g1 * lo, g1 * hi)
+                bot2 = bot2 + np.minimum(g2 * lo, g2 * hi)
+            a1 = np.maximum(a1, np.maximum(top1, np.negative(bot1)))
+            a2 = np.maximum(a2, np.maximum(top2, np.negative(bot2)))
         self.alpha = (float(a1.max()), float(a2.max()))
         self.half_alpha = (_grid_field(0.5 * a1, ones), _grid_field(0.5 * a2, ones))
         n1, n2 = grid.shape
@@ -437,31 +443,3 @@ def solve_brs(grid: Grid2, target: TargetSet, dyn: AffineDynamics2, horizon,
             "change_rate": rate if steps else 0.0, "set_final_time": t_final,
             "freeze": freeze}
     return ValueGrid(grid=grid, v=v, time=t, info=info)
-
-
-def interp2(grid: Grid2, values, points):
-    """Bilinear interpolation of gridded values at (k, 2) query points.
-
-    Raises ValueError when any query point falls outside the grid.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape != grid.shape:
-        raise GridMismatch(f"values shaped {values.shape} on grid {grid.shape}")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dx1, dx2 = grid.dx
-    s1 = (pts[:, 0] - grid.mins[0]) / dx1
-    s2 = (pts[:, 1] - grid.mins[1]) / dx2
-    eps = 1e-9
-    if (np.any(s1 < -eps) or np.any(s1 > grid.shape[0] - 1 + eps)
-            or np.any(s2 < -eps) or np.any(s2 > grid.shape[1] - 1 + eps)):
-        raise ValueError("interpolation point outside grid")
-    i1 = np.clip(np.floor(s1).astype(int), 0, grid.shape[0] - 2)
-    i2 = np.clip(np.floor(s2).astype(int), 0, grid.shape[1] - 2)
-    f1 = np.clip(s1 - i1, 0.0, 1.0)
-    f2 = np.clip(s2 - i2, 0.0, 1.0)
-    v00 = values[i1, i2]
-    v10 = values[i1 + 1, i2]
-    v01 = values[i1, i2 + 1]
-    v11 = values[i1 + 1, i2 + 1]
-    return (v00 * (1 - f1) * (1 - f2) + v10 * f1 * (1 - f2)
-            + v01 * (1 - f1) * f2 + v11 * f1 * f2)

@@ -255,17 +255,18 @@ def lf_terms(grid, dyn):
             dist.append((np.asarray(g1, dtype=float) * ones,
                          np.asarray(g2, dtype=float) * ones, float(lo), float(hi)))
         branches.append((drift, ctrl, dist))
+    # alpha_i: the largest |f_i + sum_j g_ij u_j| over the channel box
     a1 = np.zeros(grid.shape)
     a2 = np.zeros(grid.shape)
     for (f1, f2), ctrl, dist in branches:
-        b1 = np.abs(f1)
-        b2 = np.abs(f2)
+        top1, top2, bot1, bot2 = f1, f2, f1, f2
         for g1, g2, lo, hi in ctrl + dist:
-            span = max(abs(lo), abs(hi))
-            b1 = b1 + np.abs(g1) * span
-            b2 = b2 + np.abs(g2) * span
-        a1 = np.maximum(a1, b1)
-        a2 = np.maximum(a2, b2)
+            top1 = top1 + np.maximum(g1 * lo, g1 * hi)
+            top2 = top2 + np.maximum(g2 * lo, g2 * hi)
+            bot1 = bot1 + np.minimum(g1 * lo, g1 * hi)
+            bot2 = bot2 + np.minimum(g2 * lo, g2 * hi)
+        a1 = np.maximum(a1, np.maximum(top1, -bot1))
+        a2 = np.maximum(a2, np.maximum(top2, -bot2))
     return branches, (a1, a2)
 
 
@@ -361,6 +362,81 @@ def solve_brs(grid, target, dyn, horizon, freeze="reach", cfl=0.5, max_converge_
     return v, {"steps": steps, "dt": h_nom, "converged": converged,
                "change_rate": rate if steps else 0.0, "set_final_time": t_final,
                "freeze": freeze, "time": t}
+
+
+# -- exact viability kernel of a quadruped error axis ---------------------------
+
+def kernel_mask(axis, hj_block, quadruped, grid):
+    """Grid nodes inside the closed-form viability kernel of kernel.py: the
+    target box cut by the two braking parabolas."""
+    b_dn, b_up = kernel.braking(axis, hj_block, quadruped)
+    h1, h2 = hj_block.target_half_widths
+    e1, e2 = grid.mesh()
+    return ((np.abs(e1) <= h1) & (np.abs(e2) <= h2)
+            & (e1 + np.maximum(e2, 0.0) ** 2 / (2.0 * b_dn) <= h1)
+            & (-e1 + np.maximum(-e2, 0.0) ** 2 / (2.0 * b_up) <= h1))
+
+
+# -- least e'Pe over the unsafe part of a grid, by dense sampling -----------------
+
+def sampled_unsafe_level(p, center, grid, w, envelope, per_side=21):
+    """Least (e - center)' p (e - center) over per_side x per_side points of
+    every cell with a corner w > 0, at the points where the cell's
+    interpolant of w is > 0, and over the grid border, sampled densely with
+    no edge or clipping logic.  The interpolant is the bilinear one, or with
+    envelope=True its concave envelope: the lower of the planes through
+    corners (00, 10, 11) and (00, 01, 11) when w00 + w11 >= w10 + w01, else
+    through (00, 10, 01) and (10, 11, 01).  A cell with a non-finite corner
+    is unsafe throughout."""
+    p = np.asarray(p, dtype=float)
+    ax1, ax2 = grid.axes()
+    t = np.linspace(0.0, 1.0, per_side)
+    u, v = np.meshgrid(t, t, indexing="ij")
+
+    def quad(e1, e2):
+        return p[0, 0] * e1 * e1 + (p[0, 1] + p[1, 0]) * e1 * e2 + p[1, 1] * e2 * e2
+
+    best = np.inf
+    for i in range(len(ax1) - 1):
+        for j in range(len(ax2) - 1):
+            w00, w10, w01, w11 = w[i, j], w[i + 1, j], w[i, j + 1], w[i + 1, j + 1]
+            if max(w00, w10, w01, w11) <= 0.0:
+                continue
+            if not np.all(np.isfinite([w00, w10, w01, w11])):
+                unsafe = np.ones(u.shape, dtype=bool)
+            elif not envelope:
+                unsafe = (w00 * (1 - u) * (1 - v) + w10 * u * (1 - v)
+                          + w01 * (1 - u) * v + w11 * u * v) > 0.0
+            elif w00 + w11 >= w10 + w01:
+                unsafe = np.minimum(w00 + (w10 - w00) * u + (w11 - w10) * v,
+                                    w00 + (w11 - w01) * u + (w01 - w00) * v) > 0.0
+            else:
+                unsafe = np.minimum(w00 + (w10 - w00) * u + (w01 - w00) * v,
+                                    w11 + (w11 - w01) * (u - 1) + (w11 - w10) * (v - 1)) > 0.0
+            if unsafe.any():
+                e1 = ax1[i] + u * (ax1[i + 1] - ax1[i]) - center[0]
+                e2 = ax2[j] + v * (ax2[j + 1] - ax2[j]) - center[1]
+                best = min(best, float(quad(e1, e2)[unsafe].min()))
+    fine1 = np.linspace(ax1[0], ax1[-1], 50 * len(ax1)) - center[0]
+    fine2 = np.linspace(ax2[0], ax2[-1], 50 * len(ax2)) - center[1]
+    for e1, e2 in ((fine1, np.full_like(fine1, ax2[0] - center[1])),
+                   (fine1, np.full_like(fine1, ax2[-1] - center[1])),
+                   (np.full_like(fine2, ax1[0] - center[0]), fine2),
+                   (np.full_like(fine2, ax1[-1] - center[0]), fine2)):
+        best = min(best, float(quad(e1, e2).min()))
+    return best
+
+
+# -- value-grid CSV, node by node ----------------------------------------------
+
+def value_grid_csv(vg, path):
+    """ValueGrid.to_csv as it formatted each node's three values on its own;
+    the library's writer must give the same bytes."""
+    x1g, x2g = vg.grid.mesh()
+    with open(path, "w") as fh:
+        fh.write("x1,x2,v\n")
+        for a, b, c in zip(x1g.ravel(), x2g.ravel(), vg.v.ravel()):
+            fh.write(f"{float(a)!r},{float(b)!r},{float(c)!r}\n")
 
 
 # -- trajectory CSV rows, value by value ---------------------------------------

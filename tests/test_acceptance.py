@@ -176,7 +176,7 @@ def test_criterion_5_wmax_bisection():
     cert = ClfCertificate(k=np.zeros((1, 2)), p=np.eye(2),
                           params=ClfParams(q=[1.0, 1.0], r=[1.0],
                                            decay_rate=1.0, dist_weight=1.0))
-    res = find_wmax(cert, vg, target, w_hi=20.0, tol=1e-3)
+    res = find_wmax(cert, vg, target)
     cell = max(grid.dx)
     assert abs(res.w_max - radius) <= 1e-3 + cell
 
@@ -233,7 +233,7 @@ def test_criterion_5_wmax_bisection():
         exact[dm] = orc.kernel.exact_wmax("z", z_cert, block, params)
         assert bounds[dm] <= exact[dm]
     assert bounds[0.0] >= bounds[5.0]
-    print(f"criterion 5 (bisection): PASS  circle w_max={res.w_max:.4f} "
+    print(f"criterion 5 (w_max): PASS  circle w_max={res.w_max:.4f} "
           f"(radius {radius}), monotone 20/20, quadruped w_max "
           f"{bounds[0.0]:.6f} (no payload) >= {bounds[5.0]:.6f} (5 kg), "
           f"exact {exact[0.0]:.6f} / {exact[5.0]:.6f}")

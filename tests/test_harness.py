@@ -1,7 +1,7 @@
 """Harness tests: scenario parsing, artifact files, CLI exit codes.
 
 The slower tests run the real pipeline on a shrunken quadruped scenario
-(coarse reachability grid, short run) so the full synth -> PDE -> bisection
+(coarse reachability grid, short run) so the full synth -> PDE -> w_max
 -> simulation chain is exercised end to end without the production grids.
 """
 
@@ -259,7 +259,7 @@ def test_certificate_without_bound(tmp_path):
 
 def test_certificate_rejects_bad_files(tmp_path):
     wrong = tmp_path / "wrong.txt"
-    wrong.write_text("format = wmax-v1\nname = x\n")
+    wrong.write_text("format = wmax-v2\nname = x\n")
     with pytest.raises(fileio.FileFormatError):
         fileio.read_certificate(wrong)
     garbled = tmp_path / "garbled.txt"
@@ -277,20 +277,29 @@ def test_certificate_rejects_bad_files(tmp_path):
 
 def test_wmax_report_roundtrip(tmp_path):
     entries = [
-        {"axis": "y", "w_max": 0.197754, "level": 26.071072, "iterations": 15,
-         "bracket_too_small": False, "grid_file": "g_y.csv"},
-        {"axis": "z", "w_max": 0.071411, "level": 0.573699, "iterations": 15,
-         "bracket_too_small": True, "grid_file": "g_z.csv"},
+        {"axis": "y", "w_max": 0.21711077223725347, "level": 26.071072,
+         "grid_file": "g_y.csv"},
+        {"axis": "z", "w_max": 0.08649164480202348, "level": 0.573699,
+         "grid_file": "g_z.csv"},
     ]
     path = tmp_path / "report.txt"
     fileio.write_wmax_report(path, "mini", entries)
+    assert path.read_text() == (
+        "format = wmax-v2\nname = mini\n"
+        "w_max_y = 0.21711077223725347\nlevel_y = 26.071072\nvalue_grid_y = g_y.csv\n"
+        "w_max_z = 0.08649164480202348\nlevel_z = 0.573699\nvalue_grid_z = g_z.csv\n")
     name, back = fileio.read_wmax_report(path)
     assert name == "mini"
     assert back == entries
-    wrong = tmp_path / "wrong.txt"
-    wrong.write_text("format = certificate-v1\n")
-    with pytest.raises(fileio.FileFormatError):
-        fileio.read_wmax_report(wrong)
+    for text in ("format = certificate-v1\n",
+                 # a wmax-v1 report, with its iteration count
+                 "format = wmax-v1\nname = mini\nw_max_y = 0.2\nlevel_y = 2.0\n"
+                 "iterations_y = 15\nbracket_too_small_y = false\n",
+                 "format = wmax-v2\nname = mini\nw_max_y = 0.2\n"):
+        wrong = tmp_path / "wrong.txt"
+        wrong.write_text(text)
+        with pytest.raises(fileio.FileFormatError):
+            fileio.read_wmax_report(wrong)
 
 
 def test_value_grid_roundtrip(tmp_path):
@@ -476,7 +485,7 @@ def test_simulate_writes_artifacts(mini_run):
     for e in entries:
         assert e["w_max"] > 0.0 and e["level"] > 0.0
 
-    # the written certificate carries the bound the bisection just certified
+    # the written certificate carries the bound find_wmax just certified
     _, axis, cert, eig = fileio.read_certificate(out / "mini_certificate_z.txt")
     assert axis == "z"
     assert eig < 0.0

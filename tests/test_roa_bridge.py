@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -23,6 +24,11 @@ def circle_value_grid(radius, extent=2.0, n=101):
     return ValueGrid(grid, np.hypot(x1g, x2g) - radius)
 
 
+def random_pd(rng):
+    a = rng.standard_normal((2, 2))
+    return a @ a.T + 0.3 * np.eye(2)
+
+
 def unit_certificate(dist_weight=1.0, decay_rate=1.0):
     params = ClfParams(q=[1.0, 1.0], r=[1.0], decay_rate=decay_rate,
                        dist_weight=dist_weight)
@@ -40,23 +46,27 @@ def test_ellipsoid_validation():
         rb.Ellipsoid2(p=np.eye(2), center=(0, 0, 0), level=1.0)
 
 
-def test_boundary_points_lie_on_level_set():
-    ell = rb.Ellipsoid2(p=np.array([[4.0, 1.0], [1.0, 2.0]]),
-                        center=(0.3, -0.7), level=2.5)
-    pts = ell.boundary_points(360)
-    assert pts.shape == (360, 2)
-    d = pts - ell.center
-    quad = np.einsum("ki,ij,kj->k", d, ell.p, d)
-    assert np.max(np.abs(quad - 2.5)) < 1e-12
-
-
 # -- containment ---------------------------------------------------------------
 
 def test_containment_guard_linear_field():
     grid = Grid2((-1.0, -1.0), (1.0, 1.0), (21, 21))
     x1g, x2g = grid.mesh()
     vg = ValueGrid(grid, 3.0 * x1g + 4.0 * x2g)
-    assert abs(rb.containment_guard(vg) - 0.5 * grid.cell_diagonal * 5.0) < 1e-12
+    delta = rb.containment_guard(vg)
+    assert delta.shape == grid.shape
+    assert np.max(np.abs(delta - 0.5 * grid.cell_diagonal * 5.0)) < 1e-12
+
+
+def test_containment_guard_is_local():
+    # a steep ramp on one side of the grid widens the guard only on the
+    # cells it touches: V = x1 for x1 <= 0 and 10 x1 beyond
+    grid = Grid2((-1.0, -1.0), (1.0, 1.0), (21, 21))
+    x1g, _ = grid.mesh()
+    delta = rb.containment_guard(ValueGrid(grid, np.where(x1g <= 0.0, x1g, 10.0 * x1g)))
+    half_diag = 0.5 * grid.cell_diagonal
+    assert np.max(np.abs(delta[:10] - half_diag)) < 1e-12  # x1 <= -0.1
+    assert np.max(np.abs(delta[11:] - 10.0 * half_diag)) < 1e-12  # x1 >= 0.1
+    assert abs(delta[10, 5] - 10.0 * half_diag) < 1e-12  # its cells reach x1 = 0.1
 
 
 def test_tiny_ellipsoid_deep_inside_is_contained():
@@ -75,12 +85,17 @@ def test_ellipsoid_outside_target_is_rejected():
     assert not rb.ellipsoid_contained(ell, vg, target)
 
 
-def test_ellipsoid_leaving_grid_raises():
-    vg = circle_value_grid(1.5)
-    target = TargetSet.box((0.0, 0.0), (1.8, 1.8))
-    ell = rb.Ellipsoid2(p=np.eye(2), center=(0.0, 0.0), level=25.0)
-    with pytest.raises(rb.OutOfGrid):
-        rb.ellipsoid_contained(ell, vg, target)
+def test_ellipsoid_leaving_grid_is_rejected():
+    # beyond the border counts as unsafe, even where V and l clear
+    grid = Grid2((-2.0, -2.0), (2.0, 2.0), (41, 41))
+    vg = ValueGrid(grid, np.full(grid.shape, -1.0))
+    target = TargetSet.box((0.0, 0.0), (10.0, 10.0))
+    p = np.diag([1.0, 4.0])  # x1 reaches the border at level 4, x2 at 16
+    for level, inside in ((3.9, True), (4.0, False), (25.0, False)):
+        ell = rb.Ellipsoid2(p=p, center=(0.0, 0.0), level=level)
+        assert rb.ellipsoid_contained(ell, vg, target, guard=0.0) is inside
+    off = rb.Ellipsoid2(p=p, center=(2.5, 0.0), level=1e-6)
+    assert not rb.ellipsoid_contained(off, vg, target, guard=0.0)
 
 
 def test_presampled_target_gives_the_same_answers():
@@ -126,22 +141,25 @@ def test_tangency_level_matches_analytic_value():
     assert abs(0.5 * (lo + hi) - 1.28) < 5e-3
 
 
-# -- w_max line search -----------------------------------------------------------
+# -- the closed form -------------------------------------------------------------
 
 def test_circle_in_circle_recovers_radius():
     # P = I, mu = lambda = 1: level c = w^2, so the invariant set is the
     # disc of radius w; the largest certified w equals the safe radius up
-    # to the guard (about half a cell) plus the bisection tolerance
+    # to the guard (about half a cell) and the rounding
     radius = 1.3
     vg = circle_value_grid(radius)
     target = TargetSet.box((0.0, 0.0), (1.9, 1.9))
     cert = unit_certificate()
-    res = rb.find_wmax(cert, vg, target, w_hi=20.0, tol=1e-3)
+    res = rb.find_wmax(cert, vg, target)
     cell = max(vg.grid.dx)
     assert abs(res.w_max - radius) <= 1e-3 + cell
     assert res.w_max < radius  # conservative by construction
-    assert not res.bracket_too_small
-    assert res.iterations == int(np.ceil(np.log2(20.0 / 1e-3)))
+    # the guard, half a cell diagonal at the disc's edge where |grad V| is 1,
+    # moves the edge in: c* = (radius - delta)^2
+    delta = 0.5 * vg.grid.cell_diagonal
+    assert abs(math.sqrt(res.c_star) - (radius - delta)) < 1e-3
+    assert res.w_max <= math.sqrt(res.c_star) < res.w_max * (1.0 + 2.0 ** -19)
     assert cert.w_max == res.w_max
     assert abs(cert.level - res.w_max ** 2) < 1e-12
     assert abs(res.level - cert.level) < 1e-12
@@ -159,9 +177,9 @@ def test_find_wmax_samples_target_once():
     box = TargetSet.box((0.0, 0.0), (1.9, 1.9))
     target = CountingBox(kind=box.kind, center=box.center, half_widths=box.half_widths)
     vg = circle_value_grid(1.3)
-    res = rb.find_wmax(unit_certificate(), vg, target, w_hi=20.0, tol=1e-3)
+    res = rb.find_wmax(unit_certificate(), vg, target)
     assert calls == [vg.grid.shape]
-    assert res.w_max == rb.find_wmax(unit_certificate(), vg, box, w_hi=20.0, tol=1e-3).w_max
+    assert res.w_max == rb.find_wmax(unit_certificate(), vg, box).w_max
 
 
 def test_find_wmax_scales_with_parameters():
@@ -169,8 +187,8 @@ def test_find_wmax_scales_with_parameters():
     radius = 1.2
     vg = circle_value_grid(radius)
     target = TargetSet.box((0.0, 0.0), (1.9, 1.9))
-    base = rb.find_wmax(unit_certificate(), vg, target, tol=1e-4)
-    scaled = rb.find_wmax(unit_certificate(dist_weight=4.0), vg, target, tol=1e-4)
+    base = rb.find_wmax(unit_certificate(), vg, target)
+    scaled = rb.find_wmax(unit_certificate(dist_weight=4.0), vg, target)
     assert abs(scaled.w_max - 0.5 * base.w_max) < 5e-4
 
 
@@ -197,21 +215,85 @@ def test_containment_monotone_in_w_on_random_safe_sets():
             from robustroa.clf_synth import roa_level
             ell = rb.Ellipsoid2(p=cert.p, center=(0.0, 0.0),
                                 level=roa_level(cert.params, w))
-            try:
-                flags.append(rb.ellipsoid_contained(ell, vg, target, guard=guard))
-            except rb.OutOfGrid:
-                flags.append(False)
+            flags.append(rb.ellipsoid_contained(ell, vg, target, guard=guard))
         flips = [a and not b for a, b in zip(flags[1:], flags[:-1])]
         assert not any(flips)
 
 
-def test_bracket_too_small_flag():
-    grid = Grid2((-100.0, -100.0), (100.0, 100.0), (51, 51))
+def test_grid_border_bounds_a_safe_set_covering_the_grid():
+    # V and l clear on the whole grid (V is flat, so the guard is 0): the
+    # ellipse is bounded by the border alone, here the x2 = +-100 lines of a
+    # 200 x 400 grid, and the bound is rounded down
+    grid = Grid2((-100.0, -200.0), (100.0, 200.0), (51, 51))
     vg = ValueGrid(grid, np.full(grid.shape, -10.0))
-    target = TargetSet.box((0.0, 0.0), (90.0, 90.0))
-    res = rb.find_wmax(unit_certificate(), vg, target, w_hi=20.0, tol=1e-3)
-    assert res.bracket_too_small
-    assert res.w_max > 20.0 - 1e-3
+    target = TargetSet.box((0.0, 0.0), (190.0, 390.0))
+    cert = unit_certificate()
+    cert.p = np.diag([1.0, 4.0])
+    res = rb.find_wmax(cert, vg, target)
+    assert res.c_star == 100.0 ** 2
+    assert 100.0 * (1.0 - 2.0 ** -19) <= res.w_max < 100.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_unsafe_level_matches_dense_sampling(seed):
+    # c* of w = max(V, l) against the least e'Pe over densely sampled points
+    # of the unsafe part of the grid and of its border.  It is the exact
+    # minimum over the concave-envelope polygons, so it lies within the
+    # sampling's resolution below the sampled envelope minimum, and never
+    # above the sampled minimum over the bilinear interpolant's unsafe
+    # points.  The safe set is a random ellipse with random unsafe pockets
+    # and a NaN pair, the center off the grid's nodes.
+    rng = np.random.default_rng(seed)
+    grid = Grid2((-2.0, -1.5), (2.5, 1.5), (37, 29))
+    x1g, x2g = grid.mesh()
+    q = random_pd(rng)
+    v = q[0, 0] * x1g ** 2 + 2 * q[0, 1] * x1g * x2g + q[1, 1] * x2g ** 2 - 1.5
+    v[rng.random(grid.shape) < 0.004] = rng.uniform(0.0, 3.0)
+    v[25, 14:16] = np.nan
+    target = TargetSet.box((0.2, 0.0), (2.0, 1.4))
+    center = (0.03, -0.02)
+    p = random_pd(rng)
+    w = np.maximum(v, target.l(x1g, x2g))
+    w[np.isnan(w)] = np.inf
+    c_star = rb._unsafe_level(p, center, grid, w)
+    assert c_star > 0.0
+    on_envelope = orc.sampled_unsafe_level(p, center, grid, w, envelope=True)
+    on_bilinear = orc.sampled_unsafe_level(p, center, grid, w, envelope=False)
+    assert c_star <= on_envelope <= on_bilinear
+    # the minimizer lies within half a sample spacing diagonal d of a sample,
+    # where e'Pe exceeds c* by at most 2 sqrt(c* lmax) d + lmax d^2
+    d = 0.5 * math.hypot(*grid.dx) / 20
+    lmax = np.linalg.eigvalsh(p)[-1]
+    assert on_envelope - c_star <= 2.0 * math.sqrt(c_star * lmax) * d + lmax * d * d
+
+
+def test_unsafe_pocket_inside_the_ellipse_binds():
+    # one NaN node deep inside an otherwise safe disc makes every cell that
+    # touches it unsafe, so c* is the squared distance to the nearest of
+    # those cells, whatever the guard
+    vg = circle_value_grid(1.8, n=41)  # nodes every 0.1
+    target = TargetSet.box((0.0, 0.0), (1.9, 1.9))
+    clean = rb.find_wmax(unit_certificate(), vg, target)
+    vg.v[26, 20] = np.nan  # the node at (0.6, 0.0)
+    pocket = rb.find_wmax(unit_certificate(), vg, target)
+    assert abs(pocket.c_star - 0.5 ** 2) < 1e-15
+    assert pocket.w_max < clean.w_max
+
+
+def test_center_cell_is_unsafe_where_its_envelope_is_positive():
+    # a center inside a split cell, off both its diagonals; with the guard
+    # off, one corner at 10 against three at -1.43 lifts the envelope above
+    # 0 there, one at 0.5 leaves it below
+    vg = circle_value_grid(1.5, n=40)  # nodes at +-0.0513 around the origin
+    target = TargetSet.box((0.0, 0.0), (1.9, 1.9))
+    center = (0.02, 0.01)
+    tiny = rb.Ellipsoid2(p=np.eye(2), center=center, level=1e-12)
+    vg.v[20, 20] = 0.5
+    assert rb.ellipsoid_contained(tiny, vg, target, guard=0.0)
+    vg.v[20, 20] = 10.0
+    assert not rb.ellipsoid_contained(tiny, vg, target, guard=0.0)
+    with pytest.raises(rb.NoSafeRoa):
+        rb.find_wmax(unit_certificate(), vg, target, center=center)
 
 
 def test_no_safe_roa_raises():
@@ -226,9 +308,9 @@ def test_find_wmax_validation():
     vg = circle_value_grid(1.0)
     target = TargetSet.box((0.0, 0.0), (1.5, 1.5))
     with pytest.raises(ValueError):
-        rb.find_wmax(unit_certificate(), vg, target, w_hi=0.0)
-    with pytest.raises(ValueError):
-        rb.find_wmax(unit_certificate(), vg, target, w_hi=1.0, tol=2.0)
+        rb.find_wmax(unit_certificate(), vg, target, center=(0.0, 0.0, 0.0))
+    with pytest.raises(rb.NoSafeRoa):  # a center off the grid
+        rb.find_wmax(unit_certificate(), vg, target, center=(2.5, 0.0))
 
 
 # -- bundled quadruped configs against the exact kernel --------------------------
@@ -278,8 +360,7 @@ def test_bundled_converge_set_matches_fixed_horizon(bundled_run, axis):
 def test_euler_safe_set_matches_rk2_reference(bundled_run, axis, n):
     # The solver's one Euler step at CFL 0.9 must leave the same {V <= 0},
     # node for node, as two-stage TVD Runge-Kutta at CFL 0.5, and certify
-    # the same w_max bits.  On quadruped_height z at n = 51 both schemes
-    # erode the safe set to nothing, so both certifications raise NoSafeRoa.
+    # the same w_max bits.
     scn, _ = bundled_run
     block = scn.hj_blocks[axis]
     hw1, hw2 = block.grid_half_widths
@@ -303,3 +384,86 @@ def test_euler_safe_set_matches_rk2_reference(bundled_run, axis, n):
             return "NoSafeRoa"
 
     assert certified(got.v) == certified(want)
+
+
+# -- safe sets against the exact viability kernel -----------------------------------
+
+def bundled_axis(scn, axis, n):
+    """(grid, target, dynamics, certificate) of one bundled axis at n x n."""
+    block = scn.hj_blocks[axis]
+    hw1, hw2 = block.grid_half_widths
+    grid = Grid2((-hw1, -hw2), (hw1, hw2), (n, n))
+    target = TargetSet.box((0.0, 0.0), block.target_half_widths)
+    dyn = plants.subsystem_error_dynamics(axis, scn.quadruped, u_lo=block.u_lo,
+                                          u_hi=block.u_hi, delta_m_interval=block.delta_m,
+                                          drag_force=block.drag_force)
+    cert, _ = synthesize(plants.quadruped_axis_linear(scn.quadruped),
+                         scn.clf_blocks[axis].params)
+    return grid, target, dyn, cert
+
+
+# (scenario, axis) -> least safe-node count at n = 51, 101, 201.  The exact
+# kernel holds 573/2,357/9,297 (height y), 436/1,742/6,970 (height z),
+# 374/1,494/5,879 (push y) and 447/1,787/7,147 (push z) nodes.
+SAFE_FLOOR = {
+    ("quadruped_height", "y"): (563, 2331, 9249),
+    ("quadruped_height", "z"): (424, 1715, 6927),
+    ("quadruped_push", "y"): (362, 1472, 5837),
+    ("quadruped_push", "z"): (441, 1775, 7128),
+}
+
+
+@pytest.mark.parametrize("n", [51, 101, 201])
+@pytest.mark.parametrize("axis", ["y", "z"])
+def test_safe_set_within_exact_kernel(bundled_run, axis, n):
+    # The converged safe set holds no node outside the exact viability
+    # kernel and keeps at least the nodes it kept when the wave speed bound
+    # was made the exact one of the channel box.  The certified w_max is
+    # positive and no larger than the kernel's, as a strict float
+    # comparison.
+    scn, _ = bundled_run
+    grid, target, dyn, cert = bundled_axis(scn, axis, n)
+    vg = solve_brs(grid, target, dyn, "converge", freeze="stay")
+    assert vg.info["converged"]
+    kernel = orc.kernel_mask(axis, scn.hj_blocks[axis], scn.quadruped, grid)
+    safe = vg.v <= 0.0
+    assert not np.any(safe & ~kernel)
+    assert safe.sum() >= SAFE_FLOOR[(scn.name, axis)][(51, 101, 201).index(n)]
+    exact = orc.kernel.exact_wmax(axis, cert, scn.hj_blocks[axis], scn.quadruped)
+    assert 0.0 < rb.find_wmax(cert, vg, target).w_max <= exact
+
+
+def test_height_z_coarse_grid_keeps_its_safe_set():
+    # quadruped_height z at n = 51 under the dissipation bound |f2| +
+    # |g2| max(|lo|, |hi|) = 33.9 m/s^2 eroded to 0 safe nodes in 6,817
+    # steps.  The exact bound of the force box, 14.3 m/s^2, keeps 424 of the
+    # kernel's 436 in 150 steps and certifies a positive bound below the
+    # exact one.
+    ref = resources.files("robustroa.harness").joinpath("configs", "quadruped_height.cfg")
+    with resources.as_file(ref) as path:
+        scn = load_scenario(path)
+    grid, target, dyn, cert = bundled_axis(scn, "z", 51)
+    vg = solve_brs(grid, target, dyn, "converge", freeze="stay")
+    assert vg.info["converged"] and vg.info["steps"] == 150
+    assert np.count_nonzero(vg.v <= 0.0) == 424
+    exact = orc.kernel.exact_wmax("z", cert, scn.hj_blocks["z"], scn.quadruped)
+    assert 0.0 < rb.find_wmax(cert, vg, target).w_max <= exact
+
+
+@pytest.mark.parametrize("axis", ["y", "z"])
+def test_wmax_does_not_depend_on_the_horizon(bundled_run, axis):
+    # the bound binds where the clip holds V at l, so the horizon changes V
+    # there only in bits far below the rounding step: the converged solve
+    # and fixed horizons from -0.1 s to -4 s certify the same bound
+    scn, out = bundled_run
+    name = f"{scn.name}_valuegrid_{axis}.csv"
+    grid, target, dyn, cert = bundled_axis(scn, axis, scn.hj_blocks[axis].n)
+    converged = fileio.read_value_grid(out / "converge" / name)
+    fixed = fileio.read_value_grid(out / "fixed" / name)  # -2 s
+    assert not np.array_equal(converged.v, fixed.v)
+    bounds = {rb.find_wmax(cert, vg, target).w_max
+              for vg in [converged, fixed] + [solve_brs(grid, target, dyn, h, freeze="stay")
+                                             for h in (-0.1, -0.3, -4.0)]}
+    _, _, written, _ = fileio.read_certificate(
+        out / "converge" / f"{scn.name}_certificate_{axis}.txt")
+    assert bounds == {written.w_max}

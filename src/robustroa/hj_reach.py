@@ -8,26 +8,46 @@ solver integrates
     dV/dt + H*(x, grad V) = 0,
     H* = min-player over u, max-player over w of  grad V . f(x, u, w)
 
-backward from t = 0 with a local Lax-Friedrichs scheme (central gradients
-plus dissipation alpha_i(x) * (D+_i - D-_i) / 2 per axis, one-sided linear
-extrapolation at the grid edge) and forward-Euler steps in time.
-alpha_i(x) is the largest |f_i + sum_j g_ij u_j| over the box of every
-control and disturbance channel u_j, maximized over the uncertain
-parameters.  dH/dp_i is one such velocity component, so alpha_i(x) bounds
-|dH/dp_i| at each node (Osher & Shu 1991), and a node is smeared only as
-much as its own dynamics require.  With these bounds an Euler step is
-monotone (away from the extrapolated edge ring) whenever
-|dt| * sum_i(max alpha_i / dx_i) <= 1, and a monotone scheme converges to
-the viscosity solution (Crandall & Lions 1984); the solver steps at 0.9 of
-that bound.  The scheme is first order in space, so a higher-order time
-integrator would buy no accuracy.  The control shrinks V (reaching /
-staying) and the disturbance opposes it.
+backward from t = 0 with forward-Euler steps of an upwind (Godunov)
+scheme.  The control shrinks V (reaching / staying) and the disturbance
+opposes it.
+
+Dynamics must be affine in each control / disturbance channel, with box
+bounds per channel, so every pointwise extremum is bang-bang, and each
+channel must move one axis at each node (a ValueError otherwise: per-axis
+control minima would be optimistic for a channel that moves both).  Then
+H(x, p) = H_1(x, p_1) + H_2(x, p_2), and each H_i is linear on either side
+of p_i = 0: H_i = A_i p_i for p_i >= 0 and B_i p_i for p_i <= 0, with the
+slopes A_i = H(e_i) and B_i = -H(-e_i).  Those four Hamiltonian
+evaluations per node are made once per solve.  An additional scalar
+uncertainty that enters non-affinely (such as an unknown added mass) is
+handled by evaluating the Hamiltonian at the interval endpoints and giving
+the extremum to the disturbance player; this is exact when the dependence
+is monotone, which holds for a 1/(m + dm) factor.  A parameter that enters
+both axes gets its branch maximum on each axis separately, which is
+conservative, and exact when at most one axis depends on it.
+
+With one-sided differences D-_i and D+_i, a backward step of size h is
+
+    V <- V + h * sum_i F_i,
+    F_i = max(A_i+ D+_i+, B_i- D-_i-) + min(A_i- D-_i+, B_i+ D+_i-),
+
+where x+ = max(x, 0) and x- = min(x, 0): the maximum of H_i over
+[D-_i, D+_i] when D-_i <= D+_i, else its minimum over [D+_i, D-_i]
+(Osher & Shu 1991).  At the grid edge the outer difference is 0, as if
+the value beyond the edge equalled the edge node.  F_i never decreases in
+D+_i, never increases in D-_i, and moves by at most max(|A_i|, |B_i|) /
+dx_i per unit of V at the node itself, so the step is monotone, edge
+included, whenever h * sum_i max(|A_i|, |B_i|) / dx_i <= 1, and a monotone
+scheme converges to the viscosity solution (Crandall & Lions 1984).  The
+solver steps at 0.9 of that bound.  The scheme is first order in space, so
+a higher-order time integrator would buy no accuracy.
 
 Only the set {V <= 0} is used downstream, so a solve can stop once that set
 is final.  Under horizon "converge" it stops at the first step where the
 set has not changed for max(t_last, tau) of PDE time: t_last is how long
-the set kept changing, and tau = min_i(grid width_i / max alpha_i) is the
-time the fastest characteristic takes to cross the grid.
+the set kept changing, and tau = min_i(grid width_i / max(|A_i|, |B_i|))
+is the time the fastest characteristic takes to cross the grid.
 
 Two set-propagation flavours, selected by `freeze`:
 
@@ -38,14 +58,6 @@ Two set-propagation flavours, selected by `freeze`:
   {V <= 0} shrinks to the largest subset of T the control can render
   invariant despite the disturbance - the safe set used to size
   certified regions of attraction.
-
-Dynamics must be affine in each control / disturbance channel, with box
-bounds per channel, so every pointwise extremum is bang-bang.  An
-additional scalar uncertainty that enters non-affinely (such as an
-unknown added mass) is handled by evaluating the Hamiltonian at the
-interval endpoints and giving the extremum to the disturbance player;
-this is exact when the dependence is monotone, which holds for a
-1/(m + dm) factor.
 
 A solve allocates its grid-sized work arrays once and runs every step in
 place in them; no step allocates an array of grid size.
@@ -59,7 +71,7 @@ import numpy as np
 
 
 class CflViolation(Exception):
-    """Requested time step exceeds the Lax-Friedrichs stability bound."""
+    """Requested time step exceeds the bound below which a step is monotone."""
 
 
 class TargetOutsideGrid(Exception):
@@ -201,11 +213,10 @@ class AffineDynamics2:
 
 # -- gridded machinery --------------------------------------------------------
 
-def _grid_field(values, ones):
-    """A dynamics term sampled on the grid.  A spatially constant one (every
-    entry the same bits, sign of zero included) is kept as a scalar: the
-    products it enters are the same, with less memory traffic."""
-    a = np.asarray(values, dtype=float) * ones
+def _grid_field(a):
+    """`a`, or its one value as a scalar when every entry has the same bits
+    (sign of zero included): the products it enters are the same, with less
+    memory traffic."""
     c = a.flat[0]
     if np.all(a == c) and np.all(np.signbit(a) == np.signbit(c)):
         return float(c)
@@ -213,7 +224,7 @@ def _grid_field(values, ones):
 
 
 class _GridTerms:
-    """Dynamics terms evaluated once per solve on the whole grid, and the
+    """Per-axis slopes of the Hamiltonian, evaluated once per solve, and the
     work arrays every step runs in.
 
     Each distinct value of `uncertain_params` is one branch; a repeated
@@ -229,127 +240,87 @@ class _GridTerms:
     def __init__(self, grid: Grid2, dyn: AffineDynamics2):
         x1g, x2g = grid.mesh()
         ones = np.ones(grid.shape)
+
+        def field(values):
+            return _grid_field(np.asarray(values, dtype=float) * ones)
+
         self.branches = []
         for par in dict.fromkeys(dyn.uncertain_params):
             f1, f2 = dyn.drift(x1g, x2g, par)
-            drift = (_grid_field(f1, ones), _grid_field(f2, ones))
-            ctrl = []
-            for fn, (lo, hi) in dyn.control_terms:
-                g1, g2 = fn(x1g, x2g, par)
-                ctrl.append((_grid_field(g1, ones), _grid_field(g2, ones), float(lo), float(hi)))
-            dist = []
-            for fn, (lo, hi) in dyn.disturbance_terms:
-                g1, g2 = fn(x1g, x2g, par)
-                dist.append((_grid_field(g1, ones), _grid_field(g2, ones), float(lo), float(hi)))
-            self.branches.append((drift, ctrl, dist))
-        # Per-axis wave speed bounds at each node: the largest |f_i + sum_j
-        # g_ij u_j| over the channel box, maximized over branches.  dH/dp_i
-        # is such a velocity component, so it never exceeds the bound.  Each
-        # node is dissipated by its own bound (local Lax-Friedrichs); the
-        # time step uses the largest.
-        a1 = np.zeros(grid.shape)
-        a2 = np.zeros(grid.shape)
-        for (f1, f2), ctrl, dist in self.branches:
-            top1, top2, bot1, bot2 = f1, f2, f1, f2
-            for g1, g2, lo, hi in ctrl + dist:
-                top1 = top1 + np.maximum(g1 * lo, g1 * hi)
-                top2 = top2 + np.maximum(g2 * lo, g2 * hi)
-                bot1 = bot1 + np.minimum(g1 * lo, g1 * hi)
-                bot2 = bot2 + np.minimum(g2 * lo, g2 * hi)
-            a1 = np.maximum(a1, np.maximum(top1, np.negative(bot1)))
-            a2 = np.maximum(a2, np.maximum(top2, np.negative(bot2)))
-        self.alpha = (float(a1.max()), float(a2.max()))
-        self.half_alpha = (_grid_field(0.5 * a1, ones), _grid_field(0.5 * a2, ones))
+            channels = []
+            for terms in (dyn.control_terms, dyn.disturbance_terms):
+                channels.append([])
+                for fn, (lo, hi) in terms:
+                    g1, g2 = (field(g) for g in fn(x1g, x2g, par))
+                    if np.any((g1 != 0.0) & (g2 != 0.0)):
+                        raise ValueError("each control and disturbance channel must move "
+                                         "one axis at each node")
+                    channels[-1].append((g1, g2, float(lo), float(hi)))
+            self.branches.append(((field(f1), field(f2)), *channels))
+        # Per axis, the slopes A = H(e_i) and B = -H(-e_i) split by sign and
+        # divided by dx_i, so a step multiplies raw differences of V.  Both
+        # axes run through the same step code with their own axis first, so
+        # axis 1 keeps its arrays transposed.
+        units = (((1.0, 0.0), (-1.0, 0.0)), ((0.0, 1.0), (0.0, -1.0)))
+        self.speeds = []
+        slopes = []
+        for (plus, minus), dx, orient in zip(units, grid.dx, (np.asarray, np.transpose)):
+            a = orient(self.hamiltonian(*plus) * ones)
+            b = orient(-self.hamiltonian(*minus) * ones)
+            self.speeds.append(float(np.max(np.maximum(np.abs(a), np.abs(b)))))
+            slopes.append(tuple(_grid_field(s / dx) for s in (
+                np.maximum(a, 0.0), np.minimum(a, 0.0), np.maximum(b, 0.0), np.minimum(b, 0.0))))
+        self.wavesum = sum(s / dx for s, dx in zip(self.speeds, grid.dx))
+        # A difference array is one entry longer than the grid along its
+        # axis, and its two end entries stay 0: the edge ghost node repeats
+        # the edge node.
         n1, n2 = grid.shape
-        self.d1 = np.empty((n1 + 1, n2))
-        self.d2 = np.empty((n1, n2 + 1))
-        self.p1 = np.empty(grid.shape)
-        self.p2 = np.empty(grid.shape)
-        self.branch = np.empty(grid.shape)
-        self.coef = np.empty(grid.shape)
-        self.prod_a = np.empty(grid.shape)
-        self.prod_b = np.empty(grid.shape)
-        self.mask = np.empty(grid.shape, dtype=bool)
+        self.flux = (np.empty(grid.shape), np.empty(grid.shape))
+        t1, t2 = np.empty(grid.shape), np.empty(grid.shape)
+        self.axes = (
+            (slopes[0], np.zeros((n1 + 1, n2)), np.empty((n1 + 1, n2)), self.flux[0], t1, t2),
+            (slopes[1], np.zeros((n1, n2 + 1)).T, np.empty((n1, n2 + 1)).T, self.flux[1].T,
+             t1.T, t2.T))
 
-    def hamiltonian(self, p1, p2, out):
-        """H(p1, p2) on the grid, written into `out` (which must not alias
-        p1, p2 or the work arrays).
-
-        The same operations in the same order as p1*f1 + p2*f2 + the channel
-        extremes, maximized over branches.  A channel extreme is
-        where(coef >= 0, lo*coef, hi*coef) for the minimizing control, with
-        lo and hi swapped for the maximizing disturbance.
-        """
-        coef, a, b, mask = self.coef, self.prod_a, self.prod_b, self.mask
-        for k, ((f1, f2), ctrl, dist) in enumerate(self.branches):
-            h = out if k == 0 else self.branch
-            np.multiply(p1, f1, out=h)
-            np.multiply(p2, f2, out=a)
-            h += a
-            for channels, minimize in ((ctrl, True), (dist, False)):
-                for g1, g2, lo, hi in channels:
-                    np.multiply(p1, g1, out=coef)
-                    np.multiply(p2, g2, out=a)
-                    coef += a
-                    if not minimize:
-                        lo, hi = hi, lo
-                    np.greater_equal(coef, 0.0, out=mask)
-                    np.multiply(coef, lo, out=a)
-                    np.multiply(coef, hi, out=b)
-                    np.copyto(b, a, where=mask)
-                    h += b
-            if h is not out:
-                np.maximum(out, h, out=out)
+    def hamiltonian(self, p1, p2):
+        """H(p1, p2) on the grid: p1*f1 + p2*f2 plus each channel's
+        extreme, where(coef >= 0, lo*coef, hi*coef) for the minimizing
+        control and with lo and hi swapped for the maximizing disturbance,
+        maximized over branches."""
+        out = None
+        for (f1, f2), ctrl, dist in self.branches:
+            h = p1 * f1 + p2 * f2
+            for g1, g2, lo, hi in ctrl:
+                coef = p1 * g1 + p2 * g2
+                h = h + np.where(coef >= 0.0, lo * coef, hi * coef)
+            for g1, g2, lo, hi in dist:
+                coef = p1 * g1 + p2 * g2
+                h = h + np.where(coef >= 0.0, hi * coef, lo * coef)
+            out = h if out is None else np.maximum(out, h)
         return out
 
 
-def _lf_update(v, grid, terms, dt, out):
-    """One forward-time Euler step of V_t + H = 0 (dt may be negative to
-    integrate backward), written into `out` (which must not alias v);
-    dissipation always acts forward in its own time.
-
-    Computes v - dt * H(p1, p2) + |dt| * (0.5 a1 (D+1 - D-1) + 0.5 a2 (D+2 - D-2))
-    with p_i = 0.5 (D+i + D-i) and a_i the per-node wave speed bound,
-    operation for operation, in the work arrays of `terms`.
-    """
-    dx1, dx2 = grid.dx
-    a1, a2 = terms.alpha
-    if abs(dt) * (a1 / dx1 + a2 / dx2) > 0.9 + 1e-12:
-        raise CflViolation(
-            f"|dt| = {abs(dt):.3e} exceeds CFL bound {0.9 / (a1 / dx1 + a2 / dx2 + 1e-300):.3e}")
-    # Forward differences per axis, one entry longer than the grid: entry i
-    # is (V[i] - V[i-1]) / dx, so D- and D+ at node i are entries i and i+1.
-    # The two edge entries difference against a linearly extrapolated ghost
-    # node (2 V[0] - V[1], 2 V[-1] - V[-2]), written exactly as below so
-    # every bit matches the padded-ring form of the scheme.
-    d1 = terms.d1
-    d1[0] = v[0] - (2.0 * v[0] - v[1])
-    np.subtract(v[1:], v[:-1], out=d1[1:-1])
-    d1[-1] = (2.0 * v[-1] - v[-2]) - v[-1]
-    d1 /= dx1
-    d2 = terms.d2
-    d2[:, 0] = v[:, 0] - (2.0 * v[:, 0] - v[:, 1])
-    np.subtract(v[:, 1:], v[:, :-1], out=d2[:, 1:-1])
-    d2[:, -1] = (2.0 * v[:, -1] - v[:, -2]) - v[:, -1]
-    d2 /= dx2
-    dplus1, dminus1 = d1[1:], d1[:-1]
-    dplus2, dminus2 = d2[:, 1:], d2[:, :-1]
-
-    p1 = np.add(dplus1, dminus1, out=terms.p1)
-    p1 *= 0.5
-    p2 = np.add(dplus2, dminus2, out=terms.p2)
-    p2 *= 0.5
-    terms.hamiltonian(p1, p2, out)
-    out *= dt
-    np.subtract(v, out, out=out)
-    half1, half2 = terms.half_alpha
-    diss = np.subtract(dplus1, dminus1, out=p1)
-    diss *= half1
-    diss2 = np.subtract(dplus2, dminus2, out=p2)
-    diss2 *= half2
-    diss += diss2
-    diss *= abs(dt)
-    out += diss
+def _upwind_update(v, terms, h, out):
+    """One backward Euler step V + h * (F_1 + F_2) of size h > 0, written
+    into `out` (which must not alias v), operation for operation in the work
+    arrays of `terms`."""
+    if h * terms.wavesum > 0.9 + 1e-12:
+        raise CflViolation(f"h = {h:.3e} exceeds CFL bound {0.9 / terms.wavesum:.3e}")
+    for vt, ((a_pos, a_neg, b_pos, b_neg), d, dpos, f, t1, t2) in zip((v, v.T), terms.axes):
+        np.subtract(vt[1:], vt[:-1], out=d[1:-1])
+        np.maximum(d, 0.0, out=dpos)
+        np.minimum(d, 0.0, out=d)
+        # D+ is entry i + 1 and D- entry i
+        np.multiply(a_pos, dpos[1:], out=f)
+        np.multiply(b_neg, d[:-1], out=t1)
+        np.maximum(f, t1, out=f)
+        np.multiply(a_neg, dpos[:-1], out=t1)
+        np.multiply(b_pos, d[1:], out=t2)
+        np.minimum(t1, t2, out=t1)
+        f += t1
+    np.add(*terms.flux, out=out)
+    out *= h
+    out += v
     return out
 
 
@@ -373,9 +344,9 @@ def solve_brs(grid: Grid2, target: TargetSet, dyn: AffineDynamics2, horizon,
     before the cap.  `info["set_final_time"]` is the (negative) time of the
     last change of {V <= 0}, 0 when it never changed.  freeze selects the
     set flavour ("reach" or "stay", see module docstring).  Each step is one
-    forward-Euler Lax-Friedrichs update of size 0.9 / (a1/dx1 + a2/dx2), with
-    a_i the largest wave speed bound per axis: 0.9 of the bound below which
-    the step is monotone.
+    upwind Euler update of size 0.9 / (s1/dx1 + s2/dx2), with s_i the
+    largest |slope| of H_i: 0.9 of the bound below which the step is
+    monotone.
     """
     if freeze not in ("reach", "stay"):
         raise ValueError(f"freeze must be 'reach' or 'stay', got {freeze!r}")
@@ -391,9 +362,6 @@ def solve_brs(grid: Grid2, target: TargetSet, dyn: AffineDynamics2, horizon,
     vg0 = signed_target(grid, target)
     l = vg0.v
     terms = _GridTerms(grid, dyn)
-    a1, a2 = terms.alpha
-    dx1, dx2 = grid.dx
-    wavesum = a1 / dx1 + a2 / dx2
 
     clip = np.minimum if freeze == "reach" else np.maximum
 
@@ -403,15 +371,15 @@ def solve_brs(grid: Grid2, target: TargetSet, dyn: AffineDynamics2, horizon,
     steps = 0
     rate = np.inf
     converged = True
-    if wavesum <= 0.0:
+    if terms.wavesum <= 0.0:
         # Static dynamics: H vanishes identically, nothing evolves.
         clip(v, l, out=v)
         t = t_stop
         h_nom = abs(t_stop)
     else:
-        h_nom = 0.9 / wavesum
+        h_nom = 0.9 / terms.wavesum
         widths = np.subtract(grid.maxs, grid.mins)
-        tau = min(w / a for w, a in zip(widths, (a1, a2)) if a > 0.0)
+        tau = min(w / s for w, s in zip(widths, terms.speeds) if s > 0.0)
         # two grid buffers in rotation: v and the step's result
         c = np.empty(grid.shape)
         # {V <= 0} before and after a step; the old one is overwritten by
@@ -420,7 +388,7 @@ def solve_brs(grid: Grid2, target: TargetSet, dyn: AffineDynamics2, horizon,
         fresh = np.empty(grid.shape, dtype=bool)
         while t > t_stop + 1e-12:
             h = min(h_nom, t - t_stop)
-            clip(_lf_update(v, grid, terms, -h, c), l, out=c)
+            clip(_upwind_update(v, terms, h, c), l, out=c)
             t_next = t - h
             np.less_equal(c, 0.0, out=fresh)
             np.not_equal(fresh, mask, out=mask)

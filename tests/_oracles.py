@@ -220,119 +220,59 @@ def hamiltonian(v_grad, x, dyn):
     return max(branches)
 
 
-# -- Lax-Friedrichs step, padded-ring form -------------------------------------
+# -- upwind step and reachability solve, one fresh array per operation ---------
 #
-# The explicit step of hj_reach in its plainest form: the value grid is
-# padded with a one-node ring extrapolated linearly, the four one-sided
-# differences are taken on the padded array, and the Hamiltonian is
-# evaluated on every entry of `uncertain_params`, repeated values included,
-# with each term broadcast to a full grid array.  The library's step must
-# reproduce it bit for bit.
+# The step and solve loop of hj_reach in their allocating form: the slopes
+# of each H_i come from the pointwise Hamiltonian at every node, the value
+# grid is padded with a ring that repeats its edge, and every difference,
+# flux, clip, sign mask and change rate makes new arrays, the change rate on
+# every step.  The library's in-place solve must reproduce V and its info
+# bit for bit.
 
-def _channel_extreme(coef, lo, hi, minimize):
-    if minimize:
-        return np.where(coef >= 0.0, lo * coef, hi * coef)
-    return np.where(coef >= 0.0, hi * coef, lo * coef)
-
-
-def lf_terms(grid, dyn):
-    """Per-branch full-grid dynamics terms and the per-axis, per-node
-    dissipation coefficients (alpha1, alpha2)."""
+def upwind_slopes(grid, dyn):
+    """Per axis, (A+, A-, B+, B-) / dx_i at every node, with A = H(e_i) and
+    B = -H(-e_i), and the largest max(|A|, |B|) over the grid."""
     x1g, x2g = grid.mesh()
-    ones = np.ones(grid.shape)
-    branches = []
-    for par in dyn.uncertain_params:
-        f1, f2 = dyn.drift(x1g, x2g, par)
-        drift = (np.asarray(f1, dtype=float) * ones, np.asarray(f2, dtype=float) * ones)
-        ctrl = []
-        for fn, (lo, hi) in dyn.control_terms:
-            g1, g2 = fn(x1g, x2g, par)
-            ctrl.append((np.asarray(g1, dtype=float) * ones,
-                         np.asarray(g2, dtype=float) * ones, float(lo), float(hi)))
-        dist = []
-        for fn, (lo, hi) in dyn.disturbance_terms:
-            g1, g2 = fn(x1g, x2g, par)
-            dist.append((np.asarray(g1, dtype=float) * ones,
-                         np.asarray(g2, dtype=float) * ones, float(lo), float(hi)))
-        branches.append((drift, ctrl, dist))
-    # alpha_i: the largest |f_i + sum_j g_ij u_j| over the channel box
-    a1 = np.zeros(grid.shape)
-    a2 = np.zeros(grid.shape)
-    for (f1, f2), ctrl, dist in branches:
-        top1, top2, bot1, bot2 = f1, f2, f1, f2
-        for g1, g2, lo, hi in ctrl + dist:
-            top1 = top1 + np.maximum(g1 * lo, g1 * hi)
-            top2 = top2 + np.maximum(g2 * lo, g2 * hi)
-            bot1 = bot1 + np.minimum(g1 * lo, g1 * hi)
-            bot2 = bot2 + np.minimum(g2 * lo, g2 * hi)
-        a1 = np.maximum(a1, np.maximum(top1, -bot1))
-        a2 = np.maximum(a2, np.maximum(top2, -bot2))
-    return branches, (a1, a2)
+
+    def h_at(p):
+        return np.array([hamiltonian(p, (x1g[k], x2g[k]), dyn)
+                         for k in np.ndindex(grid.shape)]).reshape(grid.shape)
+
+    slopes, speeds = [], []
+    for plus, minus, dx in (((1.0, 0.0), (-1.0, 0.0), grid.dx[0]),
+                            ((0.0, 1.0), (0.0, -1.0), grid.dx[1])):
+        a, b = h_at(plus), -h_at(minus)
+        speeds.append(float(np.max(np.maximum(np.abs(a), np.abs(b)))))
+        slopes.append((np.maximum(a, 0.0) / dx, np.minimum(a, 0.0) / dx,
+                       np.maximum(b, 0.0) / dx, np.minimum(b, 0.0) / dx))
+    return slopes, speeds
 
 
-def lf_hamiltonian(branches, p1, p2):
-    out = None
-    for (f1, f2), ctrl, dist in branches:
-        h = p1 * f1 + p2 * f2
-        for g1, g2, lo, hi in ctrl:
-            h = h + _channel_extreme(p1 * g1 + p2 * g2, lo, hi, True)
-        for g1, g2, lo, hi in dist:
-            h = h + _channel_extreme(p1 * g1 + p2 * g2, lo, hi, False)
-        out = h if out is None else np.maximum(out, h)
-    return out
+def upwind_update(v, slopes, h):
+    """V + h * (F_1 + F_2) for a backward step of size h (no CFL check)."""
+    p = np.pad(v, 1, mode="edge")
+    d1 = np.diff(p[:, 1:-1], axis=0)
+    d2 = np.diff(p[1:-1, :], axis=1)
+    flux = []
+    for (dminus, dplus), (a_pos, a_neg, b_pos, b_neg) in zip(
+            ((d1[:-1], d1[1:]), (d2[:, :-1], d2[:, 1:])), slopes):
+        flux.append(np.maximum(a_pos * np.maximum(dplus, 0.0), b_neg * np.minimum(dminus, 0.0))
+                    + np.minimum(a_neg * np.maximum(dminus, 0.0), b_pos * np.minimum(dplus, 0.0)))
+    return v + h * (flux[0] + flux[1])
 
 
-def pad_linear(v):
-    """Add a one-node ring extrapolated linearly (one-sided edge stencils)."""
-    p = np.empty((v.shape[0] + 2, v.shape[1] + 2))
-    p[1:-1, 1:-1] = v
-    p[0, 1:-1] = 2.0 * v[0] - v[1]
-    p[-1, 1:-1] = 2.0 * v[-1] - v[-2]
-    p[:, 0] = 2.0 * p[:, 1] - p[:, 2]
-    p[:, -1] = 2.0 * p[:, -2] - p[:, -3]
-    return p
-
-
-def lf_update(v, grid, dyn, dt, terms=None):
-    """One forward-time Euler step of V_t + H = 0 (no CFL check).  terms
-    is lf_terms(grid, dyn), recomputed when not given."""
-    branches, (a1, a2) = lf_terms(grid, dyn) if terms is None else terms
-    dx1, dx2 = grid.dx
-    p = pad_linear(v)
-    dplus1 = (p[2:, 1:-1] - p[1:-1, 1:-1]) / dx1
-    dminus1 = (p[1:-1, 1:-1] - p[:-2, 1:-1]) / dx1
-    dplus2 = (p[1:-1, 2:] - p[1:-1, 1:-1]) / dx2
-    dminus2 = (p[1:-1, 1:-1] - p[1:-1, :-2]) / dx2
-    h = lf_hamiltonian(branches, 0.5 * (dplus1 + dminus1), 0.5 * (dplus2 + dminus2))
-    diss = 0.5 * a1 * (dplus1 - dminus1) + 0.5 * a2 * (dplus2 - dminus2)
-    return v - dt * h + abs(dt) * diss
-
-
-# -- reachability solve, one fresh array per operation -------------------------
-#
-# The solve loop of hj_reach in its allocating form: every stage, clip,
-# average, sign mask and change rate makes new arrays, and the change rate
-# is taken on every step.  With stages=1 and cfl=0.9 it is the library's
-# forward-Euler solve, which must reproduce V and its info bit for bit.
-# The default, two-stage TVD Runge-Kutta at cfl 0.5, integrates the same
-# spatial scheme with finer time steps; the Euler solve's safe sets must
-# equal its node for node.
-
-def solve_brs(grid, target, dyn, horizon, freeze="reach", cfl=0.5, max_converge_time=10.0,
-              stages=2):
-    """(V, info) of a backward solve with `stages` = 1 (forward Euler) or 2
-    (TVD-RK2) per step; other arguments as hj_reach.solve_brs.  No argument
-    checks."""
+def solve_brs(grid, target, dyn, horizon, freeze="reach", max_converge_time=10.0):
+    """(V, info) of a backward solve; arguments as hj_reach.solve_brs.  No
+    argument checks, and the dynamics must not be static."""
     converge = horizon == "converge"
     t_stop = -float(max_converge_time) if converge else float(horizon)
     x1g, x2g = grid.mesh()
     l = np.asarray(target.l(x1g, x2g), dtype=float)
-    terms = lf_terms(grid, dyn)
-    a1, a2 = (float(a.max()) for a in terms[1])
+    slopes, (s1, s2) = upwind_slopes(grid, dyn)
     dx1, dx2 = grid.dx
-    h_nom = cfl / (a1 / dx1 + a2 / dx2)
+    h_nom = 0.9 / (s1 / dx1 + s2 / dx2)
     widths = (grid.maxs[0] - grid.mins[0], grid.maxs[1] - grid.mins[1])
-    tau = min(w / a for w, a in zip(widths, (a1, a2)) if a > 0.0)
+    tau = min(w / s for w, s in zip(widths, (s1, s2)) if s > 0.0)
 
     def clip(vnew):
         return np.minimum(vnew, l) if freeze == "reach" else np.maximum(vnew, l)
@@ -345,10 +285,7 @@ def solve_brs(grid, target, dyn, horizon, freeze="reach", cfl=0.5, max_converge_
     converged = True
     while t > t_stop + 1e-12:
         h = min(h_nom, t - t_stop)
-        vnew = clip(lf_update(v, grid, dyn, -h, terms))
-        if stages == 2:
-            v2 = clip(lf_update(vnew, grid, dyn, -h, terms))
-            vnew = clip(0.5 * (v + v2))
+        vnew = clip(upwind_update(v, slopes, h))
         rate = float(np.max(np.abs(vnew - v))) / h
         if np.any((vnew <= 0.0) != (v <= 0.0)):
             t_final = t - h

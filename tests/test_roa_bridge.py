@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import math
 from importlib import resources
@@ -353,44 +354,12 @@ def test_bundled_converge_set_matches_fixed_horizon(bundled_run, axis):
     assert np.array_equal(converged.v <= 0.0, fixed.v <= 0.0)
 
 
-# -- forward-Euler safe sets against the two-stage scheme -------------------------
-
-@pytest.mark.parametrize("n", [51, 101])
-@pytest.mark.parametrize("axis", ["y", "z"])
-def test_euler_safe_set_matches_rk2_reference(bundled_run, axis, n):
-    # The solver's one Euler step at CFL 0.9 must leave the same {V <= 0},
-    # node for node, as two-stage TVD Runge-Kutta at CFL 0.5, and certify
-    # the same w_max bits.
-    scn, _ = bundled_run
-    block = scn.hj_blocks[axis]
-    hw1, hw2 = block.grid_half_widths
-    grid = Grid2((-hw1, -hw2), (hw1, hw2), (n, n))
-    target = TargetSet.box((0.0, 0.0), block.target_half_widths)
-    dyn = plants.subsystem_error_dynamics(axis, scn.quadruped, u_lo=block.u_lo,
-                                          u_hi=block.u_hi, delta_m_interval=block.delta_m,
-                                          drag_force=block.drag_force)
-    got = solve_brs(grid, target, dyn, "converge", freeze="stay")
-    want, info = orc.solve_brs(grid, target, dyn, "converge", freeze="stay")
-    assert got.info["converged"] and info["converged"]
-    assert np.array_equal(got.v <= 0.0, want <= 0.0)
-
-    cert, _ = synthesize(plants.quadruped_axis_linear(scn.quadruped),
-                         scn.clf_blocks[axis].params)
-
-    def certified(v):
-        try:
-            return rb.find_wmax(cert, ValueGrid(grid, v), target).w_max.hex()
-        except rb.NoSafeRoa:
-            return "NoSafeRoa"
-
-    assert certified(got.v) == certified(want)
-
-
 # -- safe sets against the exact viability kernel -----------------------------------
 
-def bundled_axis(scn, axis, n):
-    """(grid, target, dynamics, certificate) of one bundled axis at n x n."""
-    block = scn.hj_blocks[axis]
+def bundled_axis(scn, axis, n, block=None):
+    """(grid, target, dynamics, certificate) of one bundled axis at n x n,
+    under its own [hj_*] block or the one given."""
+    block = scn.hj_blocks[axis] if block is None else block
     hw1, hw2 = block.grid_half_widths
     grid = Grid2((-hw1, -hw2), (hw1, hw2), (n, n))
     target = TargetSet.box((0.0, 0.0), block.target_half_widths)
@@ -406,10 +375,10 @@ def bundled_axis(scn, axis, n):
 # kernel holds 573/2,357/9,297 (height y), 436/1,742/6,970 (height z),
 # 374/1,494/5,879 (push y) and 447/1,787/7,147 (push z) nodes.
 SAFE_FLOOR = {
-    ("quadruped_height", "y"): (563, 2331, 9249),
-    ("quadruped_height", "z"): (424, 1715, 6927),
-    ("quadruped_push", "y"): (362, 1472, 5837),
-    ("quadruped_push", "z"): (441, 1775, 7128),
+    ("quadruped_height", "y"): (569, 2339, 9263),
+    ("quadruped_height", "z"): (433, 1732, 6949),
+    ("quadruped_push", "y"): (369, 1484, 5852),
+    ("quadruped_push", "z"): (444, 1781, 7135),
 }
 
 
@@ -417,10 +386,9 @@ SAFE_FLOOR = {
 @pytest.mark.parametrize("axis", ["y", "z"])
 def test_safe_set_within_exact_kernel(bundled_run, axis, n):
     # The converged safe set holds no node outside the exact viability
-    # kernel and keeps at least the nodes it kept when the wave speed bound
-    # was made the exact one of the channel box.  The certified w_max is
-    # positive and no larger than the kernel's, as a strict float
-    # comparison.
+    # kernel and keeps at least the nodes the upwind scheme keeps.  The
+    # certified w_max is positive and no larger than the kernel's, as a
+    # strict float comparison.
     scn, _ = bundled_run
     grid, target, dyn, cert = bundled_axis(scn, axis, n)
     vg = solve_brs(grid, target, dyn, "converge", freeze="stay")
@@ -433,20 +401,42 @@ def test_safe_set_within_exact_kernel(bundled_run, axis, n):
     assert 0.0 < rb.find_wmax(cert, vg, target).w_max <= exact
 
 
-def test_height_z_coarse_grid_keeps_its_safe_set():
-    # quadruped_height z at n = 51 under the dissipation bound |f2| +
-    # |g2| max(|lo|, |hi|) = 33.9 m/s^2 eroded to 0 safe nodes in 6,817
-    # steps.  The exact bound of the force box, 14.3 m/s^2, keeps 424 of the
-    # kernel's 436 in 150 steps and certifies a positive bound below the
-    # exact one.
-    ref = resources.files("robustroa.harness").joinpath("configs", "quadruped_height.cfg")
+def bundled_scenario(name):
+    ref = resources.files("robustroa.harness").joinpath("configs", name)
     with resources.as_file(ref) as path:
-        scn = load_scenario(path)
+        return load_scenario(path)
+
+
+def test_height_z_coarse_grid_keeps_its_safe_set():
+    # quadruped_height z at n = 51, a grid coarse enough that a dissipative
+    # scheme empties the safe set.  The upwind step keeps 433 of the
+    # kernel's 436 nodes in 142 steps and certifies a positive bound below
+    # the exact one.
+    scn = bundled_scenario("quadruped_height.cfg")
     grid, target, dyn, cert = bundled_axis(scn, "z", 51)
     vg = solve_brs(grid, target, dyn, "converge", freeze="stay")
-    assert vg.info["converged"] and vg.info["steps"] == 150
-    assert np.count_nonzero(vg.v <= 0.0) == 424
+    assert vg.info["converged"] and vg.info["steps"] == 142
+    assert np.count_nonzero(vg.v <= 0.0) == 433
     exact = orc.kernel.exact_wmax("z", cert, scn.hj_blocks["z"], scn.quadruped)
+    assert 0.0 < rb.find_wmax(cert, vg, target).w_max <= exact
+
+
+def test_scarce_lift_keeps_its_safe_set():
+    # quadruped_height z with a 200 N force ceiling and a payload of up to
+    # 5 kg brakes upward at only 1.65 m/s^2, a margin that dissipation
+    # scaled by the 9.81 m/s^2 downward speed erodes.  The upwind step
+    # converges, keeps at least 1,407 of the kernel's 1,430 nodes, none
+    # outside it, and certifies a positive bound below the exact one.
+    scn = bundled_scenario("quadruped_height.cfg")
+    block = dataclasses.replace(scn.hj_blocks["z"], u_hi=200.0, delta_m=(0.0, 5.0))
+    grid, target, dyn, cert = bundled_axis(scn, "z", block.n, block)
+    vg = solve_brs(grid, target, dyn, "converge", freeze="stay")
+    assert vg.info["converged"]
+    kernel = orc.kernel_mask("z", block, scn.quadruped, grid)
+    safe = vg.v <= 0.0
+    assert not np.any(safe & ~kernel)
+    assert safe.sum() >= 1407
+    exact = orc.kernel.exact_wmax("z", cert, block, scn.quadruped)
     assert 0.0 < rb.find_wmax(cert, vg, target).w_max <= exact
 
 

@@ -19,7 +19,8 @@ Certificate format (one `key = value` per line, `#` comments):
 
 Value grids reuse the `x1,x2,v` CSV written by ValueGrid.to_csv (row-major
 over a uniform grid); read_value_grid reconstructs the Grid2 from the
-coordinate columns.  Floats are written with repr so a fixed pipeline
+coordinate columns and rejects a file that does not list each node of a
+uniform grid exactly once.  Floats are written with repr so a fixed pipeline
 reproduces byte-identical files.
 """
 
@@ -85,40 +86,62 @@ def read_certificate(path):
     kv = _parse_kv(path)
     if kv.get("format") != "certificate-v1":
         raise FileFormatError(f"{path}: not a certificate-v1 file")
-    try:
-        n = int(kv["n_states"])
-        m = int(kv["n_inputs"])
-        params = ClfParams(
-            q=np.array([float(t) for t in kv["q"].split(",")]),
-            r=np.array([float(t) for t in kv["r"].split(",")]),
-            decay_rate=float(kv["decay_rate"]),
-            dist_weight=float(kv["dist_weight"]),
-        )
-        k = np.array([[float(t) for t in kv[f"k_row_{i}"].split(",")] for i in range(m)])
-        p = np.array([[float(t) for t in kv[f"p_row_{i}"].split(",")] for i in range(n)])
-        cert_eig_max = float(kv["cert_eig_max"])
-    except KeyError as exc:
-        raise FileFormatError(f"{path}: missing field {exc}") from None
+
+    def field(key, parse=float):
+        try:
+            return parse(kv[key])
+        except KeyError:
+            raise FileFormatError(f"{path}: missing field {key!r}") from None
+        except ValueError:
+            raise FileFormatError(f"{path}: field {key!r} holds a non-numeric value: "
+                                  f"{kv[key]!r}") from None
+
+    def row(key, length):
+        values = field(key, lambda text: [float(t) for t in text.split(",")])
+        if len(values) != length:
+            raise FileFormatError(f"{path}: field {key!r} has {len(values)} entries, "
+                                  f"expected {length}")
+        return values
+
+    n = field("n_states", int)
+    m = field("n_inputs", int)
+    params = ClfParams(q=np.array(row("q", n)), r=np.array(row("r", m)),
+                       decay_rate=field("decay_rate"), dist_weight=field("dist_weight"))
+    k = np.array([row(f"k_row_{i}", n) for i in range(m)])
+    p = np.array([row(f"p_row_{i}", n) for i in range(n)])
+    cert_eig_max = field("cert_eig_max")
     cert = ClfCertificate(k=k, p=p, params=params)
     if "w_max" in kv:
-        cert.set_disturbance_bound(float(kv["w_max"]))
+        cert.set_disturbance_bound(field("w_max"))
     return kv.get("name", ""), kv.get("axis", "main"), cert, cert_eig_max
 
 
 def read_value_grid(path):
-    """Rebuild a ValueGrid from the `x1,x2,v` CSV (row-major node order)."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    """Rebuild a ValueGrid from the `x1,x2,v` CSV (row-major node order).
+    Every node of a uniform grid must be listed exactly once, in any row
+    order."""
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
     if data.ndim != 2 or data.shape[1] != 3:
         raise FileFormatError(f"{path}: expected three columns x1,x2,v")
-    x1, x2, v = data[:, 0], data[:, 1], data[:, 2]
+    order = np.lexsort((data[:, 1], data[:, 0]))  # row-major: x1 outer, x2 inner
+    x1, x2, v = data[order].T
     ax1 = np.unique(x1)
     ax2 = np.unique(x2)
     n1, n2 = len(ax1), len(ax2)
-    if n1 * n2 != len(v):
-        raise FileFormatError(f"{path}: rows do not tile a rectangular grid")
-    grid = Grid2(mins=(ax1[0], ax2[0]), maxs=(ax1[-1], ax2[-1]), shape=(n1, n2))
-    order = np.lexsort((x2, x1))  # row-major: x1 outer, x2 inner
-    return ValueGrid(grid=grid, v=v[order].reshape(n1, n2))
+    if not (np.array_equal(x1, np.repeat(ax1, n2)) and np.array_equal(x2, np.tile(ax2, n1))):
+        raise FileFormatError(f"{path}: rows do not list each node of a rectangular grid once")
+    try:
+        grid = Grid2(mins=(ax1[0], ax2[0]), maxs=(ax1[-1], ax2[-1]), shape=(n1, n2))
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
+    # a hand-written decimal axis may sit a few ulps off the uniform one
+    for name, ax, uniform, dx in zip(("x1", "x2"), (ax1, ax2), grid.axes(), grid.dx):
+        if not np.all(np.abs(ax - uniform) <= 1e-9 * dx):
+            raise FileFormatError(f"{path}: {name} coordinates are not evenly spaced")
+    return ValueGrid(grid=grid, v=v.reshape(n1, n2))
 
 
 def write_wmax_report(path, name, entries):

@@ -43,6 +43,20 @@ scheme converges to the viscosity solution (Crandall & Lions 1984).  The
 solver steps at 0.9 of that bound.  The scheme is first order in space, so
 a higher-order time integrator would buy no accuracy.
 
+A step evaluates only the products of F_i that can be nonzero, chosen once
+per solve.  On an axis no channel moves, whose drift does not depend on the
+uncertain parameter, A_i = B_i at every node, H_i is linear and F_i =
+A_i+ D+_i + A_i- D-_i on the raw differences.  On any other axis a product
+whose slope is 0 at every node is left out (on the bundled quadruped rate
+axes A_i+ and B_i- are, so the max pair goes), a max / min pair with one
+product left becomes that product, and D is split into its positive and
+negative parts only when a kept product reads them.  V keeps the bits of
+the full formula: a left-out product is a signed zero that only ever met
+max(P, +-0) with P >= 0 or min(P, +-0) with P <= 0, so F_i can change only
+in the sign of a zero.  That sign reaches V only through V + h * (+-0) at
+a node where V is -0, and V never is: l is not, a sum is -0 only when both
+terms are, and the clip returns one of its arguments.
+
 Only the set {V <= 0} is used downstream, so a solve can stop once that set
 is final.  Under horizon "converge" it stops at the first step where the
 set has not changed for max(t_last, tau) of PDE time: t_last is how long
@@ -224,8 +238,8 @@ def _grid_field(a):
 
 
 class _GridTerms:
-    """Per-axis slopes of the Hamiltonian, evaluated once per solve, and the
-    work arrays every step runs in.
+    """Per-axis slopes of the Hamiltonian, evaluated once per solve, the
+    flux program built from them, and the work arrays every step runs in.
 
     Each distinct value of `uncertain_params` is one branch; a repeated
     value (a degenerate interval such as [0, 0]) would only repeat a branch,
@@ -257,30 +271,27 @@ class _GridTerms:
                                          "one axis at each node")
                     channels[-1].append((g1, g2, float(lo), float(hi)))
             self.branches.append(((field(f1), field(f2)), *channels))
-        # Per axis, the slopes A = H(e_i) and B = -H(-e_i) split by sign and
-        # divided by dx_i, so a step multiplies raw differences of V.  Both
-        # axes run through the same step code with their own axis first, so
-        # axis 1 keeps its arrays transposed.
+        # Per axis, the slopes A = H(e_i) and B = -H(-e_i), from which the
+        # axis's flux program is built.  Both axes run through the same step
+        # code with their own axis first, so axis 1 keeps its arrays
+        # transposed.  A difference array is one entry longer than the grid
+        # along its axis, and its two end entries stay 0: the edge ghost node
+        # repeats the edge node.
+        n1, n2 = grid.shape
         units = (((1.0, 0.0), (-1.0, 0.0)), ((0.0, 1.0), (0.0, -1.0)))
+        self.flux = (np.empty(grid.shape), np.empty(grid.shape))
+        t1, t2 = np.empty(grid.shape), np.empty(grid.shape)
+        self.diffs = (np.zeros((n1 + 1, n2)), np.zeros((n1, n2 + 1)).T)
         self.speeds = []
-        slopes = []
-        for (plus, minus), dx, orient in zip(units, grid.dx, (np.asarray, np.transpose)):
+        self.program = []
+        for (plus, minus), dx, orient, d, f, t in zip(
+                units, grid.dx, (np.asarray, np.transpose), self.diffs,
+                (self.flux[0], self.flux[1].T), ((t1, t2), (t1.T, t2.T))):
             a = orient(self.hamiltonian(*plus) * ones)
             b = orient(-self.hamiltonian(*minus) * ones)
             self.speeds.append(float(np.max(np.maximum(np.abs(a), np.abs(b)))))
-            slopes.append(tuple(_grid_field(s / dx) for s in (
-                np.maximum(a, 0.0), np.minimum(a, 0.0), np.maximum(b, 0.0), np.minimum(b, 0.0))))
+            self.program += _flux_program(a, b, dx, d, f, *t)
         self.wavesum = sum(s / dx for s, dx in zip(self.speeds, grid.dx))
-        # A difference array is one entry longer than the grid along its
-        # axis, and its two end entries stay 0: the edge ghost node repeats
-        # the edge node.
-        n1, n2 = grid.shape
-        self.flux = (np.empty(grid.shape), np.empty(grid.shape))
-        t1, t2 = np.empty(grid.shape), np.empty(grid.shape)
-        self.axes = (
-            (slopes[0], np.zeros((n1 + 1, n2)), np.empty((n1 + 1, n2)), self.flux[0], t1, t2),
-            (slopes[1], np.zeros((n1, n2 + 1)).T, np.empty((n1, n2 + 1)).T, self.flux[1].T,
-             t1.T, t2.T))
 
     def hamiltonian(self, p1, p2):
         """H(p1, p2) on the grid: p1*f1 + p2*f2 plus each channel's
@@ -300,24 +311,59 @@ class _GridTerms:
         return out
 
 
+def _flux_program(a, b, dx, d, f, t1, t2):
+    """The ufunc calls (ufunc, x, y, out) that write one axis's flux F_i
+    into f once a step has written the raw differences of V into d (D+ is
+    entry i + 1 and D- entry i).  a and b hold the slopes A_i and B_i at
+    every node; t1 and t2 are scratch arrays shaped like f.
+
+    When A_i = B_i at every node, H_i is linear and F_i = A+ D+ + A- D-.
+    Otherwise F_i is the max/min form of the module docstring less each
+    product whose slope is the scalar 0, and D is split into its positive
+    part and, in place, its negative part only when a kept product reads
+    it."""
+    def pos(s):
+        return _grid_field(np.maximum(s, 0.0) / dx)
+
+    def neg(s):
+        return _grid_field(np.minimum(s, 0.0) / dx)
+
+    # F_i is a sum of terms, each one product or the max / min of two, and
+    # a product is (slope, the part of D it reads, the offset of its entry)
+    if np.array_equal(a, b):
+        terms = [(None, [(pos(a), d, 1)]), (None, [(neg(a), d, 0)])]
+        program = []
+    else:
+        dpos = np.empty_like(d)
+        terms = [(ufunc, [(s, part, k) for s, part, k in products
+                          if not (isinstance(s, float) and s == 0.0)])
+                 for ufunc, products in ((np.maximum, ((pos(a), dpos, 1), (neg(b), d, 0))),
+                                         (np.minimum, ((neg(a), dpos, 0), (pos(b), d, 1))))]
+        parts = [part for _, products in terms for _, part, _ in products]
+        program = [(ufunc, d, 0.0, out) for ufunc, out in ((np.maximum, dpos), (np.minimum, d))
+                   if any(part is out for part in parts)]
+    terms = [term for term in terms if term[1]]
+    n = f.shape[0]
+    for (ufunc, products), out in zip(terms, (f, t1)):
+        (s, part, k), *other = products
+        program.append((np.multiply, s, part[k:k + n], out))
+        for s, part, k in other:
+            program += [(np.multiply, s, part[k:k + n], t2), (ufunc, out, t2, out)]
+    if len(terms) == 2:
+        program.append((np.add, f, t1, f))
+    return program
+
+
 def _upwind_update(v, terms, h, out):
     """One backward Euler step V + h * (F_1 + F_2) of size h > 0, written
-    into `out` (which must not alias v), operation for operation in the work
-    arrays of `terms`."""
+    into `out` (which must not alias v): the differences of V, then the
+    flux program of `terms`, all in its work arrays."""
     if h * terms.wavesum > 0.9 + 1e-12:
         raise CflViolation(f"h = {h:.3e} exceeds CFL bound {0.9 / terms.wavesum:.3e}")
-    for vt, ((a_pos, a_neg, b_pos, b_neg), d, dpos, f, t1, t2) in zip((v, v.T), terms.axes):
+    for vt, d in zip((v, v.T), terms.diffs):
         np.subtract(vt[1:], vt[:-1], out=d[1:-1])
-        np.maximum(d, 0.0, out=dpos)
-        np.minimum(d, 0.0, out=d)
-        # D+ is entry i + 1 and D- entry i
-        np.multiply(a_pos, dpos[1:], out=f)
-        np.multiply(b_neg, d[:-1], out=t1)
-        np.maximum(f, t1, out=f)
-        np.multiply(a_neg, dpos[:-1], out=t1)
-        np.multiply(b_pos, d[1:], out=t2)
-        np.minimum(t1, t2, out=t1)
-        f += t1
+    for ufunc, x, y, z in terms.program:
+        ufunc(x, y, out=z)
     np.add(*terms.flux, out=out)
     out *= h
     out += v

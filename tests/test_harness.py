@@ -273,6 +273,16 @@ def test_certificate_rejects_bad_files(tmp_path):
     truncated.write_text("\n".join(lines) + "\n")
     with pytest.raises(fileio.FileFormatError):
         fileio.read_certificate(truncated)
+    # non-numeric entries, and weight, gain and Lyapunov rows one entry
+    # short or long, name the field they sit in
+    text = path.read_text()
+    for key, bad in (("q", "1, x"), ("decay_rate", "fast"), ("n_states", "two"),
+                     ("r", "1.0, 2.0"), ("k_row_0", "1.0"), ("p_row_1", "1.0, 2.0, 3.0")):
+        broken = tmp_path / f"bad_{key}.txt"
+        broken.write_text("\n".join(f"{key} = {bad}" if l.startswith(f"{key} =") else l
+                                    for l in text.splitlines()) + "\n")
+        with pytest.raises(fileio.FileFormatError, match=key):
+            fileio.read_certificate(broken)
 
 
 def test_wmax_report_roundtrip(tmp_path):
@@ -324,6 +334,30 @@ def test_value_grid_roundtrip(tmp_path):
     tpath.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(fileio.FileFormatError):
         fileio.read_value_grid(tpath)
+
+
+def test_value_grid_rejects_broken_grids(tmp_path):
+    def write(name, coords, values=None):
+        path = tmp_path / f"{name}.csv"
+        values = range(len(coords)) if values is None else values
+        path.write_text("x1,x2,v\n" + "".join(f"{a},{b},{c}\n"
+                                              for (a, b), c in zip(coords, values)))
+        return path
+
+    nodes = [(a, b) for a in (0.0, 1.0, 2.0) for b in (0.0, 1.0, 2.0)]
+    for path in (
+            # nine rows, as a 3 x 3 grid has, with (0, 0) twice and (0, 1)
+            # missing
+            write("duplicate", [(0.0, 0.0), (0.0, 0.0)] + nodes[2:]),
+            # x2 in {0, 1, 3} would be read as {0, 1.5, 3}
+            write("uneven", [(a, {2.0: 3.0}.get(b, b)) for a, b in nodes]),
+            write("text", nodes, [0, 1, 2, 3, "x", 5, 6, 7, 8]),
+            # a 4 x 2 grid is too narrow to step on
+            write("narrow", [(a, b) for a in (0.0, 1.0, 2.0, 3.0) for b in (0.0, 1.0)])):
+        with pytest.raises(fileio.FileFormatError):
+            fileio.read_value_grid(path)
+    back = fileio.read_value_grid(write("good", nodes))
+    assert np.array_equal(back.v, np.arange(9.0).reshape(3, 3))
 
 
 def test_metrics_block_formatting():

@@ -326,12 +326,30 @@ def test_lf_step_advects_linear_profile_exactly():
         assert np.array_equal(out[edge], x1g[edge])
 
 
+def scalar_reference_step(v, h, grid, dyn):
+    """Independent nested-loop rewrite of the step: per axis, the largest
+    value of the pointwise Hamiltonian along that axis over {D-, D+, and 0
+    when it lies between} if D- <= D+, else the smallest, with a zero
+    difference beyond the grid edge."""
+    x1a, x2a = grid.axes()
+    out = np.empty_like(v)
+    for i, j in np.ndindex(v.shape):
+        total = 0.0
+        for axis, (di, dj) in enumerate(((1, 0), (0, 1))):
+            k, dx = (i, j)[axis], grid.dx[axis]
+            back = (v[i, j] - v[i - di, j - dj]) / dx if k > 0 else 0.0
+            fwd = (v[i + di, j + dj] - v[i, j]) / dx if k < v.shape[axis] - 1 else 0.0
+            cands = [back, fwd] + ([0.0] if min(back, fwd) < 0.0 < max(back, fwd) else [])
+            hs = [orc.hamiltonian((c, 0.0) if axis == 0 else (0.0, c), (x1a[i], x2a[j]), dyn)
+                  for c in cands]
+            total += max(hs) if back <= fwd else min(hs)
+        out[i, j] = v[i, j] + h * total
+    return out
+
+
 def test_lf_step_matches_scalar_reimplementation():
-    # independent nested-loop rewrite of the step on a 5x5 grid: per axis,
-    # the largest value of the pointwise Hamiltonian along that axis over
-    # {D-, D+, and 0 when it lies between} if D- <= D+, else the smallest,
-    # with a zero difference beyond the grid edge.  The uncertain parameter
-    # enters both axes, so each axis takes its own branch maximum.
+    # the nested-loop step on a 5x5 grid.  The uncertain parameter enters
+    # both axes, so each axis takes its own branch maximum.
     grid = hj.Grid2((-1.0, 0.5), (1.0, 1.5), (5, 5))
     rng = np.random.default_rng(13)
     v = rng.standard_normal(grid.shape)
@@ -343,50 +361,89 @@ def test_lf_step_matches_scalar_reimplementation():
         disturbance_terms=(
             ((lambda x1, x2, p: (np.zeros_like(x1), 0.5 + 0.0 * x1)), (-0.4, 0.4)),),
         uncertain_params=(0.0, 2.0))
-
-    def reference(v, h):
-        x1a, x2a = grid.axes()
-        out = np.empty_like(v)
-        for i, j in np.ndindex(v.shape):
-            total = 0.0
-            for axis, (di, dj) in enumerate(((1, 0), (0, 1))):
-                k, dx = (i, j)[axis], grid.dx[axis]
-                back = (v[i, j] - v[i - di, j - dj]) / dx if k > 0 else 0.0
-                fwd = (v[i + di, j + dj] - v[i, j]) / dx if k < v.shape[axis] - 1 else 0.0
-                cands = [back, fwd] + ([0.0] if min(back, fwd) < 0.0 < max(back, fwd) else [])
-                hs = [orc.hamiltonian((c, 0.0) if axis == 0 else (0.0, c), (x1a[i], x2a[j]), dyn)
-                      for c in cands]
-                total += max(hs) if back <= fwd else min(hs)
-            out[i, j] = v[i, j] + h * total
-        return out
-
     for h in (1e-3, 0.9 / hj._GridTerms(grid, dyn).wavesum):
         got = upwind_step(v, grid, dyn, h)
-        assert np.max(np.abs(got - reference(v, h))) < 1e-12
+        assert np.max(np.abs(got - scalar_reference_step(v, h, grid, dyn))) < 1e-12
 
 
-@pytest.mark.parametrize("case", ["quadruped_z", "double_integrator", "quadruped_z_strong_lift"])
+@pytest.mark.parametrize("kind", ["full", "free_x1", "free_x2"])
+def test_step_matches_scalar_reimplementation_per_flux_form(kind):
+    # the nested-loop step on each form an axis's flux can take.  "full":
+    # mixed_dynamics, whose first axis needs all four products and whose
+    # second axis has two negative slopes, so each max / min pair keeps one
+    # product.  "free_x1": no channel on axis 0, where H_1 is linear with
+    # slope x2, changing sign on the grid; constant A_2 = -0.4 and
+    # B_2 = -0.8 on axis 1, one product per pair.  "free_x2": no channel on
+    # axis 1; constant A_1 = -1.2 < 0 < B_1 = 0.3 on axis 0, where only the
+    # min pair is left.
+    grid = hj.Grid2((-1.0, -1.5), (1.0, 1.5), (5, 5))
+    rng = np.random.default_rng(13)
+    v = rng.standard_normal(grid.shape)
+    if kind == "full":
+        dyn = mixed_dynamics((0.0, 5.0))
+    elif kind == "free_x1":
+        dyn = hj.AffineDynamics2(
+            drift=lambda x1, x2, p: (x2, -0.5 - 0.3 * p + 0.0 * x1),
+            control_terms=(((lambda x1, x2, p: (0.0 * x1, 1.0 + 0.0 * x1)), (0.1, 0.3)),),
+            uncertain_params=(0.0, 2.0))
+    else:
+        dyn = hj.AffineDynamics2(
+            drift=lambda x1, x2, p: (-0.2 + 0.0 * x1, x1),
+            control_terms=(((lambda x1, x2, p: (1.0 + 0.0 * x1, 0.0 * x1)), (-1.0, 0.5)),))
+    for h in (1e-3, 0.9 / hj._GridTerms(grid, dyn).wavesum):
+        got = upwind_step(v, grid, dyn, h)
+        assert np.max(np.abs(got - scalar_reference_step(v, h, grid, dyn))) < 1e-12
+
+
+def flux_case(case):
+    """(grid, target, dynamics) of a quadruped error axis at n = 31, or of
+    the double integrator.  The first axis has no channel on any of them.
+    On the second, A_2 = -9.81 m/s^2 for every vertical case, and the force
+    ceiling sets B_2: 7.4 m/s^2 at 300 N, 24.6 at 600 N, 1.6 at 200 N and
+    -1.2 at 150 N, too little to hold a 5 kg payload.  Laterally the 25 N
+    drag sits inside the +-70 N force range."""
+    quadruped = plants.QuadrupedParams()
+    if case == "double_integrator":
+        return orc.grid_around(DI_TARGET, n=31), DI_TARGET, di_dynamics()
+    if case == "quadruped_y_drag":
+        return (hj.Grid2((-0.5, -2.0), (0.5, 2.0), (31, 31)),
+                hj.TargetSet.box((0.0, 0.0), (0.25, 1.0)),
+                plants.subsystem_error_dynamics("y", quadruped, u_lo=-70.0, u_hi=70.0,
+                                                delta_m_interval=(0.0, 5.0), drag_force=25.0))
+    u_hi = {"quadruped_z": 300.0, "quadruped_z_strong_lift": 600.0,
+            "quadruped_z_weak_lift": 200.0, "quadruped_z_overloaded": 150.0}[case]
+    return (hj.Grid2((-0.2, -1.6), (0.2, 1.6), (31, 31)),
+            hj.TargetSet.box((0.0, 0.0), (0.076, 0.8)),
+            plants.subsystem_error_dynamics("z", quadruped, u_lo=0.0, u_hi=u_hi,
+                                            delta_m_interval=(0.0, 5.0)))
+
+
+FLUX_CASES = ["quadruped_z", "quadruped_z_strong_lift", "quadruped_z_weak_lift",
+              "quadruped_z_overloaded", "quadruped_y_drag", "double_integrator"]
+
+
+@pytest.mark.parametrize("case", FLUX_CASES)
+def test_step_evaluates_only_products_that_can_be_nonzero(case):
+    # 13 grid passes per step: the two differences, 3 calls on the
+    # channel-free axis (A+ D+, A- D-, their sum), 5 on the other (split D,
+    # two products, and their min, or their sum when both slopes are
+    # negative) and 3 to combine into V
+    grid, _, dyn = flux_case(case)
+    assert len(hj._GridTerms(grid, dyn).program) == 8
+
+
+@pytest.mark.parametrize("case", FLUX_CASES)
 def test_solver_step_is_monotone(case):
     # At the step solve_brs takes, raising any one node of V, edge ring
     # included, lowers no node of the update: F_i never decreases in D+_i
     # and never increases in D-_i, and each node's weight on itself is at
     # least 1 - h sum(max(|A_i|, |B_i|) / dx_i) >= 0.1.  The slack is
     # rounding, a few ulps, against a drop of 0.1 * bump from a step 10%
-    # past the bound.  With a 600 N force ceiling the larger z slope is
-    # |B_2| = 24.6 m/s^2; with 300 N it is |A_2| = 9.81 m/s^2.
-    if case.startswith("quadruped_z"):
-        grid = hj.Grid2((-0.2, -1.6), (0.2, 1.6), (31, 31))
-        target = hj.TargetSet.box((0.0, 0.0), (0.076, 0.8))
-        u_hi = 600.0 if case.endswith("strong_lift") else 300.0
-        dyn = plants.subsystem_error_dynamics("z", plants.QuadrupedParams(), u_lo=0.0,
-                                              u_hi=u_hi, delta_m_interval=(0.0, 5.0))
-    else:
-        grid = orc.grid_around(DI_TARGET, n=31)
-        target = DI_TARGET
-        dyn = di_dynamics()
+    # past the bound.
+    grid, target, dyn = flux_case(case)
     h = hj.solve_brs(grid, target, dyn, -1e-3).info["dt"]
     terms = hj._GridTerms(grid, dyn)
-    assert len(terms.branches) == (2 if case.startswith("quadruped_z") else 1)
+    assert len(terms.branches) == (1 if case == "double_integrator" else 2)
     rng = np.random.default_rng(17)
     for v in (hj.signed_target(grid, target).v, rng.standard_normal(grid.shape)):
         base = hj._upwind_update(v, terms, h, np.empty(grid.shape))
@@ -561,6 +618,21 @@ def test_solve_brs_bitwise_matches_allocating_reference(freeze, params):
     want, info = orc.solve_brs(grid, target, dyn, -0.08, freeze=freeze)
     assert got.info["steps"] > 5
     assert 0.08 / got.info["dt"] % 1.0 > 0.01
+    assert np.array_equal(got.v, want)
+    assert np.array_equal(np.signbit(got.v), np.signbit(want))
+    assert got.info == {k: info[k] for k in got.info}
+    assert got.time == info["time"]
+
+
+@pytest.mark.parametrize("case", FLUX_CASES)
+def test_solve_brs_bitwise_matches_allocating_reference_per_flux_form(case):
+    # each form the step takes for an axis (linear, one product per pair,
+    # one pair, full) against the oracle's full max / min formula, over a
+    # whole stay solve
+    grid, target, dyn = flux_case(case)
+    got = hj.solve_brs(grid, target, dyn, "converge", freeze="stay")
+    want, info = orc.solve_brs(grid, target, dyn, "converge", freeze="stay")
+    assert got.info["converged"] and got.info["steps"] > 20
     assert np.array_equal(got.v, want)
     assert np.array_equal(np.signbit(got.v), np.signbit(want))
     assert got.info == {k: info[k] for k in got.info}

@@ -41,11 +41,10 @@ def main(duration=5.0):
     print(f"worst constant disturbance: {np.array_str(w_vec, precision=3)}")
 
     runs = {}
-    for mode, gains in (("nominal", []),
-                        ("robust", [(cert.k, np.arange(6), np.array([0, 1]))])):
+    for mode, feedback in (("nominal", None), ("robust", lambda x, e: cert.k @ e)):
         plant = plants.QuadcopterPlant(params)
         ctrl = plants.TrackingController(plant, ref, mpc_cfg,
-                                         u_lin=plant.hover_input(), gains=gains)
+                                         u_lin=plant.hover_input(), feedback=feedback)
         mon = plants.LyapunovMonitor(name="E", p=cert.p, level=level)
         traj = plants.simulate_closed_loop(
             plant, ctrl, ref, plants.ConstantDisturbance(w_vec),

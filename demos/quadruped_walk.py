@@ -54,18 +54,17 @@ def certify_axis(axis, spec, params):
 def run(mode, certs, levels, params, mpc_cfg, duration):
     plant = plants.QuadrupedPlant(params, delta_m=DELTA_M)
     ref = plants.TrotRef(y0=0.0, z_ref=params.z_ref, v_ref=params.v_ref)
-    gains = []
+    ancillary = None
     if mode == "robust":
         k_rows = {axis: np.asarray(certs[axis].k)[0] for axis in AXES}
 
-        def ancillary(t, x, e):
+        def ancillary(x, e):
             wrench = (float(k_rows["y"] @ e[SUB_IDX["y"]]),
                       float(k_rows["z"] @ e[SUB_IDX["z"]]), 0.0)
             return plants.stance_allocation(x, plant.stance, wrench)
 
-        gains = [ancillary]
     ctrl = plants.TrackingController(plant, ref, mpc_cfg,
-                                     u_lin=plant.static_input(), gains=gains)
+                                     u_lin=plant.static_input(), feedback=ancillary)
     monitors = [plants.LyapunovMonitor(name=a, p=certs[a].p, level=levels[a],
                                        state_idx=SUB_IDX[a]) for a in AXES]
     traj = plants.simulate_closed_loop(plant, ctrl, ref, None,

@@ -137,11 +137,6 @@ class ClfCertificate:
         self.level = roa_level(self.params, w_max)
         return self
 
-    def energy(self, e):
-        """E(e) = e' P e."""
-        e = np.asarray(e, dtype=float).ravel()
-        return float(e @ self.p @ e)
-
 
 def pack_sym(y):
     """Upper-triangle entries of a symmetric matrix, row-major."""

@@ -32,7 +32,6 @@ FIGURE_CONFIGS = {
 AXIS_LABELS = ("y", "z", "phi", "ydot", "zdot", "phidot")
 # error-subsystem coordinates inside the 6-state layout
 SUB_IDX = {"y": np.array([0, 3]), "z": np.array([1, 4])}
-CTRL_IDX = {"y": np.array([0, 1]), "z": np.array([2, 3])}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -216,9 +215,9 @@ def _build_quadcopter_sim(scn, certs):
     if block.w_max is None:
         raise ConfigError("[clf] needs w_max for the quadcopter pipeline")
     level = roa_level(block.params, block.w_max)
-    gains = [(cert.k, np.arange(6), CTRL_IDX["y"])] if scn.mode == "robust" else []
+    feedback = (lambda x, e: cert.k @ e) if scn.mode == "robust" else None
     controller = plants.TrackingController(plant, scn.reference(), scn.mpc,
-                                           u_lin=plant.hover_input(), gains=gains)
+                                           u_lin=plant.hover_input(), feedback=feedback)
     monitors = [plants.LyapunovMonitor(name="E", p=cert.p, level=level)]
     dist = _disturbance_fn(scn, cert)
     return plant, controller, monitors, dist
@@ -234,7 +233,7 @@ def _build_quadruped_sim(scn, certs, entries):
         monitors.append(plants.LyapunovMonitor(name=axis, p=cert.p,
                                                level=levels[axis],
                                                state_idx=SUB_IDX[axis]))
-    gains = []
+    ancillary = None
     if scn.mode == "robust":
         # per-axis force corrections distributed torque-neutrally over the
         # current stance so the pitch loop never sees the ancillary action;
@@ -243,17 +242,16 @@ def _build_quadruped_sim(scn, certs, entries):
         terms = [(wrench_row[axis], np.asarray(certs[axis][0].k)[0], SUB_IDX[axis])
                  for axis in scn.hj_blocks]
 
-        def ancillary(t, x, e):
+        def ancillary(x, e):
             wrench = [0.0, 0.0, 0.0]
             for row, k, idx in terms:
                 wrench[row] = float(k @ e[idx])
             return plants.stance_allocation(x, plant.stance, wrench)
 
-        gains = [ancillary]
     controller = plants.TrackingController(plant, scn.reference(), scn.mpc,
-                                           u_lin=plant.static_input(), gains=gains)
-    dist = _disturbance_fn(scn, None)
-    return plant, controller, monitors, dist
+                                           u_lin=plant.static_input(), feedback=ancillary)
+    # the loader admits no disturbance policy for the quadruped
+    return plant, controller, monitors, None
 
 
 def _disturbance_fn(scn, cert):
@@ -268,9 +266,6 @@ def _disturbance_fn(scn, cert):
         return plants.RandomDisturbance(pol.w_max, seed=scn.seed,
                                         hold_time=pol.hold_time)
     # worst_constant: aimed with the synthesized certificate
-    if cert is None:
-        raise ConfigError("worst_constant disturbance needs a certificate "
-                          "(quadcopter pipeline only)")
     model = plants.quadcopter_linearize(scn.quadcopter)
     w = plants.worst_constant_disturbance(cert, model, pol.w_max)
     return plants.ConstantDisturbance(w)

@@ -17,10 +17,8 @@ Certificate format (one `key = value` per line, `#` comments):
     k_row_0 = ...                  # gain rows, comma separated
     p_row_0 = ...                  # Lyapunov matrix rows
 
-Value grids reuse the `x1,x2,v` CSV written by ValueGrid.to_csv (row-major
-over a uniform grid); read_value_grid reconstructs the Grid2 from the
-coordinate columns and rejects a file that does not list each node of a
-uniform grid exactly once.  Floats are written with repr so a fixed pipeline
+Value grids are the `x1,x2,v` CSV written by ValueGrid.to_csv (row-major
+over a uniform grid).  Floats are written with repr so a fixed pipeline
 reproduces byte-identical files.
 """
 
@@ -29,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..clf_synth import ClfCertificate, ClfParams
-from ..hj_reach import Grid2, ValueGrid
 
 
 class FileFormatError(Exception):
@@ -114,34 +111,6 @@ def read_certificate(path):
     if "w_max" in kv:
         cert.set_disturbance_bound(field("w_max"))
     return kv.get("name", ""), kv.get("axis", "main"), cert, cert_eig_max
-
-
-def read_value_grid(path):
-    """Rebuild a ValueGrid from the `x1,x2,v` CSV (row-major node order).
-    Every node of a uniform grid must be listed exactly once, in any row
-    order."""
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from None
-    if data.ndim != 2 or data.shape[1] != 3:
-        raise FileFormatError(f"{path}: expected three columns x1,x2,v")
-    order = np.lexsort((data[:, 1], data[:, 0]))  # row-major: x1 outer, x2 inner
-    x1, x2, v = data[order].T
-    ax1 = np.unique(x1)
-    ax2 = np.unique(x2)
-    n1, n2 = len(ax1), len(ax2)
-    if not (np.array_equal(x1, np.repeat(ax1, n2)) and np.array_equal(x2, np.tile(ax2, n1))):
-        raise FileFormatError(f"{path}: rows do not list each node of a rectangular grid once")
-    try:
-        grid = Grid2(mins=(ax1[0], ax2[0]), maxs=(ax1[-1], ax2[-1]), shape=(n1, n2))
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from None
-    # a hand-written decimal axis may sit a few ulps off the uniform one
-    for name, ax, uniform, dx in zip(("x1", "x2"), (ax1, ax2), grid.axes(), grid.dx):
-        if not np.all(np.abs(ax - uniform) <= 1e-9 * dx):
-            raise FileFormatError(f"{path}: {name} coordinates are not evenly spaced")
-    return ValueGrid(grid=grid, v=v.reshape(n1, n2))
 
 
 def write_wmax_report(path, name, entries):

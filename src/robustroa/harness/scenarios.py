@@ -8,8 +8,9 @@ subsystem, and the simulation clock.  Parsing is strict: unknown plants,
 missing sections, malformed numbers and out-of-range values (a
 non-positive duration, step or half width, a run shorter than one step, a
 non-negative horizon, fewer than 3 grid nodes, an empty control box or
-payload interval, MPC vectors whose length does not match the plant) all
-raise ConfigError, which the CLI maps to exit code 4.
+payload interval, MPC vectors or a constant disturbance whose length does
+not match the plant, a disturbance on a plant with no disturbance
+channel) all raise ConfigError, which the CLI maps to exit code 4.
 """
 
 from __future__ import annotations
@@ -242,7 +243,6 @@ def load_scenario(path):
             mass=_positive(ps, "mass"),
             inertia_xx=_positive(ps, "inertia_xx"),
             gravity=_positive(ps, "gravity"),
-            leg_length=_get(ps, "leg_length", float, 0.2),
             friction_coeff=friction,
             z_ref=_get(ps, "z_ref", float),
             v_ref=_get(ps, "v_ref", float),
@@ -296,6 +296,16 @@ def load_scenario(path):
     else:
         raise ConfigError(f"unknown reference kind {ref_kind!r}")
 
+    disturbance = _disturbance(_section(cp, "disturbance"))
+    # the quadruped feels its payload and drag through its parameters, not
+    # through an additive channel, so it takes no disturbance policy
+    if disturbance.kind != "none" and plant_cls.n_dist == 0:
+        raise ConfigError(f"[disturbance] kind {disturbance.kind!r}: the {plant_kind} "
+                          f"has no disturbance channel, use 'none'")
+    if disturbance.kind == "constant" and len(disturbance.w) != plant_cls.n_dist:
+        raise ConfigError(f"[disturbance] w has {len(disturbance.w)} entries, the "
+                          f"{plant_kind} needs {plant_cls.n_dist}")
+
     hj_blocks = {}
     for axis in ("y", "z"):
         sec_name = f"hj_{axis}"
@@ -320,7 +330,7 @@ def load_scenario(path):
         mpc=mpc_cfg,
         reference_kind=ref_kind,
         reference_args=ref_args,
-        disturbance=_disturbance(_section(cp, "disturbance")),
+        disturbance=disturbance,
         hj_blocks=hj_blocks,
         duration=duration,
         sim_dt=sim_dt,

@@ -1,7 +1,7 @@
 """Minimal self-contained SVG line plots (no external renderer).
 
 Just enough for the pipeline figures: polyline series on labeled axes,
-optional horizontal guide lines and shaded horizontal bands, a legend.
+optional horizontal guide lines, a legend, on a fixed 640 x 420 canvas.
 Pixel coordinates are written at fixed precision so repeated runs emit
 byte-identical files.
 """
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+WIDTH, HEIGHT = 640, 420
 
 
 @dataclass
@@ -23,7 +24,6 @@ class Series:
     y: np.ndarray
     color: str | None = None
     dash: str | None = None  # e.g. "6,4"
-    width: float = 1.6
 
 
 def _ticks(lo, hi, target=6):
@@ -50,19 +50,17 @@ def _fmt_tick(v):
 
 
 def line_plot(path, series, title="", xlabel="", ylabel="",
-              xlim=None, ylim=None, hlines=(), bands=(),
-              width=640, height=420):
+              xlim=None, ylim=None, hlines=()):
     """Write an SVG line chart.
 
     series : list of Series
     hlines : list of (y, label, color) guide lines
-    bands  : list of (y_lo, y_hi, color, label) shaded horizontal bands
     Data outside the axes box is clipped, so diverging traces stay inside
     the frame.
     """
     series = list(series)
     ml, mr, mt, mb = 62, 16, 34, 46
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
 
     def data_range(pick, lim):
         if lim is not None:
@@ -70,8 +68,6 @@ def line_plot(path, series, title="", xlabel="", ylabel="",
         vals = [np.asarray(pick(s), dtype=float) for s in series]
         vals = [v[np.isfinite(v)] for v in vals]
         allv = np.concatenate(vals) if vals else np.array([0.0, 1.0])
-        for y0, y1, _, _ in (bands if pick is _pick_y else ()):
-            allv = np.append(allv, [y0, y1])
         for y0, _, _ in (hlines if pick is _pick_y else ()):
             allv = np.append(allv, y0)
         lo, hi = float(np.min(allv)), float(np.max(allv))
@@ -90,18 +86,13 @@ def line_plot(path, series, title="", xlabel="", ylabel="",
         return mt + (y1 - y) / (y1 - y0) * ph
 
     out = []
-    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-               f'height="{height}" viewBox="0 0 {width} {height}">')
+    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+               f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">')
     out.append('<style>text{font-family:Helvetica,Arial,sans-serif;font-size:11px;'
                'fill:#222}.t{font-size:13px;font-weight:bold}</style>')
-    out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+    out.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
     out.append(f'<clipPath id="box"><rect x="{ml}" y="{mt}" width="{pw}" '
                f'height="{ph}"/></clipPath>')
-
-    for lo, hi, color, _ in bands:
-        ya, yb = sorted((sy(lo), sy(hi)))
-        out.append(f'<rect x="{ml}" y="{yb:.2f}" width="{pw}" '
-                   f'height="{ya - yb:.2f}" fill="{color}" opacity="0.18"/>')
 
     for tx in _ticks(x0, x1):
         px = sx(tx)
@@ -137,13 +128,13 @@ def line_plot(path, series, title="", xlabel="", ylabel="",
                        for a, b in zip(sx(xs[ok]).tolist(), sy(ys[ok]).tolist()))
         dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                   f'stroke-width="{s.width}"{dash} clip-path="url(#box)"/>')
+                   f'stroke-width="1.6"{dash} clip-path="url(#box)"/>')
 
     if title:
-        out.append(f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+        out.append(f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" '
                    f'class="t">{title}</text>')
     if xlabel:
-        out.append(f'<text x="{ml + pw / 2:.1f}" y="{height - 10}" '
+        out.append(f'<text x="{ml + pw / 2:.1f}" y="{HEIGHT - 10}" '
                    f'text-anchor="middle">{xlabel}</text>')
     if ylabel:
         out.append(f'<text x="16" y="{mt + ph / 2:.1f}" text-anchor="middle" '

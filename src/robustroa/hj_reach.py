@@ -1,9 +1,8 @@
 """Hamilton-Jacobi reachability on 2-D grids.
 
-Sets are carried implicitly: a target T = {x : l(x) <= 0} with l a signed
-distance (box) or quadratic gap (ellipse), and a value function V whose
-zero sublevel set is the computed set.  Starting from V(x, 0) = l(x) the
-solver integrates
+Sets are carried implicitly: a target T = {x : l(x) <= 0} with l the
+signed distance to a box, and a value function V whose zero sublevel set
+is the computed set.  Starting from V(x, 0) = l(x) the solver integrates
 
     dV/dt + H*(x, grad V) = 0,
     H* = min-player over u, max-player over w of  grad V . f(x, u, w)
@@ -134,51 +133,28 @@ class Grid2:
 
 @dataclass
 class TargetSet:
-    """Implicit target {x : l(x) <= 0}.
+    """Implicit target {x : l(x) <= 0}, l the exact signed distance to an
+    axis-aligned box; build it with TargetSet.box."""
 
-    kind "box":     l = exact signed distance to an axis-aligned box,
-    kind "ellipse": l = (x-c)' shape (x-c) - level.
-    """
-
-    kind: str
     center: np.ndarray
-    half_widths: np.ndarray | None = None
-    shape_matrix: np.ndarray | None = None
-    level: float | None = None
+    half_widths: np.ndarray
 
     @staticmethod
     def box(center, half_widths):
         hw = np.asarray(half_widths, dtype=float).ravel()
         if hw.shape != (2,) or np.any(hw <= 0.0):
             raise ValueError("box needs two positive half widths")
-        return TargetSet(kind="box", center=np.asarray(center, dtype=float).ravel(), half_widths=hw)
-
-    @staticmethod
-    def ellipse(center, shape_matrix, level):
-        sm = np.asarray(shape_matrix, dtype=float)
-        if sm.shape != (2, 2):
-            raise ValueError("shape_matrix must be 2 x 2")
-        if level <= 0.0:
-            raise ValueError("level must be positive")
-        return TargetSet(kind="ellipse", center=np.asarray(center, dtype=float).ravel(),
-                         shape_matrix=0.5 * (sm + sm.T), level=float(level))
+        return TargetSet(center=np.asarray(center, dtype=float).ravel(), half_widths=hw)
 
     def l(self, x1, x2):
         """Evaluate the implicit function on arrays (broadcasting)."""
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
-        d1 = x1 - self.center[0]
-        d2 = x2 - self.center[1]
-        if self.kind == "box":
-            q1 = np.abs(d1) - self.half_widths[0]
-            q2 = np.abs(d2) - self.half_widths[1]
-            outside = np.hypot(np.maximum(q1, 0.0), np.maximum(q2, 0.0))
-            inside = np.minimum(np.maximum(q1, q2), 0.0)
-            return outside + inside
-        if self.kind == "ellipse":
-            s = self.shape_matrix
-            return s[0, 0] * d1 * d1 + 2.0 * s[0, 1] * d1 * d2 + s[1, 1] * d2 * d2 - self.level
-        raise ValueError(f"unknown target kind {self.kind!r}")
+        q1 = np.abs(x1 - self.center[0]) - self.half_widths[0]
+        q2 = np.abs(x2 - self.center[1]) - self.half_widths[1]
+        outside = np.hypot(np.maximum(q1, 0.0), np.maximum(q2, 0.0))
+        inside = np.minimum(np.maximum(q1, q2), 0.0)
+        return outside + inside
 
 
 @dataclass

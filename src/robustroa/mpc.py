@@ -8,19 +8,17 @@ One solver call does:
 3. minimize  sum_{i=0}^{k-1}  |x(i+1) - x_ref(i+1)|_Q^2 + |u(i)|_R^2
    over the stacked controls by solving the condensed normal equations in
    closed form (horizons here are 2-4 stages, so the QP is tiny),
-4. clamp the controls to the input box and report (not enforce) state-box
-   violations of the prediction.
+4. clamp the planned controls to the input box.
 
 Q is applied to the successor state of each stage: penalizing the current
 state would leave the last control priced only by R, and with k = 1 the
 problem would not depend on u at all.  A singular R (the quadruped runs
-R = 0) is handled by a small scale-relative ridge on the Hessian, recorded
-in the result info.
+R = 0) is handled by a small scale-relative ridge on the Hessian.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,13 +31,12 @@ class SingularHessian(Exception):
 
 @dataclass
 class MpcConfig:
-    """Weights, period, horizon, and (optional) boxes.
+    """Weights, period, horizon, and (optional) input box.
 
     q, r   : diagonal stage weights (entries, length n and m)
     dt     : controller period used for the Euler prediction
     horizon: number of stages k >= 1
     u_lo, u_hi: input box, clamped after the unconstrained solve
-    x_lo, x_hi: state box, violations reported in info only
     """
 
     q: np.ndarray
@@ -48,8 +45,6 @@ class MpcConfig:
     horizon: int = 2
     u_lo: np.ndarray | None = None
     u_hi: np.ndarray | None = None
-    x_lo: np.ndarray | None = None
-    x_hi: np.ndarray | None = None
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float).ravel()
@@ -61,18 +56,10 @@ class MpcConfig:
         self.horizon = int(self.horizon)
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        for name in ("u_lo", "u_hi", "x_lo", "x_hi"):
+        for name in ("u_lo", "u_hi"):
             val = getattr(self, name)
             if val is not None:
                 setattr(self, name, np.asarray(val, dtype=float).ravel())
-
-
-@dataclass
-class MpcResult:
-    u0: np.ndarray
-    u_seq: np.ndarray
-    x_pred: np.ndarray
-    info: dict = field(default_factory=dict)
 
 
 def linearize_fd(f, x0, u0, step=1e-6):
@@ -105,15 +92,16 @@ def linearize_fd(f, x0, u0, step=1e-6):
     return a, b, f00 - a @ x0 - b @ u0
 
 
-def mpc_step(f, x_now, x_ref, cfg: MpcConfig, u_lin=None):
-    """One receding-horizon solve; apply result.u0, discard the rest.
+def mpc_step(f, x_now, x_ref, cfg: MpcConfig, u_lin):
+    """One receding-horizon solve; returns the clamped plan u_seq (k, m).
+    The caller applies row 0 and discards the rest.
 
     f      : continuous dynamics f(x, u) -> xdot (nonlinear is fine)
     x_now  : current state (n,)
     x_ref  : reference states along the horizon, shape (k+1, n); row i is
              the reference at t + i*dt.  Row 0 is the linearization point
              for stage 0, rows 1..k are the tracked successor states.
-    u_lin  : linearization input(s), (m,) or (k, m); defaults to zeros.
+    u_lin  : linearization input (m,), used at every stage.
     """
     x_now = np.asarray(x_now, dtype=float).ravel()
     x_ref = np.atleast_2d(np.asarray(x_ref, dtype=float))
@@ -124,16 +112,11 @@ def mpc_step(f, x_now, x_ref, cfg: MpcConfig, u_lin=None):
     if len(cfg.q) != n:
         raise ValueError(f"q has {len(cfg.q)} entries for {n} states")
     m = len(cfg.r)
-    if u_lin is None:
-        u_lin = np.zeros((k, m))
-    else:
-        u_lin = np.asarray(u_lin, dtype=float)
-        u_lin = np.tile(u_lin.ravel(), (k, 1)) if u_lin.ndim == 1 else u_lin
 
     # Stage-wise Euler models x_{i+1} = ad_i x_i + bd_i u_i + gd_i.
     ad, bd, gd = [], [], []
     for i in range(k):
-        a_i, b_i, g_i = linearize_fd(f, x_ref[i], u_lin[i])
+        a_i, b_i, g_i = linearize_fd(f, x_ref[i], u_lin)
         ad.append(np.eye(n) + cfg.dt * a_i)
         bd.append(cfg.dt * b_i)
         gd.append(cfg.dt * g_i)
@@ -155,34 +138,19 @@ def mpc_step(f, x_now, x_ref, cfg: MpcConfig, u_lin=None):
     resid = v_free - x_ref[1:].ravel()
     hess = m_mat.T @ (qbar[:, None] * m_mat) + np.diag(rbar)
     rhs = -m_mat.T @ (qbar * resid)
-    info = {"hessian_reg": 0.0}
     if np.min(rbar) <= 0.0:
         # keep the ridge above the solver's rank test (1e-12 * max|H|) so a
         # zero input weight stays solvable at any problem scale
         reg = max(1e-9, 1e-10 * float(np.max(np.abs(hess))))
         hess = hess + reg * np.eye(k * m)
-        info["hessian_reg"] = reg
     try:
         u_stack = mk.solve(hess, rhs)
     except mk.Singular as exc:
         raise SingularHessian(str(exc)) from None
-    info["grad_norm"] = float(np.max(np.abs(hess @ u_stack - rhs)))
 
     u_seq = u_stack.reshape(k, m)
     if cfg.u_lo is not None:
         u_seq = np.maximum(u_seq, cfg.u_lo)
     if cfg.u_hi is not None:
         u_seq = np.minimum(u_seq, cfg.u_hi)
-
-    # Predict with the clamped sequence (what would actually be applied).
-    x_pred = np.zeros((k + 1, n))
-    x_pred[0] = x_now
-    for i in range(k):
-        x_pred[i + 1] = ad[i] @ x_pred[i] + bd[i] @ u_seq[i] + gd[i]
-    viol = 0
-    if cfg.x_lo is not None:
-        viol += int(np.sum(x_pred[1:] < cfg.x_lo - 1e-12))
-    if cfg.x_hi is not None:
-        viol += int(np.sum(x_pred[1:] > cfg.x_hi + 1e-12))
-    info["x_violations"] = viol
-    return MpcResult(u0=u_seq[0].copy(), u_seq=u_seq, x_pred=x_pred, info=info)
+    return u_seq

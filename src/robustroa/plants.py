@@ -11,14 +11,19 @@ Two plants share the state layout x = [y, z, phi, ydot, zdot, phidot]
   added mass and an optional horizontal drag force (pushing a box), which
   act through the plant parameters rather than an additive channel.
 
+A plant provides f(x, u, w), the true dynamics that rk4_step integrates
+directly; nominal_f(), the disturbance-free model the MPC plans with;
+sanitize(u) -> (u, clamps); and advance(t, x), which re-places the
+quadruped's feet.
+
 The simulator runs classical RK4 at a fixed dt with a zero-order-hold
-tracking controller (MPC feedforward recomputed on its own slower period,
-certificate feedback every step).  Each sample does only causal work, on
-Python floats: the reference is evaluated once and handed to the
-controller, the command is clipped and sanitized as a float list, and
-rk4_step takes and returns float lists.  Numpy enters a step only for the
-certificate feedback, whose gain products stay numpy matmuls, and for
-the MPC solve on its tick.  The loop writes each sample into output
+tracking controller: the nominal MPC plan, recomputed on its own slower
+period, plus one ancillary feedback(x, e) every step.  Each sample does
+only causal work, on Python floats: the reference is evaluated once and
+handed to the controller, the command is clipped and sanitized as a
+float list, and rk4_step takes and returns float lists.  Numpy enters a
+step only for the feedback, whose gain products stay numpy matmuls, and
+for the MPC solve on its tick.  The loop writes each sample into output
 arrays allocated once, sized from the first sample.  The certificate
 energy E = e' P e of each monitor, and its invariant exits, are computed
 after the loop from the stored x - x_ref, one vectorized expression per
@@ -147,7 +152,6 @@ class QuadrupedParams:
     mass: float = 12.454
     inertia_xx: float = 0.0565
     gravity: float = 9.81
-    leg_length: float = 0.2
     friction_coeff: float = 0.6
     z_ref: float = 0.32
     v_ref: float = 0.45
@@ -316,14 +320,14 @@ class QuadcopterPlant:
     def __init__(self, params: QuadcopterParams | None = None):
         self.params = params or QuadcopterParams()
 
-    def f(self, t, x, u, w):
+    def f(self, x, u, w):
         return quadcopter_f(x, u, w, self.params)
 
-    def nominal_f(self, t):
+    def nominal_f(self):
         """Disturbance-free dynamics for the controller's model."""
         return lambda x, u: quadcopter_f(x, u, None, self.params)
 
-    def sanitize(self, t, x, u):
+    def sanitize(self, u):
         return u, 0
 
     def advance(self, t, x):
@@ -369,16 +373,16 @@ class QuadrupedPlant:
             self.stance = self._place(float(x[0]), pair)
             self._next_switch += self.params.step_time
 
-    def f(self, t, x, u, w):
+    def f(self, x, u, w):
         return quadruped_f(x, u, self.stance, self.params,
                            delta_m=self.delta_m, drag_force=self.drag_force)
 
-    def nominal_f(self, t):
+    def nominal_f(self):
         """Controller model: nominal mass, no drag, current stance."""
         stance = self.stance
         return lambda x, u: quadruped_f(x, u, stance, self.params)
 
-    def sanitize(self, t, x, u):
+    def sanitize(self, u):
         """(u projected into the friction cone as a new float list, clamps);
         a NaN force passes through unclamped."""
         mu = self.params.friction_coeff
@@ -463,40 +467,33 @@ class RandomDisturbance:
 # -- tracking controller ------------------------------------------------------
 
 class TrackingController:
-    """MPC feedforward on a slow tick + certificate feedback every call.
+    """MPC feedforward on a slow tick + ancillary feedback every call.
 
-    plant      : provides nominal_f(t) for the controller's model
+    plant      : provides nominal_f() for the controller's model
     reference  : object with clamped_state(t), queried for the MPC horizon
     cfg        : MpcConfig (its dt is the MPC period)
-    u_lin      : linearization input for the MPC stages
-    gains      : ancillary terms; each entry is either a tuple
-                 (K, state_idx, ctrl_idx) adding K @ e[state_idx] onto
-                 u[ctrl_idx], or a callable (t, x, e) -> full-length
-                 control correction (for allocation-style wiring).
-                 Empty sequence = nominal (MPC-only) controller.
+    u_lin      : linearization input (m,) for every MPC stage
+    feedback   : ancillary term feedback(x, e) -> full-length control
+                 correction array, with e = x - x_ref; None = nominal
+                 (MPC-only) controller.
 
     control(t, x, x_ref) takes the state as a sequence of floats and the
     reference at t as an array, the caller's one evaluation of
     reference.clamped_state(t); a tick asks the reference only for the
-    horizon rows after it.  The tracking error e = x - x_ref is an array,
-    and every gain product is a numpy matmul on it.  The command comes
-    back as a list of Python floats clipped to cfg.u_lo / cfg.u_hi (read
-    at construction), a NaN entry staying NaN as under np.maximum /
-    np.minimum.  It may be
-    the held feedforward list itself; callers must not write into it.
+    horizon rows after it and applies row 0 of the plan.  The tracking
+    error e handed to feedback is an array.  The command comes back as a
+    list of Python floats clipped to cfg.u_lo / cfg.u_hi (read at
+    construction), a NaN entry staying NaN as under np.maximum /
+    np.minimum.  It may be the held feedforward list itself; callers must
+    not write into it.
     """
 
-    def __init__(self, plant, reference, cfg: MpcConfig, u_lin, gains=()):
+    def __init__(self, plant, reference, cfg: MpcConfig, u_lin, feedback=None):
         self.plant = plant
         self.reference = reference
         self.cfg = cfg
         self.u_lin = np.asarray(u_lin, dtype=float).ravel()
-        self.gains = [
-            g if callable(g)
-            else (np.asarray(g[0], dtype=float), np.asarray(g[1], dtype=int),
-                  np.asarray(g[2], dtype=int).tolist())
-            for g in gains
-        ]
+        self.feedback = feedback
         # the input box as float lists, an absent side unbounded
         self._box = None
         if cfg.u_lo is not None or cfg.u_hi is not None:
@@ -512,22 +509,14 @@ class TrackingController:
         if t >= self._next_tick - 1e-12:
             refs = np.stack([x_ref] + [self.reference.clamped_state(t + i * self.cfg.dt)
                                        for i in range(1, self.cfg.horizon + 1)])
-            res = mpc_step(self.plant.nominal_f(t), x, refs, self.cfg, u_lin=self.u_lin)
-            self._u_bar = res.u0.tolist()
+            plan = mpc_step(self.plant.nominal_f(), x, refs, self.cfg, self.u_lin)
+            self._u_bar = plan[0].tolist()
             self._next_tick = t + self.cfg.dt
             self.mpc_calls += 1
         u = self._u_bar
-        if self.gains:
-            e = np.subtract(x, x_ref)
-            u = list(u)
-            for entry in self.gains:
-                if callable(entry):
-                    du = np.asarray(entry(t, x, e), dtype=float).ravel().tolist()
-                    u = [a + b for a, b in zip(u, du)]
-                else:
-                    k, state_idx, ctrl_idx = entry
-                    for j, du in zip(ctrl_idx, (k @ e[state_idx]).tolist()):
-                        u[j] += du
+        if self.feedback is not None:
+            du = np.asarray(self.feedback(x, np.subtract(x, x_ref)), dtype=float).tolist()
+            u = [a + b for a, b in zip(u, du)]
         if self._box is not None:
             # max(u, lo) then min(u, hi) with the command first, so a NaN
             # entry survives as it does in np.maximum / np.minimum
@@ -637,7 +626,7 @@ def simulate_closed_loop(plant, controller, reference, disturbance, duration, dt
         if x is None:
             x = x_ref.tolist()
         plant.advance(t, x)
-        u, clamps = plant.sanitize(t, x, controller.control(t, x, x_ref))
+        u, clamps = plant.sanitize(controller.control(t, x, x_ref))
         clamp_events += clamps
         if disturbance is not None:
             w = np.asarray(disturbance(t), dtype=float)
@@ -650,7 +639,7 @@ def simulate_closed_loop(plant, controller, reference, disturbance, duration, dt
         if i == n_steps:
             break
         try:
-            x = rk4_step(lambda xx, uu, ww: plant.f(t, xx, uu, ww), x, u, w_f, dt)
+            x = rk4_step(plant.f, x, u, w_f, dt)
         except NonFinite:
             diverged = True
             break

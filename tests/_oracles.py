@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from robustroa import plants
-from robustroa.hj_reach import Grid2
+from robustroa.harness.fileio import FileFormatError
+from robustroa.hj_reach import Grid2, ValueGrid
 from robustroa.mpc import mpc_step
 
 # The closed-form viability kernel of the quadruped error axes lives with the
@@ -364,7 +365,7 @@ def sampled_unsafe_level(p, center, grid, w, envelope, per_side=21):
     return best
 
 
-# -- value-grid CSV, node by node ----------------------------------------------
+# -- value-grid CSV, node by node, and its reader -------------------------------
 
 def value_grid_csv(vg, path):
     """ValueGrid.to_csv as it formatted each node's three values on its own;
@@ -374,6 +375,34 @@ def value_grid_csv(vg, path):
         fh.write("x1,x2,v\n")
         for a, b, c in zip(x1g.ravel(), x2g.ravel(), vg.v.ravel()):
             fh.write(f"{float(a)!r},{float(b)!r},{float(c)!r}\n")
+
+
+def read_value_grid(path):
+    """Rebuild a ValueGrid from the `x1,x2,v` CSV of ValueGrid.to_csv.
+    Every node of a uniform grid must be listed exactly once, in any row
+    order; anything else raises fileio.FileFormatError."""
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
+    if data.ndim != 2 or data.shape[1] != 3:
+        raise FileFormatError(f"{path}: expected three columns x1,x2,v")
+    order = np.lexsort((data[:, 1], data[:, 0]))  # row-major: x1 outer, x2 inner
+    x1, x2, v = data[order].T
+    ax1 = np.unique(x1)
+    ax2 = np.unique(x2)
+    n1, n2 = len(ax1), len(ax2)
+    if not (np.array_equal(x1, np.repeat(ax1, n2)) and np.array_equal(x2, np.tile(ax2, n1))):
+        raise FileFormatError(f"{path}: rows do not list each node of a rectangular grid once")
+    try:
+        grid = Grid2(mins=(ax1[0], ax2[0]), maxs=(ax1[-1], ax2[-1]), shape=(n1, n2))
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
+    # a hand-written decimal axis may sit a few ulps off the uniform one
+    for name, ax, uniform, dx in zip(("x1", "x2"), (ax1, ax2), grid.axes(), grid.dx):
+        if not np.all(np.abs(ax - uniform) <= 1e-9 * dx):
+            raise FileFormatError(f"{path}: {name} coordinates are not evenly spaced")
+    return ValueGrid(grid=grid, v=v.reshape(n1, n2))
 
 
 # -- trajectory CSV rows, value by value ---------------------------------------
@@ -463,16 +492,16 @@ def quadruped_f(x, u, stance, p, delta_m=0.0, drag_force=0.0):
     ])
 
 
-def plant_f(plant, t, x, u, w):
-    """plant.f(t, x, u, w) through the dynamics above."""
+def plant_f(plant, x, u, w):
+    """plant.f(x, u, w) through the dynamics above."""
     if isinstance(plant, plants.QuadcopterPlant):
         return quadcopter_f(x, u, w, plant.params)
     return quadruped_f(x, u, plant.stance, plant.params,
                        delta_m=plant.delta_m, drag_force=plant.drag_force)
 
 
-def nominal_f(plant, t):
-    """plant.nominal_f(t) through the dynamics above."""
+def nominal_f(plant):
+    """plant.nominal_f() through the dynamics above."""
     if isinstance(plant, plants.QuadcopterPlant):
         return lambda x, u: quadcopter_f(x, u, None, plant.params)
     stance = plant.stance
@@ -496,19 +525,13 @@ def control(ctrl, t, x):
     if t >= ctrl._next_tick - 1e-12:
         refs = np.stack([ctrl.reference.clamped_state(t + i * ctrl.cfg.dt)
                          for i in range(ctrl.cfg.horizon + 1)])
-        res = mpc_step(nominal_f(ctrl.plant, t), x, refs, ctrl.cfg, u_lin=ctrl.u_lin)
-        ctrl._u_bar = res.u0
+        ctrl._u_bar = mpc_step(nominal_f(ctrl.plant), x, refs, ctrl.cfg, ctrl.u_lin)[0]
         ctrl._next_tick = t + ctrl.cfg.dt
         ctrl.mpc_calls += 1
     u = ctrl._u_bar.copy()
-    if ctrl.gains:
+    if ctrl.feedback is not None:
         e = np.asarray(x, dtype=float) - ctrl.reference.clamped_state(t)
-        for entry in ctrl.gains:
-            if callable(entry):
-                u = u + np.asarray(entry(t, x, e), dtype=float).ravel()
-            else:
-                k, state_idx, ctrl_idx = entry
-                u[ctrl_idx] += k @ e[state_idx]
+        u = u + np.asarray(ctrl.feedback(x, e), dtype=float)
     if ctrl.cfg.u_lo is not None:
         u = np.maximum(u, ctrl.cfg.u_lo)
     if ctrl.cfg.u_hi is not None:
@@ -562,7 +585,7 @@ def simulate_closed_loop(plant, controller, reference, disturbance, duration, dt
         plant.advance(t, x)
         x_ref = reference.clamped_state(t)
         u_cmd = control(controller, t, x)
-        u, clamps = plant.sanitize(t, x, u_cmd)
+        u, clamps = plant.sanitize(u_cmd)
         clamp_events += clamps
         w = np.zeros(nw) if disturbance is None else np.asarray(disturbance(t), dtype=float)
         e = x - x_ref
@@ -575,7 +598,7 @@ def simulate_closed_loop(plant, controller, reference, disturbance, duration, dt
         if i == n_steps:
             break
         try:
-            x = rk4_step(lambda xx, uu, ww: plant_f(plant, t, xx, uu, ww), x, u, w, dt)
+            x = rk4_step(lambda xx, uu, ww: plant_f(plant, xx, uu, ww), x, u, w, dt)
         except plants.NonFinite:
             diverged = True
             break

@@ -335,7 +335,7 @@ def test_criterion_8_numerical_hygiene():
     f = lambda x, u: np.array([-0.5 * x[0] + 0.8 * u[0] + 0.3])
     x0s = 1.2
     refs = np.array([[1.2], [0.3], [-0.1]])
-    res = mpc_step(f, [x0s], refs, MpcConfig(q=[q], r=[r], dt=dt, horizon=2))
+    u_seq = mpc_step(f, [x0s], refs, MpcConfig(q=[q], r=[r], dt=dt, horizon=2), [0.0])
 
     def grid_search(lo0, hi0, lo1, hi1, npts):
         u0 = np.linspace(lo0, hi0, npts)[:, None]
@@ -349,7 +349,7 @@ def test_criterion_8_numerical_hygiene():
 
     c0, c1 = grid_search(-4.0, 4.0, -4.0, 4.0, 2001)
     b0, b1 = grid_search(c0 - 6e-3, c0 + 6e-3, c1 - 6e-3, c1 + 6e-3, 121)
-    mpc_err = max(abs(float(res.u_seq[0, 0]) - b0), abs(float(res.u_seq[1, 0]) - b1))
+    mpc_err = max(abs(float(u_seq[0, 0]) - b0), abs(float(u_seq[1, 0]) - b1))
     assert mpc_err < 1e-3
     print(f"criterion 8 (hygiene): PASS  jacobian err={jac_err:.1e}, "
           f"RK4 ratio={ratio:.1f}, MPC vs grid={mpc_err:.1e}")

@@ -12,11 +12,13 @@ import re
 import shutil
 import subprocess
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import _oracles as orc
+from robustroa import plants
 from robustroa.clf_synth import ClfCertificate, ClfParams
 from robustroa.harness import cli, fileio, svgplot
 from robustroa.harness.scenarios import ConfigError, load_scenario
@@ -46,7 +48,7 @@ MINI = {
         "u_lo": "-35, -35, 0, 0", "u_hi": "35, 35, 150, 150",
     },
     "reference": {"kind": "trot"},
-    "disturbance": {"kind": "random", "w_max": 0.05, "hold_time": 0.05},
+    "disturbance": {"kind": "none"},
     "hj_y": {
         "target_half_widths": "0.25, 1.0", "grid_half_widths": "0.5, 2.0",
         "n": 41, "horizon": -0.5, "freeze": "stay",
@@ -318,7 +320,7 @@ def test_value_grid_roundtrip(tmp_path):
     vg = ValueGrid(grid=grid, v=rng.standard_normal((5, 7)))
     path = tmp_path / "grid.csv"
     vg.to_csv(path)
-    back = fileio.read_value_grid(path)
+    back = orc.read_value_grid(path)
     assert back.grid.shape == (5, 7)
     assert np.array_equal(back.v, vg.v)
 
@@ -327,13 +329,13 @@ def test_value_grid_roundtrip(tmp_path):
     shuffled = [lines[0]] + list(rng.permutation(lines[1:]))
     spath = tmp_path / "shuffled.csv"
     spath.write_text("\n".join(shuffled) + "\n")
-    back2 = fileio.read_value_grid(spath)
+    back2 = orc.read_value_grid(spath)
     assert np.array_equal(back2.v, vg.v)
 
     tpath = tmp_path / "ragged.csv"
     tpath.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(fileio.FileFormatError):
-        fileio.read_value_grid(tpath)
+        orc.read_value_grid(tpath)
 
 
 def test_value_grid_rejects_broken_grids(tmp_path):
@@ -355,8 +357,8 @@ def test_value_grid_rejects_broken_grids(tmp_path):
             # a 4 x 2 grid is too narrow to step on
             write("narrow", [(a, b) for a in (0.0, 1.0, 2.0, 3.0) for b in (0.0, 1.0)])):
         with pytest.raises(fileio.FileFormatError):
-            fileio.read_value_grid(path)
-    back = fileio.read_value_grid(write("good", nodes))
+            orc.read_value_grid(path)
+    back = orc.read_value_grid(write("good", nodes))
     assert np.array_equal(back.v, np.arange(9.0).reshape(3, 3))
 
 
@@ -427,7 +429,8 @@ def test_cli_config_errors_exit_4(tmp_path, capsys):
     ("hj-brs", {"hj_y": {"target_half_widths": "0.25, -1.0"}}),
     ("hj-brs", {"hj_y": {"grid_half_widths": "0.0, 2.0"}}),
     ("hj-brs", {"hj_y": {"freeze": "melt"}}),
-    ("simulate", {"disturbance": {"hold_time": "brief"}}),
+    ("simulate", {"disturbance": {"kind": "random", "w_max": 3.5, "hold_time": "brief"}}),
+    ("simulate", {"disturbance": {"kind": "constant", "w": "1.0, 2.0, 3.0"}}),
     ("simulate", {"mpc": {"q": "1e5, 1e3, 1e7, 1e2, 1e1"}}),
     ("simulate", {"mpc": {"r": "0, 0, 0"}}),
     ("simulate", {"mpc": {"u_lo": "-35, -35, 0"}}),
@@ -446,17 +449,34 @@ def test_cli_config_errors_exit_4(tmp_path, capsys):
     ("simulate", {"quadcopter": {"inertia_xx": 0.0}}),
     ("simulate", {"quadcopter": {"gravity": 0.0}}),
 ], ids=["duration", "dt", "duration-below-dt", "horizon-positive", "horizon-word", "n",
-        "target-half-width", "grid-half-width", "freeze", "hold-time", "mpc-q-length",
+        "target-half-width", "grid-half-width", "freeze", "hold-time",
+        "quadcopter-disturbance-length", "mpc-q-length",
         "mpc-r-length", "mpc-u-lo-length", "mpc-u-hi-length", "hj-control-box",
         "hj-payload-interval", "step-offset", "step-time-zero", "step-time-negative",
         "friction", "mass-negative", "inertia", "gravity", "quadcopter-mass",
         "quadcopter-arm", "quadcopter-inertia", "quadcopter-gravity"])
 def test_cli_bad_config_values_exit_4(tmp_path, capsys, command, edits):
-    # rejected by the loader, before any synthesis, PDE solve or simulation
-    base = MINI_QUADCOPTER if "quadcopter" in edits else MINI
+    # rejected by the loader, before any synthesis, PDE solve or simulation;
+    # only the quadcopter takes a disturbance policy
+    base = MINI_QUADCOPTER if {"quadcopter", "disturbance"} & set(edits) else MINI
     path = mini_cfg(tmp_path, base=base, **edits)
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 4
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("disturbance", [
+    {"kind": "constant", "w": "50, 0"},
+    {"kind": "random", "w_max": 50.0},
+    {"kind": "sinusoidal", "w_max": 50.0},
+    {"kind": "worst_constant", "w_max": 50.0},
+], ids=["constant", "random", "sinusoidal", "worst-constant"])
+def test_cli_quadruped_disturbance_exit_4(tmp_path, capsys, disturbance):
+    # the quadruped has no additive disturbance channel: a policy would be
+    # recorded in the w columns without ever acting on the plant
+    path = mini_cfg(tmp_path, disturbance=disturbance)
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+    assert "no disturbance channel" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -527,7 +547,7 @@ def test_simulate_writes_artifacts(mini_run):
     assert cert.w_max == z_entry["w_max"]
     assert cert.level == z_entry["level"]
 
-    vg = fileio.read_value_grid(out / "mini_valuegrid_y.csv")
+    vg = orc.read_value_grid(out / "mini_valuegrid_y.csv")
     assert vg.grid.shape == (41, 41)
 
 
@@ -559,11 +579,19 @@ def test_simulate_seed_determinism(mini_run, tmp_path):
     again = (tmp_path / "b" / "mini_robust.csv").read_bytes()
     assert first == again
 
-    rc, _ = run_cli(["simulate", "--config", str(cfg), "--seed", "99",
-                     "--out", str(tmp_path / "c")])
-    assert rc == 0
-    reseeded = (tmp_path / "c" / "mini_robust.csv").read_bytes()
-    assert reseeded != first  # random disturbance draws from the new seed
+    # a random push on the quadcopter draws from the seed and moves the state
+    noisy = write_cfg(tmp_path, {**MINI_QUADCOPTER,
+                                 "disturbance": {"kind": "random", "w_max": 3.5}})
+    states = []
+    for seed in ("0", "0", "99"):
+        out_dir = tmp_path / f"seed{seed}_{len(states)}"
+        rc, _ = run_cli(["simulate", "--config", str(noisy), "--seed", seed,
+                         "--out", str(out_dir)])
+        assert rc == 0
+        data = np.genfromtxt(out_dir / "miniqc_robust.csv", delimiter=",", names=True)
+        states.append(np.column_stack([data[f"x{i}"] for i in range(1, 7)]))
+    assert np.array_equal(states[0], states[1])
+    assert not np.array_equal(states[0], states[2])
 
 
 def count_calls(monkeypatch, *names):
@@ -609,6 +637,23 @@ def test_reproduce_quadcopter_synthesizes_once(tmp_path, monkeypatch):
     assert rc == 0
     assert "[reproduce:nominal]" in text and "[reproduce:robust]" in text
     assert counts == {"synthesize": 1}
+
+
+def test_benchmark_tracer_finds_every_target(monkeypatch):
+    # the benchmark's trace mode wraps package names from outside; a rename
+    # or deletion of any of them must fail here, not only in the benchmark
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracer
+
+    mpc_step = plants.mpc_step
+    spans = tracer.Tracer()
+    try:
+        spans.install()
+        assert plants.mpc_step is not mpc_step
+    finally:
+        spans.uninstall()
+    assert {label for _, label, *_ in tracer.TARGETS} <= set(spans.stats)
+    assert plants.mpc_step is mpc_step
 
 
 def test_console_script_synth(tmp_path):

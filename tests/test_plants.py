@@ -113,7 +113,7 @@ def test_quadruped_static_stand():
     # standing centered between the feet with the static split is an equilibrium
     mid = 0.5 * (plant.stance.foot_front[0] + plant.stance.foot_rear[0])
     x = np.array([mid, p.z_ref, 0.0, 0.0, 0.0, 0.0])
-    xdot = plant.f(0.0, x, plant.static_input(), None)
+    xdot = plant.f(x, plant.static_input(), None)
     assert np.max(np.abs(xdot)) < 1e-12
 
 
@@ -122,7 +122,7 @@ def test_added_mass_makes_stand_sag():
     plant = plants.QuadrupedPlant(p, delta_m=5.0)
     mid = 0.5 * (plant.stance.foot_front[0] + plant.stance.foot_rear[0])
     x = np.array([mid, p.z_ref, 0.0, 0.0, 0.0, 0.0])
-    xdot = plant.f(0.0, x, plant.static_input(), None)
+    xdot = plant.f(x, plant.static_input(), None)
     zdd_expect = p.mass * p.gravity / (p.mass + 5.0) - p.gravity
     assert xdot[4] < 0.0
     assert abs(xdot[4] - zdd_expect) < 1e-12
@@ -153,16 +153,16 @@ def test_negative_normal_force_rejected():
     plant = plants.QuadrupedPlant(p)
     x = np.array([0.0, p.z_ref, 0.0, 0.0, 0.0, 0.0])
     with pytest.raises(plants.ContactViolation):
-        plant.f(0.0, x, [0.0, 0.0, -1.0, 10.0], None)
+        plant.f(x, [0.0, 0.0, -1.0, 10.0], None)
 
 
 def test_sanitize_projects_into_friction_cone():
     plant = plants.QuadrupedPlant()
-    u, clamps = plant.sanitize(0.0, None, [10.0, -10.0, 5.0, -3.0])
+    u, clamps = plant.sanitize([10.0, -10.0, 5.0, -3.0])
     assert clamps == 3
     assert u[2] == 5.0 and u[3] == 0.0
     assert u[0] == 0.6 * 5.0 and u[1] == 0.0
-    u2, c2 = plant.sanitize(0.0, None, [1.0, -1.0, 30.0, 30.0])
+    u2, c2 = plant.sanitize([1.0, -1.0, 30.0, 30.0])
     assert c2 == 0 and np.allclose(u2, [1.0, -1.0, 30.0, 30.0])
 
 
@@ -252,18 +252,18 @@ def test_tracking_controller_callable_gain():
                     u_hi=np.array([200.0, 200.0]))
     seen = []
 
-    def extra(t, x, e):
-        seen.append(t)
+    def extra(x, e):
+        seen.append((list(x), e.tolist()))
         return np.array([0.25, 0.0])
 
     ctl = plants.TrackingController(plant, ref, cfg,
-                                    u_lin=plant.hover_input(), gains=[extra])
+                                    u_lin=plant.hover_input(), feedback=extra)
     x = np.zeros(6)
     base = plants.TrackingController(plant, ref, cfg,
                                      u_lin=plant.hover_input())
     u_plain = base.control(0.0, x.copy(), ref.clamped_state(0.0))
     u_aug = ctl.control(0.0, x.copy(), ref.clamped_state(0.0))
-    assert seen == [0.0]
+    assert seen == [([0.0] * 6, [0.0] * 6)]
     assert np.allclose(np.subtract(u_aug, u_plain), [0.25, 0.0])
 
 
@@ -386,7 +386,7 @@ def test_controller_tick_and_ancillary_gain():
     k_gain = np.array([[0.0, -2.0, 0.0], [0.0, 0.0, 0.0]])
     ctrl = plants.TrackingController(
         plant, _HoverRef(), cfg, u_lin=plant.hover_input(),
-        gains=[(k_gain, np.array([1, 4, 2]), np.array([0, 1]))])
+        feedback=lambda x, e: k_gain @ e[[1, 4, 2]])
     x = np.zeros(6)
     x[4] = 0.1  # vertical-rate error feeds thrust through the gain
     x_ref = np.zeros(6)
@@ -405,13 +405,13 @@ class _DriftPlant:
     n_controls = 1
     n_dist = 0
 
-    def f(self, t, x, u, w):
+    def f(self, x, u, w):
         return np.asarray(x, dtype=float)
 
     def advance(self, t, x):
         pass
 
-    def sanitize(self, t, x, u):
+    def sanitize(self, u):
         return u, 0
 
 
@@ -426,7 +426,7 @@ class _OriginRef:
 
 
 class _StillPlant(_DriftPlant):
-    def f(self, t, x, u, w):
+    def f(self, x, u, w):
         return [0.0] * len(x)
 
 
@@ -635,14 +635,22 @@ def test_reference_evaluated_once_per_sample(certified):
 def test_nan_command_diverges_as_under_array_clip(certified):
     # a NaN correction must survive the u_lo / u_hi clip, as it does under
     # np.maximum / np.minimum, and stop the run as non-finite
-    def nan_after_start(t, x, e):
-        return [math.nan if t >= 0.1 else 0.0, 0.0, 0.0, 0.0]
+    def nan_from_sample(first):
+        # the loop asks for one command per sample, so the count is the time
+        calls = []
+
+        def feedback(x, e):
+            calls.append(None)
+            return [math.nan if len(calls) > first else 0.0, 0.0, 0.0, 0.0]
+
+        return feedback
 
     runs = []
     for simulate in (orc.simulate_closed_loop, plants.simulate_closed_loop):
         args, kwargs = closed_loop(certified, "quadruped", "nominal")
         assert args[1].cfg.u_lo is not None and args[1].cfg.u_hi is not None
-        args[1].gains.append(nan_after_start)
+        assert args[1].feedback is None
+        args[1].feedback = nan_from_sample(100)  # t >= 0.1 at dt = 1 ms
         runs.append(simulate(*args, **kwargs))
     want, got = runs
     assert want.diverged and got.diverged

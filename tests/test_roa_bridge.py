@@ -176,7 +176,7 @@ def test_find_wmax_samples_target_once():
             return super().l(x1, x2)
 
     box = TargetSet.box((0.0, 0.0), (1.9, 1.9))
-    target = CountingBox(kind=box.kind, center=box.center, half_widths=box.half_widths)
+    target = CountingBox(center=box.center, half_widths=box.half_widths)
     vg = circle_value_grid(1.3)
     res = rb.find_wmax(unit_certificate(), vg, target)
     assert calls == [vg.grid.shape]
@@ -349,8 +349,8 @@ def test_bundled_wmax_within_exact_kernel(bundled_run, axis):
 def test_bundled_converge_set_matches_fixed_horizon(bundled_run, axis):
     scn, out = bundled_run
     name = f"{scn.name}_valuegrid_{axis}.csv"
-    converged = fileio.read_value_grid(out / "converge" / name)
-    fixed = fileio.read_value_grid(out / "fixed" / name)
+    converged = orc.read_value_grid(out / "converge" / name)
+    fixed = orc.read_value_grid(out / "fixed" / name)
     assert np.array_equal(converged.v <= 0.0, fixed.v <= 0.0)
 
 
@@ -448,8 +448,8 @@ def test_wmax_does_not_depend_on_the_horizon(bundled_run, axis):
     scn, out = bundled_run
     name = f"{scn.name}_valuegrid_{axis}.csv"
     grid, target, dyn, cert = bundled_axis(scn, axis, scn.hj_blocks[axis].n)
-    converged = fileio.read_value_grid(out / "converge" / name)
-    fixed = fileio.read_value_grid(out / "fixed" / name)  # -2 s
+    converged = orc.read_value_grid(out / "converge" / name)
+    fixed = orc.read_value_grid(out / "fixed" / name)  # -2 s
     assert not np.array_equal(converged.v, fixed.v)
     bounds = {rb.find_wmax(cert, vg, target).w_max
               for vg in [converged, fixed] + [solve_brs(grid, target, dyn, h, freeze="stay")

@@ -138,15 +138,8 @@ class ClfCertificate:
         return self
 
 
-def pack_sym(y):
-    """Upper-triangle entries of a symmetric matrix, row-major."""
-    y = mk.require_symmetric(y, "y")
-    n = y.shape[0]
-    return np.array([y[i, j] for i in range(n) for j in range(i, n)])
-
-
 def unpack_sym(vals, n):
-    """Inverse of pack_sym."""
+    """Symmetric n x n matrix from its upper-triangle entries, row-major."""
     vals = np.asarray(vals, dtype=float).ravel()
     if len(vals) != n * (n + 1) // 2:
         raise DimensionMismatch(f"expected {n * (n + 1) // 2} entries for n={n}, got {len(vals)}")
@@ -225,15 +218,16 @@ def build_synthesis_lmi(model: LinearModel, params: ClfParams, eps=None):
 def recover_gains(y, l):
     """K = L Y^-1 and P = Y^-1 (symmetrized) from the LMI variables.
 
-    Y must be symmetric positive definite; Cholesky raises
-    NotPositiveDefinite otherwise.
+    Y must be symmetric positive definite; its one Cholesky factor serves
+    both solves and raises NotPositiveDefinite otherwise.
     """
     y = mk.require_symmetric(y, "y")
     l = mk.as_matrix(l, "l")
     if l.shape[1] != y.shape[0]:
         raise DimensionMismatch(f"l has {l.shape[1]} columns, y is {y.shape[0]} x {y.shape[0]}")
-    p = mk.symmetrize(mk.solve_posdef(y, np.eye(y.shape[0])))
-    k = mk.solve_posdef(y, l.T).T
+    lo = mk.cholesky(y)
+    p = mk.symmetrize(mk.cho_solve(lo, np.eye(y.shape[0])))
+    k = mk.cho_solve(lo, l.T).T
     return k, p
 
 

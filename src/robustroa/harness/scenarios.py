@@ -4,18 +4,16 @@ A scenario bundles everything one pipeline run needs: the plant and its
 physical constants, supply-rate weights for the ancillary-gain synthesis
 (one block for the quadcopter, one per axis for the quadruped), the MPC
 weights, the reference, the disturbance policy, reachability settings per
-subsystem, and the simulation clock.  Parsing is strict: unknown plants,
-missing sections, malformed numbers and out-of-range values (a
-non-positive duration, step or half width, a run shorter than one step, a
-non-negative horizon, fewer than 3 grid nodes, an empty control box or
-payload interval, MPC vectors or a constant disturbance whose length does
-not match the plant, a disturbance on a plant with no disturbance
-channel) all raise ConfigError, which the CLI maps to exit code 4.
+subsystem, and the simulation clock.  Parsing is strict: a missing
+section or one the plant does not read, a key outside its section's entry
+in `_KEYS`, a malformed or non-finite number and an out-of-range value all
+raise ConfigError, which the CLI maps to exit code 4.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,11 +28,68 @@ class ConfigError(Exception):
     """The scenario file is missing, incomplete, or malformed."""
 
 
+# -- value casts: each raises ValueError, with a reason, on a value it rejects --
+
+def _number(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
+def _positive(text):
+    value = _number(text)
+    if not value > 0.0:
+        raise ValueError("must be positive")
+    return value
+
+
+def _nonnegative(text):
+    value = _number(text)
+    if value < 0.0:
+        raise ValueError("must not be negative")
+    return value
+
+
 def _floats(text):
-    try:
-        return [float(tok) for tok in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"expected numbers, got {text!r}") from exc
+    """Finite numbers separated by commas or blanks."""
+    return [_number(tok) for tok in text.replace(",", " ").split()]
+
+
+def _vector(text):
+    return np.array(_floats(text))
+
+
+def _half_widths(text):
+    hw = tuple(_floats(text))
+    if len(hw) != 2 or not min(hw) > 0.0:
+        raise ValueError("needs two positive entries")
+    return hw
+
+
+def _horizon(text):
+    """A negative time, or 'converge' to run until the set stops changing."""
+    if text == "converge":
+        return text
+    value = _number(text)
+    if not value < 0.0:
+        raise ValueError("must be a negative time or 'converge'")
+    return value
+
+
+def _grid_nodes(text):
+    n = int(text)
+    if n < 3:
+        raise ValueError("must be at least 3")
+    return n
+
+
+def _choice(*options):
+    def cast(text):
+        if text not in options:
+            raise ValueError(f"must be one of {', '.join(options)}")
+        return text
+    return cast
 
 
 @dataclass
@@ -104,169 +159,124 @@ class Scenario:
         return scn
 
 
-def _section(cp, name):
+_REQ = object()  # the default of a key that must be given
+_CLF_KEYS = dict(q=(_vector, _REQ), r=(_vector, _REQ), decay_rate=(_number, _REQ),
+                 dist_weight=(_number, _REQ), w_max=(_nonnegative, None))
+_HJ_KEYS = dict(target_half_widths=(_half_widths, _REQ), grid_half_widths=(_half_widths, _REQ),
+                n=(_grid_nodes, _REQ), horizon=(_horizon, _REQ),
+                freeze=(_choice("stay", "reach"), "stay"), u_lo=(_number, _REQ),
+                u_hi=(_number, _REQ), delta_m_lo=(_number, 0.0), delta_m_hi=(_number, 0.0),
+                drag_force=(_number, 0.0))
+
+# Every key each section may hold, as (cast, default).  _read parses a
+# section through its entry and rejects any key the entry does not list.
+_KEYS = {
+    "scenario": dict(name=(str, _REQ), plant=(_choice("quadcopter", "quadruped"), _REQ),
+                     mode=(_choice("nominal", "robust"), "robust"), seed=(int, 0),
+                     out_dir=(str, None)),
+    "quadcopter": dict.fromkeys(("mass", "arm_length", "inertia_xx", "gravity"),
+                                (_positive, _REQ)),
+    "quadruped": dict(mass=(_positive, _REQ), inertia_xx=(_positive, _REQ),
+                      gravity=(_positive, _REQ), friction_coeff=(_nonnegative, _REQ),
+                      z_ref=(_number, _REQ), v_ref=(_number, _REQ),
+                      step_time=(_positive, _REQ),
+                      # the two stance feet sit 2 * step_offset apart and must not coincide
+                      step_offset=(_positive, _REQ),
+                      delta_m=(_number, 0.0), drag_force=(_number, 0.0)),
+    "clf": _CLF_KEYS, "clf_y": _CLF_KEYS, "clf_z": _CLF_KEYS,
+    "mpc": dict(q=(_vector, _REQ), r=(_vector, _REQ), dt=(_number, _REQ), horizon=(int, _REQ),
+                u_lo=(_vector, None), u_hi=(_vector, None)),
+    "reference": dict(kind=(_choice("figure8", "trot"), _REQ), t_end=(_positive, 5.0),
+                      amp_y=(_number, 0.5), amp_z=(_number, 0.5), y0=(_number, 0.0)),
+    "disturbance": dict(kind=(_choice("none", "constant", "sinusoidal", "random",
+                                      "worst_constant"), _REQ),
+                        w=(_floats, None), w_max=(_nonnegative, None),
+                        freq=(_number, 0.5), hold_time=(_number, 0.05)),
+    "hj_y": _HJ_KEYS, "hj_z": _HJ_KEYS,
+    "simulate": dict(duration=(_positive, _REQ), dt=(_positive, _REQ)),
+}
+
+
+def _read(cp, name, opened):
+    """Every key of [name], cast by its _KEYS entry or set to its default;
+    the name is added to `opened`."""
     if not cp.has_section(name):
         raise ConfigError(f"missing [{name}] section")
-    return cp[name]
+    sec, spec = cp[name], _KEYS[name]
+    for key in sec:
+        if key not in spec:
+            raise ConfigError(f"unknown key {key!r} in [{name}], which takes "
+                              f"{', '.join(spec)}")
+    opened.add(name)
+    vals = {}
+    for key, (cast, default) in spec.items():
+        if key not in sec:
+            if default is _REQ:
+                raise ConfigError(f"missing key {key!r} in [{name}]")
+            vals[key] = default
+            continue
+        try:
+            vals[key] = cast(sec[key])
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r} in [{name}]: {sec[key]!r} "
+                              f"({exc})") from exc
+    return vals
 
 
-_REQUIRED = object()
-
-
-def _get(sec, key, cast=str, default=_REQUIRED):
-    """sec[key] converted by cast; default when the key is absent, which
-    without a default is an error."""
-    if key not in sec:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing key {key!r} in [{sec.name}]")
-        return default
-    raw = sec[key]
+def _clf_block(vals, axis):
+    w_max = vals.pop("w_max")
     try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key!r} in [{sec.name}]: {raw!r}") from exc
-
-
-def _positive(sec, key):
-    """A required number that must be positive."""
-    value = _get(sec, key, float)
-    if not value > 0:
-        raise ConfigError(f"{key!r} in [{sec.name}] must be positive, got {value!r}")
-    return value
-
-
-def _half_widths(sec, key):
-    """Two positive half widths."""
-    hw = _floats(_get(sec, key))
-    if len(hw) != 2:
-        raise ConfigError(f"[{sec.name}] {key} needs two entries")
-    if not all(h > 0.0 for h in hw):
-        raise ConfigError(f"[{sec.name}] {key} must be positive, got {hw}")
-    return tuple(hw)
-
-
-def _clf_block(sec, axis):
-    try:
-        params = ClfParams(
-            q=np.array(_floats(_get(sec, "q"))),
-            r=np.array(_floats(_get(sec, "r"))),
-            decay_rate=_get(sec, "decay_rate", float),
-            dist_weight=_get(sec, "dist_weight", float),
-        )
+        params = ClfParams(**vals)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    w_max = _get(sec, "w_max", float, None)
     return ClfBlock(axis=axis, params=params, w_max=w_max)
 
 
-def _hj_block(sec, axis):
-    horizon = _get(sec, "horizon")
-    if horizon != "converge":
-        horizon = _get(sec, "horizon", float)
-        if not horizon < 0.0:
-            raise ConfigError(f"[{sec.name}] horizon must be a negative time or "
-                              f"'converge', got {horizon!r}")
-    n = _get(sec, "n", int)
-    if n < 3:
-        raise ConfigError(f"[{sec.name}] n must be at least 3, got {n}")
-    freeze = _get(sec, "freeze", default="stay")
-    if freeze not in ("stay", "reach"):
-        raise ConfigError(f"[{sec.name}] freeze must be 'stay' or 'reach', got {freeze!r}")
-    u_lo, u_hi = _get(sec, "u_lo", float), _get(sec, "u_hi", float)
-    if u_lo > u_hi:
-        raise ConfigError(f"[{sec.name}] u_lo {u_lo!r} exceeds u_hi {u_hi!r}")
-    delta_m = (_get(sec, "delta_m_lo", float, 0.0), _get(sec, "delta_m_hi", float, 0.0))
-    if delta_m[0] > delta_m[1]:
-        raise ConfigError(f"[{sec.name}] delta_m_lo {delta_m[0]!r} exceeds "
-                          f"delta_m_hi {delta_m[1]!r}")
-    return HjBlock(
-        axis=axis,
-        target_half_widths=_half_widths(sec, "target_half_widths"),
-        grid_half_widths=_half_widths(sec, "grid_half_widths"),
-        n=n,
-        horizon=horizon,
-        freeze=freeze,
-        u_lo=u_lo,
-        u_hi=u_hi,
-        delta_m=delta_m,
-        drag_force=_get(sec, "drag_force", float, 0.0),
-    )
+def _hj_block(vals, axis):
+    for bound in ("u", "delta_m"):
+        lo, hi = vals[f"{bound}_lo"], vals[f"{bound}_hi"]
+        if lo > hi:
+            raise ConfigError(f"[hj_{axis}] {bound}_lo {lo!r} exceeds {bound}_hi {hi!r}")
+    delta_m = (vals.pop("delta_m_lo"), vals.pop("delta_m_hi"))
+    return HjBlock(axis=axis, delta_m=delta_m, **vals)
 
 
-def _disturbance(sec):
-    kind = _get(sec, "kind")
-    if kind not in ("none", "constant", "sinusoidal", "random", "worst_constant"):
-        raise ConfigError(f"unknown disturbance kind {kind!r}")
-    pol = DisturbancePolicy(kind=kind)
+def _disturbance(vals):
+    kind = vals["kind"]
+    if kind == "none":
+        return DisturbancePolicy(kind)
+    need = "w" if kind == "constant" else "w_max"
+    if vals[need] is None:
+        raise ConfigError(f"missing key {need!r} in [disturbance] for kind {kind!r}")
     if kind == "constant":
-        pol.w = tuple(_floats(_get(sec, "w")))
-    elif kind in ("sinusoidal", "random", "worst_constant"):
-        pol.w_max = _get(sec, "w_max", float)
-        pol.freq = _get(sec, "freq", float, 0.5)
-        pol.hold_time = _get(sec, "hold_time", float, 0.05)
-    return pol
+        return DisturbancePolicy(kind, w=tuple(vals["w"]))
+    return DisturbancePolicy(kind, w_max=vals["w_max"], freq=vals["freq"],
+                             hold_time=vals["hold_time"])
 
 
 def load_scenario(path):
     """Parse a scenario config file into a Scenario."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = cp.read(str(path))
-    if not read:
+    if not cp.read(str(path)):
         raise ConfigError(f"cannot read config file {path}")
+    opened = set()
 
-    top = _section(cp, "scenario")
-    plant_kind = _get(top, "plant")
-    mode = top.get("mode", "robust")
-    if plant_kind not in ("quadcopter", "quadruped"):
-        raise ConfigError(f"unknown plant {plant_kind!r}")
-    if mode not in ("nominal", "robust"):
-        raise ConfigError(f"unknown mode {mode!r}")
-
+    top = _read(cp, "scenario", opened)
+    plant_kind = top["plant"]
     quadcopter = quadruped = None
     delta_m = drag = 0.0
     if plant_kind == "quadcopter":
-        ps = _section(cp, "quadcopter")
-        quadcopter = QuadcopterParams(
-            mass=_positive(ps, "mass"),
-            arm_length=_positive(ps, "arm_length"),
-            inertia_xx=_positive(ps, "inertia_xx"),
-            gravity=_positive(ps, "gravity"),
-        )
-        clf_blocks = {"main": _clf_block(_section(cp, "clf"), "main")}
+        quadcopter = QuadcopterParams(**_read(cp, "quadcopter", opened))
+        clf_blocks = {"main": _clf_block(_read(cp, "clf", opened), "main")}
     else:
-        ps = _section(cp, "quadruped")
-        friction = _get(ps, "friction_coeff", float)
-        if not friction >= 0.0:
-            raise ConfigError(f"'friction_coeff' in [{ps.name}] must not be negative, "
-                              f"got {friction!r}")
-        quadruped = QuadrupedParams(
-            mass=_positive(ps, "mass"),
-            inertia_xx=_positive(ps, "inertia_xx"),
-            gravity=_positive(ps, "gravity"),
-            friction_coeff=friction,
-            z_ref=_get(ps, "z_ref", float),
-            v_ref=_get(ps, "v_ref", float),
-            step_time=_positive(ps, "step_time"),
-            # the two stance feet sit 2 * step_offset apart and must not coincide
-            step_offset=_positive(ps, "step_offset"),
-        )
-        delta_m = _get(ps, "delta_m", float, 0.0)
-        drag = _get(ps, "drag_force", float, 0.0)
-        clf_blocks = {
-            "y": _clf_block(_section(cp, "clf_y"), "y"),
-            "z": _clf_block(_section(cp, "clf_z"), "z"),
-        }
+        ps = _read(cp, "quadruped", opened)
+        delta_m, drag = ps.pop("delta_m"), ps.pop("drag_force")
+        quadruped = QuadrupedParams(**ps)
+        clf_blocks = {axis: _clf_block(_read(cp, f"clf_{axis}", opened), axis)
+                      for axis in ("y", "z")}
 
-    ms = _section(cp, "mpc")
     try:
-        mpc_cfg = MpcConfig(
-            q=np.array(_floats(_get(ms, "q"))),
-            r=np.array(_floats(_get(ms, "r"))),
-            dt=_get(ms, "dt", float),
-            horizon=_get(ms, "horizon", int),
-            u_lo=np.array(_floats(ms["u_lo"])) if "u_lo" in ms else None,
-            u_hi=np.array(_floats(ms["u_hi"])) if "u_hi" in ms else None,
-        )
+        mpc_cfg = MpcConfig(**_read(cp, "mpc", opened))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     plant_cls = QuadcopterPlant if plant_kind == "quadcopter" else QuadrupedPlant
@@ -276,27 +286,20 @@ def load_scenario(path):
         if vec is not None and len(vec) != size:
             raise ConfigError(f"[mpc] {key} has {len(vec)} entries, the {plant_kind} "
                               f"needs {size}")
+    if (mpc_cfg.u_lo is not None and mpc_cfg.u_hi is not None
+            and np.any(mpc_cfg.u_lo > mpc_cfg.u_hi)):
+        raise ConfigError(f"[mpc] u_lo {mpc_cfg.u_lo.tolist()} exceeds "
+                          f"u_hi {mpc_cfg.u_hi.tolist()} in some entry")
 
-    rs = _section(cp, "reference")
-    ref_kind = _get(rs, "kind")
-    if ref_kind == "figure8":
-        ref_args = {
-            "t_end": _get(rs, "t_end", float, 5.0),
-            "amp_y": _get(rs, "amp_y", float, 0.5),
-            "amp_z": _get(rs, "amp_z", float, 0.5),
-        }
-    elif ref_kind == "trot":
-        if quadruped is None:
-            raise ConfigError("trot reference needs the quadruped plant")
-        ref_args = {
-            "y0": _get(rs, "y0", float, 0.0),
-            "z_ref": quadruped.z_ref,
-            "v_ref": quadruped.v_ref,
-        }
+    rs = _read(cp, "reference", opened)
+    if rs["kind"] == "figure8":
+        ref_args = {key: rs[key] for key in ("t_end", "amp_y", "amp_z")}
+    elif quadruped is None:
+        raise ConfigError("trot reference needs the quadruped plant")
     else:
-        raise ConfigError(f"unknown reference kind {ref_kind!r}")
+        ref_args = {"y0": rs["y0"], "z_ref": quadruped.z_ref, "v_ref": quadruped.v_ref}
 
-    disturbance = _disturbance(_section(cp, "disturbance"))
+    disturbance = _disturbance(_read(cp, "disturbance", opened))
     # the quadruped feels its payload and drag through its parameters, not
     # through an additive channel, so it takes no disturbance policy
     if disturbance.kind != "none" and plant_cls.n_dist == 0:
@@ -306,33 +309,33 @@ def load_scenario(path):
         raise ConfigError(f"[disturbance] w has {len(disturbance.w)} entries, the "
                           f"{plant_kind} needs {plant_cls.n_dist}")
 
-    hj_blocks = {}
-    for axis in ("y", "z"):
-        sec_name = f"hj_{axis}"
-        if cp.has_section(sec_name):
-            hj_blocks[axis] = _hj_block(cp[sec_name], axis)
+    hj_blocks = {axis: _hj_block(_read(cp, f"hj_{axis}", opened), axis)
+                 for axis in ("y", "z") if cp.has_section(f"hj_{axis}")}
 
-    sim = _section(cp, "simulate")
-    duration, sim_dt = _positive(sim, "duration"), _positive(sim, "dt")
-    if int(round(duration / sim_dt)) < 1:
-        raise ConfigError(f"[simulate] duration {duration!r} gives no step of "
-                          f"dt = {sim_dt!r}")
+    sim = _read(cp, "simulate", opened)
+    if int(round(sim["duration"] / sim["dt"])) < 1:
+        raise ConfigError(f"[simulate] duration {sim['duration']!r} gives no step of "
+                          f"dt = {sim['dt']!r}")
+    for name in cp.sections():
+        if name not in opened:
+            raise ConfigError(f"unknown section [{name}]: the {plant_kind} scenario "
+                              f"does not read it")
     return Scenario(
-        name=_get(top, "name"),
+        name=top["name"],
         plant_kind=plant_kind,
-        mode=mode,
-        seed=_get(top, "seed", int, 0),
+        mode=top["mode"],
+        seed=top["seed"],
         quadcopter=quadcopter,
         quadruped=quadruped,
         delta_m=delta_m,
         drag_force=drag,
         clf_blocks=clf_blocks,
         mpc=mpc_cfg,
-        reference_kind=ref_kind,
+        reference_kind=rs["kind"],
         reference_args=ref_args,
         disturbance=disturbance,
         hj_blocks=hj_blocks,
-        duration=duration,
-        sim_dt=sim_dt,
-        out_dir=top.get("out_dir", None),
+        duration=sim["duration"],
+        sim_dt=sim["dt"],
+        out_dir=top["out_dir"],
     )

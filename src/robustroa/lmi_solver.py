@@ -11,6 +11,11 @@ an Armijo backtracking line search that also rejects steps leaving the
 cone.  The self-concordance of -log det gives the usual duality-gap bound
 d/t (d = block dimension), which is the stopping rule.
 
+Each iterate carries one Cholesky factor of its slack S(x) = -F(x) - eps*I,
+computed once when the line search tries that point.  It serves the
+gradient and Hessian (triangular solves against the stacked F_i), the
+barrier value (log det S = 2 sum log diag) and the cone test.
+
 Phase 1 minimizes a slack s with F(x) - s*I < 0 starting from x = 0 and
 s above the top eigenvalue of F(0); the problem is declared infeasible
 when the slack cannot be pushed below -eps.
@@ -39,7 +44,6 @@ class Infeasible(Exception):
 
 class SdpStatus(Enum):
     OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
     ITERATION_LIMIT = "iteration_limit"
 
 
@@ -81,22 +85,11 @@ class AffineSdp:
     def dim(self):
         return self.f0.shape[0]
 
-    def evaluate(self, x):
-        """F(x) without the eps shift."""
-        x = np.asarray(x, dtype=float).ravel()
-        if len(x) != self.num_vars:
-            raise ValueError(f"x has {len(x)} entries, expected {self.num_vars}")
-        f = self.f0.copy()
-        for xi, fmat in zip(x, self.fi):
-            f += xi * fmat
-        return f
-
 
 @dataclass
 class SdpSolution:
     x: np.ndarray
     objective_value: float
-    max_block_eig: float
     iterations: int
     status: SdpStatus
     outer_objectives: list = field(default_factory=list)
@@ -114,22 +107,22 @@ _MAX_NEWTON_TOTAL = 4000
 _DECREMENT_TOL = 1e-5
 
 
-def _slack_matrix(f0, fi, x):
-    """S(x) = -(f0 + sum x_i fi_i); barrier domain is S > 0."""
+def _slack_factor(f0, fi, x):
+    """Lower Cholesky factor of S(x) = -(f0 + sum x_i fi_i), or None outside
+    the barrier cone (S not positive definite).  S is symmetrized, and a
+    non-finite S raises ValueError."""
     s = -f0.copy()
     for xi, fmat in zip(x, fi):
         s -= xi * fmat
-    return mk.symmetrize(s)
-
-
-def _barrier_value(f0, fi, x, tc):
-    """phi = -t*c'x - log det S(x), or None outside the cone."""
-    s = _slack_matrix(f0, fi, x)
     try:
-        logdet = mk.logdet_posdef(s)
-    except mk.NotPositiveDefinite:
+        return np.linalg.cholesky(mk.symmetrize(s))
+    except np.linalg.LinAlgError:
         return None
-    return -float(tc @ x) - logdet
+
+
+def _barrier_value(tc, x, lo):
+    """phi = -t*c'x - log det S, with log det S read off the factor lo of S."""
+    return -float(tc @ x) - 2.0 * float(np.sum(np.log(np.diag(lo))))
 
 
 def _newton_step_dir(hess, grad, k):
@@ -149,57 +142,65 @@ def _newton_step_dir(hess, grad, k):
     return -grad
 
 
-def _newton_stage(f0, fi, x, tc, budget, stop_fn=None):
-    """Damped Newton on the barrier at fixed t.  Returns (x, steps, stalled)."""
-    k = len(x)
-    fstack = np.hstack([f for f in fi]) if k else np.zeros((f0.shape[0], 0))
+def _newton_stage(f0, fi, fstack, x, lo, tc, stop_fn=None):
+    """Damped Newton on the barrier at fixed t from x, whose slack factor is lo.
+
+    Returns (x, lo, steps, stopped): the last accepted iterate with the
+    factor its line search computed, and whether stop_fn accepted it.
+    """
+    k, d = len(x), len(lo)
     steps = 0
-    while steps < budget:
-        s = _slack_matrix(f0, fi, x)
-        minv = mk.solve_posdef(s, fstack)  # we only ever call this from inside the cone
-        d = f0.shape[0]
+    while steps < _MAX_NEWTON_PER_T:
+        minv = mk.cho_solve(lo, fstack)
         m = np.stack([minv[:, i * d:(i + 1) * d] for i in range(k)]) if k else np.zeros((0, d, d))
         grad = -tc + np.trace(m, axis1=1, axis2=2)
         hess = np.einsum("aij,bji->ab", m, m)
         step = _newton_step_dir(hess, grad, k)
         slope = float(grad @ step)
-        if slope > 0.0:  # numerical loss of descent, bail out
-            return x, steps, True
-        if 0.5 * (-slope) < _DECREMENT_TOL**2:
-            return x, steps, False
-        phi0 = -float(tc @ x) - mk.logdet_posdef(s)
+        # a positive slope is a numerical loss of descent: bail out
+        if slope > 0.0 or 0.5 * (-slope) < _DECREMENT_TOL**2:
+            return x, lo, steps, False
+        phi0 = _barrier_value(tc, x, lo)
         alpha = 1.0
         while True:
             trial = x + alpha * step
-            phi1 = _barrier_value(f0, fi, trial, tc)
-            if phi1 is not None and phi1 <= phi0 + _ARMIJO_SLOPE * alpha * slope:
+            lo_trial = _slack_factor(f0, fi, trial)
+            armijo = phi0 + _ARMIJO_SLOPE * alpha * slope
+            if lo_trial is not None and _barrier_value(tc, trial, lo_trial) <= armijo:
                 break
             alpha *= _ARMIJO_RATIO
             if alpha < 1e-14:
-                return x, steps, True
-        x = trial
+                return x, lo, steps, False
+        x, lo = trial, lo_trial
         steps += 1
         if stop_fn is not None and stop_fn(x):
-            return x, steps, False
-    return x, steps, True
+            return x, lo, steps, True
+    return x, lo, steps, False
 
 
-def _path_follow(f0, fi, c, dim, gap_tol, x0, stop_early=None):
-    """Run the outer t-loop.  Returns (x, iterations, outer_objectives, clean)."""
+def _path_follow(f0, fi, c, gap_tol, x0, stop_early=None):
+    """Run the outer t-loop from the interior point x0.  Returns (x,
+    iterations, outer_objectives, clean).  A stage boundary changes only t,
+    so the iterate's slack factor carries over to the next stage."""
     x = np.asarray(x0, dtype=float).copy()
+    lo = _slack_factor(f0, fi, x)
+    if lo is None:
+        raise mk.NotPositiveDefinite("the starting point is outside the barrier cone")
+    d = len(f0)
+    fstack = np.hstack(fi) if len(fi) else np.zeros((d, 0))
     t = _T0
     iterations = 0
     outer_objectives = []
     clean = True
     while True:
-        x, steps, stalled = _newton_stage(f0, fi, x, t * c, _MAX_NEWTON_PER_T, stop_fn=stop_early)
+        x, lo, steps, stopped = _newton_stage(f0, fi, fstack, x, lo, t * c, stop_early)
         iterations += steps
         outer_objectives.append(float(c @ x))
-        if stalled and steps >= _MAX_NEWTON_PER_T:
-            clean = False
-        if stop_early is not None and stop_early(x):
+        if stopped:
             break
-        if dim / t < gap_tol:
+        if steps >= _MAX_NEWTON_PER_T:
+            clean = False
+        if d / t < gap_tol:
             break
         if iterations >= _MAX_NEWTON_TOTAL:
             clean = False
@@ -227,7 +228,7 @@ def find_strictly_feasible(prob: AffineSdp):
     target = -1.05 * prob.eps
 
     xs, _, _, _ = _path_follow(
-        prob.f0, fi_aug, c_aug, d,
+        prob.f0, fi_aug, c_aug,
         gap_tol=min(_GAP_TOL, 0.05 * prob.eps),
         x0=x0,
         stop_early=lambda z: z[-1] <= target,
@@ -247,13 +248,11 @@ def maximize(prob: AffineSdp):
     """
     x0 = find_strictly_feasible(prob)
     f0s = prob.f0 + prob.eps * np.eye(prob.dim)
-    x, iterations, outer, clean = _path_follow(f0s, prob.fi, prob.c, prob.dim, _GAP_TOL, x0)
-    fx = prob.evaluate(x)
+    x, iterations, outer, clean = _path_follow(f0s, prob.fi, prob.c, _GAP_TOL, x0)
     status = SdpStatus.OPTIMAL if clean else SdpStatus.ITERATION_LIMIT
     return SdpSolution(
         x=x,
         objective_value=float(prob.c @ x),
-        max_block_eig=float(np.linalg.eigvalsh(fx)[-1]),
         iterations=iterations,
         status=status,
         outer_objectives=outer,

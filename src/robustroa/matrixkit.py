@@ -2,14 +2,16 @@
 
 Everything in this package works on plain numpy float64 arrays (row-major,
 2-D for matrices, 1-D for vectors).  LAPACK does the factorizations; the
-wrappers add the failure modes the package relies on:
+wrappers add the failure modes the package relies on, and let one factor
+serve many solves:
 
-* `cholesky` -- raises NotPositiveDefinite on any non-positive pivot; it
-                is the definiteness test of the barrier cone and of the
-                Lyapunov matrix recovery,
-* `solve`    -- raises Singular when the matrix is rank deficient at
-                working precision, which LAPACK's LU reports only for an
-                exactly zero pivot.
+* `cholesky`  -- raises NotPositiveDefinite on any non-positive pivot; it
+                 is the definiteness test of the Lyapunov matrix recovery,
+* `cho_solve` -- solves with a factor from `cholesky`, so one factor
+                 serves every right-hand side,
+* `solve`     -- raises Singular when the matrix is rank deficient at
+                 working precision, which LAPACK's LU reports only for an
+                 exactly zero pivot.
 
 Tolerances are relative to the largest absolute entry of the input with an
 absolute floor of 1e-14, so the kernels behave the same for certificates
@@ -71,8 +73,7 @@ def cholesky(m):
     """Lower-triangular L with L L' = m for symmetric positive definite m.
 
     Raises NotPositiveDefinite on the first pivot <= 0; that is the
-    definiteness test used throughout the package (barrier cone membership,
-    Lyapunov matrix recovery).
+    definiteness test of the Lyapunov matrix recovery.
     """
     try:
         return np.linalg.cholesky(require_symmetric(m))
@@ -80,16 +81,10 @@ def cholesky(m):
         raise NotPositiveDefinite(f"{exc} (no Cholesky factorization)") from None
 
 
-def solve_posdef(m, b):
-    """Solve m x = b for symmetric positive definite m via Cholesky."""
-    lo = cholesky(m)
+def cho_solve(lo, b):
+    """Solve (lo lo') x = b for a lower-triangular factor lo from cholesky;
+    b may be a vector or a matrix of right-hand sides."""
     return np.linalg.solve(lo.T, np.linalg.solve(lo, b))
-
-
-def logdet_posdef(m):
-    """log det m for SPD m, from the Cholesky diagonal."""
-    lo = cholesky(m)
-    return 2.0 * float(np.sum(np.log(np.diag(lo))))
 
 
 def solve(a, b):

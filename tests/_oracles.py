@@ -25,6 +25,41 @@ sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 import kernel  # noqa: E402,F401
 
 
+# -- SDP blocks and packed symmetric matrices ----------------------------------
+
+def sdp_evaluate(prob, x):
+    """F(x) = F0 + sum_i x_i F_i of an AffineSdp, without the eps shift."""
+    x = np.asarray(x, dtype=float).ravel()
+    if len(x) != prob.num_vars:
+        raise ValueError(f"x has {len(x)} entries, expected {prob.num_vars}")
+    f = prob.f0.copy()
+    for xi, fmat in zip(x, prob.fi):
+        f += xi * fmat
+    return f
+
+
+def pack_sym(y):
+    """Upper-triangle entries of a symmetric matrix, row-major; the inverse
+    of clf_synth.unpack_sym."""
+    n = y.shape[0]
+    return np.array([y[i, j] for i in range(n) for j in range(i, n)])
+
+
+def record_choleskys(monkeypatch):
+    """Route np.linalg.cholesky through a recorder; returns the list that
+    collects (shape, bytes) of every matrix it factors."""
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def recording(a):
+        a = np.asarray(a)
+        factored.append((a.shape, a.tobytes()))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    return factored
+
+
 # -- double integrator minimum time -------------------------------------------
 #
 # x1' = x2, x2' = u, |u| <= u_max.  The time-optimal transfer between two

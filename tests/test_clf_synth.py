@@ -1,10 +1,14 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
+import _oracles as orc
 from robustroa import clf_synth as cs
 from robustroa import matrixkit as mk
-from robustroa.lmi_solver import SdpStatus
-from robustroa.plants import QuadcopterParams, quadcopter_linearize
+from robustroa.harness.scenarios import load_scenario
+from robustroa.lmi_solver import SdpStatus, maximize
+from robustroa.plants import QuadcopterParams, quadcopter_linearize, quadruped_axis_linear
 
 
 def scalar_model():
@@ -30,7 +34,7 @@ def test_pack_unpack_roundtrip():
     for n in (1, 2, 5):
         y = rng.standard_normal((n, n))
         y = y + y.T
-        v = cs.pack_sym(y)
+        v = orc.pack_sym(y)
         assert v.shape == (n * (n + 1) // 2,)
         assert np.allclose(cs.unpack_sym(v, n), y)
 
@@ -108,6 +112,12 @@ def test_recover_gains_random():
     assert mk.inf_norm(k @ y - l) < 1e-9 * mk.inf_norm(l)
     assert mk.inf_norm(p @ y - np.eye(4)) < 1e-9
     assert mk.inf_norm(p - p.T) == 0.0
+
+
+def test_recover_gains_factors_y_once(monkeypatch):
+    factored = orc.record_choleskys(monkeypatch)
+    cs.recover_gains(np.diag([2.0, 3.0]), np.ones((1, 2)))
+    assert len(factored) == 1
 
 
 def test_recover_gains_requires_pd():
@@ -191,3 +201,16 @@ def test_synthesized_supply_rate_random_samples():
         rhs = (-params.decay_rate * e @ cert.p @ e - e @ q @ e - u @ r @ u
                + params.dist_weight * w @ w)
         assert lhs <= rhs + 1e-9 * (1.0 + abs(rhs))
+
+
+def test_height_z_synthesis_factors_each_slack_matrix_once(monkeypatch):
+    ref = resources.files("robustroa.harness").joinpath("configs", "quadruped_height.cfg")
+    with resources.as_file(ref) as path:
+        scn = load_scenario(path)
+    prob = cs.build_synthesis_lmi(quadruped_axis_linear(scn.quadruped),
+                                  scn.clf_blocks["z"].params)
+    factored = orc.record_choleskys(monkeypatch)
+    sol = maximize(prob)
+    assert sol.status == SdpStatus.OPTIMAL
+    assert factored
+    assert len(set(factored)) == len(factored)

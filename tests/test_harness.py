@@ -92,7 +92,7 @@ def mini_cfg(dirpath, fname="scn.cfg", drop=(), base=MINI, **edits):
     for sec in drop:
         del sections[sec]
     for sec, kv in edits.items():
-        sections[sec].update(kv)
+        sections.setdefault(sec, {}).update(kv)
     return write_cfg(dirpath, sections, fname)
 
 
@@ -448,17 +448,33 @@ def test_cli_config_errors_exit_4(tmp_path, capsys):
     ("simulate", {"quadcopter": {"arm_length": -0.2}}),
     ("simulate", {"quadcopter": {"inertia_xx": 0.0}}),
     ("simulate", {"quadcopter": {"gravity": 0.0}}),
+    ("simulate", {"reference": {"t_end": 0.0}}),
+    ("simulate", {"reference": {"amp_y": "nan"}}),
+    ("simulate", {"reference": {"amp_z": "inf"}}),
+    ("simulate", {"mpc": {"q": "1e5, nan, 1e7, 1e2, 1e1, 1e2"}}),
+    ("wmax", {"hj_y": {"u_hi": "inf"}}),
+    ("simulate", {"clf": {"w_max": -3.5}}),
+    ("simulate", {"disturbance": {"kind": "worst_constant", "w_max": -3.5}}),
+    ("simulate", {"mpc": {"u_lo": "-35, -35, 0, 200"}}),
+    ("simulate", {"quadruped": {"drag_forc": 25.0}}),
+    ("simulate", {"clf_y": {"decay": 0.3}}),
+    ("wmax", {"hj_x": {"n": 41}}),
+    ("simulate", {"quadcopter": {"mass": 1.0}, "clf_y": {"q": "500, 10"}}),
 ], ids=["duration", "dt", "duration-below-dt", "horizon-positive", "horizon-word", "n",
         "target-half-width", "grid-half-width", "freeze", "hold-time",
         "quadcopter-disturbance-length", "mpc-q-length",
         "mpc-r-length", "mpc-u-lo-length", "mpc-u-hi-length", "hj-control-box",
         "hj-payload-interval", "step-offset", "step-time-zero", "step-time-negative",
         "friction", "mass-negative", "inertia", "gravity", "quadcopter-mass",
-        "quadcopter-arm", "quadcopter-inertia", "quadcopter-gravity"])
+        "quadcopter-arm", "quadcopter-inertia", "quadcopter-gravity", "t-end-zero",
+        "amp-y-nan", "amp-z-inf", "mpc-q-nan", "hj-u-hi-inf", "clf-w-max-negative",
+        "disturbance-w-max-negative", "mpc-input-box", "misspelt-key", "misspelt-clf-key",
+        "unknown-section", "other-plant-section"])
 def test_cli_bad_config_values_exit_4(tmp_path, capsys, command, edits):
     # rejected by the loader, before any synthesis, PDE solve or simulation;
-    # only the quadcopter takes a disturbance policy
-    base = MINI_QUADCOPTER if {"quadcopter", "disturbance"} & set(edits) else MINI
+    # only the quadcopter takes a disturbance policy and a figure-8 reference
+    quadcopter_only = {"quadcopter", "clf", "reference", "disturbance"}
+    base = MINI_QUADCOPTER if quadcopter_only & set(edits) else MINI
     path = mini_cfg(tmp_path, base=base, **edits)
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 4
     assert "config error" in capsys.readouterr().err

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from robustroa.lmi_solver import AffineSdp, Infeasible, SdpStatus, find_strictly_feasible, maximize
+import _oracles as orc
+from robustroa.lmi_solver import (AffineSdp, Infeasible, SdpStatus, _barrier_value,
+                                  _slack_factor, find_strictly_feasible, maximize)
 
 
 def scalar_problem(eps=None):
@@ -23,21 +25,47 @@ def test_validation():
 def test_evaluate():
     p = AffineSdp(c=[1.0, 0.0], f0=-np.eye(2),
                   fi=[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    assert np.allclose(p.evaluate([0.25, -0.5]), np.diag([-0.75, -1.5]))
+    assert np.allclose(orc.sdp_evaluate(p, [0.25, -0.5]), np.diag([-0.75, -1.5]))
+
+
+def test_slack_factor_logdet_matches_slogdet():
+    # phi = -t c'x - log det S(x), with log det S read off the factor
+    rng = np.random.default_rng(37)
+    for _ in range(10):
+        n = int(rng.integers(1, 9))
+        a = rng.standard_normal((n, n))
+        s = float(rng.uniform(1e-3, 1e3)) * (a @ a.T + n * np.eye(n))
+        lo = _slack_factor(-s, [], [])
+        sign, ref = np.linalg.slogdet(s)
+        assert sign == 1.0
+        assert abs(_barrier_value(np.zeros(0), np.zeros(0), lo) + ref) < 1e-10 * max(abs(ref), 1.0)
+    lo = _slack_factor(np.diag([-2.0, -8.0]), [], [])
+    assert _barrier_value(np.zeros(0), np.zeros(0), lo) == pytest.approx(-np.log(16.0), rel=1e-15)
+
+
+def test_slack_factor_none_outside_cone():
+    # the barrier's cone-membership test: no factor off the positive definite cone
+    f0, fi = -np.eye(2), [np.diag([1.0, 0.0])]
+    assert _slack_factor(f0, fi, [0.5]) is not None
+    assert _slack_factor(f0, fi, [1.0]) is None  # S = diag(0, 1)
+    assert _slack_factor(f0, fi, [1.001]) is None
+    with pytest.raises(ValueError):
+        _slack_factor(f0, fi, [np.nan])
 
 
 def test_scalar_optimum():
-    sol = maximize(scalar_problem())
+    prob = scalar_problem()
+    sol = maximize(prob)
     assert sol.status == SdpStatus.OPTIMAL
     assert abs(sol.objective_value - 1.0) < 1e-5
-    assert sol.max_block_eig < 0.0
+    assert np.linalg.eigvalsh(orc.sdp_evaluate(prob, sol.x))[-1] < 0.0
 
 
 def test_phase1_interval():
     # F(x) = diag(x - 1, -x - 1): strictly feasible iff -1 < x < 1
     p = AffineSdp(c=[1.0], f0=-np.eye(2), fi=[np.diag([1.0, -1.0])])
     x0 = find_strictly_feasible(p)
-    f = p.evaluate(x0) + p.eps * np.eye(2)
+    f = orc.sdp_evaluate(p, x0) + p.eps * np.eye(2)
     assert np.linalg.eigvalsh(f)[-1] < 0.0
 
 
@@ -117,7 +145,16 @@ def test_capped_lyapunov_vs_grid_oracle():
 def test_solution_inside_cone_with_margin():
     prob = capped_lyapunov_problem()
     sol = maximize(prob)
-    assert np.linalg.eigvalsh(prob.evaluate(sol.x))[-1] < -0.5 * prob.eps
+    assert np.linalg.eigvalsh(orc.sdp_evaluate(prob, sol.x))[-1] < -0.5 * prob.eps
+
+
+def test_each_slack_matrix_factored_once(monkeypatch):
+    # one Cholesky factor per iterate serves the gradient, the Hessian and
+    # the barrier value, and an accepted trial point keeps its factor
+    factored = orc.record_choleskys(monkeypatch)
+    maximize(capped_lyapunov_problem())
+    assert factored
+    assert len(set(factored)) == len(factored)
 
 
 def test_outer_objectives_monotone():

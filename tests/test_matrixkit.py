@@ -91,18 +91,6 @@ def test_solve_rejects_rank_deficient_at_working_precision():
     assert np.allclose(mk.solve(1e-6 * np.eye(2), np.array([1e-6, 2e-6])), [1.0, 2.0])
 
 
-def test_solve_posdef_matches_lu():
-    rng = np.random.default_rng(31)
-    m = random_spd(rng, 6)
-    b = rng.standard_normal(6)
-    assert np.allclose(mk.solve_posdef(m, b), mk.solve(m, b), atol=1e-9)
-
-
-def test_solve_posdef_rejects_indefinite():
-    with pytest.raises(mk.NotPositiveDefinite):
-        mk.solve_posdef(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([1.0, 1.0]))
-
-
 def test_solve_shape_errors():
     with pytest.raises(ValueError):
         mk.solve(np.ones((2, 3)), np.ones(2))  # not square
@@ -112,25 +100,23 @@ def test_solve_shape_errors():
         mk.solve(np.ones(3), np.ones(3))  # not 2-D
 
 
-# -- log-determinant -----------------------------------------------------------
+# -- solve with a Cholesky factor ---------------------------------------------
 
-def test_logdet_posdef_matches_slogdet():
-    rng = np.random.default_rng(37)
-    for _ in range(10):
-        n = int(rng.integers(1, 9))
-        m = random_spd(rng, n, scale=float(rng.uniform(1e-3, 1e3)))
-        sign, ref = np.linalg.slogdet(m)
-        assert sign == 1.0
-        assert abs(mk.logdet_posdef(m) - ref) < 1e-10 * max(abs(ref), 1.0)
-    assert mk.logdet_posdef(np.diag([2.0, 8.0])) == pytest.approx(np.log(16.0), rel=1e-15)
+def test_cho_solve_matches_lu():
+    rng = np.random.default_rng(31)
+    m = random_spd(rng, 6)
+    lo = mk.cholesky(m)
+    b = rng.standard_normal(6)
+    assert np.allclose(mk.cho_solve(lo, b), mk.solve(m, b), atol=1e-9)
+    # one factor serves a matrix of right-hand sides too
+    rhs = rng.standard_normal((6, 3))
+    assert np.allclose(mk.cho_solve(lo, rhs), mk.solve(m, rhs), atol=1e-9)
 
 
-def test_logdet_posdef_rejects_outside_cone():
-    # the barrier's cone-membership test: no finite value off the SPD cone
+def test_cho_solve_factor_rejects_indefinite():
+    # an indefinite matrix has no factor to solve with
     with pytest.raises(mk.NotPositiveDefinite):
-        mk.logdet_posdef(np.diag([1.0, -1e-3]))
-    with pytest.raises(mk.NotPositiveDefinite):
-        mk.logdet_posdef(np.zeros((3, 3)))
+        mk.cho_solve(mk.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]])), np.array([1.0, 1.0]))
 
 
 # -- input checks --------------------------------------------------------------

@@ -116,7 +116,8 @@ def _synthesize_all(scn, verbose=True):
 
 
 def _hj_solve(scn, axis):
-    """Solve the stay/reach PDE for one error subsystem."""
+    """The robust stay set of one error subsystem, solved until {V <= 0}
+    is final: the grid form of its viability kernel."""
     block = scn.hj_blocks[axis]
     grid = Grid2(mins=(-block.grid_half_widths[0], -block.grid_half_widths[1]),
                  maxs=(block.grid_half_widths[0], block.grid_half_widths[1]),
@@ -125,7 +126,7 @@ def _hj_solve(scn, axis):
     dyn = plants.subsystem_error_dynamics(
         axis, scn.quadruped, u_lo=block.u_lo, u_hi=block.u_hi,
         delta_m_interval=block.delta_m, drag_force=block.drag_force)
-    vg = solve_brs(grid, target, dyn, block.horizon, freeze=block.freeze)
+    vg = solve_brs(grid, target, dyn, "converge", freeze="stay")
     return vg, target
 
 
@@ -172,6 +173,10 @@ def _wmax_pipeline(scn, out, verbose=True):
             raise ConfigError(f"[hj_{axis}] present but [clf_{axis}] missing")
         cert, eig = certs[axis]
         vg, target = _hj_solve(scn, axis)
+        if not vg.info["converged"]:
+            raise NoSafeRoa(f"[hj_{axis}] the safe set was still changing at the solve's "
+                            f"time cap (set_final_time = {vg.info['set_final_time']:.5f}); "
+                            f"no bound is certified on a set that is not final")
         res = find_wmax(cert, vg, target)
         grid_file = f"{scn.name}_valuegrid_{axis}.csv"
         vg.to_csv(out / grid_file)

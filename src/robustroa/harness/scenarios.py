@@ -67,16 +67,6 @@ def _half_widths(text):
     return hw
 
 
-def _horizon(text):
-    """A negative time, or 'converge' to run until the set stops changing."""
-    if text == "converge":
-        return text
-    value = _number(text)
-    if not value < 0.0:
-        raise ValueError("must be a negative time or 'converge'")
-    return value
-
-
 def _grid_nodes(text):
     n = int(text)
     if n < 3:
@@ -103,14 +93,14 @@ class ClfBlock:
 
 @dataclass
 class HjBlock:
-    """Reachability settings for one error subsystem."""
+    """Reachability settings for one error subsystem: the grid of its
+    [hj_*] section, and the total force box, payload interval and drag the
+    loader derives from [mpc] and [quadruped]."""
 
     axis: str
     target_half_widths: tuple
     grid_half_widths: tuple
     n: int
-    horizon: object  # negative float or "converge"
-    freeze: str
     u_lo: float
     u_hi: float
     delta_m: tuple
@@ -163,10 +153,7 @@ _REQ = object()  # the default of a key that must be given
 _CLF_KEYS = dict(q=(_vector, _REQ), r=(_vector, _REQ), decay_rate=(_number, _REQ),
                  dist_weight=(_number, _REQ), w_max=(_nonnegative, None))
 _HJ_KEYS = dict(target_half_widths=(_half_widths, _REQ), grid_half_widths=(_half_widths, _REQ),
-                n=(_grid_nodes, _REQ), horizon=(_horizon, _REQ),
-                freeze=(_choice("stay", "reach"), "stay"), u_lo=(_number, _REQ),
-                u_hi=(_number, _REQ), delta_m_lo=(_number, 0.0), delta_m_hi=(_number, 0.0),
-                drag_force=(_number, 0.0))
+                n=(_grid_nodes, _REQ))
 
 # Every key each section may hold, as (cast, default).  _read parses a
 # section through its entry and rejects any key the entry does not list.
@@ -182,7 +169,9 @@ _KEYS = {
                       step_time=(_positive, _REQ),
                       # the two stance feet sit 2 * step_offset apart and must not coincide
                       step_offset=(_positive, _REQ),
-                      delta_m=(_number, 0.0), drag_force=(_number, 0.0)),
+                      # the simulated payload, and the interval the HJ solve covers
+                      delta_m=(_number, 0.0), delta_m_lo=(_number, 0.0),
+                      delta_m_hi=(_number, 0.0), drag_force=(_number, 0.0)),
     "clf": _CLF_KEYS, "clf_y": _CLF_KEYS, "clf_z": _CLF_KEYS,
     "mpc": dict(q=(_vector, _REQ), r=(_vector, _REQ), dt=(_number, _REQ), horizon=(int, _REQ),
                 u_lo=(_vector, None), u_hi=(_vector, None)),
@@ -232,13 +221,28 @@ def _clf_block(vals, axis):
     return ClfBlock(axis=axis, params=params, w_max=w_max)
 
 
-def _hj_block(vals, axis):
-    for bound in ("u", "delta_m"):
-        lo, hi = vals[f"{bound}_lo"], vals[f"{bound}_hi"]
-        if lo > hi:
-            raise ConfigError(f"[hj_{axis}] {bound}_lo {lo!r} exceeds {bound}_hi {hi!r}")
-    delta_m = (vals.pop("delta_m_lo"), vals.pop("delta_m_hi"))
-    return HjBlock(axis=axis, delta_m=delta_m, **vals)
+def _payload(ps):
+    """(simulated payload, HJ payload interval, drag) popped from the
+    [quadruped] values; every total mass they give must be positive."""
+    delta_m, lo, hi = ps.pop("delta_m"), ps.pop("delta_m_lo"), ps.pop("delta_m_hi")
+    if lo > hi:
+        raise ConfigError(f"[quadruped] delta_m_lo {lo!r} exceeds delta_m_hi {hi!r}")
+    if not ps["mass"] + min(delta_m, lo) > 0.0:
+        raise ConfigError(f"[quadruped] mass + delta_m and mass + delta_m_lo must be positive, "
+                          f"got {ps['mass']!r} + {delta_m!r} and {ps['mass']!r} + {lo!r}")
+    return delta_m, (lo, hi), ps.pop("drag_force")
+
+
+def _hj_block(vals, axis, mpc_cfg, delta_m, drag):
+    """[hj_<axis>] plus the facts stated elsewhere: the axis's total force
+    box sums its entries of the [mpc] per-foot boxes, and the drag resists
+    the lateral axis only."""
+    if mpc_cfg.u_lo is None or mpc_cfg.u_hi is None:
+        raise ConfigError(f"[hj_{axis}] needs the [mpc] force boxes u_lo and u_hi")
+    idx = list(QuadrupedPlant.axis_forces[axis])
+    return HjBlock(axis=axis, u_lo=float(mpc_cfg.u_lo[idx].sum()),
+                   u_hi=float(mpc_cfg.u_hi[idx].sum()), delta_m=delta_m,
+                   drag_force=drag if axis == "y" else 0.0, **vals)
 
 
 def _disturbance(vals):
@@ -264,13 +268,13 @@ def load_scenario(path):
     top = _read(cp, "scenario", opened)
     plant_kind = top["plant"]
     quadcopter = quadruped = None
-    delta_m = drag = 0.0
+    delta_m, interval, drag = 0.0, None, 0.0
     if plant_kind == "quadcopter":
         quadcopter = QuadcopterParams(**_read(cp, "quadcopter", opened))
         clf_blocks = {"main": _clf_block(_read(cp, "clf", opened), "main")}
     else:
         ps = _read(cp, "quadruped", opened)
-        delta_m, drag = ps.pop("delta_m"), ps.pop("drag_force")
+        delta_m, interval, drag = _payload(ps)
         quadruped = QuadrupedParams(**ps)
         clf_blocks = {axis: _clf_block(_read(cp, f"clf_{axis}", opened), axis)
                       for axis in ("y", "z")}
@@ -309,8 +313,9 @@ def load_scenario(path):
         raise ConfigError(f"[disturbance] w has {len(disturbance.w)} entries, the "
                           f"{plant_kind} needs {plant_cls.n_dist}")
 
-    hj_blocks = {axis: _hj_block(_read(cp, f"hj_{axis}", opened), axis)
-                 for axis in ("y", "z") if cp.has_section(f"hj_{axis}")}
+    # a quadcopter's [hj_*] section is an unknown section
+    hj_blocks = {axis: _hj_block(_read(cp, f"hj_{axis}", opened), axis, mpc_cfg, interval, drag)
+                 for axis in ("y", "z") if quadruped is not None and cp.has_section(f"hj_{axis}")}
 
     sim = _read(cp, "simulate", opened)
     if int(round(sim["duration"] / sim["dt"])) < 1:

@@ -11,8 +11,8 @@ backward from t = 0 with forward-Euler steps of an upwind (Godunov)
 scheme.  The control shrinks V (reaching / staying) and the disturbance
 opposes it.
 
-Dynamics must be affine in each control / disturbance channel, with box
-bounds per channel, so every pointwise extremum is bang-bang, and each
+Dynamics must be affine in each control / disturbance channel, with finite
+box bounds per channel, so every pointwise extremum is bang-bang, and each
 channel must move one axis at each node (a ValueError otherwise: per-axis
 control minima would be optimistic for a channel that moves both).  Then
 H(x, p) = H_1(x, p_1) + H_2(x, p_2), and each H_i is linear on either side
@@ -241,6 +241,8 @@ class _GridTerms:
             for terms in (dyn.control_terms, dyn.disturbance_terms):
                 channels.append([])
                 for fn, (lo, hi) in terms:
+                    if not np.all(np.isfinite((lo, hi))):
+                        raise ValueError(f"channel bounds ({lo!r}, {hi!r}) must be finite")
                     g1, g2 = (field(g) for g in fn(x1g, x2g, par))
                     if np.any((g1 != 0.0) & (g2 != 0.0)):
                         raise ValueError("each control and disturbance channel must move "

@@ -212,8 +212,8 @@ def quadruped_axis_linear(p: QuadrupedParams):
                        b_w=np.array([[0.0], [1.0]]))
 
 
-def subsystem_error_dynamics(axis, p: QuadrupedParams, u_lo, u_hi,
-                             delta_m_interval=(0.0, 5.0), drag_force=0.0):
+def subsystem_error_dynamics(axis, p: QuadrupedParams, u_lo, u_hi, delta_m_interval,
+                             drag_force=0.0):
     """Error-coordinate dynamics of one axis for reachability.
 
     e = (tracking error, its rate); the control is the total axis force
@@ -351,6 +351,8 @@ class QuadrupedPlant:
     n_states = 6
     n_controls = 4
     n_dist = 0
+    # the entries of u whose sum is each error subsystem's total force
+    axis_forces = {"y": (0, 1), "z": (2, 3)}
 
     def __init__(self, params: QuadrupedParams | None = None,
                  delta_m=0.0, drag_force=0.0, y0=0.0):

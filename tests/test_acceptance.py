@@ -228,8 +228,8 @@ def test_criterion_5_wmax_bisection():
         z_vg = solve_brs(z_grid, z_target, dyn, -2.0, freeze="stay")
         bounds[dm] = find_wmax(z_cert, z_vg, z_target).w_max
         block = HjBlock(axis="z", target_half_widths=(0.076, 0.8),
-                        grid_half_widths=(0.2, 1.6), n=101, horizon=-2.0, freeze="stay",
-                        u_lo=0.0, u_hi=240.0, delta_m=(dm, dm))
+                        grid_half_widths=(0.2, 1.6), n=101, u_lo=0.0, u_hi=240.0,
+                        delta_m=(dm, dm))
         exact[dm] = orc.kernel.exact_wmax("z", z_cert, block, params)
         assert bounds[dm] <= exact[dm]
     assert bounds[0.0] >= bounds[5.0]

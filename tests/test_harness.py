@@ -7,6 +7,7 @@ The slower tests run the real pipeline on a shrunken quadruped scenario
 
 import contextlib
 import copy
+import dataclasses
 import io
 import re
 import shutil
@@ -38,7 +39,7 @@ MINI = {
     "quadruped": {
         "mass": 12.454, "inertia_xx": 0.0565, "gravity": 9.81,
         "friction_coeff": 0.6, "z_ref": 0.32, "v_ref": 0.45,
-        "step_time": 0.25, "step_offset": 0.15,
+        "step_time": 0.25, "step_offset": 0.15, "delta_m_lo": 0.0, "delta_m_hi": 5.0,
     },
     "clf_y": {"q": "500, 10", "r": "1", "decay_rate": 0.3, "dist_weight": 200},
     "clf_z": {"q": "1000, 1", "r": "0.01", "decay_rate": 0.8, "dist_weight": 90},
@@ -49,16 +50,8 @@ MINI = {
     },
     "reference": {"kind": "trot"},
     "disturbance": {"kind": "none"},
-    "hj_y": {
-        "target_half_widths": "0.25, 1.0", "grid_half_widths": "0.5, 2.0",
-        "n": 41, "horizon": -0.5, "freeze": "stay",
-        "u_lo": -70.0, "u_hi": 70.0, "delta_m_lo": 0.0, "delta_m_hi": 5.0,
-    },
-    "hj_z": {
-        "target_half_widths": "0.12, 0.8", "grid_half_widths": "0.2, 1.6",
-        "n": 41, "horizon": -0.5, "freeze": "stay",
-        "u_lo": 0.0, "u_hi": 300.0, "delta_m_lo": 0.0, "delta_m_hi": 5.0,
-    },
+    "hj_y": {"target_half_widths": "0.25, 1.0", "grid_half_widths": "0.5, 2.0", "n": 41},
+    "hj_z": {"target_half_widths": "0.12, 0.8", "grid_half_widths": "0.2, 1.6", "n": 41},
     "simulate": {"duration": 0.3, "dt": 0.001},
 }
 
@@ -138,8 +131,11 @@ def test_bundled_quadruped_scenario_parses():
     assert hz.target_half_widths == (0.076, 0.8)
     assert hz.grid_half_widths == (0.2, 1.6)
     assert hz.n == 101
-    assert hz.horizon == "converge"
-    assert hz.freeze == "stay"
+    # the solve mode is no config setting: every block is solved as a
+    # converged stay set
+    assert [f.name for f in dataclasses.fields(hz)] == [
+        "axis", "target_half_widths", "grid_half_widths", "n", "u_lo", "u_hi", "delta_m",
+        "drag_force"]
     assert hz.u_lo == 0.0 and hz.u_hi == 300.0
     assert hz.delta_m == (0.0, 5.0)
     assert np.allclose(scn.clf_blocks["y"].params.q, [500.0, 10.0])
@@ -147,11 +143,32 @@ def test_bundled_quadruped_scenario_parses():
     assert isinstance(scn.reference(), TrotRef)
 
 
-def test_horizon_converge_keyword(tmp_path):
-    path = mini_cfg(tmp_path, hj_y={"horizon": "converge"})
-    scn = load_scenario(path)
-    assert scn.hj_blocks["y"].horizon == "converge"
-    assert scn.hj_blocks["z"].horizon == -0.5
+@pytest.mark.parametrize("name, y, z", [
+    ("quadruped_height.cfg", (-70.0, 70.0, (0.0, 5.0), 0.0), (0.0, 300.0, (0.0, 5.0), 0.0)),
+    ("quadruped_push.cfg", (-70.0, 70.0, (0.0, 0.0), 25.0), (0.0, 300.0, (0.0, 0.0), 0.0)),
+])
+def test_bundled_hj_blocks_derive_from_the_scenario(name, y, z):
+    # (u_lo, u_hi, delta_m, drag_force) of each axis: the sums of its [mpc]
+    # per-foot boxes, the [quadruped] payload interval, and the [quadruped]
+    # drag on the lateral axis only, with the bits of the values the
+    # [hj_*] sections used to repeat
+    scn = bundled(name)
+    for axis, want in (("y", y), ("z", z)):
+        block = scn.hj_blocks[axis]
+        got = (block.u_lo, block.u_hi, block.delta_m, block.drag_force)
+        assert got == want
+        assert [np.signbit(v) for v in got[:2]] == [np.signbit(v) for v in want[:2]]
+
+
+def test_removed_hj_keys_raise(tmp_path):
+    # each fact the [hj_*] sections used to repeat now has one home, and
+    # the solve has one mode, so every old key is an unknown key
+    removed = {"horizon": "converge", "freeze": "stay", "u_lo": -70.0, "u_hi": 70.0,
+               "delta_m_lo": 0.0, "delta_m_hi": 5.0, "drag_force": 0.0}
+    for key, value in removed.items():
+        path = mini_cfg(tmp_path, fname=f"{key}.cfg", hj_y={key: value})
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[hj_y\\]"):
+            load_scenario(path)
 
 
 def test_with_mode_copies():
@@ -435,8 +452,8 @@ def test_cli_config_errors_exit_4(tmp_path, capsys):
     ("simulate", {"mpc": {"r": "0, 0, 0"}}),
     ("simulate", {"mpc": {"u_lo": "-35, -35, 0"}}),
     ("simulate", {"mpc": {"u_hi": "35, 35, 150, 150, 150"}}),
-    ("wmax", {"hj_z": {"u_lo": 300.0, "u_hi": 0.0}}),
-    ("wmax", {"hj_y": {"delta_m_lo": 5.0, "delta_m_hi": 0.0}}),
+    ("wmax", {"mpc": {"u_lo": "-35, -35, 150, 150", "u_hi": "35, 35, 0, 0"}}),
+    ("wmax", {"quadruped": {"delta_m_lo": 5.0, "delta_m_hi": 0.0}}),
     ("simulate", {"quadruped": {"step_offset": 0.0}}),
     ("simulate", {"quadruped": {"step_time": 0.0}}),
     ("simulate", {"quadruped": {"step_time": -0.25}}),
@@ -452,7 +469,7 @@ def test_cli_config_errors_exit_4(tmp_path, capsys):
     ("simulate", {"reference": {"amp_y": "nan"}}),
     ("simulate", {"reference": {"amp_z": "inf"}}),
     ("simulate", {"mpc": {"q": "1e5, nan, 1e7, 1e2, 1e1, 1e2"}}),
-    ("wmax", {"hj_y": {"u_hi": "inf"}}),
+    ("wmax", {"mpc": {"u_hi": "35, 35, 150, inf"}}),
     ("simulate", {"clf": {"w_max": -3.5}}),
     ("simulate", {"disturbance": {"kind": "worst_constant", "w_max": -3.5}}),
     ("simulate", {"mpc": {"u_lo": "-35, -35, 0, 200"}}),
@@ -460,6 +477,14 @@ def test_cli_config_errors_exit_4(tmp_path, capsys):
     ("simulate", {"clf_y": {"decay": 0.3}}),
     ("wmax", {"hj_x": {"n": 41}}),
     ("simulate", {"quadcopter": {"mass": 1.0}, "clf_y": {"q": "500, 10"}}),
+    ("hj-brs", {"hj_y": {"freeze": "reach"}}),
+    ("hj-brs", {"hj_y": {"horizon": "converge"}}),
+    ("wmax", {"hj_y": {"u_hi": 70.0}}),
+    ("wmax", {"hj_y": {"drag_force": 0.0}}),
+    ("reproduce", {"quadruped": {"delta_m": -12.454}}),
+    ("wmax", {"quadruped": {"delta_m_lo": -12.454}}),
+    ("wmax", {"quadruped": {"delta_m_lo": -13.0}}),
+    ("simulate", {"quadcopter": {"mass": 1.0}, "hj_y": MINI["hj_y"]}),
 ], ids=["duration", "dt", "duration-below-dt", "horizon-positive", "horizon-word", "n",
         "target-half-width", "grid-half-width", "freeze", "hold-time",
         "quadcopter-disturbance-length", "mpc-q-length",
@@ -469,7 +494,9 @@ def test_cli_config_errors_exit_4(tmp_path, capsys):
         "quadcopter-arm", "quadcopter-inertia", "quadcopter-gravity", "t-end-zero",
         "amp-y-nan", "amp-z-inf", "mpc-q-nan", "hj-u-hi-inf", "clf-w-max-negative",
         "disturbance-w-max-negative", "mpc-input-box", "misspelt-key", "misspelt-clf-key",
-        "unknown-section", "other-plant-section"])
+        "unknown-section", "other-plant-section", "freeze-reach", "horizon",
+        "hj-u-hi", "hj-drag-force", "payload-zero-mass", "payload-interval-zero-mass",
+        "payload-interval-negative-mass", "quadcopter-hj-section"])
 def test_cli_bad_config_values_exit_4(tmp_path, capsys, command, edits):
     # rejected by the loader, before any synthesis, PDE solve or simulation;
     # only the quadcopter takes a disturbance policy and a figure-8 reference
@@ -503,8 +530,37 @@ def test_cli_hj_sections_required(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_hj_needs_mpc_force_box(tmp_path, capsys):
+    # the safe sets take their force boxes from the [mpc] per-foot boxes
+    for key in ("u_lo", "u_hi"):
+        sections = copy.deepcopy(MINI)
+        del sections["mpc"][key]
+        path = write_cfg(tmp_path, sections, fname=f"no-{key}.cfg")
+        assert cli.main(["wmax", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+        assert "[mpc] force boxes" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["wmax", "reproduce"])
+def test_cli_unsettled_safe_set_exit_3(tmp_path, capsys, command):
+    # 85.75 N per foot gives z a 171.5 N lift box: against the 12.454 kg
+    # body (122.2 N) and up to 5 kg of payload (171.3 N) its safe set is
+    # still changing when the converge rule's 10 s cap stops the solve, so
+    # no bound is certified on it
+    ref = resources.files("robustroa.harness").joinpath("configs", "quadruped_height.cfg")
+    text = ref.read_text()
+    assert text.count("u_hi = 35, 35, 150, 150") == 1
+    path = tmp_path / "weak_lift.cfg"
+    path.write_text(text.replace("u_hi = 35, 35, 150, 150", "u_hi = 35, 35, 85.75, 85.75"))
+    rc, _ = run_cli([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "[hj_z]" in err and "set_final_time = " in err
+    assert not (tmp_path / "o" / "quadruped_height_wmax.txt").exists()
+
+
 def test_cli_hj_brs_reports_set_final_time(tmp_path):
-    path = mini_cfg(tmp_path, hj_y={"horizon": "converge"})
+    path = mini_cfg(tmp_path)
     rc, text = run_cli(["hj-brs", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 0
     lines = [line for line in text.splitlines() if "set_final_time = " in line]

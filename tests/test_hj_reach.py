@@ -676,6 +676,21 @@ def test_solve_brs_argument_validation():
         hj.solve_brs(grid, DI_TARGET, dyn, "later")
 
 
+@pytest.mark.parametrize("horizon", [-0.5, "converge"])
+def test_solve_brs_rejects_non_finite_bounds(horizon):
+    # an infinite bound has no finite step: the solve raises at once
+    # instead of never advancing t (a fixed horizon) or dividing by a zero
+    # step (converge)
+    grid = hj.Grid2((-0.5, -2.0), (0.5, 2.0), (21, 21))
+    target = hj.TargetSet.box((0.0, 0.0), (0.25, 1.0))
+    cases = [plants.subsystem_error_dynamics("y", plants.QuadrupedParams(), u_lo=-70.0,
+                                             u_hi=np.inf, delta_m_interval=(0.0, 5.0)),
+             di_dynamics(u_max=np.nan), di_dynamics(w_max=np.inf)]
+    for dyn in cases:
+        with pytest.raises(ValueError, match="must be finite"):
+            hj.solve_brs(grid, target, dyn, horizon, freeze="stay")
+
+
 # -- export ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("shape", [(4, 3), (101, 101), (7, 23)])

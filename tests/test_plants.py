@@ -269,7 +269,8 @@ def test_tracking_controller_callable_gain():
 
 def test_subsystem_error_dynamics_endpoints():
     p = plants.QuadrupedParams()
-    dyn = plants.subsystem_error_dynamics("z", p, u_lo=0.0, u_hi=400.0)
+    dyn = plants.subsystem_error_dynamics("z", p, u_lo=0.0, u_hi=400.0,
+                                          delta_m_interval=(0.0, 5.0))
     assert dyn.uncertain_params == (0.0, 5.0)
     x1 = np.array([0.1, -0.2])
     x2 = np.array([0.0, 0.3])
@@ -280,11 +281,11 @@ def test_subsystem_error_dynamics_endpoints():
     assert np.allclose(g1, 0.0) and np.allclose(g2, 1.0 / (p.mass + 5.0))
     assert (lo, hi) == (0.0, 400.0)
 
-    dyn_y = plants.subsystem_error_dynamics("y", p, -150.0, 150.0, drag_force=30.0)
+    dyn_y = plants.subsystem_error_dynamics("y", p, -150.0, 150.0, (0.0, 5.0), drag_force=30.0)
     _, dy2 = dyn_y.drift(x1, x2, 5.0)
     assert np.allclose(dy2, -30.0 / (p.mass + 5.0))
     with pytest.raises(ValueError):
-        plants.subsystem_error_dynamics("q", p, 0.0, 1.0)
+        plants.subsystem_error_dynamics("q", p, 0.0, 1.0, (0.0, 5.0))
 
 
 def test_trot_reference():

@@ -3,7 +3,6 @@ import dataclasses
 import io
 import math
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,19 +317,18 @@ def test_find_wmax_validation():
 
 @pytest.fixture(scope="module", params=["quadruped_height.cfg", "quadruped_push.cfg"])
 def bundled_run(request, tmp_path_factory):
-    """(scenario, out dir): `wmax` on a bundled config, which solves under
-    horizon = converge, into out/converge, and `hj-brs` on a copy with
-    horizon = -2.0 into out/fixed."""
+    """(scenario, out dir): `wmax` on a bundled config, which solves each
+    axis to convergence, into out/converge, and each axis's value grid at
+    the fixed horizon -2 s, solved on the same grid, into out/fixed."""
     out = tmp_path_factory.mktemp("bundled")
     ref = resources.files("robustroa.harness").joinpath("configs", request.param)
     with resources.as_file(ref) as path, contextlib.redirect_stdout(io.StringIO()):
         scn = load_scenario(path)
-        text = Path(path).read_text()
-        assert text.count("horizon = converge") == 2
         assert cli.main(["wmax", "--config", str(path), "--out", str(out / "converge")]) == 0
-        fixed = out / "fixed.cfg"
-        fixed.write_text(text.replace("horizon = converge", "horizon = -2.0"))
-        assert cli.main(["hj-brs", "--config", str(fixed), "--out", str(out / "fixed")]) == 0
+    (out / "fixed").mkdir()
+    for axis, block in scn.hj_blocks.items():
+        vg = solve_brs(*bundled_dynamics(scn, axis, block.n), -2.0, freeze="stay")
+        vg.to_csv(out / "fixed" / f"{scn.name}_valuegrid_{axis}.csv")
     return scn, out
 
 
@@ -356,9 +354,9 @@ def test_bundled_converge_set_matches_fixed_horizon(bundled_run, axis):
 
 # -- safe sets against the exact viability kernel -----------------------------------
 
-def bundled_axis(scn, axis, n, block=None):
-    """(grid, target, dynamics, certificate) of one bundled axis at n x n,
-    under its own [hj_*] block or the one given."""
+def bundled_dynamics(scn, axis, n, block=None):
+    """(grid, target, dynamics) of one bundled axis at n x n, under its own
+    [hj_*] block or the one given."""
     block = scn.hj_blocks[axis] if block is None else block
     hw1, hw2 = block.grid_half_widths
     grid = Grid2((-hw1, -hw2), (hw1, hw2), (n, n))
@@ -366,9 +364,14 @@ def bundled_axis(scn, axis, n, block=None):
     dyn = plants.subsystem_error_dynamics(axis, scn.quadruped, u_lo=block.u_lo,
                                           u_hi=block.u_hi, delta_m_interval=block.delta_m,
                                           drag_force=block.drag_force)
+    return grid, target, dyn
+
+
+def bundled_axis(scn, axis, n, block=None):
+    """bundled_dynamics plus the axis's synthesized certificate."""
     cert, _ = synthesize(plants.quadruped_axis_linear(scn.quadruped),
                          scn.clf_blocks[axis].params)
-    return grid, target, dyn, cert
+    return (*bundled_dynamics(scn, axis, n, block), cert)
 
 
 # (scenario, axis) -> least safe-node count at n = 51, 101, 201.  The exact

@@ -4,30 +4,31 @@ Chain demonstrated here, for the vertical error axis of the trotting
 quadruped: synthesize the ancillary gain, solve the robust stay-inside PDE
 over the payload uncertainty until its safe set is final, then take, in
 closed form, the largest disturbance bound whose invariant ellipse still
-fits inside the safe set.  A second pass shrinks the force ceiling so that
-a 5 kg payload leaves little lift margin.  The certified w_max stays put:
-the ellipse still meets the e1 = h1 edge of the safe set before the lift
-parabola, as it does in the exact viability kernel.
+fits inside the safe set.  Weights, grid, target, force box and payload
+interval are those of the bundled quadruped_height.cfg.  A second pass
+shrinks the force ceiling so that a 5 kg payload leaves little lift
+margin.  The certified w_max stays put: the ellipse still meets the
+e1 = h1 edge of the safe set before the lift parabola, as it does in the
+exact viability kernel.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from robustroa import plants
-from robustroa.clf_synth import ClfParams, synthesize
+from robustroa.clf_synth import synthesize
 from robustroa.harness import svgplot
-from robustroa.hj_reach import Grid2, TargetSet, solve_brs
+from robustroa.harness.scenarios import bundled_scenario
+from robustroa.hj_reach import solve_brs
 from robustroa.roa_bridge import find_wmax
 
 OUT = Path(__file__).resolve().parent / "out"
 
 
-def certify(cert, plant_params, u_hi, delta_m, target_hw=(0.076, 0.8)):
-    grid = Grid2(mins=(-0.2, -1.6), maxs=(0.2, 1.6), shape=(101, 101))
-    target = TargetSet.box(center=(0.0, 0.0), half_widths=target_hw)
-    dyn = plants.subsystem_error_dynamics("z", plant_params, u_lo=0.0, u_hi=u_hi,
-                                          delta_m_interval=delta_m)
+def certify(cert, block, plant_params):
+    grid, target, dyn = block.problem(plant_params)
     vg = solve_brs(grid, target, dyn, "converge", freeze="stay")
     return find_wmax(cert, vg, target), vg, target
 
@@ -60,16 +61,14 @@ def safe_boundary(vg):
 
 def main():
     OUT.mkdir(exist_ok=True)
-    params = plants.QuadrupedParams()
-    model = plants.quadruped_axis_linear(params)
-    weights = ClfParams(q=np.array([1000.0, 1.0]), r=np.array([0.01]),
-                        decay_rate=0.8, dist_weight=90.0)
-    cert, sol = synthesize(model, weights)
+    scn = bundled_scenario("quadruped_height.cfg")
+    params, block = scn.quadruped, scn.hj_blocks["z"]
+    cert, sol = synthesize(plants.quadruped_axis_linear(params), scn.clf_blocks["z"].params)
     print(f"synthesis: {sol.status.value}, objective {sol.objective_value:.6f}")
     print(f"K = {np.array_str(cert.k, precision=3)}")
 
-    ample, vg, target = certify(cert, params, u_hi=300.0, delta_m=(0.0, 5.0))
-    print(f"ample force (u <= 300 N): w_max = {ample.w_max:.6f} m/s^2, "
+    ample, vg, target = certify(cert, block, params)
+    print(f"ample force (u <= {block.u_hi:.0f} N): w_max = {ample.w_max:.6f} m/s^2, "
           f"level = {ample.level:.6f}, c* = {ample.c_star:.6f}")
 
     ell = ellipse_points(cert.p, ample.level)
@@ -93,7 +92,7 @@ def main():
     # ceiling leaves little up-authority, yet the height band still binds
     print("force ceiling 240 N:")
     for dm in (0.0, 5.0):
-        res, _, _ = certify(cert, params, u_hi=240.0, delta_m=(dm, dm))
+        res, _, _ = certify(cert, replace(block, u_hi=240.0, delta_m=(dm, dm)), params)
         print(f"  payload {dm:.0f} kg: w_max = {res.w_max:.6f} m/s^2, "
               f"level = {res.level:.6f}")
     return ample

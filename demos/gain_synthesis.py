@@ -5,7 +5,8 @@ error energy E = e' P e satisfies
 
     Edot <= -decay_rate * E + dist_weight * |w|^2
 
-along the linearized closed loop.  This script runs the synthesis, prints
+along the linearized closed loop.  This script runs the synthesis with the
+[clf] weights and bound of the bundled quadcopter_fig8.cfg, prints
 the solution, and then hammers the inequality with random (e, w) samples
 as an independent check that the algebra behind the certificate holds.
 """
@@ -13,18 +14,15 @@ as an independent check that the algebra behind the certificate holds.
 import numpy as np
 
 from robustroa import plants
-from robustroa.clf_synth import ClfParams, roa_level, synthesize, verify_closed_loop
+from robustroa.clf_synth import roa_level, synthesize, verify_closed_loop
+from robustroa.harness.scenarios import bundled_scenario
 
 
 def main():
-    params = plants.QuadcopterParams()
-    model = plants.quadcopter_linearize(params)
-    weights = ClfParams(
-        q=np.array([1e-1, 1, 1, 1, 1, 1e-2]),
-        r=np.array([1e-2, 1e-4]),
-        decay_rate=0.5,
-        dist_weight=0.1,
-    )
+    scn = bundled_scenario("quadcopter_fig8.cfg")
+    model = plants.quadcopter_linearize(scn.quadcopter)
+    block = scn.clf_blocks["main"]
+    weights = block.params
 
     cert, sol = synthesize(model, weights)
     eig = verify_closed_loop(model, cert)
@@ -48,9 +46,8 @@ def main():
         worst = max(worst, edot - bound)
     print(f"max supply-rate violation over 500 samples: {worst:.3e}")
 
-    w_max = 3.5
-    level = roa_level(weights, w_max)
-    print(f"invariant level for |w| <= {w_max}: E <= {level:.6f}")
+    level = roa_level(weights, block.w_max)
+    print(f"invariant level for |w| <= {block.w_max}: E <= {level:.6f}")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Command-line front end: synth | hj-brs | wmax | simulate | reproduce.
 
-Each subcommand takes --config <path> (reproduce can instead name a bundled
-figure: fig3, fig4a, fig4c), with optional --seed and --out.  Exit codes:
+Each subcommand takes --config <path> (reproduce instead takes either that
+or the name of a bundled figure: fig3, fig4a, fig4c), with optional --seed
+and --out.  Exit codes:
 0 success, 2 synthesis infeasible, 3 no safe region of attraction,
 4 config or usage error.
 """
@@ -17,7 +18,7 @@ import numpy as np
 
 from .. import plants
 from ..clf_synth import DimensionMismatch, roa_level, synthesize, verify_closed_loop
-from ..hj_reach import Grid2, TargetOutsideGrid, TargetSet, solve_brs
+from ..hj_reach import TargetOutsideGrid, solve_brs
 from ..lmi_solver import Infeasible
 from ..roa_bridge import NoSafeRoa, find_wmax
 from . import fileio, svgplot
@@ -91,13 +92,14 @@ def _matrix_lines(label, m):
 
 
 def _synthesize_all(scn, verbose=True):
-    """Run every synthesis block; returns {axis: (cert, cert_eig_max)}."""
+    """Run every synthesis block on the plant's one linear model; returns
+    (model, {axis: (cert, cert_eig_max)})."""
+    if scn.plant_kind == "quadcopter":
+        model = plants.quadcopter_linearize(scn.quadcopter)
+    else:
+        model = plants.quadruped_axis_linear(scn.quadruped)
     results = {}
     for axis, block in scn.clf_blocks.items():
-        if scn.plant_kind == "quadcopter":
-            model = plants.quadcopter_linearize(scn.quadcopter)
-        else:
-            model = plants.quadruped_axis_linear(scn.quadruped)
         cert, sol = synthesize(model, block.params)
         eig = verify_closed_loop(model, cert)
         if block.w_max is not None:
@@ -112,20 +114,13 @@ def _synthesize_all(scn, verbose=True):
                 print("  " + line)
             if cert.w_max is not None:
                 print(f"  w_max = {cert.w_max}, level = {cert.level}")
-    return results
+    return model, results
 
 
 def _hj_solve(scn, axis):
     """The robust stay set of one error subsystem, solved until {V <= 0}
     is final: the grid form of its viability kernel."""
-    block = scn.hj_blocks[axis]
-    grid = Grid2(mins=(-block.grid_half_widths[0], -block.grid_half_widths[1]),
-                 maxs=(block.grid_half_widths[0], block.grid_half_widths[1]),
-                 shape=(block.n, block.n))
-    target = TargetSet.box(center=(0.0, 0.0), half_widths=block.target_half_widths)
-    dyn = plants.subsystem_error_dynamics(
-        axis, scn.quadruped, u_lo=block.u_lo, u_hi=block.u_hi,
-        delta_m_interval=block.delta_m, drag_force=block.drag_force)
+    grid, target, dyn = scn.hj_blocks[axis].problem(scn.quadruped)
     vg = solve_brs(grid, target, dyn, "converge", freeze="stay")
     return vg, target
 
@@ -139,7 +134,8 @@ def _require_hj(scn):
 def cmd_synth(args):
     scn = _load(args)
     out = _out_dir(scn, args)
-    for axis, (cert, eig) in _synthesize_all(scn).items():
+    _, certs = _synthesize_all(scn)
+    for axis, (cert, eig) in certs.items():
         path = out / f"{scn.name}_certificate_{axis}.txt"
         fileio.write_certificate(path, scn.name, axis, cert, eig)
         print(f"[synth:{axis}] wrote {path}")
@@ -164,10 +160,12 @@ def cmd_hj_brs(args):
 
 
 def _wmax_pipeline(scn, out, verbose=True):
-    """synthesis -> PDE -> closed-form w_max for every subsystem with an hj block."""
+    """synthesis -> PDE -> closed-form w_max for every subsystem with an hj
+    block; returns (model, certs, entries).  Every axis is certified before
+    any file is written, so a run that fails on one axis leaves none."""
     _require_hj(scn)
-    certs = _synthesize_all(scn, verbose=verbose)
-    entries = []
+    model, certs = _synthesize_all(scn, verbose=verbose)
+    solved = []
     for axis in scn.hj_blocks:
         if axis not in certs:
             raise ConfigError(f"[hj_{axis}] present but [clf_{axis}] missing")
@@ -178,17 +176,21 @@ def _wmax_pipeline(scn, out, verbose=True):
                             f"time cap (set_final_time = {vg.info['set_final_time']:.5f}); "
                             f"no bound is certified on a set that is not final")
         res = find_wmax(cert, vg, target)
+        solved.append((axis, vg, res))
+        if verbose:
+            print(f"[wmax:{axis}] w_max = {res.w_max:.6f}, "
+                  f"level = {res.level:.6f}, c* = {res.c_star:.6f}")
+    entries = []
+    for axis, vg, res in solved:
         grid_file = f"{scn.name}_valuegrid_{axis}.csv"
         vg.to_csv(out / grid_file)
+        cert, eig = certs[axis]
         fileio.write_certificate(out / f"{scn.name}_certificate_{axis}.txt",
                                  scn.name, axis, cert, eig)
         entries.append({"axis": axis, "w_max": res.w_max, "level": res.level,
                         "grid_file": grid_file})
-        if verbose:
-            print(f"[wmax:{axis}] w_max = {res.w_max:.6f}, "
-                  f"level = {res.level:.6f}, c* = {res.c_star:.6f}")
     fileio.write_wmax_report(out / f"{scn.name}_wmax.txt", scn.name, entries)
-    return certs, entries
+    return model, certs, entries
 
 
 def cmd_wmax(args):
@@ -203,17 +205,18 @@ def cmd_wmax(args):
 
 
 def _certify(scn, out):
-    """Certification shared by every simulation of `scn`, as (certs, entries).
-    It does not depend on the controller mode, so one run computes it once.
+    """Certification shared by every simulation of `scn`, as (model, certs,
+    entries).  It does not depend on the controller mode, so one run
+    computes it once.
     Quadruped: the w_max pipeline, which also writes its certificates, value
     grids and report into `out`.  Quadcopter: the synthesis alone, with no
     bound entries."""
     if scn.plant_kind == "quadcopter":
-        return _synthesize_all(scn, verbose=False), []
+        return (*_synthesize_all(scn, verbose=False), [])
     return _wmax_pipeline(scn, out, verbose=False)
 
 
-def _build_quadcopter_sim(scn, certs):
+def _build_quadcopter_sim(scn, model, certs):
     plant = plants.QuadcopterPlant(scn.quadcopter)
     cert, _ = certs["main"]
     block = scn.clf_blocks["main"]
@@ -224,7 +227,7 @@ def _build_quadcopter_sim(scn, certs):
     controller = plants.TrackingController(plant, scn.reference(), scn.mpc,
                                            u_lin=plant.hover_input(), feedback=feedback)
     monitors = [plants.LyapunovMonitor(name="E", p=cert.p, level=level)]
-    dist = _disturbance_fn(scn, cert)
+    dist = _disturbance_fn(scn, cert, model)
     return plant, controller, monitors, dist
 
 
@@ -259,7 +262,7 @@ def _build_quadruped_sim(scn, certs, entries):
     return plant, controller, monitors, None
 
 
-def _disturbance_fn(scn, cert):
+def _disturbance_fn(scn, cert, model):
     pol = scn.disturbance
     if pol.kind == "none":
         return None
@@ -271,7 +274,6 @@ def _disturbance_fn(scn, cert):
         return plants.RandomDisturbance(pol.w_max, seed=scn.seed,
                                         hold_time=pol.hold_time)
     # worst_constant: aimed with the synthesized certificate
-    model = plants.quadcopter_linearize(scn.quadcopter)
     w = plants.worst_constant_disturbance(cert, model, pol.w_max)
     return plants.ConstantDisturbance(w)
 
@@ -330,10 +332,10 @@ def _plot_band(path, scn, series):
                       hlines=[(1.0, "invariant level", "#d62728")])
 
 
-def _simulate_one(scn, certs, entries):
+def _simulate_one(scn, model, certs, entries):
     """Simulate `scn` in its own mode under a certification from _certify."""
     if scn.plant_kind == "quadcopter":
-        plant, controller, monitors, dist = _build_quadcopter_sim(scn, certs)
+        plant, controller, monitors, dist = _build_quadcopter_sim(scn, model, certs)
     else:
         plant, controller, monitors, dist = _build_quadruped_sim(scn, certs, entries)
     return plants.simulate_closed_loop(plant, controller, scn.reference(), dist,
@@ -355,23 +357,20 @@ def cmd_simulate(args):
 
 
 def cmd_reproduce(args):
-    if args.config is not None:
+    if args.figure is None:
         scn = _load(args)
-    elif args.figure is not None:
+    else:
         ref = resources.files("robustroa.harness").joinpath(
             "configs", FIGURE_CONFIGS[args.figure])
         with resources.as_file(ref) as path:
             scn = _load(args, path)
-    else:
-        raise ConfigError("reproduce needs a figure id (fig3, fig4a, fig4c) "
-                          "or --config")
     out = _out_dir(scn, args)
 
-    certs, entries = _certify(scn, out)
+    certification = _certify(scn, out)
     bands = []
     for mode in ("nominal", "robust"):
         sub = scn.with_mode(mode)
-        traj = _simulate_one(sub, certs, entries)
+        traj = _simulate_one(sub, *certification)
         traj.to_csv(out / f"{scn.name}_{mode}.csv")
         _plot_trajectory(out / f"{scn.name}_{mode}_traj.svg", sub, traj)
         print(f"[reproduce:{mode}]")
@@ -397,6 +396,9 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "reproduce" and (args.figure is None) == (args.config is None):
+            parser.error("reproduce takes exactly one of a figure id (fig3, fig4a, fig4c) "
+                         "and --config")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -15,13 +15,15 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field
+from importlib import resources
 
 import numpy as np
 
 from ..clf_synth import ClfParams
+from ..hj_reach import Grid2, TargetSet
 from ..mpc import MpcConfig
 from ..plants import (Figure8Ref, QuadcopterParams, QuadcopterPlant, QuadrupedParams,
-                      QuadrupedPlant, TrotRef)
+                      QuadrupedPlant, TrotRef, subsystem_error_dynamics)
 
 
 class ConfigError(Exception):
@@ -105,6 +107,17 @@ class HjBlock:
     u_hi: float
     delta_m: tuple
     drag_force: float = 0.0
+
+    def problem(self, quadruped):
+        """(grid, target, dynamics) of this axis's reachability problem
+        for the quadruped with parameters `quadruped`."""
+        hw1, hw2 = self.grid_half_widths
+        grid = Grid2(mins=(-hw1, -hw2), maxs=(hw1, hw2), shape=(self.n, self.n))
+        target = TargetSet.box(center=(0.0, 0.0), half_widths=self.target_half_widths)
+        dyn = subsystem_error_dynamics(self.axis, quadruped, u_lo=self.u_lo, u_hi=self.u_hi,
+                                       delta_m_interval=self.delta_m,
+                                       drag_force=self.drag_force)
+        return grid, target, dyn
 
 
 @dataclass
@@ -256,6 +269,14 @@ def _disturbance(vals):
         return DisturbancePolicy(kind, w=tuple(vals["w"]))
     return DisturbancePolicy(kind, w_max=vals["w_max"], freq=vals["freq"],
                              hold_time=vals["hold_time"])
+
+
+def bundled_scenario(name):
+    """The bundled config `name` (a file in configs/, e.g.
+    "quadruped_height.cfg") parsed into a Scenario."""
+    ref = resources.files(__package__).joinpath("configs", name)
+    with resources.as_file(ref) as path:
+        return load_scenario(path)
 
 
 def load_scenario(path):

@@ -7,6 +7,7 @@ accepted is the shipped pipeline, not a test-only rebuild.
 """
 
 import contextlib
+import dataclasses
 import io
 import time
 
@@ -18,7 +19,7 @@ from robustroa import plants
 from robustroa.clf_synth import (ClfCertificate, ClfParams, build_synthesis_lmi,
                                  roa_level, synthesize)
 from robustroa.harness import cli
-from robustroa.harness.scenarios import HjBlock
+from robustroa.harness.scenarios import bundled_scenario
 from robustroa.hj_reach import (AffineDynamics2, Grid2, TargetSet, ValueGrid,
                                 signed_target, solve_brs)
 from robustroa.mpc import MpcConfig, mpc_step
@@ -208,28 +209,22 @@ def test_criterion_5_wmax_bisection():
             flips_ok += 1
     assert flips_ok == 20
 
-    # trotting quadruped, scarce-lift force ceiling: a 5 kg payload must not
-    # certify more than no payload, and neither may certify more than the
-    # exact viability kernel admits.  With this certificate the e1 = h1
-    # edge of the kernel binds for both masses, not the lift parabola, so
-    # the exact bounds tie and the computed ones may too.
-    params = plants.QuadrupedParams()
-    model = plants.quadruped_axis_linear(params)
-    z_cert, _ = synthesize(model, ClfParams(q=np.array([1000.0, 1.0]),
-                                            r=np.array([0.01]),
-                                            decay_rate=0.8, dist_weight=90.0))
-    z_grid = Grid2((-0.2, -1.6), (0.2, 1.6), (101, 101))
-    z_target = TargetSet.box((0.0, 0.0), (0.076, 0.8))
+    # trotting quadruped, height axis of quadruped_height.cfg under a
+    # scarce-lift force ceiling: a 5 kg payload must not certify more than
+    # no payload, and neither may certify more than the exact viability
+    # kernel admits.  With this certificate the e1 = h1 edge of the kernel
+    # binds for both masses, not the lift parabola, so the exact bounds tie
+    # and the computed ones may too.
+    scn = bundled_scenario("quadruped_height.cfg")
+    params = scn.quadruped
+    z_cert, _ = synthesize(plants.quadruped_axis_linear(params), scn.clf_blocks["z"].params)
     bounds = {}
     exact = {}
     for dm in (0.0, 5.0):
-        dyn = plants.subsystem_error_dynamics("z", params, u_lo=0.0, u_hi=240.0,
-                                              delta_m_interval=(dm, dm))
+        block = dataclasses.replace(scn.hj_blocks["z"], u_hi=240.0, delta_m=(dm, dm))
+        z_grid, z_target, dyn = block.problem(params)
         z_vg = solve_brs(z_grid, z_target, dyn, -2.0, freeze="stay")
         bounds[dm] = find_wmax(z_cert, z_vg, z_target).w_max
-        block = HjBlock(axis="z", target_half_widths=(0.076, 0.8),
-                        grid_half_widths=(0.2, 1.6), n=101, u_lo=0.0, u_hi=240.0,
-                        delta_m=(dm, dm))
         exact[dm] = orc.kernel.exact_wmax("z", z_cert, block, params)
         assert bounds[dm] <= exact[dm]
     assert bounds[0.0] >= bounds[5.0]
@@ -254,6 +249,7 @@ def test_criterion_6_quadcopter_figure(quadcopter_synthesis, tmp_path):
     nominal_diverged = len(nominal) < 5001
     assert nominal_exits > 0 or nominal_diverged
     assert np.all(robust["E"] <= tol)
+    assert len(robust) == 5001  # finished the 5 s run
 
     # robust y/z errors stay within the axis extents of {E <= c}
     extents = np.sqrt(LEVEL * np.diag(np.linalg.inv(cert.p)))
@@ -277,6 +273,7 @@ def test_criterion_7_quadruped_figures(tmp_path):
         nominal["E_z"] > nominal["roa_level_z"] * (1.0 + 1e-6)))
     assert height_nominal_exits > 0
     assert np.all(robust["E_z"] <= height_tol)  # inside for the full 10 s
+    assert np.all(robust["E_y"] <= robust["roa_level_y"] * (1.0 + 1e-6))
     assert len(robust) == 10001  # finished the run, no divergence
 
     rc, _ = run_cli(["reproduce", "fig4c", "--out", str(tmp_path / "push")])

@@ -1,12 +1,10 @@
-from importlib import resources
-
 import numpy as np
 import pytest
 
 import _oracles as orc
 from robustroa import clf_synth as cs
 from robustroa import matrixkit as mk
-from robustroa.harness.scenarios import load_scenario
+from robustroa.harness.scenarios import bundled_scenario
 from robustroa.lmi_solver import SdpStatus, maximize
 from robustroa.plants import QuadcopterParams, quadcopter_linearize, quadruped_axis_linear
 
@@ -204,9 +202,7 @@ def test_synthesized_supply_rate_random_samples():
 
 
 def test_height_z_synthesis_factors_each_slack_matrix_once(monkeypatch):
-    ref = resources.files("robustroa.harness").joinpath("configs", "quadruped_height.cfg")
-    with resources.as_file(ref) as path:
-        scn = load_scenario(path)
+    scn = bundled_scenario("quadruped_height.cfg")
     prob = cs.build_synthesis_lmi(quadruped_axis_linear(scn.quadruped),
                                   scn.clf_blocks["z"].params)
     factored = orc.record_choleskys(monkeypatch)

@@ -1,9 +1,9 @@
 """Smoke runs of the demos.
 
-Each demo is imported from its file and writes its SVGs into a temporary
-directory.  The closed-loop demos run both controller modes for a fraction
-of their usual duration; the reachability demos run as shipped.  Together
-they take about 3 s.
+Each demo is imported from its file, runs as shipped and writes its SVGs
+into a temporary directory.  The closed-loop experiments are not demos:
+`robustroa reproduce fig3` and `reproduce fig4a` run them, and
+test_acceptance.py checks them.
 """
 
 import importlib.util
@@ -18,29 +18,6 @@ def load_demo(name, out, monkeypatch):
     spec.loader.exec_module(module)
     monkeypatch.setattr(module, "OUT", out)
     return module
-
-
-def test_quadruped_walk_demo(tmp_path, monkeypatch, capsys):
-    demo = load_demo("quadruped_walk", tmp_path, monkeypatch)
-    trajs = demo.main(duration=0.5)
-    assert set(trajs) == {"nominal", "robust"}
-    for traj in trajs.values():
-        assert len(traj.t) == 501 and not traj.diverged
-    assert trajs["robust"].invariant_exits == (0, 0)
-    assert (tmp_path / "quadruped_height_energy.svg").exists()
-    assert "wrote" in capsys.readouterr().out
-
-
-def test_quadcopter_tracking_demo(tmp_path, monkeypatch, capsys):
-    demo = load_demo("quadcopter_tracking", tmp_path, monkeypatch)
-    runs = demo.main(duration=0.5)
-    assert set(runs) == {"nominal", "robust"}
-    for traj in runs.values():
-        assert len(traj.t) == 501 and not traj.diverged
-    assert runs["robust"].invariant_exits == (0,)
-    for name in ("quadcopter_energy.svg", "quadcopter_paths.svg"):
-        assert (tmp_path / name).exists()
-    assert "wrote" in capsys.readouterr().out
 
 
 def test_double_integrator_brs_demo(tmp_path, monkeypatch, capsys):

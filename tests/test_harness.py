@@ -22,15 +22,9 @@ import _oracles as orc
 from robustroa import plants
 from robustroa.clf_synth import ClfCertificate, ClfParams
 from robustroa.harness import cli, fileio, svgplot
-from robustroa.harness.scenarios import ConfigError, load_scenario
+from robustroa.harness.scenarios import ConfigError, bundled_scenario, load_scenario
 from robustroa.hj_reach import Grid2, ValueGrid
 from robustroa.plants import Figure8Ref, TrotRef
-
-
-def bundled(name):
-    ref = resources.files("robustroa.harness").joinpath("configs", name)
-    with resources.as_file(ref) as path:
-        return load_scenario(path)
 
 
 # shrunken quadruped pipeline: coarse grids, short horizon, short run
@@ -99,7 +93,7 @@ def run_cli(argv):
 # -- scenario parsing ------------------------------------------------------------
 
 def test_bundled_quadcopter_scenario_parses():
-    scn = bundled("quadcopter_fig8.cfg")
+    scn = bundled_scenario("quadcopter_fig8.cfg")
     assert scn.name == "quadcopter_fig8"
     assert scn.plant_kind == "quadcopter"
     assert scn.mode == "robust"
@@ -122,7 +116,7 @@ def test_bundled_quadcopter_scenario_parses():
 
 
 def test_bundled_quadruped_scenario_parses():
-    scn = bundled("quadruped_height.cfg")
+    scn = bundled_scenario("quadruped_height.cfg")
     assert scn.plant_kind == "quadruped"
     assert scn.delta_m == 5.0
     assert set(scn.clf_blocks) == {"y", "z"}
@@ -152,7 +146,7 @@ def test_bundled_hj_blocks_derive_from_the_scenario(name, y, z):
     # per-foot boxes, the [quadruped] payload interval, and the [quadruped]
     # drag on the lateral axis only, with the bits of the values the
     # [hj_*] sections used to repeat
-    scn = bundled(name)
+    scn = bundled_scenario(name)
     for axis, want in (("y", y), ("z", z)):
         block = scn.hj_blocks[axis]
         got = (block.u_lo, block.u_hi, block.delta_m, block.drag_force)
@@ -172,7 +166,7 @@ def test_removed_hj_keys_raise(tmp_path):
 
 
 def test_with_mode_copies():
-    scn = bundled("quadruped_height.cfg")
+    scn = bundled_scenario("quadruped_height.cfg")
     nom = scn.with_mode("nominal")
     assert nom.mode == "nominal"
     assert scn.mode == "robust"
@@ -421,11 +415,18 @@ def test_svg_polylines_match_per_point_formatting(tmp_path):
 
 # -- CLI exit codes --------------------------------------------------------------
 
-def test_cli_usage_errors_exit_4(capsys):
+def test_cli_usage_errors_exit_4(tmp_path, capsys):
     assert cli.main([]) == 4
     assert cli.main(["frobnicate"]) == 4
     assert cli.main(["reproduce", "fig99"]) == 4
+    assert cli.main(["reproduce"]) == 4
     capsys.readouterr()
+    # a figure id and --config together name two scenarios: neither runs
+    out = tmp_path / "o"
+    argv = ["reproduce", "fig3", "--config", str(mini_cfg(tmp_path)), "--out", str(out)]
+    assert cli.main(argv) == 4
+    assert "exactly one of a figure id" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_config_errors_exit_4(tmp_path, capsys):
@@ -556,7 +557,10 @@ def test_cli_unsettled_safe_set_exit_3(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert rc == 3
     assert "[hj_z]" in err and "set_final_time = " in err
-    assert not (tmp_path / "o" / "quadruped_height_wmax.txt").exists()
+    # y's safe set is final, but nothing is written before z is certified
+    written = [p.name for p in (tmp_path / "o").iterdir()]
+    assert not [name for name in written
+                if "_certificate_" in name or "_valuegrid_" in name or "_wmax" in name]
 
 
 def test_cli_hj_brs_reports_set_final_time(tmp_path):

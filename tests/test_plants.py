@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ import _oracles as orc
 from robustroa import plants
 from robustroa.clf_synth import ClfCertificate, ClfParams
 from robustroa.harness import cli
-from robustroa.harness.scenarios import DisturbancePolicy, load_scenario
+from robustroa.harness.scenarios import DisturbancePolicy, bundled_scenario
 from robustroa.mpc import MpcConfig
 
 
@@ -516,34 +515,28 @@ def test_trajectory_csv_matches_value_by_value_rows(tmp_path):
 
 # -- bundled scenarios against the per-sample reference loop --------------------
 
-def bundled(name):
-    ref = resources.files("robustroa.harness").joinpath("configs", name)
-    with resources.as_file(ref) as path:
-        return load_scenario(path)
-
-
 @pytest.fixture(scope="module")
 def certified():
     """Scenario and synthesized certificates of each bundled plant; the
     quadruped carries a payload and pushes against drag."""
-    copter = bundled("quadcopter_fig8.cfg")
-    walker = bundled("quadruped_push.cfg")
+    copter = bundled_scenario("quadcopter_fig8.cfg")
+    walker = bundled_scenario("quadruped_push.cfg")
     walker.delta_m = 5.0
     # invariant levels stand in for the w_max pipeline's, which needs HJ solves
     entries = [{"axis": "y", "level": 0.05}, {"axis": "z", "level": 0.01}]
-    return {"quadcopter": (copter, cli._synthesize_all(copter, verbose=False), []),
-            "quadruped": (walker, cli._synthesize_all(walker, verbose=False), entries)}
+    return {"quadcopter": (copter, *cli._synthesize_all(copter, verbose=False), []),
+            "quadruped": (walker, *cli._synthesize_all(walker, verbose=False), entries)}
 
 
 def closed_loop(certified, plant, mode, duration=2.0, **edits):
     """Fresh (args, kwargs) of simulate_closed_loop for a bundled scenario,
     its fields replaced by `edits`."""
-    scn, certs, entries = certified[plant]
+    scn, model, certs, entries = certified[plant]
     scn = scn.with_mode(mode)
     for key, value in edits.items():
         setattr(scn, key, value)
     if plant == "quadcopter":
-        sim, controller, monitors, dist = cli._build_quadcopter_sim(scn, certs)
+        sim, controller, monitors, dist = cli._build_quadcopter_sim(scn, model, certs)
     else:
         sim, controller, monitors, dist = cli._build_quadruped_sim(scn, certs, entries)
     return ((sim, controller, scn.reference(), dist),

@@ -13,7 +13,7 @@ from robustroa import plants
 from robustroa import roa_bridge as rb
 from robustroa.clf_synth import ClfCertificate, ClfParams, synthesize
 from robustroa.harness import cli, fileio
-from robustroa.harness.scenarios import load_scenario
+from robustroa.harness.scenarios import bundled_scenario, load_scenario
 from robustroa.hj_reach import Grid2, GridMismatch, TargetSet, ValueGrid, solve_brs
 
 
@@ -327,7 +327,7 @@ def bundled_run(request, tmp_path_factory):
         assert cli.main(["wmax", "--config", str(path), "--out", str(out / "converge")]) == 0
     (out / "fixed").mkdir()
     for axis, block in scn.hj_blocks.items():
-        vg = solve_brs(*bundled_dynamics(scn, axis, block.n), -2.0, freeze="stay")
+        vg = solve_brs(*block.problem(scn.quadruped), -2.0, freeze="stay")
         vg.to_csv(out / "fixed" / f"{scn.name}_valuegrid_{axis}.csv")
     return scn, out
 
@@ -358,13 +358,7 @@ def bundled_dynamics(scn, axis, n, block=None):
     """(grid, target, dynamics) of one bundled axis at n x n, under its own
     [hj_*] block or the one given."""
     block = scn.hj_blocks[axis] if block is None else block
-    hw1, hw2 = block.grid_half_widths
-    grid = Grid2((-hw1, -hw2), (hw1, hw2), (n, n))
-    target = TargetSet.box((0.0, 0.0), block.target_half_widths)
-    dyn = plants.subsystem_error_dynamics(axis, scn.quadruped, u_lo=block.u_lo,
-                                          u_hi=block.u_hi, delta_m_interval=block.delta_m,
-                                          drag_force=block.drag_force)
-    return grid, target, dyn
+    return dataclasses.replace(block, n=n).problem(scn.quadruped)
 
 
 def bundled_axis(scn, axis, n, block=None):
@@ -402,12 +396,6 @@ def test_safe_set_within_exact_kernel(bundled_run, axis, n):
     assert safe.sum() >= SAFE_FLOOR[(scn.name, axis)][(51, 101, 201).index(n)]
     exact = orc.kernel.exact_wmax(axis, cert, scn.hj_blocks[axis], scn.quadruped)
     assert 0.0 < rb.find_wmax(cert, vg, target).w_max <= exact
-
-
-def bundled_scenario(name):
-    ref = resources.files("robustroa.harness").joinpath("configs", name)
-    with resources.as_file(ref) as path:
-        return load_scenario(path)
 
 
 def test_height_z_coarse_grid_keeps_its_safe_set():

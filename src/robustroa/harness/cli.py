@@ -5,6 +5,21 @@ or the name of a bundled figure: fig3, fig4a, fig4c), with optional --seed
 and --out.  Exit codes:
 0 success, 2 synthesis infeasible, 3 no safe region of attraction,
 4 config or usage error.
+
+Every command runs the stages it needs in the fixed order
+synthesize -> solve -> bound -> simulate (_run_stages):
+
+    synth                synthesize
+    hj-brs               solve
+    wmax                 synthesize, solve, bound
+    simulate, reproduce  synthesize, solve, bound, simulate
+
+A quadcopter simulation is certified by its configured [clf] w_max, so it
+solves no safe set.  Then one write pass creates the output directory,
+writes the files and prints the report.  Every refusal (exit 2, 3 or 4)
+comes from a stage before the simulation, so a refused run leaves no
+directory and no file.  The simulate stage yields one mode's trajectory at
+a time, and the write pass writes it before the next mode runs.
 """
 
 from __future__ import annotations
@@ -13,6 +28,7 @@ import argparse
 import sys
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -67,188 +83,103 @@ def _build_parser():
     return parser
 
 
-def _load(args, config=None):
-    """The scenario at `config` (default: --config), with --seed applied."""
-    config = config or args.config
-    if config is None:
+def _load(args):
+    """The scenario of --config or of reproduce's figure, with --seed applied."""
+    if getattr(args, "figure", None) is not None:
+        ref = resources.files("robustroa.harness").joinpath(
+            "configs", FIGURE_CONFIGS[args.figure])
+        with resources.as_file(ref) as path:
+            scn = load_scenario(path)
+    elif args.config is None:
         raise ConfigError("--config is required")
-    scn = load_scenario(config)
+    else:
+        scn = load_scenario(args.config)
     if args.seed is not None:
         scn.seed = int(args.seed)
     return scn
 
 
-def _out_dir(scn, args):
-    out = Path(args.out or scn.out_dir or "out")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+# -- stages ---------------------------------------------------------------------
 
 
-def _matrix_lines(label, m):
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    pad = " " * (len(label) + 3)
-    rows = ["  ".join(f"{v: .6e}" for v in row) for row in m]
-    return [f"{label} = [{rows[0]}]"] + [f"{pad}[{r}]" for r in rows[1:]]
-
-
-def _synthesize_all(scn, verbose=True):
-    """Run every synthesis block on the plant's one linear model; returns
-    (model, {axis: (cert, cert_eig_max)})."""
-    if scn.plant_kind == "quadcopter":
-        model = plants.quadcopter_linearize(scn.quadcopter)
-    else:
-        model = plants.quadruped_axis_linear(scn.quadruped)
-    results = {}
-    for axis, block in scn.clf_blocks.items():
-        cert, sol = synthesize(model, block.params)
-        eig = verify_closed_loop(model, cert)
-        if block.w_max is not None:
-            cert.set_disturbance_bound(block.w_max)
-        results[axis] = (cert, eig)
-        if verbose:
-            print(f"[synth:{axis}] status = {sol.status.value}, "
-                  f"objective = {sol.objective_value:.6f}, cert_eig_max = {eig:.3e}")
-            for line in _matrix_lines("K", cert.k):
-                print("  " + line)
-            for line in _matrix_lines("P", cert.p):
-                print("  " + line)
-            if cert.w_max is not None:
-                print(f"  w_max = {cert.w_max}, level = {cert.level}")
-    return model, results
-
-
-def _hj_solve(scn, axis):
-    """The robust stay set of one error subsystem, solved until {V <= 0}
-    is final: the grid form of its viability kernel."""
-    grid, target, dyn = scn.hj_blocks[axis].problem(scn.quadruped)
-    vg = solve_brs(grid, target, dyn, "converge", freeze="stay")
-    return vg, target
-
-
-def _require_hj(scn):
-    if not scn.hj_blocks:
+def _run_stages(scn, stages, modes=()):
+    """Run `stages` on `scn` in the fixed order synthesize -> solve -> bound
+    -> simulate; every refusal is raised here, before anything is written.
+    Returns what they computed: the plant's linear `model` and `certs`
+    {axis: (cert, cert_eig_max, solution)} from synthesize, `grids` {axis:
+    (value grid, target)} from solve, `bounds` {axis: WmaxResult} from
+    bound, and from simulate `trajectories`, an iterator of (scenario,
+    trajectory) that runs `scn` in each of `modes` when it is reached."""
+    if scn.plant_kind == "quadcopter" and "simulate" in stages:
+        # certified by its configured [clf] w_max: there is no safe set
+        stages = [s for s in stages if s != "solve"]
+    if "solve" in stages and not scn.hj_blocks:
         raise ConfigError("scenario has no reachability sections "
                           "([hj_y]/[hj_z]); nothing to solve")
-
-
-def cmd_synth(args):
-    scn = _load(args)
-    out = _out_dir(scn, args)
-    _, certs = _synthesize_all(scn)
-    for axis, (cert, eig) in certs.items():
-        path = out / f"{scn.name}_certificate_{axis}.txt"
-        fileio.write_certificate(path, scn.name, axis, cert, eig)
-        print(f"[synth:{axis}] wrote {path}")
-    return 0
-
-
-def cmd_hj_brs(args):
-    scn = _load(args)
-    _require_hj(scn)
-    out = _out_dir(scn, args)
-    for axis in scn.hj_blocks:
-        vg, _ = _hj_solve(scn, axis)
-        path = out / f"{scn.name}_valuegrid_{axis}.csv"
-        vg.to_csv(path)
-        info = vg.info
-        print(f"[hj-brs:{axis}] steps = {info['steps']}, dt = {info['dt']:.5f}, "
-              f"converged = {info['converged']}, "
-              f"change_rate = {info['change_rate']:.3e}, "
-              f"set_final_time = {info['set_final_time']:.5f}")
-        print(f"[hj-brs:{axis}] wrote {path}")
-    return 0
-
-
-def _wmax_pipeline(scn, out, verbose=True):
-    """synthesis -> PDE -> closed-form w_max for every subsystem with an hj
-    block; returns (model, certs, entries).  Every axis is certified before
-    any file is written, so a run that fails on one axis leaves none."""
-    _require_hj(scn)
-    model, certs = _synthesize_all(scn, verbose=verbose)
-    solved = []
-    for axis in scn.hj_blocks:
-        if axis not in certs:
-            raise ConfigError(f"[hj_{axis}] present but [clf_{axis}] missing")
-        cert, eig = certs[axis]
-        vg, target = _hj_solve(scn, axis)
-        if not vg.info["converged"]:
-            raise NoSafeRoa(f"[hj_{axis}] the safe set was still changing at the solve's "
-                            f"time cap (set_final_time = {vg.info['set_final_time']:.5f}); "
-                            f"no bound is certified on a set that is not final")
-        res = find_wmax(cert, vg, target)
-        solved.append((axis, vg, res))
-        if verbose:
-            print(f"[wmax:{axis}] w_max = {res.w_max:.6f}, "
-                  f"level = {res.level:.6f}, c* = {res.c_star:.6f}")
-    entries = []
-    for axis, vg, res in solved:
-        grid_file = f"{scn.name}_valuegrid_{axis}.csv"
-        vg.to_csv(out / grid_file)
-        cert, eig = certs[axis]
-        fileio.write_certificate(out / f"{scn.name}_certificate_{axis}.txt",
-                                 scn.name, axis, cert, eig)
-        entries.append({"axis": axis, "w_max": res.w_max, "level": res.level,
-                        "grid_file": grid_file})
-    fileio.write_wmax_report(out / f"{scn.name}_wmax.txt", scn.name, entries)
-    return model, certs, entries
-
-
-def cmd_wmax(args):
-    scn = _load(args)
-    out = _out_dir(scn, args)
-    _wmax_pipeline(scn, out)
-    print(f"[wmax] wrote {out / (scn.name + '_wmax.txt')}")
-    return 0
+    run = SimpleNamespace(model=None, certs={}, grids={}, bounds={}, trajectories=())
+    if "synthesize" in stages:
+        # every synthesis block runs on the plant's one linear model
+        if scn.plant_kind == "quadcopter":
+            run.model = plants.quadcopter_linearize(scn.quadcopter)
+        else:
+            run.model = plants.quadruped_axis_linear(scn.quadruped)
+        for axis, block in scn.clf_blocks.items():
+            cert, sol = synthesize(run.model, block.params)
+            eig = verify_closed_loop(run.model, cert)
+            if block.w_max is not None:
+                cert.set_disturbance_bound(block.w_max)
+            run.certs[axis] = (cert, eig, sol)
+    if "solve" in stages:
+        # the robust stay set of each error subsystem, solved until
+        # {V <= 0} is final: the grid form of its viability kernel
+        for axis, block in scn.hj_blocks.items():
+            grid, target, dyn = block.problem(scn.quadruped)
+            run.grids[axis] = (solve_brs(grid, target, dyn, "converge", freeze="stay"), target)
+    if "bound" in stages:
+        for axis, (vg, target) in run.grids.items():
+            if axis not in run.certs:
+                raise ConfigError(f"[hj_{axis}] present but [clf_{axis}] missing")
+            if not vg.info["converged"]:
+                raise NoSafeRoa(f"[hj_{axis}] the safe set was still changing at the solve's "
+                                f"time cap (set_final_time = {vg.info['set_final_time']:.5f}); "
+                                f"no bound is certified on a set that is not final")
+            run.bounds[axis] = find_wmax(run.certs[axis][0], vg, target)
+        if scn.plant_kind == "quadcopter" and run.certs["main"][0].w_max is None:
+            raise ConfigError("[clf] needs w_max for the quadcopter pipeline")
+    if "simulate" in stages:
+        run.trajectories = (_simulate(scn.with_mode(mode), run) for mode in modes)
+    return run
 
 
 # -- simulation assembly --------------------------------------------------------
 
 
-def _certify(scn, out):
-    """Certification shared by every simulation of `scn`, as (model, certs,
-    entries).  It does not depend on the controller mode, so one run
-    computes it once.
-    Quadruped: the w_max pipeline, which also writes its certificates, value
-    grids and report into `out`.  Quadcopter: the synthesis alone, with no
-    bound entries."""
-    if scn.plant_kind == "quadcopter":
-        return (*_synthesize_all(scn, verbose=False), [])
-    return _wmax_pipeline(scn, out, verbose=False)
-
-
-def _build_quadcopter_sim(scn, model, certs):
+def _build_quadcopter_sim(scn, run):
     plant = plants.QuadcopterPlant(scn.quadcopter)
-    cert, _ = certs["main"]
-    block = scn.clf_blocks["main"]
-    if block.w_max is None:
-        raise ConfigError("[clf] needs w_max for the quadcopter pipeline")
-    level = roa_level(block.params, block.w_max)
+    cert = run.certs["main"][0]
     feedback = (lambda x, e: cert.k @ e) if scn.mode == "robust" else None
     controller = plants.TrackingController(plant, scn.reference(), scn.mpc,
                                            u_lin=plant.hover_input(), feedback=feedback)
-    monitors = [plants.LyapunovMonitor(name="E", p=cert.p, level=level)]
-    dist = _disturbance_fn(scn, cert, model)
+    monitors = [plants.LyapunovMonitor(name="E", p=cert.p, level=cert.level)]
+    dist = _disturbance_fn(scn, cert, run.model)
     return plant, controller, monitors, dist
 
 
-def _build_quadruped_sim(scn, certs, entries):
+def _build_quadruped_sim(scn, run):
     plant = plants.QuadrupedPlant(scn.quadruped, delta_m=scn.delta_m,
                                   drag_force=scn.drag_force)
-    levels = {e["axis"]: e["level"] for e in entries}
-    monitors = []
-    for axis in scn.hj_blocks:
-        cert, _ = certs[axis]
-        monitors.append(plants.LyapunovMonitor(name=axis, p=cert.p,
-                                               level=levels[axis],
-                                               state_idx=SUB_IDX[axis]))
+    certs = {axis: run.certs[axis][0] for axis in scn.hj_blocks}
+    monitors = [plants.LyapunovMonitor(name=axis, p=cert.p, level=cert.level,
+                                       state_idx=SUB_IDX[axis])
+                for axis, cert in certs.items()]
     ancillary = None
     if scn.mode == "robust":
         # per-axis force corrections distributed torque-neutrally over the
         # current stance so the pitch loop never sees the ancillary action;
         # each entry is (wrench row, gain row, error coordinates)
         wrench_row = {"y": 0, "z": 1}
-        terms = [(wrench_row[axis], np.asarray(certs[axis][0].k)[0], SUB_IDX[axis])
-                 for axis in scn.hj_blocks]
+        terms = [(wrench_row[axis], np.asarray(cert.k)[0], SUB_IDX[axis])
+                 for axis, cert in certs.items()]
 
         def ancillary(x, e):
             wrench = [0.0, 0.0, 0.0]
@@ -276,6 +207,83 @@ def _disturbance_fn(scn, cert, model):
     # worst_constant: aimed with the synthesized certificate
     w = plants.worst_constant_disturbance(cert, model, pol.w_max)
     return plants.ConstantDisturbance(w)
+
+
+def _simulate(scn, run):
+    """(scn, trajectory) of one run of `scn` in its own mode, monitored at
+    the levels its certificates carry."""
+    build = _build_quadcopter_sim if scn.plant_kind == "quadcopter" else _build_quadruped_sim
+    plant, controller, monitors, dist = build(scn, run)
+    return scn, plants.simulate_closed_loop(plant, controller, scn.reference(), dist,
+                                            duration=scn.duration, dt=scn.sim_dt,
+                                            monitors=monitors)
+
+
+# -- write passes ---------------------------------------------------------------
+
+
+def _matrix_lines(label, m):
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    pad = " " * (len(label) + 3)
+    rows = ["  ".join(f"{v: .6e}" for v in row) for row in m]
+    return [f"{label} = [{rows[0]}]"] + [f"{pad}[{r}]" for r in rows[1:]]
+
+
+def _print_synthesis(scn, run):
+    for axis, (cert, eig, sol) in run.certs.items():
+        print(f"[synth:{axis}] status = {sol.status.value}, "
+              f"objective = {sol.objective_value:.6f}, cert_eig_max = {eig:.3e}")
+        for line in _matrix_lines("K", cert.k) + _matrix_lines("P", cert.p):
+            print("  " + line)
+        # the configured bound: the bound stage may since have replaced it
+        block = scn.clf_blocks[axis]
+        if block.w_max is not None:
+            print(f"  w_max = {block.w_max}, level = {roa_level(block.params, block.w_max)}")
+
+
+def _write_bounds(scn, run, out):
+    """The value grid, certificate and report entry of every bounded axis."""
+    if not run.bounds:
+        return
+    entries = []
+    for axis, res in run.bounds.items():
+        grid_file = f"{scn.name}_valuegrid_{axis}.csv"
+        run.grids[axis][0].to_csv(out / grid_file)
+        cert, eig, _ = run.certs[axis]
+        fileio.write_certificate(out / f"{scn.name}_certificate_{axis}.txt",
+                                 scn.name, axis, cert, eig)
+        entries.append({"axis": axis, "w_max": res.w_max, "level": res.level,
+                        "grid_file": grid_file})
+    fileio.write_wmax_report(out / f"{scn.name}_wmax.txt", scn.name, entries)
+
+
+def _write_synth(scn, run, out):
+    _print_synthesis(scn, run)
+    for axis, (cert, eig, _) in run.certs.items():
+        path = out / f"{scn.name}_certificate_{axis}.txt"
+        fileio.write_certificate(path, scn.name, axis, cert, eig)
+        print(f"[synth:{axis}] wrote {path}")
+
+
+def _write_hj_brs(scn, run, out):
+    for axis, (vg, _) in run.grids.items():
+        path = out / f"{scn.name}_valuegrid_{axis}.csv"
+        vg.to_csv(path)
+        info = vg.info
+        print(f"[hj-brs:{axis}] steps = {info['steps']}, dt = {info['dt']:.5f}, "
+              f"converged = {info['converged']}, "
+              f"change_rate = {info['change_rate']:.3e}, "
+              f"set_final_time = {info['set_final_time']:.5f}")
+        print(f"[hj-brs:{axis}] wrote {path}")
+
+
+def _write_wmax(scn, run, out):
+    _print_synthesis(scn, run)
+    for axis, res in run.bounds.items():
+        print(f"[wmax:{axis}] w_max = {res.w_max:.6f}, "
+              f"level = {res.level:.6f}, c* = {res.c_star:.6f}")
+    _write_bounds(scn, run, out)
+    print(f"[wmax] wrote {out / (scn.name + '_wmax.txt')}")
 
 
 def _metrics(traj):
@@ -332,63 +340,40 @@ def _plot_band(path, scn, series):
                       hlines=[(1.0, "invariant level", "#d62728")])
 
 
-def _simulate_one(scn, model, certs, entries):
-    """Simulate `scn` in its own mode under a certification from _certify."""
-    if scn.plant_kind == "quadcopter":
-        plant, controller, monitors, dist = _build_quadcopter_sim(scn, model, certs)
-    else:
-        plant, controller, monitors, dist = _build_quadruped_sim(scn, certs, entries)
-    return plants.simulate_closed_loop(plant, controller, scn.reference(), dist,
-                                       duration=scn.duration, dt=scn.sim_dt,
-                                       monitors=monitors)
-
-
-def cmd_simulate(args):
-    scn = _load(args)
-    out = _out_dir(scn, args)
-    traj = _simulate_one(scn, *_certify(scn, out))
-    csv_path = out / f"{scn.name}_{scn.mode}.csv"
-    traj.to_csv(csv_path)
-    _plot_trajectory(out / f"{scn.name}_{scn.mode}_traj.svg", scn, traj)
-    _plot_band(out / f"{scn.name}_{scn.mode}_band.svg", scn, _band_series(scn.mode, traj))
-    print(f"[simulate] mode = {scn.mode}, wrote {csv_path}")
-    print(fileio.metrics_block(_metrics(traj)))
-    return 0
-
-
-def cmd_reproduce(args):
-    if args.figure is None:
-        scn = _load(args)
-    else:
-        ref = resources.files("robustroa.harness").joinpath(
-            "configs", FIGURE_CONFIGS[args.figure])
-        with resources.as_file(ref) as path:
-            scn = _load(args, path)
-    out = _out_dir(scn, args)
-
-    certification = _certify(scn, out)
-    bands = []
-    for mode in ("nominal", "robust"):
-        sub = scn.with_mode(mode)
-        traj = _simulate_one(sub, *certification)
-        traj.to_csv(out / f"{scn.name}_{mode}.csv")
-        _plot_trajectory(out / f"{scn.name}_{mode}_traj.svg", sub, traj)
-        print(f"[reproduce:{mode}]")
+def _write_simulate(scn, run, out):
+    _write_bounds(scn, run, out)
+    for sub, traj in run.trajectories:
+        csv_path = out / f"{scn.name}_{sub.mode}.csv"
+        traj.to_csv(csv_path)
+        _plot_trajectory(out / f"{scn.name}_{sub.mode}_traj.svg", sub, traj)
+        _plot_band(out / f"{scn.name}_{sub.mode}_band.svg", scn,
+                   _band_series(sub.mode, traj))
+        print(f"[simulate] mode = {sub.mode}, wrote {csv_path}")
         print(fileio.metrics_block(_metrics(traj)))
-        bands += _band_series(mode, traj)
-        # only the band series outlive a mode's run, not its whole trajectory
+
+
+def _write_reproduce(scn, run, out):
+    _write_bounds(scn, run, out)
+    bands = []
+    # each mode is written as it finishes: only its band series outlive it
+    for sub, traj in run.trajectories:
+        traj.to_csv(out / f"{scn.name}_{sub.mode}.csv")
+        _plot_trajectory(out / f"{scn.name}_{sub.mode}_traj.svg", sub, traj)
+        print(f"[reproduce:{sub.mode}]")
+        print(fileio.metrics_block(_metrics(traj)))
+        bands += _band_series(sub.mode, traj)
         del traj
     _plot_band(out / f"{scn.name}_compare_band.svg", scn, bands)
     print(f"[reproduce] artifacts in {out}")
-    return 0
 
 
+# each command's stages, in the fixed order, and its write pass
 COMMANDS = {
-    "synth": cmd_synth,
-    "hj-brs": cmd_hj_brs,
-    "wmax": cmd_wmax,
-    "simulate": cmd_simulate,
-    "reproduce": cmd_reproduce,
+    "synth": (("synthesize",), _write_synth),
+    "hj-brs": (("solve",), _write_hj_brs),
+    "wmax": (("synthesize", "solve", "bound"), _write_wmax),
+    "simulate": (("synthesize", "solve", "bound", "simulate"), _write_simulate),
+    "reproduce": (("synthesize", "solve", "bound", "simulate"), _write_reproduce),
 }
 
 
@@ -402,7 +387,10 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return COMMANDS[args.command](args)
+        scn = _load(args)
+        modes = ("nominal", "robust") if args.command == "reproduce" else (scn.mode,)
+        stages, write = COMMANDS[args.command]
+        run = _run_stages(scn, stages, modes)
     except (ConfigError, fileio.FileFormatError, DimensionMismatch) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 4
@@ -412,6 +400,10 @@ def main(argv=None):
     except (NoSafeRoa, TargetOutsideGrid) as exc:
         print(f"no safe region of attraction: {exc}", file=sys.stderr)
         return 3
+    out = Path(args.out or scn.out_dir or "out")
+    out.mkdir(parents=True, exist_ok=True)
+    write(scn, run, out)
+    return 0
 
 
 if __name__ == "__main__":

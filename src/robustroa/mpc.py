@@ -18,7 +18,7 @@ R = 0) is handled by a small scale-relative ridge on the Hessian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +45,10 @@ class MpcConfig:
     horizon: int = 2
     u_lo: np.ndarray | None = None
     u_hi: np.ndarray | None = None
+    # per-solve constants, built from q, r and horizon once
+    qbar: np.ndarray = field(init=False, repr=False, compare=False)
+    rbar: np.ndarray = field(init=False, repr=False, compare=False)
+    eye_n: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float).ravel()
@@ -60,6 +64,9 @@ class MpcConfig:
             val = getattr(self, name)
             if val is not None:
                 setattr(self, name, np.asarray(val, dtype=float).ravel())
+        self.qbar = np.tile(self.q, self.horizon)
+        self.rbar = np.tile(self.r, self.horizon)
+        self.eye_n = np.eye(len(self.q))
 
 
 def linearize_fd(f, x0, u0, step=1e-6):
@@ -117,7 +124,7 @@ def mpc_step(f, x_now, x_ref, cfg: MpcConfig, u_lin):
     ad, bd, gd = [], [], []
     for i in range(k):
         a_i, b_i, g_i = linearize_fd(f, x_ref[i], u_lin)
-        ad.append(np.eye(n) + cfg.dt * a_i)
+        ad.append(cfg.eye_n + cfg.dt * a_i)
         bd.append(cfg.dt * b_i)
         gd.append(cfg.dt * g_i)
 
@@ -133,8 +140,7 @@ def mpc_step(f, x_now, x_ref, cfg: MpcConfig, u_lin):
         x_free = ad[i] @ x_free + gd[i]
         v_free[rows] = x_free
 
-    qbar = np.tile(cfg.q, k)
-    rbar = np.tile(cfg.r, k)
+    qbar, rbar = cfg.qbar, cfg.rbar
     resid = v_free - x_ref[1:].ravel()
     hess = m_mat.T @ (qbar[:, None] * m_mat) + np.diag(rbar)
     rhs = -m_mat.T @ (qbar * resid)

@@ -128,12 +128,14 @@ class Figure8Ref:
     def point(self, t):
         """Positions, velocities, accelerations: ((y, z), (yd, zd), (ydd, zdd))."""
         tau, td, tdd = self.warp(t)
-        y = self.amp_y * math.sin(2 * tau)
-        z = self.amp_z * math.cos(tau)
-        yd = 2 * self.amp_y * math.cos(2 * tau) * td
-        zd = -self.amp_z * math.sin(tau) * td
-        ydd = -4 * self.amp_y * math.sin(2 * tau) * td**2 + 2 * self.amp_y * math.cos(2 * tau) * tdd
-        zdd = -self.amp_z * math.cos(tau) * td**2 - self.amp_z * math.sin(tau) * tdd
+        s1, c1 = math.sin(tau), math.cos(tau)
+        s2, c2 = math.sin(2 * tau), math.cos(2 * tau)
+        y = self.amp_y * s2
+        z = self.amp_z * c1
+        yd = 2 * self.amp_y * c2 * td
+        zd = -self.amp_z * s1 * td
+        ydd = -4 * self.amp_y * s2 * td**2 + 2 * self.amp_y * c2 * tdd
+        zdd = -self.amp_z * c1 * td**2 - self.amp_z * s1 * tdd
         return (y, z), (yd, zd), (ydd, zdd)
 
     def state(self, t):
@@ -552,6 +554,19 @@ class LyapunovMonitor:
 _CSV_BLOCK_ROWS = 512  # rows converted and written per block by Trajectory.to_csv
 
 
+def _repr_cells(table):
+    """repr of every entry of a 2-D float table, as rows of strings.  Each
+    run of equal bits down a column is formatted once; bits, not values, so
+    -0.0 and 0.0 stay apart."""
+    flat = table.ravel(order="F")  # column after column
+    bits = flat.view(np.int64)
+    starts = np.empty(flat.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    text = np.array(list(map(repr, flat[starts].tolist())), dtype=object)
+    return text[np.cumsum(starts) - 1].reshape(table.shape[::-1]).T.tolist()
+
+
 @dataclass
 class Trajectory:
     """Uniformly sampled closed-loop run plus certificate bookkeeping."""
@@ -596,8 +611,7 @@ class Trajectory:
                 m = len(blocks[0])
                 for j, lev in enumerate(self.levels):
                     blocks += [self.e_lyap[rows, j:j + 1], np.full((m, 1), float(lev))]
-                fh.writelines(",".join(map(repr, row)) + "\n"
-                              for row in np.hstack(blocks).tolist())
+                fh.writelines(",".join(row) + "\n" for row in _repr_cells(np.hstack(blocks)))
 
 
 def simulate_closed_loop(plant, controller, reference, disturbance, duration, dt,

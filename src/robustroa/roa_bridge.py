@@ -239,7 +239,7 @@ def find_wmax(cert: ClfCertificate, vg: ValueGrid, target: TargetSet, center=(0.
     V, whose last bits differ between solves with the same safe set (the
     time integrator; the horizon once the set is final); differences far
     below the step move w_max only where they straddle one.  The level it
-    certifies is then confirmed by ellipsoid_contained.  Raises NoSafeRoa
+    certifies is then confirmed to lie below c*.  Raises NoSafeRoa
     when the center lies in the unsafe part or off the grid.
 
     On success the certificate's w_max / level fields are set.
@@ -247,16 +247,13 @@ def find_wmax(cert: ClfCertificate, vg: ValueGrid, target: TargetSet, center=(0.
     center = np.asarray(center, dtype=float).ravel()
     if center.shape != (2,):
         raise ValueError("center must have two entries")
-    delta = containment_guard(vg)
-    # the confirmation reads the same l, so sample it once
-    l_vg = ValueGrid(grid=vg.grid, v=_sampled_l(vg.grid, target))
-    c_star = _unsafe_level(cert.p, center, vg.grid, _node_gap(vg, l_vg, delta))
+    c_star = _unsafe_level(cert.p, center, vg.grid,
+                           _node_gap(vg, target, containment_guard(vg)))
     if not c_star > 0.0:
         raise NoSafeRoa("the center lies in the unsafe part: no ellipsoid fits the safe set")
     params = cert.params
     w = _round_down(math.sqrt(params.decay_rate * c_star / params.dist_weight))
     cert.set_disturbance_bound(w)
-    if not ellipsoid_contained(Ellipsoid2(p=cert.p, center=center, level=cert.level),
-                               vg, l_vg, guard=delta):
+    if not cert.level < c_star:
         raise ArithmeticError(f"certified level {cert.level!r} does not clear c* = {c_star!r}")
     return WmaxResult(w_max=w, level=cert.level, c_star=c_star)

@@ -558,9 +558,53 @@ def test_cli_unsettled_safe_set_exit_3(tmp_path, capsys, command):
     assert rc == 3
     assert "[hj_z]" in err and "set_final_time = " in err
     # y's safe set is final, but nothing is written before z is certified
-    written = [p.name for p in (tmp_path / "o").iterdir()]
-    assert not [name for name in written
-                if "_certificate_" in name or "_valuegrid_" in name or "_wmax" in name]
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_hj_brs_refused_on_z_writes_nothing(tmp_path, capsys):
+    # even n leaves no node at the origin, so z's tiny target misses the
+    # grid after y's safe set is already solved
+    ref = resources.files("robustroa.harness").joinpath("configs", "quadruped_height.cfg")
+    head, hj_z = ref.read_text().split("[hj_z]")
+    edits = {"target_half_widths = 0.076, 0.8": "target_half_widths = 1e-6, 1e-6",
+             "n = 101": "n = 40"}
+    for old, new in edits.items():
+        assert hj_z.count(old) == 1
+        hj_z = hj_z.replace(old, new)
+    path = tmp_path / "tiny_z.cfg"
+    path.write_text(head + "[hj_z]" + hj_z)
+    rc, text = run_cli(["hj-brs", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "no safe region of attraction" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert text == ""
+
+
+def test_cli_quadcopter_simulation_needs_w_max(tmp_path, capsys):
+    # the quadcopter is certified by its configured bound: without one it
+    # can be synthesized, but not simulated, and the refusal writes nothing
+    clf = {key: val for key, val in MINI_QUADCOPTER["clf"].items() if key != "w_max"}
+    path = write_cfg(tmp_path, {**MINI_QUADCOPTER, "clf": clf})
+    for command in ("simulate", "reproduce"):
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+        assert "[clf] needs w_max" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    rc, text = run_cli(["synth", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 0 and "w_max" not in text
+
+
+def test_cli_wmax_reports_the_configured_bound_at_synthesis(tmp_path):
+    # the synthesis report shows the [clf_y] bound, the w_max lines the
+    # certified ones that replace it
+    path = mini_cfg(tmp_path, clf_y={"w_max": 0.01})
+    rc, text = run_cli(["wmax", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    level = MINI["clf_y"]["dist_weight"] * 0.01 ** 2 / MINI["clf_y"]["decay_rate"]
+    assert f"  w_max = 0.01, level = {level!r}" in text.splitlines()
+    assert len([line for line in text.splitlines() if line.startswith("  w_max")]) == 1
+    _, entries = fileio.read_wmax_report(tmp_path / "o" / "mini_wmax.txt")
+    _, _, cert, _ = fileio.read_certificate(tmp_path / "o" / "mini_certificate_y.txt")
+    assert cert.w_max == entries[0]["w_max"] != 0.01
 
 
 def test_cli_hj_brs_reports_set_final_time(tmp_path):

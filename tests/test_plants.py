@@ -513,32 +513,51 @@ def test_trajectory_csv_matches_value_by_value_rows(tmp_path):
     assert rows == orc.trajectory_csv_rows(traj)
 
 
+def test_trajectory_csv_runs_keep_the_bits_of_each_value(tmp_path):
+    # held values are formatted once per run of equal bits, so a zero of
+    # the other sign or a NaN of another payload opens a new run, and runs
+    # span the writer's row blocks
+    n = 1300
+    held = np.repeat([0.0, -0.0, 0.0, 1.5, np.nan, -np.nan, np.inf, 1.5],
+                     [300, 1, 211, 300, 3, 2, 1, 482])
+    held[-1:] = np.array([0x7FF8000000000001]).view(float)  # a NaN with another payload
+    x = np.column_stack([held, np.arange(n) * 0.1, np.full(n, -0.0)])
+    traj = plants.Trajectory(
+        t=np.arange(n) * 1e-3, x=x, x_ref=x[::-1].copy(), u=np.zeros((n, 2)),
+        w=np.zeros((n, 1)), e_lyap=np.ones((n, 1)), monitor_names=("E",), levels=(0.5,),
+        diverged=False, invariant_exits=(0,), clamp_events=0)
+    path = tmp_path / "run.csv"
+    traj.to_csv(path)
+    rows = path.read_text().split("\n", 1)[1]
+    assert rows == orc.trajectory_csv_rows(traj)
+    assert [line.split(",")[1] for line in rows.split("\n")[299:302]] == ["0.0", "-0.0", "0.0"]
+
+
 # -- bundled scenarios against the per-sample reference loop --------------------
 
 @pytest.fixture(scope="module")
 def certified():
-    """Scenario and synthesized certificates of each bundled plant; the
-    quadruped carries a payload and pushes against drag."""
+    """Scenario and stage results of each bundled plant: certificates at
+    the quadcopter's configured bound and at the quadruped's certified
+    ones; the quadruped carries a payload and pushes against drag."""
     copter = bundled_scenario("quadcopter_fig8.cfg")
     walker = bundled_scenario("quadruped_push.cfg")
     walker.delta_m = 5.0
-    # invariant levels stand in for the w_max pipeline's, which needs HJ solves
-    entries = [{"axis": "y", "level": 0.05}, {"axis": "z", "level": 0.01}]
-    return {"quadcopter": (copter, *cli._synthesize_all(copter, verbose=False), []),
-            "quadruped": (walker, *cli._synthesize_all(walker, verbose=False), entries)}
+    return {"quadcopter": (copter, cli._run_stages(copter, ("synthesize", "bound"))),
+            "quadruped": (walker, cli._run_stages(walker, ("synthesize", "solve", "bound")))}
 
 
 def closed_loop(certified, plant, mode, duration=2.0, **edits):
     """Fresh (args, kwargs) of simulate_closed_loop for a bundled scenario,
     its fields replaced by `edits`."""
-    scn, model, certs, entries = certified[plant]
+    scn, run = certified[plant]
     scn = scn.with_mode(mode)
     for key, value in edits.items():
         setattr(scn, key, value)
     if plant == "quadcopter":
-        sim, controller, monitors, dist = cli._build_quadcopter_sim(scn, model, certs)
+        sim, controller, monitors, dist = cli._build_quadcopter_sim(scn, run)
     else:
-        sim, controller, monitors, dist = cli._build_quadruped_sim(scn, certs, entries)
+        sim, controller, monitors, dist = cli._build_quadruped_sim(scn, run)
     return ((sim, controller, scn.reference(), dist),
             {"duration": duration, "dt": scn.sim_dt, "monitors": monitors})
 

@@ -166,7 +166,7 @@ def test_circle_in_circle_recovers_radius():
 
 
 def test_find_wmax_samples_target_once():
-    # every containment check reads the same l grid: sample it once per call
+    # c* reads one l grid: the target is sampled once per call
     calls = []
 
     class CountingBox(TargetSet):

@@ -18,13 +18,23 @@ A quadcopter simulation is certified by its configured [clf] w_max, so it
 solves no safe set.  Then one write pass creates the output directory,
 writes the files and prints the report.  Every refusal (exit 2, 3 or 4)
 comes from a stage before the simulation, so a refused run leaves no
-directory and no file.  The simulate stage yields one mode's trajectory at
-a time, and the write pass writes it before the next mode runs.
+directory and no file.
+
+The decoupled axes and the controller modes share nothing but the
+certificates, so _fan_out runs them side by side: each axis's synthesis,
+each axis's safe set, and each reproduce mode (simulated, with its CSV
+and trajectory SVG written, where it runs) in its own forked process.
+Results come back in axis and mode order, and a refusal on any axis is
+raised as the first one in that order, so the bytes, the report and the
+exit codes are those of running them one after the other.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
+import os
+import pickle
 import sys
 from importlib import resources
 from pathlib import Path
@@ -46,6 +56,7 @@ FIGURE_CONFIGS = {
     "fig4c": "quadruped_push.cfg",
 }
 
+REPRODUCE_MODES = ("nominal", "robust")
 AXIS_LABELS = ("y", "z", "phi", "ydot", "zdot", "phidot")
 # error-subsystem coordinates inside the 6-state layout
 SUB_IDX = {"y": np.array([0, 3]), "z": np.array([1, 4])}
@@ -102,43 +113,120 @@ def _load(args):
 # -- stages ---------------------------------------------------------------------
 
 
-def _run_stages(scn, stages, modes=()):
+def _fan_out(fn, items):
+    """[fn(item) for item in items], in item order.  The first item runs in
+    this process and each later one in a child made by os.fork, which
+    pickles back (ok, result or exception) through a pipe.  Every child is
+    reaped, even when this process's own item raised, before the first
+    exception in item order is re-raised."""
+    items = list(items)
+    if len(items) < 2 or not hasattr(os, "fork"):
+        return [fn(item) for item in items]
+    children, outcomes = [], []
+    try:
+        for item in items[1:]:
+            children.append(_fork(fn, item))
+        outcomes.append(_outcome(fn, items[0]))
+    finally:
+        outcomes += [_reap(pid, fd) for pid, fd in children]
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
+
+
+def _outcome(fn, item):
+    try:
+        return True, fn(item)
+    except Exception as exc:
+        return False, exc
+
+
+def _fork(fn, item):
+    """(pid, read end of its pipe) of a child that runs fn(item)."""
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        raise
+    if pid:
+        os.close(wfd)
+        return pid, rfd
+    try:
+        os.close(rfd)
+        # the parent prints every report; a child's stdout goes nowhere
+        sys.stdout = io.StringIO()
+        outcome = _outcome(fn, item)
+        try:
+            data = pickle.dumps(outcome)
+        except Exception as exc:
+            data = pickle.dumps((False, ChildProcessError(
+                f"forked job's outcome cannot be pickled: {exc!r}")))
+        with os.fdopen(wfd, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        # never unwind into the caller's stack: that is the parent's
+        os._exit(0)
+
+
+def _reap(pid, fd):
+    """The (ok, value) the child sent, or (False, error) if it sent none."""
+    try:
+        with os.fdopen(fd, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if not data:
+        return False, ChildProcessError(f"forked job exited without a result "
+                                        f"(wait status {status})")
+    try:
+        return pickle.loads(data)
+    except Exception as exc:  # e.g. an exception whose __init__ does not take its args
+        return False, ChildProcessError(f"forked job's outcome cannot be unpickled: {exc!r}")
+
+
+def _run_stages(scn, stages):
     """Run `stages` on `scn` in the fixed order synthesize -> solve -> bound
     -> simulate; every refusal is raised here, before anything is written.
     Returns what they computed: the plant's linear `model` and `certs`
     {axis: (cert, cert_eig_max, solution)} from synthesize, `grids` {axis:
     (value grid, target)} from solve, `bounds` {axis: WmaxResult} from
-    bound, and from simulate `trajectories`, an iterator of (scenario,
-    trajectory) that runs `scn` in each of `modes` when it is reached."""
+    bound, and from simulate `simulate(mode)`, which the write pass calls
+    for the (scenario, trajectory) of `scn` run in `mode`."""
     if scn.plant_kind == "quadcopter" and "simulate" in stages:
         # certified by its configured [clf] w_max: there is no safe set
         stages = [s for s in stages if s != "solve"]
     if "solve" in stages and not scn.hj_blocks:
         raise ConfigError("scenario has no reachability sections "
                           "([hj_y]/[hj_z]); nothing to solve")
-    run = SimpleNamespace(model=None, certs={}, grids={}, bounds={}, trajectories=())
+    run = SimpleNamespace(model=None, certs={}, grids={}, bounds={}, simulate=None)
     if "synthesize" in stages:
         # every synthesis block runs on the plant's one linear model
         if scn.plant_kind == "quadcopter":
             run.model = plants.quadcopter_linearize(scn.quadcopter)
         else:
             run.model = plants.quadruped_axis_linear(scn.quadruped)
-        for axis, block in scn.clf_blocks.items():
+
+        def certify(block):
             cert, sol = synthesize(run.model, block.params)
             eig = verify_closed_loop(run.model, cert)
             if block.w_max is not None:
                 cert.set_disturbance_bound(block.w_max)
-            run.certs[axis] = (cert, eig, sol)
+            return cert, eig, sol
+
+        run.certs = dict(zip(scn.clf_blocks, _fan_out(certify, scn.clf_blocks.values())))
     if "solve" in stages:
         # the robust stay set of each error subsystem, solved until
         # {V <= 0} is final: the grid form of its viability kernel
-        for axis, block in scn.hj_blocks.items():
+        def solve(block):
             grid, target, dyn = block.problem(scn.quadruped)
-            run.grids[axis] = (solve_brs(grid, target, dyn, "converge", freeze="stay"), target)
+            return solve_brs(grid, target, dyn, "converge", freeze="stay"), target
+
+        run.grids = dict(zip(scn.hj_blocks, _fan_out(solve, scn.hj_blocks.values())))
     if "bound" in stages:
         for axis, (vg, target) in run.grids.items():
-            if axis not in run.certs:
-                raise ConfigError(f"[hj_{axis}] present but [clf_{axis}] missing")
             if not vg.info["converged"]:
                 raise NoSafeRoa(f"[hj_{axis}] the safe set was still changing at the solve's "
                                 f"time cap (set_final_time = {vg.info['set_final_time']:.5f}); "
@@ -147,7 +235,8 @@ def _run_stages(scn, stages, modes=()):
         if scn.plant_kind == "quadcopter" and run.certs["main"][0].w_max is None:
             raise ConfigError("[clf] needs w_max for the quadcopter pipeline")
     if "simulate" in stages:
-        run.trajectories = (_simulate(scn.with_mode(mode), run) for mode in modes)
+        # simulating refuses nothing, so the write pass runs it, mode by mode
+        run.simulate = lambda mode: _simulate(scn.with_mode(mode), run)
     return run
 
 
@@ -342,27 +431,31 @@ def _plot_band(path, scn, series):
 
 def _write_simulate(scn, run, out):
     _write_bounds(scn, run, out)
-    for sub, traj in run.trajectories:
-        csv_path = out / f"{scn.name}_{sub.mode}.csv"
-        traj.to_csv(csv_path)
-        _plot_trajectory(out / f"{scn.name}_{sub.mode}_traj.svg", sub, traj)
-        _plot_band(out / f"{scn.name}_{sub.mode}_band.svg", scn,
-                   _band_series(sub.mode, traj))
-        print(f"[simulate] mode = {sub.mode}, wrote {csv_path}")
-        print(fileio.metrics_block(_metrics(traj)))
+    sub, traj = run.simulate(scn.mode)
+    csv_path = out / f"{scn.name}_{sub.mode}.csv"
+    traj.to_csv(csv_path)
+    _plot_trajectory(out / f"{scn.name}_{sub.mode}_traj.svg", sub, traj)
+    _plot_band(out / f"{scn.name}_{sub.mode}_band.svg", scn, _band_series(sub.mode, traj))
+    print(f"[simulate] mode = {sub.mode}, wrote {csv_path}")
+    print(fileio.metrics_block(_metrics(traj)))
 
 
 def _write_reproduce(scn, run, out):
     _write_bounds(scn, run, out)
+
+    def reproduce(mode):
+        # a trajectory is written where it was simulated: only its metrics
+        # block and band series come back
+        sub, traj = run.simulate(mode)
+        traj.to_csv(out / f"{scn.name}_{mode}.csv")
+        _plot_trajectory(out / f"{scn.name}_{mode}_traj.svg", sub, traj)
+        return fileio.metrics_block(_metrics(traj)), _band_series(mode, traj)
+
     bands = []
-    # each mode is written as it finishes: only its band series outlive it
-    for sub, traj in run.trajectories:
-        traj.to_csv(out / f"{scn.name}_{sub.mode}.csv")
-        _plot_trajectory(out / f"{scn.name}_{sub.mode}_traj.svg", sub, traj)
-        print(f"[reproduce:{sub.mode}]")
-        print(fileio.metrics_block(_metrics(traj)))
-        bands += _band_series(sub.mode, traj)
-        del traj
+    for mode, (block, series) in zip(REPRODUCE_MODES, _fan_out(reproduce, REPRODUCE_MODES)):
+        print(f"[reproduce:{mode}]")
+        print(block)
+        bands += series
     _plot_band(out / f"{scn.name}_compare_band.svg", scn, bands)
     print(f"[reproduce] artifacts in {out}")
 
@@ -388,9 +481,8 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         scn = _load(args)
-        modes = ("nominal", "robust") if args.command == "reproduce" else (scn.mode,)
         stages, write = COMMANDS[args.command]
-        run = _run_stages(scn, stages, modes)
+        run = _run_stages(scn, stages)
     except (ConfigError, fileio.FileFormatError, DimensionMismatch) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 4

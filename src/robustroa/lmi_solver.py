@@ -37,9 +37,13 @@ from . import matrixkit as mk
 class Infeasible(Exception):
     """Phase 1 certified that no x achieves F(x) <= -eps*I."""
 
-    def __init__(self, slack, message=None):
+    # args is (slack,), so the exception pickles back as it was raised
+    def __init__(self, slack):
+        super().__init__(slack)
         self.slack = slack
-        super().__init__(message or f"no strictly feasible point (best slack {slack:.3e})")
+
+    def __str__(self):
+        return f"no strictly feasible point (best slack {self.slack:.3e})"
 
 
 class SdpStatus(Enum):

@@ -9,6 +9,7 @@ import contextlib
 import copy
 import dataclasses
 import io
+import os
 import re
 import shutil
 import subprocess
@@ -580,6 +581,40 @@ def test_cli_hj_brs_refused_on_z_writes_nothing(tmp_path, capsys):
     assert text == ""
 
 
+@pytest.mark.parametrize("edits, code, message", [
+    ({"clf_z": {"decay_rate": 1e6}}, 2, "synthesis infeasible: no strictly feasible point"),
+    ({"hj_z": {"n": 40, "target_half_widths": "1e-6, 1e-6"}}, 3,
+     "no safe region of attraction"),
+], ids=["infeasible-z", "target-off-grid-z"])
+def test_cli_refusal_on_forked_axis_matches_sequential(tmp_path, capsys, monkeypatch,
+                                                       edits, code, message):
+    # z is the axis that runs in a forked child; its refusal reaches the
+    # parent with the exit code and text of solving the axes in turn
+    path = mini_cfg(tmp_path, **edits)
+    seen = []
+    for name in ("forked", "sequential"):
+        if name == "sequential":
+            monkeypatch.delattr(os, "fork")
+        out = tmp_path / name
+        rc, text = run_cli(["wmax", "--config", str(path), "--out", str(out)])
+        seen.append((rc, text, capsys.readouterr().err))
+        assert not out.exists()
+        assert_no_children()
+    assert seen[0] == seen[1]
+    rc, text, err = seen[0]
+    assert rc == code and text == "" and message in err
+
+
+def test_cli_quadruped_without_clf_z_exit_4(tmp_path, capsys):
+    # the loader requires both synthesis sections, so every [hj_*] axis has
+    # a certificate to bound
+    path = mini_cfg(tmp_path, drop=("clf_z",))
+    for command in ("wmax", "reproduce"):
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+        assert "missing [clf_z] section" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_quadcopter_simulation_needs_w_max(tmp_path, capsys):
     # the quadcopter is certified by its configured bound: without one it
     # can be synthesized, but not simulated, and the refusal writes nothing
@@ -714,24 +749,35 @@ def test_simulate_seed_determinism(mini_run, tmp_path):
     assert not np.array_equal(states[0], states[2])
 
 
-def count_calls(monkeypatch, *names):
-    """Wrap the named harness.cli globals with call counters."""
-    counts = dict.fromkeys(names, 0)
+def count_calls(monkeypatch, tmp_path, *names):
+    """Wrap the named harness.cli globals with call counters that count in
+    forked children too: each call appends its name to a file.  Returns a
+    function that reads the counts."""
+    log = tmp_path / "calls.log"
+    log.touch()
     for name in names:
         fn = getattr(cli, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
-            counts[_name] += 1
+            with open(log, "a") as f:
+                f.write(_name + "\n")
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(cli, name, counted)
+
+    def counts():
+        seen = dict.fromkeys(names, 0)
+        for line in log.read_text().splitlines():
+            seen[line] += 1
+        return seen
+
     return counts
 
 
 def test_reproduce_runs_both_modes(tmp_path, monkeypatch):
     cfg = mini_cfg(tmp_path)
     out = tmp_path / "out"
-    counts = count_calls(monkeypatch, "synthesize", "solve_brs")
+    calls = count_calls(monkeypatch, tmp_path, "synthesize", "solve_brs")
     rc, text = run_cli(["reproduce", "--config", str(cfg), "--out", str(out)])
     assert rc == 0
     assert "[reproduce:nominal]" in text
@@ -740,6 +786,7 @@ def test_reproduce_runs_both_modes(tmp_path, monkeypatch):
                   "mini_robust_traj.svg", "mini_compare_band.svg"):
         assert (out / fname).exists(), fname
     # certified once for both modes: one synthesis and one PDE solve per axis
+    counts = calls()
     assert counts == {"synthesize": 2, "solve_brs": 2}
 
     # and the certification artifacts are the ones `wmax` writes
@@ -752,10 +799,11 @@ def test_reproduce_runs_both_modes(tmp_path, monkeypatch):
 
 def test_reproduce_quadcopter_synthesizes_once(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, MINI_QUADCOPTER)
-    counts = count_calls(monkeypatch, "synthesize")
+    calls = count_calls(monkeypatch, tmp_path, "synthesize")
     rc, text = run_cli(["reproduce", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 0
     assert "[reproduce:nominal]" in text and "[reproduce:robust]" in text
+    counts = calls()
     assert counts == {"synthesize": 1}
 
 
@@ -774,6 +822,66 @@ def test_benchmark_tracer_finds_every_target(monkeypatch):
         spans.uninstall()
     assert {label for _, label, *_ in tracer.TARGETS} <= set(spans.stats)
     assert plants.mpc_step is mpc_step
+
+
+# -- forked jobs ----------------------------------------------------------------
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fan_out_returns_results_in_item_order():
+    got = cli._fan_out(lambda i: (i * i, os.getpid()), range(4))
+    assert [sq for sq, _ in got] == [0, 1, 4, 9]
+    pids = [pid for _, pid in got]
+    # the first item runs here, each later one in a child of its own
+    assert pids[0] == os.getpid()
+    assert len(set(pids)) == 4
+    assert_no_children()
+
+
+def test_fan_out_raises_the_first_exception_in_item_order():
+    def job(i):
+        if i == 1:
+            raise LookupError("item 1")
+        if i >= 2:
+            raise ValueError(f"item {i}")
+        return i
+
+    with pytest.raises(LookupError, match=r"^item 1$"):
+        cli._fan_out(job, range(4))
+    assert_no_children()
+    # this process's own item comes first, and its children are still reaped
+    with pytest.raises(ValueError, match=r"^item 2$"):
+        cli._fan_out(job, [2, 3, 0])
+    assert_no_children()
+
+
+def test_fan_out_child_without_result_raises():
+    def job(i):
+        if i == 1:
+            os._exit(7)
+        return i
+
+    with pytest.raises(ChildProcessError, match="without a result"):
+        cli._fan_out(job, range(3))
+    assert_no_children()
+
+
+def test_fan_out_child_print_stays_in_the_child(capfd):
+    def job(i):
+        print(f"job {i}")
+        return i
+
+    assert cli._fan_out(job, range(3)) == [0, 1, 2]
+    assert capfd.readouterr().out == "job 0\n"
+    assert_no_children()
+
+
+def test_fan_out_without_fork_runs_in_process(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert cli._fan_out(lambda i: os.getpid(), range(3)) == [os.getpid()] * 3
 
 
 def test_console_script_synth(tmp_path):

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,10 @@ def test_infeasible_raises():
     with pytest.raises(Infeasible) as err:
         maximize(p)
     assert err.value.slack > 0.5  # true minimum slack is 1
+    # a refusal raised in a forked CLI job is pickled back to the parent
+    again = pickle.loads(pickle.dumps(err.value))
+    assert type(again) is Infeasible
+    assert again.slack == err.value.slack and str(again) == str(err.value)
 
 
 def capped_lyapunov_problem():

@@ -3,7 +3,8 @@
 The package combines three ingredients:
 
 * an LMI-synthesized control Lyapunov function for the tracking-error
-  dynamics (`clf_synth`, solved by the log-det barrier in `lmi_solver`),
+  dynamics (`clf_synth`, solved by the primal-dual interior-point method
+  in `lmi_solver`),
 * Hamilton-Jacobi reachability on 2-D subsystems to compute safe sets
   under bounded disturbances (`hj_reach`),
 * a bridge that sizes the largest certified disturbance bound whose

@@ -18,9 +18,12 @@ into one affine LMI in (Y, L):
     [              L                    0    -R^-1      0   ]   < 0
     [             B_w'                  0       0    -mu*I  ]
 
-Maximizing tr(Y) = tr(P^-1) favours a large invariant ellipsoid.  The
-block above does not by itself force Y > 0; positive definiteness is
-verified when the gains are recovered.
+A second diagonal block, -Y < 0, makes every strictly feasible point
+have Y > eps*I (eps: the solver's strictness margin), so it recovers a
+storage function.  The first block alone does not: at a large lambda it
+is feasible with a negative definite Y, since lambda*Y then makes the
+top-left block negative by itself.  Maximizing
+tr(Y) = tr(P^-1) favours a large invariant ellipsoid.
 
 Q and R must be diagonal: their inverses appear verbatim in the block,
 and keeping them diagonal makes that inversion exact.
@@ -165,17 +168,18 @@ def build_synthesis_lmi(model: LinearModel, params: ClfParams, eps=None):
 
     Variables are the upper triangle of Y (n(n+1)/2, row-major) followed by
     the entries of L (m x n, row-major); the objective is tr(Y).  Block
-    dimension is 2n + m + p.
+    dimension is 3n + m + p: the (2n + m + p) Schur block, then -Y.
     """
     n, m, p = model.n_states, model.n_inputs, model.n_dist
     q = params.q_diag(n)
     r = params.r_diag(m)
     lam = params.decay_rate
-    d = 2 * n + m + p
+    d = 3 * n + m + p
     ry = slice(0, n)          # R11 rows
     yy = slice(n, 2 * n)      # Y block rows
     ll = slice(2 * n, 2 * n + m)
-    ww = slice(2 * n + m, d)
+    ww = slice(2 * n + m, 2 * n + m + p)
+    pd = slice(2 * n + m + p, d)  # -Y < 0
 
     f0 = np.zeros((d, d))
     f0[yy, yy] = -np.diag(1.0 / q)
@@ -198,6 +202,7 @@ def build_synthesis_lmi(model: LinearModel, params: ClfParams, eps=None):
             blk[ry, ry] = ae + ae.T + lam * e
             blk[yy, ry] = e
             blk[ry, yy] = e  # e is symmetric
+            blk[pd, pd] = -e
             fi.append(blk)
             c.append(1.0 if i == j else 0.0)
     # L variables, row-major
@@ -264,9 +269,8 @@ def synthesize(model: LinearModel, params: ClfParams, eps=None):
     """Full pipeline: build the LMI, solve, recover (K, P), sanity-check.
 
     Returns (certificate, solution).  Raises lmi_solver.Infeasible when no
-    strictly feasible point exists and matrixkit.NotPositiveDefinite when
-    the optimizer's Y is not positive definite (no valid storage function
-    at the block optimum).
+    strictly feasible point exists, which includes the case of no positive
+    definite Y: the -Y block keeps every point it returns at Y > eps*I.
     """
     prob = build_synthesis_lmi(model, params, eps=eps)
     sol = maximize(prob)

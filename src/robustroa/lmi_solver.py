@@ -1,24 +1,33 @@
 """Strict-feasibility SDP: maximize c'x subject to F(x) < 0.
 
 F(x) = F0 + sum_i x_i F_i is a single symmetric block and "< 0" means
-negative definite with margin eps, i.e. F(x) + eps*I <= 0.  The solver is
-a textbook log-det barrier path follower:
+negative definite with margin eps, i.e. F(x) + eps*I <= 0.  Written in the
+dual standard form of semidefinite programming,
 
-    maximize   c'x + (1/t) * log det(-F(x) - eps*I)
+    maximize b'y  subject to  Z = C - sum_i y_i A_i >= 0
+    (primal:  minimize <C, X>  subject to  <A_i, X> = b_i,  X >= 0)
 
-for a geometrically increasing t, each stage solved by damped Newton with
-an Armijo backtracking line search that also rejects steps leaving the
-cone.  The self-concordance of -log det gives the usual duality-gap bound
-d/t (d = block dimension), which is the stopping rule.
+with y = x, b = c, A_i = F_i and C = -(F0 + eps*I), it is solved by a
+primal-dual interior-point method: the HKM search direction with
+Mehrotra predictor-corrector steps (Helmberg, Rendl, Vanderbei &
+Wolkowicz 1996; Todd, Toh & Tutuncu 1998, the method of SDPT3).
 
-Each iterate carries one Cholesky factor of its slack S(x) = -F(x) - eps*I,
-computed once when the line search tries that point.  It serves the
-gradient and Hessian (triangular solves against the stacked F_i), the
-barrier value (log det S = 2 sum log diag) and the cone test.
+The dual start is strictly feasible and Z is recomputed from y after each
+step, so every dual iterate -- the x returned -- lies strictly inside the
+cone; its Cholesky factor is the membership test.  The primal start
+X0 = xi*I need not satisfy <A_i, X> = b_i; the residual shrinks by
+(1 - primal step) each iteration.  An iteration factors X, Z and the
+Schur matrix M_ij = tr(A_i X A_j Z^-1) once each: with X = Lx Lx' and
+Z = Lz Lz', M is the Gram matrix of the blocks Lz^-1 A_i Lx, one matmul
+over the stacked (k, d, d) blocks, and its one factor serves both the
+predictor and the corrector.  Step lengths come from the eigenvalues of
+L^-1 dX L^-T (and the same for Z).  The run stops once the duality gap
+<X, Z> is below 1e-6, the d/t gap of a log-det barrier (phase 1: also
+below 0.05*eps), and the primal residual is below 1e-8 relative.
 
-Phase 1 minimizes a slack s with F(x) - s*I < 0 starting from x = 0 and
-s above the top eigenvalue of F(0); the problem is declared infeasible
-when the slack cannot be pushed below -eps.
+Phase 1 runs the same method on min s subject to F(x) - s*I < 0 from an
+always-interior start; the problem is declared infeasible when the
+converged slack is not below -eps.
 
 One block is all the synthesis work in this package needs; callers that
 want several simultaneous constraints stack them block-diagonally.
@@ -26,7 +35,7 @@ want several simultaneous constraints stack them block-diagonally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -96,121 +105,107 @@ class SdpSolution:
     objective_value: float
     iterations: int
     status: SdpStatus
-    outer_objectives: list = field(default_factory=list)
 
 
-# -- barrier internals -------------------------------------------------------
+# -- primal-dual internals -----------------------------------------------------
 
-_T0 = 1.0
-_T_GROWTH = 10.0
 _GAP_TOL = 1e-6
-_ARMIJO_RATIO = 0.5
-_ARMIJO_SLOPE = 0.01
-_MAX_NEWTON_PER_T = 80
-_MAX_NEWTON_TOTAL = 4000
-_DECREMENT_TOL = 1e-5
+_RESIDUAL_TOL = 1e-8
+_MAX_ITERATIONS = 100
 
 
-def _slack_factor(f0, fi, x):
-    """Lower Cholesky factor of S(x) = -(f0 + sum x_i fi_i), or None outside
-    the barrier cone (S not positive definite).  S is symmetrized, and a
-    non-finite S raises ValueError."""
-    s = -f0.copy()
-    for xi, fmat in zip(x, fi):
-        s -= xi * fmat
+def _factor(m):
+    """Lower Cholesky factor of the symmetrized m, or None when m is not
+    positive definite.  A non-finite m raises ValueError, so a numerical
+    breakdown stops the solve instead of passing NaN on."""
     try:
-        return np.linalg.cholesky(mk.symmetrize(s))
+        return np.linalg.cholesky(mk.symmetrize(m))
     except np.linalg.LinAlgError:
         return None
 
 
-def _barrier_value(tc, x, lo):
-    """phi = -t*c'x - log det S, with log det S read off the factor lo of S."""
-    return -float(tc @ x) - 2.0 * float(np.sum(np.log(np.diag(lo))))
+def _schur_factor(m):
+    """Cholesky factor of the Schur matrix, with a growing ridge when it is
+    numerically singular (linearly dependent A_i, e.g. an F_i equal to the
+    identity that phase 1 adds)."""
+    lm = _factor(m)
+    ridge = 1e-12 * max(float(np.max(np.diag(m), initial=0.0)), mk.ABS_FLOOR)
+    while lm is None:
+        lm = _factor(m + ridge * np.eye(len(m)))
+        ridge *= 1e4
+    return lm
 
 
-def _newton_step_dir(hess, grad, k):
-    """Newton direction, with a scaled ridge then steepest descent as
-    fallbacks when the Hessian is numerically rank deficient (happens far
-    out on unbounded slack directions where S is huge and S^-1 underflows)."""
-    try:
-        return mk.solve(hess, -grad)
-    except mk.Singular:
-        pass
-    ridge = 1e-10 * max(mk.inf_norm(hess), 1.0)
-    for _ in range(3):
-        try:
-            return mk.solve(hess + ridge * np.eye(k), -grad)
-        except mk.Singular:
-            ridge *= 1e4
-    return -grad
+def _max_step(linv, delta):
+    """Largest alpha with L L' + alpha*delta still positive semidefinite,
+    given linv = L^-1 (inf when delta keeps it so for every alpha)."""
+    lam = float(np.linalg.eigvalsh(linv @ delta @ linv.T)[0])
+    return -1.0 / lam if lam < 0.0 else np.inf
 
 
-def _newton_stage(f0, fi, fstack, x, lo, tc, stop_fn=None):
-    """Damped Newton on the barrier at fixed t from x, whose slack factor is lo.
+def _primal_dual(cmat, a, b, y, gap_tol, stop_early=None):
+    """Maximize b'y subject to cmat - sum_i y_i a[i] > 0 from the interior
+    point y.  Returns (y, iterations, converged); converged is True when
+    stop_early(y) held, and False when the iteration budget ran out or a
+    step lost definiteness to roundoff (y is then the last interior point)."""
+    k, d = len(a), len(cmat)
+    af = a.reshape(k, d * d)
 
-    Returns (x, lo, steps, stopped): the last accepted iterate with the
-    factor its line search computed, and whether stop_fn accepted it.
-    """
-    k, d = len(x), len(lo)
-    steps = 0
-    while steps < _MAX_NEWTON_PER_T:
-        minv = mk.cho_solve(lo, fstack)
-        m = np.stack([minv[:, i * d:(i + 1) * d] for i in range(k)]) if k else np.zeros((0, d, d))
-        grad = -tc + np.trace(m, axis1=1, axis2=2)
-        hess = np.einsum("aij,bji->ab", m, m)
-        step = _newton_step_dir(hess, grad, k)
-        slope = float(grad @ step)
-        # a positive slope is a numerical loss of descent: bail out
-        if slope > 0.0 or 0.5 * (-slope) < _DECREMENT_TOL**2:
-            return x, lo, steps, False
-        phi0 = _barrier_value(tc, x, lo)
-        alpha = 1.0
-        while True:
-            trial = x + alpha * step
-            lo_trial = _slack_factor(f0, fi, trial)
-            armijo = phi0 + _ARMIJO_SLOPE * alpha * slope
-            if lo_trial is not None and _barrier_value(tc, trial, lo_trial) <= armijo:
-                break
-            alpha *= _ARMIJO_RATIO
-            if alpha < 1e-14:
-                return x, lo, steps, False
-        x, lo = trial, lo_trial
-        steps += 1
-        if stop_fn is not None and stop_fn(x):
-            return x, lo, steps, True
-    return x, lo, steps, False
+    def dual_slack(v):
+        return cmat - (v @ af).reshape(d, d)
 
-
-def _path_follow(f0, fi, c, gap_tol, x0, stop_early=None):
-    """Run the outer t-loop from the interior point x0.  Returns (x,
-    iterations, outer_objectives, clean).  A stage boundary changes only t,
-    so the iterate's slack factor carries over to the next stage."""
-    x = np.asarray(x0, dtype=float).copy()
-    lo = _slack_factor(f0, fi, x)
-    if lo is None:
-        raise mk.NotPositiveDefinite("the starting point is outside the barrier cone")
-    d = len(f0)
-    fstack = np.hstack(fi) if len(fi) else np.zeros((d, 0))
-    t = _T0
-    iterations = 0
-    outer_objectives = []
-    clean = True
-    while True:
-        x, lo, steps, stopped = _newton_stage(f0, fi, fstack, x, lo, t * c, stop_early)
-        iterations += steps
-        outer_objectives.append(float(c @ x))
-        if stopped:
+    y = np.asarray(y, dtype=float).copy()
+    z = dual_slack(y)
+    lz = _factor(z)
+    if lz is None:
+        raise mk.NotPositiveDefinite("the starting point is outside the cone")
+    # SDPT3's primal start: a multiple of I sized by the data
+    xi = max(10.0, np.sqrt(d),
+             d * float(np.max((1.0 + np.abs(b)) / (1.0 + np.linalg.norm(af, axis=1)))))
+    x, lx = xi * np.eye(d), np.sqrt(xi) * np.eye(d)
+    residual_tol = _RESIDUAL_TOL * (1.0 + float(np.linalg.norm(b)))
+    fraction = 0.9
+    for iteration in range(_MAX_ITERATIONS + 1):
+        if stop_early is not None and stop_early(y):
+            return y, iteration, True
+        rp = b - af @ x.ravel()
+        gap = float(np.vdot(x, z))
+        if gap < gap_tol and float(np.linalg.norm(rp)) <= residual_tol:
+            return y, iteration, True
+        if iteration == _MAX_ITERATIONS:
             break
-        if steps >= _MAX_NEWTON_PER_T:
-            clean = False
-        if d / t < gap_tol:
-            break
-        if iterations >= _MAX_NEWTON_TOTAL:
-            clean = False
-            break
-        t *= _T_GROWTH
-    return x, iterations, outer_objectives, clean
+        mu = gap / d
+        lxi = np.linalg.inv(lx)
+        lzi = np.linalg.inv(lz)
+        zinv = lzi.T @ lzi
+        blocks = (lzi @ a @ lx).reshape(k, d * d)
+        lm = _schur_factor(blocks @ blocks.T)
+
+        # predictor: the affine-scaling direction (sigma = 0)
+        dya = mk.cho_solve(lm, b)
+        dza = -(dya @ af).reshape(d, d)
+        xdz = x @ dza @ zinv
+        dxa = -x - 0.5 * (xdz + xdz.T)
+        ap = min(1.0, _max_step(lxi, dxa))
+        ad = min(1.0, _max_step(lzi, dza))
+        sigma = min(1.0, (float(np.vdot(x + ap * dxa, z + ad * dza)) / d / mu) ** 3)
+
+        # corrector: centre on sigma*mu and cancel the predictor's second-order term
+        corr = dxa @ dza @ zinv
+        dy = mk.cho_solve(lm, b - sigma * mu * (af @ zinv.ravel()) + af @ corr.ravel())
+        dz = -(dy @ af).reshape(d, d)
+        dx = sigma * mu * zinv - corr - x @ dz @ zinv
+        dx = 0.5 * (dx + dx.T) - x
+        ap = min(1.0, fraction * _max_step(lxi, dx))
+        ad = min(1.0, fraction * _max_step(lzi, dz))
+        x_next, y_next = x + ap * dx, y + ad * dy
+        z_next = dual_slack(y_next)
+        lx, lz = _factor(x_next), _factor(z_next)
+        if lx is None or lz is None:
+            break  # roundoff put a step on the cone's boundary: keep the last y
+        x, y, z = x_next, y_next, z_next
+        fraction = 0.9 + 0.09 * min(ap, ad)
+    return y, iteration, False
 
 
 def find_strictly_feasible(prob: AffineSdp):
@@ -218,46 +213,43 @@ def find_strictly_feasible(prob: AffineSdp):
 
     Solves min s subject to F(x) - s*I < 0 from the always-interior start
     (x, s) = (0, max_eig(F(0)) + 1 + eps); stops early once s is safely
-    below -eps.
+    below -eps, and otherwise raises Infeasible with the converged s.
     """
     k = prob.num_vars
     d = prob.dim
-    eye = np.eye(d)
-    fi_aug = list(prob.fi) + [-eye]
-    c_aug = np.zeros(k + 1)
-    c_aug[-1] = -1.0  # maximize -s
-    s0 = float(np.linalg.eigvalsh(prob.f0)[-1]) + 1.0 + prob.eps
-    x0 = np.zeros(k + 1)
-    x0[-1] = s0
+    a = np.array(list(prob.fi) + [-np.eye(d)])
+    b = np.zeros(k + 1)
+    b[-1] = -1.0  # maximize -s
+    y0 = np.zeros(k + 1)
+    y0[-1] = float(np.linalg.eigvalsh(prob.f0)[-1]) + 1.0 + prob.eps
     target = -1.05 * prob.eps
 
-    xs, _, _, _ = _path_follow(
-        prob.f0, fi_aug, c_aug,
-        gap_tol=min(_GAP_TOL, 0.05 * prob.eps),
-        x0=x0,
-        stop_early=lambda z: z[-1] <= target,
-    )
-    slack = float(xs[-1])
+    ys, _, _ = _primal_dual(-prob.f0, a, b, y0,
+                            gap_tol=min(_GAP_TOL, 0.05 * prob.eps),
+                            stop_early=lambda v: v[-1] <= target)
+    slack = float(ys[-1])
     if slack > -prob.eps:
         raise Infeasible(slack)
-    return xs[:-1]
+    return ys[:-1]
 
 
 def maximize(prob: AffineSdp):
     """Solve the SDP.  Raises Infeasible when phase 1 fails.
 
-    Status is OPTIMAL when the path follower reached the d/t < 1e-6 gap,
-    ITERATION_LIMIT when Newton budgets ran out first (the best iterate is
-    still returned and is strictly inside the cone).
+    Status is OPTIMAL when the gap and residual tolerances were met,
+    ITERATION_LIMIT when the iteration budget ran out first or roundoff
+    ended the run (the last dual iterate is still returned and is strictly
+    inside the cone).
+    `iterations` counts the interior-point iterations after phase 1.
     """
     x0 = find_strictly_feasible(prob)
-    f0s = prob.f0 + prob.eps * np.eye(prob.dim)
-    x, iterations, outer, clean = _path_follow(f0s, prob.fi, prob.c, _GAP_TOL, x0)
-    status = SdpStatus.OPTIMAL if clean else SdpStatus.ITERATION_LIMIT
+    d = prob.dim
+    a = np.array(prob.fi).reshape(prob.num_vars, d, d)
+    x, iterations, converged = _primal_dual(-prob.f0 - prob.eps * np.eye(d), a, prob.c, x0,
+                                            _GAP_TOL)
     return SdpSolution(
         x=x,
         objective_value=float(prob.c @ x),
         iterations=iterations,
-        status=status,
-        outer_objectives=outer,
+        status=SdpStatus.OPTIMAL if converged else SdpStatus.ITERATION_LIMIT,
     )

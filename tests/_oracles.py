@@ -2,8 +2,10 @@
 
 Everything here is derived independently of the library code so the tests
 compare two implementations that cannot share a bug: the double-integrator
-minimum-time formula comes from the bang-bang two-arc solution, and the
-set-distance helpers are plain numpy.
+minimum-time formula comes from the bang-bang two-arc solution, the
+set-distance helpers are plain numpy, and the SDP objective oracle is a
+log-det barrier path follower, a different method from the package's
+primal-dual solver.
 """
 
 import math
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from robustroa import matrixkit as mk
 from robustroa import plants
 from robustroa.harness.fileio import FileFormatError
 from robustroa.hj_reach import Grid2, ValueGrid
@@ -58,6 +61,114 @@ def record_choleskys(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cholesky", recording)
     return factored
+
+
+# -- log-det barrier SDP solver (objective oracle) -----------------------------
+#
+# The path follower lmi_solver used before its primal-dual method: maximize
+# c'x + (1/t) log det(-F(x) - eps*I) by damped Newton with Armijo
+# backtracking, t growing tenfold until the duality-gap bound d/t < 1e-6.
+# Phase 1 minimizes s subject to F(x) - s*I < 0 the same way.
+
+_BARRIER_MAX_NEWTON_PER_T = 80
+_BARRIER_MAX_NEWTON_TOTAL = 4000
+
+
+def slack_factor(f0, fi, x):
+    """Lower Cholesky factor of S(x) = -(f0 + sum x_i fi_i), or None outside
+    the barrier cone.  S is symmetrized; a non-finite S raises ValueError."""
+    s = -f0.copy()
+    for xi, fmat in zip(x, fi):
+        s -= xi * fmat
+    try:
+        return np.linalg.cholesky(mk.symmetrize(s))
+    except np.linalg.LinAlgError:
+        return None
+
+
+def barrier_value(tc, x, lo):
+    """phi = -t*c'x - log det S, with log det S read off the factor lo of S."""
+    return -float(tc @ x) - 2.0 * float(np.sum(np.log(np.diag(lo))))
+
+
+def _newton_dir(hess, grad):
+    """Newton direction, with a growing ridge then steepest descent when the
+    Hessian is numerically rank deficient."""
+    ridge = 0.0
+    for _ in range(4):
+        try:
+            return mk.solve(hess + ridge * np.eye(len(grad)), -grad)
+        except mk.Singular:
+            ridge = 1e-10 * max(mk.inf_norm(hess), 1.0) if ridge == 0.0 else ridge * 1e4
+    return -grad
+
+
+def _barrier_stage(f0, fi, fstack, x, lo, tc, stop_fn):
+    """Damped Newton at fixed t; returns (x, lo, steps, stopped)."""
+    k, d = len(x), len(lo)
+    for steps in range(_BARRIER_MAX_NEWTON_PER_T):
+        minv = mk.cho_solve(lo, fstack)
+        m = np.stack([minv[:, i * d:(i + 1) * d] for i in range(k)])
+        grad = -tc + np.trace(m, axis1=1, axis2=2)
+        step = _newton_dir(np.einsum("aij,bji->ab", m, m), grad)
+        slope = float(grad @ step)
+        if slope > 0.0 or -0.5 * slope < 1e-10:
+            return x, lo, steps, False
+        phi0 = barrier_value(tc, x, lo)
+        alpha = 1.0
+        while True:
+            trial = x + alpha * step
+            lo_trial = slack_factor(f0, fi, trial)
+            if (lo_trial is not None
+                    and barrier_value(tc, trial, lo_trial) <= phi0 + 0.01 * alpha * slope):
+                break
+            alpha *= 0.5
+            if alpha < 1e-14:
+                return x, lo, steps, False
+        x, lo = trial, lo_trial
+        if stop_fn is not None and stop_fn(x):
+            return x, lo, steps + 1, True
+    return x, lo, _BARRIER_MAX_NEWTON_PER_T, False
+
+
+def _barrier_path(f0, fi, c, gap_tol, x, stop_fn=None):
+    """The outer t-loop from the interior point x; returns (x, clean)."""
+    lo = slack_factor(f0, fi, x)
+    fstack = np.hstack(fi)
+    t, total, clean = 1.0, 0, True
+    while True:
+        x, lo, steps, stopped = _barrier_stage(f0, fi, fstack, x, lo, t * c, stop_fn)
+        total += steps
+        if stopped:
+            return x, clean
+        clean = clean and steps < _BARRIER_MAX_NEWTON_PER_T
+        if len(f0) / t < gap_tol:
+            return x, clean
+        if total >= _BARRIER_MAX_NEWTON_TOTAL:
+            return x, False
+        t *= 10.0
+
+
+def barrier_phase1(prob):
+    """(x, s) of the barrier's phase 1 on an AffineSdp: min s subject to
+    F(x) - s*I < 0, stopped early once s <= -1.05*eps."""
+    c_aug = np.zeros(prob.num_vars + 1)
+    c_aug[-1] = -1.0  # maximize -s
+    x0 = np.zeros(prob.num_vars + 1)
+    x0[-1] = float(np.linalg.eigvalsh(prob.f0)[-1]) + 1.0 + prob.eps
+    target = -1.05 * prob.eps
+    xs, _ = _barrier_path(prob.f0, list(prob.fi) + [-np.eye(prob.dim)], c_aug,
+                          min(1e-6, 0.05 * prob.eps), x0, lambda z: z[-1] <= target)
+    return xs[:-1], float(xs[-1])
+
+
+def barrier_maximize(prob):
+    """(x, clean) of the barrier solve of an AffineSdp; raises ValueError
+    when its phase 1 finds no strictly feasible point."""
+    x0, slack = barrier_phase1(prob)
+    if slack > -prob.eps:
+        raise ValueError(f"barrier phase 1 found no strictly feasible point (slack {slack:.3e})")
+    return _barrier_path(prob.f0 + prob.eps * np.eye(prob.dim), prob.fi, prob.c, 1e-6, x0)
 
 
 # -- double integrator minimum time -------------------------------------------

@@ -5,7 +5,7 @@ import _oracles as orc
 from robustroa import clf_synth as cs
 from robustroa import matrixkit as mk
 from robustroa.harness.scenarios import bundled_scenario
-from robustroa.lmi_solver import SdpStatus, maximize
+from robustroa.lmi_solver import Infeasible, SdpStatus, maximize
 from robustroa.plants import QuadcopterParams, quadcopter_linearize, quadruped_axis_linear
 
 
@@ -48,21 +48,24 @@ def test_split_solution_shapes():
 
 def test_scalar_lmi_blocks_by_hand():
     prob = cs.build_synthesis_lmi(scalar_model(), scalar_params())
-    assert prob.dim == 4 and prob.num_vars == 2
+    assert prob.dim == 5 and prob.num_vars == 2
     f0_expected = np.array([
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, -1.0, 0.0, 0.0],
-        [0.0, 0.0, -1.0, 0.0],
-        [1.0, 0.0, 0.0, -1.0],
+        [0.0, 0.0, 0.0, 1.0, 0.0],
+        [0.0, -1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, -1.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0, -1.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
     ])
     assert np.allclose(prob.f0, f0_expected)
-    # Y variable: (AY)' + AY + lam*Y contributes 3, plus the Y coupling row
-    fy_expected = np.zeros((4, 4))
+    # Y variable: (AY)' + AY + lam*Y contributes 3, plus the Y coupling row,
+    # and -Y in the last diagonal block
+    fy_expected = np.zeros((5, 5))
     fy_expected[0, 0] = 3.0
     fy_expected[1, 0] = fy_expected[0, 1] = 1.0
+    fy_expected[4, 4] = -1.0
     assert np.allclose(prob.fi[0], fy_expected)
     # L variable: (BL)' + BL contributes 2, plus the L coupling row
-    fl_expected = np.zeros((4, 4))
+    fl_expected = np.zeros((5, 5))
     fl_expected[0, 0] = 2.0
     fl_expected[2, 0] = fl_expected[0, 2] = 1.0
     assert np.allclose(prob.fi[1], fl_expected)
@@ -72,7 +75,7 @@ def test_scalar_lmi_blocks_by_hand():
 def test_block_dimensions():
     model, params = quadcopter_setup()
     prob = cs.build_synthesis_lmi(model, params)
-    assert prob.dim == 16  # 2n + m + p = 12 + 2 + 2
+    assert prob.dim == 22  # 3n + m + p = 18 + 2 + 2
     assert prob.num_vars == 21 + 12
 
 
@@ -82,7 +85,7 @@ def test_subsystem_block_dimension():
                              b_w=[[0.0], [1.0]])
     params = cs.ClfParams(q=[500.0, 10.0], r=[1.0, 1.0], decay_rate=0.3, dist_weight=200.0)
     prob = cs.build_synthesis_lmi(model_y, params)
-    assert prob.dim == 7  # 2*2 + 2 + 1
+    assert prob.dim == 9  # 3*2 + 2 + 1
 
 
 def test_rejects_nondiagonal_weights():
@@ -199,6 +202,17 @@ def test_synthesized_supply_rate_random_samples():
         rhs = (-params.decay_rate * e @ cert.p @ e - e @ q @ e - u @ r @ u
                + params.dist_weight * w @ w)
         assert lhs <= rhs + 1e-9 * (1.0 + abs(rhs))
+
+
+def test_synthesis_infeasible_without_positive_definite_y():
+    # at decay_rate 1e6 the Schur block needs a Y that is not positive
+    # definite, so with the -Y block the best slack is 0 to within phase 1's
+    # gap: Infeasible, not a Y that fails at gain recovery
+    scn = bundled_scenario("quadruped_height.cfg")
+    params = cs.ClfParams(q=[1000.0, 1.0], r=[0.01], decay_rate=1e6, dist_weight=90.0)
+    with pytest.raises(Infeasible) as err:
+        cs.synthesize(quadruped_axis_linear(scn.quadruped), params)
+    assert abs(err.value.slack) < 1e-6
 
 
 def test_height_z_synthesis_factors_each_slack_matrix_once(monkeypatch):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import _oracles as orc
-from robustroa.lmi_solver import (AffineSdp, Infeasible, SdpStatus, _barrier_value,
-                                  _slack_factor, find_strictly_feasible, maximize)
+from robustroa import clf_synth as cs
+from robustroa.harness.scenarios import bundled_scenario
+from robustroa.lmi_solver import AffineSdp, Infeasible, SdpStatus, find_strictly_feasible, maximize
+from robustroa.plants import quadcopter_linearize, quadruped_axis_linear
 
 
 def scalar_problem(eps=None):
@@ -31,28 +33,32 @@ def test_evaluate():
 
 
 def test_slack_factor_logdet_matches_slogdet():
-    # phi = -t c'x - log det S(x), with log det S read off the factor
+    # the barrier oracle's phi = -t c'x - log det S(x), with log det S read
+    # off the factor
     rng = np.random.default_rng(37)
     for _ in range(10):
         n = int(rng.integers(1, 9))
         a = rng.standard_normal((n, n))
         s = float(rng.uniform(1e-3, 1e3)) * (a @ a.T + n * np.eye(n))
-        lo = _slack_factor(-s, [], [])
+        lo = orc.slack_factor(-s, [], [])
         sign, ref = np.linalg.slogdet(s)
         assert sign == 1.0
-        assert abs(_barrier_value(np.zeros(0), np.zeros(0), lo) + ref) < 1e-10 * max(abs(ref), 1.0)
-    lo = _slack_factor(np.diag([-2.0, -8.0]), [], [])
-    assert _barrier_value(np.zeros(0), np.zeros(0), lo) == pytest.approx(-np.log(16.0), rel=1e-15)
+        phi = orc.barrier_value(np.zeros(0), np.zeros(0), lo)
+        assert abs(phi + ref) < 1e-10 * max(abs(ref), 1.0)
+    lo = orc.slack_factor(np.diag([-2.0, -8.0]), [], [])
+    phi = orc.barrier_value(np.zeros(0), np.zeros(0), lo)
+    assert phi == pytest.approx(-np.log(16.0), rel=1e-15)
 
 
 def test_slack_factor_none_outside_cone():
-    # the barrier's cone-membership test: no factor off the positive definite cone
+    # the barrier oracle's cone-membership test: no factor off the positive
+    # definite cone
     f0, fi = -np.eye(2), [np.diag([1.0, 0.0])]
-    assert _slack_factor(f0, fi, [0.5]) is not None
-    assert _slack_factor(f0, fi, [1.0]) is None  # S = diag(0, 1)
-    assert _slack_factor(f0, fi, [1.001]) is None
+    assert orc.slack_factor(f0, fi, [0.5]) is not None
+    assert orc.slack_factor(f0, fi, [1.0]) is None  # S = diag(0, 1)
+    assert orc.slack_factor(f0, fi, [1.001]) is None
     with pytest.raises(ValueError):
-        _slack_factor(f0, fi, [np.nan])
+        orc.slack_factor(f0, fi, [np.nan])
 
 
 def test_scalar_optimum():
@@ -163,11 +169,87 @@ def test_each_slack_matrix_factored_once(monkeypatch):
     assert len(set(factored)) == len(factored)
 
 
-def test_outer_objectives_monotone():
-    for prob in (scalar_problem(), capped_lyapunov_problem()):
+def synthesis_case(case):
+    """(model, params) of the bundled fig3 [clf] block or of one axis of
+    quadruped_height.cfg."""
+    if case == "fig3":
+        scn = bundled_scenario("quadcopter_fig8.cfg")
+        return quadcopter_linearize(scn.quadcopter), scn.clf_blocks["main"].params
+    scn = bundled_scenario("quadruped_height.cfg")
+    return quadruped_axis_linear(scn.quadruped), scn.clf_blocks[case[-1]].params
+
+
+@pytest.mark.parametrize("case", ["capped", "fig3", "height-y", "height-z"])
+def test_objective_matches_barrier_oracle(case):
+    # the optimum agrees with the log-det barrier's within that method's
+    # d/t < 1e-6 gap, and the point is strictly inside the cone
+    if case == "capped":
+        prob = capped_lyapunov_problem()
         sol = maximize(prob)
-        diffs = np.diff(sol.outer_objectives)
-        assert np.all(diffs >= -1e-9 * (1.0 + abs(sol.objective_value)))
+    else:
+        model, params = synthesis_case(case)
+        prob = cs.build_synthesis_lmi(model, params)
+        cert, sol = cs.synthesize(model, params)
+        assert cs.verify_closed_loop(model, cert) < 0.0
+    x_ref, clean = orc.barrier_maximize(prob)
+    assert sol.status == SdpStatus.OPTIMAL and clean
+    assert abs(sol.objective_value - float(prob.c @ x_ref)) <= 1e-6
+    np.linalg.cholesky(-orc.sdp_evaluate(prob, sol.x) - prob.eps * np.eye(prob.dim))
+
+
+def random_band_problem(rng):
+    """max c'x s.t. -I < G0 + sum_i x_i G_i < I (two diagonal blocks) with
+    random symmetric G at a random scale: bounded, and strictly feasible or
+    not depending on the draw."""
+    n = int(rng.integers(2, 7))
+    k = int(rng.integers(1, n * (n + 1) // 2 + 1))
+    g = [rng.standard_normal((n, n)) for _ in range(k + 1)]
+    g = [gi + gi.T for gi in g]
+    g[0] *= 0.3
+    eye, zero = np.eye(n), np.zeros((n, n))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    f0 = scale * np.block([[g[0] - eye, zero], [zero, -g[0] - eye]])
+    fi = [scale * np.block([[gi, zero], [zero, -gi]]) for gi in g[1:]]
+    return AffineSdp(c=rng.standard_normal(k), f0=f0, fi=fi)
+
+
+def test_random_problems_match_barrier_oracle():
+    # the same verdict as the barrier on each draw; the same phase-1 slack
+    # when there is no strictly feasible point, else the same optimum
+    rng = np.random.default_rng(1)
+    verdicts = set()
+    for _ in range(20):
+        prob = random_band_problem(rng)
+        x_ref, slack_ref = orc.barrier_phase1(prob)
+        feasible = slack_ref <= -prob.eps
+        verdicts.add(feasible)
+        if not feasible:
+            with pytest.raises(Infeasible) as err:
+                maximize(prob)
+            assert abs(err.value.slack - slack_ref) <= 1e-6 * (1.0 + abs(slack_ref))
+            continue
+        sol = maximize(prob)
+        # two draws run a barrier stage into its Newton cap; its iterate is
+        # still interior and within the gap, so it is compared all the same
+        x_ref, _ = orc.barrier_maximize(prob)
+        assert sol.status == SdpStatus.OPTIMAL
+        assert abs(sol.objective_value - float(prob.c @ x_ref)) <= 1e-6
+        assert np.linalg.eigvalsh(orc.sdp_evaluate(prob, sol.x))[-1] < -prob.eps
+    assert verdicts == {True, False}
+
+
+def test_phase1_finds_thin_feasible_set():
+    # the synthesis block without its -Y part at decay_rate 1e6 is strictly
+    # feasible (best slack about -1e-3, reached with a slightly negative Y);
+    # the barrier's phase 1 stalled on it and reported Infeasible(0.668)
+    scn = bundled_scenario("quadruped_height.cfg")
+    model = quadruped_axis_linear(scn.quadruped)
+    params = cs.ClfParams(q=[1000.0, 1.0], r=[0.01], decay_rate=1e6, dist_weight=90.0)
+    full = cs.build_synthesis_lmi(model, params)
+    d = full.dim - model.n_states
+    plain = AffineSdp(c=full.c, f0=full.f0[:d, :d], fi=[f[:d, :d] for f in full.fi])
+    x = find_strictly_feasible(plain)
+    assert np.linalg.eigvalsh(orc.sdp_evaluate(plain, x) + plain.eps * np.eye(d))[-1] < 0.0
 
 
 def test_eps_monotonicity():

@@ -21,12 +21,16 @@ comes from a stage before the simulation, so a refused run leaves no
 directory and no file.
 
 The decoupled axes and the controller modes share nothing but the
-certificates, so _fan_out runs them side by side: each axis's synthesis,
-each axis's safe set, and each reproduce mode (simulated, with its CSV
-and trajectory SVG written, where it runs) in its own forked process.
-Results come back in axis and mode order, and a refusal on any axis is
-raised as the first one in that order, so the bytes, the report and the
-exit codes are those of running them one after the other.
+certificates, so _fan_out runs them side by side, one job per axis chain
+and one per reproduce mode.  An axis's job runs its whole share of the
+stages (synthesize, solve, bound) and formats its value grid's CSV text,
+so the write pass only writes it; a reproduce mode's job simulates and
+writes that mode's CSV and trajectory SVG.  The first job runs in the CLI
+process and each other one in a forked child (here too when a fork
+fails).  Results come back in axis and mode order, and of the refusals
+the one raised is the first in (stage, axis) order, so the bytes, the
+report and the exit codes are those of running the stages one after the
+other.
 """
 
 from __future__ import annotations
@@ -116,19 +120,26 @@ def _load(args):
 def _fan_out(fn, items):
     """[fn(item) for item in items], in item order.  The first item runs in
     this process and each later one in a child made by os.fork, which
-    pickles back (ok, result or exception) through a pipe.  Every child is
-    reaped, even when this process's own item raised, before the first
-    exception in item order is re-raised."""
+    pickles back (ok, result or exception) through a pipe.  If a fork fails
+    (no process to spare), that item and every later one run in this
+    process instead.  Every child is reaped, even when an item run here
+    raised, before the first exception in item order is re-raised."""
     items = list(items)
     if len(items) < 2 or not hasattr(os, "fork"):
         return [fn(item) for item in items]
-    children, outcomes = [], []
+    children, local = [], []
     try:
-        for item in items[1:]:
-            children.append(_fork(fn, item))
-        outcomes.append(_outcome(fn, items[0]))
+        for i in range(1, len(items)):
+            try:
+                children.append(_fork(fn, items[i]))
+            except OSError:
+                local = items[i:]
+                break
+        first = _outcome(fn, items[0])
+        rest = [_outcome(fn, item) for item in local]
     finally:
-        outcomes += [_reap(pid, fd) for pid, fd in children]
+        forked = [_reap(pid, fd) for pid, fd in children]
+    outcomes = [first, *forked, *rest]
     for ok, value in outcomes:
         if not ok:
             raise value
@@ -172,68 +183,108 @@ def _fork(fn, item):
 
 
 def _reap(pid, fd):
-    """The (ok, value) the child sent, or (False, error) if it sent none."""
+    """The (ok, value) the child sent, or (False, error) if it sent none.
+    The outcome is unpickled as it is read, so its bytes are never held
+    whole; closing the pipe before the wait stops a child still writing."""
+    outcome = None
     try:
         with os.fdopen(fd, "rb") as pipe:
-            data = pipe.read()
+            outcome = pickle.load(pipe)
+    except EOFError:
+        pass
+    except Exception as exc:  # e.g. an exception whose __init__ does not take its args
+        outcome = False, ChildProcessError(f"forked job's outcome cannot be unpickled: "
+                                           f"{exc!r}")
     finally:
         _, status = os.waitpid(pid, 0)
-    if not data:
+    if outcome is None:
         return False, ChildProcessError(f"forked job exited without a result "
                                         f"(wait status {status})")
-    try:
-        return pickle.loads(data)
-    except Exception as exc:  # e.g. an exception whose __init__ does not take its args
-        return False, ChildProcessError(f"forked job's outcome cannot be unpickled: {exc!r}")
+    return outcome
+
+
+# a chain's steps in the order the stages run them; formatting an axis's
+# value grid is the write pass's share, after every refusal
+CHAIN_STEPS = ("synthesize", "solve", "bound", "format")
 
 
 def _run_stages(scn, stages):
-    """Run `stages` on `scn` in the fixed order synthesize -> solve -> bound
-    -> simulate; every refusal is raised here, before anything is written.
-    Returns what they computed: the plant's linear `model` and `certs`
-    {axis: (cert, cert_eig_max, solution)} from synthesize, `grids` {axis:
-    (value grid, target)} from solve, `bounds` {axis: WmaxResult} from
-    bound, and from simulate `simulate(mode)`, which the write pass calls
-    for the (scenario, trajectory) of `scn` run in `mode`."""
+    """Run `stages` on `scn`; every refusal is raised here, before anything
+    is written.  Each axis runs its own chain of them (synthesize -> solve
+    -> bound, then its value grid formatted as CSV text), the axes side by
+    side through _fan_out.  A chain stops at its first refusal, and the one
+    raised is the first in (stage, axis) order: the one running the stages
+    one after the other, axis by axis, would raise.  Returns what they
+    computed: the plant's linear `model` and `certs` {axis: (cert,
+    cert_eig_max, solution)} from synthesize, `grids` {axis: value grid}
+    and `grid_csv` {axis: its CSV text, as the list of chunks to_csv
+    wrote} from solve, `bounds` {axis: WmaxResult} from bound, and
+    from simulate `simulate(mode)`, which the write pass calls for the
+    (scenario, trajectory) of `scn` run in `mode`."""
     if scn.plant_kind == "quadcopter" and "simulate" in stages:
         # certified by its configured [clf] w_max: there is no safe set
         stages = [s for s in stages if s != "solve"]
     if "solve" in stages and not scn.hj_blocks:
         raise ConfigError("scenario has no reachability sections "
                           "([hj_y]/[hj_z]); nothing to solve")
-    run = SimpleNamespace(model=None, certs={}, grids={}, bounds={}, simulate=None)
-    if "synthesize" in stages:
+    run = SimpleNamespace(model=None, certs={}, grids={}, grid_csv={}, bounds={},
+                          simulate=None)
+    clf_blocks = scn.clf_blocks if "synthesize" in stages else {}
+    hj_blocks = scn.hj_blocks if "solve" in stages else {}
+    if clf_blocks:
         # every synthesis block runs on the plant's one linear model
         if scn.plant_kind == "quadcopter":
             run.model = plants.quadcopter_linearize(scn.quadcopter)
         else:
             run.model = plants.quadruped_axis_linear(scn.quadruped)
 
-        def certify(block):
-            cert, sol = synthesize(run.model, block.params)
-            eig = verify_closed_loop(run.model, cert)
-            if block.w_max is not None:
-                cert.set_disturbance_bound(block.w_max)
-            return cert, eig, sol
+    def chain(axis):
+        """(None, {run field: this axis's entry}), or (the step that
+        refused, its exception)."""
+        done, step = {}, "synthesize"
+        try:
+            if axis in clf_blocks:
+                block = clf_blocks[axis]
+                cert, sol = synthesize(run.model, block.params)
+                eig = verify_closed_loop(run.model, cert)
+                if block.w_max is not None:
+                    cert.set_disturbance_bound(block.w_max)
+                done["certs"] = cert, eig, sol
+            if axis in hj_blocks:
+                # the robust stay set of the error subsystem, solved until
+                # {V <= 0} is final: the grid form of its viability kernel
+                step = "solve"
+                grid, target, dyn = hj_blocks[axis].problem(scn.quadruped)
+                vg = solve_brs(grid, target, dyn, "converge", freeze="stay")
+                done["grids"] = vg
+                if "bound" in stages:
+                    step = "bound"
+                    if not vg.info["converged"]:
+                        raise NoSafeRoa(f"[hj_{axis}] the safe set was still changing at "
+                                        f"the solve's time cap (set_final_time = "
+                                        f"{vg.info['set_final_time']:.5f}); no bound is "
+                                        f"certified on a set that is not final")
+                    done["bounds"] = find_wmax(done["certs"][0], vg, target)
+                step = "format"
+                # kept as the chunks written, so the text is held once
+                chunks = []
+                vg.to_csv(SimpleNamespace(write=chunks.append))
+                done["grid_csv"] = chunks
+        except Exception as exc:
+            return step, exc
+        return None, done
 
-        run.certs = dict(zip(scn.clf_blocks, _fan_out(certify, scn.clf_blocks.values())))
-    if "solve" in stages:
-        # the robust stay set of each error subsystem, solved until
-        # {V <= 0} is final: the grid form of its viability kernel
-        def solve(block):
-            grid, target, dyn = block.problem(scn.quadruped)
-            return solve_brs(grid, target, dyn, "converge", freeze="stay"), target
-
-        run.grids = dict(zip(scn.hj_blocks, _fan_out(solve, scn.hj_blocks.values())))
-    if "bound" in stages:
-        for axis, (vg, target) in run.grids.items():
-            if not vg.info["converged"]:
-                raise NoSafeRoa(f"[hj_{axis}] the safe set was still changing at the solve's "
-                                f"time cap (set_final_time = {vg.info['set_final_time']:.5f}); "
-                                f"no bound is certified on a set that is not final")
-            run.bounds[axis] = find_wmax(run.certs[axis][0], vg, target)
-        if scn.plant_kind == "quadcopter" and run.certs["main"][0].w_max is None:
-            raise ConfigError("[clf] needs w_max for the quadcopter pipeline")
+    axes = list(dict.fromkeys([*clf_blocks, *hj_blocks]))
+    outcomes = _fan_out(chain, axes)
+    refused = [(CHAIN_STEPS.index(step), i) for i, (step, _) in enumerate(outcomes) if step]
+    if refused:
+        raise outcomes[min(refused)[1]][1]
+    for axis, (_, done) in zip(axes, outcomes):
+        for field, entry in done.items():
+            getattr(run, field)[axis] = entry
+    if ("bound" in stages and scn.plant_kind == "quadcopter"
+            and run.certs["main"][0].w_max is None):
+        raise ConfigError("[clf] needs w_max for the quadcopter pipeline")
     if "simulate" in stages:
         # simulating refuses nothing, so the write pass runs it, mode by mode
         run.simulate = lambda mode: _simulate(scn.with_mode(mode), run)
@@ -330,6 +381,12 @@ def _print_synthesis(scn, run):
             print(f"  w_max = {block.w_max}, level = {roa_level(block.params, block.w_max)}")
 
 
+def _write_grid_csv(path, run, axis):
+    # dropped once written, so a simulation that follows does not hold it
+    with open(path, "w") as fh:
+        fh.writelines(run.grid_csv.pop(axis))
+
+
 def _write_bounds(scn, run, out):
     """The value grid, certificate and report entry of every bounded axis."""
     if not run.bounds:
@@ -337,7 +394,7 @@ def _write_bounds(scn, run, out):
     entries = []
     for axis, res in run.bounds.items():
         grid_file = f"{scn.name}_valuegrid_{axis}.csv"
-        run.grids[axis][0].to_csv(out / grid_file)
+        _write_grid_csv(out / grid_file, run, axis)
         cert, eig, _ = run.certs[axis]
         fileio.write_certificate(out / f"{scn.name}_certificate_{axis}.txt",
                                  scn.name, axis, cert, eig)
@@ -355,9 +412,9 @@ def _write_synth(scn, run, out):
 
 
 def _write_hj_brs(scn, run, out):
-    for axis, (vg, _) in run.grids.items():
+    for axis, vg in run.grids.items():
         path = out / f"{scn.name}_valuegrid_{axis}.csv"
-        vg.to_csv(path)
+        _write_grid_csv(path, run, axis)
         info = vg.info
         print(f"[hj-brs:{axis}] steps = {info['steps']}, dt = {info['dt']:.5f}, "
               f"converged = {info['converged']}, "

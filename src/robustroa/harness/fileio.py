@@ -17,9 +17,11 @@ Certificate format (one `key = value` per line, `#` comments):
     k_row_0 = ...                  # gain rows, comma separated
     p_row_0 = ...                  # Lyapunov matrix rows
 
-Value grids are the `x1,x2,v` CSV written by ValueGrid.to_csv (row-major
-over a uniform grid).  Floats are written with repr so a fixed pipeline
-reproduces byte-identical files.
+Value grids are the `x1,x2,v` CSV that ValueGrid.to_csv formats (row-major
+over a uniform grid).  The CLI has each axis's job format its grid's text
+where the grid was solved, and its write pass writes that text unchanged.
+Floats are written with repr, so a fixed pipeline reproduces
+byte-identical files.
 """
 
 from __future__ import annotations

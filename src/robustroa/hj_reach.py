@@ -171,14 +171,17 @@ class ValueGrid:
         if self.v.shape != self.grid.shape:
             raise GridMismatch(f"values shaped {self.v.shape} on grid {self.grid.shape}")
 
-    def to_csv(self, path):
-        """Write `x1,x2,v` rows, one per node, row-major.  Each axis
-        coordinate is formatted once and each grid row written at once."""
+    def to_csv(self, out):
+        """Write `x1,x2,v` rows, one per node, row-major, to the text stream
+        `out` (anything with a `write(str)`).  Each axis coordinate and
+        each distinct value (by bits, so -0.0 and 0.0 stay apart) is
+        formatted once, and each grid row written at once."""
         ax1, ax2 = (list(map(repr, ax.tolist())) for ax in self.grid.axes())
-        with open(path, "w") as fh:
-            fh.write("x1,x2,v\n")
-            for a, row in zip(ax1, self.v):
-                fh.write("".join([f"{a},{b},{c!r}\n" for b, c in zip(ax2, row.tolist())]))
+        bits, cell = np.unique(self.v.ravel().view(np.int64), return_inverse=True)
+        text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        out.write("x1,x2,v\n")
+        for a, row in zip(ax1, text[cell].reshape(self.v.shape).tolist()):
+            out.write("".join([f"{a},{b},{c}\n" for b, c in zip(ax2, row)]))
 
 
 @dataclass

@@ -8,11 +8,14 @@ The slower tests run the real pipeline on a shrunken quadruped scenario
 import contextlib
 import copy
 import dataclasses
+import errno
 import io
+import itertools
 import os
 import re
 import shutil
 import subprocess
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -331,7 +334,8 @@ def test_value_grid_roundtrip(tmp_path):
     grid = Grid2(mins=(-1.0, -2.0), maxs=(1.0, 2.0), shape=(5, 7))
     vg = ValueGrid(grid=grid, v=rng.standard_normal((5, 7)))
     path = tmp_path / "grid.csv"
-    vg.to_csv(path)
+    with open(path, "w") as fh:
+        vg.to_csv(fh)
     back = orc.read_value_grid(path)
     assert back.grid.shape == (5, 7)
     assert np.array_equal(back.v, vg.v)
@@ -605,6 +609,37 @@ def test_cli_refusal_on_forked_axis_matches_sequential(tmp_path, capsys, monkeyp
     assert rc == code and text == "" and message in err
 
 
+OFF_GRID = {"n": 40, "target_half_widths": "1e-6, 1e-6"}  # no node in the target
+INFEASIBLE = {"decay_rate": 1e6}
+
+
+@pytest.mark.parametrize("edits, axis", [
+    ({"hj_y": OFF_GRID, "clf_z": INFEASIBLE}, "z"),
+    ({"clf_y": INFEASIBLE, "hj_z": OFF_GRID}, "y"),
+], ids=["off-grid-y-infeasible-z", "infeasible-y-off-grid-z"])
+def test_cli_refusal_precedence_across_stages_and_axes(tmp_path, capsys, monkeypatch,
+                                                       edits, axis):
+    # each axis's chain stops at its own refusal, and the one raised is
+    # the first in (stage, axis) order: synthesis (exit 2) before the safe
+    # set (exit 3), whichever axis refused it, as running the stages one
+    # after the other does
+    both = mini_cfg(tmp_path, fname="both.cfg", **edits)
+    alone = mini_cfg(tmp_path, fname="alone.cfg", **{f"clf_{axis}": INFEASIBLE})
+    seen = []
+    for name, path in (("forked", both), ("sequential", both), ("alone", alone)):
+        if name == "sequential":
+            monkeypatch.delattr(os, "fork")
+        out = tmp_path / name
+        rc, text = run_cli(["wmax", "--config", str(path), "--out", str(out)])
+        seen.append((rc, text, capsys.readouterr().err))
+        assert not out.exists()
+        assert_no_children()
+    # the message is that of the axis whose synthesis was refused
+    assert seen[0] == seen[1] == seen[2]
+    rc, text, err = seen[0]
+    assert rc == 2 and text == "" and err.startswith("synthesis infeasible: ")
+
+
 def test_cli_quadruped_without_clf_z_exit_4(tmp_path, capsys):
     # the loader requires both synthesis sections, so every [hj_*] axis has
     # a certificate to bound
@@ -749,10 +784,10 @@ def test_simulate_seed_determinism(mini_run, tmp_path):
     assert not np.array_equal(states[0], states[2])
 
 
-def count_calls(monkeypatch, tmp_path, *names):
-    """Wrap the named harness.cli globals with call counters that count in
-    forked children too: each call appends its name to a file.  Returns a
-    function that reads the counts."""
+def count_calls(monkeypatch, tmp_path, *names, tag=lambda name, args: "-"):
+    """Wrap the named harness.cli globals with call loggers that log in
+    forked children too: each call appends `name pid tag(name, args)` to a
+    file.  Returns a function that reads the log as [(name, pid, tag)]."""
     log = tmp_path / "calls.log"
     log.touch()
     for name in names:
@@ -760,18 +795,16 @@ def count_calls(monkeypatch, tmp_path, *names):
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
             with open(log, "a") as f:
-                f.write(_name + "\n")
+                f.write(f"{_name} {os.getpid()} {tag(_name, args)}\n")
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(cli, name, counted)
 
-    def counts():
-        seen = dict.fromkeys(names, 0)
-        for line in log.read_text().splitlines():
-            seen[line] += 1
-        return seen
+    def calls():
+        return [(name, int(pid), word) for name, pid, word in
+                (line.split() for line in log.read_text().splitlines())]
 
-    return counts
+    return calls
 
 
 def test_reproduce_runs_both_modes(tmp_path, monkeypatch):
@@ -786,8 +819,7 @@ def test_reproduce_runs_both_modes(tmp_path, monkeypatch):
                   "mini_robust_traj.svg", "mini_compare_band.svg"):
         assert (out / fname).exists(), fname
     # certified once for both modes: one synthesis and one PDE solve per axis
-    counts = calls()
-    assert counts == {"synthesize": 2, "solve_brs": 2}
+    assert Counter(name for name, *_ in calls()) == {"synthesize": 2, "solve_brs": 2}
 
     # and the certification artifacts are the ones `wmax` writes
     rc, _ = run_cli(["wmax", "--config", str(cfg), "--out", str(tmp_path / "wmax")])
@@ -803,8 +835,72 @@ def test_reproduce_quadcopter_synthesizes_once(tmp_path, monkeypatch):
     rc, text = run_cli(["reproduce", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 0
     assert "[reproduce:nominal]" in text and "[reproduce:robust]" in text
-    counts = calls()
-    assert counts == {"synthesize": 1}
+    assert [name for name, *_ in calls()] == ["synthesize"]
+
+
+def mini_axis(name, args):
+    """The axis of a synthesize or solve_brs call on the MINI scenario."""
+    if name == "synthesize":
+        rates = {MINI[f"clf_{axis}"]["decay_rate"]: axis for axis in ("y", "z")}
+        return rates[args[1].decay_rate]
+    widths = {float(MINI[f"hj_{axis}"]["grid_half_widths"].split(",")[0]): axis
+              for axis in ("y", "z")}
+    return widths[args[0].maxs[0]]
+
+
+def test_wmax_runs_each_axis_chain_in_one_process(tmp_path, monkeypatch):
+    # y's whole chain runs in the CLI's process, z's in one forked child
+    cfg = mini_cfg(tmp_path)
+    calls = count_calls(monkeypatch, tmp_path, "synthesize", "solve_brs", tag=mini_axis)
+    rc, _ = run_cli(["wmax", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert_no_children()
+    pids = {}
+    for name, pid, axis in calls():
+        pids.setdefault(axis, []).append((name, pid))
+    assert sorted(pids) == ["y", "z"]
+    assert pids["y"] == [("synthesize", os.getpid()), ("solve_brs", os.getpid())]
+    (z_pid,) = {pid for _, pid in pids["z"]}
+    assert z_pid != os.getpid()
+    assert sorted(name for name, _ in pids["z"]) == ["solve_brs", "synthesize"]
+
+
+def failing_fork(monkeypatch, *fails):
+    """os.fork raising OSError(EAGAIN) on the calls numbered in `fails`
+    (0 is the first) and forking on the others."""
+    fork, count = os.fork, itertools.count()
+
+    def flaky():
+        if next(count) in fails:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", flaky)
+
+
+@pytest.mark.parametrize("command", ["wmax", "hj-brs", "reproduce"])
+def test_cli_forked_run_matches_unforked(tmp_path, monkeypatch, command):
+    # the same files, byte for byte, and the same report, whether the axes
+    # and modes run in forked children, here after a failed fork (reproduce
+    # forks twice: for its axes, then for its modes), or all here
+    cfg = mini_cfg(tmp_path)
+    runs = {}
+    for name, fails in (("forked", ()), ("fork-1-fails", (0,)), ("fork-2-fails", (1,)),
+                        ("forks-1-and-2-fail", (0, 1)), ("unforked", None)):
+        if fails is None:
+            monkeypatch.delattr(os, "fork")
+        else:
+            failing_fork(monkeypatch, *fails)
+        out = tmp_path / name
+        rc, text = run_cli([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == 0
+        assert_no_children()
+        runs[name] = (text.replace(str(out), "<out>"),
+                      {path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    want = runs.pop("unforked")
+    assert want[1]
+    for name, got in runs.items():
+        assert got == want, name
 
 
 def test_benchmark_tracer_finds_every_target(monkeypatch):
@@ -876,6 +972,20 @@ def test_fan_out_child_print_stays_in_the_child(capfd):
 
     assert cli._fan_out(job, range(3)) == [0, 1, 2]
     assert capfd.readouterr().out == "job 0\n"
+    assert_no_children()
+
+
+@pytest.mark.parametrize("fails", [(0,), (1,)], ids=["first", "second"])
+def test_fan_out_runs_here_from_a_failed_fork_on(monkeypatch, fails):
+    # of the three forks four items need, the failed one and every later
+    # item run in this process; a child already started is still reaped
+    failing_fork(monkeypatch, *fails)
+    got = cli._fan_out(lambda i: (i * i, os.getpid()), range(4))
+    assert [sq for sq, _ in got] == [0, 1, 4, 9]
+    pids = [pid for _, pid in got]
+    forked = fails[0] + 1
+    assert pids[0] == os.getpid() and len(set(pids[:forked])) == forked
+    assert pids[forked:] == [os.getpid()] * (4 - forked)
     assert_no_children()
 
 

@@ -1,3 +1,4 @@
+import io
 import sys
 
 import numpy as np
@@ -703,9 +704,25 @@ def test_value_grid_csv_bytes_match_per_node_writer(tmp_path, shape):
     v = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
     v.flat[:4] = [-0.0, 0.0, np.inf, np.nan]
     vg = hj.ValueGrid(grid, v)
-    vg.to_csv(tmp_path / "got.csv")
+    with open(tmp_path / "got.csv", "w") as fh:
+        vg.to_csv(fh)
     orc.value_grid_csv(vg, tmp_path / "want.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_value_grid_csv_formats_repeated_values_by_bits(tmp_path):
+    # each distinct value is formatted once, by its bits: 0.0 and -0.0
+    # compare equal but keep their own text wherever they repeat
+    grid = hj.Grid2((-1.0, -2.0), (1.0, 2.0), (31, 17))
+    rng = np.random.default_rng(4)
+    values = np.array([0.0, -0.0, 1.5, -1.5, 1e-300, np.inf, -np.inf, np.nan, 0.1 + 0.2])
+    vg = hj.ValueGrid(grid, np.asfortranarray(rng.choice(values, size=grid.shape)))
+    got = io.StringIO()
+    vg.to_csv(got)
+    orc.value_grid_csv(vg, tmp_path / "want.csv")
+    want = (tmp_path / "want.csv").read_text()
+    assert got.getvalue() == want
+    assert want.count(",0.0\n") > 1 and want.count(",-0.0\n") > 1
 
 
 def test_value_grid_csv_roundtrip(tmp_path):
@@ -713,7 +730,8 @@ def test_value_grid_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(9)
     vg = hj.ValueGrid(grid, rng.standard_normal(grid.shape))
     path = tmp_path / "values.csv"
-    vg.to_csv(path)
+    with open(path, "w") as fh:
+        vg.to_csv(fh)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "x1,x2,v"
     assert len(lines) == 1 + 4 * 3

@@ -328,7 +328,8 @@ def bundled_run(request, tmp_path_factory):
     (out / "fixed").mkdir()
     for axis, block in scn.hj_blocks.items():
         vg = solve_brs(*block.problem(scn.quadruped), -2.0, freeze="stay")
-        vg.to_csv(out / "fixed" / f"{scn.name}_valuegrid_{axis}.csv")
+        with open(out / "fixed" / f"{scn.name}_valuegrid_{axis}.csv", "w") as fh:
+            vg.to_csv(fh)
     return scn, out
 
 

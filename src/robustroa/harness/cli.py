@@ -297,7 +297,7 @@ def _run_stages(scn, stages):
 def _build_quadcopter_sim(scn, run):
     plant = plants.QuadcopterPlant(scn.quadcopter)
     cert = run.certs["main"][0]
-    feedback = (lambda x, e: cert.k @ e) if scn.mode == "robust" else None
+    feedback = (lambda x, e: (cert.k @ e).tolist()) if scn.mode == "robust" else None
     controller = plants.TrackingController(plant, scn.reference(), scn.mpc,
                                            u_lin=plant.hover_input(), feedback=feedback)
     monitors = [plants.LyapunovMonitor(name="E", p=cert.p, level=cert.level)]
@@ -324,7 +324,8 @@ def _build_quadruped_sim(scn, run):
         def ancillary(x, e):
             wrench = [0.0, 0.0, 0.0]
             for row, k, idx in terms:
-                wrench[row] = float(k @ e[idx])
+                # numpy's 2-term dot, not k0*e0 + k1*e1: the trajectories keep its rounding
+                wrench[row] = float(k.dot(e.take(idx)))
             return plants.stance_allocation(x, plant.stance, wrench)
 
     controller = plants.TrackingController(plant, scn.reference(), scn.mpc,

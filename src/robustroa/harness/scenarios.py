@@ -76,6 +76,18 @@ def _grid_nodes(text):
     return n
 
 
+def _file_stem(text):
+    """A name every artifact file starts with: it must stay one file name
+    inside the output directory."""
+    if not text:
+        raise ValueError("must not be empty")
+    if text.startswith("."):
+        raise ValueError("must not start with '.'")
+    if "/" in text or "\\" in text or "\0" in text:
+        raise ValueError("must not hold a path separator or a NUL character")
+    return text
+
+
 def _choice(*options):
     def cast(text):
         if text not in options:
@@ -171,7 +183,7 @@ _HJ_KEYS = dict(target_half_widths=(_half_widths, _REQ), grid_half_widths=(_half
 # Every key each section may hold, as (cast, default).  _read parses a
 # section through its entry and rejects any key the entry does not list.
 _KEYS = {
-    "scenario": dict(name=(str, _REQ), plant=(_choice("quadcopter", "quadruped"), _REQ),
+    "scenario": dict(name=(_file_stem, _REQ), plant=(_choice("quadcopter", "quadruped"), _REQ),
                      mode=(_choice("nominal", "robust"), "robust"), seed=(int, 0),
                      out_dir=(str, None)),
     "quadcopter": dict.fromkeys(("mass", "arm_length", "inertia_xx", "gravity"),

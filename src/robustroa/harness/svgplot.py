@@ -3,7 +3,18 @@
 Just enough for the pipeline figures: polyline series on labeled axes,
 optional horizontal guide lines, a legend, on a fixed 640 x 420 canvas.
 Pixel coordinates are written at fixed precision so repeated runs emit
-byte-identical files.
+byte-identical files, and every text (title, axis labels, legend names,
+guide labels) is XML-escaped.
+
+A series whose x is monotone non-decreasing is thinned to the points
+that draw the same line at this size, by M4 aggregation (Jugel, Jerzak,
+Hackenbroich & Markl, "M4: a visualization-oriented time series data
+aggregation", PVLDB 7(10), 2014): in each pixel column, the integer part
+of the point's pixel x, only the first, the last, a lowest and a highest
+point are kept (the first of several equal extremes), in series order.
+A polyline then holds at most 4 points per pixel column, whatever the
+sample count.  A series whose x turns back, such as a path in the plane,
+is drawn whole.  Non-finite points are dropped before either.
 """
 
 from __future__ import annotations
@@ -47,6 +58,33 @@ def _ticks(lo, hi, target=6):
 
 def _fmt_tick(v):
     return f"{v:.6g}"
+
+
+def _escape(text):
+    """`text` as XML character data: the replacements of
+    xml.sax.saxutils.escape, whose import would pull in urllib.request."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _m4(px, ys):
+    """Mask of the points M4 keeps of a series whose pixel x `px` is
+    monotone non-decreasing: each pixel column's first and last point and
+    the first point at its lowest and at its highest y."""
+    n = len(px)
+    keep = np.zeros(n, dtype=bool)
+    if n == 0:
+        return keep
+    col = np.floor(px)
+    starts = np.flatnonzero(np.concatenate(([True], col[1:] != col[:-1])))
+    ends = np.append(starts[1:], n)
+    keep[starts] = True
+    keep[ends - 1] = True
+    column = np.repeat(np.arange(len(starts)), ends - starts)
+    for extreme in (np.minimum, np.maximum):
+        hits = np.flatnonzero(ys == extreme.reduceat(ys, starts)[column])
+        # the first hit of each column
+        keep[hits[np.concatenate(([True], column[hits[1:]] != column[hits[:-1]]))]] = True
+    return keep
 
 
 def line_plot(path, series, title="", xlabel="", ylabel="",
@@ -117,35 +155,39 @@ def line_plot(path, series, title="", xlabel="", ylabel="",
                    'clip-path="url(#box)"/>')
         if label:
             out.append(f'<text x="{ml + pw - 4}" y="{py - 4:.2f}" '
-                       f'text-anchor="end" fill="{color}">{label}</text>')
+                       f'text-anchor="end" fill="{color}">{_escape(label)}</text>')
 
     for idx, s in enumerate(series):
         color = s.color or PALETTE[idx % len(PALETTE)]
         xs = np.asarray(s.x, dtype=float)
         ys = np.asarray(s.y, dtype=float)
         ok = np.isfinite(xs) & np.isfinite(ys)
-        pts = " ".join(f"{a:.2f},{b:.2f}"
-                       for a, b in zip(sx(xs[ok]).tolist(), sy(ys[ok]).tolist()))
+        xs, ys = xs[ok], ys[ok]
+        px = sx(xs)
+        if np.all(xs[1:] >= xs[:-1]):
+            keep = _m4(px, ys)
+            px, ys = px[keep], ys[keep]
+        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px.tolist(), sy(ys).tolist()))
         dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.6"{dash} clip-path="url(#box)"/>')
 
     if title:
         out.append(f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-                   f'class="t">{title}</text>')
+                   f'class="t">{_escape(title)}</text>')
     if xlabel:
         out.append(f'<text x="{ml + pw / 2:.1f}" y="{HEIGHT - 10}" '
-                   f'text-anchor="middle">{xlabel}</text>')
+                   f'text-anchor="middle">{_escape(xlabel)}</text>')
     if ylabel:
         out.append(f'<text x="16" y="{mt + ph / 2:.1f}" text-anchor="middle" '
-                   f'transform="rotate(-90 16 {mt + ph / 2:.1f})">{ylabel}</text>')
+                   f'transform="rotate(-90 16 {mt + ph / 2:.1f})">{_escape(ylabel)}</text>')
 
     lx, ly = ml + 10, mt + 14
     for idx, s in enumerate(series):
         color = s.color or PALETTE[idx % len(PALETTE)]
         out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
                    f'stroke="{color}" stroke-width="2"/>')
-        out.append(f'<text x="{lx + 28}" y="{ly}">{s.name}</text>')
+        out.append(f'<text x="{lx + 28}" y="{ly}">{_escape(s.name)}</text>')
         ly += 16
 
     out.append("</svg>")

@@ -14,20 +14,23 @@ Two plants share the state layout x = [y, z, phi, ydot, zdot, phidot]
 A plant provides f(x, u, w), the true dynamics that rk4_step integrates
 directly; nominal_f(), the disturbance-free model the MPC plans with;
 sanitize(u) -> (u, clamps); and advance(t, x), which re-places the
-quadruped's feet.
+quadruped's feet and binds that stance's feet and constants into its f,
+so an evaluation only unpacks x and u.
 
 The simulator runs classical RK4 at a fixed dt with a zero-order-hold
 tracking controller: the nominal MPC plan, recomputed on its own slower
 period, plus one ancillary feedback(x, e) every step.  Each sample does
 only causal work, on Python floats: the reference is evaluated once and
 handed to the controller, the command is clipped and sanitized as a
-float list, and rk4_step takes and returns float lists.  Numpy enters a
-step only for the feedback, whose gain products stay numpy matmuls, and
-for the MPC solve on its tick.  The loop writes each sample into output
-arrays allocated once, sized from the first sample.  The certificate
-energy E = e' P e of each monitor, and its invariant exits, are computed
-after the loop from the stored x - x_ref, one vectorized expression per
-monitor.
+float list, and rk4_step takes and returns float lists, written out over
+the six coordinates (no zip or comprehension; the same sums in the same
+order as the vector form).  Numpy enters a step only for the feedback's
+gain products, kept as numpy dots for their rounding (the feedback hands
+back a float list), and for the MPC solve on its tick.  The loop writes
+each sample into output arrays allocated once, sized from the first
+sample.  The certificate energy E = e' P e of each monitor, and its
+invariant exits, are computed after the loop from the stored x - x_ref,
+one vectorized expression per monitor.
 """
 
 from __future__ import annotations
@@ -164,41 +167,49 @@ class QuadrupedParams:
 @dataclass
 class StanceState:
     """Which diagonal pair is down and where its feet are: (y, z) pairs of
-    floats in the world frame, unpacked on every dynamics evaluation."""
+    floats in the world frame, unpacked once per stance by
+    quadruped_dynamics."""
 
     pair: str
     foot_front: tuple
     foot_rear: tuple
 
 
-def quadruped_f(x, u, stance: StanceState, p: QuadrupedParams,
-                delta_m=0.0, drag_force=0.0):
-    """Trotting point-mass dynamics under ground-reaction forces.
+def quadruped_dynamics(stance: StanceState, p: QuadrupedParams, delta_m=0.0, drag_force=0.0):
+    """Trotting point-mass dynamics f(x, u, w=None) under ground-reaction
+    forces, with the stance feet and the parameters bound once.
 
-    u = [fx_front, fx_rear, fz_front, fz_rear].  The true mass is
-    p.mass + delta_m (the controller plans with p.mass); drag_force is a
-    constant resistive force on the COM along -y (pushing a load).
-    Raises ContactViolation when a commanded normal force is negative.
+    u = [fx_front, fx_rear, fz_front, fz_rear]; w is ignored (the plant
+    has no disturbance channel).  The true mass is p.mass + delta_m (the
+    controller plans with p.mass); drag_force is a constant resistive
+    force on the COM along -y (pushing a load).  f raises ContactViolation
+    when a commanded normal force is negative.
     """
-    y, z, _, ydot, zdot, phidot = x
-    fx_f, fx_r, fz_f, fz_r = u
-    if fz_f < -1e-9 or fz_r < -1e-9:
-        raise ContactViolation(f"negative normal force: fz_front={fz_f:.3f}, fz_rear={fz_r:.3f}")
     m_true = p.mass + delta_m
+    grav, inertia = p.gravity, p.inertia_xx
     front_y, front_z = stance.foot_front
     rear_y, rear_z = stance.foot_rear
-    # moment arm r = com - foot, torque r x f = r_y f_z - r_z f_y per foot
-    r_front_y, r_front_z = y - front_y, z - front_z
-    r_rear_y, r_rear_z = y - rear_y, z - rear_z
-    return (
-        ydot,
-        zdot,
-        phidot,
-        (fx_f + fx_r - drag_force) / m_true,
-        (fz_f + fz_r) / m_true - p.gravity,
-        ((r_front_y * fz_f - r_front_z * fx_f) + (r_rear_y * fz_r - r_rear_z * fx_r))
-        / p.inertia_xx,
-    )
+
+    def f(x, u, w=None):
+        y, z, _, ydot, zdot, phidot = x
+        fx_f, fx_r, fz_f, fz_r = u
+        if fz_f < -1e-9 or fz_r < -1e-9:
+            raise ContactViolation(f"negative normal force: fz_front={fz_f:.3f}, "
+                                   f"fz_rear={fz_r:.3f}")
+        # moment arm r = com - foot, torque r x f = r_y f_z - r_z f_y per foot
+        r_front_y, r_front_z = y - front_y, z - front_z
+        r_rear_y, r_rear_z = y - rear_y, z - rear_z
+        return (
+            ydot,
+            zdot,
+            phidot,
+            (fx_f + fx_r - drag_force) / m_true,
+            (fz_f + fz_r) / m_true - grav,
+            ((r_front_y * fz_f - r_front_z * fx_f) + (r_rear_y * fz_r - r_rear_z * fx_r))
+            / inertia,
+        )
+
+    return f
 
 
 def quadruped_axis_linear(p: QuadrupedParams):
@@ -253,8 +264,9 @@ def subsystem_error_dynamics(axis, p: QuadrupedParams, u_lo, u_hi, delta_m_inter
 # -- feedback helpers ---------------------------------------------------------
 
 def stance_allocation(x, stance: StanceState, wrench):
-    """Min-norm stance forces [fx_front, fx_rear, fz_front, fz_rear] that
-    produce `wrench` = (lateral force, lift force, pitch torque about the COM).
+    """Min-norm stance forces [fx_front, fx_rear, fz_front, fz_rear], as a
+    list, that produce `wrench` = (lateral force, lift force, pitch torque
+    about the COM).
 
     The wrench map A has rows [1, 1, 0, 0], [0, 0, 1, 1] and the torque row
     [a, b, c, d] = [-(z - z_f), -(z - z_r), y - y_f, y - y_r].  The
@@ -273,7 +285,7 @@ def stance_allocation(x, stance: StanceState, wrench):
     lam = (2.0 * tau - (a + b) * f_y - (c + d) * f_z) / (gap_z * gap_z + gap_y * gap_y)
     half_y, half_z = 0.5 * f_y, 0.5 * f_z
     shift_y, shift_z = 0.5 * gap_z * lam, 0.5 * gap_y * lam
-    return np.array([half_y + shift_y, half_y - shift_y, half_z + shift_z, half_z - shift_z])
+    return [half_y + shift_y, half_y - shift_y, half_z + shift_z, half_z - shift_z]
 
 
 def worst_constant_disturbance(cert: ClfCertificate, model: LinearModel, w_max):
@@ -291,20 +303,32 @@ def worst_constant_disturbance(cert: ClfCertificate, model: LinearModel, w_max):
 
 
 def rk4_step(f, x, u, w, dt):
-    """Classical fourth-order Runge-Kutta step of x' = f(x, u, w).
+    """Classical fourth-order Runge-Kutta step of x' = f(x, u, w) on the
+    six-state layout.
 
-    x is a list of Python floats; u and w are passed to f as given.  f
-    returns a sequence of floats, and the step returns the new state as a
-    list of Python floats.
+    x is a list of six Python floats; u and w are passed to f as given.  f
+    returns a sequence of six floats, and the step returns the new state
+    as a list of Python floats.  Each stage and the update are written out
+    per coordinate: the stage states are x_i + (dt / 2) k_i (x_i + dt k_i
+    for the last), and x_i + (dt / 6) (k1_i + 2 k2_i + 2 k3_i + k4_i) sums
+    left to right.
     """
     half = 0.5 * dt
-    k1 = f(x, u, w)
-    k2 = f([xi + half * ki for xi, ki in zip(x, k1)], u, w)
-    k3 = f([xi + half * ki for xi, ki in zip(x, k2)], u, w)
-    k4 = f([xi + dt * ki for xi, ki in zip(x, k3)], u, w)
+    x0, x1, x2, x3, x4, x5 = x
+    a0, a1, a2, a3, a4, a5 = f(x, u, w)
+    b0, b1, b2, b3, b4, b5 = f([x0 + half * a0, x1 + half * a1, x2 + half * a2,
+                               x3 + half * a3, x4 + half * a4, x5 + half * a5], u, w)
+    c0, c1, c2, c3, c4, c5 = f([x0 + half * b0, x1 + half * b1, x2 + half * b2,
+                               x3 + half * b3, x4 + half * b4, x5 + half * b5], u, w)
+    d0, d1, d2, d3, d4, d5 = f([x0 + dt * c0, x1 + dt * c1, x2 + dt * c2,
+                               x3 + dt * c3, x4 + dt * c4, x5 + dt * c5], u, w)
     sixth = dt / 6.0
-    out = [xi + sixth * (a + 2.0 * b + 2.0 * c + d)
-           for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+    out = [x0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+           x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+           x2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+           x3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+           x4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
+           x5 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5)]
     if not all(map(math.isfinite, out)):
         raise NonFinite("integration step produced non-finite state")
     return out
@@ -361,30 +385,29 @@ class QuadrupedPlant:
         self.params = params or QuadrupedParams()
         self.delta_m = float(delta_m)
         self.drag_force = float(drag_force)
-        self.stance = self._place(y0, "A")
+        self._place(y0, "A")
         self._next_switch = self.params.step_time
 
     def _place(self, y, pair):
+        """Put `pair` down around y and bind the true dynamics f(x, u, w)
+        of that stance."""
         off = self.params.step_offset
         mid = y + 0.5 * self.params.v_ref * self.params.step_time
-        return StanceState(pair=pair,
-                           foot_front=(mid + off, 0.0),
-                           foot_rear=(mid - off, 0.0))
+        self.stance = StanceState(pair=pair,
+                                  foot_front=(mid + off, 0.0),
+                                  foot_rear=(mid - off, 0.0))
+        self.f = quadruped_dynamics(self.stance, self.params,
+                                    delta_m=self.delta_m, drag_force=self.drag_force)
 
     def advance(self, t, x):
         if t >= self._next_switch - 1e-12:
             pair = "B" if self.stance.pair == "A" else "A"
-            self.stance = self._place(float(x[0]), pair)
+            self._place(float(x[0]), pair)
             self._next_switch += self.params.step_time
 
-    def f(self, x, u, w):
-        return quadruped_f(x, u, self.stance, self.params,
-                           delta_m=self.delta_m, drag_force=self.drag_force)
-
     def nominal_f(self):
-        """Controller model: nominal mass, no drag, current stance."""
-        stance = self.stance
-        return lambda x, u: quadruped_f(x, u, stance, self.params)
+        """Controller model f(x, u): nominal mass, no drag, current stance."""
+        return quadruped_dynamics(self.stance, self.params)
 
     def sanitize(self, u):
         """(u projected into the friction cone as a new float list, clamps);
@@ -478,8 +501,8 @@ class TrackingController:
     cfg        : MpcConfig (its dt is the MPC period)
     u_lin      : linearization input (m,) for every MPC stage
     feedback   : ancillary term feedback(x, e) -> full-length control
-                 correction array, with e = x - x_ref; None = nominal
-                 (MPC-only) controller.
+                 correction, a sequence of floats (a list is cheapest),
+                 with e = x - x_ref; None = nominal (MPC-only) controller.
 
     control(t, x, x_ref) takes the state as a sequence of floats and the
     reference at t as an array, the caller's one evaluation of
@@ -519,7 +542,7 @@ class TrackingController:
             self.mpc_calls += 1
         u = self._u_bar
         if self.feedback is not None:
-            du = np.asarray(self.feedback(x, np.subtract(x, x_ref)), dtype=float).tolist()
+            du = self.feedback(x, np.subtract(x, x_ref))
             u = [a + b for a, b in zip(u, du)]
         if self._box is not None:
             # max(u, lo) then min(u, hi) with the command first, so a NaN

@@ -586,6 +586,30 @@ def svg_polyline_points(xs, ys, xlim, ylim, width=640, height=420):
     return " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(xs[ok], ys[ok]))
 
 
+def m4_points(xs, ys, xlim, width=640):
+    """The finite points (xs, ys) of a series that svgplot.line_plot draws
+    on x axis `xlim`, by brute force: when the finite x never decreases,
+    the first, the last, and the first lowest and first highest point of
+    each pixel column (the floor of the pixel x, mapped one point at a time
+    as svg_polyline_points does); otherwise every finite point."""
+    ml, mr = 62, 16
+    pw = width - ml - mr
+    x0, x1 = float(xlim[0]), float(xlim[1])
+    pts = [(float(a), float(b)) for a, b in zip(xs, ys) if math.isfinite(a) and math.isfinite(b)]
+    if any(b[0] < a[0] for a, b in zip(pts, pts[1:])):
+        return np.array([p[0] for p in pts]), np.array([p[1] for p in pts])
+    columns = {}
+    for i, (a, _) in enumerate(pts):
+        columns.setdefault(math.floor(ml + (a - x0) / (x1 - x0) * pw), []).append(i)
+    keep = set()
+    for members in columns.values():
+        heights = [pts[i][1] for i in members]
+        keep.update((members[0], members[-1],
+                     members[heights.index(min(heights))], members[heights.index(max(heights))]))
+    kept = [pts[i] for i in sorted(keep)]
+    return np.array([p[0] for p in kept]), np.array([p[1] for p in kept])
+
+
 # -- closed loop with per-sample lists and array-valued dynamics ---------------
 #
 # The simulation layer of plants as it appended every sample to Python lists,

@@ -319,11 +319,12 @@ def test_criterion_8_numerical_hygiene():
                   float(np.max(np.abs(b_fd - model.b))))
     assert jac_err < 1e-6
 
-    # RK4 local error on x' = -x drops 2^5 when the step halves
+    # RK4 local error on x' = -x, six states, drops 2^5 when the step halves
     errs = []
+    x0 = [1.0, -2.0, 0.5, 3.0, -0.25, 1.5]
     for dt in (0.1, 0.05):
-        x = plants.rk4_step(lambda x, u, w: [-xi for xi in x], [1.0], None, None, dt)
-        errs.append(abs(float(x[0]) - np.exp(-dt)))
+        x = plants.rk4_step(lambda x, u, w: [-xi for xi in x], list(x0), None, None, dt)
+        errs.append(max(abs(a - b * np.exp(-dt)) for a, b in zip(x, x0)))
     ratio = errs[0] / errs[1]
     assert 24.0 < ratio < 40.0
 

@@ -11,6 +11,7 @@ import dataclasses
 import errno
 import io
 import itertools
+import math
 import os
 import re
 import shutil
@@ -18,6 +19,8 @@ import subprocess
 from collections import Counter
 from importlib import resources
 from pathlib import Path
+from xml.dom import minidom
+from xml.sax import saxutils
 
 import numpy as np
 import pytest
@@ -413,12 +416,143 @@ def test_svg_polylines_match_per_point_formatting(tmp_path):
     path = tmp_path / "plot.svg"
     svgplot.line_plot(path, series, xlim=xlim, ylim=ylim)
     got = re.findall(r'<polyline points="([^"]*)"', path.read_text())
-    want = [orc.svg_polyline_points(xs, ys, xlim, ylim) for xs, ys in cases.values()]
+    # x never decreases in any case, so each is drawn from the points M4 keeps
+    want = [orc.svg_polyline_points(*orc.m4_points(xs, ys, xlim), xlim, ylim)
+            for xs, ys in cases.values()]
     assert got == want
     assert "-0.00," in got[3]
 
 
+def pixel_columns(xs, xlim):
+    """Pixel column of each x on line_plot's x axis `xlim`."""
+    (x0, x1), pw = xlim, 640 - 62 - 16
+    return [math.floor(62 + (float(x) - x0) / (x1 - x0) * pw) for x in xs]
+
+
+def m4_cases():
+    (x0, x1) = xlim = (0.1, 0.7)
+    rng = np.random.default_rng(7)
+    t = np.linspace(x0, x1, 10001)
+    dense = x0 + np.arange(1, 4000, 2) / 8.0 % 562.0 / 562.0 * (x1 - x0)
+    holey_y = np.sin(40.0 * t[:3000])
+    holey_y[::97] = np.nan
+    holey_y[5::131] = np.inf
+    holey_x = t[:3000].copy()
+    holey_x[3::113] = np.nan
+    holey_x[0] = -np.inf  # the first finite point is the second sample
+    cases = {
+        # a 10,001-sample run: about 18 samples per pixel column
+        "walk": (t, np.cumsum(rng.normal(size=t.size)) * 0.01),
+        # pixel x on the 2-decimal rounding ties
+        "ties": (dense, np.cos(dense * 50.0)),
+        # constant runs, so a column's extremes are held by several points
+        "plateaus": (t[:3000], np.repeat([0.2, 0.5, 0.2, 0.8, 0.5], 600)),
+        # repeated x: vertical runs inside one column
+        "repeated-x": (np.repeat(np.linspace(x0, x1, 150), 40), rng.uniform(-0.3, 0.9, 6000)),
+        "nonfinite": (holey_x, holey_y),
+        # off the axes on both sides: negative and far columns
+        "outside": (np.linspace(-0.5, 1.5, 4001), np.linspace(-0.3, 0.9, 4001) ** 2),
+        "single": (np.array([0.3]), np.array([0.1])),
+        "empty": (np.array([]), np.array([])),
+        # a path in the plane: x turns back
+        "path": (0.4 + 0.25 * np.sin(np.linspace(0.0, 2.0 * np.pi, 5001)),
+                 0.3 + 0.5 * np.sin(np.linspace(0.0, 4.0 * np.pi, 5001))),
+    }
+    return xlim, (-0.3, 0.9), cases
+
+
+def test_m4_keeps_each_pixel_columns_first_last_min_and_max(tmp_path):
+    xlim, ylim, cases = m4_cases()
+    path = tmp_path / "plot.svg"
+    svgplot.line_plot(path, [svgplot.Series(name, xs, ys) for name, (xs, ys) in cases.items()],
+                      xlim=xlim, ylim=ylim)
+    got = re.findall(r'<polyline points="([^"]*)"', path.read_text())
+    assert len(got) == len(cases)
+    for (name, (xs, ys)), points in zip(cases.items(), got):
+        ok = np.isfinite(xs) & np.isfinite(ys)
+        full_x, full_y = xs[ok], ys[ok]
+        kept_x, kept_y = orc.m4_points(xs, ys, xlim)
+        assert points == orc.svg_polyline_points(kept_x, kept_y, xlim, ylim), name
+        if name == "path":
+            # not monotone: drawn whole
+            assert points == orc.svg_polyline_points(xs, ys, xlim, ylim)
+            assert len(points.split()) == 5001
+            continue
+        if full_x.size:
+            # both endpoints are kept
+            assert (kept_x[0], kept_y[0]) == (full_x[0], full_y[0]), name
+            assert (kept_x[-1], kept_y[-1]) == (full_x[-1], full_y[-1]), name
+        full_cols, kept_cols = pixel_columns(full_x, xlim), pixel_columns(kept_x, xlim)
+        assert set(kept_cols) == set(full_cols)
+        for col in set(full_cols):
+            full = [(a, b) for a, b, c in zip(full_x, full_y, full_cols) if c == col]
+            kept = [(a, b) for a, b, c in zip(kept_x, kept_y, kept_cols) if c == col]
+            assert len(kept) <= 4, (name, col)
+            assert kept[0] == full[0] and kept[-1] == full[-1], (name, col)
+            assert min(b for _, b in kept) == min(b for _, b in full), (name, col)
+            assert max(b for _, b in kept) == max(b for _, b in full), (name, col)
+    # the dense series are thinned
+    assert len(got[0].split()) < 4 * 563 < 10001
+    assert len(got[2].split()) < 3000
+
+
+def test_svg_text_is_escaped(tmp_path):
+    svgplot.line_plot(tmp_path / "t.svg",
+                      [svgplot.Series("a<b", [0.0, 1.0], [0.0, 1.0])],
+                      title="x<y&z", xlabel="t & s", ylabel="<E>",
+                      hlines=[(0.5, "c > 0 & d", "#d62728")])
+    texts = [node.firstChild.data for node in
+             minidom.parse(str(tmp_path / "t.svg")).getElementsByTagName("text")]
+    for label in ("a<b", "x<y&z", "t & s", "<E>", "c > 0 & d"):
+        assert label in texts
+        assert svgplot._escape(label) == saxutils.escape(label)
+
+
+def test_every_written_svg_is_xml(tmp_path):
+    rc, _ = run_cli(["reproduce", "fig3", "--out", str(tmp_path / "fig3")])
+    assert rc == 0
+    # a name with XML markup characters is a legal file name
+    cfg = mini_cfg(tmp_path, base=MINI_QUADCOPTER, scenario={"name": "x<y&z"})
+    rc, _ = run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "odd")])
+    assert rc == 0
+    svgs = sorted(tmp_path.rglob("*.svg"))
+    assert [p.name for p in svgs] == [
+        "quadcopter_fig8_compare_band.svg", "quadcopter_fig8_nominal_traj.svg",
+        "quadcopter_fig8_robust_traj.svg", "x<y&z_robust_band.svg", "x<y&z_robust_traj.svg"]
+    for svg in svgs:
+        minidom.parse(str(svg))  # raises ExpatError when not well-formed
+    titles = [node.firstChild.data for node in
+              minidom.parse(str(svgs[-1])).getElementsByTagName("text")]
+    assert "x<y&z: tracked path" in titles
+
+
+def test_reproduce_fig4c_plots_are_pixel_sized(tmp_path):
+    rc, _ = run_cli(["reproduce", "fig4c", "--out", str(tmp_path)])
+    assert rc == 0
+    svgs = sorted(tmp_path.glob("*.svg"))
+    assert len(svgs) == 3
+    for svg in svgs:
+        assert svg.stat().st_size < 100_000, svg.name
+        minidom.parse(str(svg))
+        # each time series of 10,001 samples: at most 4 points in each of
+        # the 563 pixel columns its padded range spans
+        for points in re.findall(r'<polyline points="([^"]*)"', svg.read_text()):
+            assert len(points.split()) <= 4 * 563
+
+
 # -- CLI exit codes --------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["a/b<c", "", ".hidden", "..", "a\\b"],
+                         ids=["separator", "empty", "hidden", "parent", "backslash"])
+def test_cli_unsafe_scenario_name_exit_4(tmp_path, capsys, name):
+    # every artifact is named <name>_*, so the name must stay one file name
+    path = mini_cfg(tmp_path, scenario={"name": name})
+    with pytest.raises(ConfigError, match="'name'"):
+        load_scenario(path)
+    assert cli.main(["wmax", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
 
 def test_cli_usage_errors_exit_4(tmp_path, capsys):
     assert cli.main([]) == 4

@@ -62,11 +62,9 @@ def test_linearize_fd_bitwise_matches_array_reference():
     cases = []
     for s in stances:
         cases += [
-            (f"quadruped-{s.pair}", lambda x, u, s=s: plants.quadruped_f(x, u, s, p),
-             x_neg, u_stance),
+            (f"quadruped-{s.pair}", plants.quadruped_dynamics(s, p), x_neg, u_stance),
             (f"quadruped-{s.pair}-payload-drag",
-             lambda x, u, s=s: plants.quadruped_f(x, u, s, p, delta_m=5.0, drag_force=30.0),
-             x_pos, u_stance),
+             plants.quadruped_dynamics(s, p, delta_m=5.0, drag_force=30.0), x_pos, u_stance),
         ]
     qp = plants.QuadcopterParams()
     cases.append(("quadcopter-off-hover", lambda x, u: plants.quadcopter_f(x, u, None, qp),

@@ -136,7 +136,7 @@ def test_quadruped_torque_cross_check():
     for _ in range(10):
         x = rng.standard_normal(6) * 0.3 + np.array([0.25, 0.32, 0, 0, 0, 0])
         u = np.array([*rng.standard_normal(2), *rng.uniform(1.0, 40.0, 2)])
-        xdot = plants.quadruped_f(x, u, stance, p)
+        xdot = plants.quadruped_dynamics(stance, p)(x, u)
         torque = 0.0
         for foot, fx, fz in ((stance.foot_front, u[0], u[2]),
                              (stance.foot_rear, u[1], u[3])):
@@ -203,7 +203,7 @@ def test_stance_allocation_torque_free():
         wrench = rng.normal(size=3)
         wrench[2] = 0.0
         du = plants.stance_allocation(x, plant.stance, wrench)
-        assert du.shape == (4,)
+        assert len(du) == 4
         rf = plant.stance.foot_front - x[:2]
         rr = plant.stance.foot_rear - x[:2]
         # recomposed net force and moment match the request exactly
@@ -296,19 +296,30 @@ def test_trot_reference():
 # -- integrator and helpers ----------------------------------------------------
 
 def test_rk4_is_fourth_order():
-    f = lambda x, u, w: [-xi for xi in x]
+    # three oscillators, position i driven by rate i + 3: p'' = -omega^2 p
+    omega = (1.0, 2.0, 0.5)
+    f = lambda x, u, w: [x[3], x[4], x[5], -x[0], -4.0 * x[1], -0.25 * x[2]]
+    x0 = [1.0, -0.5, 2.0, 0.3, 1.5, -0.8]
+
+    def exact(t):
+        pos = [p * math.cos(om * t) + v / om * math.sin(om * t)
+               for p, v, om in zip(x0[:3], x0[3:], omega)]
+        vel = [-p * om * math.sin(om * t) + v * math.cos(om * t)
+               for p, v, om in zip(x0[:3], x0[3:], omega)]
+        return pos + vel
+
     err = []
     for dt in (0.1, 0.05):
-        x = plants.rk4_step(f, [1.0], None, None, dt)
-        err.append(abs(x[0] - math.exp(-dt)))
+        x = plants.rk4_step(f, list(x0), None, None, dt)
+        err.append(max(abs(a - b) for a, b in zip(x, exact(dt))))
     ratio = err[0] / err[1]
     assert 24.0 < ratio < 40.0  # local error scales as dt^5: ratio ~ 32
 
 
 def test_rk4_flags_nonfinite():
-    f = lambda x, u, w: np.array([np.inf])
+    f = lambda x, u, w: np.array([0.0, 0.0, 0.0, np.inf, 0.0, 0.0])
     with pytest.raises(plants.NonFinite):
-        plants.rk4_step(f, [1.0], None, None, 0.01)
+        plants.rk4_step(f, [1.0] * 6, None, None, 0.01)
 
 
 def test_worst_constant_disturbance_maximizes_energy():
@@ -401,7 +412,7 @@ def test_controller_tick_and_ancillary_gain():
 
 
 class _DriftPlant:
-    n_states = 1
+    n_states = 6
     n_controls = 1
     n_dist = 0
 
@@ -422,7 +433,7 @@ class _ZeroCtrl:
 
 class _OriginRef:
     def clamped_state(self, t):
-        return np.zeros(1)
+        return np.zeros(6)
 
 
 class _StillPlant(_DriftPlant):
@@ -465,7 +476,7 @@ def test_lyapunov_monitor_subindexing():
 def test_blowup_stops_early():
     traj = plants.simulate_closed_loop(_DriftPlant(), _ZeroCtrl(), _OriginRef(),
                                        None, duration=20.0, dt=0.1,
-                                       x0=[1.0], blowup=1e4)
+                                       x0=[1.0, 0.0, 0.0, 0.0, 0.0, 0.0], blowup=1e4)
     assert traj.diverged
     assert len(traj.t) < 201
     assert np.max(np.abs(traj.x)) < 1e4 * math.e
@@ -482,17 +493,18 @@ def test_trajectory_csv_roundtrip(tmp_path):
                                  state_idx=np.array([0]))
     traj = plants.simulate_closed_loop(_DriftPlant(), _ZeroCtrl(), _OriginRef(),
                                        None, duration=1.0, dt=0.25,
-                                       x0=[0.5], monitors=[mon])
+                                       x0=[0.5, 0.0, 0.0, 0.0, 0.0, 0.0], monitors=[mon])
     path = tmp_path / "run.csv"
     traj.to_csv(path)
     lines = path.read_text().strip().split("\n")
-    assert lines[0] == "t,x1,xref1,u1,w1,E,roa_level"
+    assert lines[0] == ("t,x1,x2,x3,x4,x5,x6,xref1,xref2,xref3,xref4,xref5,xref6,"
+                        "u1,w1,E,roa_level")
     data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    assert data.shape == (5, 7)
+    assert data.shape == (5, 17)
     assert np.array_equal(data[:, 0], traj.t)
     assert np.array_equal(data[:, 1], traj.x[:, 0])
-    assert np.array_equal(data[:, 5], traj.e_lyap[:, 0])
-    assert np.all(data[:, 6] == 4.0)
+    assert np.array_equal(data[:, 15], traj.e_lyap[:, 0])
+    assert np.all(data[:, 16] == 4.0)
 
 
 def test_trajectory_csv_matches_value_by_value_rows(tmp_path):
@@ -627,6 +639,28 @@ def test_closed_loop_bitwise_matches_per_sample_reference(certified, case, tmp_p
     (got_other, got_e), (want_other, want_e) = split(got_rows), split(want_rows)
     assert got_other == want_other
     assert_energy_close(got_e, want_e)
+
+
+def test_quadruped_ancillary_bitwise_matches_matmul_allocation(certified):
+    # the CLI's robust feedback against k @ e[idx] per axis and the stance
+    # allocation, over many stances; the closed-loop oracle calls the
+    # controller's own feedback, so it cannot see a change in this rounding
+    scn, run = certified["quadruped"]
+    (plant, controller, _, _), _ = closed_loop(certified, "quadruped", "robust")
+    gains = {axis: np.asarray(run.certs[axis][0].k)[0] for axis in ("y", "z")}
+    rng = np.random.default_rng(17)
+    for i in range(2000):
+        if i % 50 == 0:
+            plant.advance(plant._next_switch, [rng.uniform(-2.0, 2.0), 0.3, 0, 0, 0, 0])
+        x = (np.array([0.0, 0.32, 0.0, 0.45, 0.0, 0.0])
+             + rng.normal(size=6) * 10.0 ** rng.uniform(-4.0, 0.0, 6)).tolist()
+        e = rng.normal(size=6) * 10.0 ** rng.uniform(-6.0, 1.0, 6)
+        wrench = [float(gains["y"] @ e[cli.SUB_IDX["y"]]),
+                  float(gains["z"] @ e[cli.SUB_IDX["z"]]), 0.0]
+        want = np.array(plants.stance_allocation(x, plant.stance, wrench), dtype=float)
+        got = controller.feedback(x, e)
+        assert type(got) is list and all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == want.tobytes()
 
 
 def test_reference_evaluated_once_per_sample(certified):

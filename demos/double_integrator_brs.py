@@ -3,9 +3,11 @@
 x1' = x2, x2' = u with |u| <= 1, target box |x1| <= 0.5, |x2| <= 0.5.
 The solver integrates the HJ PDE backward for half a second; states with
 V <= 0 can reach the box within that window.  The time-optimal policy for
-this plant is bang-bang with one switch, so the minimum transfer time has
-a closed form.  The script compares the PDE's inside/outside call against
-the formula on every node and draws both boundaries.
+this plant is bang-bang with one switch, so the minimum transfer time
+between two states has a closed form, and the minimum time to the box is
+the least of it over a few closed-form points on each edge.  The script
+compares the PDE's inside/outside call against that exact time on every
+node and draws both boundaries.
 """
 
 from pathlib import Path
@@ -43,19 +45,28 @@ def min_time_to_states(x1, x2, z1, z2):
     return np.maximum(np.minimum(ta, tb), 0.0)
 
 
-def min_time_to_box(x1g, x2g, per_edge=120):
-    t = np.linspace(-HALF, HALF, per_edge)
-    edges = np.vstack([
-        np.column_stack([t, np.full(per_edge, HALF)]),
-        np.column_stack([t, np.full(per_edge, -HALF)]),
-        np.column_stack([np.full(per_edge, HALF), t]),
-        np.column_stack([np.full(per_edge, -HALF), t]),
-    ])
-    pts = np.column_stack([x1g.ravel(), x2g.ravel()])
-    times = min_time_to_states(pts[:, 0, None], pts[:, 1, None],
-                               edges[None, :, 0], edges[None, :, 1]).min(axis=1)
-    inside = (np.abs(pts[:, 0]) <= HALF) & (np.abs(pts[:, 1]) <= HALF)
-    return np.where(inside, 0.0, times).reshape(x1g.shape)
+def min_time_to_box(x1g, x2g):
+    """Minimum time from each node to the target box, 0 inside it.
+
+    From outside, a path meets the box first on an edge.  Along an edge each
+    branch of the formula is monotone between the points where it changes,
+    so the least time over the edge lies at an end of the edge or at one of
+    those points, clipped onto the edge: on z2 = const, where the switch
+    speed meets max(x2, z2) or min(x2, z2); on z1 = const, at z2 = x2 and at
+    the single-arc speeds z2 = +-sqrt(x2^2 +- 2 (z1 - x1)).
+    """
+    best = np.full(x1g.shape, np.inf)
+    for z2 in (-HALF, HALF):
+        c = 0.5 * (x2g * x2g + z2 * z2)
+        for z1 in (-HALF, HALF, x1g - c + np.maximum(x2g, z2) ** 2,
+                   x1g + c - np.minimum(x2g, z2) ** 2):
+            best = np.minimum(best, min_time_to_states(x1g, x2g, np.clip(z1, -HALF, HALF), z2))
+    for z1 in (-HALF, HALF):
+        arcs = [np.sqrt(np.maximum(x2g * x2g + s * (z1 - x1g), 0.0)) for s in (2.0, -2.0)]
+        for z2 in (-HALF, HALF, x2g, *arcs, *(-a for a in arcs)):
+            best = np.minimum(best, min_time_to_states(x1g, x2g, z1, np.clip(z2, -HALF, HALF)))
+    inside = (np.abs(x1g) <= HALF) & (np.abs(x2g) <= HALF)
+    return np.where(inside, 0.0, best)
 
 
 def band_around(mask, cells):

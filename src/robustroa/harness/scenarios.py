@@ -54,8 +54,8 @@ def _nonnegative(text):
 
 
 def _floats(text):
-    """Finite numbers separated by commas or blanks."""
-    return [_number(tok) for tok in text.replace(",", " ").split()]
+    """Finite numbers separated by commas or blanks, as a tuple."""
+    return tuple(_number(tok) for tok in text.replace(",", " ").split())
 
 
 def _vector(text):
@@ -63,7 +63,7 @@ def _vector(text):
 
 
 def _half_widths(text):
-    hw = tuple(_floats(text))
+    hw = _floats(text)
     if len(hw) != 2 or not min(hw) > 0.0:
         raise ValueError("needs two positive entries")
     return hw
@@ -181,7 +181,8 @@ _HJ_KEYS = dict(target_half_widths=(_half_widths, _REQ), grid_half_widths=(_half
                 n=(_grid_nodes, _REQ))
 
 # Every key each section may hold, as (cast, default).  _read parses a
-# section through its entry and rejects any key the entry does not list.
+# section through its entry and rejects any key the entry does not list;
+# a `kind` entry maps each kind to the table of the other keys it reads.
 _KEYS = {
     "scenario": dict(name=(_file_stem, _REQ), plant=(_choice("quadcopter", "quadruped"), _REQ),
                      mode=(_choice("nominal", "robust"), "robust"), seed=(int, 0),
@@ -200,12 +201,13 @@ _KEYS = {
     "clf": _CLF_KEYS, "clf_y": _CLF_KEYS, "clf_z": _CLF_KEYS,
     "mpc": dict(q=(_vector, _REQ), r=(_vector, _REQ), dt=(_number, _REQ), horizon=(int, _REQ),
                 u_lo=(_vector, None), u_hi=(_vector, None)),
-    "reference": dict(kind=(_choice("figure8", "trot"), _REQ), t_end=(_positive, 5.0),
-                      amp_y=(_number, 0.5), amp_z=(_number, 0.5), y0=(_number, 0.0)),
-    "disturbance": dict(kind=(_choice("none", "constant", "sinusoidal", "random",
-                                      "worst_constant"), _REQ),
-                        w=(_floats, None), w_max=(_nonnegative, None),
-                        freq=(_number, 0.5), hold_time=(_number, 0.05)),
+    "reference": dict(kind=dict(figure8=dict(t_end=(_positive, 5.0), amp_y=(_number, 0.5),
+                                             amp_z=(_number, 0.5)), trot=dict(y0=(_number, 0.0)))),
+    "disturbance": dict(kind=dict(
+        none={}, constant=dict(w=(_floats, _REQ)),
+        sinusoidal=dict(w_max=(_nonnegative, _REQ), freq=(_number, 0.5)),
+        random=dict(w_max=(_nonnegative, _REQ), hold_time=(_number, 0.05)),
+        worst_constant=dict(w_max=(_nonnegative, _REQ)))),
     "hj_y": _HJ_KEYS, "hj_z": _HJ_KEYS,
     "simulate": dict(duration=(_positive, _REQ), dt=(_positive, _REQ)),
 }
@@ -217,10 +219,9 @@ def _read(cp, name, opened):
     if not cp.has_section(name):
         raise ConfigError(f"missing [{name}] section")
     sec, spec = cp[name], _KEYS[name]
-    for key in sec:
-        if key not in spec:
-            raise ConfigError(f"unknown key {key!r} in [{name}], which takes "
-                              f"{', '.join(spec)}")
+    if "kind" in spec:
+        kinds = spec["kind"]
+        spec = dict(kind=(_choice(*kinds), _REQ), **kinds.get(sec.get("kind"), {}))
     opened.add(name)
     vals = {}
     for key, (cast, default) in spec.items():
@@ -234,6 +235,10 @@ def _read(cp, name, opened):
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r} in [{name}]: {sec[key]!r} "
                               f"({exc})") from exc
+    for key in sec:
+        if key not in spec:
+            raise ConfigError(f"unknown key {key!r} in [{name}], which takes "
+                              f"{', '.join(spec)}")
     return vals
 
 
@@ -268,19 +273,6 @@ def _hj_block(vals, axis, mpc_cfg, delta_m, drag):
     return HjBlock(axis=axis, u_lo=float(mpc_cfg.u_lo[idx].sum()),
                    u_hi=float(mpc_cfg.u_hi[idx].sum()), delta_m=delta_m,
                    drag_force=drag if axis == "y" else 0.0, **vals)
-
-
-def _disturbance(vals):
-    kind = vals["kind"]
-    if kind == "none":
-        return DisturbancePolicy(kind)
-    need = "w" if kind == "constant" else "w_max"
-    if vals[need] is None:
-        raise ConfigError(f"missing key {need!r} in [disturbance] for kind {kind!r}")
-    if kind == "constant":
-        return DisturbancePolicy(kind, w=tuple(vals["w"]))
-    return DisturbancePolicy(kind, w_max=vals["w_max"], freq=vals["freq"],
-                             hold_time=vals["hold_time"])
 
 
 def bundled_scenario(name):
@@ -328,15 +320,14 @@ def load_scenario(path):
         raise ConfigError(f"[mpc] u_lo {mpc_cfg.u_lo.tolist()} exceeds "
                           f"u_hi {mpc_cfg.u_hi.tolist()} in some entry")
 
-    rs = _read(cp, "reference", opened)
-    if rs["kind"] == "figure8":
-        ref_args = {key: rs[key] for key in ("t_end", "amp_y", "amp_z")}
-    elif quadruped is None:
-        raise ConfigError("trot reference needs the quadruped plant")
-    else:
-        ref_args = {"y0": rs["y0"], "z_ref": quadruped.z_ref, "v_ref": quadruped.v_ref}
+    ref_args = _read(cp, "reference", opened)
+    ref_kind = ref_args.pop("kind")
+    if ref_kind == "trot":
+        if quadruped is None:
+            raise ConfigError("trot reference needs the quadruped plant")
+        ref_args.update(z_ref=quadruped.z_ref, v_ref=quadruped.v_ref)
 
-    disturbance = _disturbance(_read(cp, "disturbance", opened))
+    disturbance = DisturbancePolicy(**_read(cp, "disturbance", opened))
     # the quadruped feels its payload and drag through its parameters, not
     # through an additive channel, so it takes no disturbance policy
     if disturbance.kind != "none" and plant_cls.n_dist == 0:
@@ -369,7 +360,7 @@ def load_scenario(path):
         drag_force=drag,
         clf_blocks=clf_blocks,
         mpc=mpc_cfg,
-        reference_kind=rs["kind"],
+        reference_kind=ref_kind,
         reference_args=ref_args,
         disturbance=disturbance,
         hj_blocks=hj_blocks,

@@ -368,10 +368,11 @@ class QuadrupedPlant:
 
     Feet of the active diagonal pair sit at +/- step_offset around the
     predicted mid-step COM (current position plus half a step of travel at
-    the commanded speed, so the arms stay balanced while the body moves)
-    and are re-placed every step_time (instantaneous swap, double support
-    throughout).  sanitize() projects commanded forces into the friction
-    cone fz >= 0, |fx| <= friction_coeff * fz, counting clamps.
+    the commanded speed, so the arms stay balanced while the body moves).
+    The first advance puts pair A down; each step_time swaps pairs (at
+    once, double support throughout).  sanitize() projects commanded
+    forces into the cone fz >= 0, |fx| <= friction_coeff * fz, counting
+    clamps.
     """
 
     n_states = 6
@@ -381,12 +382,12 @@ class QuadrupedPlant:
     axis_forces = {"y": (0, 1), "z": (2, 3)}
 
     def __init__(self, params: QuadrupedParams | None = None,
-                 delta_m=0.0, drag_force=0.0, y0=0.0):
+                 delta_m=0.0, drag_force=0.0):
         self.params = params or QuadrupedParams()
         self.delta_m = float(delta_m)
         self.drag_force = float(drag_force)
-        self._place(y0, "A")
-        self._next_switch = self.params.step_time
+        self._place(0.0, "B")
+        self._next_switch = 0.0
 
     def _place(self, y, pair):
         """Put `pair` down around y and bind the true dynamics f(x, u, w)

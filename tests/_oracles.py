@@ -2,10 +2,11 @@
 
 Everything here is derived independently of the library code so the tests
 compare two implementations that cannot share a bug: the double-integrator
-minimum-time formula comes from the bang-bang two-arc solution, the
-set-distance helpers are plain numpy, and the SDP objective oracle is a
-log-det barrier path follower, a different method from the package's
-primal-dual solver.
+minimum-time formula comes from the bang-bang two-arc solution, and its
+exact time to a box from the few edge points where that formula's branches
+change; the set-distance helpers are plain numpy, and the SDP objective
+oracle is a log-det barrier path follower, a different method from the
+package's primal-dual solver.
 """
 
 import math
@@ -205,56 +206,46 @@ def di_min_time(x1, x2, z1, z2, u_max=1.0):
     return np.maximum(np.minimum(ta, tb), 0.0)
 
 
-def box_boundary_samples(center, half_widths, per_edge=600):
-    """Points on the edge of an axis-aligned box, (4*per_edge, 2)."""
-    cx, cy = float(center[0]), float(center[1])
-    hx, hy = float(half_widths[0]), float(half_widths[1])
-    t = np.linspace(-1.0, 1.0, per_edge, endpoint=False)
-    edges = [
-        np.column_stack([cx + hx * t, np.full(per_edge, cy + hy)]),
-        np.column_stack([cx + hx * t, np.full(per_edge, cy - hy)]),
-        np.column_stack([np.full(per_edge, cx + hx), cy + hy * t]),
-        np.column_stack([np.full(per_edge, cx - hx), cy + hy * t]),
-    ]
-    return np.vstack(edges)
+def di_min_time_to_box(grid_axes, center, half_widths):
+    """Exact minimum time from every grid node to an axis-aligned box.
 
-
-def di_min_time_to_points(points, targets, u_max=1.0, chunk=512):
-    """Min over target points of the transfer time, for each query point."""
-    points = np.asarray(points, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    out = np.empty(len(points))
-    for lo in range(0, len(points), chunk):
-        sl = slice(lo, lo + chunk)
-        t = di_min_time(points[sl, 0, None], points[sl, 1, None],
-                        targets[None, :, 0], targets[None, :, 1], u_max)
-        out[sl] = t.min(axis=1)
-    return out
-
-
-def di_min_time_to_box(grid_axes, center, half_widths, u_max=1.0, per_edge=600):
-    """Minimum time from every grid node to an axis-aligned box target.
-
-    Nodes already inside the box get time 0.  Returns an array shaped like
-    the grid (len(x1_axis), len(x2_axis)).
+    A node outside the box first meets the box on its edge, so the time is
+    the least di_min_time(x, z) over z on the four edges.  Along one edge
+    each branch of di_min_time is monotone between the points where the
+    branch changes, so the least time lies at one of a few closed-form
+    candidates, each clipped onto its edge:
+      * the two ends of the edge;
+      * on an edge z2 = const, with c = (x2^2 + z2^2)/2: the switch points
+        z1 = x1 - c + max(x2, z2)^2 and z1 = x1 + c - min(x2, z2)^2;
+      * on an edge z1 = const: z2 = x2, and the single-arc points
+        z2 = +-sqrt(x2^2 +- 2 (z1 - x1)), where the switch velocity meets
+        x2 or z2.
+    Nodes inside the box get time 0.  Returns an array shaped like the grid
+    (len(x1_axis), len(x2_axis)); u_max = 1.
     """
-    x1, x2 = grid_axes
-    x1g, x2g = np.meshgrid(x1, x2, indexing="ij")
-    pts = np.column_stack([x1g.ravel(), x2g.ravel()])
-    boundary = box_boundary_samples(center, half_widths, per_edge)
-    times = di_min_time_to_points(pts, boundary, u_max).reshape(x1g.shape)
-    inside = ((np.abs(x1g - center[0]) <= half_widths[0])
-              & (np.abs(x2g - center[1]) <= half_widths[1]))
-    return np.where(inside, 0.0, times)
+    x1, x2 = np.meshgrid(np.asarray(grid_axes[0], dtype=float) - center[0],
+                         np.asarray(grid_axes[1], dtype=float) - center[1], indexing="ij")
+    hx, hy = float(half_widths[0]), float(half_widths[1])
+    best = np.full(x1.shape, np.inf)
+    for z2 in (-hy, hy):
+        c = 0.5 * (x2 * x2 + z2 * z2)
+        for z1 in (-hx, hx, x1 - c + np.maximum(x2, z2) ** 2, x1 + c - np.minimum(x2, z2) ** 2):
+            best = np.minimum(best, di_min_time(x1, x2, np.clip(z1, -hx, hx), z2))
+    for z1 in (-hx, hx):
+        arcs = [np.sqrt(np.maximum(x2 * x2 + s * (z1 - x1), 0.0)) for s in (2.0, -2.0)]
+        for z2 in (-hy, hy, x2, *arcs, *(-a for a in arcs)):
+            best = np.minimum(best, di_min_time(x1, x2, z1, np.clip(z2, -hy, hy)))
+    inside = (np.abs(x1) <= hx) & (np.abs(x2) <= hy)
+    return np.where(inside, 0.0, best)
 
 
 @lru_cache(maxsize=4)
-def di_box_brs_reference(horizon_time, half_width=0.5, extent=2.0, n=401, per_edge=300):
-    """High-resolution analytic BRS boundary for the square-target double
-    integrator: the {min-time == horizon_time} contour, cached per session."""
-    axes = (np.linspace(-extent, extent, n), np.linspace(-extent, extent, n))
-    mt = di_min_time_to_box(axes, (0.0, 0.0), (half_width, half_width),
-                            per_edge=per_edge)
+def di_box_brs_reference(horizon_time):
+    """Analytic BRS boundary of the double integrator and the target box
+    |x1|, |x2| <= 0.5: the {min-time == horizon_time} contour on a
+    401 x 401 grid over [-2, 2]^2, cached per session."""
+    axes = (np.linspace(-2.0, 2.0, 401),) * 2
+    mt = di_min_time_to_box(axes, (0.0, 0.0), (0.5, 0.5))
     return contour_points(axes, mt, level=horizon_time)
 
 

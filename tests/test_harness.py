@@ -86,6 +86,8 @@ def mini_cfg(dirpath, fname="scn.cfg", drop=(), base=MINI, **edits):
     for sec in drop:
         del sections[sec]
     for sec, kv in edits.items():
+        if "kind" in kv:  # each kind reads its own keys: the section starts over
+            sections[sec] = {}
         sections.setdefault(sec, {}).update(kv)
     return write_cfg(dirpath, sections, fname)
 
@@ -625,6 +627,11 @@ def test_cli_config_errors_exit_4(tmp_path, capsys):
     ("wmax", {"quadruped": {"delta_m_lo": -12.454}}),
     ("wmax", {"quadruped": {"delta_m_lo": -13.0}}),
     ("simulate", {"quadcopter": {"mass": 1.0}, "hj_y": MINI["hj_y"]}),
+    ("simulate", {"reference": {"kind": "trot", "t_end": 5.0}}),
+    ("simulate", {"reference": {"kind": "trot", "amp_y": 0.5}}),
+    ("simulate", {"reference": {"kind": "trot", "amp_z": 0.5}}),
+    ("simulate", {"reference": {"y0": 1.0}}),
+    ("simulate", {"disturbance": {"kind": "none", "w_max": 3.0, "freq": 7.0}}),
 ], ids=["duration", "dt", "duration-below-dt", "horizon-positive", "horizon-word", "n",
         "target-half-width", "grid-half-width", "freeze", "hold-time",
         "quadcopter-disturbance-length", "mpc-q-length",
@@ -636,12 +643,14 @@ def test_cli_config_errors_exit_4(tmp_path, capsys):
         "disturbance-w-max-negative", "mpc-input-box", "misspelt-key", "misspelt-clf-key",
         "unknown-section", "other-plant-section", "freeze-reach", "horizon",
         "hj-u-hi", "hj-drag-force", "payload-zero-mass", "payload-interval-zero-mass",
-        "payload-interval-negative-mass", "quadcopter-hj-section"])
+        "payload-interval-negative-mass", "quadcopter-hj-section", "trot-t-end",
+        "trot-amp-y", "trot-amp-z", "figure8-y0", "none-w-max-freq"])
 def test_cli_bad_config_values_exit_4(tmp_path, capsys, command, edits):
     # rejected by the loader, before any synthesis, PDE solve or simulation;
     # only the quadcopter takes a disturbance policy and a figure-8 reference
     quadcopter_only = {"quadcopter", "clf", "reference", "disturbance"}
-    base = MINI_QUADCOPTER if quadcopter_only & set(edits) else MINI
+    trot = edits.get("reference", {}).get("kind") == "trot"
+    base = MINI_QUADCOPTER if quadcopter_only & set(edits) and not trot else MINI
     path = mini_cfg(tmp_path, base=base, **edits)
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 4
     assert "config error" in capsys.readouterr().err
@@ -875,13 +884,19 @@ def test_simulate_writes_artifacts(mini_run):
     assert vg.grid.shape == (41, 41)
 
 
-def test_simulate_metrics_match_csv(mini_run):
-    _, out, text = mini_run
+def printed_values(text):
+    """The `key = value` lines of a CLI run's output, as strings."""
     metrics = {}
     for line in text.splitlines():
         if " = " in line:
             key, val = line.split(" = ", 1)
             metrics[key.strip()] = val.strip()
+    return metrics
+
+
+def test_simulate_metrics_match_csv(mini_run):
+    _, out, text = mini_run
+    metrics = printed_values(text)
     data = np.genfromtxt(out / "mini_robust.csv", delimiter=",", names=True)
     for axis in ("y", "z"):
         energy = data[f"E_{axis}"]
@@ -893,6 +908,17 @@ def test_simulate_metrics_match_csv(mini_run):
     assert metrics["diverged"] == "false"
     # 0.3 s at 1 kHz: header plus 301 samples
     assert len(data) == 301
+
+
+def test_simulate_trot_start_places_first_stance_under_the_body(mini_run, tmp_path):
+    # the feet go down around the start, wherever the trot reference begins:
+    # a run from y0 = 1 tracks as the run from y0 = 0 does
+    cfg = mini_cfg(tmp_path, reference={"y0": 1.0})
+    rc, text = run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    moved, at_zero = printed_values(text), printed_values(mini_run[2])
+    assert int(moved["invariant_exits"]) == 0
+    assert abs(float(moved["max_abs_e_phi"]) - float(at_zero["max_abs_e_phi"])) <= 1e-6
 
 
 def test_simulate_seed_determinism(mini_run, tmp_path):

@@ -24,18 +24,11 @@ def di_dynamics(u_max=1.0, w_max=None):
 
 DI_TARGET = hj.TargetSet.box((0.0, 0.0), (0.5, 0.5))
 
-# cache: the analytic min-time field on the default 101 grid is used by
-# several tests below
-_MIN_TIME_101 = {}
-
 
 def min_time_101():
-    if "mt" not in _MIN_TIME_101:
-        grid = orc.grid_around(DI_TARGET, factor=4.0, n=101)
-        _MIN_TIME_101["grid"] = grid
-        _MIN_TIME_101["mt"] = orc.di_min_time_to_box(
-            grid.axes(), (0.0, 0.0), (0.5, 0.5), per_edge=600)
-    return _MIN_TIME_101["grid"], _MIN_TIME_101["mt"]
+    """The default 101 grid and the exact min-time field on it."""
+    grid = orc.grid_around(DI_TARGET, factor=4.0, n=101)
+    return grid, orc.di_min_time_to_box(grid.axes(), (0.0, 0.0), (0.5, 0.5))
 
 
 # -- oracle self-checks --------------------------------------------------------
@@ -119,6 +112,28 @@ def test_min_time_oracle_vs_coarse_brute_force():
         if np.isfinite(best):
             assert best >= t_formula - 0.05
             assert best <= t_formula + 0.05
+
+
+def test_min_time_to_box_matches_dense_edge_scan():
+    # the candidate points must hold the minimum over the whole edge: scan
+    # every edge at spacing 1e-4 (10,001 points, ends included).  The nodes
+    # are multiples of 0.4, so the edge ends, z2 = x2 and the switch points
+    # on the edges z2 = +-0.5 (multiples of 0.005) lie on the scan's
+    # lattice: where the minimum sits at one of them, the scan meets it
+    axis = np.linspace(-2.0, 2.0, 11)
+    exact = orc.di_min_time_to_box((axis, axis), (0.0, 0.0), (0.5, 0.5))
+    t = np.linspace(-0.5, 0.5, 10001)
+    side = np.full_like(t, 0.5)
+    edges = np.hstack([np.stack([t, side]), np.stack([t, -side]),
+                       np.stack([side, t]), np.stack([-side, t])])
+    for i, a in enumerate(axis):
+        for j, b in enumerate(axis):
+            if abs(a) <= 0.5 and abs(b) <= 0.5:
+                assert exact[i, j] == 0.0
+                continue
+            scanned = float(orc.di_min_time(a, b, edges[0], edges[1]).min())
+            assert exact[i, j] <= scanned + 1e-12
+            assert abs(exact[i, j] - scanned) <= 1e-6
 
 
 # -- grids and targets ---------------------------------------------------------

@@ -51,7 +51,8 @@ def test_linearize_fd_analytic_jacobians():
 def test_linearize_fd_bitwise_matches_array_reference():
     # float perturbation and column lists must give the array version's bytes
     p = plants.QuadrupedParams()
-    walker = plants.QuadrupedPlant(p, y0=-0.37)
+    walker = plants.QuadrupedPlant(p)
+    walker.advance(0.0, [-0.37, 0.3, 0.0, 0.0, 0.0, 0.0])
     stances = [walker.stance]
     walker.advance(p.step_time, [-0.2, 0.3, 0.0, 0.0, 0.0, 0.0])
     stances.append(walker.stance)

@@ -167,12 +167,15 @@ def test_sanitize_projects_into_friction_cone():
 
 def test_stance_switching():
     p = plants.QuadrupedParams()
-    plant = plants.QuadrupedPlant(p, y0=0.0)
+    plant = plants.QuadrupedPlant(p)
+    # the first advance puts pair A down around the body, wherever it is;
     # feet straddle the predicted mid-step body position, not the current one
     lead = 0.5 * p.v_ref * p.step_time
-    assert plant.stance.pair == "A"
-    assert np.allclose(plant.stance.foot_front, [lead + p.step_offset, 0.0])
     x = np.zeros(6)
+    x[0] = -0.7
+    plant.advance(0.0, x)
+    assert plant.stance.pair == "A"
+    assert np.allclose(plant.stance.foot_front, [-0.7 + lead + p.step_offset, 0.0])
     plant.advance(0.1, x)
     assert plant.stance.pair == "A"
     x[0] = 0.3
@@ -194,7 +197,7 @@ def test_axis_linear_model():
 
 def test_stance_allocation_torque_free():
     p = plants.QuadrupedParams()
-    plant = plants.QuadrupedPlant(p, y0=0.0)
+    plant = plants.QuadrupedPlant(p)
     x = np.zeros(6)
     x[0] = 0.04
     x[1] = p.z_ref

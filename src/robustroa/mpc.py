@@ -3,30 +3,57 @@
 One solver call does:
 
 1. linearize the continuous dynamics f(x, u) about the reference state at
-   each horizon stage (central finite differences),
+   each horizon stage with the model's analytic Jacobians; f itself is
+   evaluated once per stage, for the affine remainder only,
 2. discretize each stage with explicit Euler at the controller period,
 3. minimize  sum_{i=0}^{k-1}  |x(i+1) - x_ref(i+1)|_Q^2 + |u(i)|_R^2
-   over the stacked controls by solving the condensed normal equations in
-   closed form (horizons here are 2-4 stages, so the QP is tiny),
+   over the stacked controls by the condensed normal equations in closed
+   form (horizons here are 2-4 stages, so the QP is tiny),
 4. clamp the planned controls to the input box.
 
 Q is applied to the successor state of each stage: penalizing the current
 state would leave the last control priced only by R, and with k = 1 the
 problem would not depend on u at all.  A singular R (the quadruped runs
 R = 0) is handled by a small scale-relative ridge on the Hessian.
+
+Of step 3, only the free response and the final solve depend on the
+state and the reference.  The rest depends on the stage Jacobians alone:
+the Euler matrices, the condensed input map, the Hessian and its rank
+test.  The config holds that condensation for the last Jacobians it saw
+and rebuilds it only when one of them changes.  Along the figure-8
+(phi_ref = 0, hover input) that is once per run; on the quadruped it is
+every solve, since the torque row of B moves with the reference's
+position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import matrixkit as mk
 
+# Largest [mpc] horizon: the condensed matrices grow with its square, and
+# 200 stages of the quadruped already hold a 1200 x 800 input map.
+MAX_HORIZON = 200
+
 
 class SingularHessian(Exception):
     """Condensed normal equations are rank deficient even after the ridge."""
+
+
+class Model(NamedTuple):
+    """A controller model: f(x, u) -> xdot and jac(x, u) -> (df/dx, df/du).
+
+    Both take x and u as lists of Python floats.  jac may hand back the
+    arrays of an earlier call while the point it depends on has not moved,
+    so callers must not write into them.
+    """
+
+    f: Callable
+    jac: Callable
 
 
 @dataclass
@@ -35,7 +62,7 @@ class MpcConfig:
 
     q, r   : diagonal stage weights (entries, length n and m)
     dt     : controller period used for the Euler prediction
-    horizon: number of stages k >= 1
+    horizon: number of stages, 1 <= k <= MAX_HORIZON
     u_lo, u_hi: input box, clamped after the unconstrained solve
     """
 
@@ -49,6 +76,8 @@ class MpcConfig:
     qbar: np.ndarray = field(init=False, repr=False, compare=False)
     rbar: np.ndarray = field(init=False, repr=False, compare=False)
     eye_n: np.ndarray = field(init=False, repr=False, compare=False)
+    # (stage Jacobian bytes, _condense of them) of the last solve
+    condensed: tuple = field(init=False, repr=False, compare=False, default=(None, None))
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float).ravel()
@@ -58,8 +87,9 @@ class MpcConfig:
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         self.horizon = int(self.horizon)
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
+        if not 1 <= self.horizon <= MAX_HORIZON:
+            raise ValueError(f"horizon must be between 1 and {MAX_HORIZON}, "
+                             f"got {self.horizon}")
         for name in ("u_lo", "u_hi"):
             val = getattr(self, name)
             if val is not None:
@@ -69,41 +99,50 @@ class MpcConfig:
         self.eye_n = np.eye(len(self.q))
 
 
-def linearize_fd(f, x0, u0, step=1e-6):
-    """Central-difference Jacobians of f(x, u) and the affine remainder.
-
-    Returns (a, b, g0) with f(x, u) ~= a x + b u + g0 near (x0, u0).
-    The step is scaled per coordinate by (1 + |coordinate|).  f receives x
-    and u as lists of Python floats; each Jacobian column is differenced
-    on floats, and only g0 = f(x0, u0) - a x0 - b u0 is formed in numpy.
-    """
+def linearize(model: Model, x0, u0):
+    """(a, b, g0) with f(x, u) ~= a x + b u + g0 near (x0, u0): the model's
+    Jacobians there, and g0 = f(x0, u0) - a x0 - b u0 from one evaluation
+    of f."""
     x0 = np.asarray(x0, dtype=float).ravel()
     u0 = np.asarray(u0, dtype=float).ravel()
     x_f, u_f = x0.tolist(), u0.tolist()
-    f00 = np.asarray(f(x_f, u_f), dtype=float).ravel()
-
-    def column(v, j, at):
-        # (f at v + h e_j - f at v - h e_j) / 2h; `at` evaluates f at a
-        # perturbed copy of v
-        h = step * (1.0 + abs(v[j]))
-        vp, vm = v.copy(), v.copy()
-        vp[j] += h
-        vm[j] -= h
-        return [(p - m) / (2 * h) for p, m in zip(at(vp), at(vm))]
-
-    n, m = len(x_f), len(u_f)
-    a = np.array([column(x_f, j, lambda x: f(x, u_f)) for j in range(n)]).reshape(n, n)
-    b = np.array([column(u_f, j, lambda u: f(x_f, u)) for j in range(m)]).reshape(m, n)
-    # transposed into C order, the layout every product downstream expects
-    a, b = a.T.copy(), b.T.copy()
-    return a, b, f00 - a @ x0 - b @ u0
+    a, b = model.jac(x_f, u_f)
+    return a, b, np.asarray(model.f(x_f, u_f), dtype=float).ravel() - a @ x0 - b @ u0
 
 
-def mpc_step(f, x_now, x_ref, cfg: MpcConfig, u_lin):
+def _condense(cfg: MpcConfig, stages):
+    """(ad, m_mat, hess) for the stage models [(a_i, b_i, _)]: the Euler
+    state matrices ad_i = I + dt a_i, the input map of the stacked
+    successors X = m_mat U + free response, and the Hessian
+    m_mat' Q m_mat + R of the condensed problem, which passed the rank test.
+    Raises SingularHessian when it fails it."""
+    k, n, m = cfg.horizon, len(cfg.q), len(cfg.r)
+    ad = [cfg.eye_n + cfg.dt * a for a, _, _ in stages]
+    m_mat = np.zeros((k * n, k * m))
+    for i, (_, b, _) in enumerate(stages):
+        rows = slice(i * n, (i + 1) * n)
+        if i > 0:
+            m_mat[rows] = ad[i] @ m_mat[slice((i - 1) * n, i * n)]
+        m_mat[rows, i * m:(i + 1) * m] = cfg.dt * b
+
+    qbar, rbar = cfg.qbar, cfg.rbar
+    hess = m_mat.T @ (qbar[:, None] * m_mat) + np.diag(rbar)
+    if np.min(rbar) <= 0.0:
+        # keep the ridge above the solver's rank test (1e-12 * max|H|) so a
+        # zero input weight stays solvable at any problem scale
+        reg = max(1e-9, 1e-10 * float(np.max(np.abs(hess))))
+        hess = hess + reg * np.eye(k * m)
+    try:
+        return ad, m_mat, mk.full_rank(hess)
+    except mk.Singular as exc:
+        raise SingularHessian(str(exc)) from None
+
+
+def mpc_step(model: Model, x_now, x_ref, cfg: MpcConfig, u_lin):
     """One receding-horizon solve; returns the clamped plan u_seq (k, m).
     The caller applies row 0 and discards the rest.
 
-    f      : continuous dynamics f(x, u) -> xdot (nonlinear is fine)
+    model  : the controller's Model (nonlinear f is fine)
     x_now  : current state (n,)
     x_ref  : reference states along the horizon, shape (k+1, n); row i is
              the reference at t + i*dt.  Row 0 is the linearization point
@@ -118,43 +157,22 @@ def mpc_step(f, x_now, x_ref, cfg: MpcConfig, u_lin):
         raise ValueError(f"x_ref must be ({k + 1}, {n}), got {x_ref.shape}")
     if len(cfg.q) != n:
         raise ValueError(f"q has {len(cfg.q)} entries for {n} states")
-    m = len(cfg.r)
 
-    # Stage-wise Euler models x_{i+1} = ad_i x_i + bd_i u_i + gd_i.
-    ad, bd, gd = [], [], []
-    for i in range(k):
-        a_i, b_i, g_i = linearize_fd(f, x_ref[i], u_lin)
-        ad.append(cfg.eye_n + cfg.dt * a_i)
-        bd.append(cfg.dt * b_i)
-        gd.append(cfg.dt * g_i)
+    stages = [linearize(model, x_i, u_lin) for x_i in x_ref[:k]]
+    key = [(a.tobytes(), b.tobytes()) for a, b, _ in stages]
+    if key != cfg.condensed[0]:
+        cfg.condensed = (key, _condense(cfg, stages))
+    ad, m_mat, hess = cfg.condensed[1]
 
-    # Condense: stacked successors X = m_mat U + v_free.
-    m_mat = np.zeros((k * n, k * m))
-    v_free = np.zeros(k * n)
-    x_free = x_now.copy()
-    for i in range(k):
-        rows = slice(i * n, (i + 1) * n)
-        if i > 0:
-            m_mat[rows] = ad[i] @ m_mat[slice((i - 1) * n, i * n)]
-        m_mat[rows, i * m:(i + 1) * m] = bd[i]
-        x_free = ad[i] @ x_free + gd[i]
-        v_free[rows] = x_free
-
-    qbar, rbar = cfg.qbar, cfg.rbar
-    resid = v_free - x_ref[1:].ravel()
-    hess = m_mat.T @ (qbar[:, None] * m_mat) + np.diag(rbar)
-    rhs = -m_mat.T @ (qbar * resid)
-    if np.min(rbar) <= 0.0:
-        # keep the ridge above the solver's rank test (1e-12 * max|H|) so a
-        # zero input weight stays solvable at any problem scale
-        reg = max(1e-9, 1e-10 * float(np.max(np.abs(hess))))
-        hess = hess + reg * np.eye(k * m)
-    try:
-        u_stack = mk.solve(hess, rhs)
-    except mk.Singular as exc:
-        raise SingularHessian(str(exc)) from None
-
-    u_seq = u_stack.reshape(k, m)
+    # free response of the stage models x_{i+1} = ad_i x_i + dt g_i under u = 0
+    x_free, v_free = x_now, []
+    for ad_i, (_, _, g_i) in zip(ad, stages):
+        x_free = ad_i @ x_free + cfg.dt * g_i
+        v_free.append(x_free)
+    resid = np.concatenate(v_free) - x_ref[1:].ravel()
+    # the Hessian passed the rank test when it was condensed
+    u_stack = np.linalg.solve(hess, -m_mat.T @ (cfg.qbar * resid))
+    u_seq = u_stack.reshape(k, len(cfg.r))
     if cfg.u_lo is not None:
         u_seq = np.maximum(u_seq, cfg.u_lo)
     if cfg.u_hi is not None:

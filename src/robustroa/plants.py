@@ -12,10 +12,11 @@ Two plants share the state layout x = [y, z, phi, ydot, zdot, phidot]
   act through the plant parameters rather than an additive channel.
 
 A plant provides f(x, u, w), the true dynamics that rk4_step integrates
-directly; nominal_f(), the disturbance-free model the MPC plans with;
-sanitize(u) -> (u, clamps); and advance(t, x), which re-places the
-quadruped's feet and binds that stance's feet and constants into its f,
-so an evaluation only unpacks x and u.
+directly; nominal_f(), the disturbance-free mpc.Model (dynamics and their
+analytic Jacobians) the MPC plans with; sanitize(u) -> (u, clamps); and
+advance(t, x), which re-places the quadruped's feet and binds that
+stance's feet and constants into its f and its model, so an evaluation
+only unpacks x and u.
 
 The simulator runs classical RK4 at a fixed dt with a zero-order-hold
 tracking controller: the nominal MPC plan, recomputed on its own slower
@@ -26,7 +27,7 @@ float list, and rk4_step takes and returns float lists, written out over
 the six coordinates (no zip or comprehension; the same sums in the same
 order as the vector form).  Numpy enters a step only for the feedback's
 gain products, kept as numpy dots for their rounding (the feedback hands
-back a float list), and for the MPC solve on its tick.  The loop writes
+back a float list), and for the MPC solve on its tick.  The loop packs
 each sample into output arrays allocated once, sized from the first
 sample.  The certificate energy E = e' P e of each monitor, and its
 invariant exits, are computed after the loop from the stored x - x_ref,
@@ -35,7 +36,9 @@ one vectorized expression per monitor.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +46,7 @@ import numpy as np
 from . import matrixkit as mk
 from .clf_synth import ClfCertificate, LinearModel
 from .hj_reach import AffineDynamics2
-from .mpc import MpcConfig, mpc_step
+from .mpc import Model, MpcConfig, mpc_step
 
 
 class ContactViolation(Exception):
@@ -86,6 +89,24 @@ def quadcopter_f(x, u, w, p: QuadcopterParams):
         u_s * math.cos(phi) / p.mass - p.gravity + w2,
         0.5 * p.arm_length * u_d / p.inertia_xx,
     )
+
+
+def quadcopter_jacobians(phi, u_s, p: QuadcopterParams):
+    """(df/dx, df/du) of quadcopter_f at pitch phi and total thrust u_s, the
+    only coordinates that enter them."""
+    s, c = math.sin(phi), math.cos(phi)
+    a, b = np.eye(6, k=3), np.zeros((6, 2))
+    a[3:5, 2] = -u_s * c / p.mass, -u_s * s / p.mass
+    b[3:5, 0] = -s / p.mass, c / p.mass
+    b[5, 1] = 0.5 * p.arm_length / p.inertia_xx
+    return a, b
+
+
+def quadcopter_model(p: QuadcopterParams):
+    """The disturbance-free quadcopter_f as a Model; its Jacobians are
+    computed again only when (phi, u_s) moves."""
+    jacobians = functools.lru_cache(maxsize=1)(lambda phi, u_s: quadcopter_jacobians(phi, u_s, p))
+    return Model(lambda x, u: quadcopter_f(x, u, None, p), lambda x, u: jacobians(x[2], u[0]))
 
 
 def quadcopter_linearize(p: QuadcopterParams):
@@ -210,6 +231,32 @@ def quadruped_dynamics(stance: StanceState, p: QuadrupedParams, delta_m=0.0, dra
         )
 
     return f
+
+
+def quadruped_model(stance: StanceState, p: QuadrupedParams, delta_m=0.0, drag_force=0.0):
+    """quadruped_dynamics of the stance with its Jacobians, as a Model.
+
+    The force rows are 1/(m + delta_m) on their two feet.  With the arms
+    r = com - foot, the torque row is (fz_f + fz_r, -(fx_f + fx_r)) / I in
+    (y, z) and [-(z - z_f), -(z - z_r), y - y_f, y - y_r] / I in u, so it
+    moves with the state and the forces.  The drag is constant and enters
+    neither.
+    """
+    inertia = p.inertia_xx
+    front_y, front_z = stance.foot_front
+    rear_y, rear_z = stance.foot_rear
+    a0, b0 = np.eye(6, k=3), np.zeros((6, 4))
+    b0[3, :2] = b0[4, 2:] = 1.0 / (p.mass + delta_m)
+
+    def jac(x, u):
+        y, z = x[0], x[1]
+        a, b = a0.copy(), b0.copy()
+        a[5, :2] = (u[2] + u[3]) / inertia, -(u[0] + u[1]) / inertia
+        b[5] = (-(z - front_z) / inertia, -(z - rear_z) / inertia,
+                (y - front_y) / inertia, (y - rear_y) / inertia)
+        return a, b
+
+    return Model(quadruped_dynamics(stance, p, delta_m, drag_force), jac)
 
 
 def quadruped_axis_linear(p: QuadrupedParams):
@@ -345,13 +392,14 @@ class QuadcopterPlant:
 
     def __init__(self, params: QuadcopterParams | None = None):
         self.params = params or QuadcopterParams()
+        self._nominal = quadcopter_model(self.params)
 
     def f(self, x, u, w):
         return quadcopter_f(x, u, w, self.params)
 
     def nominal_f(self):
-        """Disturbance-free dynamics for the controller's model."""
-        return lambda x, u: quadcopter_f(x, u, None, self.params)
+        """The controller's Model: the dynamics without disturbance."""
+        return self._nominal
 
     def sanitize(self, u):
         return u, 0
@@ -399,6 +447,7 @@ class QuadrupedPlant:
                                   foot_rear=(mid - off, 0.0))
         self.f = quadruped_dynamics(self.stance, self.params,
                                     delta_m=self.delta_m, drag_force=self.drag_force)
+        self._nominal = quadruped_model(self.stance, self.params)
 
     def advance(self, t, x):
         if t >= self._next_switch - 1e-12:
@@ -407,8 +456,8 @@ class QuadrupedPlant:
             self._next_switch += self.params.step_time
 
     def nominal_f(self):
-        """Controller model f(x, u): nominal mass, no drag, current stance."""
-        return quadruped_dynamics(self.stance, self.params)
+        """The controller's Model: nominal mass, no drag, current stance."""
+        return self._nominal
 
     def sanitize(self, u):
         """(u projected into the friction cone as a new float list, clamps);
@@ -655,9 +704,7 @@ def simulate_closed_loop(plant, controller, reference, disturbance, duration, dt
     if n_steps < 0:
         raise ValueError(f"duration {duration} and dt {dt} give no samples")
     x = None if x0 is None else np.asarray(x0, dtype=float).ravel().tolist()
-    w = np.zeros(max(getattr(plant, "n_dist", 0), 1))
-    w_f = w.tolist()
-    columns = None  # x, x_ref, u, w: one row per sample, shaped by the first
+    w_f = [0.0] * max(getattr(plant, "n_dist", 0), 1)
     clamp_events = 0
     diverged = False
     for i in range(n_steps + 1):
@@ -669,13 +716,20 @@ def simulate_closed_loop(plant, controller, reference, disturbance, duration, dt
         u, clamps = plant.sanitize(controller.control(t, x, x_ref))
         clamp_events += clamps
         if disturbance is not None:
-            w = np.asarray(disturbance(t), dtype=float)
-            w_f = w.tolist()
-        sample = (x, x_ref, u, w)
-        if columns is None:
-            columns = [np.empty((n_steps + 1, np.size(v))) for v in sample]
-        for col, v in zip(columns, sample):
-            col[i] = v
+            w_f = np.asarray(disturbance(t), dtype=float).tolist()
+        x_ref_f = x_ref.tolist()
+        if i == 0:
+            # one array per quantity, shaped by the first sample; each row is
+            # packed straight into its bytes, skipping numpy's conversion of
+            # a sequence into a row
+            (xs, pack_x), (xrefs, pack_x_ref), (us, pack_u), (ws, pack_w) = [
+                (np.empty((n_steps + 1, len(v))), struct.Struct(f"{len(v)}d").pack_into)
+                for v in (x, x_ref_f, u, w_f)]
+            row_x, row_x_ref, row_u, row_w = (col.strides[0] for col in (xs, xrefs, us, ws))
+        pack_x(xs, row_x * i, *x)
+        pack_x_ref(xrefs, row_x_ref * i, *x_ref_f)
+        pack_u(us, row_u * i, *u)
+        pack_w(ws, row_w * i, *w_f)
         if i == n_steps:
             break
         try:
@@ -688,8 +742,7 @@ def simulate_closed_loop(plant, controller, reference, disturbance, duration, dt
             break
     n = i + 1
     if n < n_steps + 1:
-        columns = [col[:n].copy() for col in columns]
-    xs, xrefs, us, ws = columns
+        xs, xrefs, us, ws = (col[:n].copy() for col in (xs, xrefs, us, ws))
     e_lyap = np.empty((n, len(monitors)))
     for j, mon in enumerate(monitors):
         sub = xs[:, mon._take] - xrefs[:, mon._take]

@@ -20,7 +20,7 @@ from robustroa import matrixkit as mk
 from robustroa import plants
 from robustroa.harness.fileio import FileFormatError
 from robustroa.hj_reach import Grid2, ValueGrid
-from robustroa.mpc import mpc_step
+from robustroa.mpc import Model, mpc_step
 
 # The closed-form viability kernel of the quadruped error axes lives with the
 # benchmark, which checks every certified bound against it; the tests use
@@ -609,9 +609,11 @@ def m4_points(xs, ys, xlim, width=640):
 # library's dynamics, integrator and controller go to the copies here.  The
 # library's loop must reproduce every Trajectory field and the CSV bytes,
 # except the energy, which it evaluates after the loop: E must agree within
-# 1e-14 relative, with the same invariant-exit counts.  linearize_fd is the
-# finite-difference Jacobian on arrays, which the library's float version
-# must reproduce byte for byte.
+# 1e-14 relative, with the same invariant-exit counts.  The controller
+# plans with the library's mpc_step through the plant model's Jacobians;
+# only the dynamics it evaluates are the array copies here.  linearize_fd
+# is the finite-difference linearization the analytic Jacobians are
+# checked against.
 
 def quadcopter_f(x, u, w, p):
     x = np.asarray(x, dtype=float).ravel()
@@ -662,11 +664,13 @@ def plant_f(plant, x, u, w):
 
 
 def nominal_f(plant):
-    """plant.nominal_f() through the dynamics above."""
+    """plant.nominal_f() through the dynamics above, planning with the
+    plant model's Jacobians."""
+    jac = plant.nominal_f().jac
     if isinstance(plant, plants.QuadcopterPlant):
-        return lambda x, u: quadcopter_f(x, u, None, plant.params)
+        return Model(lambda x, u: quadcopter_f(x, u, None, plant.params), jac)
     stance = plant.stance
-    return lambda x, u: quadruped_f(x, u, stance, plant.params)
+    return Model(lambda x, u: quadruped_f(x, u, stance, plant.params), jac)
 
 
 def rk4_step(f, x, u, w, dt):
@@ -701,8 +705,10 @@ def control(ctrl, t, x):
 
 
 def linearize_fd(f, x0, u0, step=1e-6):
-    """mpc.linearize_fd perturbing arrays and filling a and b column by
-    column; the library's float version must give the same bytes."""
+    """Central-difference Jacobians of f(x, u) and the affine remainder:
+    (a, b, g0) with f(x, u) ~= a x + b u + g0 near (x0, u0).  The step is
+    scaled per coordinate by (1 + |coordinate|).  The reference the
+    models' analytic Jacobians are held to."""
     x0 = np.asarray(x0, dtype=float).ravel()
     u0 = np.asarray(u0, dtype=float).ravel()
     f00 = np.asarray(f(x0, u0), dtype=float).ravel()

@@ -22,7 +22,7 @@ from robustroa.harness import cli
 from robustroa.harness.scenarios import bundled_scenario
 from robustroa.hj_reach import (AffineDynamics2, Grid2, TargetSet, ValueGrid,
                                 signed_target, solve_brs)
-from robustroa.mpc import MpcConfig, mpc_step
+from robustroa.mpc import Model, MpcConfig, mpc_step
 from robustroa.roa_bridge import (Ellipsoid2, containment_guard,
                                   ellipsoid_contained, find_wmax)
 
@@ -330,10 +330,11 @@ def test_criterion_8_numerical_hygiene():
 
     # two-step scalar MPC against a brute-force grid search
     q, r, dt = 1.0, 0.3, 0.2
-    f = lambda x, u: np.array([-0.5 * x[0] + 0.8 * u[0] + 0.3])
+    scalar = Model(lambda x, u: np.array([-0.5 * x[0] + 0.8 * u[0] + 0.3]),
+                   lambda x, u: (np.array([[-0.5]]), np.array([[0.8]])))
     x0s = 1.2
     refs = np.array([[1.2], [0.3], [-0.1]])
-    u_seq = mpc_step(f, [x0s], refs, MpcConfig(q=[q], r=[r], dt=dt, horizon=2), [0.0])
+    u_seq = mpc_step(scalar, [x0s], refs, MpcConfig(q=[q], r=[r], dt=dt, horizon=2), [0.0])
 
     def grid_search(lo0, hi0, lo1, hi1, npts):
         u0 = np.linspace(lo0, hi0, npts)[:, None]

@@ -632,6 +632,8 @@ def test_cli_config_errors_exit_4(tmp_path, capsys):
     ("simulate", {"reference": {"kind": "trot", "amp_z": 0.5}}),
     ("simulate", {"reference": {"y0": 1.0}}),
     ("simulate", {"disturbance": {"kind": "none", "w_max": 3.0, "freq": 7.0}}),
+    # far past MAX_HORIZON: refused before its 1.75 TiB input map is allocated
+    ("simulate", {"mpc": {"horizon": 100000}}),
 ], ids=["duration", "dt", "duration-below-dt", "horizon-positive", "horizon-word", "n",
         "target-half-width", "grid-half-width", "freeze", "hold-time",
         "quadcopter-disturbance-length", "mpc-q-length",
@@ -644,7 +646,7 @@ def test_cli_config_errors_exit_4(tmp_path, capsys):
         "unknown-section", "other-plant-section", "freeze-reach", "horizon",
         "hj-u-hi", "hj-drag-force", "payload-zero-mass", "payload-interval-zero-mass",
         "payload-interval-negative-mass", "quadcopter-hj-section", "trot-t-end",
-        "trot-amp-y", "trot-amp-z", "figure8-y0", "none-w-max-freq"])
+        "trot-amp-y", "trot-amp-z", "figure8-y0", "none-w-max-freq", "mpc-horizon-oversized"])
 def test_cli_bad_config_values_exit_4(tmp_path, capsys, command, edits):
     # rejected by the loader, before any synthesis, PDE solve or simulation;
     # only the quadcopter takes a disturbance policy and a figure-8 reference

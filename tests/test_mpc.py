@@ -10,6 +10,19 @@ def affine_scalar(x, u):
     return np.array([-0.5 * x[0] + 0.8 * u[0] + 0.3])
 
 
+def model(f, a, b):
+    """Model of f whose Jacobians are the constants a and b."""
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    return mpc.Model(f, lambda x, u: (a, b))
+
+
+AFFINE = model(affine_scalar, [[-0.5]], [[0.8]])
+# xdot = (x2, u): the double integrator
+DOUBLE = model(lambda x, u: np.array([x[1], u[0]]), [[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]])
+# xdot = u
+SINGLE = model(lambda x, u: np.array([u[0]]), [[0.0]], [[1.0]])
+
+
 def rollout(f, x0, u_seq, dt):
     """States x(1..k) of the explicit-Euler prediction x+ = x + dt f(x, u)
     under the plan; exact for the affine dynamics these tests use."""
@@ -34,55 +47,29 @@ def euler_cost(f_params, x0, u_seq, refs, q, r, dt):
 
 # -- linearization --------------------------------------------------------------
 
-def test_linearize_fd_analytic_jacobians():
-    def f(x, u):
-        return np.array([x[1] ** 2 + u[0], np.sin(x[0]) + x[1] * u[0]])
-
-    x0 = np.array([0.3, -1.2])
-    u0 = np.array([0.7])
-    a, b, g0 = mpc.linearize_fd(f, x0, u0)
-    a_true = np.array([[0.0, -2.4], [np.cos(0.3), 0.7]])
-    b_true = np.array([[1.0], [-1.2]])
-    assert np.max(np.abs(a - a_true)) < 1e-7
-    assert np.max(np.abs(b - b_true)) < 1e-7
-    assert np.max(np.abs((a @ x0 + b @ u0 + g0) - f(x0, u0))) < 1e-12
+def test_linearize_is_exact_on_affine():
+    a, b, g0 = mpc.linearize(AFFINE, [2.0], [0.5])
+    assert (a[0, 0], b[0, 0]) == (-0.5, 0.8)
+    assert abs(g0[0] - 0.3) < 1e-15
 
 
-def test_linearize_fd_bitwise_matches_array_reference():
-    # float perturbation and column lists must give the array version's bytes
-    p = plants.QuadrupedParams()
-    walker = plants.QuadrupedPlant(p)
-    walker.advance(0.0, [-0.37, 0.3, 0.0, 0.0, 0.0, 0.0])
-    stances = [walker.stance]
-    walker.advance(p.step_time, [-0.2, 0.3, 0.0, 0.0, 0.0, 0.0])
-    stances.append(walker.stance)
-    assert [s.pair for s in stances] == ["A", "B"]
-    x_neg = np.array([-0.41, 0.29, -0.03, -0.12, -0.02, -0.4])
-    x_pos = np.array([0.39, 0.29, 0.02, 0.48, -0.02, -0.4])
-    u_stance = np.array([-3.5, 2.0, 70.0, 52.0])
-    cases = []
-    for s in stances:
-        cases += [
-            (f"quadruped-{s.pair}", plants.quadruped_dynamics(s, p), x_neg, u_stance),
-            (f"quadruped-{s.pair}-payload-drag",
-             plants.quadruped_dynamics(s, p, delta_m=5.0, drag_force=30.0), x_pos, u_stance),
-        ]
-    qp = plants.QuadcopterParams()
-    cases.append(("quadcopter-off-hover", lambda x, u: plants.quadcopter_f(x, u, None, qp),
-                  np.array([0.3, -0.45, 0.2, -0.6, 0.35, -1.1]), np.array([11.3, -0.7])))
-    for name, f, x0, u0 in cases:
-        got = mpc.linearize_fd(f, x0, u0)
-        want = orc.linearize_fd(f, x0, u0)
-        for g, w in zip(got, want):
-            assert (g.dtype, g.shape, g.strides, g.tobytes()) == \
-                (w.dtype, w.shape, w.strides, w.tobytes()), name
-
-
-def test_linearize_fd_exact_on_affine():
-    a, b, g0 = mpc.linearize_fd(affine_scalar, [2.0], [0.5])
-    assert abs(a[0, 0] + 0.5) < 1e-9
-    assert abs(b[0, 0] - 0.8) < 1e-9
-    assert abs(g0[0] - 0.3) < 1e-9
+def test_condensation_rebuilt_only_when_a_jacobian_moves(monkeypatch):
+    # xdot = u^2 about u_lin: the input column 2 u_lin moves with u_lin only
+    built = []
+    condense = mpc._condense
+    monkeypatch.setattr(mpc, "_condense", lambda *args: built.append(1) or condense(*args))
+    quad = mpc.Model(lambda x, u: np.array([u[0] ** 2]),
+                     lambda x, u: (np.zeros((1, 1)), np.array([[2.0 * u[0]]])))
+    cfg = mpc.MpcConfig(q=[1.0], r=[0.1], dt=0.1, horizon=2)
+    for x0, u_lin in ((0.0, 1.0), (0.3, 1.0), (0.3, 2.0), (-0.2, 2.0)):
+        fresh = mpc.MpcConfig(q=[1.0], r=[0.1], dt=0.1, horizon=2)
+        refs = [[x0], [0.1], [0.2]]
+        held = mpc.mpc_step(quad, [x0], refs, cfg, [u_lin])
+        built_before = len(built)
+        # the held condensation gives the bits of a fresh one
+        assert held.tobytes() == mpc.mpc_step(quad, [x0], refs, fresh, [u_lin]).tobytes()
+        assert len(built) == built_before + 1
+    assert len(built) == 2 + 4
 
 
 # -- configuration ---------------------------------------------------------------
@@ -94,16 +81,18 @@ def test_config_validation():
         mpc.MpcConfig(q=[1.0], r=[1.0], dt=0.0)
     with pytest.raises(ValueError):
         mpc.MpcConfig(q=[1.0], r=[1.0], dt=0.1, horizon=0)
+    with pytest.raises(ValueError, match="horizon"):
+        mpc.MpcConfig(q=[1.0], r=[1.0], dt=0.1, horizon=mpc.MAX_HORIZON + 1)
+    assert mpc.MpcConfig(q=[1.0], r=[1.0], dt=0.1, horizon=mpc.MAX_HORIZON).horizon == 200
 
 
 def test_reference_shape_validation():
     cfg = mpc.MpcConfig(q=[1.0, 1.0], r=[1.0], dt=0.1, horizon=2)
-    f = lambda x, u: np.array([x[1], u[0]])
     with pytest.raises(ValueError):
-        mpc.mpc_step(f, [0.0, 0.0], np.zeros((2, 2)), cfg, [0.0])
+        mpc.mpc_step(DOUBLE, [0.0, 0.0], np.zeros((2, 2)), cfg, [0.0])
     bad_q = mpc.MpcConfig(q=[1.0], r=[1.0], dt=0.1, horizon=2)
     with pytest.raises(ValueError):
-        mpc.mpc_step(f, [0.0, 0.0], np.zeros((3, 2)), bad_q, [0.0])
+        mpc.mpc_step(DOUBLE, [0.0, 0.0], np.zeros((3, 2)), bad_q, [0.0])
 
 
 # -- optimality ------------------------------------------------------------------
@@ -111,22 +100,20 @@ def test_reference_shape_validation():
 def test_on_reference_control_is_zero():
     # double integrator resting on a constant reference: any nonzero u only
     # adds cost
-    f = lambda x, u: np.array([x[1], u[0]])
     cfg = mpc.MpcConfig(q=[1.0, 1.0], r=[0.1], dt=0.1, horizon=2)
     ref = np.tile([0.7, 0.0], (3, 1))
-    u_seq = mpc.mpc_step(f, [0.7, 0.0], ref, cfg, [0.0])
+    u_seq = mpc.mpc_step(DOUBLE, [0.7, 0.0], ref, cfg, [0.0])
     assert u_seq.shape == (2, 1)
     assert np.max(np.abs(u_seq)) < 1e-10
-    assert np.max(np.abs(rollout(f, [0.7, 0.0], u_seq, cfg.dt) - ref[0])) < 1e-10
+    assert np.max(np.abs(rollout(DOUBLE.f, [0.7, 0.0], u_seq, cfg.dt) - ref[0])) < 1e-10
 
 
 def test_one_step_deadbeat():
     # k=1, x+ = x + u dt, q=1, r=0: drive straight to the reference
-    f = lambda x, u: np.array([u[0]])
     cfg = mpc.MpcConfig(q=[1.0], r=[0.0], dt=0.05, horizon=1)
-    u_seq = mpc.mpc_step(f, [0.8], [[0.8], [0.0]], cfg, [0.0])
+    u_seq = mpc.mpc_step(SINGLE, [0.8], [[0.8], [0.0]], cfg, [0.0])
     assert abs(u_seq[0, 0] + 0.8 / 0.05) < 1e-4 * (0.8 / 0.05)
-    assert abs(rollout(f, [0.8], u_seq, cfg.dt)[0, 0]) < 1e-6
+    assert abs(rollout(SINGLE.f, [0.8], u_seq, cfg.dt)[0, 0]) < 1e-6
     # the 1e-9 ridge floor: u = -dt x / (dt^2 + 1e-9), 4e-7 relative off
     # the unridged -x / dt
     ridged = -0.05 * 0.8 / (0.05 ** 2 + 1e-9)
@@ -138,7 +125,7 @@ def test_k2_matches_brute_force_grid():
     cfg = mpc.MpcConfig(q=[q], r=[r], dt=dt, horizon=2)
     x0 = 1.2
     refs = np.array([[1.2], [0.3], [-0.1]])
-    u_seq = mpc.mpc_step(affine_scalar, [x0], refs, cfg, [0.0])
+    u_seq = mpc.mpc_step(AFFINE, [x0], refs, cfg, [0.0])
 
     def grid_search(lo0, hi0, lo1, hi1, npts):
         u0 = np.linspace(lo0, hi0, npts)[:, None]
@@ -164,35 +151,36 @@ def test_joint_plan_beats_receding_greedy():
     x0 = -0.9
     refs = np.array([[-0.9], [0.4], [0.5]])
     cfg2 = mpc.MpcConfig(q=[q], r=[r], dt=dt, horizon=2)
-    plan = mpc.mpc_step(affine_scalar, [x0], refs, cfg2, [0.0])
+    plan = mpc.mpc_step(AFFINE, [x0], refs, cfg2, [0.0])
     f_params = (-0.5, 0.8, 0.3)
     j_joint = euler_cost(f_params, x0, plan[:, 0], refs[:, 0], q, r, dt)
 
     cfg1 = mpc.MpcConfig(q=[q], r=[r], dt=dt, horizon=1)
-    u0 = mpc.mpc_step(affine_scalar, [x0], refs[:2], cfg1, [0.0])[0, 0]
+    u0 = mpc.mpc_step(AFFINE, [x0], refs[:2], cfg1, [0.0])[0, 0]
     x1 = x0 + dt * (-0.5 * x0 + 0.8 * u0 + 0.3)
-    u1 = mpc.mpc_step(affine_scalar, [x1], refs[1:], cfg1, [0.0])[0, 0]
+    u1 = mpc.mpc_step(AFFINE, [x1], refs[1:], cfg1, [0.0])[0, 0]
     j_greedy = euler_cost(f_params, x0, [u0, u1], refs[:, 0], q, r, dt)
     assert j_joint <= j_greedy + 1e-12
 
 
 def test_solution_is_stationary_and_locally_optimal():
     rng = np.random.default_rng(6)
-    f = lambda x, u: np.array([x[1], -0.3 * x[0] + u[0]])
+    oscillator = model(lambda x, u: np.array([x[1], -0.3 * x[0] + u[0]]),
+                       [[0.0, 1.0], [-0.3, 0.0]], [[0.0], [1.0]])
     cfg = mpc.MpcConfig(q=[2.0, 0.5], r=[0.2], dt=0.15, horizon=3)
     refs = rng.standard_normal((4, 2))
     x0 = rng.standard_normal(2)
-    u_star = mpc.mpc_step(f, x0, refs, cfg, [0.0])[:, 0]
+    u_star = mpc.mpc_step(oscillator, x0, refs, cfg, [0.0])[:, 0]
 
     # independent stationarity and local-optimality probes of the
     # rolled-out quadratic
-    a, b, g = mpc.linearize_fd(f, refs[0], [0.0])
+    a, b = oscillator.jac(refs[0], [0.0])
 
     def rollout_cost(u_seq):
         x = x0.copy()
         cost = 0.0
         for i, u in enumerate(u_seq):
-            x = x + cfg.dt * (a @ x + b @ [u] + g)
+            x = x + cfg.dt * (a @ x + b @ [u])
             d = x - refs[i + 1]
             cost += d @ (cfg.q * d) + cfg.r[0] * u ** 2
         return cost
@@ -210,18 +198,16 @@ def test_solution_is_stationary_and_locally_optimal():
 # -- constraints and degeneracy ---------------------------------------------------
 
 def test_input_clamping():
-    f = lambda x, u: np.array([u[0]])
     cfg = mpc.MpcConfig(q=[1.0], r=[0.0], dt=0.05, horizon=1,
                         u_lo=[-2.0], u_hi=[2.0])
-    u_seq = mpc.mpc_step(f, [0.8], [[0.8], [0.0]], cfg, [0.0])
+    u_seq = mpc.mpc_step(SINGLE, [0.8], [[0.8], [0.0]], cfg, [0.0])
     assert u_seq[0, 0] == -2.0  # unconstrained answer is -16
-    assert abs(rollout(f, [0.8], u_seq, cfg.dt)[0, 0] - (0.8 - 0.1)) < 1e-12
+    assert abs(rollout(SINGLE.f, [0.8], u_seq, cfg.dt)[0, 0] - (0.8 - 0.1)) < 1e-12
 
 
 def test_zero_r_gets_ridge_and_solves():
-    f = lambda x, u: np.array([x[1], u[0]])
     cfg = mpc.MpcConfig(q=[1.0, 1.0], r=[0.0], dt=0.1, horizon=2)
-    u_seq = mpc.mpc_step(f, [0.5, 0.0], np.zeros((3, 2)), cfg, [0.0])
+    u_seq = mpc.mpc_step(DOUBLE, [0.5, 0.0], np.zeros((3, 2)), cfg, [0.0])
     assert np.all(np.isfinite(u_seq))
 
 
@@ -229,10 +215,11 @@ def test_zero_r_ridge_tracks_problem_scale():
     # two redundant inputs give exactly collinear Hessian columns; large q
     # pushes the pivot tolerance above the 1e-9 floor, so the ridge must grow
     # (at scale 1e3 a fixed 1e-9 ridge fails the rank test)
-    f = lambda x, u: np.array([x[1], u[0] + u[1]])
+    pair = model(lambda x, u: np.array([x[1], u[0] + u[1]]),
+                 [[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]])
     for scale in (1.0, 1e3):
         cfg = mpc.MpcConfig(q=[1e7 * scale, 1e5 * scale], r=[0.0, 0.0], dt=0.05, horizon=2)
-        u_seq = mpc.mpc_step(f, [0.5, 0.0], np.zeros((3, 2)), cfg, [0.0, 0.0])
+        u_seq = mpc.mpc_step(pair, [0.5, 0.0], np.zeros((3, 2)), cfg, [0.0, 0.0])
         assert np.all(np.isfinite(u_seq))
         # min-norm tie break splits the redundant pair evenly
         assert np.allclose(u_seq[:, 0], u_seq[:, 1], rtol=1e-4)
@@ -240,17 +227,18 @@ def test_zero_r_ridge_tracks_problem_scale():
 
 def test_degenerate_weights_raise():
     # r > 0 dodges the ridge but is far below the pivot floor
-    f = lambda x, u: np.array([u[0] * 0.0])
+    inert = model(lambda x, u: np.array([u[0] * 0.0]), [[0.0]], [[0.0]])
     cfg = mpc.MpcConfig(q=[0.0], r=[1e-20], dt=0.1, horizon=1)
     with pytest.raises(mpc.SingularHessian):
-        mpc.mpc_step(f, [1.0], [[1.0], [0.0]], cfg, [0.0])
+        mpc.mpc_step(inert, [1.0], [[1.0], [0.0]], cfg, [0.0])
 
 
 def test_u_lin_linearizes_every_stage():
     # xdot = u^2 about u_lin = 1 is x+ = x + dt (2u - 1) at each stage, so
     # the deadbeat plan up the ramp is u = 1 twice; about u = 0 the input
     # would have no effect at all
-    f = lambda x, u: np.array([u[0] ** 2])
+    quad = mpc.Model(lambda x, u: np.array([u[0] ** 2]),
+                     lambda x, u: (np.zeros((1, 1)), np.array([[2.0 * u[0]]])))
     cfg = mpc.MpcConfig(q=[1.0], r=[0.0], dt=0.1, horizon=2)
-    u_seq = mpc.mpc_step(f, [0.0], [[0.0], [0.1], [0.2]], cfg, np.array([1.0]))
+    u_seq = mpc.mpc_step(quad, [0.0], [[0.0], [0.1], [0.2]], cfg, np.array([1.0]))
     assert np.max(np.abs(u_seq - 1.0)) < 1e-6

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import _oracles as orc
-from robustroa import plants
+from robustroa import mpc, plants
 from robustroa.clf_synth import ClfCertificate, ClfParams
 from robustroa.harness import cli
 from robustroa.harness.scenarios import DisturbancePolicy, bundled_scenario
@@ -145,6 +146,44 @@ def test_quadruped_torque_cross_check():
         assert abs(xdot[5] - torque / p.inertia_xx) < 1e-10
         assert abs(xdot[3] - (u[0] + u[1]) / p.mass) < 1e-12
         assert abs(xdot[4] - ((u[2] + u[3]) / p.mass - p.gravity)) < 1e-12
+
+
+def test_model_jacobians_match_central_differences():
+    # the controller models' analytic Jacobians against orc.linearize_fd,
+    # over both stances, payload and drag, and off-hover quadcopter states;
+    # one quadcopter model serves every case, so a stale held pair would fail
+    p = plants.QuadrupedParams()
+    walker = plants.QuadrupedPlant(p)
+    walker.advance(0.0, [-0.37, 0.3, 0.0, 0.0, 0.0, 0.0])
+    stances = [walker.stance]
+    walker.advance(p.step_time, [-0.2, 0.3, 0.0, 0.0, 0.0, 0.0])
+    stances.append(walker.stance)
+    assert [s.pair for s in stances] == ["A", "B"]
+    x_neg = [-0.41, 0.29, -0.03, -0.12, -0.02, -0.4]
+    x_pos = [0.39, 0.29, 0.02, 0.48, -0.02, -0.4]
+    u_stance = [-3.5, 2.0, 70.0, 52.0]
+    cases = [("quadruped-B-nominal", walker.nominal_f(), x_pos, walker.static_input())]
+    for s in stances:
+        cases += [
+            (f"quadruped-{s.pair}", plants.quadruped_model(s, p), x_neg, u_stance),
+            (f"quadruped-{s.pair}-payload-drag",
+             plants.quadruped_model(s, p, delta_m=5.0, drag_force=30.0), x_pos, u_stance),
+        ]
+    copter = plants.QuadcopterPlant(QP).nominal_f()
+    for x0, u0 in (([0.3, -0.45, 0.2, -0.6, 0.35, -1.1], [11.3, -0.7]),
+                   ([0.0, 0.0, -1.1, 0.0, 0.0, 0.0], [11.3, -0.7]),
+                   ([0.0, 0.0, 2.5, 0.2, 0.0, 0.0], [4.0, 0.3]),
+                   (hover_state(), hover_input())):
+        cases.append((f"quadcopter-phi-{x0[2]}", copter, x0, u0))
+    for name, model, x0, u0 in cases:
+        x0, u0 = np.asarray(x0, dtype=float), np.asarray(u0, dtype=float)
+        a, b, g0 = mpc.linearize(model, x0, u0)
+        a_fd, b_fd, _ = orc.linearize_fd(model.f, x0, u0)
+        for got, want in ((a, a_fd), (b, b_fd)):
+            assert got.shape == want.shape, name
+            assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want)), name
+        f0 = np.asarray(model.f(x0.tolist(), u0.tolist()))
+        assert np.max(np.abs(a @ x0 + b @ u0 + g0 - f0)) <= 1e-14 * np.max(np.abs(f0) + 1.0), name
 
 
 def test_negative_normal_force_rejected():
@@ -664,6 +703,48 @@ def test_quadruped_ancillary_bitwise_matches_matmul_allocation(certified):
         got = controller.feedback(x, e)
         assert type(got) is list and all(type(v) is float for v in got)
         assert np.array(got).tobytes() == want.tobytes()
+
+
+def test_fig3_robust_run_linearizes_once(certified, monkeypatch):
+    # counts, not times: along the figure-8 the quadcopter Jacobian and the
+    # condensed Hessian are built once, and each solve evaluates f once
+    # per stage, for the affine remainder only
+    counts = {"jacobians": 0, "condense": 0, "nominal_f": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    dynamics = plants.quadcopter_f
+
+    def quadcopter_f(x, u, w, p):
+        counts["nominal_f"] += w is None
+        return dynamics(x, u, w, p)
+
+    monkeypatch.setattr(plants, "quadcopter_jacobians",
+                        counting("jacobians", plants.quadcopter_jacobians))
+    monkeypatch.setattr(mpc, "_condense", counting("condense", mpc._condense))
+    monkeypatch.setattr(plants, "quadcopter_f", quadcopter_f)
+    solve = plants.mpc_step
+    per_solve = []
+
+    def mpc_step(*args):
+        before = counts["nominal_f"]
+        plan = solve(*args)
+        per_solve.append(counts["nominal_f"] - before)
+        return plan
+
+    monkeypatch.setattr(plants, "mpc_step", mpc_step)
+    scn = certified["quadcopter"][0]
+    # a config of its own, so no condensation is held from another test
+    args, kwargs = closed_loop(certified, "quadcopter", "robust", duration=scn.duration,
+                               mpc=dataclasses.replace(scn.mpc))
+    traj = plants.simulate_closed_loop(*args, **kwargs)
+    assert len(traj.t) == 5001 and args[1].mpc_calls == 101
+    assert per_solve == [scn.mpc.horizon] * 101
+    assert counts == {"jacobians": 1, "condense": 1, "nominal_f": 101 * scn.mpc.horizon}
 
 
 def test_reference_evaluated_once_per_sample(certified):

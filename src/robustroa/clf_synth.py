@@ -59,12 +59,12 @@ def _diag_entries(w, size, name):
 
 @dataclass
 class LinearModel:
-    """x' = A x + B u + B_w w + G (G: constant affine term, e.g. gravity)."""
+    """Error dynamics e' = A e + B u + B_w w, the linear model the gain is
+    synthesized on (a plant's Jacobians at its operating point)."""
 
     a: np.ndarray
     b: np.ndarray
     b_w: np.ndarray
-    g: np.ndarray | None = None
 
     def __post_init__(self):
         self.a = mk.as_matrix(self.a, "a")
@@ -75,11 +75,6 @@ class LinearModel:
             raise DimensionMismatch(f"a must be square, got {self.a.shape}")
         if self.b.shape[0] != n or self.b_w.shape[0] != n:
             raise DimensionMismatch("b and b_w must have as many rows as a")
-        if self.g is None:
-            self.g = np.zeros(n)
-        self.g = np.asarray(self.g, dtype=float).ravel()
-        if self.g.shape != (n,):
-            raise DimensionMismatch(f"g must have {n} entries")
 
     @property
     def n_states(self):
@@ -163,7 +158,7 @@ def split_solution(x, n, m):
     return unpack_sym(x[:n_y], n), x[n_y:].reshape(m, n)
 
 
-def build_synthesis_lmi(model: LinearModel, params: ClfParams, eps=None):
+def build_synthesis_lmi(model: LinearModel, params: ClfParams):
     """Assemble the synthesis block LMI as an AffineSdp.
 
     Variables are the upper triangle of Y (n(n+1)/2, row-major) followed by
@@ -217,7 +212,7 @@ def build_synthesis_lmi(model: LinearModel, params: ClfParams, eps=None):
             blk[ry, ll] = e.T
             fi.append(blk)
             c.append(0.0)
-    return AffineSdp(c=np.array(c), f0=f0, fi=fi, eps=eps)
+    return AffineSdp(c=np.array(c), f0=f0, fi=fi)
 
 
 def recover_gains(y, l):
@@ -265,14 +260,14 @@ def roa_level(params: ClfParams, w_max):
     return params.dist_weight * w_max**2 / params.decay_rate
 
 
-def synthesize(model: LinearModel, params: ClfParams, eps=None):
+def synthesize(model: LinearModel, params: ClfParams):
     """Full pipeline: build the LMI, solve, recover (K, P), sanity-check.
 
     Returns (certificate, solution).  Raises lmi_solver.Infeasible when no
     strictly feasible point exists, which includes the case of no positive
     definite Y: the -Y block keeps every point it returns at Y > eps*I.
     """
-    prob = build_synthesis_lmi(model, params, eps=eps)
+    prob = build_synthesis_lmi(model, params)
     sol = maximize(prob)
     y, l = split_solution(sol.x, model.n_states, model.n_inputs)
     k, p = recover_gains(y, l)

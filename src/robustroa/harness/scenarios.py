@@ -30,6 +30,15 @@ class ConfigError(Exception):
     """The scenario file is missing, incomplete, or malformed."""
 
 
+# Largest [hj_*] n: a solve holds about a dozen n x n work arrays, and
+# 1001 leaves room above the 201 nodes of the grid-convergence checks.
+MAX_GRID_NODES = 1001
+# Most samples (duration / dt + 1) a [simulate] run may record, like
+# mpc.MAX_HORIZON a bound on what one run allocates: each sample holds a
+# row of every trajectory array, and the bundled configs take 10,001.
+MAX_SIM_SAMPLES = 1_000_000
+
+
 # -- value casts: each raises ValueError, with a reason, on a value it rejects --
 
 def _number(text):
@@ -71,8 +80,8 @@ def _half_widths(text):
 
 def _grid_nodes(text):
     n = int(text)
-    if n < 3:
-        raise ValueError("must be at least 3")
+    if not 3 <= n <= MAX_GRID_NODES:
+        raise ValueError(f"must be between 3 and {MAX_GRID_NODES}")
     return n
 
 
@@ -342,9 +351,10 @@ def load_scenario(path):
                  for axis in ("y", "z") if quadruped is not None and cp.has_section(f"hj_{axis}")}
 
     sim = _read(cp, "simulate", opened)
-    if int(round(sim["duration"] / sim["dt"])) < 1:
-        raise ConfigError(f"[simulate] duration {sim['duration']!r} gives no step of "
-                          f"dt = {sim['dt']!r}")
+    # min() first: the ratio may overflow to inf, which round() refuses
+    if not 1 <= round(min(sim["duration"] / sim["dt"], MAX_SIM_SAMPLES)) < MAX_SIM_SAMPLES:
+        raise ConfigError(f"[simulate] duration {sim['duration']!r} and dt {sim['dt']!r} "
+                          f"must give 2 to {MAX_SIM_SAMPLES} samples (duration / dt + 1)")
     for name in cp.sections():
         if name not in opened:
             raise ConfigError(f"unknown section [{name}]: the {plant_kind} scenario "

@@ -11,8 +11,7 @@ serve many solves:
                  serves every right-hand side,
 * `solve`     -- raises Singular when the matrix is rank deficient at
                  working precision, which LAPACK's LU reports only for an
-                 exactly zero pivot; `full_rank` is that test alone, so a
-                 matrix checked once can serve many solves.
+                 exactly zero pivot.
 
 Tolerances are relative to the largest absolute entry of the input with an
 absolute floor of 1e-14, so the kernels behave the same for certificates
@@ -88,13 +87,11 @@ def cho_solve(lo, b):
     return np.linalg.solve(lo.T, np.linalg.solve(lo, b))
 
 
-def full_rank(a):
-    """a as a float matrix, after checking that it is square and of full
-    rank at working precision.
+def solve(a, b):
+    """Solve a x = b; b may be a vector or a matrix of right-hand sides.
 
     Raises Singular when the smallest singular value of a is below
-    1e-12 * max|a| (plus the absolute floor).  A matrix that passed serves
-    any number of np.linalg.solve calls without a second test.
+    1e-12 * max|a| (plus the absolute floor).
     """
     a = as_matrix(a, "a")
     if a.shape[1] != a.shape[0]:
@@ -102,13 +99,6 @@ def full_rank(a):
     sv = np.linalg.svd(a, compute_uv=False)
     if sv.size and sv[-1] < 1e-12 * inf_norm(a) + ABS_FLOOR:
         raise Singular(f"smallest singular value {sv[-1]:.3e} below tolerance")
-    return a
-
-
-def solve(a, b):
-    """Solve a x = b; b may be a vector or a matrix of right-hand sides.
-    Raises Singular when a fails the rank test of full_rank."""
-    a = full_rank(a)
     b = np.asarray(b, dtype=float)
     if b.shape[:1] != a.shape[:1]:
         raise ValueError("right-hand side has wrong length")

@@ -13,14 +13,16 @@ One solver call does:
 
 Q is applied to the successor state of each stage: penalizing the current
 state would leave the last control priced only by R, and with k = 1 the
-problem would not depend on u at all.  A singular R (the quadruped runs
-R = 0) is handled by a small scale-relative ridge on the Hessian.
+problem would not depend on u at all.  Any input weight below a small
+scale-relative ridge (the quadruped runs R = 0) is topped up by that ridge
+on the Hessian, so the Hessian is positive definite by construction and
+the solve needs no rank test.
 
 Of step 3, only the free response and the final solve depend on the
 state and the reference.  The rest depends on the stage Jacobians alone:
-the Euler matrices, the condensed input map, the Hessian and its rank
-test.  The config holds that condensation for the last Jacobians it saw
-and rebuilds it only when one of them changes.  Along the figure-8
+the Euler matrices, the condensed input map and the Hessian.  The config
+holds that condensation for the last Jacobians it saw and rebuilds it
+only when one of them changes.  Along the figure-8
 (phi_ref = 0, hover input) that is once per run; on the quadruped it is
 every solve, since the torque row of B moves with the reference's
 position.
@@ -38,10 +40,6 @@ from . import matrixkit as mk
 # Largest [mpc] horizon: the condensed matrices grow with its square, and
 # 200 stages of the quadruped already hold a 1200 x 800 input map.
 MAX_HORIZON = 200
-
-
-class SingularHessian(Exception):
-    """Condensed normal equations are rank deficient even after the ridge."""
 
 
 class Model(NamedTuple):
@@ -114,8 +112,9 @@ def _condense(cfg: MpcConfig, stages):
     """(ad, m_mat, hess) for the stage models [(a_i, b_i, _)]: the Euler
     state matrices ad_i = I + dt a_i, the input map of the stacked
     successors X = m_mat U + free response, and the Hessian
-    m_mat' Q m_mat + R of the condensed problem, which passed the rank test.
-    Raises SingularHessian when it fails it."""
+    m_mat' Q m_mat + R of the condensed problem.  m_mat' Q m_mat is positive
+    semidefinite, so adding the ridge reg I whenever some input weight lies
+    below reg keeps every eigenvalue of the Hessian at or above reg."""
     k, n, m = cfg.horizon, len(cfg.q), len(cfg.r)
     ad = [cfg.eye_n + cfg.dt * a for a, _, _ in stages]
     m_mat = np.zeros((k * n, k * m))
@@ -127,15 +126,10 @@ def _condense(cfg: MpcConfig, stages):
 
     qbar, rbar = cfg.qbar, cfg.rbar
     hess = m_mat.T @ (qbar[:, None] * m_mat) + np.diag(rbar)
-    if np.min(rbar) <= 0.0:
-        # keep the ridge above the solver's rank test (1e-12 * max|H|) so a
-        # zero input weight stays solvable at any problem scale
-        reg = max(1e-9, 1e-10 * float(np.max(np.abs(hess))))
+    reg = max(1e-9, 1e-10 * float(np.max(np.abs(hess))))
+    if np.min(rbar) < reg:
         hess = hess + reg * np.eye(k * m)
-    try:
-        return ad, m_mat, mk.full_rank(hess)
-    except mk.Singular as exc:
-        raise SingularHessian(str(exc)) from None
+    return ad, m_mat, mk.as_matrix(hess, "hess")
 
 
 def mpc_step(model: Model, x_now, x_ref, cfg: MpcConfig, u_lin):
@@ -170,7 +164,6 @@ def mpc_step(model: Model, x_now, x_ref, cfg: MpcConfig, u_lin):
         x_free = ad_i @ x_free + cfg.dt * g_i
         v_free.append(x_free)
     resid = np.concatenate(v_free) - x_ref[1:].ravel()
-    # the Hessian passed the rank test when it was condensed
     u_stack = np.linalg.solve(hess, -m_mat.T @ (cfg.qbar * resid))
     u_seq = u_stack.reshape(k, len(cfg.r))
     if cfg.u_lo is not None:

@@ -110,20 +110,9 @@ def quadcopter_model(p: QuadcopterParams):
 
 
 def quadcopter_linearize(p: QuadcopterParams):
-    """LinearModel about hover (phi = 0, u_s = m g); control is the total
-    (u_s, u_d), so gravity stays as the affine term."""
-    a = np.zeros((6, 6))
-    a[0, 3] = a[1, 4] = a[2, 5] = 1.0
-    a[3, 2] = -p.gravity
-    b = np.zeros((6, 2))
-    b[4, 0] = 1.0 / p.mass
-    b[5, 1] = 0.5 * p.arm_length / p.inertia_xx
-    b_w = np.zeros((6, 2))
-    b_w[3, 0] = 1.0
-    b_w[4, 1] = 1.0
-    g = np.zeros(6)
-    g[4] = -p.gravity
-    return LinearModel(a=a, b=b, b_w=b_w, g=g)
+    """LinearModel about hover (phi = 0, u_s = m g); the disturbance enters
+    the two translational accelerations."""
+    return LinearModel(*quadcopter_jacobians(0.0, p.mass * p.gravity, p), b_w=np.eye(6, 2, k=-3))
 
 
 @dataclass
@@ -616,10 +605,6 @@ class LyapunovMonitor:
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=float)
         self.state_idx = np.asarray(self.state_idx, dtype=int)
-        n = self.state_idx.size
-        # a leading range selects through a view instead of a gathered copy
-        self._take = (slice(0, n) if np.array_equal(self.state_idx, np.arange(n))
-                      else self.state_idx)
 
 
 # -- closed-loop simulation ---------------------------------------------------
@@ -745,7 +730,7 @@ def simulate_closed_loop(plant, controller, reference, disturbance, duration, dt
         xs, xrefs, us, ws = (col[:n].copy() for col in (xs, xrefs, us, ws))
     e_lyap = np.empty((n, len(monitors)))
     for j, mon in enumerate(monitors):
-        sub = xs[:, mon._take] - xrefs[:, mon._take]
+        sub = xs[:, mon.state_idx] - xrefs[:, mon.state_idx]
         e_lyap[:, j] = np.einsum("ij,jk,ik->i", sub, mon.p, sub)
     levels = tuple(mon.level for mon in monitors)
     exits = tuple(

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import matrixkit as mk
 from .clf_synth import ClfCertificate
-from .hj_reach import Grid2, GridMismatch, TargetSet, ValueGrid
+from .hj_reach import Grid2, TargetSet, ValueGrid
 
 
 class NoSafeRoa(Exception):
@@ -97,25 +97,14 @@ def containment_guard(vg: ValueGrid):
     return slope
 
 
-def _node_gap(vg: ValueGrid, target, delta):
+def _node_gap(vg: ValueGrid, target: TargetSet, delta):
     """w = max(V, l) + delta at every node (delta per node or one value for
     all), +inf where V, l or delta is NaN: a node is unsafe where w > 0.
-    target is a TargetSet, sampled on the value grid here, or a ValueGrid
-    of l already sampled on that same grid."""
-    if isinstance(target, ValueGrid):
-        if target.grid != vg.grid:
-            raise GridMismatch("target and value function live on different grids")
-        l = target.v
-    else:
-        l = _sampled_l(vg.grid, target)
-    w = np.maximum(vg.v, l) + delta
+    l is the target sampled on the value grid."""
+    x1g, x2g = vg.grid.mesh()
+    w = np.maximum(vg.v, np.asarray(target.l(x1g, x2g), dtype=float)) + delta
     w[np.isnan(w)] = np.inf
     return w
-
-
-def _sampled_l(grid: Grid2, target: TargetSet):
-    x1g, x2g = grid.mesh()
-    return np.asarray(target.l(x1g, x2g), dtype=float)
 
 
 def _segment_min(p11, p12, p22, ax, ay, bx, by):
@@ -213,12 +202,10 @@ def _unsafe_level(p, center, grid: Grid2, w):
     return max(float(_segment_min(p11, p12, p22, ax, ay, bx, by).min()), 0.0)
 
 
-def ellipsoid_contained(ell: Ellipsoid2, vg: ValueGrid, target, guard=None):
+def ellipsoid_contained(ell: Ellipsoid2, vg: ValueGrid, target: TargetSet, guard=None):
     """True when the ellipsoid meets no unsafe part of the grid and stays
-    inside it: its level lies below c*.  target is a TargetSet or a
-    ValueGrid of l on the value grid (see _node_gap); GridMismatch when the
-    two grids differ.  guard overrides the automatic delta, with one value
-    for every node or one per node."""
+    inside it: its level lies below c*.  guard overrides the automatic
+    delta, with one value for every node or one per node."""
     delta = containment_guard(vg) if guard is None else guard
     w = _node_gap(vg, target, delta)
     return ell.level < _unsafe_level(ell.p, ell.center, vg.grid, w)

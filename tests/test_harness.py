@@ -634,6 +634,12 @@ def test_cli_config_errors_exit_4(tmp_path, capsys):
     ("simulate", {"disturbance": {"kind": "none", "w_max": 3.0, "freq": 7.0}}),
     # far past MAX_HORIZON: refused before its 1.75 TiB input map is allocated
     ("simulate", {"mpc": {"horizon": 100000}}),
+    # far past MAX_SIM_SAMPLES and MAX_GRID_NODES: refused before the
+    # certification runs, and before a TiB-sized allocation
+    ("simulate", {"simulate": {"duration": 1e9}}),
+    ("wmax", {"hj_y": {"n": 1000000}}),
+    # duration / dt overflows to inf
+    ("simulate", {"simulate": {"duration": 1e300, "dt": 1e-300}}),
 ], ids=["duration", "dt", "duration-below-dt", "horizon-positive", "horizon-word", "n",
         "target-half-width", "grid-half-width", "freeze", "hold-time",
         "quadcopter-disturbance-length", "mpc-q-length",
@@ -646,7 +652,8 @@ def test_cli_config_errors_exit_4(tmp_path, capsys):
         "unknown-section", "other-plant-section", "freeze-reach", "horizon",
         "hj-u-hi", "hj-drag-force", "payload-zero-mass", "payload-interval-zero-mass",
         "payload-interval-negative-mass", "quadcopter-hj-section", "trot-t-end",
-        "trot-amp-y", "trot-amp-z", "figure8-y0", "none-w-max-freq", "mpc-horizon-oversized"])
+        "trot-amp-y", "trot-amp-z", "figure8-y0", "none-w-max-freq", "mpc-horizon-oversized",
+        "simulate-samples-oversized", "hj-n-oversized", "simulate-samples-overflow"])
 def test_cli_bad_config_values_exit_4(tmp_path, capsys, command, edits):
     # rejected by the loader, before any synthesis, PDE solve or simulation;
     # only the quadcopter takes a disturbance policy and a figure-8 reference
@@ -806,6 +813,19 @@ def test_cli_quadcopter_simulation_needs_w_max(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
     rc, text = run_cli(["synth", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 0 and "w_max" not in text
+
+
+def test_cli_simulate_takes_zero_mpc_weights(tmp_path):
+    # with q = 0 the condensed MPC Hessian is R = 1e-20 I alone, far below
+    # the ridge, which tops it up: the plan is finite and the run completes
+    path = mini_cfg(tmp_path, base=MINI_QUADCOPTER,
+                    mpc={"q": "0, 0, 0, 0, 0, 0", "r": "1e-20, 1e-20"})
+    rc, text = run_cli(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    errors = {key: float(val) for key, val in printed_values(text).items()
+              if key.startswith(("rms_error", "max_abs_e"))}
+    assert "rms_error" in errors and len(errors) == 7
+    assert all(np.isfinite(val) for val in errors.values())
 
 
 def test_cli_wmax_reports_the_configured_bound_at_synthesis(tmp_path):

@@ -100,16 +100,6 @@ def test_solve_shape_errors():
         mk.solve(np.ones(3), np.ones(3))  # not 2-D
 
 
-def test_full_rank_is_the_rank_test_alone():
-    # a matrix that passes comes back as floats, ready for many solves
-    a = mk.full_rank([[2, 1], [1, 3]])
-    assert a.dtype == float and a.shape == (2, 2)
-    with pytest.raises(mk.Singular):
-        mk.full_rank(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]))
-    with pytest.raises(ValueError):
-        mk.full_rank(np.ones((2, 3)))
-
-
 # -- solve with a Cholesky factor ---------------------------------------------
 
 def test_cho_solve_matches_lu():

@@ -213,8 +213,8 @@ def test_zero_r_gets_ridge_and_solves():
 
 def test_zero_r_ridge_tracks_problem_scale():
     # two redundant inputs give exactly collinear Hessian columns; large q
-    # pushes the pivot tolerance above the 1e-9 floor, so the ridge must grow
-    # (at scale 1e3 a fixed 1e-9 ridge fails the rank test)
+    # makes a fixed 1e-9 ridge vanish against the Hessian's scale, so the
+    # ridge must grow with it
     pair = model(lambda x, u: np.array([x[1], u[0] + u[1]]),
                  [[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]])
     for scale in (1.0, 1e3):
@@ -225,12 +225,25 @@ def test_zero_r_ridge_tracks_problem_scale():
         assert np.allclose(u_seq[:, 0], u_seq[:, 1], rtol=1e-4)
 
 
-def test_degenerate_weights_raise():
-    # r > 0 dodges the ridge but is far below the pivot floor
-    inert = model(lambda x, u: np.array([u[0] * 0.0]), [[0.0]], [[0.0]])
-    cfg = mpc.MpcConfig(q=[0.0], r=[1e-20], dt=0.1, horizon=1)
-    with pytest.raises(mpc.SingularHessian):
-        mpc.mpc_step(inert, [1.0], [[1.0], [0.0]], cfg, [0.0])
+def test_hessian_is_positive_definite_by_construction():
+    # for any q >= 0, zeros included, and any r >= 0 the held Hessian is
+    # M'QM + R, topped up by the ridge whenever r lies below it: its least
+    # eigenvalue is at least the ridge, and every plan is finite
+    rng = np.random.default_rng(28)
+    for mdl, n in ((AFFINE, 1), (DOUBLE, 2), (SINGLE, 1)):
+        for r in (0.0, 1e-20, 1e-3, 1e6):
+            for horizon in range(1, 5):
+                q = 10.0 ** rng.uniform(-3.0, 8.0, n) * (rng.random(n) < 0.5)
+                cfg = mpc.MpcConfig(q=q, r=[r], dt=0.1, horizon=horizon)
+                x_ref = rng.standard_normal((horizon + 1, n))
+                u_seq = mpc.mpc_step(mdl, rng.standard_normal(n), x_ref, cfg, [0.0])
+                assert np.all(np.isfinite(u_seq))
+                _, m_mat, hess = cfg.condensed[1]
+                bare = m_mat.T @ (cfg.qbar[:, None] * m_mat) + np.diag(cfg.rbar)
+                ridge = max(1e-9, 1e-10 * np.max(np.abs(bare)))
+                assert np.array_equal(hess, bare + ridge * np.eye(horizon) if r < ridge else bare)
+                # eigvalsh's roundoff, ~1e-16 max|H|, is ~1e-6 of the ridge
+                assert np.linalg.eigvalsh(hess)[0] >= ridge * (1.0 - 1e-3)
 
 
 def test_u_lin_linearizes_every_stage():

@@ -60,9 +60,6 @@ def test_quadcopter_linearization_matches_fd():
     assert np.max(np.abs(model.a - a_fd)) < 1e-6
     assert np.max(np.abs(model.b - b_fd)) < 1e-6
     assert np.max(np.abs(model.b_w - bw_fd)) < 1e-6
-    # affine term closes the residual at the linearization point
-    assert np.max(np.abs(model.a @ x0 + model.b @ u0 + model.g
-                         - qf(x0, u0, w0, QP))) < 1e-12
 
 
 def test_figure8_rest_to_rest():

@@ -14,7 +14,7 @@ from robustroa import roa_bridge as rb
 from robustroa.clf_synth import ClfCertificate, ClfParams, synthesize
 from robustroa.harness import cli, fileio
 from robustroa.harness.scenarios import bundled_scenario, load_scenario
-from robustroa.hj_reach import Grid2, GridMismatch, TargetSet, ValueGrid, solve_brs
+from robustroa.hj_reach import Grid2, TargetSet, ValueGrid, solve_brs
 
 
 def circle_value_grid(radius, extent=2.0, n=101):
@@ -96,23 +96,6 @@ def test_ellipsoid_leaving_grid_is_rejected():
         assert rb.ellipsoid_contained(ell, vg, target, guard=0.0) is inside
     off = rb.Ellipsoid2(p=p, center=(2.5, 0.0), level=1e-6)
     assert not rb.ellipsoid_contained(off, vg, target, guard=0.0)
-
-
-def test_presampled_target_gives_the_same_answers():
-    # l sampled once on the value grid answers exactly as the TargetSet
-    vg = circle_value_grid(1.5)
-    target = TargetSet.box((0.2, -0.1), (1.1, 1.6))
-    x1g, x2g = vg.grid.mesh()
-    l_vg = ValueGrid(vg.grid, target.l(x1g, x2g))
-    for level in (0.01, 0.5, 1.0, 1.3, 2.0):
-        ell = rb.Ellipsoid2(p=np.array([[2.0, 0.3], [0.3, 1.0]]), center=(0.1, 0.0),
-                            level=level)
-        assert (rb.ellipsoid_contained(ell, vg, l_vg)
-                == rb.ellipsoid_contained(ell, vg, target))
-    other = ValueGrid(Grid2((-2.0, -2.0), (2.0, 2.0), (51, 51)), np.zeros((51, 51)))
-    ell = rb.Ellipsoid2(p=np.eye(2), center=(0.0, 0.0), level=1e-4)
-    with pytest.raises(GridMismatch):
-        rb.ellipsoid_contained(ell, vg, other)
 
 
 def test_tangency_level_matches_analytic_value():

@@ -28,9 +28,8 @@ OUT = Path(__file__).resolve().parent / "out"
 
 
 def certify(cert, block, plant_params):
-    grid, target, dyn = block.problem(plant_params)
-    vg = solve_brs(grid, target, dyn, "converge", freeze="stay")
-    return find_wmax(cert, vg, target), vg, target
+    vg = solve_brs(*block.problem(plant_params), "converge", freeze="stay")
+    return find_wmax(cert, vg), vg
 
 
 def ellipse_points(p, level, n=360):
@@ -67,12 +66,12 @@ def main():
     print(f"synthesis: {sol.status.value}, objective {sol.objective_value:.6f}")
     print(f"K = {np.array_str(cert.k, precision=3)}")
 
-    ample, vg, target = certify(cert, block, params)
+    ample, vg = certify(cert, block, params)
     print(f"ample force (u <= {block.u_hi:.0f} N): w_max = {ample.w_max:.6f} m/s^2, "
           f"level = {ample.level:.6f}, c* = {ample.c_star:.6f}")
 
     ell = ellipse_points(cert.p, ample.level)
-    hw = target.half_widths
+    hw = block.target_half_widths
     box = np.array([[hw[0], hw[1]], [hw[0], -hw[1]], [-hw[0], -hw[1]],
                     [-hw[0], hw[1]], [hw[0], hw[1]]])
     safe = safe_boundary(vg)
@@ -92,7 +91,7 @@ def main():
     # ceiling leaves little up-authority, yet the height band still binds
     print("force ceiling 240 N:")
     for dm in (0.0, 5.0):
-        res, _, _ = certify(cert, replace(block, u_hi=240.0, delta_m=(dm, dm)), params)
+        res, _ = certify(cert, replace(block, u_hi=240.0, delta_m=(dm, dm)), params)
         print(f"  payload {dm:.0f} kg: w_max = {res.w_max:.6f} m/s^2, "
               f"level = {res.level:.6f}")
     return ample

@@ -15,17 +15,4 @@ the quadcopter / planar-quadruped models and the closed-loop simulator,
 and `harness` the scenario configs, CLI, and file formats.
 """
 
-from . import clf_synth, hj_reach, lmi_solver, matrixkit, mpc, plants, roa_bridge
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "matrixkit",
-    "lmi_solver",
-    "clf_synth",
-    "hj_reach",
-    "roa_bridge",
-    "mpc",
-    "plants",
-    "__version__",
-]

@@ -220,7 +220,7 @@ def _run_stages(scn, stages):
     and `grid_csv` {axis: its CSV text, as the list of chunks to_csv
     wrote} from solve, `bounds` {axis: WmaxResult} from bound, and
     from simulate `simulate(mode)`, which the write pass calls for the
-    (scenario, trajectory) of `scn` run in `mode`."""
+    trajectory of `scn` run in `mode`."""
     if scn.plant_kind == "quadcopter" and "simulate" in stages:
         # certified by its configured [clf] w_max: there is no safe set
         stages = [s for s in stages if s != "solve"]
@@ -254,8 +254,8 @@ def _run_stages(scn, stages):
                 # the robust stay set of the error subsystem, solved until
                 # {V <= 0} is final: the grid form of its viability kernel
                 step = "solve"
-                grid, target, dyn = hj_blocks[axis].problem(scn.quadruped)
-                vg = solve_brs(grid, target, dyn, "converge", freeze="stay")
+                vg = solve_brs(*hj_blocks[axis].problem(scn.quadruped), "converge",
+                               freeze="stay")
                 done["grids"] = vg
                 if "bound" in stages:
                     step = "bound"
@@ -264,7 +264,7 @@ def _run_stages(scn, stages):
                                         f"the solve's time cap (set_final_time = "
                                         f"{vg.info['set_final_time']:.5f}); no bound is "
                                         f"certified on a set that is not final")
-                    done["bounds"] = find_wmax(done["certs"][0], vg, target)
+                    done["bounds"] = find_wmax(done["certs"][0], vg)
                 step = "format"
                 # kept as the chunks written, so the text is held once
                 chunks = []
@@ -287,17 +287,17 @@ def _run_stages(scn, stages):
         raise ConfigError("[clf] needs w_max for the quadcopter pipeline")
     if "simulate" in stages:
         # simulating refuses nothing, so the write pass runs it, mode by mode
-        run.simulate = lambda mode: _simulate(scn.with_mode(mode), run)
+        run.simulate = lambda mode: _simulate(scn, run, mode)
     return run
 
 
 # -- simulation assembly --------------------------------------------------------
 
 
-def _build_quadcopter_sim(scn, run):
+def _build_quadcopter_sim(scn, run, mode):
     plant = plants.QuadcopterPlant(scn.quadcopter)
     cert = run.certs["main"][0]
-    feedback = (lambda x, e: (cert.k @ e).tolist()) if scn.mode == "robust" else None
+    feedback = (lambda x, e: (cert.k @ e).tolist()) if mode == "robust" else None
     controller = plants.TrackingController(plant, scn.reference(), scn.mpc,
                                            u_lin=plant.hover_input(), feedback=feedback)
     monitors = [plants.LyapunovMonitor(name="E", p=cert.p, level=cert.level)]
@@ -305,7 +305,7 @@ def _build_quadcopter_sim(scn, run):
     return plant, controller, monitors, dist
 
 
-def _build_quadruped_sim(scn, run):
+def _build_quadruped_sim(scn, run, mode):
     plant = plants.QuadrupedPlant(scn.quadruped, delta_m=scn.delta_m,
                                   drag_force=scn.drag_force)
     certs = {axis: run.certs[axis][0] for axis in scn.hj_blocks}
@@ -313,7 +313,7 @@ def _build_quadruped_sim(scn, run):
                                        state_idx=SUB_IDX[axis])
                 for axis, cert in certs.items()]
     ancillary = None
-    if scn.mode == "robust":
+    if mode == "robust":
         # per-axis force corrections distributed torque-neutrally over the
         # current stance so the pitch loop never sees the ancillary action;
         # each entry is (wrench row, gain row, error coordinates)
@@ -350,14 +350,14 @@ def _disturbance_fn(scn, cert, model):
     return plants.ConstantDisturbance(w)
 
 
-def _simulate(scn, run):
-    """(scn, trajectory) of one run of `scn` in its own mode, monitored at
-    the levels its certificates carry."""
+def _simulate(scn, run, mode):
+    """Trajectory of one run of `scn` in `mode`, monitored at the levels
+    its certificates carry."""
     build = _build_quadcopter_sim if scn.plant_kind == "quadcopter" else _build_quadruped_sim
-    plant, controller, monitors, dist = build(scn, run)
-    return scn, plants.simulate_closed_loop(plant, controller, scn.reference(), dist,
-                                            duration=scn.duration, dt=scn.sim_dt,
-                                            monitors=monitors)
+    plant, controller, monitors, dist = build(scn, run, mode)
+    return plants.simulate_closed_loop(plant, controller, scn.reference(), dist,
+                                       duration=scn.duration, dt=scn.sim_dt,
+                                       monitors=monitors)
 
 
 # -- write passes ---------------------------------------------------------------
@@ -447,12 +447,12 @@ def _metrics(traj):
     return out
 
 
-def _plot_trajectory(path, scn, traj):
+def _plot_trajectory(path, scn, mode, traj):
     if scn.plant_kind == "quadcopter":
         series = [
             svgplot.Series("reference", traj.x_ref[:, 0], traj.x_ref[:, 1],
                            color="#888888", dash="5,4"),
-            svgplot.Series(scn.mode, traj.x[:, 0], traj.x[:, 1]),
+            svgplot.Series(mode, traj.x[:, 0], traj.x[:, 1]),
         ]
         svgplot.line_plot(path, series, title=f"{scn.name}: tracked path",
                           xlabel="lateral position [m]", ylabel="height [m]")
@@ -489,12 +489,12 @@ def _plot_band(path, scn, series):
 
 def _write_simulate(scn, run, out):
     _write_bounds(scn, run, out)
-    sub, traj = run.simulate(scn.mode)
-    csv_path = out / f"{scn.name}_{sub.mode}.csv"
+    traj = run.simulate(scn.mode)
+    csv_path = out / f"{scn.name}_{scn.mode}.csv"
     traj.to_csv(csv_path)
-    _plot_trajectory(out / f"{scn.name}_{sub.mode}_traj.svg", sub, traj)
-    _plot_band(out / f"{scn.name}_{sub.mode}_band.svg", scn, _band_series(sub.mode, traj))
-    print(f"[simulate] mode = {sub.mode}, wrote {csv_path}")
+    _plot_trajectory(out / f"{scn.name}_{scn.mode}_traj.svg", scn, scn.mode, traj)
+    _plot_band(out / f"{scn.name}_{scn.mode}_band.svg", scn, _band_series(scn.mode, traj))
+    print(f"[simulate] mode = {scn.mode}, wrote {csv_path}")
     print(fileio.metrics_block(_metrics(traj)))
 
 
@@ -504,9 +504,9 @@ def _write_reproduce(scn, run, out):
     def reproduce(mode):
         # a trajectory is written where it was simulated: only its metrics
         # block and band series come back
-        sub, traj = run.simulate(mode)
+        traj = run.simulate(mode)
         traj.to_csv(out / f"{scn.name}_{mode}.csv")
-        _plot_trajectory(out / f"{scn.name}_{mode}_traj.svg", sub, traj)
+        _plot_trajectory(out / f"{scn.name}_{mode}_traj.svg", scn, mode, traj)
         return fileio.metrics_block(_metrics(traj)), _band_series(mode, traj)
 
     bands = []
@@ -535,10 +535,16 @@ def main(argv=None):
         if args.command == "reproduce" and (args.figure is None) == (args.config is None):
             parser.error("reproduce takes exactly one of a figure id (fig3, fig4a, fig4c) "
                          "and --config")
+        if args.seed is not None and args.seed < 0:
+            parser.error(f"argument --seed: must not be negative, got {args.seed}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         scn = _load(args)
+        out = Path(args.out or scn.out_dir or "out")
+        for path in (out, *out.parents):
+            if (path.exists() or path.is_symlink()) and not path.is_dir():
+                raise ConfigError(f"output directory {out}: {path} is not a directory")
         stages, write = COMMANDS[args.command]
         run = _run_stages(scn, stages)
     except (ConfigError, fileio.FileFormatError, DimensionMismatch) as exc:
@@ -550,7 +556,6 @@ def main(argv=None):
     except (NoSafeRoa, TargetOutsideGrid) as exc:
         print(f"no safe region of attraction: {exc}", file=sys.stderr)
         return 3
-    out = Path(args.out or scn.out_dir or "out")
     out.mkdir(parents=True, exist_ok=True)
     write(scn, run, out)
     return 0

@@ -48,6 +48,13 @@ def _number(text):
     return value
 
 
+def _seed(text):
+    value = int(text)
+    if value < 0:
+        raise ValueError("must not be negative")
+    return value
+
+
 def _positive(text):
     value = _number(text)
     if not value > 0.0:
@@ -175,13 +182,6 @@ class Scenario:
             return Figure8Ref(**self.reference_args)
         return TrotRef(**self.reference_args)
 
-    def with_mode(self, mode):
-        import copy
-
-        scn = copy.copy(self)
-        scn.mode = mode
-        return scn
-
 
 _REQ = object()  # the default of a key that must be given
 _CLF_KEYS = dict(q=(_vector, _REQ), r=(_vector, _REQ), decay_rate=(_number, _REQ),
@@ -194,7 +194,7 @@ _HJ_KEYS = dict(target_half_widths=(_half_widths, _REQ), grid_half_widths=(_half
 # a `kind` entry maps each kind to the table of the other keys it reads.
 _KEYS = {
     "scenario": dict(name=(_file_stem, _REQ), plant=(_choice("quadcopter", "quadruped"), _REQ),
-                     mode=(_choice("nominal", "robust"), "robust"), seed=(int, 0),
+                     mode=(_choice("nominal", "robust"), "robust"), seed=(_seed, 0),
                      out_dir=(str, None)),
     "quadcopter": dict.fromkeys(("mass", "arm_length", "inertia_xx", "gravity"),
                                 (_positive, _REQ)),
@@ -295,7 +295,11 @@ def bundled_scenario(name):
 def load_scenario(path):
     """Parse a scenario config file into a Scenario."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    if not cp.read(str(path)):
+    try:
+        found = cp.read(str(path))
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
+    if not found:
         raise ConfigError(f"cannot read config file {path}")
     opened = set()
 

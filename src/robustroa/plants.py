@@ -21,17 +21,17 @@ only unpacks x and u.
 The simulator runs classical RK4 at a fixed dt with a zero-order-hold
 tracking controller: the nominal MPC plan, recomputed on its own slower
 period, plus one ancillary feedback(x, e) every step.  Each sample does
-only causal work, on Python floats: the reference is evaluated once and
-handed to the controller, the command is clipped and sanitized as a
-float list, and rk4_step takes and returns float lists, written out over
-the six coordinates (no zip or comprehension; the same sums in the same
-order as the vector form).  Numpy enters a step only for the feedback's
-gain products, kept as numpy dots for their rounding (the feedback hands
-back a float list), and for the MPC solve on its tick.  The loop packs
-each sample into output arrays allocated once, sized from the first
-sample.  The certificate energy E = e' P e of each monitor, and its
-invariant exits, are computed after the loop from the stored x - x_ref,
-one vectorized expression per monitor.
+only causal work, on Python floats: the reference's state(t), clamped to
+its time domain, is evaluated once and handed to the controller, the
+command is clipped and sanitized as a float list, and rk4_step takes and
+returns float lists, written out over the six coordinates (no zip or
+comprehension; the same sums in the same order as the vector form).
+Numpy enters a step only for the feedback's gain products, kept as numpy
+dots for their rounding (the feedback hands back a float list), and for
+the MPC solve on its tick.  The loop packs each sample into output arrays
+allocated once, sized from the first sample.  The certificate energy
+E = e' P e of each monitor, and its invariant exits, are computed after
+the loop from the stored x - x_ref, one vectorized expression per monitor.
 """
 
 from __future__ import annotations
@@ -49,16 +49,8 @@ from .hj_reach import AffineDynamics2
 from .mpc import Model, MpcConfig, mpc_step
 
 
-class ContactViolation(Exception):
-    """A stance foot was asked to pull on the ground (negative normal force)."""
-
-
 class NonFinite(Exception):
     """Integration produced NaN or infinity."""
-
-
-class OutOfRange(ValueError):
-    """Reference queried outside its time domain."""
 
 
 # -- quadcopter ---------------------------------------------------------------
@@ -128,36 +120,15 @@ class Figure8Ref:
     amp_y: float = 0.5
     amp_z: float = 0.5
 
-    def warp(self, t):
-        """(tau, taudot, tauddot) at time t; raises OutOfRange off [0, t_end]."""
-        if t < -1e-9 or t > self.t_end + 1e-9:
-            raise OutOfRange(f"t = {t} outside [0, {self.t_end}]")
-        s = min(max(t / self.t_end, 0.0), 1.0)
+    def state(self, t):
+        """Six-state reference [y, z, 0, ydot, zdot, 0] at t clamped to
+        [0, t_end]: at rest before the start and after the end."""
+        s = min(max(t, 0.0), self.t_end) / self.t_end
         tau = self.t_end * (10 * s**3 - 15 * s**4 + 6 * s**5)
         taudot = 30 * s**2 - 60 * s**3 + 30 * s**4
-        tauddot = (60 * s - 180 * s**2 + 120 * s**3) / self.t_end
-        return tau, taudot, tauddot
-
-    def point(self, t):
-        """Positions, velocities, accelerations: ((y, z), (yd, zd), (ydd, zdd))."""
-        tau, td, tdd = self.warp(t)
-        s1, c1 = math.sin(tau), math.cos(tau)
-        s2, c2 = math.sin(2 * tau), math.cos(2 * tau)
-        y = self.amp_y * s2
-        z = self.amp_z * c1
-        yd = 2 * self.amp_y * c2 * td
-        zd = -self.amp_z * s1 * td
-        ydd = -4 * self.amp_y * s2 * td**2 + 2 * self.amp_y * c2 * tdd
-        zdd = -self.amp_z * c1 * td**2 - self.amp_z * s1 * tdd
-        return (y, z), (yd, zd), (ydd, zdd)
-
-    def state(self, t):
-        """Six-state reference [y, z, 0, ydot, zdot, 0]."""
-        (y, z), (yd, zd), _ = self.point(t)
-        return np.array([y, z, 0.0, yd, zd, 0.0])
-
-    def clamped_state(self, t):
-        return self.state(min(max(t, 0.0), self.t_end))
+        return np.array([self.amp_y * math.sin(2 * tau), self.amp_z * math.cos(tau), 0.0,
+                         2 * self.amp_y * math.cos(2 * tau) * taudot,
+                         -self.amp_z * math.sin(tau) * taudot, 0.0])
 
 
 # -- quadruped stand-in -------------------------------------------------------
@@ -192,8 +163,8 @@ def quadruped_dynamics(stance: StanceState, p: QuadrupedParams, delta_m=0.0, dra
     u = [fx_front, fx_rear, fz_front, fz_rear]; w is ignored (the plant
     has no disturbance channel).  The true mass is p.mass + delta_m (the
     controller plans with p.mass); drag_force is a constant resistive
-    force on the COM along -y (pushing a load).  f raises ContactViolation
-    when a commanded normal force is negative.
+    force on the COM along -y (pushing a load).  The plant's sanitize keeps
+    the normal forces nonnegative before they reach f.
     """
     m_true = p.mass + delta_m
     grav, inertia = p.gravity, p.inertia_xx
@@ -203,9 +174,6 @@ def quadruped_dynamics(stance: StanceState, p: QuadrupedParams, delta_m=0.0, dra
     def f(x, u, w=None):
         y, z, _, ydot, zdot, phidot = x
         fx_f, fx_r, fz_f, fz_r = u
-        if fz_f < -1e-9 or fz_r < -1e-9:
-            raise ContactViolation(f"negative normal force: fz_front={fz_f:.3f}, "
-                                   f"fz_rear={fz_r:.3f}")
         # moment arm r = com - foot, torque r x f = r_y f_z - r_z f_y per foot
         r_front_y, r_front_z = y - front_y, z - front_z
         r_rear_y, r_rear_z = y - rear_y, z - rear_z
@@ -474,18 +442,16 @@ class QuadrupedPlant:
 
 @dataclass
 class TrotRef:
-    """Constant height and forward speed: [y0 + v t, z_ref, 0, v, 0, 0]."""
+    """Constant height and forward speed: [y0 + v t, z_ref, 0, v, 0, 0],
+    with t clamped at 0."""
 
     y0: float = 0.0
     z_ref: float = 0.32
     v_ref: float = 0.45
-    t_end: float = math.inf
 
     def state(self, t):
-        return np.array([self.y0 + self.v_ref * t, self.z_ref, 0.0, self.v_ref, 0.0, 0.0])
-
-    def clamped_state(self, t):
-        return self.state(max(t, 0.0))
+        return np.array([self.y0 + self.v_ref * max(t, 0.0), self.z_ref, 0.0, self.v_ref,
+                         0.0, 0.0])
 
 
 # -- disturbance policies -----------------------------------------------------
@@ -536,7 +502,7 @@ class TrackingController:
     """MPC feedforward on a slow tick + ancillary feedback every call.
 
     plant      : provides nominal_f() for the controller's model
-    reference  : object with clamped_state(t), queried for the MPC horizon
+    reference  : object with state(t), clamped, queried for the MPC horizon
     cfg        : MpcConfig (its dt is the MPC period)
     u_lin      : linearization input (m,) for every MPC stage
     feedback   : ancillary term feedback(x, e) -> full-length control
@@ -545,7 +511,7 @@ class TrackingController:
 
     control(t, x, x_ref) takes the state as a sequence of floats and the
     reference at t as an array, the caller's one evaluation of
-    reference.clamped_state(t); a tick asks the reference only for the
+    reference.state(t); a tick asks the reference only for the
     horizon rows after it and applies row 0 of the plan.  The tracking
     error e handed to feedback is an array.  The command comes back as a
     list of Python floats clipped to cfg.u_lo / cfg.u_hi (read at
@@ -573,7 +539,7 @@ class TrackingController:
 
     def control(self, t, x, x_ref):
         if t >= self._next_tick - 1e-12:
-            refs = np.stack([x_ref] + [self.reference.clamped_state(t + i * self.cfg.dt)
+            refs = np.stack([x_ref] + [self.reference.state(t + i * self.cfg.dt)
                                        for i in range(1, self.cfg.horizon + 1)])
             plan = mpc_step(self.plant.nominal_f(), x, refs, self.cfg, self.u_lin)
             self._u_bar = plan[0].tolist()
@@ -676,7 +642,7 @@ def simulate_closed_loop(plant, controller, reference, disturbance, duration, dt
                          monitors=(), x0=None, blowup=1e4):
     """Fixed-step RK4 closed loop; returns a Trajectory.
 
-    Each sample evaluates reference.clamped_state(t) once and passes it to
+    Each sample evaluates reference.state(t) once and passes it to
     controller.control(t, x, x_ref); the state between steps is a list of
     Python floats.  disturbance: callable t -> w vector, or None.
     Integration stops early (diverged=True) if a state entry passes blowup
@@ -694,7 +660,7 @@ def simulate_closed_loop(plant, controller, reference, disturbance, duration, dt
     diverged = False
     for i in range(n_steps + 1):
         t = i * dt
-        x_ref = reference.clamped_state(t)
+        x_ref = reference.state(t)
         if x is None:
             x = x_ref.tolist()
         plant.advance(t, x)

@@ -3,19 +3,21 @@
 A synthesized certificate gives, for each disturbance bound w, the
 invariant ellipsoid {e : e' P e <= c(w)} with c(w) = mu w^2 / lambda.
 The safe set comes from reachability as {V <= 0} & {l <= 0} on a grid.
-This module answers: what is the largest w whose ellipsoid still fits
-inside the safe set?  The answer is in closed form.
+A stay solve clips every step with max(., l), so V >= l at every node and
+{V <= 0} is that set by itself: this module reads V alone, and V >= l is
+its callers' precondition.  It answers: what is the largest w whose
+ellipsoid still fits inside the safe set?  The answer is in closed form.
 
-Containment requires V and l to clear a guard margin delta, which absorbs
-the error of reading V between nodes: at each node, half a grid cell
-diagonal times the steepest slope of V on the cells around it, a local
-bound on how far V can stray from its bilinear interpolant.  Between
-nodes, w = max(V, l) + delta is read
-through the concave envelope of its bilinear interpolant on each cell:
-the piecewise-linear interpolant on whichever diagonal makes it concave,
-which lies on or above the bilinear one.  A point is unsafe where that
-envelope is positive, and everything beyond the grid border is unsafe.
-The ellipsoid fits exactly when its level stays below
+Containment requires V to clear a guard margin delta, which absorbs the
+error of reading V between nodes: at each node, half a grid cell diagonal
+times the steepest slope of V on the cells around it, a local bound on
+how far V can stray from its bilinear interpolant.  Between nodes,
+w = V + delta is read through the concave envelope of its bilinear
+interpolant on each cell: the piecewise-linear interpolant on whichever
+diagonal makes it concave, which lies on or above the bilinear one.  A
+point is unsafe where that envelope is positive, and everything beyond
+the grid border is unsafe.  The ellipsoid fits exactly when its level
+stays below
 
     c* = least e' P e over the unsafe part of the grid,
 
@@ -40,7 +42,7 @@ import numpy as np
 
 from . import matrixkit as mk
 from .clf_synth import ClfCertificate
-from .hj_reach import Grid2, TargetSet, ValueGrid
+from .hj_reach import Grid2, ValueGrid
 
 
 class NoSafeRoa(Exception):
@@ -97,12 +99,10 @@ def containment_guard(vg: ValueGrid):
     return slope
 
 
-def _node_gap(vg: ValueGrid, target: TargetSet, delta):
-    """w = max(V, l) + delta at every node (delta per node or one value for
-    all), +inf where V, l or delta is NaN: a node is unsafe where w > 0.
-    l is the target sampled on the value grid."""
-    x1g, x2g = vg.grid.mesh()
-    w = np.maximum(vg.v, np.asarray(target.l(x1g, x2g), dtype=float)) + delta
+def _node_gap(vg: ValueGrid, delta):
+    """w = V + delta at every node (delta per node or one value for all),
+    +inf where V or delta is NaN: a node is unsafe where w > 0."""
+    w = vg.v + delta
     w[np.isnan(w)] = np.inf
     return w
 
@@ -202,12 +202,12 @@ def _unsafe_level(p, center, grid: Grid2, w):
     return max(float(_segment_min(p11, p12, p22, ax, ay, bx, by).min()), 0.0)
 
 
-def ellipsoid_contained(ell: Ellipsoid2, vg: ValueGrid, target: TargetSet, guard=None):
+def ellipsoid_contained(ell: Ellipsoid2, vg: ValueGrid, guard=None):
     """True when the ellipsoid meets no unsafe part of the grid and stays
     inside it: its level lies below c*.  guard overrides the automatic
     delta, with one value for every node or one per node."""
     delta = containment_guard(vg) if guard is None else guard
-    w = _node_gap(vg, target, delta)
+    w = _node_gap(vg, delta)
     return ell.level < _unsafe_level(ell.p, ell.center, vg.grid, w)
 
 
@@ -217,8 +217,8 @@ def _round_down(w):
     return math.ldexp(math.floor(m * 2.0 ** 20), e - 20)
 
 
-def find_wmax(cert: ClfCertificate, vg: ValueGrid, target: TargetSet, center=(0.0, 0.0)):
-    """Largest disturbance bound whose invariant ellipsoid fits the safe set.
+def find_wmax(cert: ClfCertificate, vg: ValueGrid):
+    """Largest disturbance bound whose origin-centered ellipsoid fits {V <= 0}.
 
     w_max is sqrt(lambda c* / mu) rounded down: shaved by 2^-30 of itself,
     which covers the roundoff of c* (a few ulps), then truncated to a 20-bit
@@ -227,17 +227,14 @@ def find_wmax(cert: ClfCertificate, vg: ValueGrid, target: TargetSet, center=(0.
     time integrator; the horizon once the set is final); differences far
     below the step move w_max only where they straddle one.  The level it
     certifies is then confirmed to lie below c*.  Raises NoSafeRoa
-    when the center lies in the unsafe part or off the grid.
+    when the origin lies in the unsafe part or off the grid.
 
     On success the certificate's w_max / level fields are set.
     """
-    center = np.asarray(center, dtype=float).ravel()
-    if center.shape != (2,):
-        raise ValueError("center must have two entries")
-    c_star = _unsafe_level(cert.p, center, vg.grid,
-                           _node_gap(vg, target, containment_guard(vg)))
+    c_star = _unsafe_level(cert.p, (0.0, 0.0), vg.grid,
+                           _node_gap(vg, containment_guard(vg)))
     if not c_star > 0.0:
-        raise NoSafeRoa("the center lies in the unsafe part: no ellipsoid fits the safe set")
+        raise NoSafeRoa("the origin lies in the unsafe part: no ellipsoid fits the safe set")
     params = cert.params
     w = _round_down(math.sqrt(params.decay_rate * c_star / params.dist_weight))
     cert.set_disturbance_bound(w)

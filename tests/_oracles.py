@@ -19,7 +19,7 @@ import numpy as np
 from robustroa import matrixkit as mk
 from robustroa import plants
 from robustroa.harness.fileio import FileFormatError
-from robustroa.hj_reach import Grid2, ValueGrid
+from robustroa.hj_reach import MAX_CONVERGE_TIME, Grid2, ValueGrid
 from robustroa.mpc import Model, mpc_step
 
 # The closed-form viability kernel of the quadruped error axes lives with the
@@ -399,11 +399,11 @@ def upwind_update(v, slopes, h):
     return v + h * (flux[0] + flux[1])
 
 
-def solve_brs(grid, target, dyn, horizon, freeze="reach", max_converge_time=10.0):
+def solve_brs(grid, target, dyn, horizon, freeze="reach"):
     """(V, info) of a backward solve; arguments as hj_reach.solve_brs.  No
     argument checks, and the dynamics must not be static."""
     converge = horizon == "converge"
-    t_stop = -float(max_converge_time) if converge else float(horizon)
+    t_stop = -MAX_CONVERGE_TIME if converge else float(horizon)
     x1g, x2g = grid.mesh()
     l = np.asarray(target.l(x1g, x2g), dtype=float)
     slopes, (s1, s2) = upwind_slopes(grid, dyn)
@@ -636,9 +636,6 @@ def _cross2(r, f):
 def quadruped_f(x, u, stance, p, delta_m=0.0, drag_force=0.0):
     x = np.asarray(x, dtype=float).ravel()
     u = np.asarray(u, dtype=float).ravel()
-    if u[2] < -1e-9 or u[3] < -1e-9:
-        raise plants.ContactViolation(
-            f"negative normal force: fz_front={u[2]:.3f}, fz_rear={u[3]:.3f}")
     m_true = p.mass + delta_m
     f_front = np.array([u[0], u[2]])
     f_rear = np.array([u[1], u[3]])
@@ -688,14 +685,14 @@ def rk4_step(f, x, u, w, dt):
 def control(ctrl, t, x):
     """TrackingController.control of `ctrl`, which updates its state."""
     if t >= ctrl._next_tick - 1e-12:
-        refs = np.stack([ctrl.reference.clamped_state(t + i * ctrl.cfg.dt)
+        refs = np.stack([ctrl.reference.state(t + i * ctrl.cfg.dt)
                          for i in range(ctrl.cfg.horizon + 1)])
         ctrl._u_bar = mpc_step(nominal_f(ctrl.plant), x, refs, ctrl.cfg, ctrl.u_lin)[0]
         ctrl._next_tick = t + ctrl.cfg.dt
         ctrl.mpc_calls += 1
     u = ctrl._u_bar.copy()
     if ctrl.feedback is not None:
-        e = np.asarray(x, dtype=float) - ctrl.reference.clamped_state(t)
+        e = np.asarray(x, dtype=float) - ctrl.reference.state(t)
         u = u + np.asarray(ctrl.feedback(x, e), dtype=float)
     if ctrl.cfg.u_lo is not None:
         u = np.maximum(u, ctrl.cfg.u_lo)
@@ -742,7 +739,7 @@ def simulate_closed_loop(plant, controller, reference, disturbance, duration, dt
     """plants.simulate_closed_loop with one list append per sample."""
     monitors = list(monitors)
     n_steps = int(round(duration / dt))
-    x = (reference.clamped_state(0.0) if x0 is None else np.asarray(x0, dtype=float)).copy()
+    x = (reference.state(0.0) if x0 is None else np.asarray(x0, dtype=float)).copy()
     nw = max(getattr(plant, "n_dist", 0), 1)
     ts, xs, xrefs, us, ws, energies = [], [], [], [], [], []
     clamp_events = 0
@@ -750,7 +747,7 @@ def simulate_closed_loop(plant, controller, reference, disturbance, duration, dt
     for i in range(n_steps + 1):
         t = i * dt
         plant.advance(t, x)
-        x_ref = reference.clamped_state(t)
+        x_ref = reference.state(t)
         u_cmd = control(controller, t, x)
         u, clamps = plant.sanitize(u_cmd)
         clamp_events += clamps

@@ -177,7 +177,7 @@ def test_criterion_5_wmax_bisection():
     cert = ClfCertificate(k=np.zeros((1, 2)), p=np.eye(2),
                           params=ClfParams(q=[1.0, 1.0], r=[1.0],
                                            decay_rate=1.0, dist_weight=1.0))
-    res = find_wmax(cert, vg, target)
+    res = find_wmax(cert, vg)
     cell = max(grid.dx)
     assert abs(res.w_max - radius) <= 1e-3 + cell
 
@@ -189,7 +189,7 @@ def test_criterion_5_wmax_bisection():
         qmat = a @ a.T + 0.3 * np.eye(2)
         quad = (qmat[0, 0] * x1g ** 2 + (qmat[0, 1] + qmat[1, 0]) * x1g * x2g
                 + qmat[1, 1] * x2g ** 2)
-        rand_vg = ValueGrid(grid, quad - 1.0)
+        rand_vg = ValueGrid(grid, np.maximum(quad - 1.0, target.l(x1g, x2g)))
         p_raw = rng.standard_normal((2, 2))
         rand_cert = ClfCertificate(
             k=np.zeros((1, 2)), p=p_raw @ p_raw.T + 0.5 * np.eye(2),
@@ -202,7 +202,7 @@ def test_criterion_5_wmax_bisection():
             ell = Ellipsoid2(p=rand_cert.p, center=(0.0, 0.0),
                              level=roa_level(rand_cert.params, w))
             try:
-                flags.append(ellipsoid_contained(ell, rand_vg, target, guard=guard))
+                flags.append(ellipsoid_contained(ell, rand_vg, guard=guard))
             except Exception:
                 flags.append(False)
         if not any(b and not a_ for a_, b in zip(flags[:-1], flags[1:])):
@@ -224,7 +224,7 @@ def test_criterion_5_wmax_bisection():
         block = dataclasses.replace(scn.hj_blocks["z"], u_hi=240.0, delta_m=(dm, dm))
         z_grid, z_target, dyn = block.problem(params)
         z_vg = solve_brs(z_grid, z_target, dyn, -2.0, freeze="stay")
-        bounds[dm] = find_wmax(z_cert, z_vg, z_target).w_max
+        bounds[dm] = find_wmax(z_cert, z_vg).w_max
         exact[dm] = orc.kernel.exact_wmax("z", z_cert, block, params)
         assert bounds[dm] <= exact[dm]
     assert bounds[0.0] >= bounds[5.0]

@@ -16,6 +16,7 @@ import os
 import re
 import shutil
 import subprocess
+import sys
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -172,14 +173,6 @@ def test_removed_hj_keys_raise(tmp_path):
         path = mini_cfg(tmp_path, fname=f"{key}.cfg", hj_y={key: value})
         with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[hj_y\\]"):
             load_scenario(path)
-
-
-def test_with_mode_copies():
-    scn = bundled_scenario("quadruped_height.cfg")
-    nom = scn.with_mode("nominal")
-    assert nom.mode == "nominal"
-    assert scn.mode == "robust"
-    assert nom.name == scn.name
 
 
 def test_missing_file_raises(tmp_path):
@@ -576,6 +569,65 @@ def test_cli_config_errors_exit_4(tmp_path, capsys):
     path = mini_cfg(tmp_path, drop=("mpc",))
     assert cli.main(["synth", "--config", str(path)]) == 4
     capsys.readouterr()
+
+
+def malformed_ini(text):
+    """The four ways a file can fail to parse as INI at all, each applied
+    to a config's text, as bytes."""
+    return {
+        "no-section-header": ("n = 41\n" + text).encode(),
+        "duplicate-section": (text + "\n[hj_y]\nn = 41\n").encode(),
+        "duplicate-key": text.replace("[hj_y]\n", "[hj_y]\nn = 41\n").encode(),
+        "utf16-bom": b"\xff\xfe" + text.encode(),
+    }
+
+
+@pytest.mark.parametrize("kind", ["no-section-header", "duplicate-section", "duplicate-key",
+                                  "utf16-bom"])
+def test_cli_malformed_ini_exit_4(tmp_path, capsys, kind):
+    path = mini_cfg(tmp_path)
+    path.write_bytes(malformed_ini(path.read_text())[kind])
+    with pytest.raises(ConfigError, match="malformed config file"):
+        load_scenario(path)
+    assert cli.main(["wmax", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_negative_seed_exit_4(tmp_path, capsys):
+    # a random push draws from the seed, and numpy refuses a negative one:
+    # the key and the flag are refused before anything runs or is written
+    noisy = {**MINI_QUADCOPTER, "disturbance": {"kind": "random", "w_max": 3.5}}
+    out = tmp_path / "o"
+    keyed = mini_cfg(tmp_path, fname="keyed.cfg", base=noisy, scenario={"seed": -3})
+    assert cli.main(["simulate", "--config", str(keyed), "--out", str(out)]) == 4
+    assert "'seed'" in capsys.readouterr().err
+    flagged = mini_cfg(tmp_path, fname="flagged.cfg", base=noisy)
+    assert cli.main(["simulate", "--config", str(flagged), "--seed", "-1",
+                     "--out", str(out)]) == 4
+    assert "--seed: must not be negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_out_naming_a_file_exit_4(tmp_path, capsys, monkeypatch):
+    # an output path that is a file, lies under one or is a dangling
+    # symlink is refused before any stage runs, whether --out or
+    # [scenario] out_dir names it
+    synthesized = []
+    monkeypatch.setattr(cli, "synthesize", lambda *a: synthesized.append(a))
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    dangling = tmp_path / "dangling"
+    dangling.symlink_to(tmp_path / "nowhere")
+    cfg = mini_cfg(tmp_path, base=MINI_QUADCOPTER)
+    for out in (taken, taken / "sub", dangling):
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(out)]) == 4
+        assert "is not a directory" in capsys.readouterr().err
+    for out_dir in (taken, taken / "sub"):
+        keyed = mini_cfg(tmp_path, base=MINI_QUADCOPTER, scenario={"out_dir": out_dir})
+        assert cli.main(["synth", "--config", str(keyed)]) == 4
+    assert synthesized == []
+    assert taken.read_text() == "keep"
 
 
 @pytest.mark.parametrize("command, edits", [
@@ -1174,6 +1226,28 @@ def test_fan_out_runs_here_from_a_failed_fork_on(monkeypatch, fails):
 def test_fan_out_without_fork_runs_in_process(monkeypatch):
     monkeypatch.delattr(os, "fork")
     assert cli._fan_out(lambda i: os.getpid(), range(3)) == [os.getpid()] * 3
+
+
+def test_module_entry_point_passes_exit_codes(tmp_path):
+    # `python -m robustroa.harness.cli` runs sys.exit(main()): the codes
+    # main returns reach the shell
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    cfg = mini_cfg(tmp_path)
+    out = tmp_path / "o"
+    proc = subprocess.run([sys.executable, "-m", "robustroa.harness.cli", "synth",
+                           "--config", str(cfg), "--out", str(out)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "mini_certificate_y.txt").exists()
+    assert (out / "mini_certificate_z.txt").exists()
+    bad = mini_cfg(tmp_path, fname="bad.cfg")
+    bad.write_bytes(malformed_ini(bad.read_text())["no-section-header"])
+    proc = subprocess.run([sys.executable, "-m", "robustroa.harness.cli", "synth",
+                           "--config", str(bad), "--out", str(tmp_path / "bad")],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 4, proc.stderr
+    assert "config error" in proc.stderr
+    assert not (tmp_path / "bad").exists()
 
 
 def test_console_script_synth(tmp_path):

@@ -64,42 +64,29 @@ def test_quadcopter_linearization_matches_fd():
 
 def test_figure8_rest_to_rest():
     ref = plants.Figure8Ref()
-    (y0, z0), (yd0, zd0), (ydd0, zdd0) = ref.point(0.0)
-    assert (y0, z0) == (0.0, 0.5)
-    assert max(abs(yd0), abs(zd0), abs(ydd0), abs(zdd0)) < 1e-12
-    (y1, z1), (yd1, zd1), (ydd1, zdd1) = ref.point(5.0)
-    assert abs(y1 - 0.5 * math.sin(10.0)) < 1e-12
-    assert abs(z1 - 0.5 * math.cos(5.0)) < 1e-12
-    assert max(abs(yd1), abs(zd1), abs(ydd1), abs(zdd1)) < 1e-12
-    with pytest.raises(plants.OutOfRange):
-        ref.point(-0.2)
-    with pytest.raises(plants.OutOfRange):
-        ref.point(5.2)
-    assert np.allclose(ref.clamped_state(7.0), ref.state(5.0))
+    start, end = ref.state(0.0), ref.state(5.0)
+    assert start.tolist() == [0.0, 0.5, 0.0, 0.0, 0.0, 0.0]
+    assert abs(end[0] - 0.5 * math.sin(10.0)) < 1e-12
+    assert abs(end[1] - 0.5 * math.cos(5.0)) < 1e-12
+    assert max(abs(end[3]), abs(end[4])) < 1e-12
+    # the acceleration at each end, by central differences of the velocities
+    # (the clamp holds the state outside [0, t_end], so those are one-sided)
+    h = 1e-6
+    for t in (0.0, 5.0):
+        acc = (ref.state(t + h)[3:5] - ref.state(t - h)[3:5]) / (2 * h)
+        assert np.max(np.abs(acc)) < 1e-5
+    # at rest outside [0, t_end]
+    assert np.array_equal(ref.state(-0.2), start)
+    assert np.array_equal(ref.state(7.0), end)
 
 
 def test_figure8_derivative_consistency():
+    # the velocities are the central differences of the positions
     ref = plants.Figure8Ref()
     h = 1e-5
     for t in np.linspace(0.2, 4.8, 17):
-        (yp, zp), _, _ = ref.point(t + h)
-        (ym, zm), _, _ = ref.point(t - h)
-        _, (yd, zd), (ydd, zdd) = ref.point(t)
-        assert abs((yp - ym) / (2 * h) - yd) < 1e-6
-        assert abs((zp - zm) / (2 * h) - zd) < 1e-6
-        _, (ydp, zdp), _ = ref.point(t + h)
-        _, (ydm, zdm), _ = ref.point(t - h)
-        assert abs((ydp - ydm) / (2 * h) - ydd) < 1e-5
-        assert abs((zdp - zdm) / (2 * h) - zdd) < 1e-5
-
-
-def test_figure8_warp_monotone():
-    ref = plants.Figure8Ref()
-    ts = np.linspace(0.0, 5.0, 101)
-    taus = np.array([ref.warp(t)[0] for t in ts])
-    assert taus[0] == 0.0 and abs(taus[-1] - 5.0) < 1e-12
-    assert np.all(np.diff(taus) >= -1e-15)
-    assert all(ref.warp(t)[1] >= -1e-15 for t in ts)
+        diff = (ref.state(t + h)[:2] - ref.state(t - h)[:2]) / (2 * h)
+        assert np.max(np.abs(diff - ref.state(t)[3:5])) < 1e-6
 
 
 # -- quadruped -----------------------------------------------------------------
@@ -181,14 +168,6 @@ def test_model_jacobians_match_central_differences():
             assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want)), name
         f0 = np.asarray(model.f(x0.tolist(), u0.tolist()))
         assert np.max(np.abs(a @ x0 + b @ u0 + g0 - f0)) <= 1e-14 * np.max(np.abs(f0) + 1.0), name
-
-
-def test_negative_normal_force_rejected():
-    p = plants.QuadrupedParams()
-    plant = plants.QuadrupedPlant(p)
-    x = np.array([0.0, p.z_ref, 0.0, 0.0, 0.0, 0.0])
-    with pytest.raises(plants.ContactViolation):
-        plant.f(x, [0.0, 0.0, -1.0, 10.0], None)
 
 
 def test_sanitize_projects_into_friction_cone():
@@ -276,7 +255,7 @@ def test_stance_allocation_matches_pinv():
 
 
 class _Origin6Ref:
-    def clamped_state(self, t):
+    def state(self, t):
         return np.zeros(6)
 
 
@@ -299,8 +278,8 @@ def test_tracking_controller_callable_gain():
     x = np.zeros(6)
     base = plants.TrackingController(plant, ref, cfg,
                                      u_lin=plant.hover_input())
-    u_plain = base.control(0.0, x.copy(), ref.clamped_state(0.0))
-    u_aug = ctl.control(0.0, x.copy(), ref.clamped_state(0.0))
+    u_plain = base.control(0.0, x.copy(), ref.state(0.0))
+    u_aug = ctl.control(0.0, x.copy(), ref.state(0.0))
     assert seen == [([0.0] * 6, [0.0] * 6)]
     assert np.allclose(np.subtract(u_aug, u_plain), [0.25, 0.0])
 
@@ -329,7 +308,7 @@ def test_subsystem_error_dynamics_endpoints():
 def test_trot_reference():
     ref = plants.TrotRef(y0=0.2, z_ref=0.32, v_ref=0.45)
     assert np.allclose(ref.state(2.0), [0.2 + 0.9, 0.32, 0.0, 0.45, 0.0, 0.0])
-    assert np.allclose(ref.clamped_state(-1.0), ref.state(0.0))
+    assert np.array_equal(ref.state(-1.0), ref.state(0.0))
 
 
 # -- integrator and helpers ----------------------------------------------------
@@ -408,7 +387,7 @@ def test_disturbance_policies():
 # -- closed loop ---------------------------------------------------------------
 
 class _HoverRef:
-    def clamped_state(self, t):
+    def state(self, t):
         return np.zeros(6)
 
 
@@ -471,7 +450,7 @@ class _ZeroCtrl:
 
 
 class _OriginRef:
-    def clamped_state(self, t):
+    def state(self, t):
         return np.zeros(6)
 
 
@@ -484,7 +463,7 @@ class _FixedRef:
     def __init__(self, x):
         self.x = x
 
-    def clamped_state(self, t):
+    def state(self, t):
         return self.x
 
 
@@ -602,13 +581,11 @@ def closed_loop(certified, plant, mode, duration=2.0, **edits):
     """Fresh (args, kwargs) of simulate_closed_loop for a bundled scenario,
     its fields replaced by `edits`."""
     scn, run = certified[plant]
-    scn = scn.with_mode(mode)
-    for key, value in edits.items():
-        setattr(scn, key, value)
+    scn = dataclasses.replace(scn, **edits)
     if plant == "quadcopter":
-        sim, controller, monitors, dist = cli._build_quadcopter_sim(scn, run)
+        sim, controller, monitors, dist = cli._build_quadcopter_sim(scn, run, mode)
     else:
-        sim, controller, monitors, dist = cli._build_quadruped_sim(scn, run)
+        sim, controller, monitors, dist = cli._build_quadruped_sim(scn, run, mode)
     return ((sim, controller, scn.reference(), dist),
             {"duration": duration, "dt": scn.sim_dt, "monitors": monitors})
 
@@ -750,9 +727,9 @@ def test_reference_evaluated_once_per_sample(certified):
     times = []
 
     class Counting:
-        def clamped_state(self, t):
+        def state(self, t):
             times.append(t)
-            return reference.clamped_state(t)
+            return reference.state(t)
 
     controller.reference = Counting()
     traj = plants.simulate_closed_loop(plant, controller, controller.reference, dist, **kwargs)

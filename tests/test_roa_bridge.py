@@ -14,11 +14,13 @@ from robustroa import roa_bridge as rb
 from robustroa.clf_synth import ClfCertificate, ClfParams, synthesize
 from robustroa.harness import cli, fileio
 from robustroa.harness.scenarios import bundled_scenario, load_scenario
-from robustroa.hj_reach import Grid2, TargetSet, ValueGrid, solve_brs
+from robustroa.hj_reach import Grid2, TargetSet, ValueGrid, signed_target, solve_brs
 
 
 def circle_value_grid(radius, extent=2.0, n=101):
-    """Signed-distance value function of a disc safe set."""
+    """Signed-distance value function of a disc safe set.  For a radius
+    below 1.9 it lies above the l of the box |x1|, |x2| <= 1.9, as a stay
+    solve's V lies above its target's l."""
     grid = Grid2((-extent, -extent), (extent, extent), (n, n))
     x1g, x2g = grid.mesh()
     return ValueGrid(grid, np.hypot(x1g, x2g) - radius)
@@ -71,31 +73,30 @@ def test_containment_guard_is_local():
 
 def test_tiny_ellipsoid_deep_inside_is_contained():
     vg = circle_value_grid(1.5)
-    target = TargetSet.box((0.0, 0.0), (1.8, 1.8))
     ell = rb.Ellipsoid2(p=np.eye(2), center=(0.0, 0.0), level=1e-6)
-    assert rb.ellipsoid_contained(ell, vg, target)
+    assert rb.ellipsoid_contained(ell, vg)
 
 
 def test_ellipsoid_outside_target_is_rejected():
-    # V clears everywhere but l does not: center sits outside the target box
+    # a flat V = -1 clipped at the target, as a stay solve clips it: the
+    # center sits outside the target box
     grid = Grid2((-2.0, -2.0), (2.0, 2.0), (41, 41))
-    vg = ValueGrid(grid, np.full(grid.shape, -1.0))
     target = TargetSet.box((0.0, 0.0), (1.0, 1.0))
+    vg = ValueGrid(grid, np.maximum(-1.0, target.l(*grid.mesh())))
     ell = rb.Ellipsoid2(p=np.eye(2), center=(1.5, 0.0), level=1e-4)
-    assert not rb.ellipsoid_contained(ell, vg, target)
+    assert not rb.ellipsoid_contained(ell, vg)
 
 
 def test_ellipsoid_leaving_grid_is_rejected():
-    # beyond the border counts as unsafe, even where V and l clear
+    # beyond the border counts as unsafe, even where V clears
     grid = Grid2((-2.0, -2.0), (2.0, 2.0), (41, 41))
     vg = ValueGrid(grid, np.full(grid.shape, -1.0))
-    target = TargetSet.box((0.0, 0.0), (10.0, 10.0))
     p = np.diag([1.0, 4.0])  # x1 reaches the border at level 4, x2 at 16
     for level, inside in ((3.9, True), (4.0, False), (25.0, False)):
         ell = rb.Ellipsoid2(p=p, center=(0.0, 0.0), level=level)
-        assert rb.ellipsoid_contained(ell, vg, target, guard=0.0) is inside
+        assert rb.ellipsoid_contained(ell, vg, guard=0.0) is inside
     off = rb.Ellipsoid2(p=p, center=(2.5, 0.0), level=1e-6)
-    assert not rb.ellipsoid_contained(off, vg, target, guard=0.0)
+    assert not rb.ellipsoid_contained(off, vg, guard=0.0)
 
 
 def test_tangency_level_matches_analytic_value():
@@ -110,7 +111,7 @@ def test_tangency_level_matches_analytic_value():
 
     def contained(level):
         ell = rb.Ellipsoid2(p=p, center=(0.0, 0.0), level=level)
-        return rb.ellipsoid_contained(ell, vg, box, guard=0.0)
+        return rb.ellipsoid_contained(ell, vg, guard=0.0)
 
     lo, hi = 0.1, 3.0
     assert contained(lo) and not contained(hi)
@@ -132,9 +133,8 @@ def test_circle_in_circle_recovers_radius():
     # to the guard (about half a cell) and the rounding
     radius = 1.3
     vg = circle_value_grid(radius)
-    target = TargetSet.box((0.0, 0.0), (1.9, 1.9))
     cert = unit_certificate()
-    res = rb.find_wmax(cert, vg, target)
+    res = rb.find_wmax(cert, vg)
     cell = max(vg.grid.dx)
     assert abs(res.w_max - radius) <= 1e-3 + cell
     assert res.w_max < radius  # conservative by construction
@@ -148,30 +148,12 @@ def test_circle_in_circle_recovers_radius():
     assert abs(res.level - cert.level) < 1e-12
 
 
-def test_find_wmax_samples_target_once():
-    # c* reads one l grid: the target is sampled once per call
-    calls = []
-
-    class CountingBox(TargetSet):
-        def l(self, x1, x2):
-            calls.append(np.shape(x1))
-            return super().l(x1, x2)
-
-    box = TargetSet.box((0.0, 0.0), (1.9, 1.9))
-    target = CountingBox(center=box.center, half_widths=box.half_widths)
-    vg = circle_value_grid(1.3)
-    res = rb.find_wmax(unit_certificate(), vg, target)
-    assert calls == [vg.grid.shape]
-    assert res.w_max == rb.find_wmax(unit_certificate(), vg, box).w_max
-
-
 def test_find_wmax_scales_with_parameters():
     # c = mu w^2 / lambda: quadrupling mu/lambda halves the certified w
     radius = 1.2
     vg = circle_value_grid(radius)
-    target = TargetSet.box((0.0, 0.0), (1.9, 1.9))
-    base = rb.find_wmax(unit_certificate(), vg, target)
-    scaled = rb.find_wmax(unit_certificate(dist_weight=4.0), vg, target)
+    base = rb.find_wmax(unit_certificate(), vg)
+    scaled = rb.find_wmax(unit_certificate(dist_weight=4.0), vg)
     assert abs(scaled.w_max - 0.5 * base.w_max) < 5e-4
 
 
@@ -184,7 +166,8 @@ def test_containment_monotone_in_w_on_random_safe_sets():
     for _ in range(20):
         a = rng.standard_normal((2, 2))
         q = a @ a.T + 0.3 * np.eye(2)
-        vg = ValueGrid(grid, np.einsum("ij,i...,j...->...", q, (x1g, x2g), (x1g, x2g)) - 1.0)
+        quad = np.einsum("ij,i...,j...->...", q, (x1g, x2g), (x1g, x2g))
+        vg = ValueGrid(grid, np.maximum(quad - 1.0, target.l(x1g, x2g)))
         p_raw = rng.standard_normal((2, 2))
         cert = ClfCertificate(
             k=np.zeros((1, 2)),
@@ -198,21 +181,20 @@ def test_containment_monotone_in_w_on_random_safe_sets():
             from robustroa.clf_synth import roa_level
             ell = rb.Ellipsoid2(p=cert.p, center=(0.0, 0.0),
                                 level=roa_level(cert.params, w))
-            flags.append(rb.ellipsoid_contained(ell, vg, target, guard=guard))
+            flags.append(rb.ellipsoid_contained(ell, vg, guard=guard))
         flips = [a and not b for a, b in zip(flags[1:], flags[:-1])]
         assert not any(flips)
 
 
 def test_grid_border_bounds_a_safe_set_covering_the_grid():
-    # V and l clear on the whole grid (V is flat, so the guard is 0): the
-    # ellipse is bounded by the border alone, here the x2 = +-100 lines of a
+    # V clears on the whole grid (V is flat, so the guard is 0): the ellipse
+    # is bounded by the border alone, here the x2 = +-100 lines of a
     # 200 x 400 grid, and the bound is rounded down
     grid = Grid2((-100.0, -200.0), (100.0, 200.0), (51, 51))
     vg = ValueGrid(grid, np.full(grid.shape, -10.0))
-    target = TargetSet.box((0.0, 0.0), (190.0, 390.0))
     cert = unit_certificate()
     cert.p = np.diag([1.0, 4.0])
-    res = rb.find_wmax(cert, vg, target)
+    res = rb.find_wmax(cert, vg)
     assert res.c_star == 100.0 ** 2
     assert 100.0 * (1.0 - 2.0 ** -19) <= res.w_max < 100.0
 
@@ -255,10 +237,9 @@ def test_unsafe_pocket_inside_the_ellipse_binds():
     # touches it unsafe, so c* is the squared distance to the nearest of
     # those cells, whatever the guard
     vg = circle_value_grid(1.8, n=41)  # nodes every 0.1
-    target = TargetSet.box((0.0, 0.0), (1.9, 1.9))
-    clean = rb.find_wmax(unit_certificate(), vg, target)
+    clean = rb.find_wmax(unit_certificate(), vg)
     vg.v[26, 20] = np.nan  # the node at (0.6, 0.0)
-    pocket = rb.find_wmax(unit_certificate(), vg, target)
+    pocket = rb.find_wmax(unit_certificate(), vg)
     assert abs(pocket.c_star - 0.5 ** 2) < 1e-15
     assert pocket.w_max < clean.w_max
 
@@ -268,32 +249,18 @@ def test_center_cell_is_unsafe_where_its_envelope_is_positive():
     # off, one corner at 10 against three at -1.43 lifts the envelope above
     # 0 there, one at 0.5 leaves it below
     vg = circle_value_grid(1.5, n=40)  # nodes at +-0.0513 around the origin
-    target = TargetSet.box((0.0, 0.0), (1.9, 1.9))
-    center = (0.02, 0.01)
-    tiny = rb.Ellipsoid2(p=np.eye(2), center=center, level=1e-12)
+    tiny = rb.Ellipsoid2(p=np.eye(2), center=(0.02, 0.01), level=1e-12)
     vg.v[20, 20] = 0.5
-    assert rb.ellipsoid_contained(tiny, vg, target, guard=0.0)
+    assert rb.ellipsoid_contained(tiny, vg, guard=0.0)
     vg.v[20, 20] = 10.0
-    assert not rb.ellipsoid_contained(tiny, vg, target, guard=0.0)
-    with pytest.raises(rb.NoSafeRoa):
-        rb.find_wmax(unit_certificate(), vg, target, center=center)
+    assert not rb.ellipsoid_contained(tiny, vg, guard=0.0)
 
 
 def test_no_safe_roa_raises():
     grid = Grid2((-2.0, -2.0), (2.0, 2.0), (31, 31))
     vg = ValueGrid(grid, np.ones(grid.shape))
-    target = TargetSet.box((0.0, 0.0), (1.0, 1.0))
     with pytest.raises(rb.NoSafeRoa):
-        rb.find_wmax(unit_certificate(), vg, target)
-
-
-def test_find_wmax_validation():
-    vg = circle_value_grid(1.0)
-    target = TargetSet.box((0.0, 0.0), (1.5, 1.5))
-    with pytest.raises(ValueError):
-        rb.find_wmax(unit_certificate(), vg, target, center=(0.0, 0.0, 0.0))
-    with pytest.raises(rb.NoSafeRoa):  # a center off the grid
-        rb.find_wmax(unit_certificate(), vg, target, center=(2.5, 0.0))
+        rb.find_wmax(unit_certificate(), vg)
 
 
 # -- bundled quadruped configs against the exact kernel --------------------------
@@ -378,8 +345,11 @@ def test_safe_set_within_exact_kernel(bundled_run, axis, n):
     safe = vg.v <= 0.0
     assert not np.any(safe & ~kernel)
     assert safe.sum() >= SAFE_FLOOR[(scn.name, axis)][(51, 101, 201).index(n)]
+    # the stay clip holds V >= l exactly, so V alone is the safe set the
+    # bound reads
+    assert np.all(vg.v >= signed_target(grid, target).v)
     exact = orc.kernel.exact_wmax(axis, cert, scn.hj_blocks[axis], scn.quadruped)
-    assert 0.0 < rb.find_wmax(cert, vg, target).w_max <= exact
+    assert 0.0 < rb.find_wmax(cert, vg).w_max <= exact
 
 
 def test_height_z_coarse_grid_keeps_its_safe_set():
@@ -393,7 +363,7 @@ def test_height_z_coarse_grid_keeps_its_safe_set():
     assert vg.info["converged"] and vg.info["steps"] == 142
     assert np.count_nonzero(vg.v <= 0.0) == 433
     exact = orc.kernel.exact_wmax("z", cert, scn.hj_blocks["z"], scn.quadruped)
-    assert 0.0 < rb.find_wmax(cert, vg, target).w_max <= exact
+    assert 0.0 < rb.find_wmax(cert, vg).w_max <= exact
 
 
 def test_scarce_lift_keeps_its_safe_set():
@@ -412,7 +382,7 @@ def test_scarce_lift_keeps_its_safe_set():
     assert not np.any(safe & ~kernel)
     assert safe.sum() >= 1407
     exact = orc.kernel.exact_wmax("z", cert, block, scn.quadruped)
-    assert 0.0 < rb.find_wmax(cert, vg, target).w_max <= exact
+    assert 0.0 < rb.find_wmax(cert, vg).w_max <= exact
 
 
 @pytest.mark.parametrize("axis", ["y", "z"])
@@ -426,7 +396,7 @@ def test_wmax_does_not_depend_on_the_horizon(bundled_run, axis):
     converged = orc.read_value_grid(out / "converge" / name)
     fixed = orc.read_value_grid(out / "fixed" / name)  # -2 s
     assert not np.array_equal(converged.v, fixed.v)
-    bounds = {rb.find_wmax(cert, vg, target).w_max
+    bounds = {rb.find_wmax(cert, vg).w_max
               for vg in [converged, fixed] + [solve_brs(grid, target, dyn, h, freeze="stay")
                                              for h in (-0.1, -0.3, -4.0)]}
     _, _, written, _ = fileio.read_certificate(

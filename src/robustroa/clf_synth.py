@@ -25,8 +25,10 @@ is feasible with a negative definite Y, since lambda*Y then makes the
 top-left block negative by itself.  Maximizing
 tr(Y) = tr(P^-1) favours a large invariant ellipsoid.
 
-Q and R must be diagonal: their inverses appear verbatim in the block,
-and keeping them diagonal makes that inversion exact.
+Q and R are given by their 1-D diagonals: their inverses appear verbatim in
+the block, and keeping them diagonal makes that inversion exact.  The
+variables are Y's upper triangle, row-major, then L row-major; `_layout`
+states that once, for the stacked (k, d, d) blocks and for split_solution.
 """
 
 from __future__ import annotations
@@ -44,12 +46,8 @@ class DimensionMismatch(ValueError):
 
 
 def _diag_entries(w, size, name):
-    """Accept a 1-D diagonal or an exactly diagonal 2-D matrix."""
+    """The 1-D diagonal `w` of a weight, checked."""
     w = np.asarray(w, dtype=float)
-    if w.ndim == 2:
-        if mk.inf_norm(w - np.diag(np.diag(w))) > 0.0:
-            raise DimensionMismatch(f"{name} must be diagonal")
-        w = np.diag(w).copy()
     if w.shape != (size,):
         raise DimensionMismatch(f"{name} diagonal must have {size} entries, got shape {w.shape}")
     if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
@@ -93,7 +91,7 @@ class LinearModel:
 class ClfParams:
     """Weights of the supply-rate inequality (*) in the module docstring.
 
-    q, r        : diagonal state / input weights (1-D entries or diagonal 2-D)
+    q, r        : 1-D diagonals of the state / input weights
     decay_rate  : exponential decay lambda > 0
     dist_weight : disturbance gain mu > 0
     """
@@ -136,39 +134,36 @@ class ClfCertificate:
         return self
 
 
-def unpack_sym(vals, n):
-    """Symmetric n x n matrix from its upper-triangle entries, row-major."""
-    vals = np.asarray(vals, dtype=float).ravel()
-    if len(vals) != n * (n + 1) // 2:
-        raise DimensionMismatch(f"expected {n * (n + 1) // 2} entries for n={n}, got {len(vals)}")
-    y = np.zeros((n, n))
-    it = iter(vals)
-    for i in range(n):
-        for j in range(i, n):
-            y[i, j] = y[j, i] = next(it)
-    return y
+def _layout(n, m):
+    """(iu, e_y, e_l) of the variable layout: the indices of Y's upper
+    triangle, row-major, and the unit bases of the Y variables
+    (n(n+1)/2, n, n) and of the L variables (mn, m, n), in that order."""
+    iu = np.triu_indices(n)
+    e_y = np.zeros((len(iu[0]), n, n))
+    k = np.arange(len(e_y))
+    e_y[k, iu[0], iu[1]] = e_y[k, iu[1], iu[0]] = 1.0
+    return iu, e_y, np.eye(m * n).reshape(m * n, m, n)
 
 
 def split_solution(x, n, m):
-    """Split a solver vector into (Y, L): Y upper triangle first, then L row-major."""
+    """Split a solver vector into (Y, L) by the variable layout."""
     x = np.asarray(x, dtype=float).ravel()
-    n_y = n * (n + 1) // 2
+    iu = _layout(n, m)[0]
+    n_y = len(iu[0])
     if len(x) != n_y + m * n:
         raise DimensionMismatch(f"expected {n_y + m * n} variables, got {len(x)}")
-    return unpack_sym(x[:n_y], n), x[n_y:].reshape(m, n)
+    y = np.zeros((n, n))
+    y[iu] = y.T[iu] = x[:n_y]
+    return y, x[n_y:].reshape(m, n)
 
 
 def build_synthesis_lmi(model: LinearModel, params: ClfParams):
     """Assemble the synthesis block LMI as an AffineSdp.
 
-    Variables are the upper triangle of Y (n(n+1)/2, row-major) followed by
-    the entries of L (m x n, row-major); the objective is tr(Y).  Block
-    dimension is 3n + m + p: the (2n + m + p) Schur block, then -Y.
+    Variables follow `_layout`; the objective is tr(Y).  Block dimension is
+    3n + m + p: the (2n + m + p) Schur block, then -Y.
     """
     n, m, p = model.n_states, model.n_inputs, model.n_dist
-    q = params.q_diag(n)
-    r = params.r_diag(m)
-    lam = params.decay_rate
     d = 3 * n + m + p
     ry = slice(0, n)          # R11 rows
     yy = slice(n, 2 * n)      # Y block rows
@@ -177,42 +172,25 @@ def build_synthesis_lmi(model: LinearModel, params: ClfParams):
     pd = slice(2 * n + m + p, d)  # -Y < 0
 
     f0 = np.zeros((d, d))
-    f0[yy, yy] = -np.diag(1.0 / q)
-    f0[ll, ll] = -np.diag(1.0 / r)
+    f0[yy, yy] = -np.diag(1.0 / params.q_diag(n))
+    f0[ll, ll] = -np.diag(1.0 / params.r_diag(m))
     f0[ww, ww] = -params.dist_weight * np.eye(p)
     f0[ry, ww] = model.b_w
     f0[ww, ry] = model.b_w.T
 
-    c = []
-    fi = []
-    # Y variables, upper triangle row-major
-    for i in range(n):
-        for j in range(i, n):
-            e = np.zeros((n, n))
-            e[i, j] = 1.0
-            if i != j:
-                e[j, i] = 1.0
-            blk = np.zeros((d, d))
-            ae = model.a @ e
-            blk[ry, ry] = ae + ae.T + lam * e
-            blk[yy, ry] = e
-            blk[ry, yy] = e  # e is symmetric
-            blk[pd, pd] = -e
-            fi.append(blk)
-            c.append(1.0 if i == j else 0.0)
-    # L variables, row-major
-    for a in range(m):
-        for bcol in range(n):
-            e = np.zeros((m, n))
-            e[a, bcol] = 1.0
-            blk = np.zeros((d, d))
-            be = model.b @ e
-            blk[ry, ry] = be + be.T
-            blk[ll, ry] = e
-            blk[ry, ll] = e.T
-            fi.append(blk)
-            c.append(0.0)
-    return AffineSdp(c=np.array(c), f0=f0, fi=fi)
+    iu, e_y, e_l = _layout(n, m)
+    fi = np.zeros((len(e_y) + len(e_l), d, d))
+    fy, fl = fi[:len(e_y)], fi[len(e_y):]
+    ae = model.a @ e_y
+    fy[:, ry, ry] = ae + ae.transpose(0, 2, 1) + params.decay_rate * e_y
+    fy[:, yy, ry] = fy[:, ry, yy] = e_y  # each e_y is symmetric
+    fy[:, pd, pd] = -e_y
+    be = model.b @ e_l
+    fl[:, ry, ry] = be + be.transpose(0, 2, 1)
+    fl[:, ll, ry] = e_l
+    fl[:, ry, ll] = e_l.transpose(0, 2, 1)
+    c = np.concatenate([iu[0] == iu[1], np.zeros(len(e_l))])  # tr(Y)
+    return AffineSdp(c=c, f0=f0, fi=fi)
 
 
 def recover_gains(y, l):

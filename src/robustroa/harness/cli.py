@@ -4,7 +4,7 @@ Each subcommand takes --config <path> (reproduce instead takes either that
 or the name of a bundled figure: fig3, fig4a, fig4c), with optional --seed
 and --out.  Exit codes:
 0 success, 2 synthesis infeasible, 3 no safe region of attraction,
-4 config or usage error.
+4 config or usage error (a synthesis that breaks down numerically too).
 
 Every command runs the stages it needs in the fixed order
 synthesize -> solve -> bound -> simulate (_run_stages):
@@ -49,7 +49,7 @@ import numpy as np
 from .. import plants
 from ..clf_synth import DimensionMismatch, roa_level, synthesize, verify_closed_loop
 from ..hj_reach import TargetOutsideGrid, solve_brs
-from ..lmi_solver import Infeasible
+from ..lmi_solver import Infeasible, NumericalBreakdown
 from ..roa_bridge import NoSafeRoa, find_wmax
 from . import fileio, svgplot
 from .scenarios import ConfigError, load_scenario
@@ -62,8 +62,6 @@ FIGURE_CONFIGS = {
 
 REPRODUCE_MODES = ("nominal", "robust")
 AXIS_LABELS = ("y", "z", "phi", "ydot", "zdot", "phidot")
-# error-subsystem coordinates inside the 6-state layout
-SUB_IDX = {"y": np.array([0, 3]), "z": np.array([1, 4])}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -245,7 +243,12 @@ def _run_stages(scn, stages):
         try:
             if axis in clf_blocks:
                 block = clf_blocks[axis]
-                cert, sol = synthesize(run.model, block.params)
+                try:
+                    cert, sol = synthesize(run.model, block.params)
+                except NumericalBreakdown as exc:
+                    # no infeasibility was certified: it is a config error
+                    raise ConfigError(f"synthesis of axis {axis!r} broke down ({exc}): the "
+                                      f"config's scales are outside the solver's range") from None
                 eig = verify_closed_loop(run.model, cert)
                 if block.w_max is not None:
                     cert.set_disturbance_bound(block.w_max)
@@ -310,16 +313,15 @@ def _build_quadruped_sim(scn, run, mode):
                                   drag_force=scn.drag_force)
     certs = {axis: run.certs[axis][0] for axis in scn.hj_blocks}
     monitors = [plants.LyapunovMonitor(name=axis, p=cert.p, level=cert.level,
-                                       state_idx=SUB_IDX[axis])
+                                       state_idx=plant.axes[axis].states)
                 for axis, cert in certs.items()]
     ancillary = None
     if mode == "robust":
         # per-axis force corrections distributed torque-neutrally over the
         # current stance so the pitch loop never sees the ancillary action;
-        # each entry is (wrench row, gain row, error coordinates)
-        wrench_row = {"y": 0, "z": 1}
-        terms = [(wrench_row[axis], np.asarray(cert.k)[0], SUB_IDX[axis])
-                 for axis, cert in certs.items()]
+        # each entry is (wrench row, gain row, error coordinates as an array)
+        terms = [(plant.axes[axis].wrench_row, np.asarray(cert.k)[0],
+                  np.array(plant.axes[axis].states)) for axis, cert in certs.items()]
 
         def ancillary(x, e):
             wrench = [0.0, 0.0, 0.0]

@@ -19,7 +19,7 @@ from importlib import resources
 
 import numpy as np
 
-from ..clf_synth import ClfParams
+from ..clf_synth import ClfParams, roa_level
 from ..hj_reach import Grid2, TargetSet
 from ..mpc import MpcConfig
 from ..plants import (Figure8Ref, QuadcopterParams, QuadcopterPlant, QuadrupedParams,
@@ -255,8 +255,14 @@ def _clf_block(vals, axis):
     w_max = vals.pop("w_max")
     try:
         params = ClfParams(**vals)
+        # the invariant level w_max sets must be finite too (w_max**2 may raise)
+        if w_max is not None and not math.isfinite(roa_level(params, w_max)):
+            raise OverflowError
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except OverflowError:
+        raise ConfigError(f"[clf{'' if axis == 'main' else '_' + axis}] w_max {w_max!r}: "
+                          f"its invariant level overflows") from None
     return ClfBlock(axis=axis, params=params, w_max=w_max)
 
 
@@ -278,9 +284,11 @@ def _hj_block(vals, axis, mpc_cfg, delta_m, drag):
     the lateral axis only."""
     if mpc_cfg.u_lo is None or mpc_cfg.u_hi is None:
         raise ConfigError(f"[hj_{axis}] needs the [mpc] force boxes u_lo and u_hi")
-    idx = list(QuadrupedPlant.axis_forces[axis])
-    return HjBlock(axis=axis, u_lo=float(mpc_cfg.u_lo[idx].sum()),
-                   u_hi=float(mpc_cfg.u_hi[idx].sum()), delta_m=delta_m,
+    idx = list(QuadrupedPlant.axes[axis].forces)
+    lo, hi = float(mpc_cfg.u_lo[idx].sum()), float(mpc_cfg.u_hi[idx].sum())
+    if not np.isfinite([lo, hi]).all():
+        raise ConfigError(f"[hj_{axis}] its [mpc] force box sums to [{lo!r}, {hi!r}]")
+    return HjBlock(axis=axis, u_lo=lo, u_hi=hi, delta_m=delta_m,
                    drag_force=drag if axis == "y" else 0.0, **vals)
 
 

@@ -197,7 +197,8 @@ class AffineDynamics2:
                         (endpoints of a monotone uncertainty interval);
                         (None,) when there is none.
 
-    All callables must broadcast over numpy arrays.
+    All callables must broadcast over numpy arrays; a field that is
+    constant may be returned as a scalar.
     """
 
     drift: object
@@ -388,11 +389,13 @@ def solve_brs(grid: Grid2, target: TargetSet, dyn: AffineDynamics2, horizon,
             raise ValueError("horizon must be negative (backward in time)")
     vg0 = signed_target(grid, target)
     l = vg0.v
+    # the two grid buffers in rotation, one of which is returned: allocated
+    # before the solve's work arrays, so those free back to the system
+    v, c = l.copy(), np.empty(grid.shape)
     terms = _GridTerms(grid, dyn)
 
     clip = np.minimum if freeze == "reach" else np.maximum
 
-    v = l.copy()
     t = 0.0
     t_final = 0.0
     steps = 0
@@ -407,8 +410,6 @@ def solve_brs(grid: Grid2, target: TargetSet, dyn: AffineDynamics2, horizon,
         h_nom = 0.9 / terms.wavesum
         widths = np.subtract(grid.maxs, grid.mins)
         tau = min(w / s for w, s in zip(widths, terms.speeds) if s > 0.0)
-        # two grid buffers in rotation: v and the step's result
-        c = np.empty(grid.shape)
         # {V <= 0} before and after a step; the old one is overwritten by
         # the nodes that flipped, then the two trade places
         mask = np.less_equal(v, 0.0)

@@ -55,6 +55,10 @@ class Infeasible(Exception):
         return f"no strictly feasible point (best slack {self.slack:.3e})"
 
 
+class NumericalBreakdown(Exception):
+    """An iterate went non-finite: the problem's scales overflow float64."""
+
+
 class SdpStatus(Enum):
     OPTIMAL = "optimal"
     ITERATION_LIMIT = "iteration_limit"
@@ -66,25 +70,24 @@ class AffineSdp:
 
     c    : (k,) objective
     f0   : (d, d) symmetric constant block
-    fi   : list of k symmetric (d, d) coefficient blocks
+    fi   : (k, d, d) symmetric coefficient blocks, one array (a sequence is stacked)
     eps  : strictness margin; default 1e-7 * (1 + max|F0|)
     """
 
     c: np.ndarray
     f0: np.ndarray
-    fi: list
+    fi: np.ndarray
     eps: float | None = None
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float).ravel()
         self.f0 = mk.require_symmetric(self.f0, "f0")
-        self.fi = [mk.require_symmetric(f, f"fi[{i}]") for i, f in enumerate(self.fi)]
-        if len(self.fi) != len(self.c):
-            raise ValueError(f"{len(self.c)} objective entries but {len(self.fi)} coefficient blocks")
+        self.fi = np.asarray(self.fi, dtype=float)
         d = self.f0.shape[0]
+        if self.fi.shape != (len(self.c), d, d):
+            raise ValueError(f"fi has shape {self.fi.shape}, expected {(len(self.c), d, d)}")
         for i, f in enumerate(self.fi):
-            if f.shape != (d, d):
-                raise ValueError(f"fi[{i}] has shape {f.shape}, expected {(d, d)}")
+            mk.require_symmetric(f, f"fi[{i}]")
         if self.eps is None:
             self.eps = 1e-7 * (1.0 + mk.inf_norm(self.f0))
         if self.eps <= 0.0:
@@ -116,10 +119,12 @@ _MAX_ITERATIONS = 100
 
 def _factor(m):
     """Lower Cholesky factor of the symmetrized m, or None when m is not
-    positive definite.  A non-finite m raises ValueError, so a numerical
+    positive definite.  A non-finite m raises NumericalBreakdown, so a
     breakdown stops the solve instead of passing NaN on."""
+    if not np.isfinite(m).all():
+        raise NumericalBreakdown(f"a {len(m)} x {len(m)} iterate has non-finite entries")
     try:
-        return np.linalg.cholesky(mk.symmetrize(m))
+        return np.linalg.cholesky(0.5 * (m + m.T))
     except np.linalg.LinAlgError:
         return None
 
@@ -217,7 +222,7 @@ def find_strictly_feasible(prob: AffineSdp):
     """
     k = prob.num_vars
     d = prob.dim
-    a = np.array(list(prob.fi) + [-np.eye(d)])
+    a = np.concatenate([prob.fi, -np.eye(d)[None]])
     b = np.zeros(k + 1)
     b[-1] = -1.0  # maximize -s
     y0 = np.zeros(k + 1)
@@ -234,7 +239,7 @@ def find_strictly_feasible(prob: AffineSdp):
 
 
 def maximize(prob: AffineSdp):
-    """Solve the SDP.  Raises Infeasible when phase 1 fails.
+    """Solve the SDP.  Raises Infeasible when phase 1 fails, NumericalBreakdown on overflow.
 
     Status is OPTIMAL when the gap and residual tolerances were met,
     ITERATION_LIMIT when the iteration budget ran out first or roundoff
@@ -244,9 +249,8 @@ def maximize(prob: AffineSdp):
     """
     x0 = find_strictly_feasible(prob)
     d = prob.dim
-    a = np.array(prob.fi).reshape(prob.num_vars, d, d)
-    x, iterations, converged = _primal_dual(-prob.f0 - prob.eps * np.eye(d), a, prob.c, x0,
-                                            _GAP_TOL)
+    x, iterations, converged = _primal_dual(-prob.f0 - prob.eps * np.eye(d), prob.fi, prob.c,
+                                            x0, _GAP_TOL)
     return SdpSolution(
         x=x,
         objective_value=float(prob.c @ x),

@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,6 +157,11 @@ class StanceState:
     foot_rear: tuple
 
 
+# One quadruped error subsystem: its (position, velocity) coordinates in x,
+# the entries of u summing to its total force, its stance_allocation wrench row
+ErrorAxis = namedtuple("ErrorAxis", "states forces wrench_row")
+
+
 def quadruped_dynamics(stance: StanceState, p: QuadrupedParams, delta_m=0.0, drag_force=0.0):
     """Trotting point-mass dynamics f(x, u, w=None) under ground-reaction
     forces, with the stance feet and the parameters bound once.
@@ -248,14 +254,13 @@ def subsystem_error_dynamics(axis, p: QuadrupedParams, u_lo, u_hi, delta_m_inter
 
     if axis == "z":
         def drift(x1, x2, dm):
-            return x2, -grav * np.ones_like(np.asarray(x1, dtype=float))
+            return x2, -grav
     else:
         def drift(x1, x2, dm):
-            return x2, (-drag_force / (m0 + dm)) * np.ones_like(np.asarray(x1, dtype=float))
+            return x2, -drag_force / (m0 + dm)
 
     def gain(x1, x2, dm):
-        one = np.ones_like(np.asarray(x1, dtype=float))
-        return 0.0 * one, one / (m0 + dm)
+        return 0.0, 1.0 / (m0 + dm)
 
     return AffineDynamics2(
         drift=drift,
@@ -383,8 +388,8 @@ class QuadrupedPlant:
     n_states = 6
     n_controls = 4
     n_dist = 0
-    # the entries of u whose sum is each error subsystem's total force
-    axis_forces = {"y": (0, 1), "z": (2, 3)}
+    axes = {"y": ErrorAxis(states=(0, 3), forces=(0, 1), wrench_row=0),
+            "z": ErrorAxis(states=(1, 4), forces=(2, 3), wrench_row=1)}
 
     def __init__(self, params: QuadrupedParams | None = None,
                  delta_m=0.0, drag_force=0.0):

@@ -43,10 +43,57 @@ def sdp_evaluate(prob, x):
 
 
 def pack_sym(y):
-    """Upper-triangle entries of a symmetric matrix, row-major; the inverse
-    of clf_synth.unpack_sym."""
+    """Upper-triangle entries of a symmetric matrix, row-major: the Y part
+    of the synthesis LMI's variables, which clf_synth.split_solution reads."""
     n = y.shape[0]
     return np.array([y[i, j] for i in range(n) for j in range(i, n)])
+
+
+def synthesis_lmi_loops(model, params):
+    """(c, f0, fi) of clf_synth's synthesis LMI, each coefficient block
+    filled on its own by per-variable loops over the layout (Y's upper
+    triangle row-major, then L row-major); fi is stacked (k, d, d)."""
+    n, m, p = model.n_states, model.n_inputs, model.n_dist
+    q = params.q_diag(n)
+    r = params.r_diag(m)
+    lam = params.decay_rate
+    d = 3 * n + m + p
+    ry, yy = slice(0, n), slice(n, 2 * n)
+    ll, ww = slice(2 * n, 2 * n + m), slice(2 * n + m, 2 * n + m + p)
+    pd = slice(2 * n + m + p, d)
+    f0 = np.zeros((d, d))
+    f0[yy, yy] = -np.diag(1.0 / q)
+    f0[ll, ll] = -np.diag(1.0 / r)
+    f0[ww, ww] = -params.dist_weight * np.eye(p)
+    f0[ry, ww] = model.b_w
+    f0[ww, ry] = model.b_w.T
+    c, fi = [], []
+    for i in range(n):
+        for j in range(i, n):
+            e = np.zeros((n, n))
+            e[i, j] = 1.0
+            if i != j:
+                e[j, i] = 1.0
+            blk = np.zeros((d, d))
+            ae = model.a @ e
+            blk[ry, ry] = ae + ae.T + lam * e
+            blk[yy, ry] = e
+            blk[ry, yy] = e
+            blk[pd, pd] = -e
+            fi.append(blk)
+            c.append(1.0 if i == j else 0.0)
+    for a in range(m):
+        for bcol in range(n):
+            e = np.zeros((m, n))
+            e[a, bcol] = 1.0
+            blk = np.zeros((d, d))
+            be = model.b @ e
+            blk[ry, ry] = be + be.T
+            blk[ll, ry] = e
+            blk[ry, ll] = e.T
+            fi.append(blk)
+            c.append(0.0)
+    return np.array(c), f0, np.array(fi)
 
 
 def record_choleskys(monkeypatch):

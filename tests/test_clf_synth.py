@@ -25,16 +25,22 @@ def quadcopter_setup():
     return model, params
 
 
-# -- packing -------------------------------------------------------------------
+# -- variable layout ----------------------------------------------------------
 
-def test_pack_unpack_roundtrip():
+def test_split_solution_roundtrip():
+    # Y packed by the oracle's own loops, then L row-major: split_solution
+    # hands both back bit for bit
     rng = np.random.default_rng(2)
-    for n in (1, 2, 5):
+    for n, m in ((1, 1), (2, 3), (5, 2)):
         y = rng.standard_normal((n, n))
         y = y + y.T
+        l = rng.standard_normal((m, n))
         v = orc.pack_sym(y)
         assert v.shape == (n * (n + 1) // 2,)
-        assert np.allclose(cs.unpack_sym(v, n), y)
+        got_y, got_l = cs.split_solution(np.concatenate([v, l.ravel()]), n, m)
+        assert got_y.tobytes() == y.tobytes() and got_l.tobytes() == l.tobytes()
+    with pytest.raises(cs.DimensionMismatch):
+        cs.split_solution(np.zeros(4), 2, 2)
 
 
 def test_split_solution_shapes():
@@ -89,11 +95,51 @@ def test_subsystem_block_dimension():
 
 
 def test_rejects_nondiagonal_weights():
-    params = cs.ClfParams(q=np.array([[1.0, 0.1], [0.1, 1.0]]), r=[1.0],
-                          decay_rate=1.0, dist_weight=1.0)
+    # a weight is its 1-D diagonal: any 2-D weight, diagonal or not, is a
+    # shape mismatch
     model = cs.LinearModel(a=np.zeros((2, 2)), b=np.ones((2, 1)), b_w=np.ones((2, 1)))
-    with pytest.raises(cs.DimensionMismatch):
-        cs.build_synthesis_lmi(model, params)
+    for q in (np.array([[1.0, 0.1], [0.1, 1.0]]), np.eye(2)):
+        params = cs.ClfParams(q=q, r=[1.0], decay_rate=1.0, dist_weight=1.0)
+        with pytest.raises(cs.DimensionMismatch, match="shape"):
+            cs.build_synthesis_lmi(model, params)
+
+
+def assert_blocks_match_loops(model, params):
+    # equal values and equal sign bits, so -0.0 and 0.0 stay apart
+    prob = cs.build_synthesis_lmi(model, params)
+    c, f0, fi = orc.synthesis_lmi_loops(model, params)
+    for got, want in ((prob.c, c), (prob.f0, f0), (prob.fi, fi)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("case", ["fig8", "height-y", "height-z", "push-y", "push-z"])
+def test_stacked_blocks_bitwise_match_per_variable_loops_bundled(case):
+    if case == "fig8":
+        scn = bundled_scenario("quadcopter_fig8.cfg")
+        model, params = quadcopter_linearize(scn.quadcopter), scn.clf_blocks["main"].params
+    else:
+        name, axis = case.split("-")
+        scn = bundled_scenario(f"quadruped_{name}.cfg")
+        model, params = quadruped_axis_linear(scn.quadruped), scn.clf_blocks[axis].params
+    assert_blocks_match_loops(model, params)
+
+
+def test_stacked_blocks_bitwise_match_per_variable_loops_random():
+    # random models at random scales with n 1-6, m 1-3 and p 1-2, some
+    # entries exact zeros of either sign
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        n, m, p = int(rng.integers(1, 7)), int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        b = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        a[rng.random((n, n)) < 0.3] *= 0.0
+        b[rng.random((n, m)) < 0.3] *= 0.0
+        model = cs.LinearModel(a=a, b=b, b_w=rng.standard_normal((n, p)))
+        params = cs.ClfParams(q=rng.uniform(0.1, 10.0, n), r=rng.uniform(0.1, 10.0, m),
+                              decay_rate=rng.uniform(0.1, 2.0),
+                              dist_weight=rng.uniform(0.1, 10.0))
+        assert_blocks_match_loops(model, params)
 
 
 # -- gain recovery -------------------------------------------------------------

@@ -5,6 +5,7 @@ The slower tests run the real pipeline on a shrunken quadruped scenario
 -> simulation chain is exercised end to end without the production grids.
 """
 
+import configparser
 import contextlib
 import copy
 import dataclasses
@@ -692,6 +693,10 @@ def test_cli_out_naming_a_file_exit_4(tmp_path, capsys, monkeypatch):
     ("wmax", {"hj_y": {"n": 1000000}}),
     # duration / dt overflows to inf
     ("simulate", {"simulate": {"duration": 1e300, "dt": 1e-300}}),
+    # the invariant level dist_weight * w_max^2 / decay_rate overflows
+    ("simulate", {"clf": {"w_max": 1e200}}),
+    # z's force box, summed from the per-foot boxes, overflows to inf
+    ("wmax", {"mpc": {"u_hi": "35, 35, 1e308, 1e308"}}),
 ], ids=["duration", "dt", "duration-below-dt", "horizon-positive", "horizon-word", "n",
         "target-half-width", "grid-half-width", "freeze", "hold-time",
         "quadcopter-disturbance-length", "mpc-q-length",
@@ -705,7 +710,8 @@ def test_cli_out_naming_a_file_exit_4(tmp_path, capsys, monkeypatch):
         "hj-u-hi", "hj-drag-force", "payload-zero-mass", "payload-interval-zero-mass",
         "payload-interval-negative-mass", "quadcopter-hj-section", "trot-t-end",
         "trot-amp-y", "trot-amp-z", "figure8-y0", "none-w-max-freq", "mpc-horizon-oversized",
-        "simulate-samples-oversized", "hj-n-oversized", "simulate-samples-overflow"])
+        "simulate-samples-oversized", "hj-n-oversized", "simulate-samples-overflow",
+        "clf-level-overflow", "hj-force-box-overflow"])
 def test_cli_bad_config_values_exit_4(tmp_path, capsys, command, edits):
     # rejected by the loader, before any synthesis, PDE solve or simulation;
     # only the quadcopter takes a disturbance policy and a figure-8 reference
@@ -715,6 +721,30 @@ def test_cli_bad_config_values_exit_4(tmp_path, capsys, command, edits):
     path = mini_cfg(tmp_path, base=base, **edits)
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 4
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config, command, section, key, value", [
+    ("quadruped_height.cfg", "wmax", "quadruped", "mass", 1e-300),
+    ("quadruped_height.cfg", "wmax", "clf_y", "decay_rate", 1e308),
+    ("quadcopter_fig8.cfg", "simulate", "quadcopter", "mass", 1e-300),
+], ids=["height-mass", "height-decay-rate", "fig8-mass"])
+def test_cli_synthesis_breakdown_exit_4(tmp_path, capsys, config, command, section, key, value):
+    # the interior-point iterates overflow: no infeasibility is certified
+    # (exit 2), the config's scales are outside the solver's range
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp.read_string(resources.files("robustroa.harness").joinpath("configs", config).read_text())
+    cp[section][key] = repr(value)
+    path = tmp_path / config
+    with open(path, "w") as fh:
+        cp.write(fh)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc, out = run_cli([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    axis = "main" if section == "quadcopter" else "y"
+    assert f"config error: synthesis of axis {axis!r} broke down" in err
+    assert "Traceback" not in err and out == ""
     assert not (tmp_path / "o").exists()
 
 

@@ -156,6 +156,14 @@ def test_grid2_validation():
         hj.Grid2((1.0, -1.0), (-1.0, 1.0), (11, 11))
 
 
+def test_value_grid_shape_must_be_its_grids():
+    grid = hj.Grid2((-1.0, -1.0), (1.0, 1.0), (5, 7))
+    assert hj.ValueGrid(grid, np.zeros((5, 7))).v.shape == (5, 7)
+    for shape in ((7, 5), (5, 6), (35,)):
+        with pytest.raises(hj.GridMismatch, match=r"on grid \(5, 7\)"):
+            hj.ValueGrid(grid, np.zeros(shape))
+
+
 def test_box_target_signed_distance():
     t = hj.TargetSet.box((0.0, 0.0), (1.0, 1.0))
     assert t.l(0.0, 0.0) == -1.0
@@ -310,7 +318,7 @@ def upwind_step(v, grid, dyn, h):
     return hj._upwind_update(v, hj._GridTerms(grid, dyn), h, np.empty(grid.shape))
 
 
-def test_lf_step_zero_dynamics_is_identity():
+def test_upwind_update_zero_dynamics_is_identity():
     grid = hj.Grid2((-1.0, -1.0), (1.0, 1.0), (9, 9))
     rng = np.random.default_rng(0)
     v = rng.standard_normal(grid.shape)
@@ -319,7 +327,7 @@ def test_lf_step_zero_dynamics_is_identity():
     assert np.max(np.abs(out - v)) < 1e-12
 
 
-def test_lf_step_advects_linear_profile_exactly():
+def test_upwind_update_advects_linear_profile_exactly():
     # V = x1 under drift (s, 0): a backward step of h gives V + s h at every
     # node whose characteristic comes from inside the grid.  The edge row it
     # would come from beyond sees V flat there and keeps its value.
@@ -355,7 +363,7 @@ def scalar_reference_step(v, h, grid, dyn):
     return out
 
 
-def test_lf_step_matches_scalar_reimplementation():
+def test_upwind_update_matches_scalar_reimplementation():
     # the nested-loop step on a 5x5 grid.  The uncertain parameter enters
     # both axes, so each axis takes its own branch maximum.
     grid = hj.Grid2((-1.0, 0.5), (1.0, 1.5), (5, 5))

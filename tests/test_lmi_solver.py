@@ -6,7 +6,9 @@ import pytest
 import _oracles as orc
 from robustroa import clf_synth as cs
 from robustroa.harness.scenarios import bundled_scenario
-from robustroa.lmi_solver import AffineSdp, Infeasible, SdpStatus, find_strictly_feasible, maximize
+from robustroa import lmi_solver as lmi
+from robustroa.lmi_solver import (AffineSdp, Infeasible, NumericalBreakdown, SdpStatus,
+                                  find_strictly_feasible, maximize)
 from robustroa.plants import quadcopter_linearize, quadruped_axis_linear
 
 
@@ -24,6 +26,45 @@ def test_validation():
         AffineSdp(c=[1.0], f0=-np.eye(2), fi=[np.eye(3)])
     with pytest.raises(ValueError):
         scalar_problem(eps=0.0)
+    # a sequence of blocks becomes one (k, d, d) float array, whose shape is
+    # checked once, and each block is still checked for symmetry
+    prob = AffineSdp(c=[1.0, 0.0], f0=-np.eye(2), fi=[np.eye(2), [[0.0, 1.0], [1.0, 0.0]]])
+    assert isinstance(prob.fi, np.ndarray) and prob.fi.shape == (2, 2, 2)
+    with pytest.raises(ValueError, match=r"fi has shape \(2, 2\), expected \(2, 2, 2\)"):
+        AffineSdp(c=[1.0, 0.0], f0=-np.eye(2), fi=np.eye(2))
+    with pytest.raises(ValueError, match=r"fi\[1\] is not symmetric"):
+        AffineSdp(c=[1.0, 0.0], f0=-np.eye(2), fi=[np.eye(2), np.triu(np.ones((2, 2)))])
+
+
+def test_phases_run_on_the_stacked_blocks(monkeypatch):
+    # phase 2 takes prob.fi itself; phase 1 takes it with -I appended
+    prob = capped_lyapunov_problem()
+    seen = []
+    primal_dual = lmi._primal_dual
+
+    def spy(cmat, a, *args, **kwargs):
+        seen.append(a)
+        return primal_dual(cmat, a, *args, **kwargs)
+
+    monkeypatch.setattr(lmi, "_primal_dual", spy)
+    maximize(prob)
+    phase1, phase2 = seen
+    assert phase2 is prob.fi
+    assert np.array_equal(phase1[:-1], prob.fi)
+    assert np.array_equal(phase1[-1], -np.eye(prob.dim))
+
+
+def test_overflowing_iterates_raise_numerical_breakdown():
+    # a 1e300 input gain overflows the Schur matrix of phase 1's first
+    # step: a typed error, not NaN passed on and not a certified Infeasible;
+    # it pickles back from a forked CLI job
+    model = cs.LinearModel(a=[[0.0, 1.0], [0.0, 0.0]], b=[[0.0], [1e300]], b_w=[[0.0], [1.0]])
+    params = cs.ClfParams(q=[500.0, 10.0], r=[1.0], decay_rate=0.3, dist_weight=200.0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalBreakdown, match="non-finite") as err:
+        maximize(cs.build_synthesis_lmi(model, params))
+    again = pickle.loads(pickle.dumps(err.value))
+    assert type(again) is NumericalBreakdown and str(again) == str(err.value)
 
 
 def test_evaluate():

@@ -671,8 +671,9 @@ def test_quadruped_ancillary_bitwise_matches_matmul_allocation(certified):
         x = (np.array([0.0, 0.32, 0.0, 0.45, 0.0, 0.0])
              + rng.normal(size=6) * 10.0 ** rng.uniform(-4.0, 0.0, 6)).tolist()
         e = rng.normal(size=6) * 10.0 ** rng.uniform(-6.0, 1.0, 6)
-        wrench = [float(gains["y"] @ e[cli.SUB_IDX["y"]]),
-                  float(gains["z"] @ e[cli.SUB_IDX["z"]]), 0.0]
+        wrench = [0.0, 0.0, 0.0]
+        for axis, layout in plants.QuadrupedPlant.axes.items():
+            wrench[layout.wrench_row] = float(gains[axis] @ e[list(layout.states)])
         want = np.array(plants.stance_allocation(x, plant.stance, wrench), dtype=float)
         got = controller.feedback(x, e)
         assert type(got) is list and all(type(v) is float for v in got)

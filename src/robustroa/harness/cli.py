@@ -15,10 +15,11 @@ synthesize -> solve -> bound -> simulate (_run_stages):
     simulate, reproduce  synthesize, solve, bound, simulate
 
 A quadcopter simulation is certified by its configured [clf] w_max, so it
-solves no safe set.  Then one write pass creates the output directory,
-writes the files and prints the report.  Every refusal (exit 2, 3 or 4)
-comes from a stage before the simulation, so a refused run leaves no
-directory and no file.
+solves no safe set.  The simulate stage runs only the first sample of a
+run, whose MPC solve can still overflow.  Then one write pass creates the
+output directory, simulates, writes the files and prints the report.
+Every refusal (exit 2, 3 or 4) comes from a stage before it, so a refused
+run leaves no directory and no file.
 
 The decoupled axes and the controller modes share nothing but the
 certificates, so _fan_out runs them side by side, one job per axis chain
@@ -36,6 +37,7 @@ other.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import os
 import pickle
@@ -216,17 +218,14 @@ def _run_stages(scn, stages):
     computed: the plant's linear `model` and `certs` {axis: (cert,
     cert_eig_max, solution)} from synthesize, `grids` {axis: value grid}
     and `grid_csv` {axis: its CSV text, as the list of chunks to_csv
-    wrote} from solve, `bounds` {axis: WmaxResult} from bound, and
-    from simulate `simulate(mode)`, which the write pass calls for the
-    trajectory of `scn` run in `mode`."""
+    wrote} from solve, and `bounds` {axis: WmaxResult} from bound."""
     if scn.plant_kind == "quadcopter" and "simulate" in stages:
         # certified by its configured [clf] w_max: there is no safe set
         stages = [s for s in stages if s != "solve"]
     if "solve" in stages and not scn.hj_blocks:
         raise ConfigError("scenario has no reachability sections "
                           "([hj_y]/[hj_z]); nothing to solve")
-    run = SimpleNamespace(model=None, certs={}, grids={}, grid_csv={}, bounds={},
-                          simulate=None)
+    run = SimpleNamespace(model=None, certs={}, grids={}, grid_csv={}, bounds={})
     clf_blocks = scn.clf_blocks if "synthesize" in stages else {}
     hj_blocks = scn.hj_blocks if "solve" in stages else {}
     if clf_blocks:
@@ -289,8 +288,15 @@ def _run_stages(scn, stages):
             and run.certs["main"][0].w_max is None):
         raise ConfigError("[clf] needs w_max for the quadcopter pipeline")
     if "simulate" in stages:
-        # simulating refuses nothing, so the write pass runs it, mode by mode
-        run.simulate = lambda mode: _simulate(scn, run, mode)
+        # a run's first sample: its MPC solve is where a plant or [mpc] scale
+        # the loader admits can still overflow, and every mode makes that solve
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                _simulate(dataclasses.replace(scn, duration=0.0), run, "nominal")
+            except ValueError as exc:  # mpc: "hess contains non-finite entries"
+                raise ConfigError(f"the first MPC solve broke down ({exc}): the config's "
+                                  f"[mpc] or [{scn.plant_kind}] scales are outside the "
+                                  f"solver's range") from None
     return run
 
 
@@ -301,8 +307,7 @@ def _build_quadcopter_sim(scn, run, mode):
     plant = plants.QuadcopterPlant(scn.quadcopter)
     cert = run.certs["main"][0]
     feedback = (lambda x, e: (cert.k @ e).tolist()) if mode == "robust" else None
-    controller = plants.TrackingController(plant, scn.reference(), scn.mpc,
-                                           u_lin=plant.hover_input(), feedback=feedback)
+    controller = plants.TrackingController(plant, scn.reference, scn.mpc, feedback=feedback)
     monitors = [plants.LyapunovMonitor(name="E", p=cert.p, level=cert.level)]
     dist = _disturbance_fn(scn, cert, run.model)
     return plant, controller, monitors, dist
@@ -330,8 +335,7 @@ def _build_quadruped_sim(scn, run, mode):
                 wrench[row] = float(k.dot(e.take(idx)))
             return plants.stance_allocation(x, plant.stance, wrench)
 
-    controller = plants.TrackingController(plant, scn.reference(), scn.mpc,
-                                           u_lin=plant.static_input(), feedback=ancillary)
+    controller = plants.TrackingController(plant, scn.reference, scn.mpc, feedback=ancillary)
     # the loader admits no disturbance policy for the quadruped
     return plant, controller, monitors, None
 
@@ -357,7 +361,7 @@ def _simulate(scn, run, mode):
     its certificates carry."""
     build = _build_quadcopter_sim if scn.plant_kind == "quadcopter" else _build_quadruped_sim
     plant, controller, monitors, dist = build(scn, run, mode)
-    return plants.simulate_closed_loop(plant, controller, scn.reference(), dist,
+    return plants.simulate_closed_loop(plant, controller, scn.reference, dist,
                                        duration=scn.duration, dt=scn.sim_dt,
                                        monitors=monitors)
 
@@ -489,30 +493,29 @@ def _plot_band(path, scn, series):
                       hlines=[(1.0, "invariant level", "#d62728")])
 
 
+def _write_mode(scn, run, out, mode):
+    """Simulate `scn` in `mode` and write its CSV and trajectory SVG; only
+    the metrics block and the band series come back, so a trajectory is
+    written where it was simulated."""
+    traj = _simulate(scn, run, mode)
+    traj.to_csv(out / f"{scn.name}_{mode}.csv")
+    _plot_trajectory(out / f"{scn.name}_{mode}_traj.svg", scn, mode, traj)
+    return fileio.metrics_block(_metrics(traj)), _band_series(mode, traj)
+
+
 def _write_simulate(scn, run, out):
     _write_bounds(scn, run, out)
-    traj = run.simulate(scn.mode)
-    csv_path = out / f"{scn.name}_{scn.mode}.csv"
-    traj.to_csv(csv_path)
-    _plot_trajectory(out / f"{scn.name}_{scn.mode}_traj.svg", scn, scn.mode, traj)
-    _plot_band(out / f"{scn.name}_{scn.mode}_band.svg", scn, _band_series(scn.mode, traj))
-    print(f"[simulate] mode = {scn.mode}, wrote {csv_path}")
-    print(fileio.metrics_block(_metrics(traj)))
+    block, series = _write_mode(scn, run, out, scn.mode)
+    _plot_band(out / f"{scn.name}_{scn.mode}_band.svg", scn, series)
+    print(f"[simulate] mode = {scn.mode}, wrote {out / f'{scn.name}_{scn.mode}.csv'}")
+    print(block)
 
 
 def _write_reproduce(scn, run, out):
     _write_bounds(scn, run, out)
-
-    def reproduce(mode):
-        # a trajectory is written where it was simulated: only its metrics
-        # block and band series come back
-        traj = run.simulate(mode)
-        traj.to_csv(out / f"{scn.name}_{mode}.csv")
-        _plot_trajectory(out / f"{scn.name}_{mode}_traj.svg", scn, mode, traj)
-        return fileio.metrics_block(_metrics(traj)), _band_series(mode, traj)
-
     bands = []
-    for mode, (block, series) in zip(REPRODUCE_MODES, _fan_out(reproduce, REPRODUCE_MODES)):
+    modes = _fan_out(lambda mode: _write_mode(scn, run, out, mode), REPRODUCE_MODES)
+    for mode, (block, series) in zip(REPRODUCE_MODES, modes):
         print(f"[reproduce:{mode}]")
         print(block)
         bands += series

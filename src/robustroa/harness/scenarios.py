@@ -116,7 +116,6 @@ def _choice(*options):
 class ClfBlock:
     """One synthesis problem: weights plus (optionally) a fixed w_max."""
 
-    axis: str  # "main" for the quadcopter, "y"/"z" for the quadruped
     params: ClfParams
     w_max: float | None = None
 
@@ -169,18 +168,12 @@ class Scenario:
     drag_force: float
     clf_blocks: dict
     mpc: MpcConfig
-    reference_kind: str
-    reference_args: dict
+    reference: Figure8Ref | TrotRef
     disturbance: DisturbancePolicy
     hj_blocks: dict = field(default_factory=dict)
     duration: float = 5.0
     sim_dt: float = 0.001
     out_dir: str | None = None
-
-    def reference(self):
-        if self.reference_kind == "figure8":
-            return Figure8Ref(**self.reference_args)
-        return TrotRef(**self.reference_args)
 
 
 _REQ = object()  # the default of a key that must be given
@@ -263,7 +256,7 @@ def _clf_block(vals, axis):
     except OverflowError:
         raise ConfigError(f"[clf{'' if axis == 'main' else '_' + axis}] w_max {w_max!r}: "
                           f"its invariant level overflows") from None
-    return ClfBlock(axis=axis, params=params, w_max=w_max)
+    return ClfBlock(params=params, w_max=w_max)
 
 
 def _payload(ps):
@@ -285,7 +278,8 @@ def _hj_block(vals, axis, mpc_cfg, delta_m, drag):
     if mpc_cfg.u_lo is None or mpc_cfg.u_hi is None:
         raise ConfigError(f"[hj_{axis}] needs the [mpc] force boxes u_lo and u_hi")
     idx = list(QuadrupedPlant.axes[axis].forces)
-    lo, hi = float(mpc_cfg.u_lo[idx].sum()), float(mpc_cfg.u_hi[idx].sum())
+    with np.errstate(over="ignore"):  # an overflowing sum is refused below
+        lo, hi = float(mpc_cfg.u_lo[idx].sum()), float(mpc_cfg.u_hi[idx].sum())
     if not np.isfinite([lo, hi]).all():
         raise ConfigError(f"[hj_{axis}] its [mpc] force box sums to [{lo!r}, {hi!r}]")
     return HjBlock(axis=axis, u_lo=lo, u_hi=hi, delta_m=delta_m,
@@ -342,11 +336,12 @@ def load_scenario(path):
                           f"u_hi {mpc_cfg.u_hi.tolist()} in some entry")
 
     ref_args = _read(cp, "reference", opened)
-    ref_kind = ref_args.pop("kind")
-    if ref_kind == "trot":
-        if quadruped is None:
-            raise ConfigError("trot reference needs the quadruped plant")
-        ref_args.update(z_ref=quadruped.z_ref, v_ref=quadruped.v_ref)
+    if ref_args.pop("kind") == "figure8":
+        reference = Figure8Ref(**ref_args)
+    elif quadruped is None:
+        raise ConfigError("trot reference needs the quadruped plant")
+    else:
+        reference = TrotRef(z_ref=quadruped.z_ref, v_ref=quadruped.v_ref, **ref_args)
 
     disturbance = DisturbancePolicy(**_read(cp, "disturbance", opened))
     # the quadruped feels its payload and drag through its parameters, not
@@ -382,8 +377,7 @@ def load_scenario(path):
         drag_force=drag,
         clf_blocks=clf_blocks,
         mpc=mpc_cfg,
-        reference_kind=ref_kind,
-        reference_args=ref_args,
+        reference=reference,
         disturbance=disturbance,
         hj_blocks=hj_blocks,
         duration=sim["duration"],

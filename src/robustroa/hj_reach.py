@@ -9,7 +9,8 @@ is the computed set.  Starting from V(x, 0) = l(x) the solver integrates
 
 backward from t = 0 with forward-Euler steps of an upwind (Godunov)
 scheme.  The control shrinks V (reaching / staying) and the disturbance
-opposes it.
+opposes it: the disturbance takes a channel's upper bound where a control
+would take its lower one, so it is a control channel with swapped bounds.
 
 Dynamics must be affine in each control / disturbance channel, with finite
 box bounds per channel, so every pointwise extremum is bang-bang, and each
@@ -244,17 +245,16 @@ class _GridTerms:
         for par in dict.fromkeys(dyn.uncertain_params):
             f1, f2 = dyn.drift(x1g, x2g, par)
             channels = []
-            for terms in (dyn.control_terms, dyn.disturbance_terms):
-                channels.append([])
-                for fn, (lo, hi) in terms:
-                    if not np.all(np.isfinite((lo, hi))):
-                        raise ValueError(f"channel bounds ({lo!r}, {hi!r}) must be finite")
-                    g1, g2 = (field(g) for g in fn(x1g, x2g, par))
-                    if np.any((g1 != 0.0) & (g2 != 0.0)):
-                        raise ValueError("each control and disturbance channel must move "
-                                         "one axis at each node")
-                    channels[-1].append((g1, g2, float(lo), float(hi)))
-            self.branches.append(((field(f1), field(f2)), *channels))
+            for fn, (lo, hi) in [*dyn.control_terms,
+                                 *((fn, (hi, lo)) for fn, (lo, hi) in dyn.disturbance_terms)]:
+                if not np.all(np.isfinite((lo, hi))):
+                    raise ValueError(f"channel bounds ({lo!r}, {hi!r}) must be finite")
+                g1, g2 = (field(g) for g in fn(x1g, x2g, par))
+                if np.any((g1 != 0.0) & (g2 != 0.0)):
+                    raise ValueError("each control and disturbance channel must move "
+                                     "one axis at each node")
+                channels.append((g1, g2, float(lo), float(hi)))
+            self.branches.append(((field(f1), field(f2)), channels))
         # Per axis, the slopes A = H(e_i) and B = -H(-e_i), from which the
         # axis's flux program is built.  Both axes run through the same step
         # code with their own axis first, so axis 1 keeps its arrays
@@ -279,18 +279,14 @@ class _GridTerms:
 
     def hamiltonian(self, p1, p2):
         """H(p1, p2) on the grid: p1*f1 + p2*f2 plus each channel's
-        extreme, where(coef >= 0, lo*coef, hi*coef) for the minimizing
-        control and with lo and hi swapped for the maximizing disturbance,
-        maximized over branches."""
+        extreme, where(coef >= 0, lo*coef, hi*coef) (a disturbance channel's
+        bounds are stored swapped), maximized over branches."""
         out = None
-        for (f1, f2), ctrl, dist in self.branches:
+        for (f1, f2), channels in self.branches:
             h = p1 * f1 + p2 * f2
-            for g1, g2, lo, hi in ctrl:
+            for g1, g2, lo, hi in channels:
                 coef = p1 * g1 + p2 * g2
                 h = h + np.where(coef >= 0.0, lo * coef, hi * coef)
-            for g1, g2, lo, hi in dist:
-                coef = p1 * g1 + p2 * g2
-                h = h + np.where(coef >= 0.0, hi * coef, lo * coef)
             out = h if out is None else np.maximum(out, h)
         return out
 
@@ -436,6 +432,5 @@ def solve_brs(grid: Grid2, target: TargetSet, dyn: AffineDynamics2, horizon,
         else:
             converged = not converge  # fixed-horizon runs always "converge"
     info = {"steps": steps, "dt": h_nom, "converged": converged,
-            "change_rate": rate if steps else 0.0, "set_final_time": t_final,
-            "freeze": freeze}
+            "change_rate": rate if steps else 0.0, "set_final_time": t_final}
     return ValueGrid(grid=grid, v=v, time=t, info=info)

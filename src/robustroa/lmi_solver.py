@@ -148,6 +148,7 @@ def _max_step(linv, delta):
     return -1.0 / lam if lam < 0.0 else np.inf
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _factor refuses a non-finite iterate
 def _primal_dual(cmat, a, b, y, gap_tol, stop_early=None):
     """Maximize b'y subject to cmat - sum_i y_i a[i] > 0 from the interior
     point y.  Returns (y, iterations, converged); converged is True when

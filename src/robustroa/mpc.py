@@ -45,9 +45,7 @@ MAX_HORIZON = 200
 class Model(NamedTuple):
     """A controller model: f(x, u) -> xdot and jac(x, u) -> (df/dx, df/du).
 
-    Both take x and u as lists of Python floats.  jac may hand back the
-    arrays of an earlier call while the point it depends on has not moved,
-    so callers must not write into them.
+    Both take x and u as lists of Python floats.
     """
 
     f: Callable

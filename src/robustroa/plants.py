@@ -13,9 +13,10 @@ Two plants share the state layout x = [y, z, phi, ydot, zdot, phidot]
 
 A plant provides f(x, u, w), the true dynamics that rk4_step integrates
 directly; nominal_f(), the disturbance-free mpc.Model (dynamics and their
-analytic Jacobians) the MPC plans with; sanitize(u) -> (u, clamps); and
-advance(t, x), which re-places the quadruped's feet and binds that
-stance's feet and constants into its f and its model, so an evaluation
+analytic Jacobians) the MPC plans with; trim_input(), the input every MPC
+stage linearizes about; sanitize(u) -> (u, clamps); and advance(t, x),
+which every step_time re-places the quadruped's stance around the body and
+binds its feet and constants into its f and its model, so an evaluation
 only unpacks x and u.
 
 The simulator runs classical RK4 at a fixed dt with a zero-order-hold
@@ -36,7 +37,6 @@ the loop from the stored x - x_ref, one vectorized expression per monitor.
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 from collections import namedtuple
@@ -96,10 +96,9 @@ def quadcopter_jacobians(phi, u_s, p: QuadcopterParams):
 
 
 def quadcopter_model(p: QuadcopterParams):
-    """The disturbance-free quadcopter_f as a Model; its Jacobians are
-    computed again only when (phi, u_s) moves."""
-    jacobians = functools.lru_cache(maxsize=1)(lambda phi, u_s: quadcopter_jacobians(phi, u_s, p))
-    return Model(lambda x, u: quadcopter_f(x, u, None, p), lambda x, u: jacobians(x[2], u[0]))
+    """The disturbance-free quadcopter_f as a Model."""
+    return Model(lambda x, u: quadcopter_f(x, u, None, p),
+                 lambda x, u: quadcopter_jacobians(x[2], u[0], p))
 
 
 def quadcopter_linearize(p: QuadcopterParams):
@@ -148,11 +147,9 @@ class QuadrupedParams:
 
 @dataclass
 class StanceState:
-    """Which diagonal pair is down and where its feet are: (y, z) pairs of
-    floats in the world frame, unpacked once per stance by
-    quadruped_dynamics."""
+    """Where the stance feet are: (y, z) pairs of floats in the world
+    frame, unpacked once per stance by quadruped_dynamics."""
 
-    pair: str
     foot_front: tuple
     foot_rear: tuple
 
@@ -369,20 +366,21 @@ class QuadcopterPlant:
     def advance(self, t, x):
         pass
 
-    def hover_input(self):
+    def trim_input(self):
+        """Hover thrust, no thrust difference."""
         return np.array([self.params.mass * self.params.gravity, 0.0])
 
 
 class QuadrupedPlant:
     """Trotting quadruped stand-in with optional added mass and drag.
 
-    Feet of the active diagonal pair sit at +/- step_offset around the
-    predicted mid-step COM (current position plus half a step of travel at
-    the commanded speed, so the arms stay balanced while the body moves).
-    The first advance puts pair A down; each step_time swaps pairs (at
-    once, double support throughout).  sanitize() projects commanded
-    forces into the cone fz >= 0, |fx| <= friction_coeff * fz, counting
-    clamps.
+    The stance feet sit at +/- step_offset around the predicted mid-step
+    COM (current position plus half a step of travel at the commanded
+    speed, so the arms stay balanced while the body moves).  The first
+    advance places the stance around the body, and each step_time re-places
+    it there (at once, double support throughout).  sanitize() projects
+    commanded forces into the cone fz >= 0, |fx| <= friction_coeff * fz,
+    counting clamps.
     """
 
     n_states = 6
@@ -396,25 +394,22 @@ class QuadrupedPlant:
         self.params = params or QuadrupedParams()
         self.delta_m = float(delta_m)
         self.drag_force = float(drag_force)
-        self._place(0.0, "B")
+        self._place(0.0)
         self._next_switch = 0.0
 
-    def _place(self, y, pair):
-        """Put `pair` down around y and bind the true dynamics f(x, u, w)
-        of that stance."""
+    def _place(self, y):
+        """Put the stance down around y and bind the true dynamics
+        f(x, u, w) and the controller's model of that stance."""
         off = self.params.step_offset
         mid = y + 0.5 * self.params.v_ref * self.params.step_time
-        self.stance = StanceState(pair=pair,
-                                  foot_front=(mid + off, 0.0),
-                                  foot_rear=(mid - off, 0.0))
+        self.stance = StanceState(foot_front=(mid + off, 0.0), foot_rear=(mid - off, 0.0))
         self.f = quadruped_dynamics(self.stance, self.params,
                                     delta_m=self.delta_m, drag_force=self.drag_force)
         self._nominal = quadruped_model(self.stance, self.params)
 
     def advance(self, t, x):
         if t >= self._next_switch - 1e-12:
-            pair = "B" if self.stance.pair == "A" else "A"
-            self._place(float(x[0]), pair)
+            self._place(float(x[0]))
             self._next_switch += self.params.step_time
 
     def nominal_f(self):
@@ -439,7 +434,7 @@ class QuadrupedPlant:
         (fx_f, fz_f), (fx_r, fz_r) = out
         return [fx_f, fx_r, fz_f, fz_r], clamps
 
-    def static_input(self):
+    def trim_input(self):
         """Even weight split of the nominal mass, no shear."""
         half = 0.5 * self.params.mass * self.params.gravity
         return np.array([0.0, 0.0, half, half])
@@ -506,10 +501,11 @@ class RandomDisturbance:
 class TrackingController:
     """MPC feedforward on a slow tick + ancillary feedback every call.
 
-    plant      : provides nominal_f() for the controller's model
+    plant      : provides nominal_f() for the controller's model and
+                 trim_input(), kept as u_lin: the input every MPC stage
+                 linearizes about, and the plan before the first tick
     reference  : object with state(t), clamped, queried for the MPC horizon
     cfg        : MpcConfig (its dt is the MPC period)
-    u_lin      : linearization input (m,) for every MPC stage
     feedback   : ancillary term feedback(x, e) -> full-length control
                  correction, a sequence of floats (a list is cheapest),
                  with e = x - x_ref; None = nominal (MPC-only) controller.
@@ -525,11 +521,11 @@ class TrackingController:
     not write into it.
     """
 
-    def __init__(self, plant, reference, cfg: MpcConfig, u_lin, feedback=None):
+    def __init__(self, plant, reference, cfg: MpcConfig, feedback=None):
         self.plant = plant
         self.reference = reference
         self.cfg = cfg
-        self.u_lin = np.asarray(u_lin, dtype=float).ravel()
+        self.u_lin = plant.trim_input()
         self.feedback = feedback
         # the input box as float lists, an absent side unbounded
         self._box = None

@@ -123,7 +123,7 @@ def test_bundled_quadcopter_scenario_parses():
     assert scn.hj_blocks == {}
     assert scn.duration == 5.0
     assert scn.sim_dt == 0.001
-    assert isinstance(scn.reference(), Figure8Ref)
+    assert isinstance(scn.reference, Figure8Ref)
 
 
 def test_bundled_quadruped_scenario_parses():
@@ -145,7 +145,7 @@ def test_bundled_quadruped_scenario_parses():
     assert hz.delta_m == (0.0, 5.0)
     assert np.allclose(scn.clf_blocks["y"].params.q, [500.0, 10.0])
     assert np.allclose(scn.mpc.r, 0.0)
-    assert isinstance(scn.reference(), TrotRef)
+    assert isinstance(scn.reference, TrotRef)
 
 
 @pytest.mark.parametrize("name, y, z", [
@@ -697,6 +697,14 @@ def test_cli_out_naming_a_file_exit_4(tmp_path, capsys, monkeypatch):
     ("simulate", {"clf": {"w_max": 1e200}}),
     # z's force box, summed from the per-foot boxes, overflows to inf
     ("wmax", {"mpc": {"u_hi": "35, 35, 1e308, 1e308"}}),
+    # the condensed MPC Hessian of the first solve overflows: refused by the
+    # simulate stage, before the write pass writes the certificates
+    ("simulate", {"mpc": {"dt": 1e300}}),
+    ("reproduce", {"mpc": {"dt": 1e300}}),
+    ("simulate", {"quadruped": {"v_ref": 1e300}}),
+    ("simulate", {"quadruped": {"inertia_xx": 1e-300}}),
+    ("reproduce", {"quadruped": {"z_ref": 1e300}}),
+    ("simulate", {"quadcopter": {"mass": 1.0}, "mpc": {"dt": 1e300}}),
 ], ids=["duration", "dt", "duration-below-dt", "horizon-positive", "horizon-word", "n",
         "target-half-width", "grid-half-width", "freeze", "hold-time",
         "quadcopter-disturbance-length", "mpc-q-length",
@@ -711,16 +719,24 @@ def test_cli_out_naming_a_file_exit_4(tmp_path, capsys, monkeypatch):
         "payload-interval-negative-mass", "quadcopter-hj-section", "trot-t-end",
         "trot-amp-y", "trot-amp-z", "figure8-y0", "none-w-max-freq", "mpc-horizon-oversized",
         "simulate-samples-oversized", "hj-n-oversized", "simulate-samples-overflow",
-        "clf-level-overflow", "hj-force-box-overflow"])
-def test_cli_bad_config_values_exit_4(tmp_path, capsys, command, edits):
-    # rejected by the loader, before any synthesis, PDE solve or simulation;
-    # only the quadcopter takes a disturbance policy and a figure-8 reference
+        "clf-level-overflow", "hj-force-box-overflow", "mpc-hessian-dt",
+        "mpc-hessian-dt-reproduce", "mpc-hessian-v-ref", "mpc-hessian-inertia",
+        "mpc-hessian-z-ref-reproduce", "mpc-hessian-quadcopter-dt"])
+def test_cli_bad_config_values_exit_4(tmp_path, capsys, request, command, edits):
+    # rejected by the loader, before any synthesis, PDE solve or simulation
+    # (an overflowing MPC Hessian by the simulate stage, before anything is
+    # written), with one line on stderr; only the quadcopter takes a
+    # disturbance policy and a figure-8 reference
     quadcopter_only = {"quadcopter", "clf", "reference", "disturbance"}
     trot = edits.get("reference", {}).get("kind") == "trot"
     base = MINI_QUADCOPTER if quadcopter_only & set(edits) and not trot else MINI
     path = mini_cfg(tmp_path, base=base, **edits)
-    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 4
-    assert "config error" in capsys.readouterr().err
+    rc, out = run_cli([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1 and out == ""
+    if request.node.callspec.id.startswith("mpc-hessian"):
+        assert "the first MPC solve broke down" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -738,13 +754,12 @@ def test_cli_synthesis_breakdown_exit_4(tmp_path, capsys, config, command, secti
     path = tmp_path / config
     with open(path, "w") as fh:
         cp.write(fh)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc, out = run_cli([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    rc, out = run_cli([command, "--config", str(path), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 4
     axis = "main" if section == "quadcopter" else "y"
-    assert f"config error: synthesis of axis {axis!r} broke down" in err
-    assert "Traceback" not in err and out == ""
+    assert err.startswith(f"config error: synthesis of axis {axis!r} broke down")
+    assert err.count("\n") == 1 and out == ""
     assert not (tmp_path / "o").exists()
 
 

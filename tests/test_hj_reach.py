@@ -268,13 +268,17 @@ def test_hamiltonian_uncertain_param_branches():
 @pytest.mark.parametrize("params", [(None,), (0.0, 0.0), (0.0, 5.0)])
 def test_grid_hamiltonian_matches_pointwise_oracle(params):
     # the vectorized Hamiltonian against the same formula in Python floats
-    # at every node, bit for bit
+    # at every node, bit for bit; the oracle takes the disturbance channel
+    # as the maximizer it is, the grid form as a control with swapped bounds
     dyn = mixed_dynamics(params)
     grid = hj.Grid2((-1.0, -2.0), (0.5, 1.5), (23, 17))
     rng = np.random.default_rng(11)
     p1 = rng.standard_normal(grid.shape)
     p2 = rng.standard_normal(grid.shape)
     p1[0] = p2[0] = 0.0  # a zero gradient: every channel coefficient is a signed zero
+    # the unit gradients +-e_i, at which the solver takes its slopes A_i and -B_i
+    for row, unit in enumerate(((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)), start=1):
+        p1[row], p2[row] = unit
     got = grid_hamiltonian(dyn, grid, p1, p2)
     x1g, x2g = grid.mesh()
     want = np.array([orc.hamiltonian((p1[i], p2[i]), (x1g[i], x2g[i]), dyn)

@@ -20,14 +20,14 @@ def hover_state():
     return np.zeros(6)
 
 
-def hover_input():
+def hover_command():
     return np.array([QP.mass * QP.gravity, 0.0])
 
 
 # -- quadcopter ----------------------------------------------------------------
 
 def test_hover_is_equilibrium():
-    xdot = plants.quadcopter_f(hover_state(), hover_input(), None, QP)
+    xdot = plants.quadcopter_f(hover_state(), hover_command(), None, QP)
     assert np.max(np.abs(xdot)) < 1e-12
 
 
@@ -37,7 +37,7 @@ def test_quadcopter_linearization_matches_fd():
     def qf(x, u, w, p):
         return np.asarray(plants.quadcopter_f(x, u, w, p))
 
-    x0, u0, w0 = hover_state(), hover_input(), np.zeros(2)
+    x0, u0, w0 = hover_state(), hover_command(), np.zeros(2)
     step = 1e-6
     a_fd = np.zeros((6, 6))
     for j in range(6):
@@ -97,7 +97,7 @@ def test_quadruped_static_stand():
     # standing centered between the feet with the static split is an equilibrium
     mid = 0.5 * (plant.stance.foot_front[0] + plant.stance.foot_rear[0])
     x = np.array([mid, p.z_ref, 0.0, 0.0, 0.0, 0.0])
-    xdot = plant.f(x, plant.static_input(), None)
+    xdot = plant.f(x, plant.trim_input(), None)
     assert np.max(np.abs(xdot)) < 1e-12
 
 
@@ -106,7 +106,7 @@ def test_added_mass_makes_stand_sag():
     plant = plants.QuadrupedPlant(p, delta_m=5.0)
     mid = 0.5 * (plant.stance.foot_front[0] + plant.stance.foot_rear[0])
     x = np.array([mid, p.z_ref, 0.0, 0.0, 0.0, 0.0])
-    xdot = plant.f(x, plant.static_input(), None)
+    xdot = plant.f(x, plant.trim_input(), None)
     zdd_expect = p.mass * p.gravity / (p.mass + 5.0) - p.gravity
     assert xdot[4] < 0.0
     assert abs(xdot[4] - zdd_expect) < 1e-12
@@ -115,8 +115,7 @@ def test_added_mass_makes_stand_sag():
 def test_quadruped_torque_cross_check():
     p = plants.QuadrupedParams()
     rng = np.random.default_rng(3)
-    stance = plants.StanceState(pair="A",
-                                foot_front=np.array([0.4, 0.0]),
+    stance = plants.StanceState(foot_front=np.array([0.4, 0.0]),
                                 foot_rear=np.array([0.1, 0.0]))
     for _ in range(10):
         x = rng.standard_normal(6) * 0.3 + np.array([0.25, 0.32, 0, 0, 0, 0])
@@ -134,30 +133,29 @@ def test_quadruped_torque_cross_check():
 
 def test_model_jacobians_match_central_differences():
     # the controller models' analytic Jacobians against orc.linearize_fd,
-    # over both stances, payload and drag, and off-hover quadcopter states;
-    # one quadcopter model serves every case, so a stale held pair would fail
+    # over two stances, payload and drag, and off-hover quadcopter states;
+    # one quadcopter model serves every case
     p = plants.QuadrupedParams()
     walker = plants.QuadrupedPlant(p)
     walker.advance(0.0, [-0.37, 0.3, 0.0, 0.0, 0.0, 0.0])
     stances = [walker.stance]
     walker.advance(p.step_time, [-0.2, 0.3, 0.0, 0.0, 0.0, 0.0])
     stances.append(walker.stance)
-    assert [s.pair for s in stances] == ["A", "B"]
     x_neg = [-0.41, 0.29, -0.03, -0.12, -0.02, -0.4]
     x_pos = [0.39, 0.29, 0.02, 0.48, -0.02, -0.4]
     u_stance = [-3.5, 2.0, 70.0, 52.0]
-    cases = [("quadruped-B-nominal", walker.nominal_f(), x_pos, walker.static_input())]
-    for s in stances:
+    cases = [("quadruped-1-nominal", walker.nominal_f(), x_pos, walker.trim_input())]
+    for i, s in enumerate(stances):
         cases += [
-            (f"quadruped-{s.pair}", plants.quadruped_model(s, p), x_neg, u_stance),
-            (f"quadruped-{s.pair}-payload-drag",
+            (f"quadruped-{i}", plants.quadruped_model(s, p), x_neg, u_stance),
+            (f"quadruped-{i}-payload-drag",
              plants.quadruped_model(s, p, delta_m=5.0, drag_force=30.0), x_pos, u_stance),
         ]
     copter = plants.QuadcopterPlant(QP).nominal_f()
     for x0, u0 in (([0.3, -0.45, 0.2, -0.6, 0.35, -1.1], [11.3, -0.7]),
                    ([0.0, 0.0, -1.1, 0.0, 0.0, 0.0], [11.3, -0.7]),
                    ([0.0, 0.0, 2.5, 0.2, 0.0, 0.0], [4.0, 0.3]),
-                   (hover_state(), hover_input())):
+                   (hover_state(), hover_command())):
         cases.append((f"quadcopter-phi-{x0[2]}", copter, x0, u0))
     for name, model, x0, u0 in cases:
         x0, u0 = np.asarray(x0, dtype=float), np.asarray(u0, dtype=float)
@@ -180,26 +178,29 @@ def test_sanitize_projects_into_friction_cone():
     assert c2 == 0 and np.allclose(u2, [1.0, -1.0, 30.0, 30.0])
 
 
-def test_stance_switching():
+def test_stance_replaced_around_the_body_every_step_time():
+    # the first advance places the stance around the body, wherever it is,
+    # and each step_time places a new one around x[0] then; the feet
+    # straddle the predicted mid-step body position, not the current one
     p = plants.QuadrupedParams()
     plant = plants.QuadrupedPlant(p)
-    # the first advance puts pair A down around the body, wherever it is;
-    # feet straddle the predicted mid-step body position, not the current one
     lead = 0.5 * p.v_ref * p.step_time
-    x = np.zeros(6)
-    x[0] = -0.7
-    plant.advance(0.0, x)
-    assert plant.stance.pair == "A"
-    assert np.allclose(plant.stance.foot_front, [-0.7 + lead + p.step_offset, 0.0])
-    plant.advance(0.1, x)
-    assert plant.stance.pair == "A"
-    x[0] = 0.3
-    plant.advance(p.step_time, x)
-    assert plant.stance.pair == "B"
-    assert np.allclose(plant.stance.foot_front, [0.3 + lead + p.step_offset, 0.0])
-    assert np.allclose(plant.stance.foot_rear, [0.3 + lead - p.step_offset, 0.0])
-    plant.advance(2 * p.step_time, x)
-    assert plant.stance.pair == "A"
+
+    def feet(y):
+        return (y + lead + p.step_offset, 0.0), (y + lead - p.step_offset, 0.0)
+
+    x = [0.0, p.z_ref, 0.0, 0.0, 0.0, 0.0]
+    u = [1.0, -2.0, 60.0, 70.0]
+    placed = []
+    for t, y in ((0.0, -0.7), (0.1, 0.2), (p.step_time, 0.3), (0.4, 0.5),
+                 (2 * p.step_time, 0.6), (3 * p.step_time - 1e-13, 0.8)):
+        x[0] = y
+        plant.advance(t, x)
+        placed.append((plant.stance.foot_front, plant.stance.foot_rear))
+        # the true dynamics and the controller's model act on that stance
+        want = plants.quadruped_dynamics(plant.stance, p)(x, u)
+        assert plant.f(x, u) == plant.nominal_f().f(x, u) == want
+    assert placed == [feet(-0.7), feet(-0.7), feet(0.3), feet(0.3), feet(0.6), feet(0.8)]
 
 
 def test_axis_linear_model():
@@ -242,7 +243,7 @@ def test_stance_allocation_matches_pinv():
         ang = rng.uniform(0.0, 2.0 * math.pi)
         gap = rng.uniform(0.01, 0.5) * np.array([math.cos(ang), math.sin(ang)])
         front, rear = mid + 0.5 * gap, mid - 0.5 * gap
-        stance = plants.StanceState(pair="A", foot_front=front, foot_rear=rear)
+        stance = plants.StanceState(foot_front=front, foot_rear=rear)
         wrench = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 3.0, 3)
         rf, rr = x[:2] - front, x[:2] - rear
         a = np.array([[1.0, 1.0, 0.0, 0.0],
@@ -273,11 +274,9 @@ def test_tracking_controller_callable_gain():
         seen.append((list(x), e.tolist()))
         return np.array([0.25, 0.0])
 
-    ctl = plants.TrackingController(plant, ref, cfg,
-                                    u_lin=plant.hover_input(), feedback=extra)
+    ctl = plants.TrackingController(plant, ref, cfg, feedback=extra)
     x = np.zeros(6)
-    base = plants.TrackingController(plant, ref, cfg,
-                                     u_lin=plant.hover_input())
+    base = plants.TrackingController(plant, ref, cfg)
     u_plain = base.control(0.0, x.copy(), ref.state(0.0))
     u_aug = ctl.control(0.0, x.copy(), ref.state(0.0))
     assert seen == [([0.0] * 6, [0.0] * 6)]
@@ -396,7 +395,7 @@ def test_simulated_hover_stays_put():
     cfg = MpcConfig(q=[100.0, 100.0, 10.0, 10.0, 10.0, 1.0], r=[1e-4, 1e-4],
                     dt=0.05, horizon=2)
     ref = _HoverRef()
-    ctrl = plants.TrackingController(plant, ref, cfg, u_lin=plant.hover_input())
+    ctrl = plants.TrackingController(plant, ref, cfg)
     mon = plants.LyapunovMonitor(name="E", p=np.eye(6), level=10.0)
     traj = plants.simulate_closed_loop(plant, ctrl, ref, None, duration=0.5,
                                        dt=0.001, monitors=[mon])
@@ -414,7 +413,7 @@ def test_controller_tick_and_ancillary_gain():
     cfg = MpcConfig(q=np.full(6, 1.0), r=[1e-4, 1e-4], dt=0.05, horizon=2)
     k_gain = np.array([[0.0, -2.0, 0.0], [0.0, 0.0, 0.0]])
     ctrl = plants.TrackingController(
-        plant, _HoverRef(), cfg, u_lin=plant.hover_input(),
+        plant, _HoverRef(), cfg,
         feedback=lambda x, e: k_gain @ e[[1, 4, 2]])
     x = np.zeros(6)
     x[4] = 0.1  # vertical-rate error feeds thrust through the gain
@@ -586,7 +585,7 @@ def closed_loop(certified, plant, mode, duration=2.0, **edits):
         sim, controller, monitors, dist = cli._build_quadcopter_sim(scn, run, mode)
     else:
         sim, controller, monitors, dist = cli._build_quadruped_sim(scn, run, mode)
-    return ((sim, controller, scn.reference(), dist),
+    return ((sim, controller, scn.reference, dist),
             {"duration": duration, "dt": scn.sim_dt, "monitors": monitors})
 
 
@@ -680,17 +679,16 @@ def test_quadruped_ancillary_bitwise_matches_matmul_allocation(certified):
         assert np.array(got).tobytes() == want.tobytes()
 
 
-def test_fig3_robust_run_linearizes_once(certified, monkeypatch):
-    # counts, not times: along the figure-8 the quadcopter Jacobian and the
-    # condensed Hessian are built once, and each solve evaluates f once
-    # per stage, for the affine remainder only
-    counts = {"jacobians": 0, "condense": 0, "nominal_f": 0}
+def test_fig3_robust_run_condenses_once(certified, monkeypatch):
+    # counts, not times: along the figure-8 the stage Jacobians never move,
+    # so the condensed Hessian is built once per run, and each solve
+    # evaluates f once per stage, for the affine remainder only
+    counts = {"condense": 0, "nominal_f": 0}
+    condense = mpc._condense
 
-    def counting(name, fn):
-        def wrapped(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapped
+    def counting_condense(*args):
+        counts["condense"] += 1
+        return condense(*args)
 
     dynamics = plants.quadcopter_f
 
@@ -698,9 +696,7 @@ def test_fig3_robust_run_linearizes_once(certified, monkeypatch):
         counts["nominal_f"] += w is None
         return dynamics(x, u, w, p)
 
-    monkeypatch.setattr(plants, "quadcopter_jacobians",
-                        counting("jacobians", plants.quadcopter_jacobians))
-    monkeypatch.setattr(mpc, "_condense", counting("condense", mpc._condense))
+    monkeypatch.setattr(mpc, "_condense", counting_condense)
     monkeypatch.setattr(plants, "quadcopter_f", quadcopter_f)
     solve = plants.mpc_step
     per_solve = []
@@ -719,7 +715,27 @@ def test_fig3_robust_run_linearizes_once(certified, monkeypatch):
     traj = plants.simulate_closed_loop(*args, **kwargs)
     assert len(traj.t) == 5001 and args[1].mpc_calls == 101
     assert per_solve == [scn.mpc.horizon] * 101
-    assert counts == {"jacobians": 1, "condense": 1, "nominal_f": 101 * scn.mpc.horizon}
+    assert counts == {"condense": 1, "nominal_f": 101 * scn.mpc.horizon}
+
+
+@pytest.mark.parametrize("plant", ["quadcopter", "quadruped"])
+@pytest.mark.parametrize("mode", ["nominal", "robust"])
+def test_simulation_reads_the_scenarios_one_reference(certified, monkeypatch, plant, mode):
+    # the loader builds the reference once: the controller and the loop of
+    # every run get that object, and the controller linearizes about the
+    # plant's trim input
+    scn, run = certified[plant]
+    seen = []
+    simulate = plants.simulate_closed_loop
+
+    def spy(sim, controller, reference, *args, **kwargs):
+        seen.append((controller.reference, reference))
+        assert controller.u_lin.tobytes() == sim.trim_input().tobytes()
+        return simulate(sim, controller, reference, *args, **kwargs)
+
+    monkeypatch.setattr(plants, "simulate_closed_loop", spy)
+    cli._simulate(dataclasses.replace(scn, duration=0.01), run, mode)
+    assert len(seen) == 1 and all(ref is scn.reference for ref in seen[0])
 
 
 def test_reference_evaluated_once_per_sample(certified):

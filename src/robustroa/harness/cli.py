@@ -16,10 +16,10 @@ synthesize -> solve -> bound -> simulate (_run_stages):
 
 A quadcopter simulation is certified by its configured [clf] w_max, so it
 solves no safe set.  The simulate stage runs only the first sample of a
-run, whose MPC solve can still overflow.  Then one write pass creates the
-output directory, simulates, writes the files and prints the report.
-Every refusal (exit 2, 3 or 4) comes from a stage before it, so a refused
-run leaves no directory and no file.
+run in robust mode, whose MPC solve or stance allocation can still fail.
+Then one write pass creates the output directory, simulates, writes the
+files and prints the report.  Every refusal (exit 2, 3 or 4) comes from a
+stage before it, so a refused run leaves no directory and no file.
 
 The decoupled axes and the controller modes share nothing but the
 certificates, so _fan_out runs them side by side, one job per axis chain
@@ -288,15 +288,21 @@ def _run_stages(scn, stages):
             and run.certs["main"][0].w_max is None):
         raise ConfigError("[clf] needs w_max for the quadcopter pipeline")
     if "simulate" in stages:
-        # a run's first sample: its MPC solve is where a plant or [mpc] scale
-        # the loader admits can still overflow, and every mode makes that solve
+        # a run's first sample in robust mode, which makes every call nominal makes: its MPC
+        # solve and its stance allocation can still break on scales the loader admits
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                _simulate(dataclasses.replace(scn, duration=0.0), run, "nominal")
+                _simulate(dataclasses.replace(scn, duration=0.0), run, "robust")
             except ValueError as exc:  # mpc: "hess contains non-finite entries"
                 raise ConfigError(f"the first MPC solve broke down ({exc}): the config's "
                                   f"[mpc] or [{scn.plant_kind}] scales are outside the "
                                   f"solver's range") from None
+            except ZeroDivisionError:  # plants.stance_allocation: the feet coincide
+                walker = plants.QuadrupedPlant(scn.quadruped)
+                walker.advance(0.0, scn.reference.state(0.0))
+                raise ConfigError(f"[quadruped] step_offset = {scn.quadruped.step_offset!r} puts "
+                                  f"the stance feet at {walker.stance.foot_front} and "
+                                  f"{walker.stance.foot_rear}, too close to split forces") from None
     return run
 
 
@@ -442,7 +448,8 @@ def _write_wmax(scn, run, out):
 def _metrics(traj):
     err = traj.x - traj.x_ref
     out = {}
-    out["rms_error"] = float(np.sqrt(np.mean(np.sum(err[:, :2] ** 2, axis=1))))
+    with np.errstate(over="ignore"):  # a diverged run's huge states give inf
+        out["rms_error"] = float(np.sqrt(np.mean(np.sum(err[:, :2] ** 2, axis=1))))
     for i, label in enumerate(AXIS_LABELS[: err.shape[1]]):
         out[f"max_abs_e_{label}"] = float(np.max(np.abs(err[:, i])))
     for name, exits in zip(traj.monitor_names, traj.invariant_exits):

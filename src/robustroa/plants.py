@@ -24,15 +24,17 @@ tracking controller: the nominal MPC plan, recomputed on its own slower
 period, plus one ancillary feedback(x, e) every step.  Each sample does
 only causal work, on Python floats: the reference's state(t), clamped to
 its time domain, is evaluated once and handed to the controller, the
-command is clipped and sanitized as a float list, and rk4_step takes and
-returns float lists, written out over the six coordinates (no zip or
-comprehension; the same sums in the same order as the vector form).
-Numpy enters a step only for the feedback's gain products, kept as numpy
-dots for their rounding (the feedback hands back a float list), and for
-the MPC solve on its tick.  The loop packs each sample into output arrays
-allocated once, sized from the first sample.  The certificate energy
-E = e' P e of each monitor, and its invariant exits, are computed after
-the loop from the stored x - x_ref, one vectorized expression per monitor.
+command is clipped and sanitized as a float list, so are the disturbance
+policies' w, and rk4_step takes and returns float lists, written out over
+the six coordinates (no zip or comprehension; the same sums in the same
+order as the vector form).  One test per step ends a diverged run: |x_i| <=
+blowup, which NaN and inf fail.  Numpy enters a step only for the
+feedback's gain products, kept as numpy dots for their rounding (the
+feedback hands back a float list), and for the MPC solve on its tick.
+The loop packs each sample into output arrays allocated once, sized from
+the first sample.  The certificate energy E = e' P e of each monitor, and
+its invariant exits, are computed after the loop from the stored
+x - x_ref, one vectorized expression per monitor.
 """
 
 from __future__ import annotations
@@ -48,10 +50,6 @@ from . import matrixkit as mk
 from .clf_synth import ClfCertificate, LinearModel
 from .hj_reach import AffineDynamics2
 from .mpc import Model, MpcConfig, mpc_step
-
-
-class NonFinite(Exception):
-    """Integration produced NaN or infinity."""
 
 
 # -- quadcopter ---------------------------------------------------------------
@@ -193,20 +191,20 @@ def quadruped_dynamics(stance: StanceState, p: QuadrupedParams, delta_m=0.0, dra
     return f
 
 
-def quadruped_model(stance: StanceState, p: QuadrupedParams, delta_m=0.0, drag_force=0.0):
-    """quadruped_dynamics of the stance with its Jacobians, as a Model.
+def quadruped_model(stance: StanceState, p: QuadrupedParams):
+    """The nominal quadruped_dynamics of the stance (mass p.mass, no drag)
+    with its Jacobians, as a Model.
 
-    The force rows are 1/(m + delta_m) on their two feet.  With the arms
-    r = com - foot, the torque row is (fz_f + fz_r, -(fx_f + fx_r)) / I in
-    (y, z) and [-(z - z_f), -(z - z_r), y - y_f, y - y_r] / I in u, so it
-    moves with the state and the forces.  The drag is constant and enters
-    neither.
+    The force rows are 1/m on their two feet.  With the arms r = com -
+    foot, the torque row is (fz_f + fz_r, -(fx_f + fx_r)) / I in (y, z)
+    and [-(z - z_f), -(z - z_r), y - y_f, y - y_r] / I in u, so it moves
+    with the state and the forces.
     """
     inertia = p.inertia_xx
     front_y, front_z = stance.foot_front
     rear_y, rear_z = stance.foot_rear
     a0, b0 = np.eye(6, k=3), np.zeros((6, 4))
-    b0[3, :2] = b0[4, 2:] = 1.0 / (p.mass + delta_m)
+    b0[3, :2] = b0[4, 2:] = 1.0 / p.mass
 
     def jac(x, u):
         y, z = x[0], x[1]
@@ -216,7 +214,7 @@ def quadruped_model(stance: StanceState, p: QuadrupedParams, delta_m=0.0, drag_f
                 (y - front_y) / inertia, (y - rear_y) / inertia)
         return a, b
 
-    return Model(quadruped_dynamics(stance, p, delta_m, drag_force), jac)
+    return Model(quadruped_dynamics(stance, p), jac)
 
 
 def quadruped_axis_linear(p: QuadrupedParams):
@@ -329,15 +327,12 @@ def rk4_step(f, x, u, w, dt):
     d0, d1, d2, d3, d4, d5 = f([x0 + dt * c0, x1 + dt * c1, x2 + dt * c2,
                                x3 + dt * c3, x4 + dt * c4, x5 + dt * c5], u, w)
     sixth = dt / 6.0
-    out = [x0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
-           x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-           x2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
-           x3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
-           x4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
-           x5 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5)]
-    if not all(map(math.isfinite, out)):
-        raise NonFinite("integration step produced non-finite state")
-    return out
+    return [x0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+            x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+            x2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+            x3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+            x4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
+            x5 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5)]
 
 
 # -- plants as simulation objects ---------------------------------------------
@@ -349,8 +344,8 @@ class QuadcopterPlant:
     n_controls = 2
     n_dist = 2
 
-    def __init__(self, params: QuadcopterParams | None = None):
-        self.params = params or QuadcopterParams()
+    def __init__(self, params: QuadcopterParams):
+        self.params = params
         self._nominal = quadcopter_model(self.params)
 
     def f(self, x, u, w):
@@ -389,9 +384,8 @@ class QuadrupedPlant:
     axes = {"y": ErrorAxis(states=(0, 3), forces=(0, 1), wrench_row=0),
             "z": ErrorAxis(states=(1, 4), forces=(2, 3), wrench_row=1)}
 
-    def __init__(self, params: QuadrupedParams | None = None,
-                 delta_m=0.0, drag_force=0.0):
-        self.params = params or QuadrupedParams()
+    def __init__(self, params: QuadrupedParams, delta_m=0.0, drag_force=0.0):
+        self.params = params
         self.delta_m = float(delta_m)
         self.drag_force = float(drag_force)
         self._place(0.0)
@@ -458,7 +452,7 @@ class TrotRef:
 
 class ConstantDisturbance:
     def __init__(self, w):
-        self.w = np.asarray(w, dtype=float).ravel()
+        self.w = np.asarray(w, dtype=float).ravel().tolist()
 
     def __call__(self, t):
         return self.w
@@ -473,7 +467,7 @@ class SinusoidalDisturbance:
 
     def __call__(self, t):
         ang = 2.0 * math.pi * self.freq * t
-        return self.w_max * np.array([math.sin(ang), math.cos(ang)])
+        return [self.w_max * math.sin(ang), self.w_max * math.cos(ang)]
 
 
 class RandomDisturbance:
@@ -485,13 +479,13 @@ class RandomDisturbance:
         self.hold_time = float(hold_time)
         self.rng = np.random.default_rng(seed)
         self._next_draw = 0.0
-        self._w = np.zeros(2)
+        self._w = [0.0, 0.0]
 
     def __call__(self, t):
         if t >= self._next_draw - 1e-12:
             ang = self.rng.uniform(0.0, 2.0 * math.pi)
             rad = self.w_max * math.sqrt(self.rng.uniform())
-            self._w = rad * np.array([math.cos(ang), math.sin(ang)])
+            self._w = [rad * math.cos(ang), rad * math.sin(ang)]
             self._next_draw = t + self.hold_time
         return self._w
 
@@ -536,7 +530,6 @@ class TrackingController:
                 for sign, bound in ((-1.0, cfg.u_lo), (1.0, cfg.u_hi)))
         self._next_tick = -math.inf
         self._u_bar = self.u_lin.tolist()
-        self.mpc_calls = 0
 
     def control(self, t, x, x_ref):
         if t >= self._next_tick - 1e-12:
@@ -545,7 +538,6 @@ class TrackingController:
             plan = mpc_step(self.plant.nominal_f(), x, refs, self.cfg, self.u_lin)
             self._u_bar = plan[0].tolist()
             self._next_tick = t + self.cfg.dt
-            self.mpc_calls += 1
         u = self._u_bar
         if self.feedback is not None:
             du = self.feedback(x, np.subtract(x, x_ref))
@@ -645,18 +637,19 @@ def simulate_closed_loop(plant, controller, reference, disturbance, duration, dt
 
     Each sample evaluates reference.state(t) once and passes it to
     controller.control(t, x, x_ref); the state between steps is a list of
-    Python floats.  disturbance: callable t -> w vector, or None.
-    Integration stops early (diverged=True) if a state entry passes blowup
-    in magnitude or goes non-finite.  After the loop, each LyapunovMonitor's
-    energy is evaluated on the stored e = x - x_ref; a sample counts as an
-    invariant exit when E > level * (1 + 1e-6).
+    Python floats.  disturbance: callable t -> w, a list of floats stored
+    as given, or None.  Integration stops early (diverged=True), storing
+    nothing more, at a state that fails |x_i| <= blowup, as NaN and inf
+    do.  After the loop, each LyapunovMonitor's energy is evaluated on the
+    stored e = x - x_ref; a sample counts as an invariant exit when
+    E > level * (1 + 1e-6).
     """
     monitors = list(monitors)
     n_steps = int(round(duration / dt))
     if n_steps < 0:
         raise ValueError(f"duration {duration} and dt {dt} give no samples")
     x = None if x0 is None else np.asarray(x0, dtype=float).ravel().tolist()
-    w_f = [0.0] * max(getattr(plant, "n_dist", 0), 1)
+    w_f = [0.0] * max(plant.n_dist, 1)
     clamp_events = 0
     diverged = False
     for i in range(n_steps + 1):
@@ -668,7 +661,7 @@ def simulate_closed_loop(plant, controller, reference, disturbance, duration, dt
         u, clamps = plant.sanitize(controller.control(t, x, x_ref))
         clamp_events += clamps
         if disturbance is not None:
-            w_f = np.asarray(disturbance(t), dtype=float).tolist()
+            w_f = disturbance(t)
         x_ref_f = x_ref.tolist()
         if i == 0:
             # one array per quantity, shaped by the first sample; each row is
@@ -684,12 +677,10 @@ def simulate_closed_loop(plant, controller, reference, disturbance, duration, dt
         pack_w(ws, row_w * i, *w_f)
         if i == n_steps:
             break
-        try:
-            x = rk4_step(plant.f, x, u, w_f, dt)
-        except NonFinite:
-            diverged = True
-            break
-        if max(map(abs, x)) > blowup:
+        x = rk4_step(plant.f, x, u, w_f, dt)
+        v0, v1, v2, v3, v4, v5 = x  # NaN fails each test, as inf does
+        if not (abs(v0) <= blowup and abs(v1) <= blowup and abs(v2) <= blowup
+                and abs(v3) <= blowup and abs(v4) <= blowup and abs(v5) <= blowup):
             diverged = True
             break
     n = i + 1

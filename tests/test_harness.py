@@ -705,6 +705,11 @@ def test_cli_out_naming_a_file_exit_4(tmp_path, capsys, monkeypatch):
     ("simulate", {"quadruped": {"inertia_xx": 1e-300}}),
     ("reproduce", {"quadruped": {"z_ref": 1e300}}),
     ("simulate", {"quadcopter": {"mass": 1.0}, "mpc": {"dt": 1e300}}),
+    # the two stance feet round to one point: refused by the simulate
+    # stage's robust first sample, whose ancillary allocates the forces
+    ("simulate", {"quadruped": {"step_offset": 1e-300}}),
+    ("simulate", {"quadruped": {"v_ref": 1e150}}),
+    ("reproduce", {"reference": {"kind": "trot", "y0": 1e300}}),
 ], ids=["duration", "dt", "duration-below-dt", "horizon-positive", "horizon-word", "n",
         "target-half-width", "grid-half-width", "freeze", "hold-time",
         "quadcopter-disturbance-length", "mpc-q-length",
@@ -721,12 +726,13 @@ def test_cli_out_naming_a_file_exit_4(tmp_path, capsys, monkeypatch):
         "simulate-samples-oversized", "hj-n-oversized", "simulate-samples-overflow",
         "clf-level-overflow", "hj-force-box-overflow", "mpc-hessian-dt",
         "mpc-hessian-dt-reproduce", "mpc-hessian-v-ref", "mpc-hessian-inertia",
-        "mpc-hessian-z-ref-reproduce", "mpc-hessian-quadcopter-dt"])
+        "mpc-hessian-z-ref-reproduce", "mpc-hessian-quadcopter-dt", "stance-step-offset",
+        "stance-v-ref", "stance-y0-reproduce"])
 def test_cli_bad_config_values_exit_4(tmp_path, capsys, request, command, edits):
     # rejected by the loader, before any synthesis, PDE solve or simulation
-    # (an overflowing MPC Hessian by the simulate stage, before anything is
-    # written), with one line on stderr; only the quadcopter takes a
-    # disturbance policy and a figure-8 reference
+    # (an overflowing MPC Hessian or coinciding stance feet by the simulate
+    # stage, before anything is written), with one line on stderr; only the
+    # quadcopter takes a disturbance policy and a figure-8 reference
     quadcopter_only = {"quadcopter", "clf", "reference", "disturbance"}
     trot = edits.get("reference", {}).get("kind") == "trot"
     base = MINI_QUADCOPTER if quadcopter_only & set(edits) and not trot else MINI
@@ -737,6 +743,8 @@ def test_cli_bad_config_values_exit_4(tmp_path, capsys, request, command, edits)
     assert err.startswith("config error") and err.count("\n") == 1 and out == ""
     if request.node.callspec.id.startswith("mpc-hessian"):
         assert "the first MPC solve broke down" in err
+    if request.node.callspec.id.startswith("stance"):
+        assert err.startswith("config error: [quadruped] step_offset = ")
     assert not (tmp_path / "o").exists()
 
 
@@ -923,6 +931,17 @@ def test_cli_simulate_takes_zero_mpc_weights(tmp_path):
               if key.startswith(("rms_error", "max_abs_e"))}
     assert "rms_error" in errors and len(errors) == 7
     assert all(np.isfinite(val) for val in errors.values())
+
+
+def test_cli_simulate_reports_a_diverged_run_without_warnings(tmp_path, capsys):
+    # a figure-8 of amplitude 1e300 leaves the vehicle behind at once: the
+    # run diverges, its squared errors overflow to rms_error = inf, and
+    # nothing reaches stderr
+    path = mini_cfg(tmp_path, base=MINI_QUADCOPTER, reference={"amp_y": 1e300})
+    rc, text = run_cli(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 0 and capsys.readouterr().err == ""
+    values = printed_values(text)
+    assert values["diverged"] == "true" and values["rms_error"] == "inf"
 
 
 def test_cli_wmax_reports_the_configured_bound_at_synthesis(tmp_path):

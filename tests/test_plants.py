@@ -133,8 +133,8 @@ def test_quadruped_torque_cross_check():
 
 def test_model_jacobians_match_central_differences():
     # the controller models' analytic Jacobians against orc.linearize_fd,
-    # over two stances, payload and drag, and off-hover quadcopter states;
-    # one quadcopter model serves every case
+    # over two stances and off-hover quadcopter states; one quadcopter
+    # model serves every case
     p = plants.QuadrupedParams()
     walker = plants.QuadrupedPlant(p)
     walker.advance(0.0, [-0.37, 0.3, 0.0, 0.0, 0.0, 0.0])
@@ -146,11 +146,8 @@ def test_model_jacobians_match_central_differences():
     u_stance = [-3.5, 2.0, 70.0, 52.0]
     cases = [("quadruped-1-nominal", walker.nominal_f(), x_pos, walker.trim_input())]
     for i, s in enumerate(stances):
-        cases += [
-            (f"quadruped-{i}", plants.quadruped_model(s, p), x_neg, u_stance),
-            (f"quadruped-{i}-payload-drag",
-             plants.quadruped_model(s, p, delta_m=5.0, drag_force=30.0), x_pos, u_stance),
-        ]
+        cases += [(f"quadruped-{i}-{side}", plants.quadruped_model(s, p), x0, u_stance)
+                  for side, x0 in (("behind", x_neg), ("ahead", x_pos))]
     copter = plants.QuadcopterPlant(QP).nominal_f()
     for x0, u0 in (([0.3, -0.45, 0.2, -0.6, 0.35, -1.1], [11.3, -0.7]),
                    ([0.0, 0.0, -1.1, 0.0, 0.0, 0.0], [11.3, -0.7]),
@@ -169,7 +166,7 @@ def test_model_jacobians_match_central_differences():
 
 
 def test_sanitize_projects_into_friction_cone():
-    plant = plants.QuadrupedPlant()
+    plant = plants.QuadrupedPlant(plants.QuadrupedParams(friction_coeff=0.6))
     u, clamps = plant.sanitize([10.0, -10.0, 5.0, -3.0])
     assert clamps == 3
     assert u[2] == 5.0 and u[3] == 0.0
@@ -333,10 +330,24 @@ def test_rk4_is_fourth_order():
     assert 24.0 < ratio < 40.0  # local error scales as dt^5: ratio ~ 32
 
 
-def test_rk4_flags_nonfinite():
-    f = lambda x, u, w: np.array([0.0, 0.0, 0.0, np.inf, 0.0, 0.0])
-    with pytest.raises(plants.NonFinite):
-        plants.rk4_step(f, [1.0] * 6, None, None, 0.01)
+@pytest.mark.parametrize("rate, coord", [(math.nan, 3), (-math.inf, 4), (1e6, 0)],
+                         ids=["nan", "inf", "past-blowup"])
+def test_loop_stops_at_the_first_state_it_cannot_keep(rate, coord):
+    # still until the kick at t = 0.3, whose step drives one coordinate NaN,
+    # to -inf or to 1e5 > blowup: the run is diverged and its stored arrays
+    # end at the kick's sample, the last state that passed the test
+    kick = _KickPlant(0.3, rate, coord)
+    x0 = [0.5, -0.25, 0.0, 1.0, 0.0, 2.0]
+    traj = plants.simulate_closed_loop(kick, _ZeroCtrl(), _OriginRef(), None, duration=1.0,
+                                       dt=0.1, x0=x0, blowup=1e4)
+    assert traj.diverged
+    assert len(traj.t) == len(traj.x) == len(traj.u) == len(traj.w) == 4
+    assert traj.t[-1] == 3 * 0.1
+    assert traj.x.tolist() == [x0] * 4
+    # the same plant without the kick runs to the end
+    traj = plants.simulate_closed_loop(_KickPlant(2.0, rate, coord), _ZeroCtrl(), _OriginRef(),
+                                       None, duration=1.0, dt=0.1, x0=x0, blowup=1e4)
+    assert not traj.diverged and len(traj.t) == 11
 
 
 def test_worst_constant_disturbance_maximizes_energy():
@@ -365,33 +376,55 @@ def test_worst_constant_disturbance_maximizes_energy():
         assert steady_energy(3.5 * v / np.linalg.norm(v)) <= best * (1 + 1e-9)
 
 
+def float_list(w):
+    return type(w) is list and all(type(v) is float for v in w)
+
+
 def test_disturbance_policies():
+    # each policy hands back a list of Python floats, which the loop stores as is
     sin = plants.SinusoidalDisturbance(3.5, freq=0.5)
     for t in np.linspace(0.0, 4.0, 23):
+        assert float_list(sin(t))
         assert abs(np.linalg.norm(sin(t)) - 3.5) < 1e-12
     ra = plants.RandomDisturbance(2.0, seed=7, hold_time=0.05)
     rb = plants.RandomDisturbance(2.0, seed=7, hold_time=0.05)
     ts = np.arange(0.0, 0.5, 0.01)
-    wa = np.array([ra(t) for t in ts])
-    wb = np.array([rb(t) for t in ts])
+    draws = [ra(t) for t in ts]
+    assert all(map(float_list, draws))
+    wa, wb = np.array(draws), np.array([rb(t) for t in ts])
     assert np.array_equal(wa, wb)
     assert np.all(np.linalg.norm(wa, axis=1) <= 2.0 + 1e-12)
     # constant within each hold window, and not one constant overall
     assert np.array_equal(wa[0], wa[4])
     assert not np.array_equal(wa[0], wa[5])
-    const = plants.ConstantDisturbance([0.3, -0.1])
-    assert np.array_equal(const(0.0), const(9.9))
+    const = plants.ConstantDisturbance(np.array([0.3, -0.1]))  # as the worst-case w comes
+    assert float_list(const(0.0)) and const(0.0) == const(9.9) == [0.3, -0.1]
 
 
 # -- closed loop ---------------------------------------------------------------
+
+@pytest.fixture
+def mpc_solves(monkeypatch):
+    """A list that gains one entry per plants.mpc_step call: the MPC solves
+    the controllers make, counted where the benchmark tracer counts them."""
+    solves = []
+    solve = plants.mpc_step
+
+    def counting(*args):
+        solves.append(None)
+        return solve(*args)
+
+    monkeypatch.setattr(plants, "mpc_step", counting)
+    return solves
+
 
 class _HoverRef:
     def state(self, t):
         return np.zeros(6)
 
 
-def test_simulated_hover_stays_put():
-    plant = plants.QuadcopterPlant()
+def test_simulated_hover_stays_put(mpc_solves):
+    plant = plants.QuadcopterPlant(QP)
     cfg = MpcConfig(q=[100.0, 100.0, 10.0, 10.0, 10.0, 1.0], r=[1e-4, 1e-4],
                     dt=0.05, horizon=2)
     ref = _HoverRef()
@@ -405,11 +438,11 @@ def test_simulated_hover_stays_put():
     # the r-weight trades a ~1e-5 sag for cheaper thrust; no drift beyond that
     assert np.max(np.abs(traj.x)) < 1e-4
     assert traj.invariant_exits == (0,)
-    assert ctrl.mpc_calls == 11  # ticks at 0.00, 0.05, ..., 0.50
+    assert len(mpc_solves) == 11  # ticks at 0.00, 0.05, ..., 0.50
 
 
-def test_controller_tick_and_ancillary_gain():
-    plant = plants.QuadcopterPlant()
+def test_controller_tick_and_ancillary_gain(mpc_solves):
+    plant = plants.QuadcopterPlant(QP)
     cfg = MpcConfig(q=np.full(6, 1.0), r=[1e-4, 1e-4], dt=0.05, horizon=2)
     k_gain = np.array([[0.0, -2.0, 0.0], [0.0, 0.0, 0.0]])
     ctrl = plants.TrackingController(
@@ -419,13 +452,13 @@ def test_controller_tick_and_ancillary_gain():
     x[4] = 0.1  # vertical-rate error feeds thrust through the gain
     x_ref = np.zeros(6)
     u0 = ctrl.control(0.0, x, x_ref)
-    assert ctrl.mpc_calls == 1
+    assert len(mpc_solves) == 1
     u1 = ctrl.control(0.01, x, x_ref)
-    assert ctrl.mpc_calls == 1  # inside the tick: feedforward reused
+    assert len(mpc_solves) == 1  # inside the tick: feedforward reused
     assert np.allclose(u0, u1)
     assert abs((u0[0] - ctrl._u_bar[0]) + 2.0 * 0.1) < 1e-12
     ctrl.control(0.05, x, x_ref)
-    assert ctrl.mpc_calls == 2
+    assert len(mpc_solves) == 2
 
 
 class _DriftPlant:
@@ -456,6 +489,21 @@ class _OriginRef:
 class _StillPlant(_DriftPlant):
     def f(self, x, u, w):
         return [0.0] * len(x)
+
+
+class _KickPlant(_StillPlant):
+    """Still until kick_time; from the step that starts there on, x[coord]
+    moves at `rate`."""
+
+    def __init__(self, kick_time, rate, coord):
+        self.kick_time, self.rate, self.coord = kick_time, rate, coord
+        self.xdot = [0.0] * 6
+
+    def advance(self, t, x):
+        self.xdot[self.coord] = self.rate if t >= self.kick_time else 0.0
+
+    def f(self, x, u, w):
+        return self.xdot
 
 
 class _FixedRef:
@@ -599,7 +647,7 @@ CLOSED_LOOPS = {
     # a push far past the certified bound drives a state past 2 within 0.2 s
     "quadcopter-blowup": ("quadcopter", "nominal",
                           {"disturbance": DisturbancePolicy(kind="constant", w=(10.0, 0.0))}),
-    # the first stage sum overflows: NonFinite on the first step
+    # the first stage sum overflows: non-finite on the first step
     "quadcopter-nonfinite": ("quadcopter", "robust",
                              {"disturbance": DisturbancePolicy(kind="constant", w=(1e308, 0.0))}),
 }
@@ -616,7 +664,8 @@ def assert_energy_close(got, want):
 
 
 @pytest.mark.parametrize("case", sorted(CLOSED_LOOPS))
-def test_closed_loop_bitwise_matches_per_sample_reference(certified, case, tmp_path):
+def test_closed_loop_bitwise_matches_per_sample_reference(certified, case, tmp_path,
+                                                          mpc_solves):
     # every field keeps its bits except the energy, which is evaluated after
     # the loop in one vectorized expression instead of one row at a time
     plant, mode, edits = CLOSED_LOOPS[case]
@@ -626,7 +675,7 @@ def test_closed_loop_bitwise_matches_per_sample_reference(certified, case, tmp_p
         want = orc.simulate_closed_loop(*args, blowup=blowup, **kwargs)
         args, kwargs = closed_loop(certified, plant, mode, **edits)
         got = plants.simulate_closed_loop(*args, blowup=blowup, **kwargs)
-    assert args[1].mpc_calls > 0
+    assert mpc_solves  # the oracle solves through mpc.mpc_step, uncounted
     if case.endswith(("blowup", "nonfinite")):
         assert want.diverged and len(want.t) < 250
     else:
@@ -713,7 +762,7 @@ def test_fig3_robust_run_condenses_once(certified, monkeypatch):
     args, kwargs = closed_loop(certified, "quadcopter", "robust", duration=scn.duration,
                                mpc=dataclasses.replace(scn.mpc))
     traj = plants.simulate_closed_loop(*args, **kwargs)
-    assert len(traj.t) == 5001 and args[1].mpc_calls == 101
+    assert len(traj.t) == 5001 and len(per_solve) == 101
     assert per_solve == [scn.mpc.horizon] * 101
     assert counts == {"condense": 1, "nominal_f": 101 * scn.mpc.horizon}
 
@@ -738,7 +787,7 @@ def test_simulation_reads_the_scenarios_one_reference(certified, monkeypatch, pl
     assert len(seen) == 1 and all(ref is scn.reference for ref in seen[0])
 
 
-def test_reference_evaluated_once_per_sample(certified):
+def test_reference_evaluated_once_per_sample(certified, mpc_solves):
     # the loop hands its x_ref to the controller; only a tick asks for more
     (plant, controller, reference, dist), kwargs = closed_loop(certified, "quadruped", "robust")
     times = []
@@ -750,8 +799,8 @@ def test_reference_evaluated_once_per_sample(certified):
 
     controller.reference = Counting()
     traj = plants.simulate_closed_loop(plant, controller, controller.reference, dist, **kwargs)
-    assert controller.mpc_calls == 41
-    assert len(times) == len(traj.t) + controller.mpc_calls * controller.cfg.horizon
+    assert len(mpc_solves) == 41
+    assert len(times) == len(traj.t) + len(mpc_solves) * controller.cfg.horizon
 
 
 def test_nan_command_diverges_as_under_array_clip(certified):

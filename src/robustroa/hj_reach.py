@@ -45,18 +45,26 @@ at the horizon, so no step exceeds the bound and none needs checking.  The
 scheme is first order in space, so a higher-order time integrator would
 buy no accuracy.
 
+A step runs on flat x2-major arrays (node (i, j) is entry i + n1 j), so
+each axis's differences are one contiguous pass, at stride 1 or n1.  The
+axis-0 differences at the start of each block of n1 cross the block
+boundary; each step sets them back to 0, the edge rule.
+
 A step evaluates only the products of F_i that can be nonzero, chosen once
 per solve.  On an axis no channel moves, whose drift does not depend on the
 uncertain parameter, A_i = B_i at every node, H_i is linear and F_i =
-A_i+ D+_i + A_i- D-_i on the raw differences.  On any other axis a product
-whose slope is 0 at every node is left out (on the bundled quadruped rate
-axes A_i+ and B_i- are, so the max pair goes), a max / min pair with one
-product left becomes that product, and D is split into its positive and
-negative parts only when a kept product reads them.  V keeps the bits of
-the full formula: a left-out product is a signed zero that only ever met
-max(P, +-0) with P >= 0 or min(P, +-0) with P <= 0, so F_i can change only
-in the sign of a zero.  That sign reaches V only through V + h * (+-0) at
-a node where V is -0, and V never is: l is not, a sum is -0 only when both
+A_i+ D+_i + A_i- D-_i on the raw differences; where A_i+ and A_i- are
+each nonzero on one run of entries (x2 > 0 and x2 < 0 for x1' = x2), each
+product is taken on its run alone and F_i is 0 elsewhere.  On any other
+axis a product whose slope is 0 at every node is left out (on the bundled
+quadruped rate axes A_i+ and B_i- are, so the max pair goes), a max / min
+pair with one product left becomes that product, and D is split into its
+positive and negative parts only when a kept product reads them.  V keeps
+the bits of the full formula: a left-out product, or a linear product
+outside its run, is a signed zero that only ever met max(P, +-0) with
+P >= 0, min(P, +-0) with P <= 0, or P + (+-0), so F_i can change only in
+the sign of a zero.  That sign reaches V only through V + h * (+-0) at a
+node where V is -0, and V never is: l is not, a sum is -0 only when both
 terms are, and the clip returns one of its arguments.
 
 Only the set {V <= 0} is used downstream, so a solve can stop once that set
@@ -256,25 +264,26 @@ class _GridTerms:
                 channels.append((g1, g2, float(lo), float(hi)))
             self.branches.append(((field(f1), field(f2)), channels))
         # Per axis, the slopes A = H(e_i) and B = -H(-e_i), from which the
-        # axis's flux program is built.  Both axes run through the same step
-        # code with their own axis first, so axis 1 keeps its arrays
-        # transposed.  A difference array is one entry longer than the grid
-        # along its axis, and its two end entries stay 0: the edge ghost node
-        # repeats the edge node.
-        n1, n2 = grid.shape
+        # axis's flux program is built, all flat in the layout of _flat.  A
+        # difference array is one stride longer than the grid; its entries
+        # beyond the edge, and on axis 0 those across a block boundary
+        # (`wrap`), are 0: the edge ghost node repeats the edge node.
+        n1 = grid.shape[0]
+        size = n1 * grid.shape[1]
         units = (((1.0, 0.0), (-1.0, 0.0)), ((0.0, 1.0), (0.0, -1.0)))
-        self.flux = (np.empty(grid.shape), np.empty(grid.shape))
-        t1, t2 = np.empty(grid.shape), np.empty(grid.shape)
-        self.diffs = (np.zeros((n1 + 1, n2)), np.zeros((n1, n2 + 1)).T)
+        self.strides = (1, n1)
+        self.flux = (np.zeros(size), np.zeros(size))
+        t1, t2 = np.empty(size), np.empty(size)
+        self.diffs = tuple(np.zeros(size + s) for s in self.strides)
+        self.wrap = self.diffs[0][::n1]
         self.speeds = []
         self.program = []
-        for (plus, minus), dx, orient, d, f, t in zip(
-                units, grid.dx, (np.asarray, np.transpose), self.diffs,
-                (self.flux[0], self.flux[1].T), ((t1, t2), (t1.T, t2.T))):
-            a = orient(self.hamiltonian(*plus) * ones)
-            b = orient(-self.hamiltonian(*minus) * ones)
+        for (plus, minus), dx, s, d, f in zip(units, grid.dx, self.strides, self.diffs,
+                                              self.flux):
+            a = _flat(self.hamiltonian(*plus) * ones)
+            b = _flat(-self.hamiltonian(*minus) * ones)
             self.speeds.append(float(np.max(np.maximum(np.abs(a), np.abs(b)))))
-            self.program += _flux_program(a, b, dx, d, f, *t)
+            self.program += _flux_program(a, b, dx, d, s, f, t1, t2)
         self.wavesum = sum(s / dx for s, dx in zip(self.speeds, grid.dx))
 
     def hamiltonian(self, p1, p2):
@@ -291,39 +300,60 @@ class _GridTerms:
         return out
 
 
-def _flux_program(a, b, dx, d, f, t1, t2):
-    """The ufunc calls (ufunc, x, y, out) that write one axis's flux F_i
-    into f once a step has written the raw differences of V into d (D+ is
-    entry i + 1 and D- entry i).  a and b hold the slopes A_i and B_i at
-    every node; t1 and t2 are scratch arrays shaped like f.
+def _flat(a):
+    """A grid-shaped array as a fresh flat array in the x2-major layout a
+    solve steps in: node (i, j) is entry i + n1 * j."""
+    return a.T.ravel()
 
-    When A_i = B_i at every node, H_i is linear and F_i = A+ D+ + A- D-.
-    Otherwise F_i is the max/min form of the module docstring less each
-    product whose slope is the scalar 0, and D is split into its positive
-    part and, in place, its negative part only when a kept product reads
-    it."""
+
+def _run(s, size):
+    """(lo, hi) when the nonzero entries of the slope s (a scalar, or a flat
+    array of `size` entries) are exactly lo:hi, else None."""
+    nz = np.flatnonzero(np.broadcast_to(s, size))
+    lo, hi = (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
+    return (lo, hi) if hi - lo == nz.size else None
+
+
+def _flux_program(a, b, dx, d, stride, f, t1, t2):
+    """The ufunc calls (ufunc, x, y, out) that write one axis's flux F_i
+    into f once a step has written the raw differences of V into d (D- is
+    entry k and D+ entry k + stride of node k).  a and b hold the slopes
+    A_i and B_i at every node; t1 and t2 are scratch arrays shaped like f,
+    and f starts out 0.
+
+    When A_i = B_i at every node, H_i is linear and F_i = A+ D+ + A- D-,
+    each product on its run when A+ and A- have one each.  Otherwise F_i
+    is the max/min form of the module docstring less each product whose
+    slope is the scalar 0, and D is split into its positive part and, in
+    place, its negative part only when a kept product reads it."""
     def pos(s):
         return _grid_field(np.maximum(s, 0.0) / dx)
 
     def neg(s):
         return _grid_field(np.minimum(s, 0.0) / dx)
 
+    n = f.size
     # F_i is a sum of terms, each one product or the max / min of two, and
     # a product is (slope, the part of D it reads, the offset of its entry)
     if np.array_equal(a, b):
-        terms = [(None, [(pos(a), d, 1)]), (None, [(neg(a), d, 0)])]
+        products = [(pos(a), stride), (neg(a), 0)]
+        runs = [_run(s, n) for s, _ in products]
+        if None not in runs:
+            return [(np.multiply, s if isinstance(s, float) else s[lo:hi],
+                     d[k + lo:k + hi], f[lo:hi])
+                    for (s, k), (lo, hi) in zip(products, runs) if lo < hi]
+        terms = [(None, [(s, d, k)]) for s, k in products]
         program = []
     else:
         dpos = np.empty_like(d)
         terms = [(ufunc, [(s, part, k) for s, part, k in products
                           if not (isinstance(s, float) and s == 0.0)])
-                 for ufunc, products in ((np.maximum, ((pos(a), dpos, 1), (neg(b), d, 0))),
-                                         (np.minimum, ((neg(a), dpos, 0), (pos(b), d, 1))))]
+                 for ufunc, products in ((np.maximum, ((pos(a), dpos, stride), (neg(b), d, 0))),
+                                         (np.minimum, ((neg(a), dpos, 0), (pos(b), d, stride))))]
         parts = [part for _, products in terms for _, part, _ in products]
         program = [(ufunc, d, 0.0, out) for ufunc, out in ((np.maximum, dpos), (np.minimum, d))
                    if any(part is out for part in parts)]
     terms = [term for term in terms if term[1]]
-    n = f.shape[0]
     for (ufunc, products), out in zip(terms, (f, t1)):
         (s, part, k), *other = products
         program.append((np.multiply, s, part[k:k + n], out))
@@ -336,10 +366,11 @@ def _flux_program(a, b, dx, d, f, t1, t2):
 
 def _upwind_update(v, terms, h, out):
     """One backward Euler step V + h * (F_1 + F_2), 0 < h <= 1 / wavesum,
-    into `out` (which must not alias v): the differences of V, then the
-    flux program of `terms`, all in its work arrays."""
-    for vt, d in zip((v, v.T), terms.diffs):
-        np.subtract(vt[1:], vt[:-1], out=d[1:-1])
+    into `out` (flat like v, and not aliasing it): the differences of V,
+    then the flux program of `terms`, all in its work arrays."""
+    for d, s in zip(terms.diffs, terms.strides):
+        np.subtract(v[s:], v[:-s], out=d[s:-s])
+    terms.wrap.fill(0.0)
     for ufunc, x, y, z in terms.program:
         ufunc(x, y, out=z)
     np.add(*terms.flux, out=out)
@@ -383,11 +414,10 @@ def solve_brs(grid: Grid2, target: TargetSet, dyn: AffineDynamics2, horizon,
         t_stop = float(horizon)
         if t_stop >= 0.0:
             raise ValueError("horizon must be negative (backward in time)")
-    vg0 = signed_target(grid, target)
-    l = vg0.v
     # the two grid buffers in rotation, one of which is returned: allocated
     # before the solve's work arrays, so those free back to the system
-    v, c = l.copy(), np.empty(grid.shape)
+    l = _flat(signed_target(grid, target).v)
+    v, c = l.copy(), np.empty(l.size)
     terms = _GridTerms(grid, dyn)
 
     clip = np.minimum if freeze == "reach" else np.maximum
@@ -409,7 +439,7 @@ def solve_brs(grid: Grid2, target: TargetSet, dyn: AffineDynamics2, horizon,
         # {V <= 0} before and after a step; the old one is overwritten by
         # the nodes that flipped, then the two trade places
         mask = np.less_equal(v, 0.0)
-        fresh = np.empty(grid.shape, dtype=bool)
+        fresh = np.empty(l.size, dtype=bool)
         while t > t_stop + 1e-12:
             h = min(h_nom, t - t_stop)
             clip(_upwind_update(v, terms, h, c), l, out=c)
@@ -433,4 +463,7 @@ def solve_brs(grid: Grid2, target: TargetSet, dyn: AffineDynamics2, horizon,
             converged = not converge  # fixed-horizon runs always "converge"
     info = {"steps": steps, "dt": h_nom, "converged": converged,
             "change_rate": rate if steps else 0.0, "set_final_time": t_final}
-    return ValueGrid(grid=grid, v=v, time=t, info=info)
+    # the last step left c free: it takes V back in grid order
+    out = c.reshape(grid.shape)
+    out[...] = v.reshape(grid.shape[::-1]).T
+    return ValueGrid(grid=grid, v=out, time=t, info=info)

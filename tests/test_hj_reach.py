@@ -7,6 +7,7 @@ import pytest
 import _oracles as orc
 from robustroa import hj_reach as hj
 from robustroa import plants
+from robustroa.harness.scenarios import bundled_scenario
 
 
 def di_dynamics(u_max=1.0, w_max=None):
@@ -318,8 +319,11 @@ def test_hamiltonian_runs_only_at_setup(monkeypatch):
 # -- upwind stepping -------------------------------------------------------------
 
 def upwind_step(v, grid, dyn, h):
-    """One backward upwind Euler step of size h, into a fresh array."""
-    return hj._upwind_update(v, hj._GridTerms(grid, dyn), h, np.empty(grid.shape))
+    """One backward upwind Euler step of size h on the grid-shaped v, into
+    a fresh grid-shaped array; the step itself runs on the solver's flat
+    layout."""
+    out = hj._upwind_update(hj._flat(v), hj._GridTerms(grid, dyn), h, np.empty(v.size))
+    return out.reshape(v.shape[::-1]).T
 
 
 def test_upwind_update_zero_dynamics_is_identity():
@@ -415,24 +419,24 @@ def test_step_matches_scalar_reimplementation_per_flux_form(kind):
         assert np.max(np.abs(got - scalar_reference_step(v, h, grid, dyn))) < 1e-12
 
 
-def flux_case(case):
-    """(grid, target, dynamics) of a quadruped error axis at n = 31, or of
-    the double integrator.  The first axis has no channel on any of them.
-    On the second, A_2 = -9.81 m/s^2 for every vertical case, and the force
-    ceiling sets B_2: 7.4 m/s^2 at 300 N, 24.6 at 600 N, 1.6 at 200 N and
-    -1.2 at 150 N, too little to hold a 5 kg payload.  Laterally the 25 N
-    drag sits inside the +-70 N force range."""
+def flux_case(case, shape=(31, 31)):
+    """(grid, target, dynamics) of a quadruped error axis on a grid of
+    `shape`, or of the double integrator.  The first axis has no channel on
+    any of them.  On the second, A_2 = -9.81 m/s^2 for every vertical case,
+    and the force ceiling sets B_2: 7.4 m/s^2 at 300 N, 24.6 at 600 N, 1.6
+    at 200 N and -1.2 at 150 N, too little to hold a 5 kg payload.
+    Laterally the 25 N drag sits inside the +-70 N force range."""
     quadruped = plants.QuadrupedParams()
     if case == "double_integrator":
-        return orc.grid_around(DI_TARGET, n=31), DI_TARGET, di_dynamics()
+        return hj.Grid2((-2.0, -2.0), (2.0, 2.0), shape), DI_TARGET, di_dynamics()
     if case == "quadruped_y_drag":
-        return (hj.Grid2((-0.5, -2.0), (0.5, 2.0), (31, 31)),
+        return (hj.Grid2((-0.5, -2.0), (0.5, 2.0), shape),
                 hj.TargetSet.box((0.0, 0.0), (0.25, 1.0)),
                 plants.subsystem_error_dynamics("y", quadruped, u_lo=-70.0, u_hi=70.0,
                                                 delta_m_interval=(0.0, 5.0), drag_force=25.0))
     u_hi = {"quadruped_z": 300.0, "quadruped_z_strong_lift": 600.0,
             "quadruped_z_weak_lift": 200.0, "quadruped_z_overloaded": 150.0}[case]
-    return (hj.Grid2((-0.2, -1.6), (0.2, 1.6), (31, 31)),
+    return (hj.Grid2((-0.2, -1.6), (0.2, 1.6), shape),
             hj.TargetSet.box((0.0, 0.0), (0.076, 0.8)),
             plants.subsystem_error_dynamics("z", quadruped, u_lo=0.0, u_hi=u_hi,
                                             delta_m_interval=(0.0, 5.0)))
@@ -440,16 +444,29 @@ def flux_case(case):
 
 FLUX_CASES = ["quadruped_z", "quadruped_z_strong_lift", "quadruped_z_weak_lift",
               "quadruped_z_overloaded", "quadruped_y_drag", "double_integrator"]
+FLUX_SHAPES = [(31, 31), (41, 37), (37, 40)]
 
 
 @pytest.mark.parametrize("case", FLUX_CASES)
 def test_step_evaluates_only_products_that_can_be_nonzero(case):
-    # 13 grid passes per step: the two differences, 3 calls on the
-    # channel-free axis (A+ D+, A- D-, their sum), 5 on the other (split D,
-    # two products, and their min, or their sum when both slopes are
-    # negative) and 3 to combine into V
-    grid, _, dyn = flux_case(case)
-    assert len(hj._GridTerms(grid, dyn).program) == 8
+    # 12 grid passes per step: the two differences, 2 on the channel-free
+    # axis, 5 on the other (split D, two products, and their min, or their
+    # sum when both slopes are negative) and 3 to combine into V.  The
+    # channel-free axis has slope x2, so its two passes are each over half
+    # the grid: A+ D+ over the nodes with x2 > 0, A- D- over those with
+    # x2 < 0.  Two of the shapes are not square, and one has no node at
+    # x2 = 0.
+    for shape in FLUX_SHAPES:
+        grid, _, dyn = flux_case(case, shape)
+        terms = hj._GridTerms(grid, dyn)
+        assert len(terms.program) == 7
+        x2 = hj._flat(grid.mesh()[1])
+        f1 = terms.flux[0]
+        for (ufunc, _, _, out), side in zip(terms.program[:2], (x2 > 0.0, x2 < 0.0)):
+            assert ufunc is np.multiply
+            f1.fill(0.0)
+            out.fill(1.0)
+            assert np.array_equal(f1 == 1.0, side), shape
 
 
 @pytest.mark.parametrize("case", FLUX_CASES)
@@ -466,15 +483,16 @@ def test_solver_step_is_monotone(case):
     assert len(terms.branches) == (1 if case == "double_integrator" else 2)
     rng = np.random.default_rng(17)
     for v in (hj.signed_target(grid, target).v, rng.standard_normal(grid.shape)):
-        base = hj._upwind_update(v, terms, h, np.empty(grid.shape))
+        v = hj._flat(v)
+        base = hj._upwind_update(v, terms, h, np.empty(v.size))
         raised = v.copy()
-        out = np.empty(grid.shape)
-        for i, j in np.ndindex(grid.shape):
+        out = np.empty(v.size)
+        for k in range(v.size):
             for bump in (1e-2, 1.0):
-                raised[i, j] = v[i, j] + bump
+                raised[k] = v[k] + bump
                 hj._upwind_update(raised, terms, h, out)
-                assert np.min(out - base) >= -1e-12, (i, j, bump)
-            raised[i, j] = v[i, j]
+                assert np.min(out - base) >= -1e-12, (k % grid.shape[0], k // grid.shape[0], bump)
+            raised[k] = v[k]
 
 
 # -- backward reachability ------------------------------------------------------
@@ -618,38 +636,55 @@ def test_converge_flag_false_while_set_still_grows(monkeypatch):
     assert abs(out.time + 0.5) < 1e-9
 
 
-@pytest.mark.parametrize("params", [(None,), (0.0, 0.0), (0.0, 5.0)])
-@pytest.mark.parametrize("freeze", ["stay", "reach"])
-def test_solve_brs_bitwise_matches_allocating_reference(freeze, params):
-    # the in-place solve must give the allocating Euler loop's V and info
-    # bit for bit; the horizon is no multiple of dt, so the last step is
-    # partial
-    grid = hj.Grid2((-1.0, -2.0), (0.5, 1.5), (23, 17))
-    target = hj.TargetSet.box((-0.3, -0.2), (0.45, 1.1))
-    dyn = mixed_dynamics(params)
-    got = hj.solve_brs(grid, target, dyn, -0.08, freeze=freeze)
-    want, info = orc.solve_brs(grid, target, dyn, -0.08, freeze=freeze)
-    assert got.info["steps"] > 5
-    assert 0.08 / got.info["dt"] % 1.0 > 0.01
+def assert_matches_allocating_reference(grid, target, dyn, horizon, freeze):
+    """The in-place solve gives the allocating Euler loop's V (sign of zero
+    included), info and time bit for bit, and returns V C-contiguous.  A
+    fixed horizon is no multiple of dt, so the last step is partial."""
+    got = hj.solve_brs(grid, target, dyn, horizon, freeze=freeze)
+    want, info = orc.solve_brs(grid, target, dyn, horizon, freeze=freeze)
+    if horizon == "converge":
+        assert got.info["steps"] > 20
+        assert got.info["converged"] or freeze == "reach"
+    else:
+        assert got.info["steps"] > 5
+        assert -horizon / got.info["dt"] % 1.0 > 0.01
+    assert got.v.flags.c_contiguous
     assert np.array_equal(got.v, want)
     assert np.array_equal(np.signbit(got.v), np.signbit(want))
     assert got.info == {k: info[k] for k in got.info}
     assert got.time == info["time"]
+
+
+@pytest.mark.parametrize("params", [(None,), (0.0, 0.0), (0.0, 5.0)])
+@pytest.mark.parametrize("freeze", ["stay", "reach"])
+def test_solve_brs_bitwise_matches_allocating_reference(freeze, params):
+    grid = hj.Grid2((-1.0, -2.0), (0.5, 1.5), (23, 17))
+    target = hj.TargetSet.box((-0.3, -0.2), (0.45, 1.1))
+    assert_matches_allocating_reference(grid, target, mixed_dynamics(params), -0.08, freeze)
 
 
 @pytest.mark.parametrize("case", FLUX_CASES)
 def test_solve_brs_bitwise_matches_allocating_reference_per_flux_form(case):
-    # each form the step takes for an axis (linear, one product per pair,
-    # one pair, full) against the oracle's full max / min formula, over a
-    # whole stay solve
-    grid, target, dyn = flux_case(case)
-    got = hj.solve_brs(grid, target, dyn, "converge", freeze="stay")
-    want, info = orc.solve_brs(grid, target, dyn, "converge", freeze="stay")
-    assert got.info["converged"] and got.info["steps"] > 20
-    assert np.array_equal(got.v, want)
-    assert np.array_equal(np.signbit(got.v), np.signbit(want))
-    assert got.info == {k: info[k] for k in got.info}
-    assert got.time == info["time"]
+    # each form the step takes for an axis (linear on sign runs, one
+    # product per pair, one pair, full) against the oracle's full max / min
+    # formula, in both flavours, at a fixed horizon and to convergence.  On
+    # the non-square grids a swap of n1 and n2 in the strides or the wrap
+    # entries shows.
+    for shape in FLUX_SHAPES:
+        for freeze in ("stay", "reach"):
+            for horizon in (-0.3, "converge"):
+                assert_matches_allocating_reference(*flux_case(case, shape), horizon, freeze)
+
+
+@pytest.mark.parametrize("horizon", [-0.08, "converge"])
+@pytest.mark.parametrize("freeze", ["stay", "reach"])
+@pytest.mark.parametrize("name, axis", [("quadruped_height", "y"), ("quadruped_height", "z"),
+                                        ("quadruped_push", "y"), ("quadruped_push", "z")])
+def test_solve_brs_bitwise_matches_allocating_reference_bundled(name, axis, freeze, horizon):
+    # the bundled axes on their own 101 x 101 grids
+    scn = bundled_scenario(name + ".cfg")
+    problem = scn.hj_blocks[axis].problem(scn.quadruped)
+    assert_matches_allocating_reference(*problem, horizon, freeze)
 
 
 def test_solve_brs_bitwise_matches_allocating_reference_converge():

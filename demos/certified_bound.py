@@ -17,14 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
-from robustroa import plants
+from robustroa import harness, plants
 from robustroa.clf_synth import synthesize
 from robustroa.harness import svgplot
-from robustroa.harness.scenarios import bundled_scenario
+from robustroa.harness.scenarios import load_scenario
 from robustroa.hj_reach import solve_brs
 from robustroa.roa_bridge import find_wmax
 
 OUT = Path(__file__).resolve().parent / "out"
+CONFIG = Path(harness.__file__).resolve().parent / "configs" / "quadruped_height.cfg"
 
 
 def certify(cert, block, plant_params):
@@ -60,7 +61,7 @@ def safe_boundary(vg):
 
 def main():
     OUT.mkdir(exist_ok=True)
-    scn = bundled_scenario("quadruped_height.cfg")
+    scn = load_scenario(CONFIG)
     params, block = scn.quadruped, scn.hj_blocks["z"]
     cert, sol = synthesize(plants.quadruped_axis_linear(params), scn.clf_blocks["z"].params)
     print(f"synthesis: {sol.status.value}, objective {sol.objective_value:.6f}")

@@ -157,6 +157,7 @@ def split_solution(x, n, m):
     return y, x[n_y:].reshape(m, n)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # AffineSdp refuses a non-finite block
 def build_synthesis_lmi(model: LinearModel, params: ClfParams):
     """Assemble the synthesis block LMI as an AffineSdp.
 

@@ -51,7 +51,8 @@ import numpy as np
 from .. import plants
 from ..clf_synth import DimensionMismatch, roa_level, synthesize, verify_closed_loop
 from ..hj_reach import TargetOutsideGrid, solve_brs
-from ..lmi_solver import Infeasible, NumericalBreakdown
+from ..lmi_solver import Infeasible
+from ..matrixkit import NonFinite
 from ..roa_bridge import NoSafeRoa, find_wmax
 from . import fileio, svgplot
 from .scenarios import ConfigError, load_scenario
@@ -230,10 +231,14 @@ def _run_stages(scn, stages):
     hj_blocks = scn.hj_blocks if "solve" in stages else {}
     if clf_blocks:
         # every synthesis block runs on the plant's one linear model
-        if scn.plant_kind == "quadcopter":
-            run.model = plants.quadcopter_linearize(scn.quadcopter)
-        else:
-            run.model = plants.quadruped_axis_linear(scn.quadruped)
+        try:
+            if scn.plant_kind == "quadcopter":
+                run.model = plants.quadcopter_linearize(scn.quadcopter)
+            else:
+                run.model = plants.quadruped_axis_linear(scn.quadruped)
+        except NonFinite as exc:
+            raise ConfigError(f"the linear model broke down ({exc}): the config's scales are "
+                              f"outside the solver's range") from None
 
     def chain(axis):
         """(None, {run field: this axis's entry}), or (the step that
@@ -242,12 +247,7 @@ def _run_stages(scn, stages):
         try:
             if axis in clf_blocks:
                 block = clf_blocks[axis]
-                try:
-                    cert, sol = synthesize(run.model, block.params)
-                except NumericalBreakdown as exc:
-                    # no infeasibility was certified: it is a config error
-                    raise ConfigError(f"synthesis of axis {axis!r} broke down ({exc}): the "
-                                      f"config's scales are outside the solver's range") from None
+                cert, sol = synthesize(run.model, block.params)
                 eig = verify_closed_loop(run.model, cert)
                 if block.w_max is not None:
                     cert.set_disturbance_bound(block.w_max)
@@ -272,6 +272,12 @@ def _run_stages(scn, stages):
                 chunks = []
                 vg.to_csv(SimpleNamespace(write=chunks.append))
                 done["grid_csv"] = chunks
+        except NonFinite as exc:
+            # no infeasibility or empty set was certified: it is a config error
+            where = (f"synthesis of axis {axis!r}" if step == "synthesize"
+                     else f"[hj_{axis}] the {step}")
+            return step, ConfigError(f"{where} broke down ({exc}): the config's scales are "
+                                     f"outside the solver's range")
         except Exception as exc:
             return step, exc
         return None, done
@@ -293,7 +299,7 @@ def _run_stages(scn, stages):
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 _simulate(dataclasses.replace(scn, duration=0.0), run, "robust")
-            except ValueError as exc:  # mpc: "hess contains non-finite entries"
+            except NonFinite as exc:  # mpc: "hess contains non-finite entries"
                 raise ConfigError(f"the first MPC solve broke down ({exc}): the config's "
                                   f"[mpc] or [{scn.plant_kind}] scales are outside the "
                                   f"solver's range") from None
@@ -376,7 +382,6 @@ def _simulate(scn, run, mode):
 
 
 def _matrix_lines(label, m):
-    m = np.atleast_2d(np.asarray(m, dtype=float))
     pad = " " * (len(label) + 3)
     rows = ["  ".join(f"{v: .6e}" for v in row) for row in m]
     return [f"{label} = [{rows[0]}]"] + [f"{pad}[{r}]" for r in rows[1:]]
@@ -559,7 +564,7 @@ def main(argv=None):
                 raise ConfigError(f"output directory {out}: {path} is not a directory")
         stages, write = COMMANDS[args.command]
         run = _run_stages(scn, stages)
-    except (ConfigError, fileio.FileFormatError, DimensionMismatch) as exc:
+    except (ConfigError, DimensionMismatch) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 4
     except Infeasible as exc:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field
-from importlib import resources
 
 import numpy as np
 
@@ -284,14 +283,6 @@ def _hj_block(vals, axis, mpc_cfg, delta_m, drag):
         raise ConfigError(f"[hj_{axis}] its [mpc] force box sums to [{lo!r}, {hi!r}]")
     return HjBlock(axis=axis, u_lo=lo, u_hi=hi, delta_m=delta_m,
                    drag_force=drag if axis == "y" else 0.0, **vals)
-
-
-def bundled_scenario(name):
-    """The bundled config `name` (a file in configs/, e.g.
-    "quadruped_height.cfg") parsed into a Scenario."""
-    ref = resources.files(__package__).joinpath("configs", name)
-    with resources.as_file(ref) as path:
-        return load_scenario(path)
 
 
 def load_scenario(path):

@@ -87,8 +87,7 @@ def _m4(px, ys):
     return keep
 
 
-def line_plot(path, series, title="", xlabel="", ylabel="",
-              xlim=None, ylim=None, hlines=()):
+def line_plot(path, series, title="", xlabel="", ylabel="", ylim=None, hlines=()):
     """Write an SVG line chart.
 
     series : list of Series
@@ -100,9 +99,7 @@ def line_plot(path, series, title="", xlabel="", ylabel="",
     ml, mr, mt, mb = 62, 16, 34, 46
     pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
 
-    def data_range(pick, lim):
-        if lim is not None:
-            return float(lim[0]), float(lim[1])
+    def data_range(pick):
         vals = [np.asarray(pick(s), dtype=float) for s in series]
         vals = [v[np.isfinite(v)] for v in vals]
         allv = np.concatenate(vals) if vals else np.array([0.0, 1.0])
@@ -114,8 +111,8 @@ def line_plot(path, series, title="", xlabel="", ylabel="",
         pad = 0.04 * (hi - lo)
         return lo - pad, hi + pad
 
-    x0, x1 = data_range(_pick_x, xlim)
-    y0, y1 = data_range(_pick_y, ylim)
+    x0, x1 = data_range(_pick_x)
+    y0, y1 = data_range(_pick_y) if ylim is None else (float(ylim[0]), float(ylim[1]))
 
     def sx(x):
         return ml + (x - x0) / (x1 - x0) * pw

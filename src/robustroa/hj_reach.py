@@ -41,9 +41,11 @@ dx_i per unit of V at the node itself, so the step is monotone, edge
 included, whenever h * sum_i max(|A_i|, |B_i|) / dx_i <= 1, and a monotone
 scheme converges to the viscosity solution (Crandall & Lions 1984).  The
 solver steps at 0.9 of that bound and shortens only the last step, to end
-at the horizon, so no step exceeds the bound and none needs checking.  The
-scheme is first order in space, so a higher-order time integrator would
-buy no accuracy.
+at the horizon, so no step exceeds the bound and none needs checking.  A
+wave sum sum_i max(|A_i|, |B_i|) / dx_i that is not finite (a huge drift,
+a subnormal cell) leaves no step length: it raises matrixkit.NonFinite.
+The scheme is first order in space, so a higher-order time integrator
+would buy no accuracy.
 
 A step runs on flat x2-major arrays (node (i, j) is entry i + n1 j), so
 each axis's differences are one contiguous pass, at stride 1 or n1.  The
@@ -93,6 +95,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .matrixkit import NonFinite
 
 # Longest PDE time a "converge" solve runs before it gives up on the stop rule.
 MAX_CONVERGE_TIME = 10.0
@@ -242,6 +246,7 @@ class _GridTerms:
     again, which took about 40% of a solve's wall time.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite wave sum is refused
     def __init__(self, grid: Grid2, dyn: AffineDynamics2):
         x1g, x2g = grid.mesh()
         ones = np.ones(grid.shape)
@@ -285,6 +290,9 @@ class _GridTerms:
             self.speeds.append(float(np.max(np.maximum(np.abs(a), np.abs(b)))))
             self.program += _flux_program(a, b, dx, d, s, f, t1, t2)
         self.wavesum = sum(s / dx for s, dx in zip(self.speeds, grid.dx))
+        if not np.isfinite(self.wavesum):
+            raise NonFinite(f"the wave sum s1/dx1 + s2/dx2 is {self.wavesum!r}, so no step "
+                            f"length is positive and finite")
 
     def hamiltonian(self, p1, p2):
         """H(p1, p2) on the grid: p1*f1 + p2*f2 plus each channel's

@@ -55,10 +55,6 @@ class Infeasible(Exception):
         return f"no strictly feasible point (best slack {self.slack:.3e})"
 
 
-class NumericalBreakdown(Exception):
-    """An iterate went non-finite: the problem's scales overflow float64."""
-
-
 class SdpStatus(Enum):
     OPTIMAL = "optimal"
     ITERATION_LIMIT = "iteration_limit"
@@ -119,10 +115,10 @@ _MAX_ITERATIONS = 100
 
 def _factor(m):
     """Lower Cholesky factor of the symmetrized m, or None when m is not
-    positive definite.  A non-finite m raises NumericalBreakdown, so a
+    positive definite.  A non-finite m raises matrixkit.NonFinite, so a
     breakdown stops the solve instead of passing NaN on."""
     if not np.isfinite(m).all():
-        raise NumericalBreakdown(f"a {len(m)} x {len(m)} iterate has non-finite entries")
+        raise mk.NonFinite(f"a {len(m)} x {len(m)} iterate has non-finite entries")
     try:
         return np.linalg.cholesky(0.5 * (m + m.T))
     except np.linalg.LinAlgError:
@@ -143,12 +139,13 @@ def _schur_factor(m):
 
 def _max_step(linv, delta):
     """Largest alpha with L L' + alpha*delta still positive semidefinite,
-    given linv = L^-1 (inf when delta keeps it so for every alpha)."""
-    lam = float(np.linalg.eigvalsh(linv @ delta @ linv.T)[0])
+    given linv = L^-1 (inf when delta keeps it so for every alpha).  A
+    non-finite direction raises matrixkit.NonFinite."""
+    lam = float(np.linalg.eigvalsh(mk.as_matrix(linv @ delta @ linv.T, "a step direction"))[0])
     return -1.0 / lam if lam < 0.0 else np.inf
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _factor refuses a non-finite iterate
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite iterate or step is refused
 def _primal_dual(cmat, a, b, y, gap_tol, stop_early=None):
     """Maximize b'y subject to cmat - sum_i y_i a[i] > 0 from the interior
     point y.  Returns (y, iterations, converged); converged is True when
@@ -240,7 +237,8 @@ def find_strictly_feasible(prob: AffineSdp):
 
 
 def maximize(prob: AffineSdp):
-    """Solve the SDP.  Raises Infeasible when phase 1 fails, NumericalBreakdown on overflow.
+    """Solve the SDP.  Raises Infeasible when phase 1 fails, and
+    matrixkit.NonFinite when an iterate or a step overflows float64.
 
     Status is OPTIMAL when the gap and residual tolerances were met,
     ITERATION_LIMIT when the iteration budget ran out first or roundoff

@@ -11,7 +11,10 @@ serve many solves:
                  serves every right-hand side,
 * `solve`     -- raises Singular when the matrix is rank deficient at
                  working precision, which LAPACK's LU reports only for an
-                 exactly zero pivot.
+                 exactly zero pivot,
+* `as_matrix` -- raises NonFinite on a NaN or inf entry: the package's one
+                 refusal of a non-finite array, which the SDP and HJ
+                 solvers raise too.
 
 Tolerances are relative to the largest absolute entry of the input with an
 absolute floor of 1e-14, so the kernels behave the same for certificates
@@ -37,13 +40,17 @@ class Singular(MatrixKitError):
     """The matrix is rank deficient at working precision."""
 
 
+class NonFinite(MatrixKitError, ValueError):
+    """An array holds NaN or inf: its scales overflow float64."""
+
+
 def as_matrix(a, name="matrix"):
     """Coerce to a finite float64 2-D array (copies only when needed)."""
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFinite(f"{name} contains non-finite entries")
     return m
 
 
@@ -53,12 +60,12 @@ def inf_norm(a):
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def require_symmetric(a, name="matrix", rtol=1e-10):
+def require_symmetric(a, name="matrix"):
     a = as_matrix(a, name)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     gap = inf_norm(a - a.T)
-    if gap > rtol * inf_norm(a) + ABS_FLOOR:
+    if gap > 1e-10 * inf_norm(a) + ABS_FLOOR:
         raise ValueError(f"{name} is not symmetric (gap {gap:.3e})")
     return a
 

@@ -28,7 +28,7 @@ command is clipped and sanitized as a float list, so are the disturbance
 policies' w, and rk4_step takes and returns float lists, written out over
 the six coordinates (no zip or comprehension; the same sums in the same
 order as the vector form).  One test per step ends a diverged run: |x_i| <=
-blowup, which NaN and inf fail.  Numpy enters a step only for the
+BLOWUP (1e4), which NaN and inf fail.  Numpy enters a step only for the
 feedback's gain products, kept as numpy dots for their rounding (the
 feedback hands back a float list), and for the MPC solve on its tick.
 The loop packs each sample into output arrays allocated once, sized from
@@ -569,6 +569,8 @@ class LyapunovMonitor:
 # -- closed-loop simulation ---------------------------------------------------
 
 _CSV_BLOCK_ROWS = 512  # rows converted and written per block by Trajectory.to_csv
+# a closed-loop state coordinate past this magnitude ends the run as diverged
+BLOWUP = 1e4
 
 
 def _repr_cells(table):
@@ -632,14 +634,14 @@ class Trajectory:
 
 
 def simulate_closed_loop(plant, controller, reference, disturbance, duration, dt,
-                         monitors=(), x0=None, blowup=1e4):
+                         monitors=(), x0=None):
     """Fixed-step RK4 closed loop; returns a Trajectory.
 
     Each sample evaluates reference.state(t) once and passes it to
     controller.control(t, x, x_ref); the state between steps is a list of
     Python floats.  disturbance: callable t -> w, a list of floats stored
     as given, or None.  Integration stops early (diverged=True), storing
-    nothing more, at a state that fails |x_i| <= blowup, as NaN and inf
+    nothing more, at a state that fails |x_i| <= BLOWUP, as NaN and inf
     do.  After the loop, each LyapunovMonitor's energy is evaluated on the
     stored e = x - x_ref; a sample counts as an invariant exit when
     E > level * (1 + 1e-6).
@@ -679,8 +681,8 @@ def simulate_closed_loop(plant, controller, reference, disturbance, duration, dt
             break
         x = rk4_step(plant.f, x, u, w_f, dt)
         v0, v1, v2, v3, v4, v5 = x  # NaN fails each test, as inf does
-        if not (abs(v0) <= blowup and abs(v1) <= blowup and abs(v2) <= blowup
-                and abs(v3) <= blowup and abs(v4) <= blowup and abs(v5) <= blowup):
+        if not (abs(v0) <= BLOWUP and abs(v1) <= BLOWUP and abs(v2) <= BLOWUP
+                and abs(v3) <= BLOWUP and abs(v4) <= BLOWUP and abs(v5) <= BLOWUP):
             diverged = True
             break
     n = i + 1

@@ -40,34 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matrixkit as mk
 from .clf_synth import ClfCertificate
 from .hj_reach import Grid2, ValueGrid
 
 
 class NoSafeRoa(Exception):
     """Even a vanishingly small disturbance bound has no contained ellipsoid."""
-
-
-@dataclass
-class Ellipsoid2:
-    """{x : (x - center)' p (x - center) <= level} in the plane."""
-
-    p: np.ndarray
-    center: np.ndarray
-    level: float
-
-    def __post_init__(self):
-        self.p = mk.require_symmetric(self.p, "p")
-        if self.p.shape != (2, 2):
-            raise ValueError("p must be 2 x 2")
-        self.center = np.asarray(self.center, dtype=float).ravel()
-        if self.center.shape != (2,):
-            raise ValueError("center must have two entries")
-        self.level = float(self.level)
-        if self.level <= 0.0:
-            raise ValueError("level must be positive")
-        mk.cholesky(self.p)  # fail fast when p is not positive definite
 
 
 @dataclass
@@ -202,13 +180,14 @@ def _unsafe_level(p, center, grid: Grid2, w):
     return max(float(_segment_min(p11, p12, p22, ax, ay, bx, by).min()), 0.0)
 
 
-def ellipsoid_contained(ell: Ellipsoid2, vg: ValueGrid, guard=None):
-    """True when the ellipsoid meets no unsafe part of the grid and stays
-    inside it: its level lies below c*.  guard overrides the automatic
-    delta, with one value for every node or one per node."""
+def ellipsoid_contained(p, center, level, vg: ValueGrid, guard=None):
+    """True when the ellipsoid {x : (x - center)' p (x - center) <= level}
+    (p a 2 x 2 positive definite matrix) meets no unsafe part of the grid
+    and stays inside it: its level lies below c*.  guard overrides the
+    automatic delta, with one value for every node or one per node."""
     delta = containment_guard(vg) if guard is None else guard
     w = _node_gap(vg, delta)
-    return ell.level < _unsafe_level(ell.p, ell.center, vg.grid, w)
+    return level < _unsafe_level(p, center, vg.grid, w)
 
 
 def _round_down(w):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from robustroa import matrixkit as mk
-from robustroa import plants
+from robustroa import harness, plants
 from robustroa.harness.fileio import FileFormatError
 from robustroa.hj_reach import MAX_CONVERGE_TIME, Grid2, ValueGrid
 from robustroa.mpc import Model, mpc_step
@@ -27,6 +27,9 @@ from robustroa.mpc import Model, mpc_step
 # that one implementation, not a copy.
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 import kernel  # noqa: E402,F401
+
+# the bundled scenario configs, which the tests load by path
+CONFIGS = Path(harness.__file__).resolve().parent / "configs"
 
 
 # -- SDP blocks and packed symmetric matrices ----------------------------------

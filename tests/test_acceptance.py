@@ -19,12 +19,11 @@ from robustroa import plants
 from robustroa.clf_synth import (ClfCertificate, ClfParams, build_synthesis_lmi,
                                  roa_level, synthesize)
 from robustroa.harness import cli
-from robustroa.harness.scenarios import bundled_scenario
+from robustroa.harness.scenarios import load_scenario
 from robustroa.hj_reach import (AffineDynamics2, Grid2, TargetSet, ValueGrid,
                                 signed_target, solve_brs)
 from robustroa.mpc import Model, MpcConfig, mpc_step
-from robustroa.roa_bridge import (Ellipsoid2, containment_guard,
-                                  ellipsoid_contained, find_wmax)
+from robustroa.roa_bridge import containment_guard, ellipsoid_contained, find_wmax
 
 QC_WEIGHTS = ClfParams(q=np.array([1e-1, 1, 1, 1, 1, 1e-2]),
                        r=np.array([1e-2, 1e-4]),
@@ -199,10 +198,10 @@ def test_criterion_5_wmax_bisection():
         guard = containment_guard(rand_vg)
         flags = []
         for w in np.linspace(0.01, 6.0, 25):
-            ell = Ellipsoid2(p=rand_cert.p, center=(0.0, 0.0),
-                             level=roa_level(rand_cert.params, w))
+            level = roa_level(rand_cert.params, w)
             try:
-                flags.append(ellipsoid_contained(ell, rand_vg, guard=guard))
+                flags.append(ellipsoid_contained(rand_cert.p, (0.0, 0.0), level, rand_vg,
+                                                 guard=guard))
             except Exception:
                 flags.append(False)
         if not any(b and not a_ for a_, b in zip(flags[:-1], flags[1:])):
@@ -215,7 +214,7 @@ def test_criterion_5_wmax_bisection():
     # kernel admits.  With this certificate the e1 = h1 edge of the kernel
     # binds for both masses, not the lift parabola, so the exact bounds tie
     # and the computed ones may too.
-    scn = bundled_scenario("quadruped_height.cfg")
+    scn = load_scenario(orc.CONFIGS / "quadruped_height.cfg")
     params = scn.quadruped
     z_cert, _ = synthesize(plants.quadruped_axis_linear(params), scn.clf_blocks["z"].params)
     bounds = {}

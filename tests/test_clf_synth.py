@@ -4,7 +4,7 @@ import pytest
 import _oracles as orc
 from robustroa import clf_synth as cs
 from robustroa import matrixkit as mk
-from robustroa.harness.scenarios import bundled_scenario
+from robustroa.harness.scenarios import load_scenario
 from robustroa.lmi_solver import Infeasible, SdpStatus, maximize
 from robustroa.plants import QuadcopterParams, quadcopter_linearize, quadruped_axis_linear
 
@@ -116,11 +116,11 @@ def assert_blocks_match_loops(model, params):
 @pytest.mark.parametrize("case", ["fig8", "height-y", "height-z", "push-y", "push-z"])
 def test_stacked_blocks_bitwise_match_per_variable_loops_bundled(case):
     if case == "fig8":
-        scn = bundled_scenario("quadcopter_fig8.cfg")
+        scn = load_scenario(orc.CONFIGS / "quadcopter_fig8.cfg")
         model, params = quadcopter_linearize(scn.quadcopter), scn.clf_blocks["main"].params
     else:
         name, axis = case.split("-")
-        scn = bundled_scenario(f"quadruped_{name}.cfg")
+        scn = load_scenario(orc.CONFIGS / f"quadruped_{name}.cfg")
         model, params = quadruped_axis_linear(scn.quadruped), scn.clf_blocks[axis].params
     assert_blocks_match_loops(model, params)
 
@@ -254,7 +254,7 @@ def test_synthesis_infeasible_without_positive_definite_y():
     # at decay_rate 1e6 the Schur block needs a Y that is not positive
     # definite, so with the -Y block the best slack is 0 to within phase 1's
     # gap: Infeasible, not a Y that fails at gain recovery
-    scn = bundled_scenario("quadruped_height.cfg")
+    scn = load_scenario(orc.CONFIGS / "quadruped_height.cfg")
     params = cs.ClfParams(q=[1000.0, 1.0], r=[0.01], decay_rate=1e6, dist_weight=90.0)
     with pytest.raises(Infeasible) as err:
         cs.synthesize(quadruped_axis_linear(scn.quadruped), params)
@@ -262,7 +262,7 @@ def test_synthesis_infeasible_without_positive_definite_y():
 
 
 def test_height_z_synthesis_factors_each_slack_matrix_once(monkeypatch):
-    scn = bundled_scenario("quadruped_height.cfg")
+    scn = load_scenario(orc.CONFIGS / "quadruped_height.cfg")
     prob = cs.build_synthesis_lmi(quadruped_axis_linear(scn.quadruped),
                                   scn.clf_blocks["z"].params)
     factored = orc.record_choleskys(monkeypatch)

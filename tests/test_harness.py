@@ -16,6 +16,7 @@ import math
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 from collections import Counter
@@ -31,7 +32,7 @@ import _oracles as orc
 from robustroa import plants
 from robustroa.clf_synth import ClfCertificate, ClfParams
 from robustroa.harness import cli, fileio, svgplot
-from robustroa.harness.scenarios import ConfigError, bundled_scenario, load_scenario
+from robustroa.harness.scenarios import ConfigError, load_scenario
 from robustroa.hj_reach import Grid2, ValueGrid
 from robustroa.plants import Figure8Ref, TrotRef
 
@@ -104,7 +105,7 @@ def run_cli(argv):
 # -- scenario parsing ------------------------------------------------------------
 
 def test_bundled_quadcopter_scenario_parses():
-    scn = bundled_scenario("quadcopter_fig8.cfg")
+    scn = load_scenario(orc.CONFIGS / "quadcopter_fig8.cfg")
     assert scn.name == "quadcopter_fig8"
     assert scn.plant_kind == "quadcopter"
     assert scn.mode == "robust"
@@ -127,7 +128,7 @@ def test_bundled_quadcopter_scenario_parses():
 
 
 def test_bundled_quadruped_scenario_parses():
-    scn = bundled_scenario("quadruped_height.cfg")
+    scn = load_scenario(orc.CONFIGS / "quadruped_height.cfg")
     assert scn.plant_kind == "quadruped"
     assert scn.delta_m == 5.0
     assert set(scn.clf_blocks) == {"y", "z"}
@@ -157,7 +158,7 @@ def test_bundled_hj_blocks_derive_from_the_scenario(name, y, z):
     # per-foot boxes, the [quadruped] payload interval, and the [quadruped]
     # drag on the lateral axis only, with the bits of the values the
     # [hj_*] sections used to repeat
-    scn = bundled_scenario(name)
+    scn = load_scenario(orc.CONFIGS / name)
     for axis, want in (("y", y), ("z", z)):
         block = scn.hj_blocks[axis]
         got = (block.u_lo, block.u_hi, block.delta_m, block.drag_force)
@@ -391,32 +392,46 @@ def test_metrics_block_formatting():
 
 # -- SVG plots ---------------------------------------------------------------------
 
+def x_axis(*xs):
+    """line_plot's x axis for series whose x values are `xs`: the range of
+    the finite ones, padded by 4% of it on each side."""
+    allx = np.concatenate([np.asarray(x, dtype=float) for x in xs])
+    allx = allx[np.isfinite(allx)]
+    lo, hi = float(np.min(allx)), float(np.max(allx))
+    pad = 0.04 * (hi - lo)
+    return lo - pad, hi + pad
+
+
 def test_svg_polylines_match_per_point_formatting(tmp_path):
-    (x0, x1), (y0, y1) = xlim, ylim = (0.1, 0.7), (-0.3, 0.9)
+    # the x data spans [0.1, 0.7] (the "clipped" case reaches both ends)
+    (x0, x1), (y0, y1) = xlim, ylim = x_axis([0.1, 0.7]), (-0.3, 0.9)
     # pixel offsets k/8 for odd k sit on the 2-decimal rounding ties, where
-    # one ulp of difference in the pixel mapping changes the printed digits
+    # one ulp of difference in the pixel mapping changes the printed digits;
+    # x stays inside the data span, 20.8 pixels from each end of the axis
     ties = np.arange(1, 4000, 2) / 8.0
     # lands at pixel -0.001, which prints as -0.00
-    edge = x0 - 62.001 / 562.0 * (x1 - x0)
+    edge = y1 + 34.001 / 340.0 * (y1 - y0)
     cases = {
-        "ties": (x0 + ties % 562.0 / 562.0 * (x1 - x0), y1 - ties % 340.0 / 340.0 * (y1 - y0)),
+        "ties": (x0 + (21.0 + ties % 520.0) / 562.0 * (x1 - x0),
+                 y1 - ties % 340.0 / 340.0 * (y1 - y0)),
         "nonfinite": ([0.1, 0.2, 0.3, 0.4, 0.5, 0.6], [0.1, np.nan, np.inf, -np.inf, 0.2, 0.3]),
         "nonfinite-x": ([np.nan, np.inf, 0.25, -np.inf, 0.65], [0.0, 0.1, 0.2, 0.3, 0.4]),
-        "signed-zero": ([-0.0, 0.0, edge, 0.7], [-0.0, 0.0, 0.9, -0.3]),
+        "signed-zero": ([0.2, 0.3, 0.4, 0.7], [-0.0, 0.0, edge, -0.3]),
         "clipped": ([0.1, 0.2, 0.4, 0.6, 0.7], [-3.0, 0.899999, 2.5, -0.300001, 1e6]),
         "single": ([0.3], [0.1]),
         "empty": ([], []),
     }
+    assert x_axis(*(xs for xs, _ in cases.values())) == xlim
     series = [svgplot.Series(name, np.array(xs), np.array(ys))
               for name, (xs, ys) in cases.items()]
     path = tmp_path / "plot.svg"
-    svgplot.line_plot(path, series, xlim=xlim, ylim=ylim)
+    svgplot.line_plot(path, series, ylim=ylim)
     got = re.findall(r'<polyline points="([^"]*)"', path.read_text())
     # x never decreases in any case, so each is drawn from the points M4 keeps
     want = [orc.svg_polyline_points(*orc.m4_points(xs, ys, xlim), xlim, ylim)
             for xs, ys in cases.values()]
     assert got == want
-    assert "-0.00," in got[3]
+    assert ",-0.00 " in got[3]
 
 
 def pixel_columns(xs, xlim):
@@ -426,10 +441,12 @@ def pixel_columns(xs, xlim):
 
 
 def m4_cases():
-    (x0, x1) = xlim = (0.1, 0.7)
+    # the x data spans [lo, hi] ("walk" reaches both ends), inside the axis
+    lo, hi = 0.1, 0.7
+    (x0, x1) = xlim = x_axis([lo, hi])
     rng = np.random.default_rng(7)
-    t = np.linspace(x0, x1, 10001)
-    dense = x0 + np.arange(1, 4000, 2) / 8.0 % 562.0 / 562.0 * (x1 - x0)
+    t = np.linspace(lo, hi, 10001)
+    dense = x0 + (21.0 + np.arange(1, 4000, 2) / 8.0 % 520.0) / 562.0 * (x1 - x0)
     holey_y = np.sin(40.0 * t[:3000])
     holey_y[::97] = np.nan
     holey_y[5::131] = np.inf
@@ -444,10 +461,10 @@ def m4_cases():
         # constant runs, so a column's extremes are held by several points
         "plateaus": (t[:3000], np.repeat([0.2, 0.5, 0.2, 0.8, 0.5], 600)),
         # repeated x: vertical runs inside one column
-        "repeated-x": (np.repeat(np.linspace(x0, x1, 150), 40), rng.uniform(-0.3, 0.9, 6000)),
+        "repeated-x": (np.repeat(np.linspace(lo, hi, 150), 40), rng.uniform(-0.3, 0.9, 6000)),
         "nonfinite": (holey_x, holey_y),
-        # off the axes on both sides: negative and far columns
-        "outside": (np.linspace(-0.5, 1.5, 4001), np.linspace(-0.3, 0.9, 4001) ** 2),
+        # y off the axes on both sides
+        "outside": (np.linspace(lo, hi, 4001), np.linspace(-1.5, 1.5, 4001) ** 3),
         "single": (np.array([0.3]), np.array([0.1])),
         "empty": (np.array([]), np.array([])),
         # a path in the plane: x turns back
@@ -459,9 +476,10 @@ def m4_cases():
 
 def test_m4_keeps_each_pixel_columns_first_last_min_and_max(tmp_path):
     xlim, ylim, cases = m4_cases()
+    assert x_axis(*(xs for xs, _ in cases.values())) == xlim
     path = tmp_path / "plot.svg"
     svgplot.line_plot(path, [svgplot.Series(name, xs, ys) for name, (xs, ys) in cases.items()],
-                      xlim=xlim, ylim=ylim)
+                      ylim=ylim)
     got = re.findall(r'<polyline points="([^"]*)"', path.read_text())
     assert len(got) == len(cases)
     for (name, (xs, ys)), points in zip(cases.items(), got):
@@ -748,25 +766,83 @@ def test_cli_bad_config_values_exit_4(tmp_path, capsys, request, command, edits)
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("config, command, section, key, value", [
-    ("quadruped_height.cfg", "wmax", "quadruped", "mass", 1e-300),
-    ("quadruped_height.cfg", "wmax", "clf_y", "decay_rate", 1e308),
-    ("quadcopter_fig8.cfg", "simulate", "quadcopter", "mass", 1e-300),
-], ids=["height-mass", "height-decay-rate", "fig8-mass"])
-def test_cli_synthesis_breakdown_exit_4(tmp_path, capsys, config, command, section, key, value):
-    # the interior-point iterates overflow: no infeasibility is certified
-    # (exit 2), the config's scales are outside the solver's range
+SYNTH_Z = "synthesis of axis 'z' broke down"
+SYNTH_MAIN = "synthesis of axis 'main' broke down"
+MODEL = "the linear model broke down"
+TINY = "1e-310"
+
+
+@pytest.mark.parametrize("config, command, section, key, value, refusal", [
+    ("quadruped_height.cfg", "wmax", "quadruped", "mass", "1e-300",
+     "synthesis of axis 'y' broke down"),
+    ("quadruped_height.cfg", "wmax", "clf_y", "decay_rate", "1e308",
+     "synthesis of axis 'y' broke down"),
+    ("quadcopter_fig8.cfg", "simulate", "quadcopter", "mass", "1e-300", SYNTH_MAIN),
+    # a non-finite step direction, whose eigenvalues LAPACK cannot find
+    ("quadruped_height.cfg", "synth", "clf_z", "dist_weight", "1e308", SYNTH_Z),
+    # a reciprocal weight overflows, so the LMI's constant block is not finite
+    ("quadruped_height.cfg", "wmax", "clf_z", "q", f"{TINY}, {TINY}", SYNTH_Z),
+    ("quadruped_height.cfg", "simulate", "clf_z", "r", TINY, SYNTH_Z),
+    ("quadcopter_fig8.cfg", "synth", "clf", "q", ", ".join([TINY] * 6), SYNTH_MAIN),
+    ("quadcopter_fig8.cfg", "simulate", "clf", "r", f"{TINY}, {TINY}", SYNTH_MAIN),
+    # an overflowing coefficient block
+    ("quadcopter_fig8.cfg", "simulate", "quadcopter", "gravity", "1e308", SYNTH_MAIN),
+    # the linear model, built before any synthesis, is not finite
+    ("quadruped_height.cfg", "synth", "quadruped", "mass", TINY, MODEL),
+    ("quadcopter_fig8.cfg", "simulate", "quadcopter", "mass", TINY, MODEL),
+    ("quadcopter_fig8.cfg", "synth", "quadcopter", "mass", "1e308", MODEL),
+    ("quadcopter_fig8.cfg", "simulate", "quadcopter", "arm_length", "1e308", MODEL),
+    ("quadcopter_fig8.cfg", "synth", "quadcopter", "inertia_xx", TINY, MODEL),
+], ids=["height-mass", "height-decay-rate", "fig8-mass", "height-dist-weight", "height-q",
+        "height-r", "fig8-q", "fig8-r", "fig8-gravity", "height-model-mass", "fig8-model-mass",
+        "fig8-model-mass-huge", "fig8-model-arm", "fig8-model-inertia"])
+def test_cli_synthesis_breakdown_exit_4(tmp_path, capsys, config, command, section, key, value,
+                                        refusal):
+    # the synthesis or its linear model overflows float64: no infeasibility
+    # is certified (exit 2), the config's scales are outside the solver's range
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    cp.read_string(resources.files("robustroa.harness").joinpath("configs", config).read_text())
-    cp[section][key] = repr(value)
+    cp.read_string((orc.CONFIGS / config).read_text())
+    cp[section][key] = value
     path = tmp_path / config
     with open(path, "w") as fh:
         cp.write(fh)
     rc, out = run_cli([command, "--config", str(path), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 4
-    axis = "main" if section == "quadcopter" else "y"
-    assert err.startswith(f"config error: synthesis of axis {axis!r} broke down")
+    assert err.startswith(f"config error: {refusal}")
+    assert err.count("\n") == 1 and out == ""
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, section, key, value, axis", [
+    ("wmax", "hj_z", "grid_half_widths", "1e-310, 1.6", "z"),
+    ("simulate", "quadruped", "gravity", "1e308", "z"),
+    ("reproduce", "quadruped", "drag_force", "1e308", "y"),
+], ids=["subnormal-cell", "gravity", "drag"])
+def test_cli_non_finite_wave_sum_exit_4(tmp_path, command, section, key, value, axis):
+    # the HJ wave sum overflows, so a step would be 0 and the solve would
+    # never end: run in a child with a timeout, so that a regression fails
+    # instead of stalling the suite
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp.read_string((orc.CONFIGS / "quadruped_height.cfg").read_text())
+    cp[section][key] = value
+    path = tmp_path / "case.cfg"
+    with open(path, "w") as fh:
+        cp.write(fh)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.Popen([sys.executable, "-m", "robustroa.harness.cli", command,
+                             "--config", str(path), "--out", str(tmp_path / "o")],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+                            cwd=tmp_path, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        # the CLI's forked axis jobs would outlive it: end its whole session
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+    assert proc.returncode == 4, err
+    assert err.startswith(f"config error: [hj_{axis}] the solve broke down (the wave sum")
     assert err.count("\n") == 1 and out == ""
     assert not (tmp_path / "o").exists()
 

@@ -1,13 +1,15 @@
 import io
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import _oracles as orc
 from robustroa import hj_reach as hj
+from robustroa import matrixkit as mk
 from robustroa import plants
-from robustroa.harness.scenarios import bundled_scenario
+from robustroa.harness.scenarios import load_scenario
 
 
 def di_dynamics(u_max=1.0, w_max=None):
@@ -682,7 +684,7 @@ def test_solve_brs_bitwise_matches_allocating_reference_per_flux_form(case):
                                         ("quadruped_push", "y"), ("quadruped_push", "z")])
 def test_solve_brs_bitwise_matches_allocating_reference_bundled(name, axis, freeze, horizon):
     # the bundled axes on their own 101 x 101 grids
-    scn = bundled_scenario(name + ".cfg")
+    scn = load_scenario(orc.CONFIGS / f"{name}.cfg")
     problem = scn.hj_blocks[axis].problem(scn.quadruped)
     assert_matches_allocating_reference(*problem, horizon, freeze)
 
@@ -745,6 +747,24 @@ def test_solve_brs_rejects_non_finite_bounds(horizon):
     for dyn in cases:
         with pytest.raises(ValueError, match="must be finite"):
             hj.solve_brs(grid, target, dyn, horizon, freeze="stay")
+
+
+def test_non_finite_wave_sum_is_refused():
+    # a drift past float64's range, or a subnormal cell width, sends the
+    # wave sum s1/dx1 + s2/dx2 to inf: its step 0.9 / inf = 0 would never
+    # move t.  The solve's setup refuses it (it is built here alone, so a
+    # regression fails instead of hanging), before numpy warns of anything
+    target = hj.TargetSet.box((0.0, 0.0), (0.25, 1.0))
+    heavy = plants.subsystem_error_dynamics("z", plants.QuadrupedParams(gravity=1e308),
+                                            u_lo=0.0, u_hi=300.0, delta_m_interval=(0.0, 5.0))
+    cases = [(hj.Grid2((-0.5, -2.0), (0.5, 2.0), (21, 21)), heavy),
+             (hj.Grid2((-1e-310, -2.0), (1e-310, 2.0), (21, 21)), di_dynamics())]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for grid, dyn in cases:
+            hj.signed_target(grid, target)  # solve_brs's check before _GridTerms passes
+            with pytest.raises(mk.NonFinite, match="wave sum"):
+                hj._GridTerms(grid, dyn)
 
 
 # -- export ---------------------------------------------------------------------

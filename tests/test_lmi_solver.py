@@ -5,10 +5,11 @@ import pytest
 
 import _oracles as orc
 from robustroa import clf_synth as cs
-from robustroa.harness.scenarios import bundled_scenario
+from robustroa.harness.scenarios import load_scenario
 from robustroa import lmi_solver as lmi
-from robustroa.lmi_solver import (AffineSdp, Infeasible, NumericalBreakdown, SdpStatus,
-                                  find_strictly_feasible, maximize)
+from robustroa import matrixkit as mk
+from robustroa.lmi_solver import (AffineSdp, Infeasible, SdpStatus, find_strictly_feasible,
+                                  maximize)
 from robustroa.plants import quadcopter_linearize, quadruped_axis_linear
 
 
@@ -54,17 +55,19 @@ def test_phases_run_on_the_stacked_blocks(monkeypatch):
     assert np.array_equal(phase1[-1], -np.eye(prob.dim))
 
 
-def test_overflowing_iterates_raise_numerical_breakdown():
+def test_overflowing_iterates_raise_non_finite():
     # a 1e300 input gain overflows the Schur matrix of phase 1's first
-    # step: a typed error, not NaN passed on and not a certified Infeasible;
-    # it pickles back from a forked CLI job
+    # step: matrixkit's one error for a non-finite array (a ValueError), not
+    # NaN passed on and not a certified Infeasible; it pickles back from a
+    # forked CLI job
     model = cs.LinearModel(a=[[0.0, 1.0], [0.0, 0.0]], b=[[0.0], [1e300]], b_w=[[0.0], [1.0]])
     params = cs.ClfParams(q=[500.0, 10.0], r=[1.0], decay_rate=0.3, dist_weight=200.0)
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(NumericalBreakdown, match="non-finite") as err:
+            pytest.raises(mk.NonFinite, match="non-finite") as err:
         maximize(cs.build_synthesis_lmi(model, params))
+    assert isinstance(err.value, ValueError)
     again = pickle.loads(pickle.dumps(err.value))
-    assert type(again) is NumericalBreakdown and str(again) == str(err.value)
+    assert type(again) is mk.NonFinite and str(again) == str(err.value)
 
 
 def test_evaluate():
@@ -214,9 +217,9 @@ def synthesis_case(case):
     """(model, params) of the bundled fig3 [clf] block or of one axis of
     quadruped_height.cfg."""
     if case == "fig3":
-        scn = bundled_scenario("quadcopter_fig8.cfg")
+        scn = load_scenario(orc.CONFIGS / "quadcopter_fig8.cfg")
         return quadcopter_linearize(scn.quadcopter), scn.clf_blocks["main"].params
-    scn = bundled_scenario("quadruped_height.cfg")
+    scn = load_scenario(orc.CONFIGS / "quadruped_height.cfg")
     return quadruped_axis_linear(scn.quadruped), scn.clf_blocks[case[-1]].params
 
 
@@ -283,7 +286,7 @@ def test_phase1_finds_thin_feasible_set():
     # the synthesis block without its -Y part at decay_rate 1e6 is strictly
     # feasible (best slack about -1e-3, reached with a slightly negative Y);
     # the barrier's phase 1 stalled on it and reported Infeasible(0.668)
-    scn = bundled_scenario("quadruped_height.cfg")
+    scn = load_scenario(orc.CONFIGS / "quadruped_height.cfg")
     model = quadruped_axis_linear(scn.quadruped)
     params = cs.ClfParams(q=[1000.0, 1.0], r=[0.01], decay_rate=1e6, dist_weight=90.0)
     full = cs.build_synthesis_lmi(model, params)

@@ -123,12 +123,15 @@ def test_cho_solve_factor_rejects_indefinite():
 
 def test_as_matrix_rejects_bad_input():
     assert mk.as_matrix([[1, 2], [3, 4]]).dtype == np.float64
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         mk.as_matrix(np.ones(3))
-    with pytest.raises(ValueError):
-        mk.as_matrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
+    assert not isinstance(err.value, mk.NonFinite)
+    # a non-finite entry is the one NonFinite refusal, still a ValueError
+    with pytest.raises(mk.NonFinite, match="m contains non-finite entries"):
+        mk.as_matrix(np.array([[1.0, np.nan], [0.0, 1.0]]), "m")
+    with pytest.raises(mk.NonFinite):
         mk.as_matrix(np.array([[np.inf]]))
+    assert issubclass(mk.NonFinite, ValueError) and issubclass(mk.NonFinite, mk.MatrixKitError)
 
 
 def test_require_symmetric_tolerance_is_relative():

@@ -9,7 +9,7 @@ import _oracles as orc
 from robustroa import mpc, plants
 from robustroa.clf_synth import ClfCertificate, ClfParams
 from robustroa.harness import cli
-from robustroa.harness.scenarios import DisturbancePolicy, bundled_scenario
+from robustroa.harness.scenarios import DisturbancePolicy, load_scenario
 from robustroa.mpc import MpcConfig
 
 
@@ -339,14 +339,14 @@ def test_loop_stops_at_the_first_state_it_cannot_keep(rate, coord):
     kick = _KickPlant(0.3, rate, coord)
     x0 = [0.5, -0.25, 0.0, 1.0, 0.0, 2.0]
     traj = plants.simulate_closed_loop(kick, _ZeroCtrl(), _OriginRef(), None, duration=1.0,
-                                       dt=0.1, x0=x0, blowup=1e4)
+                                       dt=0.1, x0=x0)
     assert traj.diverged
     assert len(traj.t) == len(traj.x) == len(traj.u) == len(traj.w) == 4
     assert traj.t[-1] == 3 * 0.1
     assert traj.x.tolist() == [x0] * 4
     # the same plant without the kick runs to the end
     traj = plants.simulate_closed_loop(_KickPlant(2.0, rate, coord), _ZeroCtrl(), _OriginRef(),
-                                       None, duration=1.0, dt=0.1, x0=x0, blowup=1e4)
+                                       None, duration=1.0, dt=0.1, x0=x0)
     assert not traj.diverged and len(traj.t) == 11
 
 
@@ -541,7 +541,7 @@ def test_lyapunov_monitor_subindexing():
 def test_blowup_stops_early():
     traj = plants.simulate_closed_loop(_DriftPlant(), _ZeroCtrl(), _OriginRef(),
                                        None, duration=20.0, dt=0.1,
-                                       x0=[1.0, 0.0, 0.0, 0.0, 0.0, 0.0], blowup=1e4)
+                                       x0=[1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     assert traj.diverged
     assert len(traj.t) < 201
     assert np.max(np.abs(traj.x)) < 1e4 * math.e
@@ -617,8 +617,8 @@ def certified():
     """Scenario and stage results of each bundled plant: certificates at
     the quadcopter's configured bound and at the quadruped's certified
     ones; the quadruped carries a payload and pushes against drag."""
-    copter = bundled_scenario("quadcopter_fig8.cfg")
-    walker = bundled_scenario("quadruped_push.cfg")
+    copter = load_scenario(orc.CONFIGS / "quadcopter_fig8.cfg")
+    walker = load_scenario(orc.CONFIGS / "quadruped_push.cfg")
     walker.delta_m = 5.0
     return {"quadcopter": (copter, cli._run_stages(copter, ("synthesize", "bound"))),
             "quadruped": (walker, cli._run_stages(walker, ("synthesize", "solve", "bound")))}
@@ -644,9 +644,9 @@ CLOSED_LOOPS = {
                           {"seed": 5, "disturbance": DisturbancePolicy(kind="random", w_max=3.5)}),
     "quadruped-robust": ("quadruped", "robust", {}),
     "quadruped-nominal": ("quadruped", "nominal", {}),
-    # a push far past the certified bound drives a state past 2 within 0.2 s
+    # a push of 1e6 m/s^2 drives the lateral rate past plants.BLOWUP within 0.011 s
     "quadcopter-blowup": ("quadcopter", "nominal",
-                          {"disturbance": DisturbancePolicy(kind="constant", w=(10.0, 0.0))}),
+                          {"disturbance": DisturbancePolicy(kind="constant", w=(1e6, 0.0))}),
     # the first stage sum overflows: non-finite on the first step
     "quadcopter-nonfinite": ("quadcopter", "robust",
                              {"disturbance": DisturbancePolicy(kind="constant", w=(1e308, 0.0))}),
@@ -669,12 +669,11 @@ def test_closed_loop_bitwise_matches_per_sample_reference(certified, case, tmp_p
     # every field keeps its bits except the energy, which is evaluated after
     # the loop in one vectorized expression instead of one row at a time
     plant, mode, edits = CLOSED_LOOPS[case]
-    blowup = 2.0 if case.endswith("blowup") else 1e4
     with np.errstate(over="ignore"):
         args, kwargs = closed_loop(certified, plant, mode, **edits)
-        want = orc.simulate_closed_loop(*args, blowup=blowup, **kwargs)
+        want = orc.simulate_closed_loop(*args, **kwargs)
         args, kwargs = closed_loop(certified, plant, mode, **edits)
-        got = plants.simulate_closed_loop(*args, blowup=blowup, **kwargs)
+        got = plants.simulate_closed_loop(*args, **kwargs)
     assert mpc_solves  # the oracle solves through mpc.mpc_step, uncounted
     if case.endswith(("blowup", "nonfinite")):
         assert want.diverged and len(want.t) < 250

@@ -2,8 +2,9 @@
 
 Every public top-level function and class of src/robustroa must be named
 by the program (src/), its demos (demos/) or its benchmark (perfbench/)
-somewhere outside its own definition.  The sources are read with ast
-alone, so this runs without numpy.
+somewhere outside its own definition and outside a type annotation: a name
+that only annotates (`arg: T`, `-> T`, `x: T = ...`) is used by no code.
+The sources are read with ast alone, so this runs without numpy.
 """
 
 import ast
@@ -22,11 +23,29 @@ def public_definitions(tree):
             and not node.name.startswith("_")]
 
 
-def names_in(node):
-    """Counter of the identifiers `node` names: names, attributes, imported
-    names, and strings that are a whole identifier (a getattr target)."""
-    found = Counter()
+def annotation_nodes(node):
+    """The ids of every node inside a type annotation under `node`: of an
+    argument, a return or an annotated assignment."""
+    roots = []
     for sub in ast.walk(node):
+        if isinstance(sub, ast.arg):
+            roots.append(sub.annotation)
+        elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            roots.append(sub.returns)
+        elif isinstance(sub, ast.AnnAssign):
+            roots.append(sub.annotation)
+    return {id(n) for root in roots if root is not None for n in ast.walk(root)}
+
+
+def names_in(node):
+    """Counter of the identifiers `node` names outside its annotations:
+    names, attributes, imported names, and strings that are a whole
+    identifier (a getattr target)."""
+    found = Counter()
+    skip = annotation_nodes(node)
+    for sub in ast.walk(node):
+        if id(sub) in skip:
+            continue
         if isinstance(sub, ast.Name):
             found[sub.id] += 1
         elif isinstance(sub, ast.Attribute):

@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 import _oracles as orc
-from robustroa import matrixkit as mk
 from robustroa import plants
 from robustroa import roa_bridge as rb
 from robustroa.clf_synth import ClfCertificate, ClfParams, synthesize
 from robustroa.harness import cli, fileio
-from robustroa.harness.scenarios import bundled_scenario, load_scenario
+from robustroa.harness.scenarios import load_scenario
 from robustroa.hj_reach import Grid2, TargetSet, ValueGrid, signed_target, solve_brs
 
 
@@ -35,17 +34,6 @@ def unit_certificate(dist_weight=1.0, decay_rate=1.0):
     params = ClfParams(q=[1.0, 1.0], r=[1.0], decay_rate=decay_rate,
                        dist_weight=dist_weight)
     return ClfCertificate(k=np.zeros((1, 2)), p=np.eye(2), params=params)
-
-
-# -- Ellipsoid2 ----------------------------------------------------------------
-
-def test_ellipsoid_validation():
-    with pytest.raises(mk.NotPositiveDefinite):
-        rb.Ellipsoid2(p=np.diag([1.0, -1.0]), center=(0, 0), level=1.0)
-    with pytest.raises(ValueError):
-        rb.Ellipsoid2(p=np.eye(2), center=(0, 0), level=0.0)
-    with pytest.raises(ValueError):
-        rb.Ellipsoid2(p=np.eye(2), center=(0, 0, 0), level=1.0)
 
 
 # -- containment ---------------------------------------------------------------
@@ -73,8 +61,7 @@ def test_containment_guard_is_local():
 
 def test_tiny_ellipsoid_deep_inside_is_contained():
     vg = circle_value_grid(1.5)
-    ell = rb.Ellipsoid2(p=np.eye(2), center=(0.0, 0.0), level=1e-6)
-    assert rb.ellipsoid_contained(ell, vg)
+    assert rb.ellipsoid_contained(np.eye(2), (0.0, 0.0), 1e-6, vg)
 
 
 def test_ellipsoid_outside_target_is_rejected():
@@ -83,8 +70,7 @@ def test_ellipsoid_outside_target_is_rejected():
     grid = Grid2((-2.0, -2.0), (2.0, 2.0), (41, 41))
     target = TargetSet.box((0.0, 0.0), (1.0, 1.0))
     vg = ValueGrid(grid, np.maximum(-1.0, target.l(*grid.mesh())))
-    ell = rb.Ellipsoid2(p=np.eye(2), center=(1.5, 0.0), level=1e-4)
-    assert not rb.ellipsoid_contained(ell, vg)
+    assert not rb.ellipsoid_contained(np.eye(2), (1.5, 0.0), 1e-4, vg)
 
 
 def test_ellipsoid_leaving_grid_is_rejected():
@@ -93,10 +79,8 @@ def test_ellipsoid_leaving_grid_is_rejected():
     vg = ValueGrid(grid, np.full(grid.shape, -1.0))
     p = np.diag([1.0, 4.0])  # x1 reaches the border at level 4, x2 at 16
     for level, inside in ((3.9, True), (4.0, False), (25.0, False)):
-        ell = rb.Ellipsoid2(p=p, center=(0.0, 0.0), level=level)
-        assert rb.ellipsoid_contained(ell, vg, guard=0.0) is inside
-    off = rb.Ellipsoid2(p=p, center=(2.5, 0.0), level=1e-6)
-    assert not rb.ellipsoid_contained(off, vg, guard=0.0)
+        assert rb.ellipsoid_contained(p, (0.0, 0.0), level, vg, guard=0.0) is inside
+    assert not rb.ellipsoid_contained(p, (2.5, 0.0), 1e-6, vg, guard=0.0)
 
 
 def test_tangency_level_matches_analytic_value():
@@ -110,8 +94,7 @@ def test_tangency_level_matches_analytic_value():
     p = np.diag([2.0, 1.0])
 
     def contained(level):
-        ell = rb.Ellipsoid2(p=p, center=(0.0, 0.0), level=level)
-        return rb.ellipsoid_contained(ell, vg, guard=0.0)
+        return rb.ellipsoid_contained(p, (0.0, 0.0), level, vg, guard=0.0)
 
     lo, hi = 0.1, 3.0
     assert contained(lo) and not contained(hi)
@@ -179,9 +162,8 @@ def test_containment_monotone_in_w_on_random_safe_sets():
         flags = []
         for w in np.linspace(0.01, 6.0, 25):
             from robustroa.clf_synth import roa_level
-            ell = rb.Ellipsoid2(p=cert.p, center=(0.0, 0.0),
-                                level=roa_level(cert.params, w))
-            flags.append(rb.ellipsoid_contained(ell, vg, guard=guard))
+            flags.append(rb.ellipsoid_contained(cert.p, (0.0, 0.0), roa_level(cert.params, w),
+                                                vg, guard=guard))
         flips = [a and not b for a, b in zip(flags[1:], flags[:-1])]
         assert not any(flips)
 
@@ -249,11 +231,11 @@ def test_center_cell_is_unsafe_where_its_envelope_is_positive():
     # off, one corner at 10 against three at -1.43 lifts the envelope above
     # 0 there, one at 0.5 leaves it below
     vg = circle_value_grid(1.5, n=40)  # nodes at +-0.0513 around the origin
-    tiny = rb.Ellipsoid2(p=np.eye(2), center=(0.02, 0.01), level=1e-12)
+    tiny = np.eye(2), (0.02, 0.01), 1e-12
     vg.v[20, 20] = 0.5
-    assert rb.ellipsoid_contained(tiny, vg, guard=0.0)
+    assert rb.ellipsoid_contained(*tiny, vg, guard=0.0)
     vg.v[20, 20] = 10.0
-    assert not rb.ellipsoid_contained(tiny, vg, guard=0.0)
+    assert not rb.ellipsoid_contained(*tiny, vg, guard=0.0)
 
 
 def test_no_safe_roa_raises():
@@ -357,7 +339,7 @@ def test_height_z_coarse_grid_keeps_its_safe_set():
     # scheme empties the safe set.  The upwind step keeps 433 of the
     # kernel's 436 nodes in 142 steps and certifies a positive bound below
     # the exact one.
-    scn = bundled_scenario("quadruped_height.cfg")
+    scn = load_scenario(orc.CONFIGS / "quadruped_height.cfg")
     grid, target, dyn, cert = bundled_axis(scn, "z", 51)
     vg = solve_brs(grid, target, dyn, "converge", freeze="stay")
     assert vg.info["converged"] and vg.info["steps"] == 142
@@ -372,7 +354,7 @@ def test_scarce_lift_keeps_its_safe_set():
     # scaled by the 9.81 m/s^2 downward speed erodes.  The upwind step
     # converges, keeps at least 1,407 of the kernel's 1,430 nodes, none
     # outside it, and certifies a positive bound below the exact one.
-    scn = bundled_scenario("quadruped_height.cfg")
+    scn = load_scenario(orc.CONFIGS / "quadruped_height.cfg")
     block = dataclasses.replace(scn.hj_blocks["z"], u_hi=200.0, delta_m=(0.0, 5.0))
     grid, target, dyn, cert = bundled_axis(scn, "z", block.n, block)
     vg = solve_brs(grid, target, dyn, "converge", freeze="stay")

@@ -26,12 +26,12 @@ certificates, so _fan_out runs them side by side, one job per axis chain
 and one per reproduce mode.  An axis's job runs its whole share of the
 stages (synthesize, solve, bound) and formats its value grid's CSV text,
 so the write pass only writes it; a reproduce mode's job simulates and
-writes that mode's CSV and trajectory SVG.  The first job runs in the CLI
-process and each other one in a forked child (here too when a fork
-fails).  Results come back in axis and mode order, and of the refusals
-the one raised is the first in (stage, axis) order, so the bytes, the
-report and the exit codes are those of running the stages one after the
-other.
+writes that mode's record, CSV and trajectory SVG.  The first job runs in
+the CLI process and each other one in a forked child (here too when a
+fork fails).  Results come back in axis and mode order, and of the
+refusals the one raised is the first in (stage, axis) order, so the
+bytes, the report and the exit codes are those of running the stages one
+after the other.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def _build_parser():
         ("synth", "synthesize ancillary gains and write certificate files"),
         ("hj-brs", "solve the reachability PDE and write value grids"),
         ("wmax", "certify the largest disturbance bound per subsystem"),
-        ("simulate", "run the closed loop and write CSV/SVG artifacts"),
+        ("simulate", "run the closed loop and write its record, CSV and SVGs"),
         ("reproduce", "full pipeline, both controller modes, comparison plots"),
     ):
         p = sub.add_parser(name, help=brief)
@@ -506,10 +506,12 @@ def _plot_band(path, scn, series):
 
 
 def _write_mode(scn, run, out, mode):
-    """Simulate `scn` in `mode` and write its CSV and trajectory SVG; only
-    the metrics block and the band series come back, so a trajectory is
-    written where it was simulated."""
+    """Simulate `scn` in `mode` and write its exact record (.npz), its CSV
+    at the plot's resolution and its trajectory SVG; only the metrics
+    block and the band series come back, so a trajectory is written where
+    it was simulated."""
     traj = _simulate(scn, run, mode)
+    traj.save(out / f"{scn.name}_{mode}.npz")
     traj.to_csv(out / f"{scn.name}_{mode}.csv")
     _plot_trajectory(out / f"{scn.name}_{mode}_traj.svg", scn, mode, traj)
     return fileio.metrics_block(_metrics(traj)), _band_series(mode, traj)
@@ -519,7 +521,7 @@ def _write_simulate(scn, run, out):
     _write_bounds(scn, run, out)
     block, series = _write_mode(scn, run, out, scn.mode)
     _plot_band(out / f"{scn.name}_{scn.mode}_band.svg", scn, series)
-    print(f"[simulate] mode = {scn.mode}, wrote {out / f'{scn.name}_{scn.mode}.csv'}")
+    print(f"[simulate] mode = {scn.mode}, wrote {out / f'{scn.name}_{scn.mode}.npz'}")
     print(block)
 
 

@@ -81,6 +81,9 @@ def _half_widths(text):
     hw = _floats(text)
     if len(hw) != 2 or not min(hw) > 0.0:
         raise ValueError("needs two positive entries")
+    # the box or grid spans twice each entry, and that width must be finite
+    if not math.isfinite(2.0 * max(hw)):
+        raise ValueError("a width of twice an entry overflows")
     return hw
 
 
@@ -247,14 +250,15 @@ def _clf_block(vals, axis):
     w_max = vals.pop("w_max")
     try:
         params = ClfParams(**vals)
-        # the invariant level w_max sets must be finite too (w_max**2 may raise)
-        if w_max is not None and not math.isfinite(roa_level(params, w_max)):
+        # the invariant level w_max sets must be positive and finite: each
+        # run's energy is divided by it (w_max**2 may raise)
+        if w_max is not None and not 0.0 < roa_level(params, w_max) < math.inf:
             raise OverflowError
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     except OverflowError:
         raise ConfigError(f"[clf{'' if axis == 'main' else '_' + axis}] w_max {w_max!r}: "
-                          f"its invariant level overflows") from None
+                          f"its invariant level is 0 or overflows") from None
     return ClfBlock(params=params, w_max=w_max)
 
 

@@ -568,22 +568,11 @@ class LyapunovMonitor:
 
 # -- closed-loop simulation ---------------------------------------------------
 
-_CSV_BLOCK_ROWS = 512  # rows converted and written per block by Trajectory.to_csv
 # a closed-loop state coordinate past this magnitude ends the run as diverged
 BLOWUP = 1e4
-
-
-def _repr_cells(table):
-    """repr of every entry of a 2-D float table, as rows of strings.  Each
-    run of equal bits down a column is formatted once; bits, not values, so
-    -0.0 and 0.0 stay apart."""
-    flat = table.ravel(order="F")  # column after column
-    bits = flat.view(np.int64)
-    starts = np.empty(flat.size, dtype=bool)
-    starts[0] = True
-    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
-    text = np.array(list(map(repr, flat[starts].tolist())), dtype=object)
-    return text[np.cumsum(starts) - 1].reshape(table.shape[::-1]).T.tolist()
+# Trajectory.to_csv keeps one sample in ceil(n / CSV_ROWS), plus the last:
+# the trajectory SVGs' canvas width in pixels (harness.svgplot.WIDTH)
+CSV_ROWS = 640
 
 
 @dataclass
@@ -602,9 +591,23 @@ class Trajectory:
     invariant_exits: tuple
     clamp_events: int
 
+    def save(self, path):
+        """The exact record of the run: one uncompressed .npz of the arrays
+        t, x, x_ref, u, w, e_lyap, levels and monitor_names, each written
+        on its own, never stacked into one table.  The names are a unicode
+        array, so np.load reads the file with allow_pickle=False; zipfile
+        stamps every member with the same 1980 date, so a run's bytes do
+        not depend on the clock."""
+        np.savez(path, t=self.t, x=self.x, x_ref=self.x_ref, u=self.u, w=self.w,
+                 e_lyap=self.e_lyap, levels=np.array(self.levels, dtype=float),
+                 monitor_names=np.array(self.monitor_names, dtype=str))
+
     def to_csv(self, path):
-        """One row per sample; header `t,x...,xref...,u...,w...,E,roa_level`
-        (E / roa_level columns suffixed by monitor name when several)."""
+        """A readable view of the run at the plot's resolution: every k-th
+        sample from the first, k = ceil(n / CSV_ROWS), and the last one,
+        each value written with repr (save() keeps every sample).  Header
+        `t,x...,xref...,u...,w...,E,roa_level` (E / roa_level columns
+        suffixed by monitor name when several)."""
         nx = self.x.shape[1]
         nu = self.u.shape[1]
         nw = self.w.shape[1]
@@ -619,18 +622,14 @@ class Trajectory:
             for name in self.monitor_names:
                 cols += [f"E_{name}", f"roa_level_{name}"]
         n = len(self.t)
-        t = np.reshape(self.t, (n, 1))
+        rows = [*range(0, n - 1, -(-n // CSV_ROWS)), n - 1]  # the last sample always
+        blocks = [self.t[rows, None], self.x[rows], self.x_ref[rows], self.u[rows], self.w[rows]]
+        m = len(blocks[0])
+        for j, lev in enumerate(self.levels):
+            blocks += [self.e_lyap[rows, j:j + 1], np.full((m, 1), float(lev))]
         with open(path, "w") as fh:
             fh.write(",".join(cols) + "\n")
-            # converted one row block at a time, so the Python floats and
-            # the stacked table never hold more than a block
-            for lo in range(0, n, _CSV_BLOCK_ROWS):
-                rows = slice(lo, lo + _CSV_BLOCK_ROWS)
-                blocks = [t[rows], self.x[rows], self.x_ref[rows], self.u[rows], self.w[rows]]
-                m = len(blocks[0])
-                for j, lev in enumerate(self.levels):
-                    blocks += [self.e_lyap[rows, j:j + 1], np.full((m, 1), float(lev))]
-                fh.writelines(",".join(row) + "\n" for row in _repr_cells(np.hstack(blocks)))
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in np.hstack(blocks).tolist())
 
 
 def simulate_closed_loop(plant, controller, reference, disturbance, duration, dt,

@@ -594,10 +594,11 @@ def read_value_grid(path):
 
 # -- trajectory CSV rows, value by value ---------------------------------------
 
-def trajectory_csv_rows(traj):
-    """Data rows of Trajectory.to_csv, each value formatted on its own."""
+def trajectory_csv_rows(traj, k):
+    """Data rows of Trajectory.to_csv at stride k, the last sample always
+    among them, each value formatted on its own."""
     lines = []
-    for i in range(len(traj.t)):
+    for i in sorted(set(range(0, len(traj.t), k)) | {len(traj.t) - 1}):
         row = [traj.t[i], *traj.x[i], *traj.x_ref[i], *traj.u[i], *traj.w[i]]
         for j, lev in enumerate(traj.levels):
             row += [traj.e_lyap[i, j], lev]
@@ -831,28 +832,3 @@ def simulate_closed_loop(plant, controller, reference, disturbance, duration, dt
         invariant_exits=exits,
         clamp_events=clamp_events,
     )
-
-
-def trajectory_csv(traj, path):
-    """Trajectory.to_csv, stacking the whole table at once."""
-    nx = traj.x.shape[1]
-    nu = traj.u.shape[1]
-    nw = traj.w.shape[1]
-    cols = (["t"]
-            + [f"x{i + 1}" for i in range(nx)]
-            + [f"xref{i + 1}" for i in range(nx)]
-            + [f"u{i + 1}" for i in range(nu)]
-            + [f"w{i + 1}" for i in range(nw)])
-    if len(traj.monitor_names) == 1:
-        cols += ["E", "roa_level"]
-    else:
-        for name in traj.monitor_names:
-            cols += [f"E_{name}", f"roa_level_{name}"]
-    n = len(traj.t)
-    blocks = [np.reshape(traj.t, (n, 1)), traj.x, traj.x_ref, traj.u, traj.w]
-    for j, lev in enumerate(traj.levels):
-        blocks += [traj.e_lyap[:, j:j + 1], np.full((n, 1), float(lev))]
-    table = np.hstack(blocks)
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in table)

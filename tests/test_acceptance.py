@@ -60,7 +60,15 @@ def run_cli(argv):
 
 
 def read_run(path):
-    return np.genfromtxt(path, delimiter=",", names=True)
+    """The exact record of one run (Trajectory.save), as {name: array}."""
+    with np.load(path, allow_pickle=False) as rec:
+        return {name: rec[name] for name in rec.files}
+
+
+def exits(run, monitor):
+    """Samples whose energy on `monitor` is not within its level (NaN is out)."""
+    j = run["monitor_names"].tolist().index(monitor)
+    return int(np.count_nonzero(~(run["e_lyap"][:, j] <= run["levels"][j] * (1.0 + 1e-6))))
 
 
 def test_criterion_1_clf_synthesis(quadcopter_synthesis):
@@ -241,48 +249,43 @@ def test_criterion_6_quadcopter_figure(quadcopter_synthesis, tmp_path):
     assert rc == 0
     assert elapsed < 120.0
 
-    nominal = read_run(tmp_path / "quadcopter_fig8_nominal.csv")
-    robust = read_run(tmp_path / "quadcopter_fig8_robust.csv")
-    tol = LEVEL * (1.0 + 1e-6)
-    nominal_exits = int(np.count_nonzero(nominal["E"] > tol))
-    nominal_diverged = len(nominal) < 5001
+    nominal = read_run(tmp_path / "quadcopter_fig8_nominal.npz")
+    robust = read_run(tmp_path / "quadcopter_fig8_robust.npz")
+    assert nominal["levels"].tolist() == robust["levels"].tolist() == [LEVEL]
+    nominal_exits = exits(nominal, "E")
+    nominal_diverged = len(nominal["t"]) < 5001
     assert nominal_exits > 0 or nominal_diverged
-    assert np.all(robust["E"] <= tol)
-    assert len(robust) == 5001  # finished the 5 s run
+    assert exits(robust, "E") == 0
+    assert len(robust["t"]) == 5001  # finished the 5 s run
 
     # robust y/z errors stay within the axis extents of {E <= c}
     extents = np.sqrt(LEVEL * np.diag(np.linalg.inv(cert.p)))
-    ey = robust["x1"] - robust["xref1"]
-    ez = robust["x2"] - robust["xref2"]
-    assert np.max(np.abs(ey)) <= extents[0] * (1.0 + 1e-6)
-    assert np.max(np.abs(ez)) <= extents[1] * (1.0 + 1e-6)
+    err = robust["x"] - robust["x_ref"]
+    assert np.max(np.abs(err[:, 0])) <= extents[0] * (1.0 + 1e-6)
+    assert np.max(np.abs(err[:, 1])) <= extents[1] * (1.0 + 1e-6)
     print(f"criterion 6 (fig 3): PASS  nominal exits={nominal_exits} "
           f"diverged={nominal_diverged}, robust peak E="
-          f"{float(np.max(robust['E'])):.4f} <= {LEVEL}, "
+          f"{float(np.max(robust['e_lyap'])):.4f} <= {LEVEL}, "
           f"runtime={elapsed:.1f}s")
 
 
 def test_criterion_7_quadruped_figures(tmp_path):
     rc, _ = run_cli(["reproduce", "fig4a", "--out", str(tmp_path / "height")])
     assert rc == 0
-    nominal = read_run(tmp_path / "height" / "quadruped_height_nominal.csv")
-    robust = read_run(tmp_path / "height" / "quadruped_height_robust.csv")
-    height_tol = robust["roa_level_z"] * (1.0 + 1e-6)
-    height_nominal_exits = int(np.count_nonzero(
-        nominal["E_z"] > nominal["roa_level_z"] * (1.0 + 1e-6)))
+    nominal = read_run(tmp_path / "height" / "quadruped_height_nominal.npz")
+    robust = read_run(tmp_path / "height" / "quadruped_height_robust.npz")
+    height_nominal_exits = exits(nominal, "z")
     assert height_nominal_exits > 0
-    assert np.all(robust["E_z"] <= height_tol)  # inside for the full 10 s
-    assert np.all(robust["E_y"] <= robust["roa_level_y"] * (1.0 + 1e-6))
-    assert len(robust) == 10001  # finished the run, no divergence
+    assert exits(robust, "z") == 0  # inside for the full 10 s
+    assert exits(robust, "y") == 0
+    assert len(robust["t"]) == 10001  # finished the run, no divergence
 
     rc, _ = run_cli(["reproduce", "fig4c", "--out", str(tmp_path / "push")])
     assert rc == 0
-    nominal_p = read_run(tmp_path / "push" / "quadruped_push_nominal.csv")
-    robust_p = read_run(tmp_path / "push" / "quadruped_push_robust.csv")
-    push_nominal_exits = int(np.count_nonzero(
-        nominal_p["E_y"] > nominal_p["roa_level_y"] * (1.0 + 1e-6)))
-    push_robust_exits = int(np.count_nonzero(
-        robust_p["E_y"] > robust_p["roa_level_y"] * (1.0 + 1e-6)))
+    nominal_p = read_run(tmp_path / "push" / "quadruped_push_nominal.npz")
+    robust_p = read_run(tmp_path / "push" / "quadruped_push_robust.npz")
+    push_nominal_exits = exits(nominal_p, "y")
+    push_robust_exits = exits(robust_p, "y")
     assert push_nominal_exits > 0
     assert push_robust_exits == 0
     print(f"criterion 7 (fig 4): PASS  height nominal exits="

@@ -19,6 +19,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -711,8 +712,13 @@ def test_cli_out_naming_a_file_exit_4(tmp_path, capsys, monkeypatch):
     ("wmax", {"hj_y": {"n": 1000000}}),
     # duration / dt overflows to inf
     ("simulate", {"simulate": {"duration": 1e300, "dt": 1e-300}}),
-    # the invariant level dist_weight * w_max^2 / decay_rate overflows
+    # the invariant level dist_weight * w_max^2 / decay_rate overflows, or
+    # is 0 (every energy is divided by it)
     ("simulate", {"clf": {"w_max": 1e200}}),
+    ("simulate", {"clf": {"w_max": 1e-300}}),
+    ("simulate", {"clf": {"w_max": 0.0}}),
+    # the grid's width, twice the half width, overflows
+    ("simulate", {"hj_y": {"grid_half_widths": "1e308, 1.0"}}),
     # z's force box, summed from the per-foot boxes, overflows to inf
     ("wmax", {"mpc": {"u_hi": "35, 35, 1e308, 1e308"}}),
     # the condensed MPC Hessian of the first solve overflows: refused by the
@@ -742,7 +748,8 @@ def test_cli_out_naming_a_file_exit_4(tmp_path, capsys, monkeypatch):
         "payload-interval-negative-mass", "quadcopter-hj-section", "trot-t-end",
         "trot-amp-y", "trot-amp-z", "figure8-y0", "none-w-max-freq", "mpc-horizon-oversized",
         "simulate-samples-oversized", "hj-n-oversized", "simulate-samples-overflow",
-        "clf-level-overflow", "hj-force-box-overflow", "mpc-hessian-dt",
+        "clf-level-overflow", "clf-level-underflow", "clf-level-zero",
+        "grid-half-width-overflow", "hj-force-box-overflow", "mpc-hessian-dt",
         "mpc-hessian-dt-reproduce", "mpc-hessian-v-ref", "mpc-hessian-inertia",
         "mpc-hessian-z-ref-reproduce", "mpc-hessian-quadcopter-dt", "stance-step-offset",
         "stance-v-ref", "stance-y0-reproduce"])
@@ -755,10 +762,13 @@ def test_cli_bad_config_values_exit_4(tmp_path, capsys, request, command, edits)
     trot = edits.get("reference", {}).get("kind") == "trot"
     base = MINI_QUADCOPTER if quadcopter_only & set(edits) and not trot else MINI
     path = mini_cfg(tmp_path, base=base, **edits)
-    rc, out = run_cli([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out = run_cli([command, "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 4
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1 and out == ""
+    assert [str(w.message) for w in caught] == []
     if request.node.callspec.id.startswith("mpc-hessian"):
         assert "the first MPC solve broke down" in err
     if request.node.callspec.id.startswith("stance"):
@@ -1073,7 +1083,8 @@ def mini_run(tmp_path_factory):
 
 def test_simulate_writes_artifacts(mini_run):
     _, out, text = mini_run
-    for fname in ("mini_robust.csv", "mini_robust_traj.svg", "mini_robust_band.svg",
+    for fname in ("mini_robust.npz", "mini_robust.csv", "mini_robust_traj.svg",
+                  "mini_robust_band.svg",
                   "mini_wmax.txt", "mini_certificate_y.txt", "mini_certificate_z.txt",
                   "mini_valuegrid_y.csv", "mini_valuegrid_z.csv"):
         assert (out / fname).exists(), fname
@@ -1108,20 +1119,19 @@ def printed_values(text):
     return metrics
 
 
-def test_simulate_metrics_match_csv(mini_run):
+def test_simulate_metrics_match_record(mini_run):
     _, out, text = mini_run
     metrics = printed_values(text)
-    data = np.genfromtxt(out / "mini_robust.csv", delimiter=",", names=True)
-    for axis in ("y", "z"):
-        energy = data[f"E_{axis}"]
-        level = data[f"roa_level_{axis}"]
-        recount = int(np.sum(energy > level * (1.0 + 1e-6)))
-        assert recount == int(metrics[f"invariant_exits_{axis}"])
+    with np.load(out / "mini_robust.npz", allow_pickle=False) as rec:
+        assert rec["monitor_names"].tolist() == ["y", "z"]
+        for j, axis in enumerate(("y", "z")):
+            recount = int(np.sum(rec["e_lyap"][:, j] > rec["levels"][j] * (1.0 + 1e-6)))
+            assert recount == int(metrics[f"invariant_exits_{axis}"])
+        # 0.3 s at 1 kHz: 301 samples
+        assert len(rec["t"]) == 301
     total = int(metrics["invariant_exits_y"]) + int(metrics["invariant_exits_z"])
     assert total == int(metrics["invariant_exits"])
     assert metrics["diverged"] == "false"
-    # 0.3 s at 1 kHz: header plus 301 samples
-    assert len(data) == 301
 
 
 def test_simulate_trot_start_places_first_stance_under_the_body(mini_run, tmp_path):
@@ -1139,9 +1149,8 @@ def test_simulate_seed_determinism(mini_run, tmp_path):
     cfg, out, _ = mini_run
     rc, _ = run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "b")])
     assert rc == 0
-    first = (out / "mini_robust.csv").read_bytes()
-    again = (tmp_path / "b" / "mini_robust.csv").read_bytes()
-    assert first == again
+    for fname in ("mini_robust.npz", "mini_robust.csv"):
+        assert (out / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes(), fname
 
     # a random push on the quadcopter draws from the seed and moves the state
     noisy = write_cfg(tmp_path, {**MINI_QUADCOPTER,
@@ -1152,8 +1161,8 @@ def test_simulate_seed_determinism(mini_run, tmp_path):
         rc, _ = run_cli(["simulate", "--config", str(noisy), "--seed", seed,
                          "--out", str(out_dir)])
         assert rc == 0
-        data = np.genfromtxt(out_dir / "miniqc_robust.csv", delimiter=",", names=True)
-        states.append(np.column_stack([data[f"x{i}"] for i in range(1, 7)]))
+        with np.load(out_dir / "miniqc_robust.npz", allow_pickle=False) as rec:
+            states.append(rec["x"])
     assert np.array_equal(states[0], states[1])
     assert not np.array_equal(states[0], states[2])
 
@@ -1189,8 +1198,8 @@ def test_reproduce_runs_both_modes(tmp_path, monkeypatch):
     assert rc == 0
     assert "[reproduce:nominal]" in text
     assert "[reproduce:robust]" in text
-    for fname in ("mini_nominal.csv", "mini_robust.csv", "mini_nominal_traj.svg",
-                  "mini_robust_traj.svg", "mini_compare_band.svg"):
+    for fname in ("mini_nominal.npz", "mini_robust.npz", "mini_nominal.csv", "mini_robust.csv",
+                  "mini_nominal_traj.svg", "mini_robust_traj.svg", "mini_compare_band.svg"):
         assert (out / fname).exists(), fname
     # certified once for both modes: one synthesis and one PDE solve per axis
     assert Counter(name for name, *_ in calls()) == {"synthesize": 2, "solve_brs": 2}
@@ -1201,6 +1210,31 @@ def test_reproduce_runs_both_modes(tmp_path, monkeypatch):
     for fname in ("mini_wmax.txt", "mini_certificate_y.txt", "mini_certificate_z.txt",
                   "mini_valuegrid_y.csv", "mini_valuegrid_z.csv"):
         assert (out / fname).read_bytes() == (tmp_path / "wmax" / fname).read_bytes(), fname
+
+
+def test_trajectory_csv_rows_are_the_plot_width():
+    # the CSV keeps about one sample per pixel column of the trajectory SVG
+    assert plants.CSV_ROWS == svgplot.WIDTH
+
+
+def test_reproduce_records_repeat_and_each_csv_is_its_record_at_plot_width(tmp_path):
+    # two in-process runs write the same record bytes in both modes (one of
+    # them in a forked child), and 701 samples give a CSV of every 2nd one
+    cfg = mini_cfg(tmp_path, simulate={"duration": 0.7, "dt": 0.001})
+    for run in ("a", "b"):
+        rc, _ = run_cli(["reproduce", "--config", str(cfg), "--out", str(tmp_path / run)])
+        assert rc == 0
+    for mode in cli.REPRODUCE_MODES:
+        first, again = (tmp_path / run / f"mini_{mode}.npz" for run in ("a", "b"))
+        assert first.read_bytes() == again.read_bytes(), mode
+        with np.load(first, allow_pickle=False) as rec:
+            columns = [rec["t"][:, None], rec["x"], rec["x_ref"], rec["u"], rec["w"]]
+            for j, level in enumerate(rec["levels"]):
+                columns += [rec["e_lyap"][:, j:j + 1], np.full((len(rec["t"]), 1), level)]
+        table = np.hstack(columns)
+        lines = (tmp_path / "a" / f"mini_{mode}.csv").read_text().splitlines()[1:]
+        assert len(table) == 701 and -(-701 // plants.CSV_ROWS) == 2
+        assert lines == [",".join(map(repr, row)) for row in table[::2].tolist()]
 
 
 def test_reproduce_quadcopter_synthesizes_once(tmp_path, monkeypatch):

@@ -572,42 +572,58 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert np.all(data[:, 16] == 4.0)
 
 
-def test_trajectory_csv_matches_value_by_value_rows(tmp_path):
-    # the bulk writer must give the bytes of formatting each value alone
+def random_trajectory(n, monitor_names=("y", "z")):
+    """A Trajectory of n samples whose values span float64's exponents,
+    with -0.0, NaN and inf among them."""
     rng = np.random.default_rng(3)
-    n = 40
     x = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
-    x[0, 0], x[1, 1], x[2, 2] = -0.0, np.nan, np.inf
-    traj = plants.Trajectory(
+    x[0, 0], x[1, 1], x[2, 2], x[6, 0] = -0.0, np.nan, np.inf, -np.nan
+    m = len(monitor_names)
+    return plants.Trajectory(
         t=np.arange(n) * 1e-3, x=x, x_ref=rng.standard_normal((n, 3)),
-        u=rng.standard_normal((n, 2)), w=np.zeros((n, 1)),
-        e_lyap=rng.standard_normal((n, 2)) ** 2, monitor_names=("y", "z"),
-        levels=(0.1, 4), diverged=False, invariant_exits=(0, 0), clamp_events=0)
+        u=rng.standard_normal((n, 2)), w=np.full((n, 1), -0.0),
+        e_lyap=rng.standard_normal((n, m)) ** 2, monitor_names=monitor_names,
+        levels=(0.1, 4)[:m], diverged=False, invariant_exits=(0,) * m, clamp_events=0)
+
+
+@pytest.mark.parametrize("n, k", [(40, 1), (640, 1), (642, 2), (1281, 3), (5001, 8),
+                                  (10001, 16)])
+def test_trajectory_csv_is_the_record_at_stride(tmp_path, n, k):
+    # every k-th sample, k = ceil(n / CSV_ROWS), from the first, and the
+    # last one, each value formatted with repr on its own, under the
+    # header of the whole run
+    assert -(-n // plants.CSV_ROWS) == k
+    traj = random_trajectory(n)
     path = tmp_path / "run.csv"
     traj.to_csv(path)
     header, rows = path.read_text().split("\n", 1)
     assert header == "t,x1,x2,x3,xref1,xref2,xref3,u1,u2,w1,E_y,roa_level_y,E_z,roa_level_z"
-    assert rows == orc.trajectory_csv_rows(traj)
+    assert rows == orc.trajectory_csv_rows(traj, k)
+    last = np.r_[traj.t[-1], traj.x[-1], traj.x_ref[-1], traj.u[-1], traj.w[-1],
+                 traj.e_lyap[-1, 0], 0.1, traj.e_lyap[-1, 1], 4.0]
+    assert rows.splitlines()[-1] == ",".join(map(repr, last.tolist()))
+    assert rows.count("\n") == len(set(range(0, n, k)) | {n - 1}) <= plants.CSV_ROWS + 1
 
 
-def test_trajectory_csv_runs_keep_the_bits_of_each_value(tmp_path):
-    # held values are formatted once per run of equal bits, so a zero of
-    # the other sign or a NaN of another payload opens a new run, and runs
-    # span the writer's row blocks
-    n = 1300
-    held = np.repeat([0.0, -0.0, 0.0, 1.5, np.nan, -np.nan, np.inf, 1.5],
-                     [300, 1, 211, 300, 3, 2, 1, 482])
-    held[-1:] = np.array([0x7FF8000000000001]).view(float)  # a NaN with another payload
-    x = np.column_stack([held, np.arange(n) * 0.1, np.full(n, -0.0)])
-    traj = plants.Trajectory(
-        t=np.arange(n) * 1e-3, x=x, x_ref=x[::-1].copy(), u=np.zeros((n, 2)),
-        w=np.zeros((n, 1)), e_lyap=np.ones((n, 1)), monitor_names=("E",), levels=(0.5,),
-        diverged=False, invariant_exits=(0,), clamp_events=0)
-    path = tmp_path / "run.csv"
-    traj.to_csv(path)
-    rows = path.read_text().split("\n", 1)[1]
-    assert rows == orc.trajectory_csv_rows(traj)
-    assert [line.split(",")[1] for line in rows.split("\n")[299:302]] == ["0.0", "-0.0", "0.0"]
+RECORD = ("t", "x", "x_ref", "u", "w", "e_lyap", "levels", "monitor_names")
+
+
+@pytest.mark.parametrize("monitor_names", [("y", "z"), ("E",), ()])
+def test_trajectory_record_roundtrips_bit_for_bit(tmp_path, monitor_names):
+    # every sample's bits, -0.0 and NaN payloads included, read back
+    # without pickle
+    traj = random_trajectory(300, monitor_names)
+    traj.x[5, 1] = np.array([0x7FF8000000000001]).view(float)[0]
+    traj.save(tmp_path / "run.npz")
+    with np.load(tmp_path / "run.npz", allow_pickle=False) as rec:
+        assert sorted(rec.files) == sorted(RECORD)
+        for name in RECORD[:6]:
+            a, b = rec[name], getattr(traj, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert rec["levels"].dtype == float
+        assert tuple(rec["levels"].tolist()) == traj.levels
+        assert rec["monitor_names"].dtype.kind == "U"
+        assert tuple(rec["monitor_names"].tolist()) == monitor_names
 
 
 # -- bundled scenarios against the per-sample reference loop --------------------
@@ -687,21 +703,14 @@ def test_closed_loop_bitwise_matches_per_sample_reference(certified, case, tmp_p
     assert_energy_close(got.e_lyap, want.e_lyap)
     for name in ("monitor_names", "levels", "diverged", "invariant_exits", "clamp_events"):
         assert getattr(got, name) == getattr(want, name), name
-    got.to_csv(tmp_path / "got.csv")
-    orc.trajectory_csv(want, tmp_path / "want.csv")
-    got_rows, want_rows = ([line.split(",") for line in (tmp_path / name).read_text().split("\n")]
-                           for name in ("got.csv", "want.csv"))
-    header = want_rows[0]
-    energy = [j for j, col in enumerate(header) if col == "E" or col.startswith("E_")]
-    assert len(energy) == len(want.levels)
-
-    def split(rows):
-        other = [[v for j, v in enumerate(row) if j not in energy] for row in rows]
-        return other, [[float(row[j]) for j in energy] for row in rows[1:-1]]
-
-    (got_other, got_e), (want_other, want_e) = split(got_rows), split(want_rows)
-    assert got_other == want_other
-    assert_energy_close(got_e, want_e)
+    # and the exact record the CLI writes holds those arrays
+    got.save(tmp_path / "got.npz")
+    with np.load(tmp_path / "got.npz", allow_pickle=False) as rec:
+        for name in ("t", "x", "x_ref", "u", "w"):
+            assert np.array_equal(rec[name], getattr(want, name)), name
+        assert_energy_close(rec["e_lyap"], want.e_lyap)
+        assert np.array_equal(rec["levels"], want.levels)
+        assert tuple(rec["monitor_names"].tolist()) == want.monitor_names
 
 
 def test_quadruped_ancillary_bitwise_matches_matmul_allocation(certified):
@@ -831,22 +840,25 @@ def test_nan_command_diverges_as_under_array_clip(certified):
 
 
 def test_closed_loop_memory_is_its_output(certified, tmp_path):
-    # peak Python/numpy allocation of the whole 10 s robust run, then of its CSV
+    # peak Python/numpy allocation of the whole 10 s robust run, then of
+    # its record and of its CSV
     args, kwargs = closed_loop(certified, "quadruped", "robust", duration=10.0)
-    tracemalloc.start()
-    try:
-        traj = plants.simulate_closed_loop(*args, **kwargs)
-        sim_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    tracemalloc.start()
-    try:
-        traj.to_csv(tmp_path / "run.csv")
-        csv_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    def peak(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traj, sim_peak = peak(plants.simulate_closed_loop, *args, **kwargs)
+    _, record_peak = peak(traj.save, tmp_path / "run.npz")
+    _, csv_peak = peak(traj.to_csv, tmp_path / "run.csv")
     assert len(traj.t) == 10001
-    returned = sum(a.nbytes for a in (traj.t, traj.x, traj.x_ref, traj.u, traj.w, traj.e_lyap))
+    arrays = (traj.t, traj.x, traj.x_ref, traj.u, traj.w, traj.e_lyap)
+    returned = sum(a.nbytes for a in arrays)
     # a loop keeping each sample as small arrays in lists peaks near 6x this
     assert sim_peak < 1.5 * returned
+    # each array is written as it is held, never the whole table stacked
+    assert record_peak < max(a.nbytes for a in arrays) + 100_000 < returned
     assert csv_peak < 1_000_000

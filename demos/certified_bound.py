@@ -12,20 +12,25 @@ e1 = h1 edge of the safe set before the lift parabola, as it does in the
 exact viability kernel.
 """
 
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from robustroa import harness, plants
+from robustroa import plants
 from robustroa.clf_synth import synthesize
 from robustroa.harness import svgplot
 from robustroa.harness.scenarios import load_scenario
 from robustroa.hj_reach import solve_brs
 from robustroa.roa_bridge import find_wmax
 
+# the bundled configs and the contour tracing
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+import _oracles as orc  # noqa: E402
+
 OUT = Path(__file__).resolve().parent / "out"
-CONFIG = Path(harness.__file__).resolve().parent / "configs" / "quadruped_height.cfg"
+CONFIG = orc.CONFIGS / "quadruped_height.cfg"
 
 
 def certify(cert, block, plant_params):
@@ -40,30 +45,11 @@ def ellipse_points(p, level, n=360):
     return np.linalg.solve(chol.T, circ).T
 
 
-def safe_boundary(vg):
-    x1, x2 = vg.grid.axes()
-    pts = []
-    for j in range(vg.v.shape[1]):
-        col = vg.v[:, j]
-        for i in np.nonzero(col[:-1] * col[1:] < 0.0)[0]:
-            frac = col[i] / (col[i] - col[i + 1])
-            pts.append((x1[i] + frac * (x1[i + 1] - x1[i]), x2[j]))
-    for i in range(vg.v.shape[0]):
-        row = vg.v[i, :]
-        for j in np.nonzero(row[:-1] * row[1:] < 0.0)[0]:
-            frac = row[j] / (row[j] - row[j + 1])
-            pts.append((x1[i], x2[j] + frac * (x2[j + 1] - x2[j])))
-    pts = np.array(pts)
-    order = np.argsort(np.arctan2(pts[:, 1], pts[:, 0]))
-    loop = pts[order]
-    return np.vstack([loop, loop[:1]])
-
-
 def main():
     OUT.mkdir(exist_ok=True)
     scn = load_scenario(CONFIG)
     params, block = scn.quadruped, scn.hj_blocks["z"]
-    cert, sol = synthesize(plants.quadruped_axis_linear(params), scn.clf_blocks["z"].params)
+    cert, sol = synthesize(plants.quadruped_axis_linear(params), scn.clf_blocks["z"])
     print(f"synthesis: {sol.status.value}, objective {sol.objective_value:.6f}")
     print(f"K = {np.array_str(cert.k, precision=3)}")
 
@@ -75,7 +61,7 @@ def main():
     hw = block.target_half_widths
     box = np.array([[hw[0], hw[1]], [hw[0], -hw[1]], [-hw[0], -hw[1]],
                     [-hw[0], hw[1]], [hw[0], hw[1]]])
-    safe = safe_boundary(vg)
+    safe = orc.contour_loop(vg.grid.axes(), vg.v)
     path = OUT / "certified_bound_z.svg"
     svgplot.line_plot(path, [
         svgplot.Series("stay band", box[:, 0], box[:, 1],

@@ -49,7 +49,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .. import plants
-from ..clf_synth import DimensionMismatch, roa_level, synthesize, verify_closed_loop
+from ..clf_synth import DimensionMismatch, synthesize, verify_closed_loop
 from ..hj_reach import TargetOutsideGrid, solve_brs
 from ..lmi_solver import Infeasible
 from ..matrixkit import NonFinite
@@ -246,11 +246,10 @@ def _run_stages(scn, stages):
         done, step = {}, "synthesize"
         try:
             if axis in clf_blocks:
-                block = clf_blocks[axis]
-                cert, sol = synthesize(run.model, block.params)
+                cert, sol = synthesize(run.model, clf_blocks[axis])
                 eig = verify_closed_loop(run.model, cert)
-                if block.w_max is not None:
-                    cert.set_disturbance_bound(block.w_max)
+                if scn.w_max is not None:  # [clf]'s, the quadcopter's one axis
+                    cert.set_disturbance_bound(scn.w_max)
                 done["certs"] = cert, eig, sol
             if axis in hj_blocks:
                 # the robust stay set of the error subsystem, solved until
@@ -290,8 +289,7 @@ def _run_stages(scn, stages):
     for axis, (_, done) in zip(axes, outcomes):
         for field, entry in done.items():
             getattr(run, field)[axis] = entry
-    if ("bound" in stages and scn.plant_kind == "quadcopter"
-            and run.certs["main"][0].w_max is None):
+    if "bound" in stages and scn.plant_kind == "quadcopter" and scn.w_max is None:
         raise ConfigError("[clf] needs w_max for the quadcopter pipeline")
     if "simulate" in stages:
         # a run's first sample in robust mode, which makes every call nominal makes: its MPC
@@ -359,13 +357,11 @@ def _disturbance_fn(scn, cert, model):
     if pol.kind == "constant":
         return plants.ConstantDisturbance(pol.w)
     if pol.kind == "sinusoidal":
-        return plants.SinusoidalDisturbance(pol.w_max, freq=pol.freq)
+        return plants.SinusoidalDisturbance(pol.w_max, pol.freq)
     if pol.kind == "random":
-        return plants.RandomDisturbance(pol.w_max, seed=scn.seed,
-                                        hold_time=pol.hold_time)
-    # worst_constant: aimed with the synthesized certificate
-    w = plants.worst_constant_disturbance(cert, model, pol.w_max)
-    return plants.ConstantDisturbance(w)
+        return plants.RandomDisturbance(pol.w_max, scn.seed, pol.hold_time)
+    # worst_constant: the certificate's bound, aimed with its gain and shape
+    return plants.ConstantDisturbance(plants.worst_constant_disturbance(cert, model))
 
 
 def _simulate(scn, run, mode):
@@ -393,10 +389,8 @@ def _print_synthesis(scn, run):
               f"objective = {sol.objective_value:.6f}, cert_eig_max = {eig:.3e}")
         for line in _matrix_lines("K", cert.k) + _matrix_lines("P", cert.p):
             print("  " + line)
-        # the configured bound: the bound stage may since have replaced it
-        block = scn.clf_blocks[axis]
-        if block.w_max is not None:
-            print(f"  w_max = {block.w_max}, level = {roa_level(block.params, block.w_max)}")
+        if scn.w_max is not None:  # [clf]'s; a quadruped axis's is certified by wmax
+            print(f"  w_max = {cert.w_max}, level = {cert.level}")
 
 
 def _write_grid_csv(path, run, axis):

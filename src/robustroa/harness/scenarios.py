@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,9 +68,18 @@ def _nonnegative(text):
     return value
 
 
-def _floats(text):
-    """Finite numbers separated by commas or blanks, as a tuple."""
-    return tuple(_number(tok) for tok in text.replace(",", " ").split())
+def _twice_finite(text):
+    # a box or grid spans twice its half widths, and Figure8Ref takes
+    # sin(2 tau) with tau up to t_end (by rounding, a few ulps past it)
+    value = _positive(text)
+    if not math.isfinite(2.0 * (1.0 + 1e-12) * value):
+        raise ValueError("twice it overflows")
+    return value
+
+
+def _floats(text, cast=_number):
+    """Numbers separated by commas or blanks, each read by `cast`, as a tuple."""
+    return tuple(cast(tok) for tok in text.replace(",", " ").split())
 
 
 def _vector(text):
@@ -78,12 +87,9 @@ def _vector(text):
 
 
 def _half_widths(text):
-    hw = _floats(text)
-    if len(hw) != 2 or not min(hw) > 0.0:
-        raise ValueError("needs two positive entries")
-    # the box or grid spans twice each entry, and that width must be finite
-    if not math.isfinite(2.0 * max(hw)):
-        raise ValueError("a width of twice an entry overflows")
+    hw = _floats(text, _twice_finite)
+    if len(hw) != 2:
+        raise ValueError("needs two entries")
     return hw
 
 
@@ -115,14 +121,6 @@ def _choice(*options):
 
 
 @dataclass
-class ClfBlock:
-    """One synthesis problem: weights plus (optionally) a fixed w_max."""
-
-    params: ClfParams
-    w_max: float | None = None
-
-
-@dataclass
 class HjBlock:
     """Reachability settings for one error subsystem: the grid of its
     [hj_*] section, and the total force box, payload interval and drag the
@@ -135,7 +133,7 @@ class HjBlock:
     u_lo: float
     u_hi: float
     delta_m: tuple
-    drag_force: float = 0.0
+    drag_force: float
 
     def problem(self, quadruped):
         """(grid, target, dynamics) of this axis's reachability problem
@@ -152,10 +150,10 @@ class HjBlock:
 @dataclass
 class DisturbancePolicy:
     kind: str  # none | constant | sinusoidal | random | worst_constant
-    w: tuple = ()
-    w_max: float = 0.0
-    freq: float = 0.5
-    hold_time: float = 0.05
+    w: tuple | None
+    w_max: float | None
+    freq: float | None
+    hold_time: float | None
 
 
 @dataclass
@@ -168,19 +166,20 @@ class Scenario:
     quadruped: QuadrupedParams | None
     delta_m: float
     drag_force: float
-    clf_blocks: dict
+    clf_blocks: dict  # {axis: ClfParams}
+    w_max: float | None  # [clf]'s, the quadcopter's; a quadruped axis's is certified
     mpc: MpcConfig
     reference: Figure8Ref | TrotRef
     disturbance: DisturbancePolicy
-    hj_blocks: dict = field(default_factory=dict)
-    duration: float = 5.0
-    sim_dt: float = 0.001
-    out_dir: str | None = None
+    hj_blocks: dict
+    duration: float
+    sim_dt: float
+    out_dir: str | None
 
 
 _REQ = object()  # the default of a key that must be given
 _CLF_KEYS = dict(q=(_vector, _REQ), r=(_vector, _REQ), decay_rate=(_number, _REQ),
-                 dist_weight=(_number, _REQ), w_max=(_nonnegative, None))
+                 dist_weight=(_number, _REQ))
 _HJ_KEYS = dict(target_half_widths=(_half_widths, _REQ), grid_half_widths=(_half_widths, _REQ),
                 n=(_grid_nodes, _REQ))
 
@@ -202,16 +201,16 @@ _KEYS = {
                       # the simulated payload, and the interval the HJ solve covers
                       delta_m=(_number, 0.0), delta_m_lo=(_number, 0.0),
                       delta_m_hi=(_number, 0.0), drag_force=(_number, 0.0)),
-    "clf": _CLF_KEYS, "clf_y": _CLF_KEYS, "clf_z": _CLF_KEYS,
+    "clf": dict(_CLF_KEYS, w_max=(_nonnegative, None)), "clf_y": _CLF_KEYS, "clf_z": _CLF_KEYS,
     "mpc": dict(q=(_vector, _REQ), r=(_vector, _REQ), dt=(_number, _REQ), horizon=(int, _REQ),
                 u_lo=(_vector, None), u_hi=(_vector, None)),
-    "reference": dict(kind=dict(figure8=dict(t_end=(_positive, 5.0), amp_y=(_number, 0.5),
+    "reference": dict(kind=dict(figure8=dict(t_end=(_twice_finite, 5.0), amp_y=(_number, 0.5),
                                              amp_z=(_number, 0.5)), trot=dict(y0=(_number, 0.0)))),
     "disturbance": dict(kind=dict(
         none={}, constant=dict(w=(_floats, _REQ)),
         sinusoidal=dict(w_max=(_nonnegative, _REQ), freq=(_number, 0.5)),
         random=dict(w_max=(_nonnegative, _REQ), hold_time=(_number, 0.05)),
-        worst_constant=dict(w_max=(_nonnegative, _REQ)))),
+        worst_constant={})),
     "hj_y": _HJ_KEYS, "hj_z": _HJ_KEYS,
     "simulate": dict(duration=(_positive, _REQ), dt=(_positive, _REQ)),
 }
@@ -246,20 +245,19 @@ def _read(cp, name, opened):
     return vals
 
 
-def _clf_block(vals, axis):
-    w_max = vals.pop("w_max")
+def _clf_params(vals, w_max=None):
     try:
         params = ClfParams(**vals)
-        # the invariant level w_max sets must be positive and finite: each
-        # run's energy is divided by it (w_max**2 may raise)
+        # the invariant level [clf]'s w_max sets must be positive and finite:
+        # each run's energy is divided by it (w_max**2 may raise)
         if w_max is not None and not 0.0 < roa_level(params, w_max) < math.inf:
             raise OverflowError
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     except OverflowError:
-        raise ConfigError(f"[clf{'' if axis == 'main' else '_' + axis}] w_max {w_max!r}: "
-                          f"its invariant level is 0 or overflows") from None
-    return ClfBlock(params=params, w_max=w_max)
+        raise ConfigError(f"[clf] w_max {w_max!r}: its invariant level is 0 or "
+                          f"overflows") from None
+    return params
 
 
 def _payload(ps):
@@ -302,17 +300,18 @@ def load_scenario(path):
 
     top = _read(cp, "scenario", opened)
     plant_kind = top["plant"]
-    quadcopter = quadruped = None
+    quadcopter = quadruped = w_max = None
     delta_m, interval, drag = 0.0, None, 0.0
     if plant_kind == "quadcopter":
         quadcopter = QuadcopterParams(**_read(cp, "quadcopter", opened))
-        clf_blocks = {"main": _clf_block(_read(cp, "clf", opened), "main")}
+        clf = _read(cp, "clf", opened)
+        w_max = clf.pop("w_max")
+        clf_blocks = {"main": _clf_params(clf, w_max)}
     else:
         ps = _read(cp, "quadruped", opened)
         delta_m, interval, drag = _payload(ps)
         quadruped = QuadrupedParams(**ps)
-        clf_blocks = {axis: _clf_block(_read(cp, f"clf_{axis}", opened), axis)
-                      for axis in ("y", "z")}
+        clf_blocks = {axis: _clf_params(_read(cp, f"clf_{axis}", opened)) for axis in ("y", "z")}
 
     try:
         mpc_cfg = MpcConfig(**_read(cp, "mpc", opened))
@@ -338,14 +337,15 @@ def load_scenario(path):
     else:
         reference = TrotRef(z_ref=quadruped.z_ref, v_ref=quadruped.v_ref, **ref_args)
 
-    disturbance = DisturbancePolicy(**_read(cp, "disturbance", opened))
+    dist = DisturbancePolicy(**{**dict.fromkeys(("w", "w_max", "freq", "hold_time")),
+                                **_read(cp, "disturbance", opened)})
     # the quadruped feels its payload and drag through its parameters, not
     # through an additive channel, so it takes no disturbance policy
-    if disturbance.kind != "none" and plant_cls.n_dist == 0:
-        raise ConfigError(f"[disturbance] kind {disturbance.kind!r}: the {plant_kind} "
+    if dist.kind != "none" and plant_cls.n_dist == 0:
+        raise ConfigError(f"[disturbance] kind {dist.kind!r}: the {plant_kind} "
                           f"has no disturbance channel, use 'none'")
-    if disturbance.kind == "constant" and len(disturbance.w) != plant_cls.n_dist:
-        raise ConfigError(f"[disturbance] w has {len(disturbance.w)} entries, the "
+    if dist.kind == "constant" and len(dist.w) != plant_cls.n_dist:
+        raise ConfigError(f"[disturbance] w has {len(dist.w)} entries, the "
                           f"{plant_kind} needs {plant_cls.n_dist}")
 
     # a quadcopter's [hj_*] section is an unknown section
@@ -357,6 +357,10 @@ def load_scenario(path):
     if not 1 <= round(min(sim["duration"] / sim["dt"], MAX_SIM_SAMPLES)) < MAX_SIM_SAMPLES:
         raise ConfigError(f"[simulate] duration {sim['duration']!r} and dt {sim['dt']!r} "
                           f"must give 2 to {MAX_SIM_SAMPLES} samples (duration / dt + 1)")
+    # math.sin refuses an overflowing phase 2 pi freq t, which peaks at the last sample
+    t_last = round(sim["duration"] / sim["dt"]) * sim["dt"]
+    if dist.kind == "sinusoidal" and not math.isfinite(2.0 * math.pi * dist.freq * t_last):
+        raise ConfigError(f"[disturbance] freq {dist.freq!r}: phase overflows by t = {t_last!r}")
     for name in cp.sections():
         if name not in opened:
             raise ConfigError(f"unknown section [{name}]: the {plant_kind} scenario "
@@ -371,9 +375,10 @@ def load_scenario(path):
         delta_m=delta_m,
         drag_force=drag,
         clf_blocks=clf_blocks,
+        w_max=w_max,
         mpc=mpc_cfg,
         reference=reference,
-        disturbance=disturbance,
+        disturbance=dist,
         hj_blocks=hj_blocks,
         duration=sim["duration"],
         sim_dt=sim["dt"],

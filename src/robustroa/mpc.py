@@ -65,7 +65,7 @@ class MpcConfig:
     q: np.ndarray
     r: np.ndarray
     dt: float
-    horizon: int = 2
+    horizon: int
     u_lo: np.ndarray | None = None
     u_hi: np.ndarray | None = None
     # per-solve constants, built from q, r and horizon once

@@ -56,10 +56,10 @@ from .mpc import Model, MpcConfig, mpc_step
 
 @dataclass
 class QuadcopterParams:
-    mass: float = 1.0
-    arm_length: float = 0.2
-    inertia_xx: float = 0.1
-    gravity: float = 9.81
+    mass: float
+    arm_length: float
+    inertia_xx: float
+    gravity: float
 
 
 def quadcopter_f(x, u, w, p: QuadcopterParams):
@@ -114,9 +114,9 @@ class Figure8Ref:
     y = amp_y sin(2 tau), z = amp_z cos(tau).
     """
 
-    t_end: float = 5.0
-    amp_y: float = 0.5
-    amp_z: float = 0.5
+    t_end: float
+    amp_y: float
+    amp_z: float
 
     def state(self, t):
         """Six-state reference [y, z, 0, ydot, zdot, 0] at t clamped to
@@ -133,14 +133,14 @@ class Figure8Ref:
 
 @dataclass
 class QuadrupedParams:
-    mass: float = 12.454
-    inertia_xx: float = 0.0565
-    gravity: float = 9.81
-    friction_coeff: float = 0.6
-    z_ref: float = 0.32
-    v_ref: float = 0.45
-    step_time: float = 0.25
-    step_offset: float = 0.15
+    mass: float
+    inertia_xx: float
+    gravity: float
+    friction_coeff: float
+    z_ref: float
+    v_ref: float
+    step_time: float
+    step_offset: float
 
 
 @dataclass
@@ -231,7 +231,7 @@ def quadruped_axis_linear(p: QuadrupedParams):
 
 
 def subsystem_error_dynamics(axis, p: QuadrupedParams, u_lo, u_hi, delta_m_interval,
-                             drag_force=0.0):
+                             drag_force):
     """Error-coordinate dynamics of one axis for reachability.
 
     e = (tracking error, its rate); the control is the total axis force
@@ -292,8 +292,8 @@ def stance_allocation(x, stance: StanceState, wrench):
     return [half_y + shift_y, half_y - shift_y, half_z + shift_z, half_z - shift_z]
 
 
-def worst_constant_disturbance(cert: ClfCertificate, model: LinearModel, w_max):
-    """Constant w with ||w||_2 = w_max maximizing the steady-state energy.
+def worst_constant_disturbance(cert: ClfCertificate, model: LinearModel):
+    """Constant w with ||w||_2 = cert.w_max maximizing the steady-state energy.
 
     For e' = (A + BK) e + B_w w the steady state is -(A+BK)^-1 B_w w, so
     the worst direction is the top eigenvector of X' P X with
@@ -303,7 +303,7 @@ def worst_constant_disturbance(cert: ClfCertificate, model: LinearModel, w_max):
     x_map = mk.solve(acl, model.b_w)
     quad = mk.symmetrize(x_map.T @ cert.p @ x_map)
     direction = np.linalg.eigh(quad)[1][:, -1]
-    return float(w_max) * direction / np.linalg.norm(direction)
+    return cert.w_max * direction / np.linalg.norm(direction)
 
 
 def rk4_step(f, x, u, w, dt):
@@ -439,9 +439,9 @@ class TrotRef:
     """Constant height and forward speed: [y0 + v t, z_ref, 0, v, 0, 0],
     with t clamped at 0."""
 
-    y0: float = 0.0
-    z_ref: float = 0.32
-    v_ref: float = 0.45
+    y0: float
+    z_ref: float
+    v_ref: float
 
     def state(self, t):
         return np.array([self.y0 + self.v_ref * max(t, 0.0), self.z_ref, 0.0, self.v_ref,
@@ -461,7 +461,7 @@ class ConstantDisturbance:
 class SinusoidalDisturbance:
     """w(t) = w_max * (sin, cos)(2 pi freq t): full amplitude at all times."""
 
-    def __init__(self, w_max, freq=0.5):
+    def __init__(self, w_max, freq):
         self.w_max = float(w_max)
         self.freq = float(freq)
 
@@ -474,7 +474,7 @@ class RandomDisturbance:
     """Piecewise-constant w, redrawn every hold_time uniformly from the
     Euclidean ball of radius w_max (seeded, reproducible)."""
 
-    def __init__(self, w_max, seed=0, hold_time=0.05):
+    def __init__(self, w_max, seed, hold_time):
         self.w_max = float(w_max)
         self.hold_time = float(hold_time)
         self.rng = np.random.default_rng(seed)

@@ -6,9 +6,13 @@ minimum-time formula comes from the bang-bang two-arc solution, and its
 exact time to a box from the few edge points where that formula's branches
 change; the set-distance helpers are plain numpy, and the SDP objective
 oracle is a log-det barrier path follower, a different method from the
-package's primal-dual solver.
+package's primal-dual solver.  The demos load this file by path for the
+double integrator's exact minimum time and for contour tracing.
 """
 
+import contextlib
+import dataclasses
+import io
 import math
 import sys
 from functools import lru_cache
@@ -18,8 +22,10 @@ import numpy as np
 
 from robustroa import matrixkit as mk
 from robustroa import harness, plants
+from robustroa.harness import cli
 from robustroa.harness.fileio import FileFormatError
-from robustroa.hj_reach import MAX_CONVERGE_TIME, Grid2, ValueGrid
+from robustroa.harness.scenarios import load_scenario
+from robustroa.hj_reach import MAX_CONVERGE_TIME, AffineDynamics2, Grid2, TargetSet, ValueGrid
 from robustroa.mpc import Model, mpc_step
 
 # The closed-form viability kernel of the quadruped error axes lives with the
@@ -30,6 +36,24 @@ import kernel  # noqa: E402,F401
 
 # the bundled scenario configs, which the tests load by path
 CONFIGS = Path(harness.__file__).resolve().parent / "configs"
+
+
+def bundled(config, part, **changes):
+    """A fresh `part` (a Scenario field: "quadcopter", "quadruped",
+    "reference", "mpc", "disturbance", ...) of the bundled config named
+    `config`, with `changes` applied.  The plant classes carry no defaults:
+    the constants a test uses come from the shipped configs, as the CLI's
+    do.  Each call loads the file again, since the parts are mutable."""
+    return dataclasses.replace(getattr(load_scenario(CONFIGS / f"{config}.cfg"), part),
+                               **changes)
+
+
+def run_cli(argv):
+    """(exit code, stdout) of cli.main(argv), run in-process."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(argv)
+    return rc, buf.getvalue()
 
 
 # -- SDP blocks and packed symmetric matrices ----------------------------------
@@ -233,6 +257,20 @@ def barrier_maximize(prob):
 # vs <= min(x2, z2) and T = (x2 + z2 - 2 vs)/u_max.  The negative-root
 # branch covers single-arc approaches (both velocities on the same side).
 
+DI_TARGET = TargetSet.box((0.0, 0.0), (0.5, 0.5))
+
+
+def di_dynamics(u_max=1.0, w_max=None):
+    """Double integrator x1' = x2, x2' = u (+ w), |u| <= u_max (|w| <= w_max)."""
+    def unit(x1, x2, p):  # u and w both act on x2'
+        return np.zeros_like(x1), np.ones_like(np.asarray(x1, dtype=float))
+
+    return AffineDynamics2(
+        drift=lambda x1, x2, p: (x2, np.zeros_like(np.asarray(x2, dtype=float))),
+        control_terms=((unit, (-u_max, u_max)),),
+        disturbance_terms=() if w_max is None else ((unit, (-w_max, w_max)),))
+
+
 def di_min_time(x1, x2, z1, z2, u_max=1.0):
     """Minimum transfer time from (x1, x2) to (z1, z2); broadcasts."""
     x1, x2, z1, z2 = np.broadcast_arrays(
@@ -355,6 +393,14 @@ def contour_points(grid_axes, values, level=0.0):
     if not pieces:
         return np.empty((0, 2))
     return np.vstack(pieces)
+
+
+def contour_loop(grid_axes, values, level=0.0):
+    """contour_points ordered by their angle about the origin and closed, so
+    a contour around the origin draws as one curve."""
+    pts = contour_points(grid_axes, values, level)
+    loop = pts[np.argsort(np.arctan2(pts[:, 1], pts[:, 0]))]
+    return np.vstack([loop, loop[:1]])
 
 
 def hausdorff(a, b, chunk=1024):

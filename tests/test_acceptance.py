@@ -6,9 +6,7 @@ reuse the bundled scenario configs through the CLI so what is being
 accepted is the shipped pipeline, not a test-only rebuild.
 """
 
-import contextlib
 import dataclasses
-import io
 import time
 
 import numpy as np
@@ -18,7 +16,6 @@ import _oracles as orc
 from robustroa import plants
 from robustroa.clf_synth import (ClfCertificate, ClfParams, build_synthesis_lmi,
                                  roa_level, synthesize)
-from robustroa.harness import cli
 from robustroa.harness.scenarios import load_scenario
 from robustroa.hj_reach import (AffineDynamics2, Grid2, TargetSet, ValueGrid,
                                 signed_target, solve_brs)
@@ -30,33 +27,15 @@ QC_WEIGHTS = ClfParams(q=np.array([1e-1, 1, 1, 1, 1, 1e-2]),
                        decay_rate=0.5, dist_weight=0.1)
 W_MAX = 3.5
 LEVEL = 2.45  # dist_weight * W_MAX^2 / decay_rate
-DI_TARGET = TargetSet.box((0.0, 0.0), (0.5, 0.5))
-
-
-def di_dynamics():
-    """Double integrator x1' = x2, x2' = u, |u| <= 1."""
-    return AffineDynamics2(
-        drift=lambda x1, x2, p: (x2, np.zeros_like(np.asarray(x2, dtype=float))),
-        control_terms=(((lambda x1, x2, p: (np.zeros_like(x1),
-                                            np.ones_like(np.asarray(x1, dtype=float)))),
-                        (-1.0, 1.0)),),
-    )
 
 
 @pytest.fixture(scope="module")
 def quadcopter_synthesis():
-    model = plants.quadcopter_linearize(plants.QuadcopterParams())
+    model = plants.quadcopter_linearize(orc.bundled("quadcopter_fig8", "quadcopter"))
     t0 = time.perf_counter()
     cert, sol = synthesize(model, QC_WEIGHTS)
     elapsed = time.perf_counter() - t0
     return model, cert, sol, elapsed
-
-
-def run_cli(argv):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        rc = cli.main(argv)
-    return rc, buf.getvalue()
 
 
 def read_run(path):
@@ -139,8 +118,8 @@ def test_criterion_2_supply_rate_and_invariance(quadcopter_synthesis):
 
 def test_criterion_3_hj_oracle_equivalence():
     t0 = time.perf_counter()
-    grid = orc.grid_around(DI_TARGET, factor=4.0, n=101)
-    brs = solve_brs(grid, DI_TARGET, di_dynamics(), -0.5)
+    grid = orc.grid_around(orc.DI_TARGET, factor=4.0, n=101)
+    brs = solve_brs(grid, orc.DI_TARGET, orc.di_dynamics(), -0.5)
     mt = orc.di_min_time_to_box(grid.axes(), (0.0, 0.0), (0.5, 0.5))
     oracle_in = mt <= 0.5
     mismatch = (brs.v <= 0.0) ^ oracle_in
@@ -153,8 +132,8 @@ def test_criterion_3_hj_oracle_equivalence():
     # zero dynamics: the PDE must return l(x) untouched
     static = AffineDynamics2(
         drift=lambda x1, x2, p: (np.zeros_like(x1), np.zeros_like(x2)))
-    vg = solve_brs(grid, DI_TARGET, static, -1.0)
-    drift_err = float(np.max(np.abs(vg.v - signed_target(grid, DI_TARGET).v)))
+    vg = solve_brs(grid, orc.DI_TARGET, static, -1.0)
+    drift_err = float(np.max(np.abs(vg.v - signed_target(grid, orc.DI_TARGET).v)))
     assert drift_err < 1e-12
     print(f"criterion 3 (HJ oracle): PASS  mismatches outside band-2: 0, "
           f"zero-dynamics error={drift_err:.1e}, runtime={elapsed:.2f}s")
@@ -164,8 +143,8 @@ def test_criterion_4_grid_convergence():
     ref = orc.di_box_brs_reference(0.5)
     dists = []
     for n in (51, 101, 201):
-        grid = orc.grid_around(DI_TARGET, factor=4.0, n=n)
-        brs = solve_brs(grid, DI_TARGET, di_dynamics(), -0.5)
+        grid = orc.grid_around(orc.DI_TARGET, factor=4.0, n=n)
+        brs = solve_brs(grid, orc.DI_TARGET, orc.di_dynamics(), -0.5)
         pts = orc.contour_points(grid.axes(), brs.v)
         dists.append(orc.hausdorff(pts, ref))
     assert dists[0] > dists[1] > dists[2]
@@ -224,7 +203,7 @@ def test_criterion_5_wmax_bisection():
     # and the computed ones may too.
     scn = load_scenario(orc.CONFIGS / "quadruped_height.cfg")
     params = scn.quadruped
-    z_cert, _ = synthesize(plants.quadruped_axis_linear(params), scn.clf_blocks["z"].params)
+    z_cert, _ = synthesize(plants.quadruped_axis_linear(params), scn.clf_blocks["z"])
     bounds = {}
     exact = {}
     for dm in (0.0, 5.0):
@@ -244,7 +223,7 @@ def test_criterion_5_wmax_bisection():
 def test_criterion_6_quadcopter_figure(quadcopter_synthesis, tmp_path):
     _, cert, _, _ = quadcopter_synthesis
     t0 = time.perf_counter()
-    rc, _ = run_cli(["reproduce", "fig3", "--out", str(tmp_path)])
+    rc, _ = orc.run_cli(["reproduce", "fig3", "--out", str(tmp_path)])
     elapsed = time.perf_counter() - t0
     assert rc == 0
     assert elapsed < 120.0
@@ -270,7 +249,7 @@ def test_criterion_6_quadcopter_figure(quadcopter_synthesis, tmp_path):
 
 
 def test_criterion_7_quadruped_figures(tmp_path):
-    rc, _ = run_cli(["reproduce", "fig4a", "--out", str(tmp_path / "height")])
+    rc, _ = orc.run_cli(["reproduce", "fig4a", "--out", str(tmp_path / "height")])
     assert rc == 0
     nominal = read_run(tmp_path / "height" / "quadruped_height_nominal.npz")
     robust = read_run(tmp_path / "height" / "quadruped_height_robust.npz")
@@ -280,7 +259,7 @@ def test_criterion_7_quadruped_figures(tmp_path):
     assert exits(robust, "y") == 0
     assert len(robust["t"]) == 10001  # finished the run, no divergence
 
-    rc, _ = run_cli(["reproduce", "fig4c", "--out", str(tmp_path / "push")])
+    rc, _ = orc.run_cli(["reproduce", "fig4c", "--out", str(tmp_path / "push")])
     assert rc == 0
     nominal_p = read_run(tmp_path / "push" / "quadruped_push_nominal.npz")
     robust_p = read_run(tmp_path / "push" / "quadruped_push_robust.npz")
@@ -295,7 +274,7 @@ def test_criterion_7_quadruped_figures(tmp_path):
 
 def test_criterion_8_numerical_hygiene():
     # linearization vs central finite differences at hover
-    params = plants.QuadcopterParams()
+    params = orc.bundled("quadcopter_fig8", "quadcopter")
     model = plants.quadcopter_linearize(params)
 
     def qf(x, u, w, p):

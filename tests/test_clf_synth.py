@@ -6,7 +6,7 @@ from robustroa import clf_synth as cs
 from robustroa import matrixkit as mk
 from robustroa.harness.scenarios import load_scenario
 from robustroa.lmi_solver import Infeasible, SdpStatus, maximize
-from robustroa.plants import QuadcopterParams, quadcopter_linearize, quadruped_axis_linear
+from robustroa.plants import quadcopter_linearize, quadruped_axis_linear
 
 
 def scalar_model():
@@ -19,7 +19,7 @@ def scalar_params():
 
 
 def quadcopter_setup():
-    model = quadcopter_linearize(QuadcopterParams())
+    model = quadcopter_linearize(orc.bundled("quadcopter_fig8", "quadcopter"))
     params = cs.ClfParams(q=[1e-1, 1, 1, 1, 1, 1e-2], r=[1e-2, 1e-4],
                           decay_rate=0.5, dist_weight=0.1)
     return model, params
@@ -117,11 +117,11 @@ def assert_blocks_match_loops(model, params):
 def test_stacked_blocks_bitwise_match_per_variable_loops_bundled(case):
     if case == "fig8":
         scn = load_scenario(orc.CONFIGS / "quadcopter_fig8.cfg")
-        model, params = quadcopter_linearize(scn.quadcopter), scn.clf_blocks["main"].params
+        model, params = quadcopter_linearize(scn.quadcopter), scn.clf_blocks["main"]
     else:
         name, axis = case.split("-")
         scn = load_scenario(orc.CONFIGS / f"quadruped_{name}.cfg")
-        model, params = quadruped_axis_linear(scn.quadruped), scn.clf_blocks[axis].params
+        model, params = quadruped_axis_linear(scn.quadruped), scn.clf_blocks[axis]
     assert_blocks_match_loops(model, params)
 
 
@@ -264,7 +264,7 @@ def test_synthesis_infeasible_without_positive_definite_y():
 def test_height_z_synthesis_factors_each_slack_matrix_once(monkeypatch):
     scn = load_scenario(orc.CONFIGS / "quadruped_height.cfg")
     prob = cs.build_synthesis_lmi(quadruped_axis_linear(scn.quadruped),
-                                  scn.clf_blocks["z"].params)
+                                  scn.clf_blocks["z"])
     factored = orc.record_choleskys(monkeypatch)
     sol = maximize(prob)
     assert sol.status == SdpStatus.OPTIMAL

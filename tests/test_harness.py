@@ -6,11 +6,9 @@ The slower tests run the real pipeline on a shrunken quadruped scenario
 """
 
 import configparser
-import contextlib
 import copy
 import dataclasses
 import errno
-import io
 import itertools
 import math
 import os
@@ -69,7 +67,7 @@ MINI_QUADCOPTER = {
             "dist_weight": 0.1, "w_max": 3.5},
     "mpc": {"q": "100, 10, 1e9, 1e5, 1e14, 1e4", "r": "1e6, 1e6", "dt": 0.05, "horizon": 2},
     "reference": {"kind": "figure8", "t_end": 5.0, "amp_y": 0.5, "amp_z": 0.5},
-    "disturbance": {"kind": "worst_constant", "w_max": 3.5},
+    "disturbance": {"kind": "worst_constant"},
     "simulate": {"duration": 0.1, "dt": 0.001},
 }
 
@@ -96,13 +94,6 @@ def mini_cfg(dirpath, fname="scn.cfg", drop=(), base=MINI, **edits):
     return write_cfg(dirpath, sections, fname)
 
 
-def run_cli(argv):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        rc = cli.main(argv)
-    return rc, buf.getvalue()
-
-
 # -- scenario parsing ------------------------------------------------------------
 
 def test_bundled_quadcopter_scenario_parses():
@@ -113,15 +104,15 @@ def test_bundled_quadcopter_scenario_parses():
     assert scn.seed == 0
     assert scn.quadcopter.mass == 1.0
     assert scn.quadruped is None
-    blk = scn.clf_blocks["main"]
-    assert blk.params.decay_rate == 0.5
-    assert blk.params.dist_weight == 0.1
-    assert blk.w_max == 3.5
-    assert len(blk.params.q) == 6
+    weights = scn.clf_blocks["main"]
+    assert weights.decay_rate == 0.5
+    assert weights.dist_weight == 0.1
+    assert len(weights.q) == 6
+    assert scn.w_max == 3.5
     assert scn.mpc.dt == 0.05
     assert scn.mpc.horizon == 2
     assert scn.disturbance.kind == "worst_constant"
-    assert scn.disturbance.w_max == 3.5
+    assert scn.disturbance.w_max is None  # it aims [clf]'s bound, stated once
     assert scn.hj_blocks == {}
     assert scn.duration == 5.0
     assert scn.sim_dt == 0.001
@@ -133,6 +124,7 @@ def test_bundled_quadruped_scenario_parses():
     assert scn.plant_kind == "quadruped"
     assert scn.delta_m == 5.0
     assert set(scn.clf_blocks) == {"y", "z"}
+    assert scn.w_max is None  # each axis's bound is certified, not configured
     assert set(scn.hj_blocks) == {"y", "z"}
     hz = scn.hj_blocks["z"]
     assert hz.target_half_widths == (0.076, 0.8)
@@ -145,7 +137,7 @@ def test_bundled_quadruped_scenario_parses():
         "drag_force"]
     assert hz.u_lo == 0.0 and hz.u_hi == 300.0
     assert hz.delta_m == (0.0, 5.0)
-    assert np.allclose(scn.clf_blocks["y"].params.q, [500.0, 10.0])
+    assert np.allclose(scn.clf_blocks["y"].q, [500.0, 10.0])
     assert np.allclose(scn.mpc.r, 0.0)
     assert isinstance(scn.reference, TrotRef)
 
@@ -524,11 +516,11 @@ def test_svg_text_is_escaped(tmp_path):
 
 
 def test_every_written_svg_is_xml(tmp_path):
-    rc, _ = run_cli(["reproduce", "fig3", "--out", str(tmp_path / "fig3")])
+    rc, _ = orc.run_cli(["reproduce", "fig3", "--out", str(tmp_path / "fig3")])
     assert rc == 0
     # a name with XML markup characters is a legal file name
     cfg = mini_cfg(tmp_path, base=MINI_QUADCOPTER, scenario={"name": "x<y&z"})
-    rc, _ = run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "odd")])
+    rc, _ = orc.run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "odd")])
     assert rc == 0
     svgs = sorted(tmp_path.rglob("*.svg"))
     assert [p.name for p in svgs] == [
@@ -542,7 +534,7 @@ def test_every_written_svg_is_xml(tmp_path):
 
 
 def test_reproduce_fig4c_plots_are_pixel_sized(tmp_path):
-    rc, _ = run_cli(["reproduce", "fig4c", "--out", str(tmp_path)])
+    rc, _ = orc.run_cli(["reproduce", "fig4c", "--out", str(tmp_path)])
     assert rc == 0
     svgs = sorted(tmp_path.glob("*.svg"))
     assert len(svgs) == 3
@@ -685,7 +677,7 @@ def test_cli_out_naming_a_file_exit_4(tmp_path, capsys, monkeypatch):
     ("simulate", {"mpc": {"q": "1e5, nan, 1e7, 1e2, 1e1, 1e2"}}),
     ("wmax", {"mpc": {"u_hi": "35, 35, 150, inf"}}),
     ("simulate", {"clf": {"w_max": -3.5}}),
-    ("simulate", {"disturbance": {"kind": "worst_constant", "w_max": -3.5}}),
+    ("simulate", {"disturbance": {"kind": "sinusoidal", "w_max": -3.5}}),
     ("simulate", {"mpc": {"u_lo": "-35, -35, 0, 200"}}),
     ("simulate", {"quadruped": {"drag_forc": 25.0}}),
     ("simulate", {"clf_y": {"decay": 0.3}}),
@@ -734,6 +726,17 @@ def test_cli_out_naming_a_file_exit_4(tmp_path, capsys, monkeypatch):
     ("simulate", {"quadruped": {"step_offset": 1e-300}}),
     ("simulate", {"quadruped": {"v_ref": 1e150}}),
     ("reproduce", {"reference": {"kind": "trot", "y0": 1e300}}),
+    # a bound has one source: [clf] for the quadcopter, the bound stage for
+    # a quadruped axis; worst_constant aims the certificate's
+    ("wmax", {"clf_y": {"w_max": 0.01}}),
+    ("simulate", {"disturbance": {"kind": "worst_constant", "w_max": 3.5}}),
+    # math.sin refuses an overflowing phase: the sinusoid's 2 pi freq t by
+    # t = 1.02 s, and the figure-8's sin(2 tau) once tau reaches t_end
+    ("simulate", {"disturbance": {"kind": "sinusoidal", "w_max": 1.0, "freq": 2.8e307},
+                  "simulate": {"duration": 5.0}}),
+    ("reproduce", {"disturbance": {"kind": "sinusoidal", "w_max": 1.0, "freq": 2.8e307},
+                   "simulate": {"duration": 5.0}}),
+    ("simulate", {"reference": {"t_end": 1e308}, "mpc": {"dt": 1e308}}),
 ], ids=["duration", "dt", "duration-below-dt", "horizon-positive", "horizon-word", "n",
         "target-half-width", "grid-half-width", "freeze", "hold-time",
         "quadcopter-disturbance-length", "mpc-q-length",
@@ -752,7 +755,9 @@ def test_cli_out_naming_a_file_exit_4(tmp_path, capsys, monkeypatch):
         "grid-half-width-overflow", "hj-force-box-overflow", "mpc-hessian-dt",
         "mpc-hessian-dt-reproduce", "mpc-hessian-v-ref", "mpc-hessian-inertia",
         "mpc-hessian-z-ref-reproduce", "mpc-hessian-quadcopter-dt", "stance-step-offset",
-        "stance-v-ref", "stance-y0-reproduce"])
+        "stance-v-ref", "stance-y0-reproduce", "clf-y-w-max", "worst-constant-w-max",
+        "sinusoidal-phase-overflow", "sinusoidal-phase-overflow-reproduce",
+        "figure8-phase-overflow"])
 def test_cli_bad_config_values_exit_4(tmp_path, capsys, request, command, edits):
     # rejected by the loader, before any synthesis, PDE solve or simulation
     # (an overflowing MPC Hessian or coinciding stance feet by the simulate
@@ -764,7 +769,7 @@ def test_cli_bad_config_values_exit_4(tmp_path, capsys, request, command, edits)
     path = mini_cfg(tmp_path, base=base, **edits)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rc, out = run_cli([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        rc, out = orc.run_cli([command, "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 4
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1 and out == ""
@@ -773,6 +778,12 @@ def test_cli_bad_config_values_exit_4(tmp_path, capsys, request, command, edits)
         assert "the first MPC solve broke down" in err
     if request.node.callspec.id.startswith("stance"):
         assert err.startswith("config error: [quadruped] step_offset = ")
+    named = {"clf-y-w-max": "unknown key 'w_max' in [clf_y]",
+             "worst-constant-w-max": "unknown key 'w_max' in [disturbance]",
+             "sinusoidal-phase-overflow": "[disturbance] freq 2.8e+307",
+             "sinusoidal-phase-overflow-reproduce": "[disturbance] freq 2.8e+307",
+             "figure8-phase-overflow": "'t_end' in [reference]"}
+    assert named.get(request.node.callspec.id, "") in err
     assert not (tmp_path / "o").exists()
 
 
@@ -816,7 +827,7 @@ def test_cli_synthesis_breakdown_exit_4(tmp_path, capsys, config, command, secti
     path = tmp_path / config
     with open(path, "w") as fh:
         cp.write(fh)
-    rc, out = run_cli([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    rc, out = orc.run_cli([command, "--config", str(path), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 4
     assert err.startswith(f"config error: {refusal}")
@@ -861,7 +872,7 @@ def test_cli_non_finite_wave_sum_exit_4(tmp_path, command, section, key, value, 
     {"kind": "constant", "w": "50, 0"},
     {"kind": "random", "w_max": 50.0},
     {"kind": "sinusoidal", "w_max": 50.0},
-    {"kind": "worst_constant", "w_max": 50.0},
+    {"kind": "worst_constant"},
 ], ids=["constant", "random", "sinusoidal", "worst-constant"])
 def test_cli_quadruped_disturbance_exit_4(tmp_path, capsys, disturbance):
     # the quadruped has no additive disturbance channel: a policy would be
@@ -901,7 +912,7 @@ def test_cli_unsettled_safe_set_exit_3(tmp_path, capsys, command):
     assert text.count("u_hi = 35, 35, 150, 150") == 1
     path = tmp_path / "weak_lift.cfg"
     path.write_text(text.replace("u_hi = 35, 35, 150, 150", "u_hi = 35, 35, 85.75, 85.75"))
-    rc, _ = run_cli([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    rc, _ = orc.run_cli([command, "--config", str(path), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 3
     assert "[hj_z]" in err and "set_final_time = " in err
@@ -921,7 +932,7 @@ def test_cli_hj_brs_refused_on_z_writes_nothing(tmp_path, capsys):
         hj_z = hj_z.replace(old, new)
     path = tmp_path / "tiny_z.cfg"
     path.write_text(head + "[hj_z]" + hj_z)
-    rc, text = run_cli(["hj-brs", "--config", str(path), "--out", str(tmp_path / "o")])
+    rc, text = orc.run_cli(["hj-brs", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "no safe region of attraction" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -943,7 +954,7 @@ def test_cli_refusal_on_forked_axis_matches_sequential(tmp_path, capsys, monkeyp
         if name == "sequential":
             monkeypatch.delattr(os, "fork")
         out = tmp_path / name
-        rc, text = run_cli(["wmax", "--config", str(path), "--out", str(out)])
+        rc, text = orc.run_cli(["wmax", "--config", str(path), "--out", str(out)])
         seen.append((rc, text, capsys.readouterr().err))
         assert not out.exists()
         assert_no_children()
@@ -973,7 +984,7 @@ def test_cli_refusal_precedence_across_stages_and_axes(tmp_path, capsys, monkeyp
         if name == "sequential":
             monkeypatch.delattr(os, "fork")
         out = tmp_path / name
-        rc, text = run_cli(["wmax", "--config", str(path), "--out", str(out)])
+        rc, text = orc.run_cli(["wmax", "--config", str(path), "--out", str(out)])
         seen.append((rc, text, capsys.readouterr().err))
         assert not out.exists()
         assert_no_children()
@@ -1002,7 +1013,7 @@ def test_cli_quadcopter_simulation_needs_w_max(tmp_path, capsys):
         assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 4
         assert "[clf] needs w_max" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
-    rc, text = run_cli(["synth", "--config", str(path), "--out", str(tmp_path / "o")])
+    rc, text = orc.run_cli(["synth", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 0 and "w_max" not in text
 
 
@@ -1011,7 +1022,7 @@ def test_cli_simulate_takes_zero_mpc_weights(tmp_path):
     # the ridge, which tops it up: the plan is finite and the run completes
     path = mini_cfg(tmp_path, base=MINI_QUADCOPTER,
                     mpc={"q": "0, 0, 0, 0, 0, 0", "r": "1e-20, 1e-20"})
-    rc, text = run_cli(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+    rc, text = orc.run_cli(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 0
     errors = {key: float(val) for key, val in printed_values(text).items()
               if key.startswith(("rms_error", "max_abs_e"))}
@@ -1024,29 +1035,33 @@ def test_cli_simulate_reports_a_diverged_run_without_warnings(tmp_path, capsys):
     # run diverges, its squared errors overflow to rms_error = inf, and
     # nothing reaches stderr
     path = mini_cfg(tmp_path, base=MINI_QUADCOPTER, reference={"amp_y": 1e300})
-    rc, text = run_cli(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+    rc, text = orc.run_cli(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 0 and capsys.readouterr().err == ""
     values = printed_values(text)
     assert values["diverged"] == "true" and values["rms_error"] == "inf"
 
 
-def test_cli_wmax_reports_the_configured_bound_at_synthesis(tmp_path):
-    # the synthesis report shows the [clf_y] bound, the w_max lines the
-    # certified ones that replace it
-    path = mini_cfg(tmp_path, clf_y={"w_max": 0.01})
-    rc, text = run_cli(["wmax", "--config", str(path), "--out", str(tmp_path / "o")])
+def test_cli_synthesis_report_shows_only_the_configured_bound(tmp_path):
+    # the quadcopter's certificate is printed with its [clf] bound and that
+    # bound's level; a quadruped axis has no configured bound, and its
+    # certified one is printed on its [wmax:<axis>] line alone
+    path = mini_cfg(tmp_path, fname="qc.cfg", base=MINI_QUADCOPTER)
+    rc, text = orc.run_cli(["synth", "--config", str(path), "--out", str(tmp_path / "qc")])
     assert rc == 0
-    level = MINI["clf_y"]["dist_weight"] * 0.01 ** 2 / MINI["clf_y"]["decay_rate"]
-    assert f"  w_max = 0.01, level = {level!r}" in text.splitlines()
-    assert len([line for line in text.splitlines() if line.startswith("  w_max")]) == 1
-    _, entries = fileio.read_wmax_report(tmp_path / "o" / "mini_wmax.txt")
-    _, _, cert, _ = fileio.read_certificate(tmp_path / "o" / "mini_certificate_y.txt")
-    assert cert.w_max == entries[0]["w_max"] != 0.01
+    clf = MINI_QUADCOPTER["clf"]
+    level = clf["dist_weight"] * 3.5 ** 2 / clf["decay_rate"]
+    assert [line for line in text.splitlines() if "w_max" in line] == [
+        f"  w_max = 3.5, level = {level!r}"]
+    rc, text = orc.run_cli(["wmax", "--config", str(mini_cfg(tmp_path)),
+                            "--out", str(tmp_path / "qp")])
+    assert rc == 0
+    bounds = [line for line in text.splitlines() if "w_max" in line]
+    assert [line.split(" ", 1)[0] for line in bounds] == ["[wmax:y]", "[wmax:z]"]
 
 
 def test_cli_hj_brs_reports_set_final_time(tmp_path):
     path = mini_cfg(tmp_path)
-    rc, text = run_cli(["hj-brs", "--config", str(path), "--out", str(tmp_path / "o")])
+    rc, text = orc.run_cli(["hj-brs", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 0
     lines = [line for line in text.splitlines() if "set_final_time = " in line]
     assert [line.split("]")[0] for line in lines] == ["[hj-brs:y", "[hj-brs:z"]
@@ -1056,7 +1071,7 @@ def test_cli_hj_brs_reports_set_final_time(tmp_path):
 
 def test_cli_infeasible_synthesis_exit_2(tmp_path, capsys):
     path = mini_cfg(tmp_path, clf_y={"decay_rate": 1e6})
-    rc, _ = run_cli(["synth", "--config", str(path), "--out", str(tmp_path / "o")])
+    rc, _ = orc.run_cli(["synth", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 2
     capsys.readouterr()
 
@@ -1064,7 +1079,7 @@ def test_cli_infeasible_synthesis_exit_2(tmp_path, capsys):
 def test_cli_unreachable_target_exit_3(tmp_path, capsys):
     # even n leaves no node at the origin, so a tiny target misses the grid
     path = mini_cfg(tmp_path, hj_y={"n": 40, "target_half_widths": "1e-6, 1e-6"})
-    rc, _ = run_cli(["wmax", "--config", str(path), "--out", str(tmp_path / "o")])
+    rc, _ = orc.run_cli(["wmax", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 3
     capsys.readouterr()
 
@@ -1076,7 +1091,7 @@ def mini_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("mini_run")
     cfg = mini_cfg(root)
     out = root / "run"
-    rc, text = run_cli(["simulate", "--config", str(cfg), "--out", str(out)])
+    rc, text = orc.run_cli(["simulate", "--config", str(cfg), "--out", str(out)])
     assert rc == 0
     return cfg, out, text
 
@@ -1138,7 +1153,7 @@ def test_simulate_trot_start_places_first_stance_under_the_body(mini_run, tmp_pa
     # the feet go down around the start, wherever the trot reference begins:
     # a run from y0 = 1 tracks as the run from y0 = 0 does
     cfg = mini_cfg(tmp_path, reference={"y0": 1.0})
-    rc, text = run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    rc, text = orc.run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 0
     moved, at_zero = printed_values(text), printed_values(mini_run[2])
     assert int(moved["invariant_exits"]) == 0
@@ -1147,7 +1162,7 @@ def test_simulate_trot_start_places_first_stance_under_the_body(mini_run, tmp_pa
 
 def test_simulate_seed_determinism(mini_run, tmp_path):
     cfg, out, _ = mini_run
-    rc, _ = run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "b")])
+    rc, _ = orc.run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "b")])
     assert rc == 0
     for fname in ("mini_robust.npz", "mini_robust.csv"):
         assert (out / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes(), fname
@@ -1158,7 +1173,7 @@ def test_simulate_seed_determinism(mini_run, tmp_path):
     states = []
     for seed in ("0", "0", "99"):
         out_dir = tmp_path / f"seed{seed}_{len(states)}"
-        rc, _ = run_cli(["simulate", "--config", str(noisy), "--seed", seed,
+        rc, _ = orc.run_cli(["simulate", "--config", str(noisy), "--seed", seed,
                          "--out", str(out_dir)])
         assert rc == 0
         with np.load(out_dir / "miniqc_robust.npz", allow_pickle=False) as rec:
@@ -1194,7 +1209,7 @@ def test_reproduce_runs_both_modes(tmp_path, monkeypatch):
     cfg = mini_cfg(tmp_path)
     out = tmp_path / "out"
     calls = count_calls(monkeypatch, tmp_path, "synthesize", "solve_brs")
-    rc, text = run_cli(["reproduce", "--config", str(cfg), "--out", str(out)])
+    rc, text = orc.run_cli(["reproduce", "--config", str(cfg), "--out", str(out)])
     assert rc == 0
     assert "[reproduce:nominal]" in text
     assert "[reproduce:robust]" in text
@@ -1205,7 +1220,7 @@ def test_reproduce_runs_both_modes(tmp_path, monkeypatch):
     assert Counter(name for name, *_ in calls()) == {"synthesize": 2, "solve_brs": 2}
 
     # and the certification artifacts are the ones `wmax` writes
-    rc, _ = run_cli(["wmax", "--config", str(cfg), "--out", str(tmp_path / "wmax")])
+    rc, _ = orc.run_cli(["wmax", "--config", str(cfg), "--out", str(tmp_path / "wmax")])
     assert rc == 0
     for fname in ("mini_wmax.txt", "mini_certificate_y.txt", "mini_certificate_z.txt",
                   "mini_valuegrid_y.csv", "mini_valuegrid_z.csv"):
@@ -1222,7 +1237,7 @@ def test_reproduce_records_repeat_and_each_csv_is_its_record_at_plot_width(tmp_p
     # them in a forked child), and 701 samples give a CSV of every 2nd one
     cfg = mini_cfg(tmp_path, simulate={"duration": 0.7, "dt": 0.001})
     for run in ("a", "b"):
-        rc, _ = run_cli(["reproduce", "--config", str(cfg), "--out", str(tmp_path / run)])
+        rc, _ = orc.run_cli(["reproduce", "--config", str(cfg), "--out", str(tmp_path / run)])
         assert rc == 0
     for mode in cli.REPRODUCE_MODES:
         first, again = (tmp_path / run / f"mini_{mode}.npz" for run in ("a", "b"))
@@ -1240,7 +1255,7 @@ def test_reproduce_records_repeat_and_each_csv_is_its_record_at_plot_width(tmp_p
 def test_reproduce_quadcopter_synthesizes_once(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, MINI_QUADCOPTER)
     calls = count_calls(monkeypatch, tmp_path, "synthesize")
-    rc, text = run_cli(["reproduce", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    rc, text = orc.run_cli(["reproduce", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 0
     assert "[reproduce:nominal]" in text and "[reproduce:robust]" in text
     assert [name for name, *_ in calls()] == ["synthesize"]
@@ -1260,7 +1275,7 @@ def test_wmax_runs_each_axis_chain_in_one_process(tmp_path, monkeypatch):
     # y's whole chain runs in the CLI's process, z's in one forked child
     cfg = mini_cfg(tmp_path)
     calls = count_calls(monkeypatch, tmp_path, "synthesize", "solve_brs", tag=mini_axis)
-    rc, _ = run_cli(["wmax", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    rc, _ = orc.run_cli(["wmax", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 0
     assert_no_children()
     pids = {}
@@ -1300,7 +1315,7 @@ def test_cli_forked_run_matches_unforked(tmp_path, monkeypatch, command):
         else:
             failing_fork(monkeypatch, *fails)
         out = tmp_path / name
-        rc, text = run_cli([command, "--config", str(cfg), "--out", str(out)])
+        rc, text = orc.run_cli([command, "--config", str(cfg), "--out", str(out)])
         assert rc == 0
         assert_no_children()
         runs[name] = (text.replace(str(out), "<out>"),

@@ -12,25 +12,9 @@ from robustroa import plants
 from robustroa.harness.scenarios import load_scenario
 
 
-def di_dynamics(u_max=1.0, w_max=None):
-    """Double integrator x1' = x2, x2' = u (+ w), |u| <= u_max."""
-    ctrl = (((lambda x1, x2, p: (np.zeros_like(x1), np.ones_like(np.asarray(x1, dtype=float)))),
-             (-u_max, u_max)),)
-    dist = ()
-    if w_max is not None:
-        dist = (((lambda x1, x2, p: (np.zeros_like(x1), np.ones_like(np.asarray(x1, dtype=float)))),
-                 (-w_max, w_max)),)
-    return hj.AffineDynamics2(
-        drift=lambda x1, x2, p: (x2, np.zeros_like(np.asarray(x2, dtype=float))),
-        control_terms=ctrl, disturbance_terms=dist)
-
-
-DI_TARGET = hj.TargetSet.box((0.0, 0.0), (0.5, 0.5))
-
-
 def min_time_101():
     """The default 101 grid and the exact min-time field on it."""
-    grid = orc.grid_around(DI_TARGET, factor=4.0, n=101)
+    grid = orc.grid_around(orc.DI_TARGET, factor=4.0, n=101)
     return grid, orc.di_min_time_to_box(grid.axes(), (0.0, 0.0), (0.5, 0.5))
 
 
@@ -184,9 +168,9 @@ def test_target_validation():
 
 def test_signed_target_sampling():
     grid = hj.Grid2((-2.0, -2.0), (2.0, 2.0), (41, 41))
-    vg = hj.signed_target(grid, DI_TARGET)
+    vg = hj.signed_target(grid, orc.DI_TARGET)
     x1g, x2g = grid.mesh()
-    assert np.array_equal(vg.v, DI_TARGET.l(x1g, x2g))
+    assert np.array_equal(vg.v, orc.DI_TARGET.l(x1g, x2g))
     assert vg.time == 0.0
     far = hj.TargetSet.box((50.0, 50.0), (0.5, 0.5))
     with pytest.raises(hj.TargetOutsideGrid):
@@ -244,7 +228,7 @@ def test_hamiltonian_bang_bang_extremes():
 
 
 def test_hamiltonian_vs_brute_force_grid():
-    dyn = di_dynamics(u_max=1.0, w_max=0.5)
+    dyn = orc.di_dynamics(u_max=1.0, w_max=0.5)
     u_grid = np.linspace(-1.0, 1.0, 2001)
     w_grid = np.linspace(-0.5, 0.5, 1001)
     grid = hj.Grid2((-2.0, -2.0), (2.0, 2.0), (4, 3))
@@ -299,7 +283,7 @@ def test_channel_moving_both_axes_is_rejected(where):
     dyn = hj.AffineDynamics2(drift=lambda x1, x2, p: (x2, 0.0 * x1),
                              **{f"{where}_terms": coupled})
     with pytest.raises(ValueError, match="one axis"):
-        hj.solve_brs(SMALL_GRID, DI_TARGET, dyn, -0.1)
+        hj.solve_brs(SMALL_GRID, orc.DI_TARGET, dyn, -0.1)
 
 
 def test_hamiltonian_runs_only_at_setup(monkeypatch):
@@ -313,7 +297,8 @@ def test_hamiltonian_runs_only_at_setup(monkeypatch):
         return hamiltonian(self, p1, p2)
 
     monkeypatch.setattr(hj._GridTerms, "hamiltonian", counted)
-    out = hj.solve_brs(orc.grid_around(DI_TARGET, n=31), DI_TARGET, di_dynamics(), -0.5)
+    out = hj.solve_brs(orc.grid_around(orc.DI_TARGET, n=31), orc.DI_TARGET, orc.di_dynamics(),
+                       -0.5)
     assert out.info["steps"] > 10
     assert calls == [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
 
@@ -428,9 +413,9 @@ def flux_case(case, shape=(31, 31)):
     and the force ceiling sets B_2: 7.4 m/s^2 at 300 N, 24.6 at 600 N, 1.6
     at 200 N and -1.2 at 150 N, too little to hold a 5 kg payload.
     Laterally the 25 N drag sits inside the +-70 N force range."""
-    quadruped = plants.QuadrupedParams()
+    quadruped = orc.bundled("quadruped_height", "quadruped")
     if case == "double_integrator":
-        return hj.Grid2((-2.0, -2.0), (2.0, 2.0), shape), DI_TARGET, di_dynamics()
+        return hj.Grid2((-2.0, -2.0), (2.0, 2.0), shape), orc.DI_TARGET, orc.di_dynamics()
     if case == "quadruped_y_drag":
         return (hj.Grid2((-0.5, -2.0), (0.5, 2.0), shape),
                 hj.TargetSet.box((0.0, 0.0), (0.25, 1.0)),
@@ -441,7 +426,7 @@ def flux_case(case, shape=(31, 31)):
     return (hj.Grid2((-0.2, -1.6), (0.2, 1.6), shape),
             hj.TargetSet.box((0.0, 0.0), (0.076, 0.8)),
             plants.subsystem_error_dynamics("z", quadruped, u_lo=0.0, u_hi=u_hi,
-                                            delta_m_interval=(0.0, 5.0)))
+                                            delta_m_interval=(0.0, 5.0), drag_force=0.0))
 
 
 FLUX_CASES = ["quadruped_z", "quadruped_z_strong_lift", "quadruped_z_weak_lift",
@@ -502,10 +487,10 @@ def test_solver_step_is_monotone(case):
 def test_solve_brs_static_dynamics_returns_target():
     grid = hj.Grid2((-2.0, -2.0), (2.0, 2.0), (41, 41))
     dyn = hj.AffineDynamics2(drift=lambda x1, x2, p: (np.zeros_like(x1), np.zeros_like(x2)))
-    want = hj.signed_target(grid, DI_TARGET).v
-    out = hj.solve_brs(grid, DI_TARGET, dyn, -2.0)
+    want = hj.signed_target(grid, orc.DI_TARGET).v
+    out = hj.solve_brs(grid, orc.DI_TARGET, dyn, -2.0)
     assert np.max(np.abs(out.v - want)) < 1e-12
-    out2 = hj.solve_brs(grid, DI_TARGET, dyn, "converge")
+    out2 = hj.solve_brs(grid, orc.DI_TARGET, dyn, "converge")
     assert np.max(np.abs(out2.v - want)) < 1e-12
     assert out2.info["converged"]
 
@@ -536,7 +521,7 @@ def test_solve_brs_di_matches_min_time_oracle_within_two_cells():
     # the bang-bang oracle disagree lies within two cells of the oracle
     # boundary
     grid, mt = min_time_101()
-    brs = hj.solve_brs(grid, DI_TARGET, di_dynamics(), -0.5)
+    brs = hj.solve_brs(grid, orc.DI_TARGET, orc.di_dynamics(), -0.5)
     oracle_in = mt <= 0.5
     computed_in = brs.v <= 0.0
     mismatch = oracle_in ^ computed_in
@@ -549,21 +534,21 @@ def test_solve_brs_di_never_claims_unreachable_nodes():
     # computed set beyond the true one: computed subset of 2-cell-dilated
     # oracle even at a longer horizon
     grid, mt = min_time_101()
-    brs = hj.solve_brs(grid, DI_TARGET, di_dynamics(), -1.0)
+    brs = hj.solve_brs(grid, orc.DI_TARGET, orc.di_dynamics(), -1.0)
     computed_in = brs.v <= 0.0
     oracle_dilated = orc.dilate(mt <= 1.0, 2)
     assert not np.any(computed_in & ~oracle_dilated)
 
 
 def test_solve_brs_value_monotone_in_horizon():
-    grid = orc.grid_around(DI_TARGET, n=51)
-    dyn = di_dynamics()
-    v_short = hj.solve_brs(grid, DI_TARGET, dyn, -0.25).v
-    v_mid = hj.solve_brs(grid, DI_TARGET, dyn, -0.5).v
-    v_long = hj.solve_brs(grid, DI_TARGET, dyn, -1.0).v
+    grid = orc.grid_around(orc.DI_TARGET, n=51)
+    dyn = orc.di_dynamics()
+    v_short = hj.solve_brs(grid, orc.DI_TARGET, dyn, -0.25).v
+    v_mid = hj.solve_brs(grid, orc.DI_TARGET, dyn, -0.5).v
+    v_long = hj.solve_brs(grid, orc.DI_TARGET, dyn, -1.0).v
     assert np.all(v_mid <= v_short + 1e-12)
     assert np.all(v_long <= v_mid + 1e-12)
-    l = hj.signed_target(grid, DI_TARGET).v
+    l = hj.signed_target(grid, orc.DI_TARGET).v
     assert np.all(v_short <= l + 1e-12)
 
 
@@ -571,8 +556,8 @@ def test_grid_convergence_hausdorff_strictly_decreases():
     ref = orc.di_box_brs_reference(0.5)
     dists = []
     for n in (51, 101, 201):
-        grid = orc.grid_around(DI_TARGET, factor=4.0, n=n)
-        brs = hj.solve_brs(grid, DI_TARGET, di_dynamics(), -0.5)
+        grid = orc.grid_around(orc.DI_TARGET, factor=4.0, n=n)
+        brs = hj.solve_brs(grid, orc.DI_TARGET, orc.di_dynamics(), -0.5)
         pts = orc.contour_points(grid.axes(), brs.v)
         dists.append(orc.hausdorff(pts, ref))
     assert dists[0] > dists[1] > dists[2]
@@ -584,7 +569,7 @@ def test_stay_freeze_yields_viability_kernel():
     # x1 + x2|x2|/2 in [-1, 1]
     target = hj.TargetSet.box((0.0, 0.0), (1.0, 1.0))
     grid = hj.Grid2((-2.0, -2.0), (2.0, 2.0), (101, 101))
-    vk = hj.solve_brs(grid, target, di_dynamics(), -6.0, freeze="stay")
+    vk = hj.solve_brs(grid, target, orc.di_dynamics(), -6.0, freeze="stay")
     x1g, x2g = grid.mesh()
     stop = x1g + 0.5 * np.sign(x2g) * x2g ** 2
     kernel = ((np.abs(x1g) <= 1.0) & (np.abs(x2g) <= 1.0)
@@ -616,7 +601,7 @@ def test_converge_stops_once_the_safe_set_is_final():
     # three times as long leaves that set as it is
     target = hj.TargetSet.box((0.0, 0.0), (1.0, 1.0))
     grid = hj.Grid2((-2.0, -2.0), (2.0, 2.0), (51, 51))
-    dyn = di_dynamics()
+    dyn = orc.di_dynamics()
     out = hj.solve_brs(grid, target, dyn, "converge", freeze="stay")
     info = out.info
     assert info["converged"]
@@ -632,8 +617,8 @@ def test_converge_stops_once_the_safe_set_is_final():
 
 def test_converge_flag_false_while_set_still_grows(monkeypatch):
     monkeypatch.setattr(hj, "MAX_CONVERGE_TIME", 0.5)
-    grid = orc.grid_around(DI_TARGET, n=101)
-    out = hj.solve_brs(grid, DI_TARGET, di_dynamics(), "converge")
+    grid = orc.grid_around(orc.DI_TARGET, n=101)
+    out = hj.solve_brs(grid, orc.DI_TARGET, orc.di_dynamics(), "converge")
     assert not out.info["converged"]
     assert abs(out.time + 0.5) < 1e-9
 
@@ -714,8 +699,9 @@ def test_solve_brs_steps_without_page_faults():
 
     grid = hj.Grid2((-0.2, -1.6), (0.2, 1.6), (101, 101))
     target = hj.TargetSet.box((0.0, 0.0), (0.076, 0.8))
-    dyn = plants.subsystem_error_dynamics("z", plants.QuadrupedParams(), u_lo=0.0,
-                                          u_hi=300.0, delta_m_interval=(0.0, 5.0))
+    dyn = plants.subsystem_error_dynamics("z", orc.bundled("quadruped_height", "quadruped"),
+                                          u_lo=0.0, u_hi=300.0, delta_m_interval=(0.0, 5.0),
+                                          drag_force=0.0)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     out = hj.solve_brs(grid, target, dyn, -0.3, freeze="stay")
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
@@ -724,14 +710,14 @@ def test_solve_brs_steps_without_page_faults():
 
 
 def test_solve_brs_argument_validation():
-    grid = orc.grid_around(DI_TARGET, n=51)
-    dyn = di_dynamics()
+    grid = orc.grid_around(orc.DI_TARGET, n=51)
+    dyn = orc.di_dynamics()
     with pytest.raises(ValueError):
-        hj.solve_brs(grid, DI_TARGET, dyn, 1.0)
+        hj.solve_brs(grid, orc.DI_TARGET, dyn, 1.0)
     with pytest.raises(ValueError):
-        hj.solve_brs(grid, DI_TARGET, dyn, -1.0, freeze="melt")
+        hj.solve_brs(grid, orc.DI_TARGET, dyn, -1.0, freeze="melt")
     with pytest.raises(ValueError):
-        hj.solve_brs(grid, DI_TARGET, dyn, "later")
+        hj.solve_brs(grid, orc.DI_TARGET, dyn, "later")
 
 
 @pytest.mark.parametrize("horizon", [-0.5, "converge"])
@@ -741,9 +727,10 @@ def test_solve_brs_rejects_non_finite_bounds(horizon):
     # step (converge)
     grid = hj.Grid2((-0.5, -2.0), (0.5, 2.0), (21, 21))
     target = hj.TargetSet.box((0.0, 0.0), (0.25, 1.0))
-    cases = [plants.subsystem_error_dynamics("y", plants.QuadrupedParams(), u_lo=-70.0,
-                                             u_hi=np.inf, delta_m_interval=(0.0, 5.0)),
-             di_dynamics(u_max=np.nan), di_dynamics(w_max=np.inf)]
+    cases = [plants.subsystem_error_dynamics("y", orc.bundled("quadruped_height", "quadruped"),
+                                             u_lo=-70.0, u_hi=np.inf,
+                                             delta_m_interval=(0.0, 5.0), drag_force=0.0),
+             orc.di_dynamics(u_max=np.nan), orc.di_dynamics(w_max=np.inf)]
     for dyn in cases:
         with pytest.raises(ValueError, match="must be finite"):
             hj.solve_brs(grid, target, dyn, horizon, freeze="stay")
@@ -755,10 +742,11 @@ def test_non_finite_wave_sum_is_refused():
     # move t.  The solve's setup refuses it (it is built here alone, so a
     # regression fails instead of hanging), before numpy warns of anything
     target = hj.TargetSet.box((0.0, 0.0), (0.25, 1.0))
-    heavy = plants.subsystem_error_dynamics("z", plants.QuadrupedParams(gravity=1e308),
-                                            u_lo=0.0, u_hi=300.0, delta_m_interval=(0.0, 5.0))
+    heavy = plants.subsystem_error_dynamics(
+        "z", orc.bundled("quadruped_height", "quadruped", gravity=1e308),
+        u_lo=0.0, u_hi=300.0, delta_m_interval=(0.0, 5.0), drag_force=0.0)
     cases = [(hj.Grid2((-0.5, -2.0), (0.5, 2.0), (21, 21)), heavy),
-             (hj.Grid2((-1e-310, -2.0), (1e-310, 2.0), (21, 21)), di_dynamics())]
+             (hj.Grid2((-1e-310, -2.0), (1e-310, 2.0), (21, 21)), orc.di_dynamics())]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for grid, dyn in cases:

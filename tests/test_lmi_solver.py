@@ -218,9 +218,9 @@ def synthesis_case(case):
     quadruped_height.cfg."""
     if case == "fig3":
         scn = load_scenario(orc.CONFIGS / "quadcopter_fig8.cfg")
-        return quadcopter_linearize(scn.quadcopter), scn.clf_blocks["main"].params
+        return quadcopter_linearize(scn.quadcopter), scn.clf_blocks["main"]
     scn = load_scenario(orc.CONFIGS / "quadruped_height.cfg")
-    return quadruped_axis_linear(scn.quadruped), scn.clf_blocks[case[-1]].params
+    return quadruped_axis_linear(scn.quadruped), scn.clf_blocks[case[-1]]
 
 
 @pytest.mark.parametrize("case", ["capped", "fig3", "height-y", "height-z"])

@@ -76,9 +76,9 @@ def test_condensation_rebuilt_only_when_a_jacobian_moves(monkeypatch):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        mpc.MpcConfig(q=[-1.0], r=[1.0], dt=0.1)
+        mpc.MpcConfig(q=[-1.0], r=[1.0], dt=0.1, horizon=2)
     with pytest.raises(ValueError):
-        mpc.MpcConfig(q=[1.0], r=[1.0], dt=0.0)
+        mpc.MpcConfig(q=[1.0], r=[1.0], dt=0.0, horizon=2)
     with pytest.raises(ValueError):
         mpc.MpcConfig(q=[1.0], r=[1.0], dt=0.1, horizon=0)
     with pytest.raises(ValueError, match="horizon"):

@@ -9,11 +9,11 @@ import _oracles as orc
 from robustroa import mpc, plants
 from robustroa.clf_synth import ClfCertificate, ClfParams
 from robustroa.harness import cli
-from robustroa.harness.scenarios import DisturbancePolicy, load_scenario
+from robustroa.harness.scenarios import load_scenario
 from robustroa.mpc import MpcConfig
 
 
-QP = plants.QuadcopterParams()
+QP = orc.bundled("quadcopter_fig8", "quadcopter")
 
 
 def hover_state():
@@ -63,7 +63,7 @@ def test_quadcopter_linearization_matches_fd():
 
 
 def test_figure8_rest_to_rest():
-    ref = plants.Figure8Ref()
+    ref = orc.bundled("quadcopter_fig8", "reference")
     start, end = ref.state(0.0), ref.state(5.0)
     assert start.tolist() == [0.0, 0.5, 0.0, 0.0, 0.0, 0.0]
     assert abs(end[0] - 0.5 * math.sin(10.0)) < 1e-12
@@ -82,7 +82,7 @@ def test_figure8_rest_to_rest():
 
 def test_figure8_derivative_consistency():
     # the velocities are the central differences of the positions
-    ref = plants.Figure8Ref()
+    ref = orc.bundled("quadcopter_fig8", "reference")
     h = 1e-5
     for t in np.linspace(0.2, 4.8, 17):
         diff = (ref.state(t + h)[:2] - ref.state(t - h)[:2]) / (2 * h)
@@ -92,7 +92,7 @@ def test_figure8_derivative_consistency():
 # -- quadruped -----------------------------------------------------------------
 
 def test_quadruped_static_stand():
-    p = plants.QuadrupedParams()
+    p = orc.bundled("quadruped_height", "quadruped")
     plant = plants.QuadrupedPlant(p)
     # standing centered between the feet with the static split is an equilibrium
     mid = 0.5 * (plant.stance.foot_front[0] + plant.stance.foot_rear[0])
@@ -102,7 +102,7 @@ def test_quadruped_static_stand():
 
 
 def test_added_mass_makes_stand_sag():
-    p = plants.QuadrupedParams()
+    p = orc.bundled("quadruped_height", "quadruped")
     plant = plants.QuadrupedPlant(p, delta_m=5.0)
     mid = 0.5 * (plant.stance.foot_front[0] + plant.stance.foot_rear[0])
     x = np.array([mid, p.z_ref, 0.0, 0.0, 0.0, 0.0])
@@ -113,7 +113,7 @@ def test_added_mass_makes_stand_sag():
 
 
 def test_quadruped_torque_cross_check():
-    p = plants.QuadrupedParams()
+    p = orc.bundled("quadruped_height", "quadruped")
     rng = np.random.default_rng(3)
     stance = plants.StanceState(foot_front=np.array([0.4, 0.0]),
                                 foot_rear=np.array([0.1, 0.0]))
@@ -135,7 +135,7 @@ def test_model_jacobians_match_central_differences():
     # the controller models' analytic Jacobians against orc.linearize_fd,
     # over two stances and off-hover quadcopter states; one quadcopter
     # model serves every case
-    p = plants.QuadrupedParams()
+    p = orc.bundled("quadruped_height", "quadruped")
     walker = plants.QuadrupedPlant(p)
     walker.advance(0.0, [-0.37, 0.3, 0.0, 0.0, 0.0, 0.0])
     stances = [walker.stance]
@@ -166,7 +166,7 @@ def test_model_jacobians_match_central_differences():
 
 
 def test_sanitize_projects_into_friction_cone():
-    plant = plants.QuadrupedPlant(plants.QuadrupedParams(friction_coeff=0.6))
+    plant = plants.QuadrupedPlant(orc.bundled("quadruped_height", "quadruped", friction_coeff=0.6))
     u, clamps = plant.sanitize([10.0, -10.0, 5.0, -3.0])
     assert clamps == 3
     assert u[2] == 5.0 and u[3] == 0.0
@@ -179,7 +179,7 @@ def test_stance_replaced_around_the_body_every_step_time():
     # the first advance places the stance around the body, wherever it is,
     # and each step_time places a new one around x[0] then; the feet
     # straddle the predicted mid-step body position, not the current one
-    p = plants.QuadrupedParams()
+    p = orc.bundled("quadruped_height", "quadruped")
     plant = plants.QuadrupedPlant(p)
     lead = 0.5 * p.v_ref * p.step_time
 
@@ -201,7 +201,7 @@ def test_stance_replaced_around_the_body_every_step_time():
 
 
 def test_axis_linear_model():
-    p = plants.QuadrupedParams()
+    p = orc.bundled("quadruped_height", "quadruped")
     m = plants.quadruped_axis_linear(p)
     assert np.allclose(m.a, [[0.0, 1.0], [0.0, 0.0]])
     assert np.allclose(m.b, [[0.0], [1.0 / p.mass]])
@@ -209,7 +209,7 @@ def test_axis_linear_model():
 
 
 def test_stance_allocation_torque_free():
-    p = plants.QuadrupedParams()
+    p = orc.bundled("quadruped_height", "quadruped")
     plant = plants.QuadrupedPlant(p)
     x = np.zeros(6)
     x[0] = 0.04
@@ -258,7 +258,7 @@ class _Origin6Ref:
 
 
 def test_tracking_controller_callable_gain():
-    p = plants.QuadcopterParams()
+    p = orc.bundled("quadcopter_fig8", "quadcopter")
     plant = plants.QuadcopterPlant(p)
     ref = _Origin6Ref()
     cfg = MpcConfig(dt=0.05, horizon=2,
@@ -281,9 +281,9 @@ def test_tracking_controller_callable_gain():
 
 
 def test_subsystem_error_dynamics_endpoints():
-    p = plants.QuadrupedParams()
+    p = orc.bundled("quadruped_height", "quadruped")
     dyn = plants.subsystem_error_dynamics("z", p, u_lo=0.0, u_hi=400.0,
-                                          delta_m_interval=(0.0, 5.0))
+                                          delta_m_interval=(0.0, 5.0), drag_force=0.0)
     assert dyn.uncertain_params == (0.0, 5.0)
     x1 = np.array([0.1, -0.2])
     x2 = np.array([0.0, 0.3])
@@ -298,7 +298,7 @@ def test_subsystem_error_dynamics_endpoints():
     _, dy2 = dyn_y.drift(x1, x2, 5.0)
     assert np.allclose(dy2, -30.0 / (p.mass + 5.0))
     with pytest.raises(ValueError):
-        plants.subsystem_error_dynamics("q", p, 0.0, 1.0, (0.0, 5.0))
+        plants.subsystem_error_dynamics("q", p, 0.0, 1.0, (0.0, 5.0), 0.0)
 
 
 def test_trot_reference():
@@ -361,8 +361,9 @@ def test_worst_constant_disturbance_maximizes_energy():
     acl = model.a + model.b @ k
     assert np.max(np.linalg.eigvals(acl).real) < 0.0
     p_lyap = np.array([[2.0, 0.5], [0.5, 1.0]])
-    cert = ClfCertificate(k=k, p=p_lyap, params=params)
-    w_star = plants.worst_constant_disturbance(cert, model, 3.5)
+    # the certificate's own bound is the norm it aims
+    cert = ClfCertificate(k=k, p=p_lyap, params=params).set_disturbance_bound(3.5)
+    w_star = plants.worst_constant_disturbance(cert, model)
     assert abs(np.linalg.norm(w_star) - 3.5) < 1e-9
 
     def steady_energy(w):
@@ -657,15 +658,19 @@ CLOSED_LOOPS = {
     "quadcopter-worst-nominal": ("quadcopter", "nominal", {}),
     "quadcopter-worst-robust": ("quadcopter", "robust", {}),
     "quadcopter-random": ("quadcopter", "robust",
-                          {"seed": 5, "disturbance": DisturbancePolicy(kind="random", w_max=3.5)}),
+                          {"seed": 5, "disturbance": orc.bundled("quadcopter_fig8", "disturbance",
+                                                                 kind="random", w_max=3.5,
+                                                                 hold_time=0.05)}),
     "quadruped-robust": ("quadruped", "robust", {}),
     "quadruped-nominal": ("quadruped", "nominal", {}),
     # a push of 1e6 m/s^2 drives the lateral rate past plants.BLOWUP within 0.011 s
     "quadcopter-blowup": ("quadcopter", "nominal",
-                          {"disturbance": DisturbancePolicy(kind="constant", w=(1e6, 0.0))}),
+                          {"disturbance": orc.bundled("quadcopter_fig8", "disturbance",
+                                                      kind="constant", w=(1e6, 0.0))}),
     # the first stage sum overflows: non-finite on the first step
     "quadcopter-nonfinite": ("quadcopter", "robust",
-                             {"disturbance": DisturbancePolicy(kind="constant", w=(1e308, 0.0))}),
+                             {"disturbance": orc.bundled("quadcopter_fig8", "disturbance",
+                                                         kind="constant", w=(1e308, 0.0))}),
 }
 
 

@@ -297,7 +297,7 @@ def bundled_dynamics(scn, axis, n, block=None):
 def bundled_axis(scn, axis, n, block=None):
     """bundled_dynamics plus the axis's synthesized certificate."""
     cert, _ = synthesize(plants.quadruped_axis_linear(scn.quadruped),
-                         scn.clf_blocks[axis].params)
+                         scn.clf_blocks[axis])
     return (*bundled_dynamics(scn, axis, n, block), cert)
 
 
